@@ -23,11 +23,8 @@ from .signature import degree_and_lead
 from .soup import (MeasureConfig, dumps_soup, enumerate_measure, occupation,
                    sample_soup, spectral_radius, total_mass)
 from .spectra import class_intensity, contractible_intensity, ihara_check, solve_rho
-from .fourier import (homology1_field_law, homology1_intensity,
-                      homology1_intensity_mod, homology2_field_law,
-                      homology2_intensity)
-
-__version__ = "0.1.0"
+from .fourier import _homology1_values, homology2_field_law, homology2_intensity
+from . import __version__
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,13 +154,9 @@ def cmd_h1(args) -> None:
         "field": args.field, "alpha": args.alpha,
     })
     lines = [manifest, ",".join([f"h{i}" for i in range(1, r + 1)] + [value_col])]
-    for h in hs:
-        if args.field:
-            val = homology1_field_law(g, frame, args.alpha, h, M=args.grid)
-        elif args.mod is not None:
-            val = homology1_intensity_mod(g, frame, h, args.mod)
-        else:
-            val = homology1_intensity(g, frame, h, M=args.grid)
+    vals = _homology1_values(g, frame, hs, M=args.grid, mod=args.mod,
+                             alpha=args.alpha if args.field else None)
+    for h, val in zip(hs, vals):
         lines.append(",".join([str(x) for x in h] + [_fmt(val)]))
     _emit(args, lines)
 

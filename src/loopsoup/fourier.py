@@ -35,15 +35,19 @@ def _assert_real(z: complex, what: str) -> float:
     return float(z.real)
 
 
+def _check_theta(theta: Sequence[float], rank: int) -> tuple[float, ...]:
+    theta = tuple(float(t) for t in theta)
+    if len(theta) != rank:
+        raise ValidationError(f"theta has length {len(theta)}, frame rank is {rank}")
+    return theta
+
+
 def twisted_matrix(g: GraphModel, frame: SpanningTreeFrame,
                    theta: Sequence[float]) -> np.ndarray:
     """Transition matrix with each cogenerator crossing twisted by a phase:
     step x -> y over cogenerator j picks up exp(+-2 pi i theta_j). theta
     lives on the torus [0, 1]^rank."""
-    theta = tuple(float(t) for t in theta)
-    if len(theta) != frame.rank:
-        raise ValidationError(
-            f"theta has length {len(theta)}, frame rank is {frame.rank}")
+    theta = _check_theta(theta, frame.rank)
     p = g.transition.astype(complex)
     for j, (u, v) in enumerate(frame.cogenerators):
         phase = np.exp(2j * np.pi * theta[j])
@@ -52,59 +56,66 @@ def twisted_matrix(g: GraphModel, frame: SpanningTreeFrame,
     return p
 
 
-def _sym_eigvals(g: GraphModel, block: Callable[[int, int], np.ndarray],
-                 dim: int) -> np.ndarray:
-    """Eigenvalues of the Hermitian-symmetrized twisted transition matrix.
+# Most complex entries in one stack of twisted matrices: a batch of any size
+# is assembled and eigensolved in chunks of at most this many entries.
+_CHUNK_ENTRIES = 1 << 16
 
-    block(x, y) is the unitary attached to the step x -> y (conjugate
-    transpose of block(y, x)); the symmetrized matrix has (x, y) block
-    C(x,y) block(x,y) / sqrt(lam_x lam_y), which is Hermitian, and shares
-    its spectrum with the twisted P."""
-    n = g.num_vertices
-    lam = g.lam
-    s = np.zeros((n * dim, n * dim), dtype=complex)
+
+def _twisted_log_dets(g: GraphModel, letter: Callable[[int, int], int],
+                      unitaries: Sequence[np.ndarray], m: int | None,
+                      what: str) -> np.ndarray:
+    """log det(I - P twisted), one value per twist of a batch.
+
+    The step x -> y carries unitaries[j - 1] when letter(x, y) = j > 0, its
+    conjugate transpose when j < 0 and the identity when j = 0. Without m
+    the batch is this one twist; with m it is the m^rank points k of the
+    torus grid in C order, unitary j times exp(2 pi i k_j / m). The
+    symmetrized matrix with (x, y) block C(x,y) U / sqrt(lam_x lam_y) is
+    Hermitian and shares its spectrum with the twisted P; it is assembled
+    and eigensolved for a chunk of the batch at a time.
+    """
+    dim = unitaries[0].shape[0] if unitaries else 1
+    size = g.num_vertices * dim
+    rank = len(unitaries)
+    batch = 1 if m is None else m ** rank
+    chunk = max(1, _CHUNK_ENTRIES // (size * size))
+    s = np.zeros((min(batch, chunk), size, size), dtype=complex)
+    twisted = []
     for (u, v), c in g.conductance.items():
-        w = c / np.sqrt(lam[u] * lam[v])
-        s[u * dim:(u + 1) * dim, v * dim:(v + 1) * dim] = w * block(u, v)
-        s[v * dim:(v + 1) * dim, u * dim:(u + 1) * dim] = w * block(v, u)
-    return np.linalg.eigvalsh(s)
-
-
-def _logdet_one_minus(eigs: np.ndarray, what: str) -> float:
-    gaps = 1.0 - eigs
-    if np.min(gaps) <= 1e-14:
-        raise NumericError(
-            f"massless/recurrent twist: det(I - {what}) vanishes")
-    return float(np.sum(np.log(gaps)))
-
-
-def _scalar_block(frame: SpanningTreeFrame, theta: Sequence[float]
-                  ) -> Callable[[int, int], np.ndarray]:
-    one = np.ones((1, 1), dtype=complex)
-
-    def block(x: int, y: int) -> np.ndarray:
-        letter = frame.crossing(x, y)
-        if letter == 0:
-            return one
-        sign = 1.0 if letter > 0 else -1.0
-        return one * np.exp(2j * np.pi * sign * theta[abs(letter) - 1])
-
-    return block
+        w = c / np.sqrt(g.lam[u] * g.lam[v])
+        bu, bv = slice(u * dim, (u + 1) * dim), slice(v * dim, (v + 1) * dim)
+        j = letter(u, v)
+        if j == 0:
+            s[:, bu, bv] = s[:, bv, bu] = w * np.eye(dim, dtype=complex)
+        else:
+            twisted.append((w, j, bu, bv))
+    out = np.empty(batch)
+    for start in range(0, batch, chunk):
+        stop = min(start + chunk, batch)
+        for w, j, bu, bv in twisted:
+            fwd = unitaries[abs(j) - 1][None]
+            if m is not None:
+                k = np.arange(start, stop) // m ** (rank - abs(j)) % m
+                fwd = fwd * np.exp(2j * np.pi * (k / m))[:, None, None]
+            bwd = fwd.conj().swapaxes(1, 2)
+            if j < 0:
+                fwd, bwd = bwd, fwd
+            s[:stop - start, bu, bv] = w * fwd
+            s[:stop - start, bv, bu] = w * bwd
+        gaps = 1.0 - np.linalg.eigvalsh(s[:stop - start])
+        if np.min(gaps) <= 1e-14:
+            raise NumericError(
+                f"massless/recurrent twist: det(I - {what}) vanishes")
+        out[start:stop] = np.sum(np.log(gaps), axis=1)
+    return out
 
 
 def twisted_log_det(g: GraphModel, frame: SpanningTreeFrame,
                     theta: Sequence[float]) -> float:
     """log det(I - P^(theta)), exactly real by the Hermitian route."""
-    theta = tuple(float(t) for t in theta)
-    if len(theta) != frame.rank:
-        raise ValidationError(
-            f"theta has length {len(theta)}, frame rank is {frame.rank}")
-    eigs = _sym_eigvals(g, _scalar_block(frame, theta), 1)
-    return _logdet_one_minus(eigs, "P^theta")
-
-
-def _grid_iter(rank: int, m: int) -> Iterable[tuple[int, ...]]:
-    return np.ndindex(*([m] * rank))
+    phases = np.exp(2j * np.pi * np.array(_check_theta(theta, frame.rank)))
+    return float(_twisted_log_dets(g, frame.crossing, list(phases[:, None, None]),
+                                   None, "P^theta")[0])
 
 
 def homology1_grid(g: GraphModel, frame: SpanningTreeFrame,
@@ -112,17 +123,9 @@ def homology1_grid(g: GraphModel, frame: SpanningTreeFrame,
     """log det(I - P^(k/m)) over the full torus grid, shape (m,) * rank."""
     if m < 2:
         raise ValidationError("grid size must be >= 2")
-    out = np.empty((m,) * frame.rank)
-    for k in _grid_iter(frame.rank, m):
-        out[k] = twisted_log_det(g, frame, [ki / m for ki in k])
-    return out
-
-
-def _intensity_from_grid(grid: np.ndarray, h: tuple[int, ...]) -> float:
-    m = grid.shape[0] if grid.ndim else 1
-    transformed = np.fft.fftn(grid)
-    idx = tuple(hi % m for hi in h)
-    return _assert_real(-transformed[idx] / grid.size, "homology1 intensity")
+    ones = [np.ones((1, 1), dtype=complex)] * frame.rank
+    return _twisted_log_dets(g, frame.crossing, ones, m,
+                             "P^theta").reshape((m,) * frame.rank)
 
 
 def _check_h(h: Sequence[int], rank: int) -> tuple[int, ...]:
@@ -139,6 +142,53 @@ _REFINE_CAP = 4096
 _REFINE_TOL = 1e-8
 
 
+def _refine(value_at: Callable[[int], float]) -> float:
+    """value_at(m) on grids of 64 points per dimension, doubling until the
+    value moves by < 1e-8."""
+    m = _REFINE_START
+    val = value_at(m)
+    while m < _REFINE_CAP:
+        m *= 2
+        refined = value_at(m)
+        if abs(refined - val) < _REFINE_TOL:
+            return refined
+        val = refined
+    raise NumericError(f"grid refinement did not settle by M={_REFINE_CAP}")
+
+
+def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
+                      hs: Iterable[Sequence[int]], M: int | None = None,
+                      mod: int | None = None,
+                      alpha: float | None = None) -> list[float]:
+    """The first-homology law at every h of hs, computing each grid once.
+
+    With alpha, P(total soup winding = h); otherwise the intensity, read
+    on the mod-`mod` grid when mod is given. With M omitted (and no mod)
+    every h refines its own grid size.
+    """
+    if alpha is None and mod is not None:
+        if mod < 2:
+            raise ValidationError("modulus must be >= 2")
+        M = mod
+    hs = [_check_h(h, frame.rank) for h in hs]
+    if frame.rank == 0:
+        return [1.0 if alpha is not None else total_mass(g) for _ in hs]
+    grids: dict[int, np.ndarray] = {}
+
+    def value(h: tuple[int, ...], m: int) -> float:
+        if m not in grids:
+            grids[m] = (homology1_field_grid(g, frame, alpha, m) if alpha is not None
+                        else np.fft.fftn(homology1_grid(g, frame, m)))
+        at = tuple(hi % m for hi in h)
+        if alpha is not None:
+            return float(grids[m][at])
+        return _assert_real(-grids[m][at] / grids[m].size, "homology1 intensity")
+
+    if M is not None:
+        return [value(h, M) for h in hs]
+    return [_refine(lambda m: value(h, m)) for h in hs]
+
+
 def homology1_intensity(g: GraphModel, frame: SpanningTreeFrame,
                         h: Sequence[int], M: int | None = None) -> float:
     """Mass of loops with total winding vector h.
@@ -149,32 +199,14 @@ def homology1_intensity(g: GraphModel, frame: SpanningTreeFrame,
     non-negligible mass. With M omitted the grid starts at 64 points per
     dimension and doubles until refinement moves the value by < 1e-8.
     """
-    h = _check_h(h, frame.rank)
-    if frame.rank == 0:
-        return total_mass(g)
-    if M is not None:
-        return _intensity_from_grid(homology1_grid(g, frame, M), h)
-    m = _REFINE_START
-    val = _intensity_from_grid(homology1_grid(g, frame, m), h)
-    while m < _REFINE_CAP:
-        m *= 2
-        refined = _intensity_from_grid(homology1_grid(g, frame, m), h)
-        if abs(refined - val) < _REFINE_TOL:
-            return refined
-        val = refined
-    raise NumericError(f"grid refinement did not settle by M={_REFINE_CAP}")
+    return _homology1_values(g, frame, [h], M=M)[0]
 
 
 def homology1_intensity_mod(g: GraphModel, frame: SpanningTreeFrame,
                             h: Sequence[int], p: int) -> float:
     """Mass of loops whose winding vector is congruent to h mod p: the
     p-point grid computes exactly this aliased sum."""
-    if p < 2:
-        raise ValidationError("modulus must be >= 2")
-    h = _check_h(h, frame.rank)
-    if frame.rank == 0:
-        return total_mass(g)
-    return _intensity_from_grid(homology1_grid(g, frame, p), h)
+    return _homology1_values(g, frame, [h], mod=p)[0]
 
 
 def homology1_field_grid(g: GraphModel, frame: SpanningTreeFrame,
@@ -200,24 +232,9 @@ def homology1_field_grid(g: GraphModel, frame: SpanningTreeFrame,
 def homology1_field_law(g: GraphModel, frame: SpanningTreeFrame,
                         alpha: float, h: Sequence[int],
                         M: int | None = None) -> float:
-    """P(total soup winding = h), h-aliased mod the grid size."""
-    h = _check_h(h, frame.rank)
-    if frame.rank == 0:
-        return 1.0 if all(x == 0 for x in h) else 0.0
-    if M is not None:
-        grid = homology1_field_grid(g, frame, alpha, M)
-        return float(grid[tuple(hi % M for hi in h)])
-    m = _REFINE_START
-    val = float(homology1_field_grid(g, frame, alpha, m)[
-        tuple(hi % m for hi in h)])
-    while m < _REFINE_CAP:
-        m *= 2
-        refined = float(homology1_field_grid(g, frame, alpha, m)[
-            tuple(hi % m for hi in h)])
-        if abs(refined - val) < _REFINE_TOL:
-            return refined
-        val = refined
-    raise NumericError(f"grid refinement did not settle by M={_REFINE_CAP}")
+    """P(total soup winding = h), h-aliased mod the grid size; with M
+    omitted the grid refines as in homology1_intensity."""
+    return _homology1_values(g, frame, [h], M=M, alpha=alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -277,8 +294,13 @@ def holonomy_log_det(g: GraphModel,
                 f"U[({v},{u})] is not the conjugate transpose of U[({u},{v})]")
     if dim is None:
         return 0.0
-    eigs = _sym_eigvals(g, lambda x, y: mats[(x, y)], dim)
-    return -_logdet_one_minus(eigs, "holonomy twist") / dim
+    # edge i is letter i on its step down from the larger vertex, so the
+    # lower triangle, the one eigvalsh reads, holds the given U[(v, u)]
+    index = {e: i for i, e in enumerate(g.edges, start=1)}
+    log_det = _twisted_log_dets(
+        g, lambda x, y: index[(y, x)] if x > y else -index[(x, y)],
+        [mats[(v, u)] for u, v in g.edges], None, "holonomy twist")[0]
+    return -float(log_det) / dim
 
 
 @dataclass(frozen=True)
@@ -446,14 +468,9 @@ class NilpotentRep:
     def dim(self) -> int:
         return self.p ** self.r
 
-    def _index(self, x: tuple[int, ...]) -> int:
-        idx = 0
-        for xi in x:
-            idx = idx * self.p + (xi % self.p)
-        return idx
-
     def matrix(self, a: Sequence[int], c) -> np.ndarray:
-        """U[(a, c)] as a dim x dim unitary."""
+        """U[(a, c)] as a dim x dim unitary: row x holds omega^phase(x) in
+        column x - h a, basis vectors indexed by x in row-major order."""
         p, r = self.p, self.r
         a = [int(x) % p for x in a]
         if len(a) != r:
@@ -462,13 +479,14 @@ class NilpotentRep:
         pair_ch = sum(cm[i][j] * self.h[i][j] for i in range(r)
                       for j in range(r)) % p
         omega = np.exp(2j * np.pi / p)
+        powers = np.array([omega ** k for k in range(p)])
+        shift = np.array([sum(self.h[i][j] * a[j] for j in range(r)) % p
+                          for i in range(r)], dtype=np.int64)
+        x = np.indices((p,) * r).reshape(r, self.dim)
+        cols = np.ravel_multi_index(tuple((x - shift[:, None]) % p), (p,) * r)
+        phase = (pair_ch + np.array(a, dtype=np.int64) @ x) % p
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        shift = [sum(self.h[i][j] * a[j] for j in range(r)) % p
-                 for i in range(r)]
-        for x in np.ndindex(*([p] * r)):
-            y = tuple((x[i] - shift[i]) % p for i in range(r))
-            phase = (pair_ch + sum(a[i] * x[i] for i in range(r))) % p
-            out[self._index(x), self._index(y)] = omega ** phase
+        out[np.arange(self.dim), cols] = powers[phase]
         return out
 
     def generator(self, i: int, sign: int = 1) -> np.ndarray:
@@ -541,32 +559,14 @@ def _check_m(m, r: int, p: int) -> dict[tuple[int, int], int]:
     return out
 
 
-def _rep_block(frame: SpanningTreeFrame, rep: NilpotentRep,
-               theta: Sequence[float] | None) -> Callable[[int, int], np.ndarray]:
-    eye = np.eye(rep.dim, dtype=complex)
-    fwd = {i: rep.generator(i) for i in range(1, frame.rank + 1)}
-    bwd = {i: fwd[i].conj().T for i in fwd}
-
-    def block(x: int, y: int) -> np.ndarray:
-        letter = frame.crossing(x, y)
-        if letter == 0:
-            return eye
-        mat = fwd[letter] if letter > 0 else bwd[-letter]
-        if theta is not None:
-            sign = 1.0 if letter > 0 else -1.0
-            mat = mat * np.exp(2j * np.pi * sign * theta[abs(letter) - 1])
-        return mat
-
-    return block
-
-
-def _heisenberg_trace(g: GraphModel, frame: SpanningTreeFrame,
-                      rep: NilpotentRep,
-                      theta: Sequence[float] | None = None) -> float:
-    """-(1/p^r) log det(I - P twisted by the representation), optionally
-    with an extra torus phase on each crossing."""
-    eigs = _sym_eigvals(g, _rep_block(frame, rep, theta), rep.dim)
-    return -_logdet_one_minus(eigs, "Heisenberg twist") / rep.dim
+def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame,
+                       rep: NilpotentRep,
+                       m: int | None = None) -> np.ndarray:
+    """-(1/p^r) log det(I - P twisted by the representation); with m, once
+    per point of the m-point torus grid of extra phases on the crossings."""
+    gens = [rep.generator(i) for i in range(1, frame.rank + 1)]
+    return -_twisted_log_dets(g, frame.crossing, gens, m,
+                              "Heisenberg twist") / rep.dim
 
 
 def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
@@ -593,7 +593,7 @@ def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
     for hvals in np.ndindex(*([p] * q)):
         h = {pair: int(v) for pair, v in zip(pairs, hvals)}
         rep = nilpotent_rep(p, r, h)
-        t = _heisenberg_trace(g, frame, rep)
+        t = float(_heisenberg_traces(g, frame, rep)[0])
         pairing = 2 * sum(mm[pair] * h[pair] for pair in pairs)
         acc += t * omega ** (-pairing % p)
     val = _assert_real(acc / p ** q, "homology2 intensity") * alpha
@@ -629,9 +629,8 @@ def homology2_field_law(g: GraphModel, frame: SpanningTreeFrame,
         h = {pair: int(v) for pair, v in zip(pairs, hvals)}
         rep = nilpotent_rep(p, r, h)
         acc = 0.0
-        for k in np.ndindex(*([M] * r)):
-            acc += _heisenberg_trace(g, frame, rep,
-                                     theta=[ki / M for ki in k])
+        for t in _heisenberg_traces(g, frame, rep, M).tolist():
+            acc += t
         s_vals[hvals] = acc / M ** r
     base = s_vals[(0,) * q]
     acc = 0.0 + 0.0j

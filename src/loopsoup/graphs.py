@@ -14,6 +14,7 @@ and the Green/Jacobian data used by the continuous-distribution modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -91,7 +92,8 @@ def build_graph(
 
     Raises:
         ValidationError: on bad labels, loops, duplicate edges, nonpositive
-            conductances, or negative killing rates.
+            or non-finite conductances, or negative or non-finite killing
+            rates.
     """
     if num_vertices < 1:
         raise ValidationError("graph needs at least one vertex")
@@ -106,6 +108,8 @@ def build_graph(
             raise ValidationError(f"duplicate edge {e}")
         if not c > 0:
             raise ValidationError(f"edge {e} has nonpositive conductance {c}")
+        if not math.isfinite(c):
+            raise ValidationError(f"edge {e} has non-finite conductance {c}")
         conductance[e] = float(c)
     if isinstance(killing, (int, float)):
         kill = (float(killing),) * num_vertices
@@ -117,6 +121,8 @@ def build_graph(
             )
     if any(k < 0 for k in kill):
         raise ValidationError("killing rates must be nonnegative")
+    if not all(math.isfinite(k) for k in kill):
+        raise ValidationError("killing rates must be finite")
     lam_zero = [x for x in range(num_vertices)
                 if kill[x] == 0 and not any(x in e for e in conductance)]
     if lam_zero:

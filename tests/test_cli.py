@@ -101,6 +101,13 @@ class TestValidate:
         code, _ = run_cli(capsys, "validate", str(p))
         assert code == 2
 
+    def test_non_finite_weight_exits_2(self, capsys, tmp_path):
+        for line in ("edge 0 1 inf", "edge 0 1 1.0\nkappa 0 nan"):
+            p = tmp_path / "nonfinite.graph"
+            p.write_text(f"vertices 2\n{line}\n")
+            assert main(["validate", str(p)]) == 2
+            assert "validation error" in capsys.readouterr().err
+
     def test_missing_file_exits_4(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "validate", str(tmp_path / "nope.graph"))
         assert code == 4
@@ -204,6 +211,22 @@ class TestH1:
         p.write_text("vertices 3\nedge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n")
         code, _ = run_cli(capsys, "h1", str(p), "--h", "0")
         assert code == 3
+
+    @pytest.mark.parametrize("flags", [
+        (), ("--M", "32"), ("--mod", "3"), ("--field",),
+        ("--field", "--M", "16", "--alpha", "0.7")])
+    def test_rows_match_single_rows(self, capsys, bow_path, flags):
+        # one invocation shares its grids across rows; every row must
+        # still equal the row computed on its own, automatic M included
+        code, out = run_cli(capsys, "h1", bow_path, "--h-range", "1", *flags)
+        assert code == 0
+        rows = out.splitlines()[2:]
+        assert len(rows) == 9
+        for row in rows:
+            h = ",".join(row.split(",")[:2])
+            code, single = run_cli(capsys, "h1", bow_path, f"--h={h}", *flags)
+            assert code == 0
+            assert single.splitlines()[2] == row
 
 
 class TestH2:
@@ -317,16 +340,18 @@ def install_console_script(name, bin_dir):
 class TestConsoleScript:
     def test_installed_entry_point(self, tri_path, tmp_path):
         # byte-identical across runs through the real console script,
-        # built from the checkout's pyproject.toml as an installer would
+        # built from the checkout's pyproject.toml as an installer would;
+        # the seed and alpha draw a non-empty soup, so loop rows are compared
         bin_dir = tmp_path / "bin"
         bin_dir.mkdir()
         env = install_console_script("loopsoup", bin_dir)
-        cmd = ["loopsoup", "sample", tri_path, "--seed", "3",
+        cmd = ["loopsoup", "sample", tri_path, "--seed", "4", "--alpha", "4",
                "--n-max", "42", "--tail-tol", "1e-7"]
         r1 = subprocess.run(cmd, capture_output=True, text=True, env=env)
         r2 = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert r1.returncode == r2.returncode == 0
         assert r1.stdout == r2.stdout
+        assert len(r1.stdout.splitlines()) > 1
 
     def test_module_invocation(self, tri_path):
         r = subprocess.run(

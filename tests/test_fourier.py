@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from loopsoup import fourier
 from loopsoup import (
     NumericError,
     ValidationError,
@@ -157,6 +158,60 @@ class TestHomology1Field:
             p = homology1_field_law(triangle, triangle_frame, 1.0, h, M=64)
             se = math.sqrt(p * (1 - p) / n)
             assert abs(hits.get(h, 0) / n - p) < 4 * se
+
+
+class TestBatchedAssembly:
+    """homology1_grid, twisted_log_det, holonomy_log_det and the Heisenberg
+    laws share one batched builder of the twisted matrices."""
+
+    @pytest.mark.parametrize("name,m", [("triangle", 64), ("bowtie", 12),
+                                        ("k4", 5)])
+    def test_grid_equals_pointwise_log_dets(self, request, name, m):
+        from loopsoup import twisted_matrix
+        g = request.getfixturevalue(name)
+        frame = request.getfixturevalue(f"{name}_frame")
+        grid = homology1_grid(g, frame, m)
+        pointwise = np.empty((m,) * frame.rank)
+        for k in np.ndindex(*pointwise.shape):
+            theta = [ki / m for ki in k]
+            pointwise[k] = twisted_log_det(g, frame, theta)
+            # independent route: the dense twisted transition matrix
+            _, direct = np.linalg.slogdet(
+                np.eye(g.num_vertices) - twisted_matrix(g, frame, theta))
+            assert pointwise[k] == pytest.approx(direct, abs=1e-12)
+        assert np.array_equal(grid, pointwise)
+
+    def test_chunks_equal_one_batch(self, bowtie, bowtie_frame, monkeypatch):
+        # 256 matrices of 5x5 in chunks of 10, the last one partial
+        whole = homology1_grid(bowtie, bowtie_frame, 16)
+        monkeypatch.setattr(fourier, "_CHUNK_ENTRIES", 10 * 25)
+        assert np.array_equal(homology1_grid(bowtie, bowtie_frame, 16), whole)
+
+    def test_massless_twist_raises_through_grid(self):
+        from loopsoup import build_graph, spanning_tree_frame
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], 0.0)
+        with pytest.raises(NumericError, match="massless/recurrent twist"):
+            homology1_grid(g, spanning_tree_frame(g), 4)
+
+    def test_holonomy_value_unchanged(self, bowtie):
+        # S3 standard irrep on the two handles of the bowtie
+        _, _, gd = _s3()
+        conn = {(1, 2): (1, 0, 2), (3, 4): (1, 2, 0)}
+        mats = {}
+        for (u, v) in bowtie.edges:
+            a = conn.get((u, v), (0, 1, 2))
+            mats[(u, v)] = gd.irreps[2][a]
+            mats[(v, u)] = gd.irreps[2][tuple(sorted(range(3), key=a.__getitem__))]
+        assert holonomy_log_det(bowtie, mats) == pytest.approx(
+            0.5595334901819655, rel=1e-15, abs=1e-15)
+
+    def test_homology2_field_values_unchanged(self, bowtie, bowtie_frame):
+        for alpha, m, p, M, want in ((1.0, 0, 5, 8, 0.9999966871290646),
+                                     (1.0, 2, 5, 8, 4.271907727559921e-09),
+                                     (0.5, 1, 3, 5, 8.282105596520613e-07)):
+            got = homology2_field_law(bowtie, bowtie_frame, alpha,
+                                      {(1, 2): m}, p, M=M)
+            assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 class TestJacobianVolume:
@@ -373,6 +428,25 @@ class TestNilpotentRep:
                 U2 = rep.matrix(a2, c2)
                 U12 = rep.matrix(*rep.compose((a1, c1), (a2, c2)))
                 assert np.allclose(U1 @ U2, U12, atol=1e-10)
+
+    def test_matrix_matches_definition(self):
+        # (U psi)(x) = omega^(<c,h> + <a,x>) psi(x - h a), entry by entry
+        p, r = 3, 3
+        h = {(1, 2): 1, (2, 3): 2}
+        rep = nilpotent_rep(p, r, h)
+        omega = np.exp(2j * np.pi / p)
+        c = {(1, 2): 2, (1, 3): 1}
+        ch = 2 * sum(c[pair] * h.get(pair, 0) for pair in c)  # <c,h> = 4
+        points = list(itertools.product(range(p), repeat=r))
+        for a in ((1, 0, 2), (2, 2, 1)):
+            want = np.zeros((rep.dim, rep.dim), dtype=complex)
+            shift = [sum(rep.h[i][j] * a[j] for j in range(r)) % p
+                     for i in range(r)]
+            for row, x in enumerate(points):
+                y = tuple((x[i] - shift[i]) % p for i in range(r))
+                phase = (ch + sum(ai * xi for ai, xi in zip(a, x))) % p
+                want[row, points.index(y)] = omega ** phase
+            assert np.array_equal(rep.matrix(a, c), want)
 
     def test_central_element_is_scalar(self):
         # the pairing runs over the full skew matrix, so a strict-pair

@@ -64,6 +64,18 @@ class TestBuildGraph:
         with pytest.raises(ValidationError):
             build_graph(2, [(0, 1, 1.0)], [-0.1, 0.0])
 
+    def test_rejects_non_finite_weights(self):
+        for c in (math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                build_graph(2, [(0, 1, c)], 1.0)
+        for kappa in (math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                build_graph(2, [(0, 1, 1.0)], [kappa, 0.0])
+        with pytest.raises(ValidationError, match="non-finite"):
+            parse_graph("vertices 2\nedge 0 1 inf\n")
+        with pytest.raises(ValidationError, match="finite"):
+            parse_graph("vertices 2\nedge 0 1 1.0\nkappa 0 nan\n")
+
     def test_rejects_disconnected(self):
         with pytest.raises(ValidationError, match="connected"):
             build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)], 1.0)
