@@ -118,18 +118,21 @@ def cmd_homotopy(args) -> None:
     g = _load_graph(args.graph)
     frame = spanning_tree_frame(g)
     rho = solve_rho(g, args.s)
-    manifest = _manifest("homotopy", {
-        "graph": args.graph, "max_len": args.max_len, "s": args.s,
-    })
-    lines = [manifest, "class,length,mult,intensity"]
-    trivial_val, _ = contractible_intensity(g) if args.s == 1.0 else (None, None)
-    if trivial_val is not None:
-        lines.append(f"e,0,1,{_fmt(trivial_val)}")
+    rows = []
+    quad_err = None
+    if args.s == 1.0:
+        trivial_val, quad_err = contractible_intensity(g)
+        rows.append(f"e,0,1,{_fmt(trivial_val)}")
     for cls in enumerate_geodesic_classes(frame.rank, args.max_len):
         val = class_intensity(g, frame, cls, s=args.s, rho=rho)
-        lines.append(f"{_class_label(cls)},{cls.length},{cls.multiplicity},"
-                     f"{_fmt(val)}")
-    _emit(args, lines)
+        rows.append(f"{_class_label(cls)},{cls.length},{cls.multiplicity},"
+                    f"{_fmt(val)}")
+    manifest = _manifest("homotopy", {
+        "graph": args.graph, "max_len": args.max_len, "s": args.s,
+        "quad_err": None if quad_err is None else _fmt(quad_err),
+        "rho_iterations": rho.iterations,
+    })
+    _emit(args, [manifest, "class,length,mult,intensity"] + rows)
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:

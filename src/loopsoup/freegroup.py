@@ -241,9 +241,9 @@ def geodesic_representative(
 
 def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
     """All nontrivial homotopy classes of word length <= max_len, sorted by
-    (length, canonical word)."""
-    if rank < 1:
-        raise ValidationError("rank must be >= 1")
+    (length, canonical word); none at rank 0."""
+    if rank < 0:
+        raise ValidationError("rank must be >= 0")
     letters = [l for i in range(1, rank + 1) for l in (i, -i)]
     found: set[GeodesicClass] = set()
 

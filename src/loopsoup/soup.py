@@ -57,7 +57,7 @@ def total_mass(g: GraphModel) -> float:
     sign, logdet = np.linalg.slogdet(np.eye(g.num_vertices) - g.transition)
     if sign <= 0 or not np.isfinite(logdet):
         raise NumericError("massless/recurrent chain: det(I - P) is not positive")
-    return -logdet
+    return 0.0 - logdet  # not -logdet: a graph without edges has mass 0.0, not -0.0
 
 
 def spectral_radius(g: GraphModel) -> float:

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,11 @@ kappa 1 1.0
 kappa 2 1.0
 kappa 3 1.0
 kappa 4 1.0
+"""
+
+ONE_VERTEX = """\
+vertices 1
+kappa 0 1
 """
 
 K4 = """\
@@ -108,6 +114,14 @@ class TestValidate:
             assert main(["validate", str(p)]) == 2
             assert "validation error" in capsys.readouterr().err
 
+    def test_one_vertex_mass_is_zero(self, capsys, tmp_path):
+        p = tmp_path / "one.graph"
+        p.write_text(ONE_VERTEX)
+        code, out = run_cli(capsys, "validate", str(p))
+        assert code == 0
+        assert "rank: 0" in out
+        assert "mass: 0.0" in out.splitlines()
+
     def test_missing_file_exits_4(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "validate", str(tmp_path / "nope.graph"))
         assert code == 4
@@ -172,6 +186,69 @@ class TestHomotopy:
         _, out = run_cli(capsys, "homotopy", tri_path, "--max-len", "2",
                          "--s", "0.5")
         assert not any(l.startswith("e,") for l in out.splitlines())
+        assert " quad_err=None " in out.splitlines()[0]
+
+    def test_manifest_records_certificates(self, capsys, tri_path):
+        _, out = run_cli(capsys, "homotopy", tri_path, "--max-len", "1")
+        fields = dict(kv.split("=", 1) for kv in out.splitlines()[0].split()[3:])
+        assert 0.0 <= float(fields["quad_err"]) < 1e-9
+        assert int(fields["rho_iterations"]) >= 1
+
+    def test_rank_zero_prints_trivial_row(self, capsys, tmp_path):
+        p = tmp_path / "one.graph"
+        p.write_text(ONE_VERTEX)
+        code, out = run_cli(capsys, "homotopy", str(p))
+        assert code == 0
+        assert out.splitlines()[1:] == ["class,length,mult,intensity",
+                                        "e,0,1,0.0"]
+
+
+def _fuzz_graph(rng: random.Random) -> str:
+    """A random graph file of 1-6 vertices: a random tree, so pendant
+    vertices are common, plus up to four extra edges; no killing, killing
+    everywhere or killing at some vertices, each rate possibly 0;
+    and in three files of ten one bad line: a non-finite, negative or zero
+    value, a malformed line or an invalid edge."""
+    n = rng.randint(1, 6)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, 4) if n > 1 else 0):
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    lines = [f"vertices {n}"]
+    lines += [f"edge {u} {v} {rng.uniform(0.1, 3.0):.6g}" for u, v in sorted(pairs)]
+    killed = rng.choice(["none", "all", "some"])
+    for x in range(n):
+        if killed == "all" or (killed == "some" and rng.random() < 0.5):
+            rate = rng.choice([rng.uniform(0.01, 2.0), 0.0])
+            lines.append(f"kappa {x} {rate:.6g}")
+    if rng.random() < 0.3:
+        bad = rng.choice(["edge 0 1 inf", "edge 0 1 nan", "edge 0 1 0",
+                          "kappa 0 inf", "kappa 0 nan", "kappa 0 -0.5",
+                          "edge 0", "kappa", "vertices 2", "loop 0 1",
+                          "edge 0 0 1", f"kappa {n} 1"])
+        lines.insert(rng.randint(1, len(lines)), bad)
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    def test_exit_codes_are_documented(self, capsys, tmp_path):
+        # seeded, standard library only; each graph gets its own file, since
+        # rewriting one file costs a truncation on some file systems
+        rng = random.Random(20261018)
+        codes = set()
+        for i in range(60):
+            text = _fuzz_graph(rng)
+            path = tmp_path / f"fuzz{i}.graph"
+            path.write_text(text)
+            for argv in (["validate"], ["homotopy", "--max-len", "2"],
+                         ["enumerate", "--n-max", "6"]):
+                try:
+                    code = main([argv[0], str(path)] + argv[1:])
+                except Exception as exc:  # noqa: BLE001 - what the test looks for
+                    pytest.fail(f"{argv[0]} raised {exc!r} on\n{text}")
+                assert code in (0, 2, 3, 4), f"{argv[0]} exited {code} on\n{text}"
+                codes.add(code)
+            capsys.readouterr()
+        assert {0, 2, 3} <= codes
 
 
 class TestH1:

@@ -115,6 +115,11 @@ class TestClasses:
                          (1, 1, 1), (-1, -1, -1),
                          (1, 1, 1, 1), (-1, -1, -1, -1)]
 
+    def test_enumerate_classes_rank0_is_empty(self):
+        assert enumerate_geodesic_classes(0, 4) == []
+        with pytest.raises(ValidationError):
+            enumerate_geodesic_classes(-1, 4)
+
     def test_enumerate_classes_rank2_counts(self):
         # necklace counting: the number of conjugacy classes of length n
         # in rank r is (1/n) sum_{d|n} phi(n/d) * (number of cyclically

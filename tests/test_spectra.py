@@ -3,24 +3,30 @@ determinant identity.
 """
 
 import math
+import random
+import warnings
 
 import pytest
 
 from loopsoup import (
     NumericError,
     ValidationError,
+    build_graph,
     canonical_class,
     class_intensity,
     contractible_intensity,
     enumerate_geodesic_classes,
     enumerate_measure,
     geodesic_representative,
+    homology1_intensity,
     ihara_check,
     regular_closed_forms,
     solve_rho,
     spanning_tree_frame,
     total_mass,
 )
+from loopsoup import spectra
+from loopsoup.cli import main
 
 SQRT5 = math.sqrt(5.0)
 
@@ -77,6 +83,47 @@ class TestSolveRho:
         for val in rt.edge.values():
             assert val == pytest.approx(1.5, abs=1e-9)
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_large_cubic_graph_closed_form(self, kappa):
+        # the prism C_25 x K_2: 3-regular with 150 oriented edges; without
+        # killing the sweeps contract by only 2/3 per step, so Newton does
+        # the work
+        n = 25
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        edges += [(n + i, n + (i + 1) % n) for i in range(n)]
+        edges += [(i, n + i) for i in range(n)]
+        g = build_graph(2 * n, [(min(u, v), max(u, v), 1.0) for u, v in edges],
+                        kappa)
+        rt = solve_rho(g, 1.0)
+        cf = regular_closed_forms(3, kappa, 1.0)
+        for val in rt.edge.values():
+            assert val == pytest.approx(cf.rho_edge, abs=1e-10)
+        for val in rt.vertex.values():
+            assert val == pytest.approx(cf.rho_vertex, abs=1e-10)
+
+    def test_zero_killing_triangle_double_root(self):
+        # rho = 1 + rho^2 / 4 has the double root 2: Newton converges only
+        # linearly there, and the step size, not the residual, says when
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], 0.0)
+        rt = solve_rho(g, 1.0)
+        assert len(rt.edge) == 6
+        for val in rt.edge.values():
+            assert abs(val - 2.0) <= 1e-9
+        # each vertex sum is exactly 1 there: the vertex series diverge,
+        # whichever side of 1 the rounded sum lands on
+        assert rt.vertex == {0: math.inf, 1: math.inf, 2: math.inf}
+
+    def test_graph_without_edges(self):
+        rt = solve_rho(build_graph(1, [], 1.0), 1.0)
+        assert rt.edge == {}
+        assert rt.vertex == {0: 1.0}
+        assert rt.residual == 0.0
+
+    def test_cache_info_is_public(self):
+        # the benchmark harness reads the cache counters of solve_rho
+        info = spectra.solve_rho.cache_info()
+        assert info.hits >= 0 and info.misses >= 0
+
     def test_rejects_bad_s(self, triangle):
         with pytest.raises(ValidationError):
             solve_rho(triangle, -0.1)
@@ -124,6 +171,99 @@ class TestClassIntensity:
                             s=1.0, rho=rho)
 
 
+def _four_cycle_with_pendant():
+    # a randomly weighted 4-cycle plus a pendant vertex: the edge into the
+    # pendant vertex has no successor and the edge out of it no
+    # predecessor, so the excursion system is not strongly connected
+    rng = random.Random(7)
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]
+    return build_graph(5, [(u, v, rng.uniform(0.5, 2.0)) for u, v in edges],
+                       [rng.uniform(0.1, 1.0) for _ in range(5)])
+
+
+RANK_ONE_GRAPHS = {
+    "triangle": lambda: build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                                    1.0),
+    "triangle_one_killed": lambda: build_graph(
+        3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [0.3, 0.0, 0.0]),
+    "four_cycle_with_pendant": _four_cycle_with_pendant,
+}
+
+
+class TestRankOneCrossCheck:
+    """On a rank-1 graph the homotopy class of k windings is the homology
+    class h = k, so the transfer-operator route must reproduce the Fourier
+    route of the first homology law."""
+
+    @pytest.mark.parametrize("name", sorted(RANK_ONE_GRAPHS))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_class_equals_winding_intensity(self, name, k):
+        g = RANK_ONE_GRAPHS[name]()
+        frame = spanning_tree_frame(g)
+        assert frame.rank == 1
+        got = class_intensity(g, frame, canonical_class((1,) * k))
+        want = homology1_intensity(g, frame, (k,), M=64)
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestNearCritical:
+    GRAPH = "vertices 3\nedge 0 1 1\nedge 1 2 1\nedge 0 2 1\nkappa 0 1e-9\n"
+
+    def test_homotopy_rows(self, capsys, tmp_path):
+        path = tmp_path / "critical.graph"
+        path.write_text(self.GRAPH)
+        assert main(["homotopy", str(path), "--max-len", "2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = {line.split(",")[0]: float(line.split(",")[3])
+                for line in captured.out.splitlines()[2:]}
+        assert set(rows) == {"e", "+1", "-1", "+1 +1", "-1 -1"}
+        assert all(math.isfinite(v) and v > 0 for v in rows.values())
+        assert rows["+1"] == pytest.approx(rows["-1"], rel=1e-9)
+
+    def test_quadrature_does_not_warn(self):
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                        [1e-9, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, err = contractible_intensity(g)
+        assert math.isfinite(val) and 0.0 <= err < 1e-9
+
+    def test_contractible_mass_is_total_minus_windings(self):
+        # the classes +-k have mass x^k / k, so the trivial class carries
+        # the total mass plus 2 log(1 - x); quadrature in s itself
+        # extrapolated to 2.07944154219 here, 5.5e-5 too high
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                        [1e-9, 0.0, 0.0])
+        x = class_intensity(g, spanning_tree_frame(g), canonical_class((1,)))
+        want = total_mass(g) + 2.0 * math.log1p(-x)
+        val, err = contractible_intensity(g)
+        assert val == pytest.approx(want, abs=1e-8)
+
+    def test_missed_target_widens_the_error(self, monkeypatch, triangle):
+        exact, _ = contractible_intensity(triangle)
+        real_quad = spectra.quad
+
+        def missing(*args, **kwargs):
+            value, err, info = real_quad(*args, **kwargs)
+            return value + 1e-3, err, info, "The algorithm does not converge."
+
+        monkeypatch.setattr(spectra, "quad", missing)
+        val, err = contractible_intensity(triangle)
+        assert err >= abs(val - exact)
+
+    def test_divergent_quadrature_raises(self, monkeypatch, triangle):
+        real_quad = spectra.quad
+
+        def divergent(*args, **kwargs):
+            return real_quad(*args, **kwargs) + (
+                "The integral is probably divergent, or slowly convergent.",)
+
+        monkeypatch.setattr(spectra, "quad", divergent)
+        with pytest.raises(NumericError):
+            contractible_intensity(triangle)
+
+
 class TestContractible:
     def test_k4_free_closed_form(self, k4_free):
         # per-vertex value (3/2) log 3 - 2 log 2; quadrature error reported
@@ -136,6 +276,13 @@ class TestContractible:
         em = enumerate_measure(triangle, triangle_frame, 16)
         val, err = contractible_intensity(triangle)
         assert val == pytest.approx(em.get(canonical_class(())), abs=em.tail)
+
+    def test_tree_without_killing_is_infinite(self):
+        # all loops of a tree are contractible and the chain is recurrent;
+        # with these weights rounding keeps every vertex sum below 1 at s = 1
+        path = build_graph(3, [(0, 1, 1.44112), (1, 2, 2.11469)], 0.0)
+        with pytest.raises(NumericError):
+            contractible_intensity(path)
 
     def test_mass_splits_into_classes(self, triangle, triangle_frame):
         # total mass = contractible mass + sum of class intensities
