@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 malformed input data, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -218,7 +219,9 @@ def cmd_signature(args) -> None:
     _emit(args, lines)
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parse_args keeps no state."""
     parser = _Parser(prog="loopsoup",
                      description="Loop measures and Poisson loop ensembles "
                                  "on finite weighted graphs.")

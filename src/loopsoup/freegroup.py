@@ -73,9 +73,9 @@ def min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
     n = len(seq)
     if n <= 1:
         return tuple(seq)
-    keys = [_letter_key(x) for x in seq]
-    best = min(range(n), key=lambda i: [keys[(i + j) % n] for j in range(n)])
-    return tuple(seq[(best + j) % n] for j in range(n))
+    doubled = tuple(_letter_key(x) for x in seq) * 2
+    best = min(range(n), key=lambda i: doubled[i:i + n])
+    return tuple(seq[best:]) + tuple(seq[:best])
 
 
 def multiplicity(seq: Sequence[int]) -> int:

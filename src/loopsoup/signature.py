@@ -468,9 +468,16 @@ def _infer_rank(x, frame: SpanningTreeFrame | None, rank: int | None) -> int:
 
 def homology1(x, frame: SpanningTreeFrame | None = None,
               rank: int | None = None) -> tuple[int, ...]:
-    """Winding numbers: net signed crossings of each generator."""
+    """Winding numbers: net signed crossings of each generator. Letters
+    above the rank are not counted."""
     r = _infer_rank(x, frame, rank)
-    return tuple(currents(x, (i,), frame) for i in range(1, r + 1))
+    if r == 0:
+        return ()
+    out = [0] * (r + 1)
+    for i, s in _crossing_seq(x, frame):
+        if i <= r:
+            out[i] += s
+    return tuple(out[1:])
 
 
 def homology2(x, frame: SpanningTreeFrame | None = None,

@@ -264,14 +264,22 @@ class LoopSoupSampler:
 
     The loop count is Poisson(alpha * W) with W the truncated mass; each
     loop picks (base x, length n) with weight (1/n)(P^n)_xx and fills in a
-    bridge from x back to x, one step at a time, each step conditioned on
-    returning in the remaining steps.
+    bridge from x back to x, each step conditioned on returning in the
+    remaining steps: with m steps left at v, the next vertex is w with
+    probability P[v, w] (P^(m-1))[w, x] / (P^m)[v, x].
+
+    All bridges of a soup are drawn in one batched pass that counts m down
+    from the longest loop's length; at each m the loops with at least m
+    steps build their conditional rows, and their cdfs, as one array, and
+    each picks the number of cdf entries <= its own uniform for that step.
 
     Randomness layout, fixed for reproducibility: the count and the
     (base, length) draws use the generator seeded from
-    SeedSequence(seed, spawn_key=(0,)); the k-th loop's bridge steps use
-    SeedSequence(seed, spawn_key=(1, k)). Byte-identical soups for equal
-    (graph, config, seed) follow from this layout.
+    SeedSequence(seed, spawn_key=(0,)); the k-th loop's n steps use the n
+    uniforms rng.random(n) of SeedSequence(seed, spawn_key=(1, k)), in step
+    order. Byte-identical soups for equal (graph, config, seed) follow from
+    this layout, which is the one of drawing each step by
+    rng.choice(num_vertices, p=row).
     """
 
     def __init__(self, g: GraphModel, frame: SpanningTreeFrame,
@@ -285,43 +293,58 @@ class LoopSoupSampler:
         self.alpha = alpha
         self.n_max = n_max
         p = g.transition
-        self.powers = [np.eye(g.num_vertices)]
-        for _ in range(n_max):
-            self.powers.append(self.powers[-1] @ p)
-        items: list[tuple[int, int]] = []
-        weights: list[float] = []
+        # powers[n] = P^n
+        self.powers = np.empty((n_max + 1, g.num_vertices, g.num_vertices))
+        self.powers[0] = np.eye(g.num_vertices)
         for n in range(1, n_max + 1):
-            for x in range(g.num_vertices):
-                w = self.powers[n][x, x] / n
-                if w > 0:
-                    items.append((x, n))
-                    weights.append(w)
+            self.powers[n] = self.powers[n - 1] @ p
+        # by_length[n - 1, x] = (P^n)_xx / n
+        by_length = np.diagonal(self.powers[1:], axis1=1, axis2=2) \
+            / np.arange(1, n_max + 1)[:, None]
+        lengths, bases = np.nonzero(by_length > 0)
+        # (base, length) per item, length-major
+        self.items = np.column_stack((bases, lengths + 1))
+        weights = by_length[lengths, bases]
+        # summed one item at a time in item order, as the Poisson count's
+        # last bits depend on it
         self.mass = float(sum(weights))
-        self.items = items
-        self.probs = np.asarray(weights) / self.mass
-
-    def _bridge(self, x: int, n: int, rng: np.random.Generator) -> BasedLoop:
-        p = self.graph.transition
-        vs = [x]
-        v = x
-        for m in range(n, 0, -1):
-            q = p[v, :] * self.powers[m - 1][:, x]
-            q = q / q.sum()
-            v = int(rng.choice(self.graph.num_vertices, p=q))
-            vs.append(v)
-        assert v == x
-        return BasedLoop(tuple(vs))
+        self.probs = weights / self.mass
 
     def sample(self, seed: int) -> SampledSoup:
         driver = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         count = int(driver.poisson(self.alpha * self.mass))
-        picks = driver.choice(len(self.items), size=count, p=self.probs) \
-            if count else []
-        loops = []
-        for k, idx in enumerate(picks):
-            x, n = self.items[int(idx)]
+        if not count:
+            return SampledSoup((), seed, self.alpha, self.n_max)
+        picks = driver.choice(len(self.items), size=count, p=self.probs)
+        # rows sorted longest first (items are length-major), so the loops
+        # with at least m steps are a prefix; a row's uniforms and walk are
+        # right-aligned, so every loop with m steps left reads column top - m
+        order = np.argsort(-picks, kind="stable")
+        base, length = self.items[picks[order]].T
+        keys, steps = order.tolist(), length.tolist()
+        top = steps[0]
+        uniforms = np.zeros((count, top))
+        for row, k in enumerate(keys):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k)))
-            loops.append(self._bridge(x, n, rng))
+            uniforms[row, top - steps[row]:] = rng.random(steps[row])
+        walks = np.zeros((count, top + 1), dtype=np.intp)
+        walks[np.arange(count), top - length] = base
+        p = self.graph.transition
+        columns = self.powers.transpose(0, 2, 1)  # columns[n, x] = P^n[:, x]
+        active = np.bincount(length, minlength=top + 1)[:0:-1].cumsum()
+        # q is C-contiguous, so each row sums (pairwise) and accumulates with
+        # the same roundings as the 1-D row that rng.choice would get
+        for col, a in enumerate(active.tolist()):
+            q = p[walks[:a, col]] * columns[top - col - 1, base[:a]]
+            q /= q.sum(axis=1, keepdims=True)
+            cdf = q.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            walks[:a, col + 1] = (cdf <= uniforms[:a, col, None]).sum(axis=1)
+        assert (walks[:, top] == base).all()
+        rows = walks.tolist()
+        loops = [None] * count
+        for row, k in enumerate(keys):
+            loops[k] = BasedLoop(tuple(rows[row][top - steps[row]:]))
         return SampledSoup(tuple(loops), seed, self.alpha, self.n_max)
 
 

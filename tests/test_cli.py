@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import loopsoup
+from loopsoup import cli
 from loopsoup.cli import main
 
 TRIANGLE = """\
@@ -377,6 +378,32 @@ class TestArgHandling:
         assert code == 0
         assert out == ""
         assert dest.read_text().splitlines()[1] == "h1,intensity"
+
+    def test_repeated_calls_share_no_values(self, capsys, tmp_path, tri_path):
+        # the parser is built once per process: no flag of one call may carry
+        # over into the next, and each call equals a call on a fresh parser
+        free = tmp_path / "free.graph"
+        free.write_text("vertices 3\nedge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n")
+        h1 = ("h1", tri_path, "--h", "0", "--M", "64")
+        sample = ("sample", tri_path, "--seed", "4", "--alpha", "4",
+                  "--n-max", "42", "--tail-tol", "1e-7")
+        calls = [(h1 + ("--field", "--alpha", "0.5"), 0), (h1, 0),
+                 (sample + ("--occupation",), 0), (sample, 0),
+                 (("validate", str(tmp_path / "nope.graph")), 4),
+                 (("h1", str(free), "--h", "0"), 3),
+                 (("signature", "--word", "+1 -1"), 2), (h1, 0)]
+        outs = [run_cli(capsys, *argv) for argv, _ in calls]
+        assert [code for code, _ in outs] == [code for _, code in calls]
+        assert "field=True alpha=0.5" in outs[0][1].splitlines()[0]
+        assert "field=False alpha=1.0" in outs[1][1].splitlines()[0]
+        assert outs[1][1].splitlines()[1] == "h1,intensity"
+        assert outs[2][1].splitlines()[1] == "u,v,N,Ncheck"
+        assert "occupation=False" in outs[3][1].splitlines()[0]
+        assert outs[3][1].splitlines()[1] != "u,v,N,Ncheck"
+        assert outs[7] == outs[1]
+        for (argv, _), out in zip(calls, outs):
+            cli._build_parser.cache_clear()
+            assert run_cli(capsys, *argv) == out
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -16,6 +16,7 @@ import pytest
 from loopsoup import (
     BasedLoop,
     LiePoly,
+    LoopSoupSampler,
     NumericError,
     ValidationError,
     bracket_expansion,
@@ -305,6 +306,30 @@ class TestHomology:
             want = tuple(sum(1 if l == i else -1 if l == -i else 0 for l in x)
                          for i in range(1, 4))
             assert h == want
+
+    def test_h1_equals_currents_per_index(self, k4, k4_frame):
+        # one pass over the crossings against one current per generator:
+        # unreduced words, rank inferred or given, letters above the rank
+        rng = random.Random(53)
+        for _ in range(200):
+            rank = rng.randint(1, 4)
+            x = tuple(rng.choice((1, -1)) * rng.randint(1, rank + 2)
+                      for _ in range(rng.randrange(12)))
+            for r in (None, rank):
+                n = r if r is not None else max(map(abs, x), default=0)
+                assert homology1(x, rank=r) == tuple(
+                    currents(x, (i,)) for i in range(1, n + 1))
+        sampler = LoopSoupSampler(k4, k4_frame, alpha=20.0, n_max=12)
+        loops = [lp for seed in range(5) for lp in sampler.sample(seed).loops]
+        assert len(loops) > 50
+        for lp in loops:
+            assert homology1(lp, k4_frame) == tuple(
+                currents(lp, (i,), k4_frame) for i in range(1, k4_frame.rank + 1))
+        assert homology1((1, -2, 5), rank=0) == ()
+        for x, kw in (((4,), {"frame": k4_frame}), ((1, 0), {"rank": 2}),
+                      (BasedLoop((0, 1, 2, 0)), {"rank": 1})):
+            with pytest.raises(ValidationError):
+                homology1(x, **kw)
 
     def test_h2_commutator_of_generators(self):
         w = group_commutator((1,), (2,))

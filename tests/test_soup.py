@@ -1,5 +1,6 @@
 """Loop measure, truncated enumeration, and the Poisson sampler."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from loopsoup import (
     MeasureConfig,
     LoopSoupSampler,
     NumericError,
+    build_graph,
     canonical_class,
     dumps_soup,
     enumerate_measure,
@@ -19,6 +21,7 @@ from loopsoup import (
     occupation,
     parse_soup,
     sample_soup,
+    spanning_tree_frame,
     spectral_radius,
     tail_bound,
     total_mass,
@@ -199,6 +202,76 @@ class TestSampler:
         scale = sum(got) / sum(exp)
         _, p = stats.chisquare(got, [e * scale for e in exp])
         assert p > 0.001
+
+
+def _torus(side, kappa):
+    edges = set()
+    for i in range(side):
+        for j in range(side):
+            a = i * side + j
+            for b in (i * side + (j + 1) % side, ((i + 1) % side) * side + j):
+                edges.add((min(a, b), max(a, b)))
+    return build_graph(side * side, [(a, b, 1.0) for a, b in sorted(edges)], kappa)
+
+
+# sha256 of dumps_soup(sampler.sample(seed)) for seeds 0-49, fed in seed
+# order, and the sampler's truncated mass; alpha 1 throughout
+PINNED = {
+    "triangle": (42, "2b8bb3892254977edb81dc752a5f27b2fa6ab2298ab5ef86031f07de3c1ed5ad",
+                 0.5232481419733042),
+    "bowtie": (24, "e7bd8bd8d1c0a65fb3f55e912cf8dba2fe507883ca3fe3c8155e371aa97836dc",
+               0.7463680936946625),
+    "torus6": (24, "d37780cfb0b1815afb7428e5860ac0cbd9319d21f10faa081a6a8b336f67ee88",
+               6.339169334196595),
+}
+
+
+def _stepwise_soup(sampler, seed):
+    """The soup drawn one step at a time, one rng.choice per step on the
+    conditional row, from the same generators: the batched sampler must
+    reproduce it exactly."""
+    p = sampler.graph.transition
+    driver = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    count = int(driver.poisson(sampler.alpha * sampler.mass))
+    picks = driver.choice(len(sampler.items), size=count, p=sampler.probs) \
+        if count else []
+    loops = []
+    for k, idx in enumerate(picks):
+        x, n = sampler.items[idx]
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k)))
+        vs = [x]
+        for m in range(n, 0, -1):
+            q = p[vs[-1], :] * sampler.powers[m - 1][:, x]
+            vs.append(int(rng.choice(len(q), p=q / q.sum())))
+        loops.append(tuple(vs))
+    return loops
+
+
+class TestSamplerPinned:
+    def test_batched_equals_stepwise(self, k4, bowtie):
+        weighted = build_graph(
+            5, [(0, 1, 0.3), (1, 2, 2.5), (2, 3, 1.0), (3, 4, 0.7), (4, 0, 1.9),
+                (1, 3, 0.05)], [0.2, 0.0, 0.05, 0.0, 0.4])
+        for g, alpha, n_max in ((k4, 30.0, 16), (bowtie, 20.0, 9),
+                                (weighted, 3.0, 60), (_torus(4, 0.3), 2.0, 30)):
+            sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=alpha,
+                                      n_max=n_max)
+            for seed in range(8):
+                got = [lp.vertices for lp in sampler.sample(seed).loops]
+                assert got == _stepwise_soup(sampler, seed)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_seeded_soups_unchanged(self, request, name):
+        # the randomness layout is part of the contract: equal (graph,
+        # config, seed) give the same soup across versions
+        g = _torus(6, 0.2) if name == "torus6" else request.getfixturevalue(name)
+        n_max, digest, mass = PINNED[name]
+        sampler = LoopSoupSampler(g, spanning_tree_frame(g), n_max=n_max)
+        assert sampler.mass == mass
+        h = hashlib.sha256()
+        for seed in range(50):
+            h.update(dumps_soup(sampler.sample(seed)).encode())
+        assert h.hexdigest() == digest
 
 
 class TestOccupation:
