@@ -2,8 +2,8 @@
 homology distributions of their loops, on finite weighted graphs."""
 
 from .errors import ConfigError, NumericError, ValidationError
-from .graphs import (GraphModel, GreenData, SpanningTreeFrame, build_graph,
-                     green_data, load_graph, parse_graph, spanning_tree_frame)
+from .graphs import (GraphModel, SpanningTreeFrame, build_graph, load_graph,
+                     parse_graph, spanning_tree_frame)
 from .freegroup import (TRIVIAL, BasedLoop, GeodesicClass, Word,
                         canonical_class, crossing_word, cyclic_reduce,
                         enumerate_geodesic_classes, enumerate_geodesic_loops,
@@ -28,12 +28,11 @@ from .soup import (EnumeratedMeasure, LoopSoupSampler, MeasureConfig,
 from .spectra import (IharaSeries, RegularForms, RhoTable, class_intensity,
                       contractible_intensity, ihara_check,
                       regular_closed_forms, solve_rho)
-from .fourier import (GroupData, JacobianVolumeReport, NilpotentRep,
-                      group_data, holonomy_class_intensities, holonomy_log_det,
+from .fourier import (GroupData, NilpotentRep, group_data,
+                      holonomy_class_intensities, holonomy_log_det,
                       homology1_field_grid, homology1_field_law,
                       homology1_grid, homology1_intensity,
                       homology1_intensity_mod, homology2_field_law,
-                      homology2_intensity, jacobian_volume_check,
-                      nilpotent_rep, twisted_log_det, twisted_matrix)
+                      homology2_intensity, nilpotent_rep, twisted_log_det)
 
 __version__ = "0.1.0"

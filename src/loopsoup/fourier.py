@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .graphs import GraphModel, SpanningTreeFrame, green_data
+from .graphs import GraphModel, SpanningTreeFrame
 from .soup import total_mass
 
 _IMAG_TOL = 1e-10
@@ -42,42 +42,31 @@ def _check_theta(theta: Sequence[float], rank: int) -> tuple[float, ...]:
     return theta
 
 
-def twisted_matrix(g: GraphModel, frame: SpanningTreeFrame,
-                   theta: Sequence[float]) -> np.ndarray:
-    """Transition matrix with each cogenerator crossing twisted by a phase:
-    step x -> y over cogenerator j picks up exp(+-2 pi i theta_j). theta
-    lives on the torus [0, 1]^rank."""
-    theta = _check_theta(theta, frame.rank)
-    p = g.transition.astype(complex)
-    for j, (u, v) in enumerate(frame.cogenerators):
-        phase = np.exp(2j * np.pi * theta[j])
-        p[u, v] *= phase
-        p[v, u] *= np.conj(phase)
-    return p
-
-
 # Most complex entries in one stack of twisted matrices: a batch of any size
-# is assembled and eigensolved in chunks of at most this many entries.
+# is assembled and eigensolved in chunks of at most this many entries. The
+# Heisenberg traces also bound their stacks of Schrodinger blocks by it.
 _CHUNK_ENTRIES = 1 << 16
 
 
 def _twisted_log_dets(g: GraphModel, letter: Callable[[int, int], int],
-                      unitaries: Sequence[np.ndarray], m: int | None,
+                      unitaries: np.ndarray, m: int | None,
                       what: str) -> np.ndarray:
     """log det(I - P twisted), one value per twist of a batch.
 
-    The step x -> y carries unitaries[j - 1] when letter(x, y) = j > 0, its
-    conjugate transpose when j < 0 and the identity when j = 0. Without m
-    the batch is this one twist; with m it is the m^rank points k of the
-    torus grid in C order, unitary j times exp(2 pi i k_j / m). The
-    symmetrized matrix with (x, y) block C(x,y) U / sqrt(lam_x lam_y) is
-    Hermitian and shares its spectrum with the twisted P; it is assembled
-    and eigensolved for a chunk of the batch at a time.
+    unitaries has shape (b, rank, d, d): b twists, each a d x d unitary per
+    letter. Under twist i the step x -> y carries unitaries[i, j - 1] when
+    letter(x, y) = j > 0, its conjugate transpose when j < 0 and the
+    identity when j = 0. With m, every twist is also taken at the m^rank
+    points k of the torus grid in C order, unitary j times exp(2 pi i k_j /
+    m); the result is then twist-major, b * m^rank values. The symmetrized
+    matrix with (x, y) block C(x,y) U / sqrt(lam_x lam_y) is Hermitian and
+    shares its spectrum with the twisted P; it is assembled and eigensolved
+    for a chunk of the batch at a time.
     """
-    dim = unitaries[0].shape[0] if unitaries else 1
+    twists, rank, dim, _ = unitaries.shape
     size = g.num_vertices * dim
-    rank = len(unitaries)
-    batch = 1 if m is None else m ** rank
+    points = 1 if m is None else m ** rank
+    batch = twists * points
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
     s = np.zeros((min(batch, chunk), size, size), dtype=complex)
     twisted = []
@@ -92,10 +81,11 @@ def _twisted_log_dets(g: GraphModel, letter: Callable[[int, int], int],
     out = np.empty(batch)
     for start in range(0, batch, chunk):
         stop = min(start + chunk, batch)
+        twist, point = np.divmod(np.arange(start, stop), points)
         for w, j, bu, bv in twisted:
-            fwd = unitaries[abs(j) - 1][None]
+            fwd = unitaries[twist, abs(j) - 1]
             if m is not None:
-                k = np.arange(start, stop) // m ** (rank - abs(j)) % m
+                k = point // m ** (rank - abs(j)) % m
                 fwd = fwd * np.exp(2j * np.pi * (k / m))[:, None, None]
             bwd = fwd.conj().swapaxes(1, 2)
             if j < 0:
@@ -114,8 +104,9 @@ def twisted_log_det(g: GraphModel, frame: SpanningTreeFrame,
                     theta: Sequence[float]) -> float:
     """log det(I - P^(theta)), exactly real by the Hermitian route."""
     phases = np.exp(2j * np.pi * np.array(_check_theta(theta, frame.rank)))
-    return float(_twisted_log_dets(g, frame.crossing, list(phases[:, None, None]),
-                                   None, "P^theta")[0])
+    return float(_twisted_log_dets(g, frame.crossing,
+                                   phases.reshape(1, frame.rank, 1, 1), None,
+                                   "P^theta")[0])
 
 
 def homology1_grid(g: GraphModel, frame: SpanningTreeFrame,
@@ -123,7 +114,7 @@ def homology1_grid(g: GraphModel, frame: SpanningTreeFrame,
     """log det(I - P^(k/m)) over the full torus grid, shape (m,) * rank."""
     if m < 2:
         raise ValidationError("grid size must be >= 2")
-    ones = [np.ones((1, 1), dtype=complex)] * frame.rank
+    ones = np.ones((1, frame.rank, 1, 1), dtype=complex)
     return _twisted_log_dets(g, frame.crossing, ones, m,
                              "P^theta").reshape((m,) * frame.rank)
 
@@ -237,25 +228,6 @@ def homology1_field_law(g: GraphModel, frame: SpanningTreeFrame,
     return _homology1_values(g, frame, [h], M=M, alpha=alpha)[0]
 
 
-@dataclass(frozen=True)
-class JacobianVolumeReport:
-    """Informational cross-check: the volume sqrt(det J) of the edge
-    Jacobian against the unit volume of the torus parametrization of
-    characters. The two describe different coordinates on the character
-    group; no identity between them is asserted."""
-
-    jacobian_volume: float
-    torus_volume: float
-    informational: bool
-
-
-def jacobian_volume_check(g: GraphModel,
-                          frame: SpanningTreeFrame) -> JacobianVolumeReport:
-    gd = green_data(g, frame)
-    return JacobianVolumeReport(jacobian_volume=gd.volume, torus_volume=1.0,
-                                informational=True)
-
-
 # ---------------------------------------------------------------------------
 # holonomy under a finite-group connection
 
@@ -299,7 +271,8 @@ def holonomy_log_det(g: GraphModel,
     index = {e: i for i, e in enumerate(g.edges, start=1)}
     log_det = _twisted_log_dets(
         g, lambda x, y: index[(y, x)] if x > y else -index[(x, y)],
-        [mats[(v, u)] for u, v in g.edges], None, "holonomy twist")[0]
+        np.stack([mats[(v, u)] for u, v in g.edges])[None], None,
+        "holonomy twist")[0]
     return -float(log_det) / dim
 
 
@@ -559,14 +532,179 @@ def _check_m(m, r: int, p: int) -> dict[tuple[int, int], int]:
     return out
 
 
-def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame,
-                       rep: NilpotentRep,
+def _skew_grid(r: int, p: int) -> np.ndarray:
+    """Every skew h mod p as its values on the pairs i < j in lex order,
+    one row each, in C order: shape (p^q, q) with q = r(r-1)/2."""
+    q = r * (r - 1) // 2
+    return np.indices((p,) * q).reshape(q, p ** q).T
+
+
+def _roots(p: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(p) / p)
+
+
+def _darboux_form(r: int, k: int, p: int) -> np.ndarray:
+    """k hyperbolic pairs (f_l, g_l) with form(f_l, g_l) = 1 = -form(g_l,
+    f_l), then a radical of dimension r - 2k, as an r x r matrix mod p."""
+    j = np.zeros((r, r), dtype=np.int64)
+    for l in range(k):
+        j[2 * l, 2 * l + 1], j[2 * l + 1, 2 * l] = 1, p - 1
+    return j
+
+
+def _inverse_mod(a: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse of an invertible integer matrix mod p, by Gauss-Jordan."""
+    r = len(a)
+    aug = [row + [int(i == j) for j in range(r)] for i, row in enumerate(a)]
+    for col in range(r):
+        piv = next(i for i in range(col, r) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = pow(aug[col][col], -1, p)
+        aug[col] = [x * inv % p for x in aug[col]]
+        for i in range(r):
+            c = aug[i][col]
+            if i != col and c:
+                aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[col])]
+    return [row[r:] for row in aug]
+
+
+def _darboux(b: list[list[int]],
+             p: int) -> tuple[list[list[int]], list[list[int]], int]:
+    """Symplectic Gram-Schmidt over Z_p for a skew form b mod p.
+
+    Returns A in GL_r(Z_p), its inverse and k: the columns of A are f_1,
+    g_1, ..., f_k, g_k and then a basis of the radical of b, so that A^T b
+    A is the Darboux form.
+    """
+    r = len(b)
+
+    def image(v):
+        return [sum(x * y for x, y in zip(row, v)) for row in b]
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v)) % p
+
+    rest = [[int(i == j) for i in range(r)] for j in range(r)]
+    basis = []
+    while True:
+        images = [image(v) for v in rest]
+        pair = next(((a, c) for a in range(len(rest))
+                     for c in range(a + 1, len(rest)) if dot(rest[a], images[c])),
+                    None)
+        if pair is None:
+            break
+        a, c = pair
+        f, bf = rest[a], images[a]
+        inv = pow(dot(f, images[c]), -1, p)
+        g = [x * inv % p for x in rest[c]]
+        bg = image(g)
+        basis += [f, g]
+        # v - b(v, g) f + b(v, f) g is orthogonal to f and g
+        rest = [[(x - cg * y + cf * z) % p for x, y, z in zip(v, f, g)]
+                for v, cg, cf in ((v, dot(v, bg), dot(v, bf))
+                                  for i, v in enumerate(rest) if i not in pair)]
+    a = [list(row) for row in zip(*(basis + rest))]
+    return a, _inverse_mod(a, p), len(basis) // 2
+
+
+def _schrodinger_blocks(b: np.ndarray, a: np.ndarray, a_inv: np.ndarray,
+                        k: int, p: int) -> np.ndarray:
+    """The irreducible blocks of the Heisenberg twists of skew forms b = 2h
+    mod p of one rank 2k, shape (H, p^(r-2k), r, p^k, p^k) for b of shape
+    (H, r, r), with A and A^-1 from _darboux.
+
+    With (q, p', t) = A^-1 e_j, block s in Z_p^(r-2k) sends generator j
+    to omega^<s,t> times the tensor product over the k pairs of
+    Z^q_l X^p'_l on C^p (Z = diag(omega^x), X the shift x -> x + 1). Its
+    generators commute as U_i U_j = omega^b_ij U_j U_i and have order p,
+    and the p^r-dimensional twist is p^k copies of each block: both have
+    the character p^r omega^c on the central elements omega^c and 0 off
+    them. (A scalar phase per generator, such as the omega^(-q p'/2) of
+    the symmetric Weyl operators, only conjugates or relabels the blocks.)
+
+    The construction is certified exactly (A A^-1 = I and A^T b A
+    Darboux mod p) and numerically on the s = 0 blocks (U_j^p = I and the
+    commutation relations to 1e-12); a failure raises NumericError.
+    """
+    count, r = b.shape[:2]
+    if (np.any(a @ a_inv % p != np.eye(r, dtype=np.int64))
+            or np.any(a.swapaxes(1, 2) @ b @ a % p != _darboux_form(r, k, p))):
+        raise NumericError(f"no Darboux basis for a skew form mod {p}")
+    coords = a_inv.swapaxes(1, 2)
+    q, mom, t = coords[..., 0:2 * k:2], coords[..., 1:2 * k:2], coords[..., 2 * k:]
+    # row x of generator j in block s: omega^(<q, x> + <s, t>) in column x - p'
+    dim = p ** k
+    x = np.indices((p,) * k).reshape(k, dim)
+    place = p ** np.arange(k - 1, -1, -1)
+    cols = np.einsum("l,hjlx->hjx", place, (x - mom[..., None]) % p)
+    s = np.indices((p,) * (r - 2 * k)).reshape(r - 2 * k, p ** (r - 2 * k))
+    expo = ((q @ x)[:, None] + (t @ s).swapaxes(1, 2)[..., None]) % p
+    roots = _roots(p)
+    blocks = np.zeros((count, s.shape[1], r, dim, dim), dtype=complex)
+    idx = np.ix_(range(count), range(s.shape[1]), range(r), range(dim))
+    blocks[idx + (cols[:, None],)] = roots[expo]
+    base = blocks[:, 0]
+    power = np.linalg.matrix_power(base, p) - np.eye(dim)
+    comm = (base[:, :, None] @ base[:, None, :]
+            - roots[b][..., None, None] * (base[:, None, :] @ base[:, :, None]))
+    if max(np.max(np.abs(power), initial=0.0),
+           np.max(np.abs(comm), initial=0.0)) > 1e-12:
+        raise NumericError(f"Schrodinger block fails the relations mod {p}")
+    return blocks
+
+
+def _block_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
+                  m: int | None, hs: np.ndarray) -> np.ndarray:
+    """_heisenberg_traces at the rows hs of _skew_grid."""
+    r = frame.rank
+    forms = np.zeros((len(hs), r, r), dtype=np.int64)
+    forms[(slice(None),) + np.triu_indices(r, 1)] = 2 * hs
+    forms = (forms - forms.swapaxes(1, 2)) % p
+    by_rank: dict[int, list] = {}
+    for i, b in enumerate(forms.tolist()):
+        a, a_inv, k = _darboux(b, p)
+        by_rank.setdefault(k, []).append((i, a, a_inv))
+    out = np.empty((len(hs), 1 if m is None else m ** r))
+    for k, group in by_rank.items():
+        owners, a, a_inv = zip(*group)
+        owners = list(owners)
+        shape = (len(owners), r, r)
+        blocks = _schrodinger_blocks(
+            forms[owners], np.array(a, dtype=np.int64).reshape(shape),
+            np.array(a_inv, dtype=np.int64).reshape(shape), k, p)
+        count, each = blocks.shape[:2]
+        logs = _twisted_log_dets(g, frame.crossing,
+                                 blocks.reshape((count * each,) + blocks.shape[2:]),
+                                 m, "Heisenberg twist")
+        sums = logs.reshape(count, each, -1).sum(axis=1)
+        out[owners] = -(p ** k) * sums / p ** r
+    return out
+
+
+def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
                        m: int | None = None) -> np.ndarray:
-    """-(1/p^r) log det(I - P twisted by the representation); with m, once
-    per point of the m-point torus grid of extra phases on the crossings."""
-    gens = [rep.generator(i) for i in range(1, frame.rank + 1)]
-    return -_twisted_log_dets(g, frame.crossing, gens, m,
-                              "Heisenberg twist") / rep.dim
+    """T(h) = -(1/p^r) log det(I - P twisted by the p^r-dimensional
+    Heisenberg representation of h), for every skew h mod p in the order
+    of _skew_grid; with m, once per point of the m-point torus grid of
+    extra phases on the crossings. Shape (p^q, m^r), or (p^q, 1).
+
+    The twist splits into p^k copies of each of its p^(r-2k) Schrodinger
+    blocks, so T(h) = -(p^k / p^r) sum over blocks of log det(I - P twisted
+    by the block). The blocks of one size, over all h, go through the
+    assembler as one batch; the blocks of one h hold r p^r entries, so the
+    h are taken in slices of at most about _CHUNK_ENTRIES block entries.
+    """
+    hs = _skew_grid(frame.rank, p)
+    step = max(1, _CHUNK_ENTRIES // (max(frame.rank, 1) * p ** frame.rank))
+    return np.concatenate([_block_traces(g, frame, p, m, hs[lo:lo + step])
+                           for lo in range(0, len(hs), step)])
+
+
+def _inverse_dft_row(m, r: int, p: int) -> np.ndarray:
+    """omega^(-<m, h>) at every skew h mod p in the order of _skew_grid,
+    with the full skew pairing <m, h> = 2 sum_{i<j} m_ij h_ij."""
+    mm = np.array(list(_check_m(m, r, p).values()), dtype=np.int64)
+    return _roots(p)[-2 * (_skew_grid(r, p) @ mm) % p]
 
 
 def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
@@ -584,19 +722,9 @@ def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
         raise ValidationError("alpha must be positive")
     if not isinstance(p, int) or not _is_odd_prime(p):
         raise ValidationError(f"p must be an odd prime, got {p}")
-    r = frame.rank
-    mm = _check_m(m, r, p)
-    pairs = _skew_pairs(r)
-    q = len(pairs)
-    omega = np.exp(2j * np.pi / p)
-    acc = 0.0 + 0.0j
-    for hvals in np.ndindex(*([p] * q)):
-        h = {pair: int(v) for pair, v in zip(pairs, hvals)}
-        rep = nilpotent_rep(p, r, h)
-        t = float(_heisenberg_traces(g, frame, rep)[0])
-        pairing = 2 * sum(mm[pair] * h[pair] for pair in pairs)
-        acc += t * omega ** (-pairing % p)
-    val = _assert_real(acc / p ** q, "homology2 intensity") * alpha
+    row = _inverse_dft_row(m, frame.rank, p)
+    acc = _heisenberg_traces(g, frame, p)[:, 0] @ row
+    val = _assert_real(acc / len(row), "homology2 intensity") * alpha
     if val < -1e-9:
         raise NumericError(f"homology2 intensity {val:.3e} is negative")
     return val
@@ -619,25 +747,10 @@ def homology2_field_law(g: GraphModel, frame: SpanningTreeFrame,
         raise ValidationError(f"p must be an odd prime, got {p}")
     if M < 2:
         raise ValidationError("grid size must be >= 2")
-    r = frame.rank
-    mm = _check_m(m, r, p)
-    pairs = _skew_pairs(r)
-    q = len(pairs)
-    omega = np.exp(2j * np.pi / p)
-    s_vals = {}
-    for hvals in np.ndindex(*([p] * q)):
-        h = {pair: int(v) for pair, v in zip(pairs, hvals)}
-        rep = nilpotent_rep(p, r, h)
-        acc = 0.0
-        for t in _heisenberg_traces(g, frame, rep, M).tolist():
-            acc += t
-        s_vals[hvals] = acc / M ** r
-    base = s_vals[(0,) * q]
-    acc = 0.0 + 0.0j
-    for hvals, s in s_vals.items():
-        pairing = 2 * sum(mm[pair] * int(v) for pair, v in zip(pairs, hvals))
-        acc += np.exp(alpha * (s - base)) * omega ** (-pairing % p)
-    val = _assert_real(acc / p ** q, "homology2 field law")
+    row = _inverse_dft_row(m, frame.rank, p)
+    s = _heisenberg_traces(g, frame, p, M).sum(axis=1) / M ** frame.rank
+    acc = np.exp(alpha * (s - s[0])) @ row
+    val = _assert_real(acc / len(row), "homology2 field law")
     if val < -1e-9:
         raise NumericError(f"homology2 field probability {val:.3e} is negative")
     return min(max(val, 0.0), 1.0)

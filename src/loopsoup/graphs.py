@@ -8,8 +8,7 @@ probability kappa(x)/lam(x) it dies. All the loop-measure machinery sits on
 top of this chain.
 
 Also here: deterministic spanning-tree frames (the tree plus an ordered,
-oriented list of the remaining edges, which generate the fundamental group),
-and the Green/Jacobian data used by the continuous-distribution modules.
+oriented list of the remaining edges, which generate the fundamental group).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, NumericError
+from .errors import ValidationError
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -268,61 +267,6 @@ def spanning_tree_frame(
         tree_edges=tuple(sorted(tree_set)),
         cogenerators=cogens,
     )
-
-
-@dataclass(frozen=True)
-class GreenData:
-    """Green function and the edge data derived from it.
-
-    green: (lam - C)^{-1} on vertices.
-    transfer: cross-Green matrix on the frame's cogenerators, entry (i, j) =
-        G(e_i+, e_j+) + G(e_i-, e_j-) - G(e_i+, e_j-) - G(e_i-, e_j+),
-        where e+ is the larger endpoint and e- the smaller.
-    jacobian: J[i, j] = delta_ij C(e_i) - C(e_i) transfer[i, j] C(e_j).
-    volume: sqrt(det jacobian).
-    """
-
-    green: np.ndarray
-    transfer: np.ndarray
-    jacobian: np.ndarray
-    volume: float
-
-
-def green_data(g: GraphModel, frame: SpanningTreeFrame) -> GreenData:
-    """Compute GreenData for the frame's cogenerators.
-
-    Raises:
-        NumericError: if lam - C is singular (no killing anywhere makes the
-            chain recurrent and the Green function blows up).
-    """
-    n = g.num_vertices
-    m = np.diag(np.asarray(g.lam, dtype=float))
-    for (u, v), c in g.conductance.items():
-        m[u, v] -= c
-        m[v, u] -= c
-    sign, _ = np.linalg.slogdet(m)
-    if sign <= 0:
-        raise NumericError(
-            "massless/recurrent chain: lam - C is singular, Green function "
-            "undefined (all killing rates are zero)")
-    green = np.linalg.inv(m)
-    r = frame.rank
-    transfer = np.zeros((r, r))
-    for i, (a, b) in enumerate(frame.cogenerators):
-        for j, (c_, d) in enumerate(frame.cogenerators):
-            transfer[i, j] = green[b, d] + green[a, c_] - green[b, c_] - green[a, d]
-    cond = np.array([g.conductance[e] for e in frame.cogenerators])
-    jac = np.diag(cond) - cond[:, None] * transfer * cond[None, :]
-    if r:
-        try:
-            chol = np.linalg.cholesky(jac)
-        except np.linalg.LinAlgError:
-            raise NumericError("edge Jacobian is not positive definite") from None
-        det = float(np.prod(np.diag(chol))) ** 2
-    else:
-        det = 1.0
-    return GreenData(green=green, transfer=transfer, jacobian=jac,
-                     volume=float(np.sqrt(det)))
 
 
 def parse_graph(text: str) -> GraphModel:

@@ -1,6 +1,7 @@
 """Command line front end: small graph files in, manifest plus CSV out."""
 
 import importlib
+import math
 import os
 import random
 import subprocess
@@ -40,6 +41,12 @@ kappa 4 1.0
 
 ONE_VERTEX = """\
 vertices 1
+kappa 0 1
+"""
+
+TREE = """\
+vertices 2
+edge 0 1 1
 kappa 0 1
 """
 
@@ -329,6 +336,20 @@ class TestH2:
     def test_composite_p_exits_2(self, capsys, bow_path):
         code, _ = run_cli(capsys, "h2", bow_path, "--p", "6")
         assert code == 2
+
+    def test_rank_zero_is_the_whole_mass(self, capsys, tmp_path):
+        # a tree has no skew pairs: one row with an empty m, holding alpha
+        # times the total mass log 2, and a field that is 0 for certain
+        p = tmp_path / "tree.graph"
+        p.write_text(TREE)
+        code, out = run_cli(capsys, "h2", str(p), "--p", "3", "--alpha", "0.5")
+        assert code == 0
+        m, prime, val = out.splitlines()[2].split(",")
+        assert (m, prime) == ("", "3")
+        assert float(val) == pytest.approx(0.5 * math.log(2), rel=1e-14)
+        code, out = run_cli(capsys, "h2", str(p), "--p", "3", "--field")
+        assert code == 0
+        assert out.splitlines()[1:] == ["m,p,probability", ",3,1.0"]
 
 
 class TestZeta:

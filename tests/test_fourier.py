@@ -26,7 +26,6 @@ from loopsoup import (
     homology2,
     homology2_field_law,
     homology2_intensity,
-    jacobian_volume_check,
     loop_to_word,
     nilpotent_rep,
     total_mass,
@@ -36,20 +35,30 @@ from loopsoup import (
 SQRT5 = math.sqrt(5.0)
 
 
+def twisted_matrix(g, frame, theta):
+    """Dense oracle: the transition matrix with each cogenerator crossing
+    twisted by a phase, step x -> y over cogenerator j picking up
+    exp(+-2 pi i theta_j)."""
+    p = g.transition.astype(complex)
+    for j, (u, v) in enumerate(frame.cogenerators):
+        phase = np.exp(2j * np.pi * theta[j])
+        p[u, v] *= phase
+        p[v, u] *= np.conj(phase)
+    return p
+
+
 class TestTwistedDet:
     def test_zero_twist_is_total_mass(self, triangle, triangle_frame):
         assert -twisted_log_det(triangle, triangle_frame, [0.0]) == \
             pytest.approx(total_mass(triangle), abs=1e-13)
 
     def test_zero_twist_matrix_is_transition(self, bowtie, bowtie_frame):
-        from loopsoup import twisted_matrix
         M = twisted_matrix(bowtie, bowtie_frame, [0.0, 0.0])
         assert np.allclose(M, bowtie.transition, atol=1e-14)
         assert np.max(np.abs(M.imag)) == 0.0
 
     def test_determinant_bounded_away_from_zero(self, bowtie, bowtie_frame):
         # with killing the twisted determinant never vanishes on the grid
-        from loopsoup import twisted_matrix
         for t1 in np.linspace(0.0, 1.0, 8, endpoint=False):
             for t2 in np.linspace(0.0, 1.0, 8, endpoint=False):
                 M = twisted_matrix(bowtie, bowtie_frame, [t1, t2])
@@ -167,7 +176,6 @@ class TestBatchedAssembly:
     @pytest.mark.parametrize("name,m", [("triangle", 64), ("bowtie", 12),
                                         ("k4", 5)])
     def test_grid_equals_pointwise_log_dets(self, request, name, m):
-        from loopsoup import twisted_matrix
         g = request.getfixturevalue(name)
         frame = request.getfixturevalue(f"{name}_frame")
         grid = homology1_grid(g, frame, m)
@@ -212,20 +220,6 @@ class TestBatchedAssembly:
             got = homology2_field_law(bowtie, bowtie_frame, alpha,
                                       {(1, 2): m}, p, M=M)
             assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
-
-
-class TestJacobianVolume:
-    def test_report_shape(self, triangle, triangle_frame):
-        rep = jacobian_volume_check(triangle, triangle_frame)
-        assert rep.informational
-        assert rep.torus_volume == 1.0
-        assert rep.jacobian_volume > 0
-
-    def test_triangle_value(self, triangle, triangle_frame):
-        # one cogenerator; det J = 1/2 for the unit triangle with unit
-        # killing, so the lattice volume is sqrt(1/2) != 1
-        rep = jacobian_volume_check(triangle, triangle_frame)
-        assert rep.jacobian_volume == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
 class TestHolonomy:
@@ -461,6 +455,115 @@ class TestNilpotentRep:
         for p in (2, 4, 9, 15):
             with pytest.raises(ValidationError):
                 nilpotent_rep(p, 2, {(1, 2): 1})
+
+
+def _random_weights(name, seed=11):
+    """The bowtie or K4 with conductances and killing drawn at random, so
+    that no eigenvalue coincidence is an accident of symmetric weights."""
+    from loopsoup import build_graph, spanning_tree_frame
+    n, edges = {"bowtie": (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+                "k4": (4, list(itertools.combinations(range(4), 2)))}[name]
+    rng = np.random.default_rng(seed)
+    g = build_graph(n, [(u, v, rng.uniform(0.5, 2.0)) for u, v in edges],
+                    list(rng.uniform(0.3, 1.5, n)))
+    return g, spanning_tree_frame(g)
+
+
+def _dense_twist(g, frame, rep, phases):
+    """P tensored with the dense representation: the step x -> y carries
+    the generator of its crossing times phases[j - 1], its adjoint when
+    the crossing is backwards, and the identity on tree edges."""
+    n, d = g.num_vertices, rep.dim
+    gens = [rep.generator(i) * phases[i - 1] for i in range(1, rep.r + 1)]
+    out = np.zeros((n * d, n * d), dtype=complex)
+    for x, y in zip(*np.nonzero(g.transition)):
+        j = frame.crossing(x, y)
+        u = np.eye(d) if j == 0 else gens[j - 1] if j > 0 else gens[-j - 1].conj().T
+        out[x * d:(x + 1) * d, y * d:(y + 1) * d] = g.transition[x, y] * u
+    return out
+
+
+def _skew_reps(p, r):
+    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    for hv in itertools.product(range(p), repeat=len(pairs)):
+        yield hv, nilpotent_rep(p, r, dict(zip(pairs, hv)))
+
+
+class TestSchrodingerBlocks:
+    """The H2 laws evaluate each p^r-dimensional Heisenberg twist through
+    its irreducible blocks; the dense nilpotent_rep is the reference."""
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_darboux_identity_exact(self, r, p):
+        upper = np.triu_indices(r, 1)
+        for hv in itertools.product(range(p), repeat=len(upper[0])):
+            b = np.zeros((r, r), dtype=np.int64)
+            b[upper] = hv
+            b = (b - b.T) % p
+            a, a_inv, k = fourier._darboux(b.tolist(), p)
+            a, a_inv = np.array(a), np.array(a_inv)
+            darboux = np.zeros((r, r), dtype=np.int64)
+            for l in range(k):
+                darboux[2 * l, 2 * l + 1], darboux[2 * l + 1, 2 * l] = 1, p - 1
+            assert np.array_equal(a @ a_inv % p, np.eye(r))
+            assert np.array_equal(a.T @ b @ a % p, darboux)
+
+    @pytest.mark.parametrize("name,p,m", [
+        ("bowtie", p, m) for p in (3, 5, 7) for m in (None, 2, 3)
+    ] + [("k4", 3, None), ("k4", 3, 2)])
+    def test_traces_equal_dense(self, name, p, m):
+        g, frame = _random_weights(name)
+        r = frame.rank
+        points = [np.zeros(r)] if m is None else \
+            [np.array(k) / m for k in np.ndindex(*(m,) * r)]
+        want = []
+        for _, rep in _skew_reps(p, r):
+            eye = np.eye(g.num_vertices * rep.dim)
+            want.append([-np.linalg.slogdet(
+                eye - _dense_twist(g, frame, rep, np.exp(2j * np.pi * theta)))[1]
+                / rep.dim for theta in points])
+        got = fourier._heisenberg_traces(g, frame, p, m)
+        assert got.shape == (p ** (r * (r - 1) // 2), len(points))
+        assert np.max(np.abs(got - np.array(want))) <= 1e-13
+
+    def test_slices_equal_one_batch(self, monkeypatch):
+        # one h per slice, against all 27 h of K4 at p = 3 in one slice
+        g, frame = _random_weights("k4")
+        whole = fourier._heisenberg_traces(g, frame, 3, 2)
+        monkeypatch.setattr(fourier, "_CHUNK_ENTRIES", 3 * 27)
+        assert np.array_equal(fourier._heisenberg_traces(g, frame, 3, 2), whole)
+
+    @pytest.mark.parametrize("name,p", [("bowtie", 3), ("bowtie", 5), ("k4", 3)])
+    def test_dense_multiplicities_divisible_by_p_k(self, name, p):
+        # a nonzero skew form on at most three generators has rank 2, so
+        # the dense twist is p copies of each block
+        g, frame = _random_weights(name)
+        for hv, rep in _skew_reps(p, frame.rank):
+            scale = np.repeat(np.sqrt(g.lam), rep.dim)
+            herm = scale[:, None] * _dense_twist(g, frame, rep,
+                                                 np.ones(frame.rank)) / scale
+            eig = np.linalg.eigvalsh(herm)
+            cuts = np.flatnonzero(np.diff(eig) > 1e-9) + 1
+            sizes = np.diff(np.concatenate([[0], cuts, [len(eig)]]))
+            assert np.all(sizes % (p if any(hv) else 1) == 0), (hv, sizes)
+
+    def test_certificate_rejects_a_wrong_construction(self, monkeypatch):
+        p = 5
+        b = np.array([[0, 2, 1], [3, 0, 4], [4, 1, 0]])
+        a, a_inv, k = fourier._darboux(b.tolist(), p)
+        a, a_inv = np.array([a]), np.array([a_inv])
+        assert fourier._schrodinger_blocks(b[None], a, a_inv, k, p).shape == \
+            (1, p, 3, p, p)
+        wrong = a_inv.copy()
+        wrong[0, 0, 0] = (wrong[0, 0, 0] + 1) % p
+        with pytest.raises(NumericError, match="Darboux"):
+            fourier._schrodinger_blocks(b[None], a, wrong, k, p)
+        # phases off by 1e-9 radians break U^p = I beyond 1e-12
+        roots = fourier._roots
+        monkeypatch.setattr(fourier, "_roots", lambda q: roots(q) * np.exp(1e-9j))
+        with pytest.raises(NumericError, match="relations"):
+            fourier._schrodinger_blocks(b[None], a, a_inv, k, p)
 
 
 def _charge_oracle(g, frame, p, n_max):

@@ -1,4 +1,4 @@
-"""Graph construction, validation, spanning-tree frames, Green data."""
+"""Graph construction, validation, spanning-tree frames."""
 
 import math
 
@@ -7,10 +7,8 @@ import pytest
 
 from loopsoup import (
     GraphModel,
-    NumericError,
     ValidationError,
     build_graph,
-    green_data,
     load_graph,
     parse_graph,
     spanning_tree_frame,
@@ -130,31 +128,6 @@ class TestSpanningTreeFrame:
     def test_explicit_tree_edges_must_exist(self, bowtie):
         with pytest.raises(ValidationError):
             spanning_tree_frame(bowtie, tree_edges=[(1, 3), (0, 1), (0, 2), (0, 4)])
-
-
-class TestGreenData:
-    def test_triangle_green_exact(self, triangle, triangle_frame):
-        # (lam - C) = 4 I - ones, inverse is (I + ones)/4 by hand
-        gd = green_data(triangle, triangle_frame)
-        want = (np.eye(3) + np.ones((3, 3))) / 4.0
-        assert np.allclose(gd.green, want, atol=1e-14)
-
-    def test_transfer_shape_and_symmetry(self, k4, k4_frame):
-        # the transfer matrix is indexed by the cogenerator edges
-        gd = green_data(k4, k4_frame)
-        r = k4_frame.rank
-        assert gd.transfer.shape == (r, r)
-        assert np.allclose(gd.transfer, gd.transfer.T, atol=1e-14)
-
-    def test_jacobian_positive_definite(self, bowtie, bowtie_frame):
-        gd = green_data(bowtie, bowtie_frame)
-        eig = np.linalg.eigvalsh(gd.jacobian)
-        assert eig.min() > 0
-        assert gd.volume == pytest.approx(math.sqrt(np.linalg.det(gd.jacobian)))
-
-    def test_no_killing_is_singular(self, k4_free, k4_free_frame):
-        with pytest.raises(NumericError):
-            green_data(k4_free, k4_free_frame)
 
 
 class TestParseGraph:
