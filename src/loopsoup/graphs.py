@@ -122,15 +122,14 @@ def build_graph(
         raise ValidationError("killing rates must be nonnegative")
     if not all(math.isfinite(k) for k in kill):
         raise ValidationError("killing rates must be finite")
-    lam_zero = [x for x in range(num_vertices)
-                if kill[x] == 0 and not any(x in e for e in conductance)]
+    adj: list[list[int]] = [[] for _ in range(num_vertices)]
+    for u, v in conductance:
+        adj[u].append(v)
+        adj[v].append(u)
+    lam_zero = [x for x in range(num_vertices) if kill[x] == 0 and not adj[x]]
     if lam_zero:
         raise ValidationError(f"vertex {lam_zero[0]} has no edge and no killing")
     if num_vertices > 1:
-        adj: list[list[int]] = [[] for _ in range(num_vertices)]
-        for u, v in conductance:
-            adj[u].append(v)
-            adj[v].append(u)
         seen = [False] * num_vertices
         seen[0] = True
         stack = [0]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -88,21 +89,107 @@ def truncated_mass(g: GraphModel, n_max: int) -> float:
     return float(out)
 
 
+def _adjacency(g: GraphModel) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour lists in CSR form: the neighbours of v, ascending, are
+    heads[first[v]:first[v + 1]]."""
+    first = np.zeros(g.num_vertices + 1, dtype=np.intp)
+    np.cumsum([len(a) for a in g.neighbors], out=first[1:])
+    heads = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp,
+                        count=first[-1])
+    return first, heads
+
+
+def _expand(first: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step from every vertex of at to each of its neighbours, in
+    order: the position in at and the CSR index of each step."""
+    count = first[at + 1] - first[at]
+    src = np.repeat(np.arange(at.size), count)
+    offset = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
+    return src, first[at][src] + offset
+
+
 def _hop_distances(g: GraphModel) -> np.ndarray:
+    """Hop distance between every two vertices (n + 1 where there is no
+    path), by breadth-first search from all sources at once: each level
+    expands the frontier of (source, vertex) pairs first reached at the
+    level before."""
     n = g.num_vertices
+    first, heads = _adjacency(g)
     dist = np.full((n, n), n + 1, dtype=int)
-    for s in range(n):
-        dist[s, s] = 0
-        queue = [s]
-        while queue:
-            nxt = []
-            for v in queue:
-                for u in g.neighbors[v]:
-                    if dist[s, u] > dist[s, v] + 1:
-                        dist[s, u] = dist[s, v] + 1
-                        nxt.append(u)
-            queue = nxt
+    src = at = np.arange(n)
+    dist[src, at] = 0
+    level = 0
+    while src.size:
+        level += 1
+        i, e = _expand(first, at)
+        src, at = src[i], heads[e]
+        fresh = dist[src, at] > level
+        pair = np.unique(src[fresh] * n + at[fresh])
+        src, at = pair // n, pair % n
+        dist[src, at] = level
     return dist
+
+
+class _WordTrie:
+    """Reduced words over the letters +-1 .. +-rank, interned as ids: 0 is
+    the empty word, and word w is word parent[w] followed by last[w]."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.parent = np.zeros(1, dtype=np.intp)
+        self.last = np.zeros(1, dtype=np.intp)
+        # the extensions made so far, as sorted keys w * (2 rank + 1) +
+        # letter + rank with their ids, after a sentinel above every key
+        self._keys = np.array([np.iinfo(np.intp).max])
+        self._ids = np.array([-1])
+
+    @property
+    def size(self) -> int:
+        return self.parent.size
+
+    def step(self, word: np.ndarray, letter: np.ndarray) -> np.ndarray:
+        """The reduced word of each word followed by its letter (0 for a
+        tree step): the letter cancels the last one or extends the word."""
+        out = word.copy()
+        cancel = (letter != 0) & (self.last[word] == -letter)
+        out[cancel] = self.parent[word[cancel]]
+        grow = (letter != 0) & ~cancel
+        out[grow] = self._extend(word[grow], letter[grow])
+        return out
+
+    def _extend(self, word: np.ndarray, letter: np.ndarray) -> np.ndarray:
+        width = 2 * self.rank + 1
+        key = word * width + letter + self.rank
+        pos = np.searchsorted(self._keys, key)
+        fresh = self._keys[pos] != key
+        if fresh.any():
+            new = np.unique(key[fresh])
+            at = np.searchsorted(self._keys, new)
+            self._keys = np.insert(self._keys, at, new)
+            self._ids = np.insert(self._ids, at,
+                                  self.size + np.arange(new.size))
+            self.parent = np.concatenate([self.parent, new // width])
+            self.last = np.concatenate([self.last, new % width - self.rank])
+            pos = np.searchsorted(self._keys, key)
+        return self._ids[pos]
+
+    def word(self, w: int) -> tuple[int, ...]:
+        letters = []
+        while w:
+            letters.append(int(self.last[w]))
+            w = int(self.parent[w])
+        return tuple(reversed(letters))
+
+
+def _first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys in order of first appearance: the number
+    of each entry, and the position of each number's first entry."""
+    _, first, inverse = np.unique(key, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return number[inverse], first[order]
 
 
 @dataclass(frozen=True)
@@ -131,43 +218,64 @@ def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
                       n_max: int) -> EnumeratedMeasure:
     """Mass of every homotopy class among loops of length <= n_max.
 
-    Dynamic program over (current vertex, reduced crossing word from the
-    base); a step to u either extends the word by a crossing letter or
+    Dynamic program over (base, current vertex, reduced crossing word from
+    the base), for all bases at once, with the words interned as ids in a
+    trie; a step to u either extends the word by a crossing letter or
     cancels the last letter. Branches that cannot return to the base in the
     remaining steps are pruned. The trivial class collects the contractible
     mass. Classes group based loops correctly: a class whose loops have n
     steps and multiplicity m has n/m based representatives per loop, each
     weighing (1/n) prod P, totalling prod P / m.
+
+    Every sum runs in the order of a dict program per base, keyed by
+    (vertex, word) in insertion order: the states of a step are numbered
+    in order of first appearance, and returns to the base are added base
+    by base, then step by step, then state by state. The masses, and the
+    order of the classes, are therefore the same to the last bit.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    p = g.transition
+    n_v = g.num_vertices
+    first, heads = _adjacency(g)
+    tails = np.repeat(np.arange(n_v), np.diff(first))
+    step_weight = g.transition[tails, heads]
+    letters = np.array([frame.crossing(x, y)
+                        for x, y in zip(tails.tolist(), heads.tolist())],
+                       dtype=np.intp)
     dist = _hop_distances(g)
-    out: dict[GeodesicClass, float] = {}
-    for base in range(g.num_vertices):
-        # weight of each (vertex, word) state after n steps
-        states: dict[tuple[int, tuple[int, ...]], float] = {(base, ()): 1.0}
-        for n in range(1, n_max + 1):
-            nxt: dict[tuple[int, tuple[int, ...]], float] = {}
-            remaining = n_max - n
-            for (v, word), wt in states.items():
-                for u in g.neighbors[v]:
-                    if dist[u, base] > remaining:
-                        continue
-                    letter = frame.crossing(v, u)
-                    if letter and word and word[-1] == -letter:
-                        nw = word[:-1]
-                    elif letter:
-                        nw = word + (letter,)
-                    else:
-                        nw = word
-                    key = (u, nw)
-                    nxt[key] = nxt.get(key, 0.0) + wt * p[v, u]
-            states = nxt
-            for (v, word), wt in states.items():
-                if v == base:
-                    cls = canonical_class(word)
-                    out[cls] = out.get(cls, 0.0) + wt / n
+    words = _WordTrie(frame.rank)
+    base = at = np.arange(n_v)
+    word = np.zeros(n_v, dtype=np.intp)
+    weight = np.ones(n_v)
+    returns = []
+    for n in range(1, n_max + 1):
+        i, e = _expand(first, at)
+        keep = dist[heads[e], base[i]] <= n_max - n
+        i, e = i[keep], e[keep]
+        to_base, to_vertex = base[i], heads[e]
+        to_word = words.step(word[i], letters[e])
+        state, pick = _first_seen((to_base * n_v + to_vertex) * words.size
+                                  + to_word)
+        weight = np.bincount(state, weight[i] * step_weight[e],
+                             minlength=pick.size)
+        base, at, word = to_base[pick], to_vertex[pick], to_word[pick]
+        home = np.flatnonzero(at == base)
+        returns.append((base[home], word[home], weight[home] / n))
+    # returns base by base, then step by step; each distinct word is
+    # mapped to its class once
+    home_base, home_word, mass = (np.concatenate(r) for r in zip(*returns))
+    order = np.argsort(home_base, kind="stable")
+    distinct, of_word = np.unique(home_word[order], return_inverse=True)
+    index: dict[GeodesicClass, int] = {}
+    class_of = np.array([index.setdefault(canonical_class(words.word(w)),
+                                          len(index))
+                         for w in distinct.tolist()], dtype=np.intp)
+    home_class = class_of[of_word]
+    number, pick = _first_seen(home_class)
+    total = np.bincount(number, mass[order], minlength=pick.size)
+    classes = list(index)
+    out = {classes[c]: m
+           for c, m in zip(home_class[pick].tolist(), total.tolist())}
     return EnumeratedMeasure(out, n_max, tail_bound(g, n_max))
 
 

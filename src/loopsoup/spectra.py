@@ -31,7 +31,14 @@ fixed point could still exist: the series is non-summable (NumericError).
 Entries within the tolerance of zero are rounding, not divergence.
 
 The trivial class is handled separately: its mass is an integral over the
-deformation parameter s of the per-vertex excursion functions.
+deformation parameter s of the per-vertex excursion functions, taken in
+t with s = 1 - t^2 by adaptive 21-point Gauss-Kronrod quadrature
+(QUADPACK's qk21 rule, Piessens et al. 1983) without extrapolation. The
+refinement goes one level at a time, and all nodes of a level are solved
+as one batch: the sweeps run on a (nodes, 2|E|) array, and each Newton
+step factors one block-diagonal sparse LU for all nodes in that phase.
+The certificate of the mass is the sum over the intervals of |K - G|, the
+gap between the Kronrod value and the embedded Gauss value.
 
 On regular graphs everything has closed forms, and the class masses with
 the killing parametrized by step weight reproduce a classical determinant
@@ -40,15 +47,13 @@ identity for non-backtracking walks, checked here in exact arithmetic.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import sqrt
+from math import fsum, sqrt
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import quad
 from scipy.sparse.linalg import splu
 
 from .errors import NumericError, ValidationError
@@ -60,6 +65,48 @@ from .graphs import GraphModel, SpanningTreeFrame
 _STEP = 1e-13
 # Dekker's splitting constant 2**27 + 1 for exact float64 products.
 _SPLITTER = 134217729.0
+
+# QUADPACK's 21-point Gauss-Kronrod rule (qk21, Piessens et al. 1983): the
+# Kronrod abscissae in [0, 1), the Gauss ones at odd positions, with their
+# Kronrod weights, the centre's last, and the 10-point Gauss weights.
+_XGK = (0.995657163025808080735527280689003,
+        0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508,
+        0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042,
+        0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694,
+        0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866,
+        0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192,
+        0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580,
+        0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366,
+        0.109387158802297641899210590325805,
+        0.123491976262065851077548564726430,
+        0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717,
+        0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332,
+       0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163,
+       0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# The 21 nodes on [-1, 1] in ascending order, the Kronrod weights, and the
+# Kronrod minus the Gauss weights, whose product with the values is K - G.
+_GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_GK_KRONROD = np.array(_WGK[:-1] + _WGK[::-1])
+_GK_GAUSS_GAP = _GK_KRONROD.copy()
+_GK_GAUSS_GAP[1:10:2] -= _WG
+_GK_GAUSS_GAP[19:10:-2] -= _WG
+# The contractible-mass quadrature: absolute and relative target, and the
+# largest number of intervals.
+_QUAD_TOL = 1e-11
+_QUAD_LIMIT = 200
 
 
 def _two_sum(a, b):
@@ -84,6 +131,16 @@ def _two_prod(a, b, a_split=None):
     a_hi, a_lo = _split(a) if a_split is None else a_split
     b_hi, b_lo = _split(b)
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _row_bincount(index: np.ndarray, values: np.ndarray,
+                  size: int) -> np.ndarray:
+    """np.bincount(index, values[b], minlength=size) for every row b of
+    values, in one call; each bin adds its terms in the same order."""
+    k = values.shape[0]
+    shifted = index + size * np.arange(k)[:, None]
+    return np.bincount(shifted.ravel(), values.ravel(),
+                       minlength=k * size).reshape(k, size)
 
 
 class _EdgeSystem:
@@ -124,25 +181,27 @@ class _EdgeSystem:
             self._slots.append((has, row_start[has] + j))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """B r."""
-        return np.bincount(self._rows, self._coef * r[self._cols],
-                           minlength=self.size)
+        """B r for every row of r."""
+        return _row_bincount(self._rows, self._coef * r[:, self._cols],
+                             self.size)
 
-    def residual(self, r: np.ndarray, s: float) -> np.ndarray:
-        """F(r) - r in double-double arithmetic: accurate to about 1e-16 of
-        its own size rather than of |r|, so it still resolves the residual
-        e^2 / 4 left at distance e from a double root."""
-        hi, lo = _two_prod(self._coef, r[self._cols], self._coef_split)
-        row_hi = np.zeros(self.size)
-        row_lo = np.zeros(self.size)
+    def residual(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """F(r) - r for every row of r, each at its own s, in double-double
+        arithmetic: accurate to about 1e-16 of its own size rather than of
+        |r|, so it still resolves the residual e^2 / 4 left at distance e
+        from a double root."""
+        hi, lo = _two_prod(self._coef, r[:, self._cols], self._coef_split)
+        row_hi = np.zeros(r.shape)
+        row_lo = np.zeros(r.shape)
         for j, (has, pos) in enumerate(self._slots):
             if j:
-                row_hi[has], err = _two_sum(row_hi[has], hi[pos])
-                row_lo[has] += err + lo[pos]
+                row_hi[:, has], err = _two_sum(row_hi[:, has], hi[:, pos])
+                row_lo[:, has] += err + lo[:, pos]
             else:
-                row_hi[has], row_lo[has] = hi[pos], lo[pos]
+                row_hi[:, has], row_lo[:, has] = hi[:, pos], lo[:, pos]
         t_hi, t_lo = _two_prod(r, row_hi)
         t_lo = t_lo + r * row_lo
+        s = s[:, None]
         u_hi, u_lo = _two_prod(s, t_hi)
         u_lo = u_lo + s * t_lo
         a, a_err = _two_sum(1.0, -r)
@@ -151,32 +210,45 @@ class _EdgeSystem:
 
     @cached_property
     def _jacobian(self):
-        """I + B in CSC form, the row of each stored entry, the diagonal
-        mask and the B value of each entry (0 on the diagonal)."""
+        """The CSC pattern of I + B (column pointers and the row of each
+        stored entry), the diagonal mask and the B value of each entry (0
+        on the diagonal)."""
         m = self.size
         succ = sparse.csr_matrix((self._coef, (self._rows, self._cols)),
                                  shape=(m, m))
         jac = (succ + sparse.identity(m, format="csr")).tocsc()
         rows = jac.indices
         diag = rows == np.repeat(np.arange(m), np.diff(jac.indptr))
-        return jac, rows, diag, np.where(diag, 0.0, jac.data)
+        return jac.indptr, rows, diag, np.where(diag, 0.0, jac.data)
 
-    def newton_step(self, r: np.ndarray, s: float, f: np.ndarray) -> np.ndarray:
-        """d with (I - F'(r)) d = f, where I - F'(r) = I - s diag(B r) -
-        s diag(r) B, by a sparse LU. A singular matrix raises NumericError."""
-        jac, rows, diag, coef = self._jacobian
-        jac.data[:] = np.where(diag, 1.0 - s * self.apply(r)[rows],
-                               -s * r[rows] * coef)
+    def newton_step(self, r: np.ndarray, s: np.ndarray,
+                    f: np.ndarray) -> np.ndarray:
+        """d with (I - F'(r)) d = f for every row, where I - F'(r) = I -
+        s diag(B r) - s diag(r) B, by one sparse LU of the block-diagonal
+        matrix of all rows. A singular matrix raises NumericError."""
+        indptr, rows, diag, coef = self._jacobian
+        k, m = r.shape
+        sc = s[:, None]
+        data = np.where(diag, 1.0 - sc * self.apply(r)[:, rows],
+                        -sc * r[:, rows] * coef)
+        block = np.arange(k)[:, None]
+        jac = sparse.csc_matrix(
+            (data.ravel(), (rows + m * block).ravel(),
+             np.append((indptr[:-1] + rows.size * block).ravel(),
+                       k * rows.size)),
+            shape=(k * m, k * m))
         try:
-            return splu(jac).solve(f)
+            return splu(jac).solve(f.ravel()).reshape(k, m)
         except RuntimeError:  # exactly singular
-            raise NumericError(
-                f"non-summable tree-contour series at s={s} "
-                f"(singular Newton system)") from None
+            where = (f"s={float(s[0])}" if k == 1 else
+                     f"some s in [{float(s.min())}, {float(s.max())}]")
+            raise NumericError(f"non-summable tree-contour series at {where} "
+                               f"(singular Newton system)") from None
 
-    def vertex(self, r: np.ndarray, s: float) -> np.ndarray:
+    def vertex(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Unrestricted excursions from each vertex,
-        1 / (1 - s sum_y P(x,y) rho(x,y) P(y,x)), for r from _solve.
+        1 / (1 - s sum_y P(x,y) rho(x,y) P(y,x)), for every row of r from
+        _solve, each at its own s.
 
         inf where the sum reaches 1 within the accuracy of r: the series
         diverges there or cannot be told from divergent. Each entry of r
@@ -185,53 +257,71 @@ class _EdgeSystem:
         this is the margin. At a critical edge system, such as the unkilled
         triangle at s = 1, the true sum is 1 and the solve stops just short
         of it."""
-        acc = np.bincount(self.tail, weights=self.weight * r,
-                          minlength=self.num_vertices)
+        acc = _row_bincount(self.tail, self.weight * r, self.num_vertices)
+        s = s[:, None]
         denom = 1.0 - s * acc
-        margin = 2.0 * _STEP * r.max(initial=1.0) * s * self._vertex_weight
-        out = np.full(self.num_vertices, np.inf)
+        margin = (2.0 * _STEP * r.max(axis=1, initial=1.0)[:, None] * s
+                  * self._vertex_weight)
+        out = np.full(denom.shape, np.inf)
         ok = denom > margin
         out[ok] = 1.0 / denom[ok]
         return out
 
 
-def _solve(system: _EdgeSystem, s: float,
-           start: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Least fixed point of the edge system at step weight s, iterated from
-    start (default the constant 1), which must lie below it: rho per
-    oriented edge and the number of sweeps plus Newton steps.
+def _solve(system: _EdgeSystem, s: np.ndarray,
+           start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least fixed points of the edge system at the step weights s, one
+    per row, each iterated from its row of start, which must lie below it:
+    rho per node and oriented edge, and the number of sweeps plus Newton
+    steps per node.
 
     While each sweep at least halves the change, the error left is at most
     the last change, so a halving sweep below the step tolerance ends the
     solve like a Newton step would. Newton takes over from the first sweep
-    that does not halve the change.
+    that does not halve the change. Each sweep, and then each Newton step,
+    works on all nodes still in that phase at once; each node takes the
+    steps it would take alone, and only the LU of the Newton steps sees
+    the other nodes, as separate diagonal blocks.
     """
-    r = np.ones(system.size) if start is None else start
+    r = np.array(start, dtype=float)
+    iterations = np.zeros(s.size, dtype=int)
     if not system.size:
-        return r, 0
-    iterations = 0
-    last = np.inf
-    while True:
-        new = 1.0 + s * r * system.apply(r)
-        change = abs(new - r).max()
-        r = new
-        iterations += 1
-        if not change <= last / 2:
-            break
-        if last < np.inf and change <= _STEP * r.max():
-            return r, iterations
+        return r, iterations
+    # the nodes still sweeping, their rows and their last changes; all of
+    # them have taken the same number of sweeps
+    at, x, sx = np.arange(s.size), r, s[:, None]
+    last = np.full(s.size, np.inf)
+    sweeps = 0
+    newton = [at[:0]]
+    while at.size:
+        new = 1.0 + sx * x * system.apply(x)
+        change = np.abs(new - x).max(axis=1)
+        x = new
+        sweeps += 1
+        halved = change <= last / 2
+        stop = ~halved | ((last < np.inf)
+                          & (change <= _STEP * x.max(axis=1)))
+        if stop.any():
+            r[at[stop]] = x[stop]
+            iterations[at[stop]] = sweeps
+            newton.append(at[~halved])
+            go = ~stop
+            at, x, sx, change = at[go], x[go], sx[go], change[go]
         last = change
-    while True:
-        d = system.newton_step(r, s, system.residual(r, s))
-        iterations += 1
-        tol = _STEP * r.max()
-        if not np.all(np.isfinite(d)) or d.min() < -tol:
+    at = np.concatenate(newton)
+    while at.size:
+        x, sx = r[at], s[at]
+        d = system.newton_step(x, sx, system.residual(x, sx))
+        iterations[at] += 1
+        tol = _STEP * x.max(axis=1)
+        bad = ~np.isfinite(d).all(axis=1) | (d.min(axis=1) < -tol)
+        if bad.any():
             raise NumericError(
-                f"non-summable tree-contour series at s={s} "
+                f"non-summable tree-contour series at s={float(sx[bad][0])} "
                 f"(Newton step leaves the monotone region)")
-        r = r + d
-        if abs(d).max() <= tol:
-            return r, iterations
+        r[at] = x + d
+        at = at[np.abs(d).max(axis=1) > tol]
+    return r, iterations
 
 
 @dataclass(frozen=True)
@@ -272,12 +362,13 @@ def solve_rho(g: GraphModel, s: float = 1.0) -> RhoTable:
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"step weight s={s} outside [0, 1]")
     system = _EdgeSystem(g)
-    r, iterations = _solve(system, s)
-    vertex = system.vertex(r, s)
-    residual = float(np.max(np.abs(system.residual(r, s)), initial=0.0))
-    return RhoTable(s=s, edge=dict(zip(system.pairs, r.tolist())),
+    at = np.array([s])
+    r, iterations = _solve(system, at, np.ones((1, system.size)))
+    vertex = system.vertex(r, at)[0]
+    residual = float(np.max(np.abs(system.residual(r, at)), initial=0.0))
+    return RhoTable(s=s, edge=dict(zip(system.pairs, r[0].tolist())),
                     vertex=dict(enumerate(vertex.tolist())),
-                    residual=residual, iterations=iterations)
+                    residual=residual, iterations=int(iterations[0]))
 
 
 def class_intensity(g: GraphModel, frame: SpanningTreeFrame,
@@ -348,72 +439,112 @@ def regular_closed_forms(d: int, kappa: float, s: float = 1.0) -> RegularForms:
                         step_intensity=rho_edge / lam, b=b)
 
 
+def _gauss_kronrod(f, tol: float, limit: int) -> tuple[float, float]:
+    """Integral of f over [0, 1] and its error, by adaptive 21-point
+    Gauss-Kronrod quadrature, one refinement level at a time: f maps an
+    array of nodes to their values and gets all nodes of a level at once.
+
+    Each interval reports its Kronrod value K and |K - G|, G the embedded
+    10-point Gauss value. While the sum of |K - G| exceeds the target
+    max(tol, tol |sum K|), every interval whose |K - G| exceeds its share,
+    the target times its width, is bisected, the worst first if that
+    would pass limit intervals. There is no extrapolation. The returned
+    error is the sum of |K - G|, also when the limit stops the refinement
+    short of the target. A non-finite value of f raises NumericError.
+    """
+
+    def level(a, b):
+        half = (b - a) / 2
+        t = (a + b)[:, None] / 2 + half[:, None] * _GK_NODES
+        ft = f(t.ravel()).reshape(t.shape)
+        if not np.isfinite(ft).all():
+            raise NumericError(
+                f"contractible mass quadrature: non-finite integrand at "
+                f"t={float(t[~np.isfinite(ft)][0])}")
+        return half * (ft @ _GK_KRONROD), half * np.abs(ft @ _GK_GAUSS_GAP)
+
+    a, b = np.zeros(1), np.ones(1)
+    k, err = level(a, b)
+    while True:
+        target = max(tol, tol * abs(fsum(k)))
+        split = np.flatnonzero(err > target * (b - a))
+        room = limit - a.size
+        if fsum(err) <= target or not split.size or room <= 0:
+            return fsum(k), fsum(err)
+        if split.size > room:
+            split = split[np.argsort(-err[split], kind="stable")[:room]]
+        mid = (a[split] + b[split]) / 2
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
+        new_k, new_err = level(new_a, new_b)
+        keep = np.ones(a.size, dtype=bool)
+        keep[split] = False
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        k = np.concatenate([k[keep], new_k])
+        err = np.concatenate([err[keep], new_err])
+
+
 def contractible_intensity(g: GraphModel) -> tuple[float, float]:
     """Mass of the trivial homotopy class, with a quadrature error estimate.
 
     Integrates sum_x (rho_x(s) - 1) / (2s) over s in [0, 1] by adaptive
-    quadrature in t with s = 1 - t^2: near criticality rho_x(s) has a
-    square-root branch point at or just beyond s = 1, which the
-    substitution smooths, and on which quadrature in s itself extrapolates
-    to a wrong value (on the triangle with killing 1e-9 at one vertex,
-    2.07944154219 with an error estimate of 5e-11, against 2.07938676992).
-    The integrand extends analytically to s = 0 with value tr(P^2)/2,
-    which is substituted below a small threshold. The edge system is built
-    once; the quadrature nodes solve it directly and do not enter the
-    solve_rho cache.
+    Gauss-Kronrod quadrature in t with s = 1 - t^2 (_gauss_kronrod):
+    near criticality rho_x(s) has a square-root branch point at or just
+    beyond s = 1, which the substitution smooths. The rule does not
+    extrapolate; extrapolation is what misled QUADPACK's QAGS in s itself
+    (on the triangle with killing 1e-9 at one vertex, 2.07944154219 with an
+    error estimate of 5e-11, against 2.07938676992). The integrand extends
+    analytically to s = 0 with value tr(P^2)/2, which is substituted below
+    a small threshold.
 
-    When the quadrature misses its 1e-11 target it does not warn; the
-    returned error then also counts the gap between the extrapolated value
-    and the plain sum over the subintervals, plus their local error
-    estimates, so that a miss cannot pass for a certified value. A probably
-    divergent integral, a vertex series on its boundary at a node, or a
-    non-finite value or error raises NumericError.
+    The edge system is built once. All nodes of one refinement level are
+    solved together by _solve, each from the solution at the nearest
+    smaller solved s (rho grows with s, so that is a start from below, and
+    rho is 1 at s = 0); they do not enter the solve_rho cache.
+
+    The target is 1e-11, absolute and relative, over at most 200
+    intervals. The returned error is the sum of the local |K - G| of the
+    Gauss-Kronrod pairs, whether or not the target was met, and nothing is
+    printed on a miss. A non-finite integrand, a vertex series on its
+    boundary at a node, or a Newton step that leaves the monotone region
+    raises NumericError.
     """
     if not any(g.killing) and len(g.edges) == g.num_vertices - 1:
         # every loop of a tree is contractible, so this is the total mass,
         # infinite without killing; the integrand only diverges like 1/t,
-        # which the quadrature need not notice before its subdivision limit
+        # which the quadrature need not notice before its interval limit
         raise NumericError(
             "massless/recurrent chain: the trivial class of a tree without "
             "killing has infinite mass")
     system = _EdgeSystem(g)
     p = g.transition
     limit0 = float(np.trace(p @ p)) / 2.0
-    # rho grows with s, so the solution at the nearest smaller node is a
-    # start from below
-    nodes: list[float] = []
-    solutions: list[np.ndarray] = []
+    # the solved nodes, sorted by s
+    solved_s = np.zeros(1)
+    solved_r = np.ones((1, system.size))
 
-    def integrand(t: float) -> float:
+    def integrand(t: np.ndarray) -> np.ndarray:
+        nonlocal solved_s, solved_r
         s = (1.0 - t) * (1.0 + t)
-        if s < 1e-9:
-            return 2.0 * t * limit0
-        i = bisect_right(nodes, s)
-        r, _ = _solve(system, s, solutions[i - 1] if i else None)
-        nodes.insert(i, s)
-        solutions.insert(i, r)
+        out = 2.0 * t * limit0
+        at = np.flatnonzero(s >= 1e-9)
+        s = s[at]
+        below = np.searchsorted(solved_s, s, side="right") - 1
+        r, _ = _solve(system, s, solved_r[below])
         vertex = system.vertex(r, s)
-        if np.isinf(vertex).any():
+        diverged = np.isinf(vertex).any(axis=1)
+        if diverged.any():
             raise NumericError(
-                f"non-summable tree-contour series at s={s} "
-                f"(a vertex sum reaches 1)")
-        return t * float(np.sum(vertex - 1.0)) / s
+                f"non-summable tree-contour series at "
+                f"s={float(s[diverged][0])} (a vertex sum reaches 1)")
+        out[at] = t[at] * (vertex - 1.0).sum(axis=1) / s
+        order = np.argsort(np.concatenate([solved_s, s]), kind="stable")
+        solved_s = np.concatenate([solved_s, s])[order]
+        solved_r = np.concatenate([solved_r, r])[order]
+        return out
 
-    # with full_output a missed target comes back as a message instead of
-    # an IntegrationWarning on stderr
-    value, err, info, *miss = quad(integrand, 0.0, 1.0, epsabs=1e-11,
-                                   epsrel=1e-11, limit=200, full_output=1)
-    if miss:
-        if "divergent" in miss[0]:  # QUADPACK's ier = 5
-            raise NumericError(
-                f"contractible mass quadrature: {miss[0]} (value {value})")
-        last = info["last"]
-        err = max(err, abs(value - np.sum(info["rlist"][:last]))
-                  + np.sum(info["elist"][:last]))
-    if not (np.isfinite(value) and np.isfinite(err)):
-        raise NumericError(
-            f"contractible mass quadrature failed (value {value}, error {err})")
-    return float(value), float(err)
+    return _gauss_kronrod(integrand, _QUAD_TOL, _QUAD_LIMIT)
 
 
 # ---------------------------------------------------------------------------
@@ -454,19 +585,22 @@ def _poly_log(p: _Poly, n: int) -> _Poly:
     return out
 
 
-def _charpoly(a: list[list[Fraction]]) -> _Poly:
-    """Coefficients [c_0=1, c_1, ..., c_n] of det(t I - A) = sum c_k t^(n-k),
-    by the trace recursion (exact rationals)."""
-    n = len(a)
-    coeffs = [Fraction(1)]
-    m = [[Fraction(0) for _ in range(n)] for _ in range(n)]
-    for k in range(1, n + 1):
-        # M_k = A (M_{k-1} + c_{k-1} I)
-        shifted = [[m[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)]
-                   for i in range(n)]
-        m = [[sum(a[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
-             for i in range(n)]
-        coeffs.append(Fraction(-sum(m[i][i] for i in range(n)), k))
+def _charpoly(neighbors: tuple[tuple[int, ...], ...],
+              max_degree: int) -> list[int]:
+    """Coefficients [c_0=1, c_1, ..., c_K] of det(t I - A) = sum c_k t^(n-k)
+    through K = min(n, max_degree), A the adjacency matrix of the
+    neighbour lists, by the trace recursion in exact integers."""
+    n = len(neighbors)
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, min(n, max_degree) + 1):
+        # M_k = A (M_{k-1} + c_{k-1} I); c_k = -tr(M_k) / k is an integer
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+        m = [[sum(m[l][j] for l in row) for j in range(n)] for row in neighbors]
+        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        assert rem == 0
+        coeffs.append(c)
     return coeffs
 
 
@@ -511,11 +645,7 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
     for cycle in enumerate_geodesic_loops(g, l):
         walk[len(cycle)] += Fraction(1, multiplicity(cycle))
 
-    adj = [[Fraction(0)] * n_v for _ in range(n_v)]
-    for u, v in g.edges:
-        adj[u][v] = Fraction(1)
-        adj[v][u] = Fraction(1)
-    cp = _charpoly(adj)
+    cp = _charpoly(g.neighbors, l)
     # det(f(u) I - u A) with f(u) = 1 + (d-1) u^2 equals
     # sum_k c_k u^k f(u)^(n-k)
     f = [Fraction(1), Fraction(0), Fraction(d - 1)]
@@ -524,7 +654,7 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
         fpow.append(_poly_mul(fpow[-1], f, l))
     det = [Fraction(0)] * (l + 1)
     for k, ck in enumerate(cp):
-        if k > l or not ck:
+        if not ck:
             continue
         for i, c in enumerate(fpow[n_v - k]):
             if k + i <= l:

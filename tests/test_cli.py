@@ -478,6 +478,21 @@ class TestConsoleScript:
         assert r1.stdout == r2.stdout
         assert len(r1.stdout.splitlines()) > 1
 
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        # the quadrature is in loopsoup itself; importing scipy.integrate
+        # would add about a seventh to the import time of the CLI
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(loopsoup.__file__).parents[1]),
+                          env.get("PYTHONPATH")]))
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, loopsoup.cli; "
+             "print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "False\n"
+
     def test_module_invocation(self, tri_path):
         r = subprocess.run(
             [sys.executable, "-m", "loopsoup.cli", "validate", tri_path],

@@ -28,6 +28,7 @@ from loopsoup import (
     truncated_mass,
     winding_masses,
 )
+from loopsoup import soup
 
 
 class TestMeasure:
@@ -102,6 +103,98 @@ class TestEnumeration:
         em = enumerate_measure(triangle, triangle_frame, 12)
         assert em.get(canonical_class((1,))) == pytest.approx(
             em.get(canonical_class((-1,))), abs=1e-15)
+
+
+def _dict_enumeration(g, frame, n_max):
+    """The enumeration DP as a dict per base keyed by (vertex, reduced
+    word), breadth-first hop distances by a Python queue: the reference
+    whose every float addition enumerate_measure repeats in order."""
+    n = g.num_vertices
+    dist = np.full((n, n), n + 1, dtype=int)
+    for s in range(n):
+        dist[s, s] = 0
+        queue = [s]
+        while queue:
+            nxt = []
+            for v in queue:
+                for u in g.neighbors[v]:
+                    if dist[s, u] > dist[s, v] + 1:
+                        dist[s, u] = dist[s, v] + 1
+                        nxt.append(u)
+            queue = nxt
+    p = g.transition
+    out = {}
+    for base in range(n):
+        states = {(base, ()): 1.0}
+        for step in range(1, n_max + 1):
+            nxt = {}
+            for (v, word), wt in states.items():
+                for u in g.neighbors[v]:
+                    if dist[u, base] > n_max - step:
+                        continue
+                    letter = frame.crossing(v, u)
+                    if letter and word and word[-1] == -letter:
+                        nw = word[:-1]
+                    elif letter:
+                        nw = word + (letter,)
+                    else:
+                        nw = word
+                    nxt[(u, nw)] = nxt.get((u, nw), 0.0) + wt * p[v, u]
+            states = nxt
+            for (v, word), wt in states.items():
+                if v == base:
+                    cls = canonical_class(word)
+                    out[cls] = out.get(cls, 0.0) + wt / step
+    return dist, out
+
+
+def _reweighted(g, seed):
+    rng = np.random.default_rng(seed)
+    return build_graph(g.num_vertices,
+                       [(u, v, c) for (u, v), c in
+                        zip(g.edges, rng.uniform(0.5, 2.0, len(g.edges)))],
+                       rng.uniform(0.2, 1.5, g.num_vertices).tolist())
+
+
+ENUMERATION_CASES = [("triangle", 3), ("triangle", 17), ("bowtie", 5),
+                     ("bowtie", 12), ("k4", 4), ("k4", 8), ("petersen", 6),
+                     ("petersen", 9), ("torus10", 3), ("torus10", 5)]
+
+
+class TestEnumerationArrays:
+    """enumerate_measure runs the dict DP on word-id arrays, for all bases
+    at once; the masses and their order must not move by a bit."""
+
+    @pytest.mark.parametrize("name,n_max", ENUMERATION_CASES)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bitwise_equal_to_dict_dp(self, request, name, n_max, weighted):
+        g = (_torus(10, 0.5) if name == "torus10"
+             else request.getfixturevalue(name))
+        if weighted:
+            g = _reweighted(g, n_max)
+        frame = spanning_tree_frame(g)
+        _, want = _dict_enumeration(g, frame, n_max)
+        got = enumerate_measure(g, frame, n_max).masses
+        assert list(got) == list(want)
+        assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
+
+    @pytest.mark.parametrize("name", ["triangle", "k4", "k4_free", "bowtie",
+                                      "petersen", "torus10", "path", "point"])
+    def test_hop_distances(self, request, name):
+        g = {"torus10": lambda: _torus(10, 0.5),
+             "path": lambda: build_graph(4, [(0, 1, 1.0), (1, 2, 1.0),
+                                             (2, 3, 1.0)], 0.5),
+             "point": lambda: build_graph(1, [], 1.0),
+             }.get(name, lambda: request.getfixturevalue(name))()
+        want, _ = _dict_enumeration(g, spanning_tree_frame(g), 1)
+        got = soup._hop_distances(g)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_graph_without_edges(self):
+        g = build_graph(1, [], 1.0)
+        em = enumerate_measure(g, spanning_tree_frame(g), 4)
+        assert em.masses == {}
 
 
 class TestConfig:

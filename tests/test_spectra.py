@@ -6,6 +6,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from loopsoup import (
@@ -29,6 +30,9 @@ from loopsoup import spectra
 from loopsoup.cli import main
 
 SQRT5 = math.sqrt(5.0)
+# The trivial-class mass of the triangle with killing 1e-9 at one vertex,
+# from a 40-digit evaluation of its integral.
+CRITICAL_TRIVIAL_MASS = 2.0793867699240923
 
 
 class TestSolveRho:
@@ -240,28 +244,72 @@ class TestNearCritical:
         val, err = contractible_intensity(g)
         assert val == pytest.approx(want, abs=1e-8)
 
-    def test_missed_target_widens_the_error(self, monkeypatch, triangle):
-        exact, _ = contractible_intensity(triangle)
-        real_quad = spectra.quad
-
-        def missing(*args, **kwargs):
-            value, err, info = real_quad(*args, **kwargs)
-            return value + 1e-3, err, info, "The algorithm does not converge."
-
-        monkeypatch.setattr(spectra, "quad", missing)
-        val, err = contractible_intensity(triangle)
-        assert err >= abs(val - exact)
+    def test_missed_target_widens_the_error(self, monkeypatch):
+        # too few intervals for the 1e-11 target: the sum of the local
+        # |K - G| must still cover the true error. Below 7 intervals no
+        # local estimate can: the integrand has a feature of width about
+        # sqrt(1e-9) at t = 0, which both rules miss alike, and their
+        # values agree to 6e-7 while both are 5e-5 off
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                        [1e-9, 0.0, 0.0])
+        for limit in range(7, 17):
+            monkeypatch.setattr(spectra, "_QUAD_LIMIT", limit)
+            val, err = contractible_intensity(g)
+            assert err > 1e-11
+            assert err >= abs(val - CRITICAL_TRIVIAL_MASS)
 
     def test_divergent_quadrature_raises(self, monkeypatch, triangle):
-        real_quad = spectra.quad
+        # a non-finite integrand at a node stops the quadrature
+        real_vertex = spectra._EdgeSystem.vertex
 
-        def divergent(*args, **kwargs):
-            return real_quad(*args, **kwargs) + (
-                "The integral is probably divergent, or slowly convergent.",)
+        def vertex(self, r, s):
+            poison = np.where(s > 0.5, np.nan, 1.0)[:, None]
+            return real_vertex(self, r, s) * poison
 
-        monkeypatch.setattr(spectra, "quad", divergent)
-        with pytest.raises(NumericError):
+        monkeypatch.setattr(spectra._EdgeSystem, "vertex", vertex)
+        with pytest.raises(NumericError, match="non-finite"):
             contractible_intensity(triangle)
+
+    def test_trivial_mass_pinned(self):
+        # against a 40-digit evaluation of the same integral
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                        [1e-9, 0.0, 0.0])
+        val, err = contractible_intensity(g)
+        assert err < 1e-11
+        assert abs(val - CRITICAL_TRIVIAL_MASS) <= err
+
+
+class TestBatchedSolve:
+    """The quadrature solves the nodes of a level as one batch; each node
+    must get what _solve gives it alone."""
+
+    @pytest.mark.parametrize("name", ["critical", "triangle", "bowtie",
+                                      "petersen", "k4_free"])
+    def test_batch_matches_single_nodes(self, request, name):
+        g = (build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                         [1e-9, 0.0, 0.0])
+             if name == "critical" else request.getfixturevalue(name))
+        system = spectra._EdgeSystem(g)
+        t = (spectra._GK_NODES + 1.0) / 2.0
+        s = (1.0 - t) * (1.0 + t)
+        # every other node warm-started from the solution at s / 2
+        half, _ = spectra._solve(system, s / 2, np.ones((s.size, system.size)))
+        start = np.where((np.arange(s.size) % 2)[:, None] == 1, half, 1.0)
+        batch, iterations = spectra._solve(system, s, start)
+        for i in range(s.size):
+            alone, it = spectra._solve(system, s[i:i + 1], start[i:i + 1])
+            assert np.abs(batch[i] - alone[0]).max() <= 1e-13 * alone.max()
+            assert iterations[i] == it[0]
+
+    def test_batched_newton_is_monotone(self):
+        # at s = 1 the unkilled triangle sits on its double root 2
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], 0.0)
+        system = spectra._EdgeSystem(g)
+        s = np.array([0.5, 0.9, 1.0])
+        r, _ = spectra._solve(system, s, np.ones((3, system.size)))
+        want = [(1.0 - math.sqrt(1.0 - x)) * 2.0 / x for x in s]
+        for row, w in zip(r, want):
+            assert np.all(row <= w + 1e-9) and abs(row - w).max() <= 1e-9
 
 
 class TestContractible:
@@ -328,6 +376,16 @@ class TestIhara:
         g = build_graph(3, [(0, 1, 2.0), (1, 2, 2.0), (0, 2, 2.0)], 1.0)
         with pytest.raises(ValidationError):
             ihara_check(g, 4)
+
+    def test_integer_charpoly(self, petersen):
+        # the Petersen spectrum is 3, 1 (five times) and -2 (four times)
+        want = [int(c) for c in np.rint(np.poly([3] + [1] * 5 + [-2] * 4))]
+        got = spectra._charpoly(petersen.neighbors, 10)
+        assert got == want
+        assert all(type(c) is int for c in got)
+        # the recursion stops at the highest coefficient the series uses
+        assert spectra._charpoly(petersen.neighbors, 4) == want[:5]
+        assert spectra._charpoly(petersen.neighbors, 50) == want
 
     def test_petersen_agrees(self, petersen):
         series = ihara_check(petersen, 7)
