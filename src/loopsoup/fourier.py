@@ -12,10 +12,19 @@ All twists used here are unitary and compatible with the conductance
 symmetry C(x,y) = C(y,x), so every twisted matrix is similar to a
 Hermitian one; determinants are evaluated through real eigenvalues, which
 keeps the logarithms on the principal branch by construction.
+
+First-homology grids larger than 3 points per dimension are the
+exception. det(I - P^theta) is a Laurent polynomial with exponents in
+{-1, 0, 1} per generator (Forman, Topology 1993; Kenyon, Ann. Probab.
+2011), so its 3^r coefficients, read exactly off the eigenvalue route on
+the 3-point grid, give the whole grid by one FFT; the determinant is
+positive there, so its logarithm is real. A grid whose rounding estimate
+exceeds _LAURENT_TOL is eigensolved point by point instead.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -109,14 +118,67 @@ def twisted_log_det(g: GraphModel, frame: SpanningTreeFrame,
                                    "P^theta")[0])
 
 
-def homology1_grid(g: GraphModel, frame: SpanningTreeFrame,
-                   m: int) -> np.ndarray:
-    """log det(I - P^(k/m)) over the full torus grid, shape (m,) * rank."""
-    if m < 2:
-        raise ValidationError("grid size must be >= 2")
+def _eigen_grid(g: GraphModel, frame: SpanningTreeFrame,
+                m: int) -> np.ndarray:
+    """log det(I - P^(k/m)) on the m-grid, one eigensolve per point."""
     ones = np.ones((1, frame.rank, 1, 1), dtype=complex)
     return _twisted_log_dets(g, frame.crossing, ones, m,
                              "P^theta").reshape((m,) * frame.rank)
+
+
+# Largest rounding estimate, relative to the smallest grid value of
+# det(I - P^theta), at which a grid is read off the Laurent coefficients.
+_LAURENT_TOL = 1e-8
+
+
+@functools.lru_cache(maxsize=1)
+def _laurent(g: GraphModel, frame: SpanningTreeFrame) -> tuple[np.ndarray, float]:
+    """The Laurent coefficients of D = det(I - P^theta) in z_j = exp(2 pi i
+    theta_j), scaled by exp(-shift), with shift the largest log D on the
+    3-grid: c_k at index k mod 3 for k in {-1, 0, 1}^r, the last index
+    halved to {0, 1} since c is real and c_-k = c_k (D is real and even).
+
+    z_j enters I - P^theta only at the two entries of cogenerator j, as z_j
+    and 1/z_j, so these 3^r coefficients are exact and one inverse 3-point
+    DFT of D on the 3-grid recovers them. Memoized for the last graph and
+    frame, so that every grid size of one law reuses them; read-only.
+    """
+    logs = _eigen_grid(g, frame, 3)
+    shift = float(logs.max())
+    coef = np.fft.rfftn(np.exp(logs - shift), norm="forward").real
+    coef.flags.writeable = False
+    return coef, shift
+
+
+def _laurent_log_grid(coef: np.ndarray, shift: float, m: int) -> np.ndarray | None:
+    """log D on the m-grid from _laurent's coefficients, or None when the
+    rounding estimate 3^r u max|D| / min D exceeds _LAURENT_TOL (u = 2^-53,
+    max|D| over the 3-grid, which the shift makes 1; min D over the m-grid).
+    """
+    r = coef.ndim
+    spectrum = np.zeros((m,) * (r - 1) + (m // 2 + 1,))
+    spectrum[np.ix_(*[[0, 1, m - 1]] * (r - 1), [0, 1])] = coef
+    d = np.fft.irfftn(spectrum, s=(m,) * r, axes=range(r), norm="forward")
+    low = d.min()
+    if not low > 0 or 3 ** r * 2.0 ** -53 / low > _LAURENT_TOL:
+        return None
+    return np.log(d) + shift
+
+
+def homology1_grid(g: GraphModel, frame: SpanningTreeFrame,
+                   m: int) -> np.ndarray:
+    """log det(I - P^(k/m)) over the full torus grid, shape (m,) * rank.
+
+    Grids of more than 3 points per dimension come from the exact Laurent
+    coefficients of det(I - P^theta): 3^rank eigensolves, then one real
+    FFT. Where the rounding of that route could reach _LAURENT_TOL
+    relative to the smallest grid value (near-critical graphs), and for
+    m <= 3, every point is eigensolved instead.
+    """
+    if m < 2:
+        raise ValidationError("grid size must be >= 2")
+    grid = _laurent_log_grid(*_laurent(g, frame), m) if m > 3 and frame.rank else None
+    return _eigen_grid(g, frame, m) if grid is None else grid
 
 
 def _check_h(h: Sequence[int], rank: int) -> tuple[int, ...]:
@@ -189,6 +251,9 @@ def homology1_intensity(g: GraphModel, frame: SpanningTreeFrame,
     winding congruent to h mod M, so M must dominate the windings carrying
     non-negligible mass. With M omitted the grid starts at 64 points per
     dimension and doubles until refinement moves the value by < 1e-8.
+    Every grid is homology1_grid's: read off the exact Laurent coefficients
+    of det(I - P^theta), or eigensolved point by point where that route's
+    rounding estimate is too large (near criticality).
     """
     return _homology1_values(g, frame, [h], M=M)[0]
 
@@ -653,25 +718,44 @@ def _schrodinger_blocks(b: np.ndarray, a: np.ndarray, a_inv: np.ndarray,
     return blocks
 
 
-def _block_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
-                  m: int | None, hs: np.ndarray) -> np.ndarray:
-    """_heisenberg_traces at the rows hs of _skew_grid."""
-    r = frame.rank
-    forms = np.zeros((len(hs), r, r), dtype=np.int64)
-    forms[(slice(None),) + np.triu_indices(r, 1)] = 2 * hs
+@functools.lru_cache(maxsize=4)
+def _heisenberg_blocks(p: int, r: int, lo: int,
+                       hi: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """The Schrodinger blocks of the skew h in rows lo:hi of _skew_grid(r,
+    p), as (k, owners, blocks) per rank 2k of 2h mod p: owners index the
+    slice and blocks are _schrodinger_blocks of those h, certified when
+    built.
+
+    They depend only on p, r and the slice, so the last few are memoized
+    (each holds about max(_CHUNK_ENTRIES, r p^r) complex entries, by the
+    slicing of _heisenberg_traces); the arrays are read-only.
+    """
+    forms = np.zeros((hi - lo, r, r), dtype=np.int64)
+    forms[(slice(None),) + np.triu_indices(r, 1)] = 2 * _skew_grid(r, p)[lo:hi]
     forms = (forms - forms.swapaxes(1, 2)) % p
     by_rank: dict[int, list] = {}
     for i, b in enumerate(forms.tolist()):
         a, a_inv, k = _darboux(b, p)
         by_rank.setdefault(k, []).append((i, a, a_inv))
-    out = np.empty((len(hs), 1 if m is None else m ** r))
+    out = []
     for k, group in by_rank.items():
         owners, a, a_inv = zip(*group)
-        owners = list(owners)
+        owners = np.array(owners)
         shape = (len(owners), r, r)
         blocks = _schrodinger_blocks(
             forms[owners], np.array(a, dtype=np.int64).reshape(shape),
             np.array(a_inv, dtype=np.int64).reshape(shape), k, p)
+        owners.flags.writeable = blocks.flags.writeable = False
+        out.append((k, owners, blocks))
+    return tuple(out)
+
+
+def _block_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
+                  m: int | None, lo: int, hi: int) -> np.ndarray:
+    """_heisenberg_traces at the rows lo:hi of _skew_grid."""
+    r = frame.rank
+    out = np.empty((hi - lo, 1 if m is None else m ** r))
+    for k, owners, blocks in _heisenberg_blocks(p, r, lo, hi):
         count, each = blocks.shape[:2]
         logs = _twisted_log_dets(g, frame.crossing,
                                  blocks.reshape((count * each,) + blocks.shape[2:]),
@@ -694,10 +778,11 @@ def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
     assembler as one batch; the blocks of one h hold r p^r entries, so the
     h are taken in slices of at most about _CHUNK_ENTRIES block entries.
     """
-    hs = _skew_grid(frame.rank, p)
-    step = max(1, _CHUNK_ENTRIES // (max(frame.rank, 1) * p ** frame.rank))
-    return np.concatenate([_block_traces(g, frame, p, m, hs[lo:lo + step])
-                           for lo in range(0, len(hs), step)])
+    r = frame.rank
+    count = p ** (r * (r - 1) // 2)
+    step = max(1, _CHUNK_ENTRIES // (max(r, 1) * p ** r))
+    return np.concatenate([_block_traces(g, frame, p, m, lo, min(lo + step, count))
+                           for lo in range(0, count, step)])
 
 
 def _inverse_dft_row(m, r: int, p: int) -> np.ndarray:

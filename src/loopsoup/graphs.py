@@ -77,6 +77,30 @@ class GraphModel:
         return len(self.neighbors[x])
 
 
+def _search_tree(adj: list[list[int]],
+                 message: str) -> tuple[list[int], list[int]]:
+    """Depth-first search from vertex 0 over adjacency lists, neighbours
+    in ascending order: the parent (-1 at the root) and depth of each
+    vertex. Raises ValidationError(message) if a vertex is not reached."""
+    n = len(adj)
+    parent = [-1] * n
+    depth = [0] * n
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in sorted(adj[x]):
+            if not seen[y]:
+                seen[y] = True
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                stack.append(y)
+    if not all(seen):
+        raise ValidationError(message)
+    return parent, depth
+
+
 def build_graph(
     num_vertices: int,
     weighted_edges: Iterable[tuple[int, int, float]],
@@ -129,18 +153,7 @@ def build_graph(
     lam_zero = [x for x in range(num_vertices) if kill[x] == 0 and not adj[x]]
     if lam_zero:
         raise ValidationError(f"vertex {lam_zero[0]} has no edge and no killing")
-    if num_vertices > 1:
-        seen = [False] * num_vertices
-        seen[0] = True
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        if not all(seen):
-            raise ValidationError("graph is not connected")
+    _search_tree(adj, "graph is not connected")
     return GraphModel(
         num_vertices=num_vertices,
         edges=tuple(sorted(conductance)),
@@ -204,7 +217,8 @@ def spanning_tree_frame(
 
     The canonical tree is grown breadth-first from vertex 0, scanning
     neighbours in ascending order. Non-tree edges are sorted by endpoint pair
-    and oriented small -> large. The graph must be connected.
+    and oriented small -> large. build_graph has proved the graph
+    connected, so the canonical tree spans it.
     """
     n = g.num_vertices
     if tree_edges is None:
@@ -225,8 +239,6 @@ def spanning_tree_frame(
                     depth[y] = depth[x] + 1
                     tree.append(_normalize_edge(x, y))
                     order.append(y)
-        if not all(seen):
-            raise ValidationError("graph is not connected")
     else:
         tree = [_normalize_edge(u, v) for u, v in tree_edges]
         if len(set(tree)) != len(tree):
@@ -242,21 +254,7 @@ def spanning_tree_frame(
         for u, v in tree:
             adj[u].append(v)
             adj[v].append(u)
-        parent = [-1] * n
-        depth = [0] * n
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in sorted(adj[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    stack.append(y)
-        if not all(seen):
-            raise ValidationError("tree edges do not span the graph")
+        parent, depth = _search_tree(adj, "tree edges do not span the graph")
     tree_set = set(tree)
     cogens = tuple(e for e in g.edges if e not in tree_set)
     return SpanningTreeFrame(

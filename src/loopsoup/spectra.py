@@ -519,7 +519,7 @@ def contractible_intensity(g: GraphModel) -> tuple[float, float]:
             "killing has infinite mass")
     system = _EdgeSystem(g)
     p = g.transition
-    limit0 = float(np.trace(p @ p)) / 2.0
+    limit0 = float(np.sum(p * p.T)) / 2.0
     # the solved nodes, sorted by s
     solved_s = np.zeros(1)
     solved_r = np.ones((1, system.size))

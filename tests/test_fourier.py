@@ -169,6 +169,24 @@ class TestHomology1Field:
             assert abs(hits.get(h, 0) / n - p) < 4 * se
 
 
+def _assembled_grid(g, frame, m):
+    """The eigenvalue route: one eigensolve per point of the m-grid."""
+    ones = np.ones((1, frame.rank, 1, 1), dtype=complex)
+    return fourier._twisted_log_dets(g, frame.crossing, ones, m,
+                                     "P^theta").reshape((m,) * frame.rank)
+
+
+def _dense_grid(g, frame, m):
+    """slogdet(I - twisted_matrix) at every point of the m-grid, batched."""
+    n = g.num_vertices
+    stack = np.empty((m,) * frame.rank + (n, n), dtype=complex)
+    for k in np.ndindex(*(m,) * frame.rank):
+        stack[k] = np.eye(n) - twisted_matrix(g, frame, [ki / m for ki in k])
+    sign, logdet = np.linalg.slogdet(stack)
+    assert np.allclose(sign, 1.0, atol=1e-12)
+    return logdet
+
+
 class TestBatchedAssembly:
     """homology1_grid, twisted_log_det, holonomy_log_det and the Heisenberg
     laws share one batched builder of the twisted matrices."""
@@ -178,7 +196,7 @@ class TestBatchedAssembly:
     def test_grid_equals_pointwise_log_dets(self, request, name, m):
         g = request.getfixturevalue(name)
         frame = request.getfixturevalue(f"{name}_frame")
-        grid = homology1_grid(g, frame, m)
+        grid = _assembled_grid(g, frame, m)
         pointwise = np.empty((m,) * frame.rank)
         for k in np.ndindex(*pointwise.shape):
             theta = [ki / m for ki in k]
@@ -191,9 +209,9 @@ class TestBatchedAssembly:
 
     def test_chunks_equal_one_batch(self, bowtie, bowtie_frame, monkeypatch):
         # 256 matrices of 5x5 in chunks of 10, the last one partial
-        whole = homology1_grid(bowtie, bowtie_frame, 16)
+        whole = _assembled_grid(bowtie, bowtie_frame, 16)
         monkeypatch.setattr(fourier, "_CHUNK_ENTRIES", 10 * 25)
-        assert np.array_equal(homology1_grid(bowtie, bowtie_frame, 16), whole)
+        assert np.array_equal(_assembled_grid(bowtie, bowtie_frame, 16), whole)
 
     def test_massless_twist_raises_through_grid(self):
         from loopsoup import build_graph, spanning_tree_frame
@@ -220,6 +238,59 @@ class TestBatchedAssembly:
             got = homology2_field_law(bowtie, bowtie_frame, alpha,
                                       {(1, 2): m}, p, M=M)
             assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
+class TestLaurentGrid:
+    """H1 grids above 3 points per dimension come from the exact Laurent
+    coefficients of det(I - P^theta); the dense slogdet is the reference."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 16])
+    @pytest.mark.parametrize("name", ["triangle", "bowtie", "k4", "rank4"])
+    def test_grid_equals_dense(self, request, name, m):
+        if name == "rank4":
+            g, frame = _random_weights(name)
+        else:
+            g = request.getfixturevalue(name)
+            frame = request.getfixturevalue(f"{name}_frame")
+        if m > 3:
+            # a well-conditioned graph takes the coefficient route
+            assert fourier._laurent_log_grid(*fourier._laurent(g, frame), m) \
+                is not None
+        grid = homology1_grid(g, frame, m)
+        assert grid.shape == (m,) * frame.rank
+        assert np.max(np.abs(grid - _dense_grid(g, frame, m))) <= 1e-12
+
+    def test_near_critical_takes_the_eigenvalue_route(self):
+        # det(I - P) = 3.75e-10 from coefficients of size 0.25: the rounding
+        # estimate 3 * 2^-53 * 0.375 / 3.75e-10 = 3.3e-7 exceeds 1e-8
+        from loopsoup import build_graph, spanning_tree_frame
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [1e-9, 0.0, 0.0])
+        frame = spanning_tree_frame(g)
+        coef, shift = fourier._laurent(g, frame)
+        low = np.exp(_assembled_grid(g, frame, 64).min() - shift)
+        assert 3 * 2.0 ** -53 / low == pytest.approx(3.33e-7, rel=1e-2)
+        assert fourier._laurent_log_grid(coef, shift, 64) is None
+        assert np.array_equal(homology1_grid(g, frame, 64),
+                              _assembled_grid(g, frame, 64))
+
+    def test_shift_keeps_small_determinants(self, bowtie, bowtie_frame,
+                                            monkeypatch):
+        # log D near -1000, as on a graph of about 1500 vertices: exp(log D)
+        # underflows to 0 without the shift by the largest log
+        assembled = fourier._eigen_grid
+        monkeypatch.setattr(fourier, "_eigen_grid",
+                            lambda g, frame, m: assembled(g, frame, m) - 1000.0)
+        coef, shift = fourier._laurent.__wrapped__(bowtie, bowtie_frame)
+        grid = fourier._laurent_log_grid(coef, shift, 16)
+        assert grid is not None
+        assert np.max(np.abs(grid + 1000.0 - _dense_grid(bowtie, bowtie_frame, 16))) \
+            <= 1e-12
+
+    def test_coefficients_are_read_only(self, bowtie, bowtie_frame):
+        coef, _ = fourier._laurent(bowtie, bowtie_frame)
+        assert coef.shape == (3, 2)
+        with pytest.raises(ValueError):
+            coef[0, 0] = 0.0
 
 
 class TestHolonomy:
@@ -458,11 +529,14 @@ class TestNilpotentRep:
 
 
 def _random_weights(name, seed=11):
-    """The bowtie or K4 with conductances and killing drawn at random, so
-    that no eigenvalue coincidence is an accident of symmetric weights."""
+    """The bowtie, K4 or a rank-4 graph on 5 vertices with conductances and
+    killing drawn at random, so that no eigenvalue coincidence is an
+    accident of symmetric weights."""
     from loopsoup import build_graph, spanning_tree_frame
     n, edges = {"bowtie": (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
-                "k4": (4, list(itertools.combinations(range(4), 2)))}[name]
+                "k4": (4, list(itertools.combinations(range(4), 2))),
+                "rank4": (5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                              (2, 4), (3, 4)])}[name]
     rng = np.random.default_rng(seed)
     g = build_graph(n, [(u, v, rng.uniform(0.5, 2.0)) for u, v in edges],
                     list(rng.uniform(0.3, 1.5, n)))
@@ -547,6 +621,25 @@ class TestSchrodingerBlocks:
             cuts = np.flatnonzero(np.diff(eig) > 1e-9) + 1
             sizes = np.diff(np.concatenate([[0], cuts, [len(eig)]]))
             assert np.all(sizes % (p if any(hv) else 1) == 0), (hv, sizes)
+
+    def test_cached_construction_is_bitwise_uncached(self, bowtie, bowtie_frame,
+                                                     monkeypatch):
+        def law(p, m):
+            return homology2_intensity(bowtie, bowtie_frame, {(1, 2): m}, p)
+
+        def uncached(p, m):
+            fourier._heisenberg_blocks.cache_clear()
+            return law(p, m)
+
+        want = [uncached(5, m) for m in range(5)]
+        assert [law(5, m) for m in range(5)] == want
+        assert fourier._heisenberg_blocks.cache_info().hits == 5
+        for _, owners, blocks in fourier._heisenberg_blocks(5, 2, 0, 5):
+            assert not owners.flags.writeable and not blocks.flags.writeable
+        # one h per slice, so that p = 3 and p = 5 share slice bounds
+        monkeypatch.setattr(fourier, "_CHUNK_ENTRIES", 1)
+        uncached(3, 1)
+        assert [law(5, m) for m in range(5)] == want
 
     def test_certificate_rejects_a_wrong_construction(self, monkeypatch):
         p = 5
