@@ -297,13 +297,39 @@ def homology1_field_law(g: GraphModel, frame: SpanningTreeFrame,
 # holonomy under a finite-group connection
 
 
-def _check_unitary(u: np.ndarray, what: str) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError(f"{what} is not a square matrix")
-    if not np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-10):
-        raise ValidationError(f"{what} is not unitary")
-    return u
+def _unitary_stack(mats: Iterable, what: str, name: Callable[[int], str]) -> np.ndarray:
+    """One complex stack of the matrices, checked square, of one size and
+    unitary (as np.allclose, atol 1e-10); name(i) names matrix i."""
+    mats = [np.asarray(u, dtype=complex) for u in mats]
+    for i, u in enumerate(mats):
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise ValidationError(f"{name(i)} is not a square matrix")
+    if len({u.shape for u in mats}) > 1:
+        raise ValidationError(f"{what} have mixed dimensions")
+    stack = np.stack(mats)
+    bad = ~np.isclose(stack @ stack.conj().swapaxes(1, 2), np.eye(stack.shape[-1]),
+                      atol=1e-10).all(axis=(1, 2))
+    if bad.any():
+        raise ValidationError(f"{name(np.argmax(bad))} is not unitary")
+    return stack
+
+
+def _holonomy_log_dets(g: GraphModel, up: np.ndarray, down: np.ndarray,
+                       reversal: str) -> np.ndarray:
+    """-(1/d) log det(I - P tensored with the edge unitaries) for a batch
+    of b connections: up and down, shape (b, |E|, d, d), hold the unitary
+    of each edge (u, v) of g.edges on its steps u -> v and v -> u. Raises
+    ValidationError(reversal) where down is not the adjoint of up."""
+    bad = ~np.isclose(down, up.conj().swapaxes(2, 3), atol=1e-10).all(axis=(0, 2, 3))
+    if bad.any():
+        u, v = g.edges[np.argmax(bad)]
+        raise ValidationError(reversal.format(u=u, v=v))
+    # edge i is letter i on its step down from the larger vertex, so the
+    # lower triangle, the one eigvalsh reads, holds the down unitary
+    index = {e: i for i, e in enumerate(g.edges, start=1)}
+    return -_twisted_log_dets(
+        g, lambda x, y: index[(y, x)] if x > y else -index[(x, y)],
+        down, None, "holonomy twist") / down.shape[-1]
 
 
 def holonomy_log_det(g: GraphModel,
@@ -315,30 +341,17 @@ def holonomy_log_det(g: GraphModel,
     validated. The result is the measure of all loops weighted by the
     normalized trace of their holonomy.
     """
-    mats: dict[tuple[int, int], np.ndarray] = {}
-    dim = None
-    for u, v in g.edges:
-        for a, b in ((u, v), (v, u)):
-            if (a, b) not in unitaries:
-                raise ValidationError(f"missing unitary for oriented edge ({a},{b})")
-            mats[(a, b)] = _check_unitary(unitaries[(a, b)], f"U[({a},{b})]")
-        if dim is None:
-            dim = mats[(u, v)].shape[0]
-        if mats[(u, v)].shape[0] != dim:
-            raise ValidationError("edge unitaries have mixed dimensions")
-        if not np.allclose(mats[(v, u)], mats[(u, v)].conj().T, atol=1e-10):
-            raise ValidationError(
-                f"U[({v},{u})] is not the conjugate transpose of U[({u},{v})]")
-    if dim is None:
+    oriented = [(a, b) for u, v in g.edges for a, b in ((u, v), (v, u))]
+    for a, b in oriented:
+        if (a, b) not in unitaries:
+            raise ValidationError(f"missing unitary for oriented edge ({a},{b})")
+    if not oriented:
         return 0.0
-    # edge i is letter i on its step down from the larger vertex, so the
-    # lower triangle, the one eigvalsh reads, holds the given U[(v, u)]
-    index = {e: i for i, e in enumerate(g.edges, start=1)}
-    log_det = _twisted_log_dets(
-        g, lambda x, y: index[(y, x)] if x > y else -index[(x, y)],
-        np.stack([mats[(v, u)] for u, v in g.edges])[None], None,
-        "holonomy twist")[0]
-    return -float(log_det) / dim
+    stack = _unitary_stack((unitaries[e] for e in oriented), "edge unitaries",
+                           lambda i: "U[({},{})]".format(*oriented[i]))
+    return float(_holonomy_log_dets(
+        g, stack[None, 0::2], stack[None, 1::2],
+        "U[({v},{u})] is not the conjugate transpose of U[({u},{v})]")[0])
 
 
 @dataclass(frozen=True)
@@ -352,11 +365,18 @@ class GroupData:
     irreps: tuple[dict, ...] = field(hash=False)
 
     def character(self, irrep_index: int, element) -> complex:
-        return complex(np.trace(self.irreps[irrep_index][element]))
+        return complex(self._characters[element][irrep_index])
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def _characters(self) -> dict:
+        """The character table: element -> the trace of every irrep there."""
+        table = [np.trace(np.array([rep[e] for e in self.elements]), axis1=1, axis2=2)
+                 for rep in self.irreps]
+        return dict(zip(self.elements, np.reshape(table, (len(table), self.order)).T))
 
 
 def group_data(elements: Iterable, classes: Iterable[Iterable],
@@ -364,9 +384,11 @@ def group_data(elements: Iterable, classes: Iterable[Iterable],
     """Validate and pack group data.
 
     Checks that the classes partition the elements, that every irrep
-    assigns a unitary to every element with characters constant on
-    classes, that squared dimensions sum to the group order, and that
-    characters satisfy row orthogonality.
+    assigns a unitary of one size to every element with characters
+    constant on classes, that squared dimensions sum to the group order,
+    and that characters satisfy row orthogonality, each once: an irrep as
+    one stack, the characters as one table. holonomy_class_intensities
+    batches the irreps of one dimension and does not check them again.
     """
     elements = tuple(elements)
     classes = tuple(tuple(c) for c in classes)
@@ -378,30 +400,25 @@ def group_data(elements: Iterable, classes: Iterable[Iterable],
         missing = [e for e in elements if e not in rep]
         if missing:
             raise ValidationError(f"irrep {k} is missing element {missing[0]!r}")
-        rep = {e: _check_unitary(rep[e], f"irrep {k} at {e!r}") for e in elements}
-        packed.append(rep)
+        packed.append(dict(zip(elements, _unitary_stack(
+            (rep[e] for e in elements), f"the matrices of irrep {k}",
+            lambda i: f"irrep {k} at {elements[i]!r}"))))
     gd = GroupData(elements=elements, classes=classes, irreps=tuple(packed))
     n = gd.order
-    if sum(rep[elements[0]].shape[0] ** 2 for rep in gd.irreps) != n:
+    if sum(len(rep[elements[0]]) ** 2 for rep in packed) != n:
         raise ValidationError("irrep dimensions do not sum (squared) to |G|")
-    chars = []
-    for k in range(len(gd.irreps)):
-        row = []
-        for c in classes:
-            vals = [gd.character(k, e) for e in c]
-            if any(abs(v - vals[0]) > 1e-8 for v in vals):
-                raise ValidationError(
-                    f"character of irrep {k} is not constant on class {c!r}")
-            row.append(vals[0])
-        chars.append(row)
-    for a in range(len(chars)):
-        for b in range(len(chars)):
-            inner = sum(len(c) * chars[a][i] * np.conj(chars[b][i])
-                        for i, c in enumerate(classes))
-            target = n if a == b else 0.0
-            if abs(inner - target) > 1e-8 * n:
-                raise ValidationError(
-                    f"character rows {a}, {b} fail orthogonality")
+    chars = gd._characters
+    for c in classes:
+        spread = np.abs(np.array([chars[e] for e in c]) - chars[c[0]]) > 1e-8
+        if spread.any():
+            raise ValidationError(f"character of irrep {np.argmax(spread.any(axis=0))} "
+                                  f"is not constant on class {c!r}")
+    table = np.array([chars[c[0]] for c in classes]).T
+    inner = (table * [len(c) for c in classes]) @ table.conj().T
+    off = np.abs(inner - n * np.eye(len(table))) > 1e-8 * n
+    if off.any():
+        a, b = np.argwhere(off)[0]
+        raise ValidationError(f"character rows {a}, {b} fail orthogonality")
     return gd
 
 
@@ -414,27 +431,31 @@ def holonomy_class_intensities(g: GraphModel,
     holonomy_log_det under that irrep.
 
     `connection` maps every oriented edge to a group element, the two
-    orientations to mutually inverse ones (validated through the irreps).
+    orientations to mutually inverse ones. Each input is checked once (the
+    irreps by group_data); the irreps of one dimension form one batch,
+    checked for reversal and evaluated in one call of the assembler.
     """
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
-    for u, v in g.edges:
-        for a, b in ((u, v), (v, u)):
-            if (a, b) not in connection:
-                raise ValidationError(f"missing connection on edge ({a},{b})")
-            if connection[(a, b)] not in gd.irreps[0]:
-                raise ValidationError(
-                    f"connection value {connection[(a, b)]!r} is not a group element")
-    per_irrep = []
+    oriented = [(a, b) for u, v in g.edges for a, b in ((u, v), (v, u))]
+    for e in oriented:
+        if e not in connection:
+            raise ValidationError("missing connection on edge ({},{})".format(*e))
+        if connection[e] not in gd._characters:
+            raise ValidationError(
+                f"connection value {connection[e]!r} is not a group element")
+    by_dim: dict[int, list[int]] = {}
     for k, rep in enumerate(gd.irreps):
-        mats = {e: rep[connection[e]]
-                for u, v in g.edges for e in ((u, v), (v, u))}
-        for u, v in g.edges:
-            if not np.allclose(mats[(v, u)], mats[(u, v)].conj().T, atol=1e-10):
-                raise ValidationError(
-                    f"connection on edge ({u},{v}) is not inverted by reversal")
-        dim = rep[gd.elements[0]].shape[0]
-        per_irrep.append((dim, holonomy_log_det(g, mats)))
+        by_dim.setdefault(len(rep[gd.elements[0]]), []).append(k)
+    per_irrep = [(0, 0.0)] * len(gd.irreps)
+    for d, ks in by_dim.items():
+        mats = np.array([[gd.irreps[k][connection[e]] for e in oriented]
+                         for k in ks]).reshape(len(ks), len(oriented), d, d)
+        log_dets = _holonomy_log_dets(
+            g, mats[:, 0::2], mats[:, 1::2],
+            "connection on edge ({u},{v}) is not inverted by reversal")
+        for k, h in zip(ks, log_dets.tolist()):
+            per_irrep[k] = (d, h)
     out: dict[tuple, float] = {}
     for i, cls in enumerate(gd.classes):
         acc = 0.0 + 0.0j

@@ -77,26 +77,22 @@ class GraphModel:
         return len(self.neighbors[x])
 
 
-def _search_tree(adj: list[list[int]],
+def _search_tree(adj: Sequence[Sequence[int]],
                  message: str) -> tuple[list[int], list[int]]:
-    """Depth-first search from vertex 0 over adjacency lists, neighbours
+    """Breadth-first search from vertex 0 over adjacency lists, neighbours
     in ascending order: the parent (-1 at the root) and depth of each
     vertex. Raises ValidationError(message) if a vertex is not reached."""
     n = len(adj)
     parent = [-1] * n
-    depth = [0] * n
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        x = stack.pop()
+    depth = [0] + [-1] * (n - 1)
+    queue = [0]
+    for x in queue:
         for y in sorted(adj[x]):
-            if not seen[y]:
-                seen[y] = True
+            if depth[y] < 0:
                 parent[y] = x
                 depth[y] = depth[x] + 1
-                stack.append(y)
-    if not all(seen):
+                queue.append(y)
+    if min(depth) < 0:
         raise ValidationError(message)
     return parent, depth
 
@@ -146,20 +142,17 @@ def build_graph(
         raise ValidationError("killing rates must be nonnegative")
     if not all(math.isfinite(k) for k in kill):
         raise ValidationError("killing rates must be finite")
-    adj: list[list[int]] = [[] for _ in range(num_vertices)]
-    for u, v in conductance:
-        adj[u].append(v)
-        adj[v].append(u)
-    lam_zero = [x for x in range(num_vertices) if kill[x] == 0 and not adj[x]]
-    if lam_zero:
-        raise ValidationError(f"vertex {lam_zero[0]} has no edge and no killing")
-    _search_tree(adj, "graph is not connected")
-    return GraphModel(
+    g = GraphModel(
         num_vertices=num_vertices,
         edges=tuple(sorted(conductance)),
         conductance=conductance,
         killing=kill,
     )
+    lam_zero = [x for x in range(num_vertices) if kill[x] == 0 and not g.neighbors[x]]
+    if lam_zero:
+        raise ValidationError(f"vertex {lam_zero[0]} has no edge and no killing")
+    _search_tree(g.neighbors, "graph is not connected")
+    return g
 
 
 @dataclass(frozen=True)
@@ -222,23 +215,8 @@ def spanning_tree_frame(
     """
     n = g.num_vertices
     if tree_edges is None:
-        parent = [-1] * n
-        depth = [0] * n
-        seen = [False] * n
-        seen[0] = True
-        order = [0]
-        tree: list[tuple[int, int]] = []
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for y in g.neighbors[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    depth[y] = depth[x] + 1
-                    tree.append(_normalize_edge(x, y))
-                    order.append(y)
+        parent, depth = _search_tree(g.neighbors, "graph is not connected")
+        tree = [_normalize_edge(parent[y], y) for y in range(1, n)]
     else:
         tree = [_normalize_edge(u, v) for u, v in tree_edges]
         if len(set(tree)) != len(tree):

@@ -343,6 +343,28 @@ class TestHolonomy:
         with pytest.raises(ValidationError):
             holonomy_log_det(triangle, bad)
 
+    @staticmethod
+    def _identity(g):
+        return {e: np.eye(1) for u, v in g.edges for e in ((u, v), (v, u))}
+
+    def test_rejects_missing_oriented_edge(self, triangle):
+        conn = self._identity(triangle)
+        del conn[(1, 0)]
+        with pytest.raises(ValidationError, match=r"oriented edge \(1,0\)"):
+            holonomy_log_det(triangle, conn)
+
+    def test_rejects_non_square(self, triangle):
+        conn = self._identity(triangle)
+        conn[(0, 1)] = np.ones((1, 2)) / math.sqrt(2)
+        with pytest.raises(ValidationError, match="square"):
+            holonomy_log_det(triangle, conn)
+
+    def test_rejects_mixed_dimensions(self, triangle):
+        conn = self._identity(triangle)
+        conn[(1, 2)] = conn[(2, 1)] = np.eye(2)
+        with pytest.raises(ValidationError, match="mixed dimensions"):
+            holonomy_log_det(triangle, conn)
+
 
 def _z2():
     return group_data(
@@ -411,6 +433,42 @@ class TestGroupData:
         with pytest.raises(ValidationError):
             group_data([0, 1], [(0,), (1,)], [{0: np.eye(1), 1: np.eye(1)}])
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValidationError, match="square"):
+            group_data([0, 1], [(0,), (1,)],
+                       [{0: np.eye(1), 1: np.eye(1)},
+                        {0: np.eye(1), 1: np.ones((1, 2)) / math.sqrt(2)}])
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(ValidationError, match="unitary"):
+            group_data([0, 1], [(0,), (1,)],
+                       [{0: np.eye(1), 1: np.eye(1)},
+                        {0: np.eye(1), 1: -1.5 * np.eye(1)}])
+
+    def test_rejects_character_not_constant_on_class(self):
+        # Z_2 with both elements put in one class: the sign character
+        # takes 1 and -1 on it
+        with pytest.raises(ValidationError, match="not constant on class"):
+            group_data([0, 1], [(0, 1)],
+                       [{0: np.eye(1), 1: np.eye(1)},
+                        {0: np.eye(1), 1: -np.eye(1)}])
+
+    def test_rejects_failed_orthogonality(self):
+        # the trivial irrep twice: squared dimensions sum to |G| = 2, but
+        # the two character rows are not orthogonal
+        trivial = {0: np.eye(1), 1: np.eye(1)}
+        with pytest.raises(ValidationError, match="orthogonality"):
+            group_data([0, 1], [(0,), (1,)], [trivial, dict(trivial)])
+
+    def test_rejects_mixed_matrix_sizes(self):
+        # a 1x1 identity and a 2x2 unitary of trace -1: the characters are
+        # those of Z_2, so only the sizes give the irrep away
+        w = np.exp(2j * np.pi / 3)
+        with pytest.raises(ValidationError, match="mixed dimensions"):
+            group_data([0, 1], [(0,), (1,)],
+                       [{0: np.eye(1), 1: np.eye(1)},
+                        {0: np.eye(1), 1: np.diag([w, np.conj(w)])}])
+
 
 class TestHolonomyClassIntensities:
     def test_trivial_group_single_class(self, triangle):
@@ -466,6 +524,66 @@ class TestHolonomyClassIntensities:
         a2 = holonomy_class_intensities(triangle, conn, gd, alpha=2.0)
         for c in a1:
             assert a2[c] == pytest.approx(2 * a1[c], abs=1e-12)
+
+    @staticmethod
+    def _trivial_connection(g):
+        return {e: 0 for u, v in g.edges for e in ((u, v), (v, u))}
+
+    def test_rejects_missing_oriented_edge(self, triangle):
+        conn = self._trivial_connection(triangle)
+        del conn[(2, 1)]
+        with pytest.raises(ValidationError, match=r"missing connection on edge \(2,1\)"):
+            holonomy_class_intensities(triangle, conn, _z2())
+
+    def test_rejects_value_outside_group(self, triangle):
+        conn = self._trivial_connection(triangle)
+        conn[(0, 1)] = 5
+        with pytest.raises(ValidationError, match="not a group element"):
+            holonomy_class_intensities(triangle, conn, _z2())
+
+    def test_rejects_reversal_that_is_not_the_inverse(self, triangle):
+        # a 3-cycle both ways: the 1-dimensional irreps of S_3 cannot tell,
+        # the standard irrep can
+        _, _, gd = _s3()
+        conn = {e: (0, 1, 2) for u, v in triangle.edges for e in ((u, v), (v, u))}
+        conn[(1, 2)] = conn[(2, 1)] = (1, 2, 0)
+        with pytest.raises(ValidationError, match="not inverted by reversal"):
+            holonomy_class_intensities(triangle, conn, gd)
+
+    def test_s3_values_unchanged(self):
+        # 1- and 2-dimensional irreps on random weights; values recorded
+        # from the per-irrep evaluation through holonomy_log_det
+        _, classes, gd = _s3()
+        g, _ = _random_weights("bowtie")
+
+        def inv(a):
+            return tuple(sorted(range(3), key=a.__getitem__))
+
+        vals = [(1, 0, 2), (0, 1, 2), (1, 2, 0), (2, 1, 0), (0, 1, 2), (2, 0, 1)]
+        conn = {}
+        for (u, v), a in zip(g.edges, vals):
+            conn[(u, v)], conn[(v, u)] = a, inv(a)
+        ints = holonomy_class_intensities(g, conn, gd, alpha=1.5)
+        want = [1.39317519020929, 0.28024078631288807, 0.012440691522221492]
+        for c, w in zip(classes, want):
+            assert ints[c] == pytest.approx(w, rel=0, abs=1e-14)
+
+    def test_z7_k4_values_unchanged(self):
+        order = 7
+        gd = group_data(
+            range(order), [(e,) for e in range(order)],
+            [{e: np.array([[np.exp(2j * np.pi * k * e / order)]])
+              for e in range(order)} for k in range(order)])
+        g, _ = _random_weights("k4")
+        conn = {}
+        for (u, v), k in zip(g.edges, [1, 3, 0, 6, 2, 5]):
+            conn[(u, v)], conn[(v, u)] = k, (-k) % order
+        ints = holonomy_class_intensities(g, conn, gd)
+        want = [0.5720585896444431, 0.07209387821873105, 0.04549643178942372,
+                0.05257569419775686, 0.05257569419775676, 0.04549643178942415,
+                0.07209387821873146]
+        for e, w in enumerate(want):
+            assert ints[(e,)] == pytest.approx(w, rel=0, abs=1e-14)
 
 
 class TestNilpotentRep:
