@@ -152,14 +152,20 @@ def cmd_h1(args) -> None:
     else:
         hs = [tuple(int(x) for x in np.array(idx) - args.h_range)
               for idx in np.ndindex(*([2 * args.h_range + 1] * r))]
-    value_col = "probability" if args.field else "intensity"
+    grid = args.grid
+    if args.mod is not None:
+        if grid is not None:
+            raise ConfigError("--mod and --M both set the grid size; give one")
+        grid = args.mod
+    vals, M, bound = _homology1_values(g, frame, hs, M=grid,
+                                       alpha=args.alpha if args.field else None)
+    certified = {} if bound is None else {"alias_bound": _fmt(bound)}
     manifest = _manifest("h1", {
-        "graph": args.graph, "M": args.grid, "mod": args.mod,
-        "field": args.field, "alpha": args.alpha,
+        "graph": args.graph, "M": args.grid if bound is None else M,
+        **certified, "mod": args.mod, "field": args.field, "alpha": args.alpha,
     })
+    value_col = "probability" if args.field else "intensity"
     lines = [manifest, ",".join([f"h{i}" for i in range(1, r + 1)] + [value_col])]
-    vals = _homology1_values(g, frame, hs, M=args.grid, mod=args.mod,
-                             alpha=args.alpha if args.field else None)
     for h, val in zip(hs, vals):
         lines.append(",".join([str(x) for x in h] + [_fmt(val)]))
     _emit(args, lines)
@@ -257,7 +263,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--h-range", type=int, default=3, dest="h_range")
     p.add_argument("--M", type=int, default=None, dest="grid")
     p.add_argument("--mod", type=int, default=None,
-                   help="aliased intensity mod this integer")
+                   help="law aliased mod this integer (the grid of that size)")
     p.add_argument("--field", action="store_true")
     p.add_argument("--alpha", type=float, default=1.0)
 

@@ -18,13 +18,17 @@ exception. det(I - P^theta) is a Laurent polynomial with exponents in
 {-1, 0, 1} per generator (Forman, Topology 1993; Kenyon, Ann. Probab.
 2011), so its 3^r coefficients, read exactly off the eigenvalue route on
 the 3-point grid, give the whole grid by one FFT; the determinant is
-positive there, so its logarithm is real. A grid whose rounding estimate
-exceeds _LAURENT_TOL is eigensolved point by point instead.
+positive there, so its logarithm is real. Along each real axis the same
+coefficients give the determinant in closed form, and with it a tail bound
+on every winding that picks the automatic grid size and bounds its
+aliasing.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -35,6 +39,7 @@ from .graphs import GraphModel, SpanningTreeFrame
 from .soup import total_mass
 
 _IMAG_TOL = 1e-10
+_MASSLESS = "massless/recurrent twist: det(I - {}) vanishes"
 
 
 def _assert_real(z: complex, what: str) -> float:
@@ -42,13 +47,6 @@ def _assert_real(z: complex, what: str) -> float:
     if abs(z.imag) > _IMAG_TOL * scale:
         raise NumericError(f"{what} has imaginary residue {z.imag:.3e}")
     return float(z.real)
-
-
-def _check_theta(theta: Sequence[float], rank: int) -> tuple[float, ...]:
-    theta = tuple(float(t) for t in theta)
-    if len(theta) != rank:
-        raise ValidationError(f"theta has length {len(theta)}, frame rank is {rank}")
-    return theta
 
 
 # Most complex entries in one stack of twisted matrices: a batch of any size
@@ -103,8 +101,7 @@ def _twisted_log_dets(g: GraphModel, letter: Callable[[int, int], int],
             s[:stop - start, bv, bu] = w * bwd
         gaps = 1.0 - np.linalg.eigvalsh(s[:stop - start])
         if np.min(gaps) <= 1e-14:
-            raise NumericError(
-                f"massless/recurrent twist: det(I - {what}) vanishes")
+            raise NumericError(_MASSLESS.format(what))
         out[start:stop] = np.sum(np.log(gaps), axis=1)
     return out
 
@@ -112,10 +109,11 @@ def _twisted_log_dets(g: GraphModel, letter: Callable[[int, int], int],
 def twisted_log_det(g: GraphModel, frame: SpanningTreeFrame,
                     theta: Sequence[float]) -> float:
     """log det(I - P^(theta)), exactly real by the Hermitian route."""
-    phases = np.exp(2j * np.pi * np.array(_check_theta(theta, frame.rank)))
-    return float(_twisted_log_dets(g, frame.crossing,
-                                   phases.reshape(1, frame.rank, 1, 1), None,
-                                   "P^theta")[0])
+    theta = np.array([float(t) for t in theta])
+    if len(theta) != frame.rank:
+        raise ValidationError(f"theta has length {len(theta)}, frame rank is {frame.rank}")
+    phases = np.exp(2j * np.pi * theta).reshape(1, frame.rank, 1, 1)
+    return float(_twisted_log_dets(g, frame.crossing, phases, None, "P^theta")[0])
 
 
 def _eigen_grid(g: GraphModel, frame: SpanningTreeFrame,
@@ -124,11 +122,6 @@ def _eigen_grid(g: GraphModel, frame: SpanningTreeFrame,
     ones = np.ones((1, frame.rank, 1, 1), dtype=complex)
     return _twisted_log_dets(g, frame.crossing, ones, m,
                              "P^theta").reshape((m,) * frame.rank)
-
-
-# Largest rounding estimate, relative to the smallest grid value of
-# det(I - P^theta), at which a grid is read off the Laurent coefficients.
-_LAURENT_TOL = 1e-8
 
 
 @functools.lru_cache(maxsize=1)
@@ -141,7 +134,7 @@ def _laurent(g: GraphModel, frame: SpanningTreeFrame) -> tuple[np.ndarray, float
     z_j enters I - P^theta only at the two entries of cogenerator j, as z_j
     and 1/z_j, so these 3^r coefficients are exact and one inverse 3-point
     DFT of D on the 3-grid recovers them. Memoized for the last graph and
-    frame, so that every grid size of one law reuses them; read-only.
+    frame, so that the grid size and the grid of a law share them; read-only.
     """
     logs = _eigen_grid(g, frame, 3)
     shift = float(logs.max())
@@ -150,119 +143,132 @@ def _laurent(g: GraphModel, frame: SpanningTreeFrame) -> tuple[np.ndarray, float
     return coef, shift
 
 
-def _laurent_log_grid(coef: np.ndarray, shift: float, m: int) -> np.ndarray | None:
-    """log D on the m-grid from _laurent's coefficients, or None when the
-    rounding estimate 3^r u max|D| / min D exceeds _LAURENT_TOL (u = 2^-53,
-    max|D| over the 3-grid, which the shift makes 1; min D over the m-grid).
-    """
-    r = coef.ndim
-    spectrum = np.zeros((m,) * (r - 1) + (m // 2 + 1,))
-    spectrum[np.ix_(*[[0, 1, m - 1]] * (r - 1), [0, 1])] = coef
-    d = np.fft.irfftn(spectrum, s=(m,) * r, axes=range(r), norm="forward")
-    low = d.min()
-    if not low > 0 or 3 ** r * 2.0 ** -53 / low > _LAURENT_TOL:
-        return None
-    return np.log(d) + shift
-
-
-def homology1_grid(g: GraphModel, frame: SpanningTreeFrame,
-                   m: int) -> np.ndarray:
+def homology1_grid(g: GraphModel, frame: SpanningTreeFrame, m: int) -> np.ndarray:
     """log det(I - P^(k/m)) over the full torus grid, shape (m,) * rank.
 
     Grids of more than 3 points per dimension come from the exact Laurent
-    coefficients of det(I - P^theta): 3^rank eigensolves, then one real
-    FFT. Where the rounding of that route could reach _LAURENT_TOL
-    relative to the smallest grid value (near-critical graphs), and for
-    m <= 3, every point is eigensolved instead.
+    coefficients of D = det(I - P^theta): 3^rank eigensolves, then one real
+    inverse FFT. The rounding error of log D at a point is then 3^r u / D +
+    u |log D| up to a factor of a few (u = 2^-53, D scaled by _laurent's
+    shift), and a grid value D <= 0 raises NumericError. Grids of 2 or 3
+    points are eigensolved point by point.
     """
     if m < 2:
         raise ValidationError("grid size must be >= 2")
-    grid = _laurent_log_grid(*_laurent(g, frame), m) if m > 3 and frame.rank else None
-    return _eigen_grid(g, frame, m) if grid is None else grid
+    r = frame.rank
+    if m <= 3 or not r:
+        return _eigen_grid(g, frame, m)
+    coef, shift = _laurent(g, frame)
+    spectrum = np.zeros((m,) * (r - 1) + (m // 2 + 1,))
+    spectrum[np.ix_(*[[0, 1, m - 1]] * (r - 1), [0, 1])] = coef
+    d = np.fft.irfftn(spectrum, s=(m,) * r, axes=range(r), norm="forward")
+    if not d.min() > 0:
+        raise NumericError(_MASSLESS.format("P^theta"))
+    return np.log(d) + shift
 
 
-def _check_h(h: Sequence[int], rank: int) -> tuple[int, ...]:
-    h = tuple(h)
-    if len(h) != rank:
-        raise ValidationError(f"h has length {len(h)}, frame rank is {rank}")
-    if any(not isinstance(x, (int, np.integer)) for x in h):
-        raise ValidationError(f"h must be integer, got {h}")
-    return tuple(int(x) for x in h)
+# The aliasing bound an automatic grid size meets, and the most points it
+# may take.
+_ALIAS_TOL = 1e-12
+_GRID_POINTS = 1 << 16
 
 
-_REFINE_START = 64
-_REFINE_CAP = 4096
-_REFINE_TOL = 1e-8
+def _alias_bounds(g: GraphModel, frame: SpanningTreeFrame, reach: np.ndarray,
+                  ms: np.ndarray, alpha: float | None) -> np.ndarray:
+    """A bound on the aliasing error of the M-grid law (with alpha, the
+    field law) at every h with |h_i| <= reach_i, for each M of ms > 2 reach.
 
-
-def _refine(value_at: Callable[[int], float]) -> float:
-    """value_at(m) on grids of 64 points per dimension, doubling until the
-    value moves by < 1e-8."""
-    m = _REFINE_START
-    val = value_at(m)
-    while m < _REFINE_CAP:
-        m *= 2
-        refined = value_at(m)
-        if abs(refined - val) < _REFINE_TOL:
-            return refined
-        val = refined
-    raise NumericError(f"grid refinement did not settle by M={_REFINE_CAP}")
+    Along axis i, D(t e_i) = a_0 + a_1 (t + 1/t), a_j the sum of the
+    Laurent coefficients c_k with k_i = j, falls to 0 at t = exp(2x),
+    sinh(x)^2 = D(1) / (-4 a_1). For 1 < t < exp(2x), sum_h mu(h) t^(h_i) =
+    -log D(t e_i) and the winding laws are symmetric (loop reversal), so
+    with L = log(D(1) / D(t e_i)), mu(|H_i| >= k) <= 2 L / (t^k + t^-k - 2)
+    and the soup's winding has P(|W_i| >= k) <= 2 t^-k exp(alpha L). An
+    alias of h has |h_i'| >= M - |h_i| in some axis i: the bound sums these
+    tails over the axes, each minimized over t = exp(2 f x), f = 1 -
+    2^(-j/2) for j = 1..100. An axis with a_1 >= 0 carries no winding.
+    """
+    coef = _laurent(g, frame)[0]
+    r = coef.ndim
+    # the plane k_r = -1, not stored, holds c_-k of the plane k_r = 1
+    full = np.concatenate([coef, coef[np.ix_(*[[0, 2, 1]] * (r - 1), [1])]], axis=-1)
+    d1 = full.sum()
+    if not d1 > 0:
+        raise NumericError(_MASSLESS.format("P"))
+    drop = -np.array([np.moveaxis(full, i, 0)[1:].sum() for i in range(r)]) / 2
+    x = np.arcsinh(np.sqrt(d1 / drop[drop > 0]) / 2)[:, None]
+    y = (1.0 - 2.0 ** (-np.arange(1, 101) / 2)) * x
+    ky = (np.asarray(ms, dtype=float)[:, None, None] - reach[drop > 0, None]) * y
+    with np.errstate(divide="ignore"):
+        tilt = -np.log1p(-(np.sinh(y) / np.sinh(x)) ** 2)
+        # log(2 L / (4 sinh(ky)^2)), or log(2 t^-k exp(alpha L))
+        tails = (np.log(2.0 * tilt) - 2.0 * (ky + np.log(-np.expm1(-2.0 * ky)))
+                 if alpha is None else np.log(2.0) + alpha * tilt - 2.0 * ky)
+    return np.exp(tails.min(axis=-1)).sum(axis=-1)
 
 
 def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
                       hs: Iterable[Sequence[int]], M: int | None = None,
-                      mod: int | None = None,
-                      alpha: float | None = None) -> list[float]:
-    """The first-homology law at every h of hs, computing each grid once.
+                      alpha: float | None = None
+                      ) -> tuple[list[float], int | None, float | None]:
+    """The first-homology law at every h of hs on one grid of M points per
+    dimension, with M and its aliasing bound (None when M is given, and on
+    rank 0, which has no grid).
 
-    With alpha, P(total soup winding = h); otherwise the intensity, read
-    on the mod-`mod` grid when mod is given. With M omitted (and no mod)
-    every h refines its own grid size.
+    With alpha, P(total soup winding = h); otherwise the intensity. Either
+    is h-aliased mod M: it sums the law over every h' congruent to h. With
+    M omitted, M is the smallest power of two above 2 max|h| over hs whose
+    _alias_bounds is at most _ALIAS_TOL; NumericError names it when M^rank
+    exceeds _GRID_POINTS.
     """
-    if alpha is None and mod is not None:
-        if mod < 2:
-            raise ValidationError("modulus must be >= 2")
-        M = mod
-    hs = [_check_h(h, frame.rank) for h in hs]
+    hs = [tuple(h) for h in hs]
+    for h in hs:
+        if len(h) != frame.rank:
+            raise ValidationError(f"h has length {len(h)}, frame rank is {frame.rank}")
+        if any(not isinstance(x, (int, np.integer)) for x in h):
+            raise ValidationError(f"h must be integer, got {h}")
+    hs = [tuple(int(x) for x in h) for h in hs]
     if frame.rank == 0:
-        return [1.0 if alpha is not None else total_mass(g) for _ in hs]
-    grids: dict[int, np.ndarray] = {}
-
-    def value(h: tuple[int, ...], m: int) -> float:
-        if m not in grids:
-            grids[m] = (homology1_field_grid(g, frame, alpha, m) if alpha is not None
-                        else np.fft.fftn(homology1_grid(g, frame, m)))
-        at = tuple(hi % m for hi in h)
-        if alpha is not None:
-            return float(grids[m][at])
-        return _assert_real(-grids[m][at] / grids[m].size, "homology1 intensity")
-
-    if M is not None:
-        return [value(h, M) for h in hs]
-    return [_refine(lambda m: value(h, m)) for h in hs]
+        return [1.0 if alpha is not None else total_mass(g) for _ in hs], M, None
+    bound = None
+    if M is None:
+        reach = np.abs(np.array(hs, dtype=float).reshape(-1, frame.rank))
+        reach = reach.max(axis=0, initial=0.0)
+        ms = 2 ** np.arange(1, 63)
+        ms = ms[ms > 2 * reach.max()]
+        bounds = _alias_bounds(g, frame, reach, ms, alpha)  # falls as M grows
+        i = min(np.count_nonzero(bounds > _ALIAS_TOL), ms.size - 1)
+        M, bound = int(ms[i]), float(bounds[i])
+        if bound > _ALIAS_TOL or M ** frame.rank > _GRID_POINTS:
+            raise NumericError(f"an aliasing bound of {_ALIAS_TOL} needs grid size "
+                               f"M={M} (bound {bound:.1e}), over the budget of "
+                               f"{_GRID_POINTS} points")
+    if alpha is not None:
+        grid = homology1_field_grid(g, frame, alpha, M)
+        return [float(grid[tuple(x % M for x in h)]) for h in hs], M, bound
+    spec = np.fft.fftn(homology1_grid(g, frame, M))
+    return [_assert_real(-spec[tuple(x % M for x in h)] / spec.size,
+                         "homology1 intensity") for h in hs], M, bound
 
 
 def homology1_intensity(g: GraphModel, frame: SpanningTreeFrame,
                         h: Sequence[int], M: int | None = None) -> float:
     """Mass of loops with total winding vector h.
 
-    Fourier inversion of the twisted log determinant over an M-point torus
-    grid; the grid value is the h-aliased sum, i.e. it includes every
-    winding congruent to h mod M, so M must dominate the windings carrying
-    non-negligible mass. With M omitted the grid starts at 64 points per
-    dimension and doubles until refinement moves the value by < 1e-8.
-    Every grid is homology1_grid's: read off the exact Laurent coefficients
-    of det(I - P^theta), or eigensolved point by point where that route's
-    rounding estimate is too large (near criticality).
+    Fourier inversion of homology1_grid over an M-point torus grid; the
+    grid value is the h-aliased sum, i.e. it includes every winding
+    congruent to h mod M. With M omitted, M is the smallest power of two
+    above 2 max|h_i| whose aliasing bound, a tail bound on the windings, is
+    at most 1e-12; one of more than 2^16 grid points raises NumericError.
     """
-    return _homology1_values(g, frame, [h], M=M)[0]
+    return _homology1_values(g, frame, [h], M=M)[0][0]
 
 
 def homology1_intensity_mod(g: GraphModel, frame: SpanningTreeFrame,
                             h: Sequence[int], p: int) -> float:
     """Mass of loops whose winding vector is congruent to h mod p: the
     p-point grid computes exactly this aliased sum."""
-    return _homology1_values(g, frame, [h], mod=p)[0]
+    return _homology1_values(g, frame, [h], M=p)[0][0]
 
 
 def homology1_field_grid(g: GraphModel, frame: SpanningTreeFrame,
@@ -288,30 +294,35 @@ def homology1_field_grid(g: GraphModel, frame: SpanningTreeFrame,
 def homology1_field_law(g: GraphModel, frame: SpanningTreeFrame,
                         alpha: float, h: Sequence[int],
                         M: int | None = None) -> float:
-    """P(total soup winding = h), h-aliased mod the grid size; with M
-    omitted the grid refines as in homology1_intensity."""
-    return _homology1_values(g, frame, [h], M=M, alpha=alpha)[0]
+    """P(total soup winding = h), h-aliased mod the grid size. With M
+    omitted the size is certified as in homology1_intensity, from the tail
+    bound P(|W_i| >= k) <= 2 t^-k (D(1) / D(t e_i))^alpha of the soup's
+    winding."""
+    return _homology1_values(g, frame, [h], M=M, alpha=alpha)[0][0]
 
 
 # ---------------------------------------------------------------------------
 # holonomy under a finite-group connection
 
 
-def _unitary_stack(mats: Iterable, what: str, name: Callable[[int], str]) -> np.ndarray:
-    """One complex stack of the matrices, checked square, of one size and
-    unitary (as np.allclose, atol 1e-10); name(i) names matrix i."""
+def _square(mats: Iterable, what: str, name: Callable[[int], str]) -> list[np.ndarray]:
+    """The matrices as complex arrays, checked square and of one size."""
     mats = [np.asarray(u, dtype=complex) for u in mats]
     for i, u in enumerate(mats):
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValidationError(f"{name(i)} is not a square matrix")
     if len({u.shape for u in mats}) > 1:
         raise ValidationError(f"{what} have mixed dimensions")
-    stack = np.stack(mats)
+    return mats
+
+
+def _check_unitary(stack: np.ndarray, name: Callable[[int], str]) -> None:
+    """Name the first matrix of the stack that is not unitary (as
+    np.allclose, atol 1e-10) in a ValidationError."""
     bad = ~np.isclose(stack @ stack.conj().swapaxes(1, 2), np.eye(stack.shape[-1]),
                       atol=1e-10).all(axis=(1, 2))
     if bad.any():
         raise ValidationError(f"{name(np.argmax(bad))} is not unitary")
-    return stack
 
 
 def _holonomy_log_dets(g: GraphModel, up: np.ndarray, down: np.ndarray,
@@ -347,8 +358,12 @@ def holonomy_log_det(g: GraphModel,
             raise ValidationError(f"missing unitary for oriented edge ({a},{b})")
     if not oriented:
         return 0.0
-    stack = _unitary_stack((unitaries[e] for e in oriented), "edge unitaries",
-                           lambda i: "U[({},{})]".format(*oriented[i]))
+
+    def name(i):
+        return "U[({},{})]".format(*oriented[i])
+
+    stack = np.stack(_square((unitaries[e] for e in oriented), "edge unitaries", name))
+    _check_unitary(stack, name)
     return float(_holonomy_log_dets(
         g, stack[None, 0::2], stack[None, 1::2],
         "U[({v},{u})] is not the conjugate transpose of U[({u},{v})]")[0])
@@ -372,11 +387,23 @@ class GroupData:
         return len(self.elements)
 
     @functools.cached_property
+    def _stacks(self) -> dict[int, tuple[list[int], np.ndarray]]:
+        """The irreps of each dimension d, by index, with their matrices at
+        every element as one array of shape (count, order, d, d)."""
+        ks: dict[int, list[int]] = {}
+        for k, rep in enumerate(self.irreps):
+            ks.setdefault(len(rep[self.elements[0]]), []).append(k)
+        return {d: (group, np.array([[self.irreps[k][e] for e in self.elements]
+                                     for k in group], dtype=complex))
+                for d, group in ks.items()}
+
+    @functools.cached_property
     def _characters(self) -> dict:
         """The character table: element -> the trace of every irrep there."""
-        table = [np.trace(np.array([rep[e] for e in self.elements]), axis1=1, axis2=2)
-                 for rep in self.irreps]
-        return dict(zip(self.elements, np.reshape(table, (len(table), self.order)).T))
+        table = np.empty((len(self.irreps), self.order), dtype=complex)
+        for group, stack in self._stacks.values():
+            table[group] = np.trace(stack, axis1=2, axis2=3)
+        return dict(zip(self.elements, table.T))
 
 
 def group_data(elements: Iterable, classes: Iterable[Iterable],
@@ -386,9 +413,10 @@ def group_data(elements: Iterable, classes: Iterable[Iterable],
     Checks that the classes partition the elements, that every irrep
     assigns a unitary of one size to every element with characters
     constant on classes, that squared dimensions sum to the group order,
-    and that characters satisfy row orthogonality, each once: an irrep as
-    one stack, the characters as one table. holonomy_class_intensities
-    batches the irreps of one dimension and does not check them again.
+    and that characters satisfy row orthogonality, each once: the irreps
+    of one dimension as one stack, the characters as one table compared
+    with their class representatives in one step. holonomy_class_intensities
+    reads the same stacks and does not check them again.
     """
     elements = tuple(elements)
     classes = tuple(tuple(c) for c in classes)
@@ -400,21 +428,27 @@ def group_data(elements: Iterable, classes: Iterable[Iterable],
         missing = [e for e in elements if e not in rep]
         if missing:
             raise ValidationError(f"irrep {k} is missing element {missing[0]!r}")
-        packed.append(dict(zip(elements, _unitary_stack(
+        packed.append(dict(zip(elements, _square(
             (rep[e] for e in elements), f"the matrices of irrep {k}",
             lambda i: f"irrep {k} at {elements[i]!r}"))))
     gd = GroupData(elements=elements, classes=classes, irreps=tuple(packed))
     n = gd.order
+    for d, (group, stack) in gd._stacks.items():
+        _check_unitary(stack.reshape(-1, d, d),
+                       lambda i: f"irrep {group[i // n]} at {elements[i % n]!r}")
     if sum(len(rep[elements[0]]) ** 2 for rep in packed) != n:
         raise ValidationError("irrep dimensions do not sum (squared) to |G|")
-    chars = gd._characters
-    for c in classes:
-        spread = np.abs(np.array([chars[e] for e in c]) - chars[c[0]]) > 1e-8
-        if spread.any():
-            raise ValidationError(f"character of irrep {np.argmax(spread.any(axis=0))} "
-                                  f"is not constant on class {c!r}")
-    table = np.array([chars[c[0]] for c in classes]).T
-    inner = (table * [len(c) for c in classes]) @ table.conj().T
+    sizes = [len(c) for c in classes]
+    starts = np.cumsum(sizes) - sizes
+    chars = np.array([gd._characters[e] for e in listed]).T
+    spread = np.abs(chars - np.repeat(chars[:, starts], sizes, axis=1)) > 1e-8
+    if spread.any():
+        bad = np.logical_or.reduceat(spread, starts, axis=1)
+        c = np.argmax(bad.any(axis=0))
+        raise ValidationError(f"character of irrep {np.argmax(bad[:, c])} "
+                              f"is not constant on class {classes[c]!r}")
+    table = chars[:, starts]
+    inner = (table * sizes) @ table.conj().T
     off = np.abs(inner - n * np.eye(len(table))) > 1e-8 * n
     if off.any():
         a, b = np.argwhere(off)[0]
@@ -444,17 +478,15 @@ def holonomy_class_intensities(g: GraphModel,
         if connection[e] not in gd._characters:
             raise ValidationError(
                 f"connection value {connection[e]!r} is not a group element")
-    by_dim: dict[int, list[int]] = {}
-    for k, rep in enumerate(gd.irreps):
-        by_dim.setdefault(len(rep[gd.elements[0]]), []).append(k)
+    index = {e: i for i, e in enumerate(gd.elements)}
+    at = [index[connection[e]] for e in oriented]
     per_irrep = [(0, 0.0)] * len(gd.irreps)
-    for d, ks in by_dim.items():
-        mats = np.array([[gd.irreps[k][connection[e]] for e in oriented]
-                         for k in ks]).reshape(len(ks), len(oriented), d, d)
+    for d, (group, stack) in gd._stacks.items():
+        mats = stack[:, at]
         log_dets = _holonomy_log_dets(
             g, mats[:, 0::2], mats[:, 1::2],
             "connection on edge ({u},{v}) is not inverted by reversal")
-        for k, h in zip(ks, log_dets.tolist()):
+        for k, h in zip(group, log_dets.tolist()):
             per_irrep[k] = (d, h)
     out: dict[tuple, float] = {}
     for i, cls in enumerate(gd.classes):
@@ -470,15 +502,10 @@ def holonomy_class_intensities(g: GraphModel,
 # finite Heisenberg-type representations and second homology mod p
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+def _check_prime(p) -> None:
+    if not (isinstance(p, int) and p >= 3
+            and all(p % f for f in range(2, math.isqrt(p) + 1))):
+        raise ValidationError(f"p must be an odd prime, got {p}")
 
 
 def _check_skew(h, r: int, p: int) -> tuple[tuple[int, ...], ...]:
@@ -493,11 +520,9 @@ def _check_skew(h, r: int, p: int) -> tuple[tuple[int, ...], ...]:
         rows = [list(row) for row in h]
         if len(rows) != r or any(len(row) != r for row in rows):
             raise ValidationError(f"skew matrix must be {r}x{r}")
+        mat = [[int(x) % p for x in row] for row in rows]
         for i in range(r):
-            for j in range(r):
-                mat[i][j] = int(rows[i][j]) % p
-        for i in range(r):
-            if mat[i][i] % p:
+            if mat[i][i]:
                 raise ValidationError("skew matrix has nonzero diagonal")
             for j in range(r):
                 if (mat[i][j] + mat[j][i]) % p:
@@ -573,37 +598,25 @@ def nilpotent_rep(p: int, r: int, h) -> NilpotentRep:
     """Build the representation for skew matrix h mod p (p an odd prime),
     verifying unitarity and the homomorphism property on all generator
     pairs before returning it."""
-    if not isinstance(p, int) or not _is_odd_prime(p):
-        raise ValidationError(f"p must be an odd prime, got {p}")
+    _check_prime(p)
     if r < 1:
         raise ValidationError("rank must be >= 1")
     rep = NilpotentRep(p=p, r=r, h=_check_skew(h, r, p))
     zero = tuple(tuple(0 for _ in range(r)) for _ in range(r))
-    gens = {}
-    for i in range(1, r + 1):
-        u = rep.generator(i)
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    gens = [rep.generator(i) for i in range(1, r + 1)]
+    for i, u in enumerate(gens, start=1):
         if not np.allclose(u @ u.conj().T, np.eye(rep.dim), atol=1e-10):
             raise NumericError(f"generator {i} is not unitary")
-        a = [0] * r
-        a[i - 1] = 1
-        gens[i] = (tuple(a), zero, u)
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            ai, ci, ui = gens[i]
-            aj, cj, uj = gens[j]
-            prod_elem = rep.compose((ai, ci), (aj, cj))
-            if not np.allclose(ui @ uj, rep.matrix(*prod_elem), atol=1e-10):
-                raise NumericError(
-                    f"homomorphism fails on generators ({i}, {j})")
+    for i, j in itertools.product(range(r), repeat=2):
+        prod_elem = rep.compose((units[i], zero), (units[j], zero))
+        if not np.allclose(gens[i] @ gens[j], rep.matrix(*prod_elem), atol=1e-10):
+            raise NumericError(f"homomorphism fails on generators ({i + 1}, {j + 1})")
     return rep
 
 
-def _skew_pairs(r: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-
-
 def _check_m(m, r: int, p: int) -> dict[tuple[int, int], int]:
-    pairs = _skew_pairs(r)
+    pairs = list(itertools.combinations(range(1, r + 1), 2))
     out = {pair: 0 for pair in pairs}
     if isinstance(m, Mapping):
         for key, val in m.items():
@@ -613,8 +626,7 @@ def _check_m(m, r: int, p: int) -> dict[tuple[int, int], int]:
             out[key] = int(val) % p
     else:
         mat = _check_skew(m, r, p)
-        for i, j in pairs:
-            out[(i, j)] = mat[i - 1][j - 1]
+        out = {(i, j): mat[i - 1][j - 1] for i, j in pairs}
     return out
 
 
@@ -627,15 +639,6 @@ def _skew_grid(r: int, p: int) -> np.ndarray:
 
 def _roots(p: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(p) / p)
-
-
-def _darboux_form(r: int, k: int, p: int) -> np.ndarray:
-    """k hyperbolic pairs (f_l, g_l) with form(f_l, g_l) = 1 = -form(g_l,
-    f_l), then a radical of dimension r - 2k, as an r x r matrix mod p."""
-    j = np.zeros((r, r), dtype=np.int64)
-    for l in range(k):
-        j[2 * l, 2 * l + 1], j[2 * l + 1, 2 * l] = 1, p - 1
-    return j
 
 
 def _inverse_mod(a: list[list[int]], p: int) -> list[list[int]]:
@@ -713,8 +716,13 @@ def _schrodinger_blocks(b: np.ndarray, a: np.ndarray, a_inv: np.ndarray,
     commutation relations to 1e-12); a failure raises NumericError.
     """
     count, r = b.shape[:2]
+    # the Darboux form: k pairs (f_l, g_l) with form(f_l, g_l) = 1 = -form(g_l,
+    # f_l), then a radical of dimension r - 2k
+    form = np.zeros((r, r), dtype=np.int64)
+    form[range(0, 2 * k, 2), range(1, 2 * k, 2)] = 1
+    form[range(1, 2 * k, 2), range(0, 2 * k, 2)] = p - 1
     if (np.any(a @ a_inv % p != np.eye(r, dtype=np.int64))
-            or np.any(a.swapaxes(1, 2) @ b @ a % p != _darboux_form(r, k, p))):
+            or np.any(a.swapaxes(1, 2) @ b @ a % p != form)):
         raise NumericError(f"no Darboux basis for a skew form mod {p}")
     coords = a_inv.swapaxes(1, 2)
     q, mom, t = coords[..., 0:2 * k:2], coords[..., 1:2 * k:2], coords[..., 2 * k:]
@@ -771,21 +779,6 @@ def _heisenberg_blocks(p: int, r: int, lo: int,
     return tuple(out)
 
 
-def _block_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
-                  m: int | None, lo: int, hi: int) -> np.ndarray:
-    """_heisenberg_traces at the rows lo:hi of _skew_grid."""
-    r = frame.rank
-    out = np.empty((hi - lo, 1 if m is None else m ** r))
-    for k, owners, blocks in _heisenberg_blocks(p, r, lo, hi):
-        count, each = blocks.shape[:2]
-        logs = _twisted_log_dets(g, frame.crossing,
-                                 blocks.reshape((count * each,) + blocks.shape[2:]),
-                                 m, "Heisenberg twist")
-        sums = logs.reshape(count, each, -1).sum(axis=1)
-        out[owners] = -(p ** k) * sums / p ** r
-    return out
-
-
 def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
                        m: int | None = None) -> np.ndarray:
     """T(h) = -(1/p^r) log det(I - P twisted by the p^r-dimensional
@@ -802,8 +795,15 @@ def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
     r = frame.rank
     count = p ** (r * (r - 1) // 2)
     step = max(1, _CHUNK_ENTRIES // (max(r, 1) * p ** r))
-    return np.concatenate([_block_traces(g, frame, p, m, lo, min(lo + step, count))
-                           for lo in range(0, count, step)])
+    out = np.empty((count, 1 if m is None else m ** r))
+    for lo in range(0, count, step):
+        for k, owners, blocks in _heisenberg_blocks(p, r, lo, min(lo + step, count)):
+            n, each = blocks.shape[:2]
+            logs = _twisted_log_dets(g, frame.crossing,
+                                     blocks.reshape((n * each,) + blocks.shape[2:]),
+                                     m, "Heisenberg twist")
+            out[lo + owners] = -(p ** k) * logs.reshape(n, each, -1).sum(axis=1) / p ** r
+    return out
 
 
 def _inverse_dft_row(m, r: int, p: int) -> np.ndarray:
@@ -826,8 +826,7 @@ def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
     """
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
-    if not isinstance(p, int) or not _is_odd_prime(p):
-        raise ValidationError(f"p must be an odd prime, got {p}")
+    _check_prime(p)
     row = _inverse_dft_row(m, frame.rank, p)
     acc = _heisenberg_traces(g, frame, p)[:, 0] @ row
     val = _assert_real(acc / len(row), "homology2 intensity") * alpha
@@ -849,8 +848,7 @@ def homology2_field_law(g: GraphModel, frame: SpanningTreeFrame,
     """
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
-    if not isinstance(p, int) or not _is_odd_prime(p):
-        raise ValidationError(f"p must be an odd prime, got {p}")
+    _check_prime(p)
     if M < 2:
         raise ValidationError("grid size must be >= 2")
     row = _inverse_dft_row(m, frame.rank, p)

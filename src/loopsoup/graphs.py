@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,6 +76,26 @@ class GraphModel:
 
     def degree(self, x: int) -> int:
         return len(self.neighbors[x])
+
+
+def _adjacency(g: GraphModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oriented edges in CSR form, ordered by tail, then head: the
+    neighbours of v, ascending, are heads[first[v]:first[v + 1]], and
+    tails[i] is the tail of edge i."""
+    first = np.zeros(g.num_vertices + 1, dtype=np.intp)
+    np.cumsum([len(a) for a in g.neighbors], out=first[1:])
+    heads = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp,
+                        count=first[-1])
+    return first, heads, np.repeat(np.arange(g.num_vertices), np.diff(first))
+
+
+def _expand(first: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step from every vertex of at to each of its neighbours, in
+    order: the position in at and the CSR index of each step."""
+    count = first[at + 1] - first[at]
+    src = np.repeat(np.arange(at.size), count)
+    offset = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
+    return src, first[at][src] + offset
 
 
 def _search_tree(adj: Sequence[Sequence[int]],

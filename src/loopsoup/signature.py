@@ -609,10 +609,12 @@ def degree_and_lead(word: Iterable[int], max_degree: int = 8
                     ) -> tuple[int, LiePoly]:
     """Critical degree and leading Lie term of a word's log-signature.
 
-    The word must not reduce to the identity. Raises NumericError with the
-    scan cap if nothing shows up by max_degree (deep commutators; raise the
-    cap to resolve).
+    The word must not reduce to the identity and max_degree must be at
+    least 1. Raises NumericError with the scan cap if nothing shows up by
+    max_degree (deep commutators; raise the cap to resolve).
     """
+    if max_degree < 1:
+        raise ValidationError("max_degree must be >= 1")
     w = reduce_word(word)
     if not w:
         raise ValidationError("the identity word has no critical degree")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, NumericError, ValidationError
 from .freegroup import (TRIVIAL, BasedLoop, GeodesicClass, canonical_class,
                         loop_to_word, multiplicity)
-from .graphs import GraphModel, SpanningTreeFrame
+from .graphs import GraphModel, SpanningTreeFrame, _adjacency, _expand
 from .signature import homology1
 
 
@@ -89,32 +88,13 @@ def truncated_mass(g: GraphModel, n_max: int) -> float:
     return float(out)
 
 
-def _adjacency(g: GraphModel) -> tuple[np.ndarray, np.ndarray]:
-    """The neighbour lists in CSR form: the neighbours of v, ascending, are
-    heads[first[v]:first[v + 1]]."""
-    first = np.zeros(g.num_vertices + 1, dtype=np.intp)
-    np.cumsum([len(a) for a in g.neighbors], out=first[1:])
-    heads = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp,
-                        count=first[-1])
-    return first, heads
-
-
-def _expand(first: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One step from every vertex of at to each of its neighbours, in
-    order: the position in at and the CSR index of each step."""
-    count = first[at + 1] - first[at]
-    src = np.repeat(np.arange(at.size), count)
-    offset = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
-    return src, first[at][src] + offset
-
-
 def _hop_distances(g: GraphModel) -> np.ndarray:
     """Hop distance between every two vertices (n + 1 where there is no
     path), by breadth-first search from all sources at once: each level
     expands the frontier of (source, vertex) pairs first reached at the
     level before."""
     n = g.num_vertices
-    first, heads = _adjacency(g)
+    first, heads, _ = _adjacency(g)
     dist = np.full((n, n), n + 1, dtype=int)
     src = at = np.arange(n)
     dist[src, at] = 0
@@ -236,8 +216,7 @@ def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     n_v = g.num_vertices
-    first, heads = _adjacency(g)
-    tails = np.repeat(np.arange(n_v), np.diff(first))
+    first, heads, tails = _adjacency(g)
     step_weight = g.transition[tails, heads]
     letters = np.array([frame.crossing(x, y)
                         for x, y in zip(tails.tolist(), heads.tolist())],

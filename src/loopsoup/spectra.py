@@ -59,7 +59,7 @@ from scipy.sparse.linalg import splu
 from .errors import NumericError, ValidationError
 from .freegroup import (GeodesicClass, enumerate_geodesic_loops,
                         geodesic_representative, multiplicity)
-from .graphs import GraphModel, SpanningTreeFrame
+from .graphs import GraphModel, SpanningTreeFrame, _adjacency, _expand
 
 # Newton stops once no entry moves by more than this fraction of max rho.
 _STEP = 1e-13
@@ -150,23 +150,17 @@ class _EdgeSystem:
     def __init__(self, g: GraphModel):
         n = g.num_vertices
         self.num_vertices = n
-        self.pairs = [(x, y) for x in range(n) for y in g.neighbors[x]]
+        first, head, tail = _adjacency(g)
+        self.pairs = list(zip(tail.tolist(), head.tolist()))
         self.size = m = len(self.pairs)
-        tail = np.array([x for x, _ in self.pairs], dtype=np.intp)
-        head = np.array([y for _, y in self.pairs], dtype=np.intp)
         p = g.transition
         self.tail = tail
         self.weight = p[tail, head] * p[head, tail]
         self._vertex_weight = np.bincount(tail, weights=self.weight,
                                           minlength=n)
         # B in row order, as (row, column, value) triples. The candidate
-        # successors of (x, y) are the edges out of y, which sit
-        # contiguously at first[y] .. first[y + 1] - 1; (y, x) is dropped.
-        first = np.searchsorted(tail, np.arange(n + 1))
-        count = first[head + 1] - first[head]
-        rows = np.repeat(np.arange(m), count)
-        offset = np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
-        cols = np.repeat(first[head], count) + offset
+        # successors of (x, y) are the edges out of y; (y, x) is dropped.
+        rows, cols = _expand(first, head)
         keep = head[cols] != tail[rows]
         self._rows, self._cols = rows[keep], cols[keep]
         self._coef = self.weight[self._cols]

@@ -297,6 +297,42 @@ class TestH1:
         code, _ = run_cli(capsys, "h1", str(p), "--h", "0")
         assert code == 3
 
+    def test_field_mod_reads_the_mod_grid(self, capsys, tri_path):
+        # --mod p is the p-point grid for the field law too: the law of
+        # the winding mod 3, not the exact P(W = 0) = 0.8944271909999155
+        code, out = run_cli(capsys, "h1", tri_path, "--field", "--mod", "3",
+                            "--h", "0")
+        assert code == 0
+        assert out.splitlines()[2] == "0,0.8947368421052628"
+        _, grid3 = run_cli(capsys, "h1", tri_path, "--field", "--M", "3",
+                           "--h", "0")
+        assert out.splitlines()[2] == grid3.splitlines()[2]
+
+    def test_mod_with_grid_size_exits_4(self, capsys, tri_path):
+        code, _ = run_cli(capsys, "h1", tri_path, "--mod", "3", "--M", "64",
+                          "--h", "0")
+        assert code == 4
+
+    @pytest.mark.parametrize("flags", [(), ("--field", "--alpha", "2.0")])
+    def test_automatic_manifest_records_the_certificate(self, capsys, tri_path,
+                                                        flags):
+        code, out = run_cli(capsys, "h1", tri_path, "--h", "1", *flags)
+        assert code == 0
+        fields = dict(f.split("=", 1) for f in out.splitlines()[0].split()[3:])
+        assert fields["M"] == "16"
+        assert 0 < float(fields["alias_bound"]) <= 1e-12
+        _, explicit = run_cli(capsys, "h1", tri_path, "--h", "1", "--M", "16", *flags)
+        assert "alias_bound" not in explicit
+        assert out.splitlines()[1:] == explicit.splitlines()[1:]
+
+    def test_near_critical_names_the_certified_size(self, capsys, tmp_path):
+        p = tmp_path / "critical.graph"
+        p.write_text("vertices 3\nedge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n"
+                     "kappa 0 1e-9\n")
+        code = main(["h1", str(p), "--h", "1"])
+        assert code == 3
+        assert "M=1048576" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         (), ("--M", "32"), ("--mod", "3"), ("--field",),
         ("--field", "--M", "16", "--alpha", "0.7")])
@@ -382,6 +418,10 @@ class TestSignatureCmd:
 
     def test_malformed_word_exits_2(self, capsys):
         code, _ = run_cli(capsys, "signature", "--word", "abc")
+        assert code == 2
+
+    def test_degree_cap_below_one_exits_2(self, capsys):
+        code, _ = run_cli(capsys, "signature", "--word", "+1", "--max-degree", "0")
         assert code == 2
 
 

@@ -252,26 +252,33 @@ class TestLaurentGrid:
         else:
             g = request.getfixturevalue(name)
             frame = request.getfixturevalue(f"{name}_frame")
-        if m > 3:
-            # a well-conditioned graph takes the coefficient route
-            assert fourier._laurent_log_grid(*fourier._laurent(g, frame), m) \
-                is not None
         grid = homology1_grid(g, frame, m)
         assert grid.shape == (m,) * frame.rank
         assert np.max(np.abs(grid - _dense_grid(g, frame, m))) <= 1e-12
 
-    def test_near_critical_takes_the_eigenvalue_route(self):
-        # det(I - P) = 3.75e-10 from coefficients of size 0.25: the rounding
-        # estimate 3 * 2^-53 * 0.375 / 3.75e-10 = 3.3e-7 exceeds 1e-8
+    @pytest.mark.parametrize("kappa", [1e-12, 1e-9, 1e-6])
+    def test_near_critical_grid_within_its_stated_error(self, kappa):
+        # at kappa = 1e-9, det(I - P) = 3.75e-10 from coefficients of size
+        # 0.25. The closed form on the triangle is D(theta) = D(0) + 4 B
+        # sin^2(pi theta), B = 1 / (lam_0 lam_1 lam_2), D(0) exact in rationals
+        from fractions import Fraction
         from loopsoup import build_graph, spanning_tree_frame
-        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [1e-9, 0.0, 0.0])
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [kappa, 0.0, 0.0])
         frame = spanning_tree_frame(g)
-        coef, shift = fourier._laurent(g, frame)
-        low = np.exp(_assembled_grid(g, frame, 64).min() - shift)
-        assert 3 * 2.0 ** -53 / low == pytest.approx(3.33e-7, rel=1e-2)
-        assert fourier._laurent_log_grid(coef, shift, 64) is None
-        assert np.array_equal(homology1_grid(g, frame, 64),
-                              _assembled_grid(g, frame, 64))
+        lam = [Fraction(2) + Fraction(kappa), Fraction(2), Fraction(2)]
+        pairs = sum(1 / (lam[a] * lam[b]) for a, b in ((0, 1), (1, 2), (0, 2)))
+        b = 1 / (lam[0] * lam[1] * lam[2])
+        d0 = 1 - pairs - 2 * b
+        want = np.log(float(d0) + 4 * float(b) * np.sin(np.pi * np.arange(64) / 64) ** 2)
+        grid = homology1_grid(g, frame, 64)
+        # the stated error 3^r u / D + u |log D|, D scaled by the shift, up
+        # to the factor of a few that it allows
+        _, shift = fourier._laurent(g, frame)
+        u = 2.0 ** -53
+        stated = 3 * u / np.exp(want - shift) + u * np.abs(want)
+        if kappa == 1e-9:
+            assert stated[0] == pytest.approx(3.33e-7, rel=1e-2)
+        assert np.all(np.abs(grid - want) <= 8 * stated)
 
     def test_shift_keeps_small_determinants(self, bowtie, bowtie_frame,
                                             monkeypatch):
@@ -280,9 +287,9 @@ class TestLaurentGrid:
         assembled = fourier._eigen_grid
         monkeypatch.setattr(fourier, "_eigen_grid",
                             lambda g, frame, m: assembled(g, frame, m) - 1000.0)
-        coef, shift = fourier._laurent.__wrapped__(bowtie, bowtie_frame)
-        grid = fourier._laurent_log_grid(coef, shift, 16)
-        assert grid is not None
+        fourier._laurent.cache_clear()
+        grid = homology1_grid(bowtie, bowtie_frame, 16)
+        fourier._laurent.cache_clear()
         assert np.max(np.abs(grid + 1000.0 - _dense_grid(bowtie, bowtie_frame, 16))) \
             <= 1e-12
 
@@ -291,6 +298,144 @@ class TestLaurentGrid:
         assert coef.shape == (3, 2)
         with pytest.raises(ValueError):
             coef[0, 0] = 0.0
+
+
+def _law_on_large_grid(g, frame, m, hs, alpha):
+    """The m-grid law at every h of hs, the intensity or with alpha the
+    field law, from the 3^r Laurent coefficients of det(I - P^theta) (an
+    FFT of the 3-grid), evaluated a slab of the first axis at a time so that
+    no m^r array is held."""
+    r = frame.rank
+    logs = homology1_grid(g, frame, 3)
+    shift = logs.max()
+    coef = (np.fft.fftn(np.exp(logs - shift)) / 3 ** r).real
+    k = np.arange(m)
+    wave = np.exp(2j * np.pi * np.outer([0, 1, -1], k) / m)
+    slab = max(1, (1 << 18) // m ** (r - 1))
+    sums = np.zeros(len(hs), dtype=complex)
+    for start in range(0, m, slab):
+        d = coef
+        for axis in range(r):
+            d = np.tensordot(d, wave[:, start:start + slab] if axis == 0 else wave,
+                             axes=(0, 0))
+        logs = np.log(d.real) + shift
+        f = -logs if alpha is None else np.exp(alpha * (np.log(coef.sum()) + shift - logs))
+        for i, h in enumerate(hs):
+            x = f
+            for axis in range(r):
+                kk = k[start:start + slab] if axis == 0 else k
+                x = np.tensordot(x, np.exp(-2j * np.pi * kk * h[axis] / m), axes=(0, 0))
+            sums[i] += x
+    return sums.real / m ** r
+
+
+class TestGridSize:
+    """The automatic H1 grid size: a tail bound on the windings, read off
+    the Laurent coefficients, bounds the aliasing of every grid and picks
+    one grid before any is built."""
+
+    @pytest.mark.parametrize("alpha", [None, 0.7])
+    @pytest.mark.parametrize("name", ["triangle", "bowtie", "k4"])
+    def test_bound_covers_the_aliasing(self, name, alpha):
+        g, frame = _random_weights(name)
+        r = frame.rank
+        hs = [(0,) * r, (1,) * r, (2,) + (0,) * (r - 1)]
+        exact = _law_on_large_grid(g, frame, 2 ** 14 if r == 1 else 256, hs, alpha)
+        ms = np.array([6, 8, 12, 16])
+        for h, want in zip(hs, exact):
+            bounds = fourier._alias_bounds(g, frame, np.abs(np.array(h, dtype=float)),
+                                           ms, alpha)
+            for m, bound in zip(ms.tolist(), bounds):
+                got = fourier._homology1_values(g, frame, [h], M=m, alpha=alpha)[0][0]
+                # the aliasing at M = 6 is far above rounding
+                assert m > 6 or got - want > 1e-12
+                assert abs(got - want) <= bound + 1e-15
+
+    @pytest.mark.parametrize("alpha", [None, 0.7])
+    @pytest.mark.parametrize("name", ["triangle", "bowtie", "k4", "rank4"])
+    def test_size_is_the_smallest_certified_power_of_two(self, name, alpha):
+        g, frame = _random_weights(name)
+        hs = [(1,) + (0,) * (frame.rank - 1), (-3,) + (1,) * (frame.rank - 1)]
+        _, m, bound = fourier._homology1_values(g, frame, hs, alpha=alpha)
+        reach = np.array([3.0] + [1.0] * (frame.rank - 1))
+        below = fourier._alias_bounds(g, frame, reach, np.array([m // 2]), alpha)[0]
+        assert m > 6 and bound <= fourier._ALIAS_TOL < below
+        assert fourier._alias_bounds(g, frame, reach, np.array([m]), alpha)[0] == bound
+
+    def test_near_critical_size_exceeds_the_budget(self):
+        from loopsoup import build_graph, spanning_tree_frame
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [1e-9, 0.0, 0.0])
+        frame = spanning_tree_frame(g)
+        bounds = fourier._alias_bounds(g, frame, np.array([1.0]),
+                                       np.array([2 ** 19, 2 ** 20]), None)
+        assert bounds[0] > fourier._ALIAS_TOL >= bounds[1]
+        with pytest.raises(NumericError, match="M=1048576"):
+            homology1_intensity(g, frame, (1,))
+
+
+class TestOneRoute:
+    """Every H1 grid above 3 points per dimension costs the 3^rank
+    eigensolves of the Laurent coefficients and nothing more, and an
+    automatic grid size builds one grid."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            sizes.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        fourier._laurent.cache_clear()
+        yield sizes
+        fourier._laurent.cache_clear()
+
+    @staticmethod
+    def _graphs():
+        from loopsoup import build_graph, spanning_tree_frame
+        critical = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
+                               [1e-9, 0.0, 0.0])
+        yield critical, spanning_tree_frame(critical)
+        for name in ("triangle", "bowtie", "k4", "rank4"):
+            yield _random_weights(name)
+
+    @pytest.mark.parametrize("m", [4, 7, 16, 64])
+    def test_grid_eigensolves_the_3_grid(self, solved, m):
+        for g, frame in self._graphs():
+            fourier._laurent.cache_clear()
+            solved.clear()
+            homology1_grid(g, frame, m)
+            assert sum(solved) == 3 ** frame.rank
+
+    @pytest.mark.parametrize("alpha", [None, 0.7])
+    def test_automatic_size_builds_one_grid(self, solved, monkeypatch, alpha):
+        built = []
+        grid = fourier.homology1_grid
+
+        def counted(g, frame, m):
+            built.append(m)
+            return grid(g, frame, m)
+
+        monkeypatch.setattr(fourier, "homology1_grid", counted)
+        for g, frame in list(self._graphs())[1:]:
+            fourier._laurent.cache_clear()
+            solved.clear()
+            built.clear()
+            h = (1,) * frame.rank
+            if alpha is None:
+                homology1_intensity(g, frame, h)
+            else:
+                homology1_field_law(g, frame, alpha, h)
+            assert len(built) == 1 and built[0] > 3
+            assert sum(solved) == 3 ** frame.rank
+
+    def test_near_critical_raises_after_the_3_grid(self, solved):
+        g, frame = next(self._graphs())
+        with pytest.raises(NumericError, match="M=1048576"):
+            homology1_intensity(g, frame, (2,))
+        assert sum(solved) == 3
 
 
 class TestHolonomy:
@@ -647,11 +792,12 @@ class TestNilpotentRep:
 
 
 def _random_weights(name, seed=11):
-    """The bowtie, K4 or a rank-4 graph on 5 vertices with conductances and
+    """The triangle, bowtie, K4 or a rank-4 graph on 5 vertices with conductances and
     killing drawn at random, so that no eigenvalue coincidence is an
     accident of symmetric weights."""
     from loopsoup import build_graph, spanning_tree_frame
-    n, edges = {"bowtie": (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+    n, edges = {"triangle": (3, [(0, 1), (1, 2), (0, 2)]),
+                "bowtie": (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
                 "k4": (4, list(itertools.combinations(range(4), 2))),
                 "rank4": (5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
                               (2, 4), (3, 4)])}[name]

@@ -234,6 +234,10 @@ class TestLiePoly:
         with pytest.raises(NumericError):
             degree_and_lead(w, max_degree=3)
 
+    def test_degree_cap_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="max_degree"):
+            degree_and_lead((1,), max_degree=0)
+
     def test_round_trip_through_tensor(self):
         w = group_commutator((1,), (2,))
         d, lead = degree_and_lead(w)
