@@ -32,7 +32,7 @@ from .fourier import (GroupData, NilpotentRep, group_data,
                       holonomy_class_intensities, holonomy_log_det,
                       homology1_field_grid, homology1_field_law,
                       homology1_grid, homology1_intensity,
-                      homology1_intensity_mod, homology2_field_law,
-                      homology2_intensity, nilpotent_rep, twisted_log_det)
+                      homology2_field_law, homology2_intensity,
+                      nilpotent_rep, twisted_log_det)
 
 __version__ = "0.1.0"

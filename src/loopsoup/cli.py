@@ -118,13 +118,15 @@ def cmd_enumerate(args) -> None:
 def cmd_homotopy(args) -> None:
     g = _load_graph(args.graph)
     frame = spanning_tree_frame(g)
+    # enumerated first, so that a bad --max-len fails before the solves
+    classes = enumerate_geodesic_classes(frame.rank, args.max_len)
     rho = solve_rho(g, args.s)
     rows = []
     quad_err = None
     if args.s == 1.0:
         trivial_val, quad_err = contractible_intensity(g)
         rows.append(f"e,0,1,{_fmt(trivial_val)}")
-    for cls in enumerate_geodesic_classes(frame.rank, args.max_len):
+    for cls in classes:
         val = class_intensity(g, frame, cls, s=args.s, rho=rho)
         rows.append(f"{_class_label(cls)},{cls.length},{cls.multiplicity},"
                     f"{_fmt(val)}")
@@ -149,6 +151,8 @@ def cmd_h1(args) -> None:
     r = frame.rank
     if args.h is not None:
         hs = [_parse_ints(args.h, "--h")]
+    elif args.h_range < 0:
+        raise ConfigError(f"--h-range must be >= 0, got {args.h_range}")
     else:
         hs = [tuple(int(x) for x in np.array(idx) - args.h_range)
               for idx in np.ndindex(*([2 * args.h_range + 1] * r))]

@@ -264,13 +264,6 @@ def homology1_intensity(g: GraphModel, frame: SpanningTreeFrame,
     return _homology1_values(g, frame, [h], M=M)[0][0]
 
 
-def homology1_intensity_mod(g: GraphModel, frame: SpanningTreeFrame,
-                            h: Sequence[int], p: int) -> float:
-    """Mass of loops whose winding vector is congruent to h mod p: the
-    p-point grid computes exactly this aliased sum."""
-    return _homology1_values(g, frame, [h], M=p)[0][0]
-
-
 def homology1_field_grid(g: GraphModel, frame: SpanningTreeFrame,
                          alpha: float, M: int) -> np.ndarray:
     """P(total soup winding = h) for every h on the mod-M grid.

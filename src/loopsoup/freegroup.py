@@ -244,6 +244,8 @@ def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
     (length, canonical word); none at rank 0."""
     if rank < 0:
         raise ValidationError("rank must be >= 0")
+    if max_len < 0:
+        raise ValidationError("max_len must be >= 0")
     letters = [l for i in range(1, rank + 1) for l in (i, -i)]
     found: set[GeodesicClass] = set()
 

@@ -15,7 +15,12 @@ with signature coefficients, hence are invariant under free reduction; with
 adjacent repeats the invariant quantity is the block-weighted count
 (iterated_crossing_coefficient), which is exactly the signature coefficient.
 
-Everything here is exact rational arithmetic.
+Everything here is exact rational arithmetic. The signature and its
+logarithm are built on graded integer numerators (the degree-n part carries
+an implicit 1/n!, the logarithm a further 1/lcm(1..degree)), and each
+output term becomes one Fraction at the end. Lyndon coordinates are peeled
+on integers too. The leading Lie term is read off the signature itself: at
+the critical degree it equals the log-signature's component.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping
 
 from .errors import ValidationError, NumericError
@@ -94,21 +99,6 @@ class TensorSeries:
         return (isinstance(other, TensorSeries)
                 and self.degree == other.degree and self.terms == other.terms)
 
-    def log(self) -> "TensorSeries":
-        """Tensor logarithm; requires constant term exactly 1."""
-        if self.terms.get((), _ZERO) != 1:
-            raise ValidationError("log needs constant term 1")
-        a = TensorSeries(self.degree, {w: c for w, c in self.terms.items() if w})
-        out: Component = {}
-        power = a
-        for m in range(1, self.degree + 1):
-            if m > 1:
-                power = power * a
-            coef = Fraction((-1) ** (m + 1), m)
-            for w, c in power.terms.items():
-                out[w] = out.get(w, _ZERO) + coef * c
-        return TensorSeries(self.degree, _clean(out))
-
 
 def _runs(word: Word) -> list[tuple[int, int]]:
     # (letter index, signed run length); merging adjacent runs of one letter
@@ -126,39 +116,84 @@ def _runs(word: Word) -> list[tuple[int, int]]:
     return runs
 
 
+def _numerators(word: Iterable[int], degree: int) -> list[dict[Word, int]]:
+    # per degree d, the signature's coefficients times d!: the product of
+    # exp(n X_i) factors stays in integers, since a degree-d word times a
+    # run of k letters gains the binomial C(d + k, k)
+    if degree < 1:
+        raise ValidationError("signature truncation degree must be >= 1")
+    buckets: list[dict[Word, int]] = [{} for _ in range(degree + 1)]
+    buckets[0][()] = 1
+    for letter, count in _runs(_check_word(word)):
+        new = [dict(bucket) for bucket in buckets]
+        for d, bucket in enumerate(buckets):
+            for k in range(1, degree - d + 1):
+                factor = count ** k * comb(d + k, k)
+                tail = (letter,) * k
+                tgt = new[d + k]
+                for w, num in bucket.items():
+                    key = w + tail
+                    tgt[key] = tgt.get(key, 0) + num * factor
+        buckets = new
+    return [{w: num for w, num in bucket.items() if num} for bucket in buckets]
+
+
 def signature(word: Iterable[int], degree: int = 5) -> TensorSeries:
     """Truncated signature of a word: the product of its exp(n X_i) factors.
 
     Built in integer arithmetic (a degree-d numerator carries an implicit
     1/d!) and converted to rationals at the end; exactness is preserved.
     """
-    if degree < 1:
-        raise ValidationError("signature truncation degree must be >= 1")
-    buckets: list[dict[Word, int]] = [{} for _ in range(degree + 1)]
-    buckets[0][()] = 1
-    for letter, count in _runs(_check_word(word)):
-        powers = [1]
-        for _ in range(degree):
-            powers.append(powers[-1] * count)
-        new: list[dict[Word, int]] = [{} for _ in range(degree + 1)]
-        for d, bucket in enumerate(buckets):
-            for w, num in bucket.items():
-                for k in range(degree - d + 1):
-                    key = w + (letter,) * k
-                    tgt = new[d + k]
-                    tgt[key] = tgt.get(key, 0) + num * powers[k] * comb(d + k, k)
-        buckets = new
     terms: Component = {}
-    for d, bucket in enumerate(buckets):
+    for d, bucket in enumerate(_numerators(word, degree)):
         den = factorial(d)
         for w, num in bucket.items():
-            if num:
-                terms[w] = Fraction(num, den)
+            terms[w] = Fraction(num, den)
     return TensorSeries(degree, terms)
 
 
 def log_signature(word: Iterable[int], degree: int = 5) -> TensorSeries:
-    return signature(word, degree).log()
+    """Truncated tensor logarithm of the signature, a Lie series.
+
+    With a = S - 1, log S = sum_m (-1)^(m+1) a^m / m. The degree-n part of
+    a^m is kept as an integer numerator over n!: the product of a degree-j
+    part of a^(m-1) and the degree-k part of a gains the binomial C(n, k).
+    The sum is scaled by L = lcm(1..degree) so that every 1/m is an
+    integer, and each output term becomes one Fraction over L n!.
+    """
+    a = _numerators(word, degree)
+    scale = lcm(*range(1, degree + 1))
+    total: list[dict[Word, int]] = [{} for _ in range(degree + 1)]
+    power = [{}] + a[1:]
+    for m in range(1, degree + 1):
+        if m > 1:
+            prev, power = power, [{} for _ in range(degree + 1)]
+            for n in range(m, degree + 1):
+                tgt = power[n]
+                for k in range(1, n - m + 2):
+                    left, right = prev[n - k], a[k]
+                    if not left or not right:
+                        continue
+                    c = comb(n, k)
+                    for u, x in left.items():
+                        cx = c * x
+                        for v, y in right.items():
+                            key = u + v
+                            tgt[key] = tgt.get(key, 0) + cx * y
+        if not any(power):
+            break
+        coef = scale // m if m % 2 else -(scale // m)
+        for n in range(m, degree + 1):
+            acc = total[n]
+            for w, x in power[n].items():
+                acc[w] = acc.get(w, 0) + coef * x
+    terms: Component = {}
+    for n, bucket in enumerate(total):
+        den = scale * factorial(n)
+        for w, x in bucket.items():
+            if x:
+                terms[w] = Fraction(x, den)
+    return TensorSeries(degree, terms)
 
 
 def shuffle_product(u: Word, w: Word) -> dict[Word, int]:
@@ -283,26 +318,32 @@ def bracket_expansion(word: Word) -> dict[Word, int]:
     return dict(_bracket_expansion(tuple(word)))
 
 
+@lru_cache(maxsize=None)
+def _lyndon_words_of_length(rank: int, n: int) -> tuple[Word, ...]:
+    return tuple(w for w in lyndon_words(rank, n) if len(w) == n)
+
+
 def lyndon_coordinates(component: Mapping[Word, Fraction], rank: int,
                        n: int) -> dict[Word, Fraction]:
     """Coordinates of a degree-n Lie component in the Lyndon bracket basis.
 
     Peels coefficients in increasing lexicographic order; triangularity of
-    bracket_expansion makes this exact. A nonzero remainder means the input
-    is not a Lie element, which is rejected.
+    bracket_expansion makes this exact. The peel runs on integers, the
+    component scaled by the lcm of its denominators. A nonzero remainder
+    means the input is not a Lie element, which is rejected.
     """
-    work = dict(_clean(component))
-    if any(len(w) != n for w in work):
+    comp = _clean(component)
+    if any(len(w) != n for w in comp):
         raise ValidationError(f"component is not homogeneous of degree {n}")
+    scale = lcm(*(c.denominator for c in comp.values()))
+    work = {w: c.numerator * (scale // c.denominator) for w, c in comp.items()}
     coords: dict[Word, Fraction] = {}
-    for lw in lyndon_words(rank, n):
-        if len(lw) != n:
-            continue
-        c = work.get(lw, _ZERO)
+    for lw in _lyndon_words_of_length(rank, n):
+        c = work.get(lw, 0)
         if c:
-            coords[lw] = c
+            coords[lw] = Fraction(c, scale)
             for w, k in _bracket_expansion(lw):
-                nv = work.get(w, _ZERO) - c * k
+                nv = work.get(w, 0) - c * k
                 if nv:
                     work[w] = nv
                 else:
@@ -609,6 +650,11 @@ def degree_and_lead(word: Iterable[int], max_degree: int = 8
                     ) -> tuple[int, LiePoly]:
     """Critical degree and leading Lie term of a word's log-signature.
 
+    Below the critical degree c every component of S - 1 vanishes, so the
+    log-signature and the signature agree at degree c: c is the first
+    degree at which the signature has a nonzero component, and that
+    component is the lead. No logarithm is built.
+
     The word must not reduce to the identity and max_degree must be at
     least 1. Raises NumericError with the scan cap if nothing shows up by
     max_degree (deep commutators; raise the cap to resolve).
@@ -620,9 +666,11 @@ def degree_and_lead(word: Iterable[int], max_degree: int = 8
         raise ValidationError("the identity word has no critical degree")
     r = max(abs(l) for l in w)
     for d in range(1, max_degree + 1):
-        comp = log_signature(w, d).component(d)
-        if comp:
-            return d, LiePoly.from_tensor(comp, r, d)
+        top = _numerators(w, d)[d]
+        if top:
+            den = factorial(d)
+            lead = {u: Fraction(num, den) for u, num in top.items()}
+            return d, LiePoly.from_tensor(lead, r, d)
     raise NumericError(f"no nonzero component up to degree {max_degree}")
 
 

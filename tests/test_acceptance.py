@@ -35,7 +35,6 @@ from loopsoup import (
     homology1_field_law,
     homology1_grid,
     homology1_intensity,
-    homology1_intensity_mod,
     homology2,
     homology2_intensity,
     homology3,
@@ -129,7 +128,7 @@ def test_criterion_02_signature_algebra():
         if not shuffle_check(s, u, v):
             failures.append(f"trial {trial}: shuffle identity broke")
         # the log lands in the free Lie algebra, degree by degree
-        ls = s.log()
+        ls = log_signature(w, 5)
         for n in range(1, 6):
             if not is_lie_component(ls.component(n), n):
                 failures.append(f"trial {trial}: log degree {n} not Lie")
@@ -339,7 +338,7 @@ def test_criterion_08_second_homology_law(bowtie, bowtie_frame):
         if abs(a - b) > em.tail:
             failures.append(f"m={m}: p=5 and p=7 disagree")
     tot = sum(got5.values())
-    want = homology1_intensity_mod(bowtie, bowtie_frame, (0, 0), 5)
+    want = homology1_intensity(bowtie, bowtie_frame, (0, 0), M=5)
     if abs(tot - want) > 1e-8:
         failures.append(f"sum over m {tot} vs null-class mass {want}")
     if time.time() - t0 > 300.0:

@@ -202,6 +202,14 @@ class TestHomotopy:
         assert 0.0 <= float(fields["quad_err"]) < 1e-9
         assert int(fields["rho_iterations"]) >= 1
 
+    def test_negative_max_len_exits_2(self, capsys, tri_path):
+        code, out = run_cli(capsys, "homotopy", tri_path, "--max-len", "-1")
+        assert code == 2
+        assert out == ""
+        code, out = run_cli(capsys, "homotopy", tri_path, "--max-len", "0")
+        assert code == 0
+        assert [l.split(",")[0] for l in out.splitlines()[2:]] == ["e"]
+
     def test_rank_zero_prints_trivial_row(self, capsys, tmp_path):
         p = tmp_path / "one.graph"
         p.write_text(ONE_VERTEX)
@@ -248,7 +256,9 @@ class TestFuzz:
             path = tmp_path / f"fuzz{i}.graph"
             path.write_text(text)
             for argv in (["validate"], ["homotopy", "--max-len", "2"],
-                         ["enumerate", "--n-max", "6"]):
+                         ["enumerate", "--n-max", "6"],
+                         ["homotopy", "--max-len", "-1"],
+                         ["h1", "--h-range", "-1"]):
                 try:
                     code = main([argv[0], str(path)] + argv[1:])
                 except Exception as exc:  # noqa: BLE001 - what the test looks for
@@ -290,6 +300,11 @@ class TestH1:
         lines = out.splitlines()
         assert lines[1] == "h1,h2,intensity"
         assert len(lines) == 2 + 9
+
+    def test_negative_range_exits_4(self, capsys, tri_path):
+        code, out = run_cli(capsys, "h1", tri_path, "--h-range", "-1")
+        assert code == 4
+        assert out == ""
 
     def test_unkilled_graph_exits_3(self, capsys, tmp_path):
         p = tmp_path / "free.graph"

@@ -22,7 +22,6 @@ from loopsoup import (
     homology1_field_law,
     homology1_grid,
     homology1_intensity,
-    homology1_intensity_mod,
     homology2,
     homology2_field_law,
     homology2_intensity,
@@ -134,7 +133,7 @@ class TestHomology1Law:
 
     def test_mod_p_aliases(self, triangle, triangle_frame):
         # mod 3 mass at residue 0 = sum over h = 0, +-3, +-6, ...
-        got = homology1_intensity_mod(triangle, triangle_frame, (0,), 3)
+        got = homology1_intensity(triangle, triangle_frame, (0,), M=3)
         direct = sum(homology1_intensity(triangle, triangle_frame, (h,), M=256)
                      for h in (-3, 3)) \
             + homology1_intensity(triangle, triangle_frame, (0,), M=256)
@@ -632,8 +631,8 @@ class TestHolonomyClassIntensities:
             conn[(u, v)] = val
             conn[(v, u)] = val
         ints = holonomy_class_intensities(triangle, conn, _z2())
-        even = homology1_intensity_mod(triangle, triangle_frame, (0,), 2)
-        odd = homology1_intensity_mod(triangle, triangle_frame, (1,), 2)
+        even = homology1_intensity(triangle, triangle_frame, (0,), M=2)
+        odd = homology1_intensity(triangle, triangle_frame, (1,), M=2)
         assert ints[(0,)] == pytest.approx(even, abs=1e-12)
         assert ints[(1,)] == pytest.approx(odd, abs=1e-12)
 
@@ -1025,13 +1024,13 @@ class TestHomology2:
         pairs = [(1, 2), (1, 3), (2, 3)]
         tot = sum(homology2_intensity(k4, k4_frame, dict(zip(pairs, key)), 3)
                   for key in itertools.product(range(3), repeat=3))
-        want = homology1_intensity_mod(k4, k4_frame, (0, 0, 0), 3)
+        want = homology1_intensity(k4, k4_frame, (0, 0, 0), M=3)
         assert tot == pytest.approx(want, abs=1e-8)
 
     def test_sum_over_m_is_mod_p_h1_mass(self, bowtie, bowtie_frame):
         tot = sum(homology2_intensity(bowtie, bowtie_frame, {(1, 2): m}, 5)
                   for m in range(5))
-        want = homology1_intensity_mod(bowtie, bowtie_frame, (0, 0), 5)
+        want = homology1_intensity(bowtie, bowtie_frame, (0, 0), M=5)
         assert tot == pytest.approx(want, abs=1e-10)
 
     def test_two_primes_agree(self, bowtie, bowtie_frame):

@@ -18,6 +18,7 @@ from loopsoup import (
     LiePoly,
     LoopSoupSampler,
     NumericError,
+    TensorSeries,
     ValidationError,
     bracket_expansion,
     crossing_counts,
@@ -54,6 +55,34 @@ from loopsoup import (
 def random_word(rng, rank, max_len):
     letters = [l for i in range(1, rank + 1) for l in (i, -i)]
     return reduce_word(rng.choices(letters, k=rng.randrange(max_len + 1)))
+
+
+def fraction_log(s):
+    """Reference tensor logarithm: sum_m (-1)^(m+1) (S - 1)^m / m, with the
+    powers taken by the Fraction product of TensorSeries."""
+    assert s.coefficient(()) == 1
+    a = TensorSeries(s.degree, {w: c for w, c in s.terms.items() if w})
+    out = {}
+    power = a
+    for m in range(1, s.degree + 1):
+        if m > 1:
+            power = power * a
+        coef = Fraction((-1) ** (m + 1), m)
+        for w, c in power.terms.items():
+            out[w] = out.get(w, Fraction(0)) + coef * c
+    return TensorSeries(s.degree, {w: c for w, c in out.items() if c})
+
+
+def reference_lead(word, max_degree=8):
+    """Critical degree and lead by the log route: the first nonzero
+    component of the Fraction log of the signature."""
+    w = reduce_word(word)
+    r = max(abs(l) for l in w)
+    for d in range(1, max_degree + 1):
+        comp = fraction_log(signature(w, d)).component(d)
+        if comp:
+            return d, LiePoly.from_tensor(comp, r, d)
+    raise NumericError(f"no nonzero component up to degree {max_degree}")
 
 
 class TestSignature:
@@ -145,12 +174,51 @@ class TestLogSignature:
 
     def test_log_exp_round_trip(self):
         x = (1, 2, -1, 2, 2)
-        s = signature(x, 4)
-        assert s.log() is not s
+        ls = log_signature(x, 4)
         # degree-1 part of log is the abelianization
-        comp = s.log().component(1)
+        comp = ls.component(1)
         assert comp.get((1,), Fraction(0)) == 0
         assert comp.get((2,), Fraction(0)) == 3
+
+
+class TestIntegerRoute:
+    """The integer log, Lyndon peel and lead against the Fraction routes."""
+
+    @staticmethod
+    def _words():
+        # three reduced words of length 3..8 on each rank 1..4
+        rng = random.Random(41)
+        words = [(), (3,)]
+        for rank in (1, 2, 3, 4):
+            letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+            while len(words) < 2 + 3 * rank:
+                w = reduce_word(rng.choices(letters, k=rng.randint(3, 8)))
+                if len(w) >= 3:
+                    words.append(w)
+        return words
+
+    WORDS = _words()
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
+    def test_log_equals_fraction_reference(self, degree):
+        for x in self.WORDS:
+            got = log_signature(x, degree)
+            assert got.terms == fraction_log(signature(x, degree)).terms, x
+            # a component does not depend on the truncation, and the Dynkin
+            # check of the degree-6 ones would take a second
+            for n in range(1, min(degree, 5) + 1):
+                assert is_lie_component(got.component(n), n)
+
+    def test_inverse_word_negates_log(self):
+        for x in self.WORDS:
+            ls = log_signature(x, 5)
+            inv = log_signature(inverse_word(x), 5)
+            assert inv.terms == {w: -c for w, c in ls.terms.items()}
+
+    def test_empty_and_single_letter(self):
+        assert log_signature((), 4).terms == {}
+        assert log_signature((3,), 4).terms == {(3,): Fraction(1)}
+        assert log_signature((-2, -2), 3).terms == {(2,): Fraction(-2)}
 
 
 class TestLyndon:
@@ -195,6 +263,19 @@ class TestLyndon:
         with pytest.raises(ValidationError):
             lyndon_coordinates({(1, 2): Fraction(1), (2, 1): Fraction(1)}, 2, 2)
 
+    def test_lyndon_coordinates_mixed_denominators(self):
+        # (7/6)[1,[1,2]] - (5/4)[[1,2],2]: tensor coefficients over 12, 6
+        # and 4 in one component
+        want = {(1, 1, 2): Fraction(7, 6), (1, 2, 2): Fraction(-5, 4)}
+        comp = {}
+        for lw, c in want.items():
+            for w, k in bracket_expansion(lw).items():
+                comp[w] = comp.get(w, Fraction(0)) + c * k
+        assert lyndon_coordinates(comp, 2, 3) == want
+        comp[(2, 1, 1)] += Fraction(1, 12)
+        with pytest.raises(ValidationError, match="free Lie algebra"):
+            lyndon_coordinates(comp, 2, 3)
+
 
 class TestLiePoly:
     def test_commutator_lead(self):
@@ -237,6 +318,19 @@ class TestLiePoly:
     def test_degree_cap_below_one_rejected(self):
         with pytest.raises(ValidationError, match="max_degree"):
             degree_and_lead((1,), max_degree=0)
+
+    def test_lead_equals_log_route(self):
+        rng = random.Random(59)
+        words = [random_word(rng, 1 + i % 3, 9) for i in range(12)]
+        depth4 = (1,)
+        for _ in range(4):
+            depth4 = group_commutator(depth4, (2,))
+        words += [depth4, group_commutator(group_commutator((1,), (2,)),
+                                           group_commutator((1,), (3,)))]
+        for x in words:
+            if reduce_word(x):
+                assert degree_and_lead(x) == reference_lead(x), x
+        assert degree_and_lead(depth4)[0] == 5
 
     def test_round_trip_through_tensor(self):
         w = group_commutator((1,), (2,))
