@@ -24,7 +24,7 @@ from .signature import degree_and_lead
 from .soup import (MeasureConfig, dumps_soup, enumerate_measure, occupation,
                    sample_soup, spectral_radius, total_mass)
 from .spectra import class_intensity, contractible_intensity, ihara_check, solve_rho
-from .fourier import _homology1_values, homology2_field_law, homology2_intensity
+from .fourier import _homology1_values, _homology2_values
 from . import __version__
 
 
@@ -178,29 +178,23 @@ def cmd_h1(args) -> None:
 def cmd_h2(args) -> None:
     g = _load_graph(args.graph)
     frame = spanning_tree_frame(g)
-    r = frame.rank
-    q = r * (r - 1) // 2
-    p = args.p
+    q = frame.rank * (frame.rank - 1) // 2
     if args.m is not None:
         ms = [_parse_ints(args.m, "--m")]
         if len(ms[0]) != q:
             raise ConfigError(f"--m needs {q} entries (pairs i<j in lex order)")
     else:
-        ms = [tuple(int(x) for x in idx) for idx in np.ndindex(*([p] * q))]
-    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-    value_col = "probability" if args.field else "intensity"
+        ms = list(np.ndindex(*([args.p] * q)))
+    pairs = [(i, j) for i in range(1, frame.rank + 1) for j in range(i + 1, frame.rank + 1)]
+    vals, M, bound = _homology2_values(g, frame, [dict(zip(pairs, m)) for m in ms], args.p,
+                                       args.alpha, args.field, args.grid)
+    certified = {} if bound is None else {"alias_bound": _fmt(bound)}
     manifest = _manifest("h2", {
-        "graph": args.graph, "p": p, "field": args.field,
-        "alpha": args.alpha, "M": args.grid,
+        "graph": args.graph, "p": args.p, "field": args.field, "alpha": args.alpha,
+        "M": args.grid if bound is None else M, **certified,
     })
-    lines = [manifest, f"m,p,{value_col}"]
-    for m in ms:
-        mdict = dict(zip(pairs, m))
-        if args.field:
-            val = homology2_field_law(g, frame, args.alpha, mdict, p, M=args.grid)
-        else:
-            val = homology2_intensity(g, frame, mdict, p, alpha=args.alpha)
-        lines.append(f"{' '.join(str(x) for x in m)},{p},{_fmt(val)}")
+    lines = [manifest, f"m,p,{'probability' if args.field else 'intensity'}"]
+    lines += [f"{' '.join(map(str, m))},{args.p},{_fmt(v)}" for m, v in zip(ms, vals)]
     _emit(args, lines)
 
 
@@ -276,7 +270,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", help="skew entries for pairs i<j in lex order")
     p.add_argument("--field", action="store_true")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--M", type=int, default=8, dest="grid")
+    p.add_argument("--M", type=int, default=None, dest="grid")
 
     p = add("zeta", cmd_zeta, "geodesic determinant identity, exact series")
     p.add_argument("--max-degree", type=int, default=8, dest="max_degree")

@@ -13,15 +13,14 @@ symmetry C(x,y) = C(y,x), so every twisted matrix is similar to a
 Hermitian one; determinants are evaluated through real eigenvalues, which
 keeps the logarithms on the principal branch by construction.
 
-First-homology grids larger than 3 points per dimension are the
-exception. det(I - P^theta) is a Laurent polynomial with exponents in
-{-1, 0, 1} per generator (Forman, Topology 1993; Kenyon, Ann. Probab.
-2011), so its 3^r coefficients, read exactly off the eigenvalue route on
-the 3-point grid, give the whole grid by one FFT; the determinant is
-positive there, so its logarithm is real. Along each real axis the same
-coefficients give the determinant in closed form, and with it a tail bound
-on every winding that picks the automatic grid size and bounds its
-aliasing.
+Every torus grid has one route. Twisted by unitary blocks of size d,
+det(I - P) is a Laurent polynomial of degree at most d in each generator
+(Forman, Topology 1993; Kenyon, Ann. Probab. 2011, for d = 1), so a grid of
+more than 2d + 1 points per generator comes from its (2d+1)^r coefficients,
+read exactly off the eigenvalue route on the (2d+1)-point grid, by one FFT.
+For first homology (d = 1) the same coefficients give the determinant in
+closed form along each real axis, hence a tail bound on every winding that
+picks the automatic grid size of the H1 and H2 laws and bounds its aliasing.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import ConfigError, NumericError, ValidationError
 from .graphs import GraphModel, SpanningTreeFrame
 from .soup import total_mass
 
@@ -116,55 +115,61 @@ def twisted_log_det(g: GraphModel, frame: SpanningTreeFrame,
     return float(_twisted_log_dets(g, frame.crossing, phases, None, "P^theta")[0])
 
 
-def _eigen_grid(g: GraphModel, frame: SpanningTreeFrame,
-                m: int) -> np.ndarray:
-    """log det(I - P^(k/m)) on the m-grid, one eigensolve per point."""
-    ones = np.ones((1, frame.rank, 1, 1), dtype=complex)
-    return _twisted_log_dets(g, frame.crossing, ones, m,
-                             "P^theta").reshape((m,) * frame.rank)
+def _laurent_coefficients(g: GraphModel, frame: SpanningTreeFrame, unitaries: np.ndarray,
+                          what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The Laurent coefficients c_k, k in {-d..d}^r at index k mod 2d + 1,
+    of D = det(I - P twisted) for each twist of a batch (_torus_log_dets),
+    scaled by exp(-shift), shift the twist's largest log D on the
+    (2d+1)-grid: exact, by one DFT of D there."""
+    b, r, d, _ = unitaries.shape
+    logs = _twisted_log_dets(g, frame.crossing, unitaries, 2 * d + 1, what).reshape(b, -1)
+    shift = logs.max(axis=1)
+    dets = np.exp(logs - shift[:, None]).reshape((b,) + (2 * d + 1,) * r)
+    return np.fft.fftn(dets, axes=range(1, r + 1), norm="forward"), shift
+
+
+def _torus_log_dets(g: GraphModel, frame: SpanningTreeFrame, unitaries: np.ndarray,
+                    m: int | None, what: str, laurent=None) -> np.ndarray:
+    """log det(I - P twisted), shape (b, m^rank), at the points of the
+    m-grid (z = 1 alone with m None) of a batch as in _twisted_log_dets.
+
+    Grids of at most 2d + 1 points per generator are eigensolved; a larger
+    one is one inverse FFT of the Laurent coefficients (memoized ones from
+    laurent(), if given), with a rounding error of (2d+1)^r u / D + u |log D|
+    up to a few times (u = 2^-53, D scaled by the shift); D <= 0 raises.
+    """
+    b, r, d, _ = unitaries.shape
+    if m is None or not r or m <= 2 * d + 1:
+        return _twisted_log_dets(g, frame.crossing, unitaries, m, what).reshape(b, -1)
+    coef, shift = laurent() if laurent else _laurent_coefficients(g, frame, unitaries, what)
+    at = [*range(d + 1), *range(m - d, m)]  # k = 0..d, then -d..-1, mod m
+    spectrum = np.zeros((b,) + (m,) * (r - 1) + (m // 2 + 1,), dtype=coef.dtype)
+    spectrum[(slice(None), *np.ix_(*[at] * (r - 1)), slice(d + 1))] = coef[..., :d + 1]
+    dets = np.fft.irfftn(spectrum, s=(m,) * r, axes=range(1, r + 1), norm="forward")
+    if not dets.min() > 0:
+        raise NumericError(_MASSLESS.format(what))
+    return np.log(dets.reshape(b, -1)) + shift[:, None]
 
 
 @functools.lru_cache(maxsize=1)
-def _laurent(g: GraphModel, frame: SpanningTreeFrame) -> tuple[np.ndarray, float]:
-    """The Laurent coefficients of D = det(I - P^theta) in z_j = exp(2 pi i
-    theta_j), scaled by exp(-shift), with shift the largest log D on the
-    3-grid: c_k at index k mod 3 for k in {-1, 0, 1}^r, the last index
-    halved to {0, 1} since c is real and c_-k = c_k (D is real and even).
-
-    z_j enters I - P^theta only at the two entries of cogenerator j, as z_j
-    and 1/z_j, so these 3^r coefficients are exact and one inverse 3-point
-    DFT of D on the 3-grid recovers them. Memoized for the last graph and
-    frame, so that the grid size and the grid of a law share them; read-only.
-    """
-    logs = _eigen_grid(g, frame, 3)
-    shift = float(logs.max())
-    coef = np.fft.rfftn(np.exp(logs - shift), norm="forward").real
-    coef.flags.writeable = False
+def _laurent(g: GraphModel, frame: SpanningTreeFrame) -> tuple[np.ndarray, np.ndarray]:
+    """_laurent_coefficients of P^theta, real since D is real and even;
+    memoized for the last graph and frame, which the grid size and the grid
+    of a law share, and read-only."""
+    coef, shift = _laurent_coefficients(g, frame, np.ones((1, frame.rank, 1, 1)), "P^theta")
+    coef = coef.real
+    coef.flags.writeable = shift.flags.writeable = False
     return coef, shift
 
 
 def homology1_grid(g: GraphModel, frame: SpanningTreeFrame, m: int) -> np.ndarray:
-    """log det(I - P^(k/m)) over the full torus grid, shape (m,) * rank.
-
-    Grids of more than 3 points per dimension come from the exact Laurent
-    coefficients of D = det(I - P^theta): 3^rank eigensolves, then one real
-    inverse FFT. The rounding error of log D at a point is then 3^r u / D +
-    u |log D| up to a factor of a few (u = 2^-53, D scaled by _laurent's
-    shift), and a grid value D <= 0 raises NumericError. Grids of 2 or 3
-    points are eigensolved point by point.
-    """
+    """log det(I - P^(k/m)) over the full torus grid, shape (m,) * rank, by
+    _torus_log_dets with d = 1: beyond 3 points per dimension, the 3^rank
+    eigensolves of the memoized coefficients and one inverse FFT."""
     if m < 2:
         raise ValidationError("grid size must be >= 2")
-    r = frame.rank
-    if m <= 3 or not r:
-        return _eigen_grid(g, frame, m)
-    coef, shift = _laurent(g, frame)
-    spectrum = np.zeros((m,) * (r - 1) + (m // 2 + 1,))
-    spectrum[np.ix_(*[[0, 1, m - 1]] * (r - 1), [0, 1])] = coef
-    d = np.fft.irfftn(spectrum, s=(m,) * r, axes=range(r), norm="forward")
-    if not d.min() > 0:
-        raise NumericError(_MASSLESS.format("P^theta"))
-    return np.log(d) + shift
+    return _torus_log_dets(g, frame, np.ones((1, frame.rank, 1, 1)), m, "P^theta",
+                           functools.partial(_laurent, g, frame)).reshape((m,) * frame.rank)
 
 
 # The aliasing bound an automatic grid size meets, and the most points it
@@ -188,14 +193,11 @@ def _alias_bounds(g: GraphModel, frame: SpanningTreeFrame, reach: np.ndarray,
     tails over the axes, each minimized over t = exp(2 f x), f = 1 -
     2^(-j/2) for j = 1..100. An axis with a_1 >= 0 carries no winding.
     """
-    coef = _laurent(g, frame)[0]
-    r = coef.ndim
-    # the plane k_r = -1, not stored, holds c_-k of the plane k_r = 1
-    full = np.concatenate([coef, coef[np.ix_(*[[0, 2, 1]] * (r - 1), [1])]], axis=-1)
-    d1 = full.sum()
+    coef = _laurent(g, frame)[0][0]
+    d1 = coef.sum()
     if not d1 > 0:
         raise NumericError(_MASSLESS.format("P"))
-    drop = -np.array([np.moveaxis(full, i, 0)[1:].sum() for i in range(r)]) / 2
+    drop = -np.array([np.moveaxis(coef, i, 0)[1:].sum() for i in range(coef.ndim)]) / 2
     x = np.arcsinh(np.sqrt(d1 / drop[drop > 0]) / 2)[:, None]
     y = (1.0 - 2.0 ** (-np.arange(1, 101) / 2)) * x
     ky = (np.asarray(ms, dtype=float)[:, None, None] - reach[drop > 0, None]) * y
@@ -207,19 +209,48 @@ def _alias_bounds(g: GraphModel, frame: SpanningTreeFrame, reach: np.ndarray,
     return np.exp(tails.min(axis=-1)).sum(axis=-1)
 
 
+def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
+               reach: np.ndarray, alpha: float | None = None,
+               weight: float = 1.0) -> tuple[int | None, float | None]:
+    """M, checked (ConfigError past _GRID_POINTS points), or the smallest
+    power of two above 2 max reach with weight * _alias_bounds at most
+    _ALIAS_TOL (NumericError past _GRID_POINTS), and that bound; None for a
+    given M and on rank 0, which has no grid."""
+    r = frame.rank
+    if M is not None:
+        if M < 2:
+            raise ValidationError("grid size must be >= 2")
+        if M ** r > _GRID_POINTS:
+            raise ConfigError(f"grid size M={M}: over the budget of {_GRID_POINTS} points")
+        return M, None
+    if not r:
+        return None, None
+    ms = 2 ** np.arange(1, 63)
+    ms = ms[ms > 2 * reach.max()]
+    bounds = weight * _alias_bounds(g, frame, reach, ms, alpha)  # falls as M grows
+    i = min(np.count_nonzero(bounds > _ALIAS_TOL), ms.size - 1)
+    M, bound = int(ms[i]), float(bounds[i])
+    if bound > _ALIAS_TOL or M ** r > _GRID_POINTS:
+        raise NumericError(f"an aliasing bound of {_ALIAS_TOL} needs grid size M={M} "
+                           f"(bound {bound:.1e}), over the budget of {_GRID_POINTS} points")
+    return M, bound
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < math.inf:
+        raise ValidationError(f"alpha must be positive and finite, got {alpha}")
+
+
 def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
                       hs: Iterable[Sequence[int]], M: int | None = None,
                       alpha: float | None = None
                       ) -> tuple[list[float], int | None, float | None]:
     """The first-homology law at every h of hs on one grid of M points per
-    dimension, with M and its aliasing bound (None when M is given, and on
-    rank 0, which has no grid).
+    dimension, with M and its aliasing bound from _grid_size.
 
     With alpha, P(total soup winding = h); otherwise the intensity. Either
     is h-aliased mod M: it sums the law over every h' congruent to h. With
-    M omitted, M is the smallest power of two above 2 max|h| over hs whose
-    _alias_bounds is at most _ALIAS_TOL; NumericError names it when M^rank
-    exceeds _GRID_POINTS.
+    M omitted, the reach is max|h| over hs.
     """
     hs = [tuple(h) for h in hs]
     for h in hs:
@@ -228,21 +259,12 @@ def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
         if any(not isinstance(x, (int, np.integer)) for x in h):
             raise ValidationError(f"h must be integer, got {h}")
     hs = [tuple(int(x) for x in h) for h in hs]
+    if alpha is not None:
+        _check_alpha(alpha)
+    reach = np.abs(np.array(hs, dtype=float).reshape(len(hs), frame.rank))
+    M, bound = _grid_size(g, frame, M, reach.max(axis=0, initial=0.0), alpha)
     if frame.rank == 0:
-        return [1.0 if alpha is not None else total_mass(g) for _ in hs], M, None
-    bound = None
-    if M is None:
-        reach = np.abs(np.array(hs, dtype=float).reshape(-1, frame.rank))
-        reach = reach.max(axis=0, initial=0.0)
-        ms = 2 ** np.arange(1, 63)
-        ms = ms[ms > 2 * reach.max()]
-        bounds = _alias_bounds(g, frame, reach, ms, alpha)  # falls as M grows
-        i = min(np.count_nonzero(bounds > _ALIAS_TOL), ms.size - 1)
-        M, bound = int(ms[i]), float(bounds[i])
-        if bound > _ALIAS_TOL or M ** frame.rank > _GRID_POINTS:
-            raise NumericError(f"an aliasing bound of {_ALIAS_TOL} needs grid size "
-                               f"M={M} (bound {bound:.1e}), over the budget of "
-                               f"{_GRID_POINTS} points")
+        return [1.0 if alpha is not None else total_mass(g) for _ in hs], M, bound
     if alpha is not None:
         grid = homology1_field_grid(g, frame, alpha, M)
         return [float(grid[tuple(x % M for x in h)]) for h in hs], M, bound
@@ -273,8 +295,7 @@ def homology1_field_grid(g: GraphModel, frame: SpanningTreeFrame,
     on the grid gives probabilities aliased mod M. They are nonnegative
     and sum to 1 exactly (the k=0 character is 1).
     """
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
+    _check_alpha(alpha)
     grid = homology1_grid(g, frame, M)
     char = np.exp(alpha * (grid.flat[0] - grid))
     probs = np.fft.fftn(char) / char.size
@@ -462,8 +483,7 @@ def holonomy_class_intensities(g: GraphModel,
     irreps by group_data); the irreps of one dimension form one batch,
     checked for reversal and evaluated in one call of the assembler.
     """
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
+    _check_alpha(alpha)
     oriented = [(a, b) for u, v in g.edges for a, b in ((u, v), (v, u))]
     for e in oriented:
         if e not in connection:
@@ -504,9 +524,10 @@ def _check_prime(p) -> None:
 def _check_skew(h, r: int, p: int) -> tuple[tuple[int, ...], ...]:
     mat = [[0] * r for _ in range(r)]
     if isinstance(h, Mapping):
-        for (i, j), val in h.items():
+        for key, val in h.items():
+            i, j = key if len(key) == 2 else (0, 0)
             if not (1 <= i < j <= r):
-                raise ValidationError(f"pair index {(i, j)} not 1 <= i < j <= {r}")
+                raise ValidationError(f"pair index {tuple(key)} not 1 <= i < j <= {r}")
             mat[i - 1][j - 1] = int(val) % p
             mat[j - 1][i - 1] = (-int(val)) % p
     else:
@@ -606,21 +627,6 @@ def nilpotent_rep(p: int, r: int, h) -> NilpotentRep:
         if not np.allclose(gens[i] @ gens[j], rep.matrix(*prod_elem), atol=1e-10):
             raise NumericError(f"homomorphism fails on generators ({i + 1}, {j + 1})")
     return rep
-
-
-def _check_m(m, r: int, p: int) -> dict[tuple[int, int], int]:
-    pairs = list(itertools.combinations(range(1, r + 1), 2))
-    out = {pair: 0 for pair in pairs}
-    if isinstance(m, Mapping):
-        for key, val in m.items():
-            key = tuple(key)
-            if key not in out:
-                raise ValidationError(f"pair index {key} not 1 <= i < j <= {r}")
-            out[key] = int(val) % p
-    else:
-        mat = _check_skew(m, r, p)
-        out = {(i, j): mat[i - 1][j - 1] for i, j in pairs}
-    return out
 
 
 def _skew_grid(r: int, p: int) -> np.ndarray:
@@ -781,29 +787,46 @@ def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
 
     The twist splits into p^k copies of each of its p^(r-2k) Schrodinger
     blocks, so T(h) = -(p^k / p^r) sum over blocks of log det(I - P twisted
-    by the block). The blocks of one size, over all h, go through the
-    assembler as one batch; the blocks of one h hold r p^r entries, so the
-    h are taken in slices of at most about _CHUNK_ENTRIES block entries.
+    by the block). The blocks of one size go through _torus_log_dets as one
+    batch, h in slices of about _CHUNK_ENTRIES block entries times points.
     """
     r = frame.rank
     count = p ** (r * (r - 1) // 2)
-    step = max(1, _CHUNK_ENTRIES // (max(r, 1) * p ** r))
-    out = np.empty((count, 1 if m is None else m ** r))
+    points = 1 if m is None else m ** r
+    step = max(1, _CHUNK_ENTRIES // (max(r, 1) * p ** r * points))
+    out = np.empty((count, points))
     for lo in range(0, count, step):
         for k, owners, blocks in _heisenberg_blocks(p, r, lo, min(lo + step, count)):
             n, each = blocks.shape[:2]
-            logs = _twisted_log_dets(g, frame.crossing,
-                                     blocks.reshape((n * each,) + blocks.shape[2:]),
-                                     m, "Heisenberg twist")
+            logs = _torus_log_dets(g, frame, blocks.reshape((n * each,) + blocks.shape[2:]),
+                                   m, "Heisenberg twist")
             out[lo + owners] = -(p ** k) * logs.reshape(n, each, -1).sum(axis=1) / p ** r
     return out
 
 
-def _inverse_dft_row(m, r: int, p: int) -> np.ndarray:
-    """omega^(-<m, h>) at every skew h mod p in the order of _skew_grid,
-    with the full skew pairing <m, h> = 2 sum_{i<j} m_ij h_ij."""
-    mm = np.array(list(_check_m(m, r, p).values()), dtype=np.int64)
-    return _roots(p)[-2 * (_skew_grid(r, p) @ mm) % p]
+def _homology2_values(g: GraphModel, frame: SpanningTreeFrame, ms: Sequence, p: int,
+                      alpha: float = 1.0, field: bool = False, M: int | None = None
+                      ) -> tuple[list[float], int | None, float | None]:
+    """The second-homology law mod p at every m of ms, with M and its bound
+    from _grid_size: one FFT over skew h, read at 2m, of alpha T(h), or with
+    field of exp(alpha (S(h) - S(0))), S the mean of T over the M-grid. S keeps
+    loops of nonzero winding in M Z^r, an error of at most alpha sum_i
+    mu(|W_i| >= M) (_alias_bounds at reach 0). Rows do not depend on others."""
+    _check_alpha(alpha)
+    _check_prime(p)
+    r = frame.rank
+    pairs = list(itertools.combinations(range(r), 2))  # lex order, as in _skew_grid
+    at = [tuple(2 * h[i][j] % p for i, j in pairs)
+          for h in (_check_skew(m, r, p) for m in ms)]
+    M, bound = _grid_size(g, frame, M, np.zeros(r), weight=alpha) if field else (M, None)
+    s = _heisenberg_traces(g, frame, p, M if field else None).mean(axis=1)
+    f, what, scale = ((np.exp(alpha * (s - s[0])), "field law", 1.0) if field
+                      else (s, "intensity", alpha))
+    spec = np.fft.fftn(f.reshape((p,) * len(pairs))) / f.size
+    vals = [_assert_real(spec[k], f"homology2 {what}") * scale for k in at]
+    if min(vals, default=0.0) < -1e-9:
+        raise NumericError(f"homology2 {what} {min(vals):.3e} is negative")
+    return [min(max(v, 0.0), 1.0) for v in vals] if field else vals, M, bound
 
 
 def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
@@ -817,37 +840,19 @@ def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
     invariant value carrying mass removes the mod-p aliasing, which can be
     certified by agreement between two such primes.
     """
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
-    _check_prime(p)
-    row = _inverse_dft_row(m, frame.rank, p)
-    acc = _heisenberg_traces(g, frame, p)[:, 0] @ row
-    val = _assert_real(acc / len(row), "homology2 intensity") * alpha
-    if val < -1e-9:
-        raise NumericError(f"homology2 intensity {val:.3e} is negative")
-    return val
+    return _homology2_values(g, frame, [m], p, alpha)[0][0]
 
 
 def homology2_field_law(g: GraphModel, frame: SpanningTreeFrame,
-                        alpha: float, m, p: int, M: int = 8) -> float:
+                        alpha: float, m, p: int, M: int | None = None) -> float:
     """P(second-homology field of the soup = m mod p), the field summing
     the invariant over sampled loops with winding exactly zero.
 
-    The exact-zero winding filter comes from averaging an extra torus
-    phase over an M-point grid per generator (aliasing by multiples of
-    lcm(M, p), negligible once loops that long carry no mass); the mod-p
-    law is then a finite Fourier inversion of the Poisson characteristic
-    function over skew h.
+    The zero-winding filter averages extra phases over M points per
+    generator, from the (2d+1)^r Laurent coefficients of each block of size
+    d, and keeps loops of nonzero winding in lcm(M, p) Z^r: alpha times their
+    mass bounds the error. An omitted M is the smallest power of two whose H1
+    tail bound on it is at most 1e-12 (past 2^16 points, NumericError). The
+    mod-p law is a Fourier inversion of the Poisson characteristic function.
     """
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
-    _check_prime(p)
-    if M < 2:
-        raise ValidationError("grid size must be >= 2")
-    row = _inverse_dft_row(m, frame.rank, p)
-    s = _heisenberg_traces(g, frame, p, M).sum(axis=1) / M ** frame.rank
-    acc = np.exp(alpha * (s - s[0])) @ row
-    val = _assert_real(acc / len(row), "homology2 field law")
-    if val < -1e-9:
-        raise NumericError(f"homology2 field probability {val:.3e} is negative")
-    return min(max(val, 0.0), 1.0)
+    return _homology2_values(g, frame, [m], p, alpha, field=True, M=M)[0][0]

@@ -14,6 +14,7 @@ truncation certified by a geometric tail bound.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -283,12 +284,12 @@ class MeasureConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError("alpha must be positive and finite")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
-        if self.tail_tol <= 0:
-            raise ConfigError("tail_tol must be positive")
+        if not 0 < self.tail_tol < math.inf:
+            raise ConfigError("tail_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -371,8 +372,8 @@ class LoopSoupSampler:
 
     def __init__(self, g: GraphModel, frame: SpanningTreeFrame,
                  alpha: float = 1.0, n_max: int = 24):
-        if alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ConfigError("alpha must be positive and finite")
         if n_max < 1:
             raise ConfigError("n_max must be >= 1")
         self.graph = g

@@ -164,6 +164,15 @@ class TestSample:
                           "--n-max", "5", "--tail-tol", "1e-12")
         assert code == 4
 
+    @pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--alpha", "inf"),
+                                       ("--tail-tol", "nan"), ("--tail-tol", "inf")])
+    def test_non_finite_value_exits_4(self, capsys, tri_path, flags):
+        # a tail the default n_max certifies, so that only the flag is bad
+        code, out = run_cli(capsys, "sample", tri_path, "--n-max", "42",
+                            "--tail-tol", "1e-7", *flags)
+        assert code == 4
+        assert out == ""
+
 
 class TestEnumerate:
     def test_header_and_trivial_row(self, capsys, tri_path):
@@ -258,7 +267,9 @@ class TestFuzz:
             for argv in (["validate"], ["homotopy", "--max-len", "2"],
                          ["enumerate", "--n-max", "6"],
                          ["homotopy", "--max-len", "-1"],
-                         ["h1", "--h-range", "-1"]):
+                         ["h1", "--h-range", "-1"], ["h2", "--p", "3", "--field"],
+                         ["h1", "--field", "--alpha", "nan"], ["h1", "--M", "100000"],
+                         ["sample", "--tail-tol", "nan"]):
                 try:
                     code = main([argv[0], str(path)] + argv[1:])
                 except Exception as exc:  # noqa: BLE001 - what the test looks for
@@ -340,6 +351,24 @@ class TestH1:
         assert "alias_bound" not in explicit
         assert out.splitlines()[1:] == explicit.splitlines()[1:]
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
+    def test_bad_alpha_exits_2_on_every_rank(self, capsys, tri_path, tmp_path, alpha):
+        tree = tmp_path / "tree.graph"
+        tree.write_text(TREE)
+        for path in (tri_path, str(tree)):
+            code, out = run_cli(capsys, "h1", path, "--field", "--alpha", alpha)
+            assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("h1", "k4", "--h=0,0,0", "--M", "100000"),
+        ("h1", "tri", "--M", "70000"),
+        ("h2", "k4", "--p", "3", "--field", "--M", "100000")])
+    def test_grid_over_the_point_budget_exits_4(self, capsys, tri_path, k4_path, argv):
+        path = {"k4": k4_path, "tri": tri_path}[argv[1]]
+        code = main([argv[0], path, *argv[2:]])
+        assert code == 4
+        assert "over the budget of 65536 points" in capsys.readouterr().err
+
     def test_near_critical_names_the_certified_size(self, capsys, tmp_path):
         p = tmp_path / "critical.graph"
         p.write_text("vertices 3\nedge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n"
@@ -383,6 +412,24 @@ class TestH2:
         assert lines[1] == "m,p,probability"
         tot = sum(float(l.split(",")[2]) for l in lines[2:])
         assert tot == pytest.approx(1.0, abs=1e-8)
+
+    def test_automatic_manifest_records_the_certificate(self, capsys, bow_path):
+        code, out = run_cli(capsys, "h2", bow_path, "--p", "5", "--field")
+        assert code == 0
+        fields = dict(f.split("=", 1) for f in out.splitlines()[0].split()[3:])
+        assert fields["M"] == "16"
+        assert 0 < float(fields["alias_bound"]) <= 1e-12
+        _, explicit = run_cli(capsys, "h2", bow_path, "--p", "5", "--field", "--M", "16")
+        assert "alias_bound" not in explicit and " M=16" in explicit.splitlines()[0]
+        assert out.splitlines()[1:] == explicit.splitlines()[1:]
+        _, intensity = run_cli(capsys, "h2", bow_path, "--p", "5")
+        assert " M=None" in intensity.splitlines()[0] and "alias_bound" not in intensity
+
+    @pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--alpha", "inf"),
+                                       ("--field", "--alpha", "nan")])
+    def test_non_finite_alpha_exits_2(self, capsys, bow_path, flags):
+        code, out = run_cli(capsys, "h2", bow_path, "--p", "5", *flags)
+        assert (code, out) == (2, "")
 
     def test_composite_p_exits_2(self, capsys, bow_path):
         code, _ = run_cli(capsys, "h2", bow_path, "--p", "6")

@@ -283,9 +283,9 @@ class TestLaurentGrid:
                                             monkeypatch):
         # log D near -1000, as on a graph of about 1500 vertices: exp(log D)
         # underflows to 0 without the shift by the largest log
-        assembled = fourier._eigen_grid
-        monkeypatch.setattr(fourier, "_eigen_grid",
-                            lambda g, frame, m: assembled(g, frame, m) - 1000.0)
+        assembled = fourier._twisted_log_dets
+        monkeypatch.setattr(fourier, "_twisted_log_dets",
+                            lambda *args: assembled(*args) - 1000.0)
         fourier._laurent.cache_clear()
         grid = homology1_grid(bowtie, bowtie_frame, 16)
         fourier._laurent.cache_clear()
@@ -293,10 +293,12 @@ class TestLaurentGrid:
             <= 1e-12
 
     def test_coefficients_are_read_only(self, bowtie, bowtie_frame):
-        coef, _ = fourier._laurent(bowtie, bowtie_frame)
-        assert coef.shape == (3, 2)
+        coef, shift = fourier._laurent(bowtie, bowtie_frame)
+        assert coef.shape == (1, 3, 3)
         with pytest.raises(ValueError):
-            coef[0, 0] = 0.0
+            coef[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            shift[0] = 0.0
 
 
 def _law_on_large_grid(g, frame, m, hs, alpha):
@@ -922,6 +924,30 @@ class TestSchrodingerBlocks:
             fourier._schrodinger_blocks(b[None], a, a_inv, k, p)
 
 
+class TestBlockCoefficients:
+    """Every torus grid of more than 2d + 1 points per generator is read off
+    the (2d+1)^r Laurent coefficients of each block of size d; direct
+    eigensolves on the grid are the reference."""
+
+    @pytest.mark.parametrize("name,p", [("bowtie", 3), ("bowtie", 5), ("k4", 3)])
+    def test_matches_direct_eigensolves(self, name, p):
+        g, frame = _random_weights(name)
+        r = frame.rank
+        u = 2.0 ** -53
+        for _, _, blocks in fourier._heisenberg_blocks(p, r, 0, p ** (r * (r - 1) // 2)):
+            twists = blocks.reshape((-1,) + blocks.shape[2:])[:2]
+            d = twists.shape[-1]
+            _, shift = fourier._laurent_coefficients(g, frame, twists, "block")
+            for m in range(2 * d + 2, 17):
+                got = fourier._torus_log_dets(g, frame, twists, m, "block")
+                want = fourier._twisted_log_dets(g, frame.crossing, twists, m,
+                                                 "block").reshape(len(twists), -1)
+                # (2d+1)^r u max D / min D, D scaled by the shift, up to the
+                # factor of a few that the estimate allows
+                stated = (2 * d + 1) ** r * u * np.exp(shift - want.min(axis=1))
+                assert np.all(np.abs(got - want).max(axis=1) <= 8 * stated), (d, m)
+
+
 def _charge_oracle(g, frame, p, n_max):
     """Brute-force mod-p law from the enumeration, folding each class
     word through the mod-p group law: a letter +-i carries (+-e_i, 0)
@@ -1048,6 +1074,11 @@ class TestHomology2:
         with pytest.raises(ValidationError):
             homology2_intensity(bowtie, bowtie_frame, {(1, 2): 0}, 4)
 
+    @pytest.mark.parametrize("m", [{(1, 2, 3): 1}, {(2, 1): 1}, {(1, 3): 1}])
+    def test_rejects_bad_pair_index(self, bowtie, bowtie_frame, m):
+        with pytest.raises(ValidationError, match="pair index"):
+            homology2_intensity(bowtie, bowtie_frame, m, 5)
+
 
 class TestHomology2Field:
     def test_sums_to_one(self, bowtie, bowtie_frame):
@@ -1084,3 +1115,79 @@ class TestHomology2Field:
             want = homology2_field_law(bowtie, bowtie_frame, 1.0, {(1, 2): m}, p)
             se = math.sqrt(max(want * (1 - want), 1e-12) / n)
             assert abs(hits[m] / n - want) < 5 * se + 0.01
+
+
+def _h2_rows(frame, p):
+    pairs = list(itertools.combinations(range(1, frame.rank + 1), 2))
+    return [dict(zip(pairs, m)) for m in itertools.product(range(p), repeat=len(pairs))]
+
+
+class TestHomology2Table:
+    """One call evaluates every row of an H2 table from one batch of
+    traces; the one-row laws are its views."""
+
+    @pytest.mark.parametrize("field,M", [(False, None), (True, 2), (True, None)])
+    def test_rows_equal_one_row_views(self, k4, k4_frame, monkeypatch, field, M):
+        ms = _h2_rows(k4_frame, 3)
+        table, _, _ = fourier._homology2_values(k4, k4_frame, ms, 3, 0.8, field, M)
+        # the traces do not depend on the row: computed once here, so that
+        # 27 single rows at the certified M stay cheap
+        traces = {}
+        computed = fourier._heisenberg_traces
+        monkeypatch.setattr(fourier, "_heisenberg_traces", lambda g, frame, p, m=None: (
+            traces[m] if m in traces else traces.setdefault(m, computed(g, frame, p, m))))
+        for m, want in zip(ms, table):
+            if field:
+                got = homology2_field_law(k4, k4_frame, 0.8, m, 3, M=M)
+            else:
+                got = homology2_intensity(k4, k4_frame, m, 3, alpha=0.8)
+            assert got == want
+        assert len(traces) == 1
+
+    @pytest.mark.parametrize("field", [False, True])
+    def test_table_eigensolves_as_often_as_one_row(self, k4, k4_frame, monkeypatch,
+                                                   field):
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            solved.append(len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        ms = _h2_rows(k4_frame, 3)
+        fourier._homology2_values(k4, k4_frame, ms, 3, 1.0, field, 2)
+        table = sum(solved)
+        solved.clear()
+        fourier._homology2_values(k4, k4_frame, ms[:1], 3, 1.0, field, 2)
+        assert len(ms) == 27 and table == sum(solved) > 0
+
+
+class TestHomology2GridSize:
+    """The automatic grid of the H2 field law's zero-winding filter: the
+    H1 tail bound at reach 0, times alpha, bounds its aliasing."""
+
+    @pytest.mark.parametrize("name,p,large", [("bowtie", 3, 64), ("bowtie", 5, 64),
+                                              ("k4", 3, 32)])
+    def test_bound_covers_the_aliasing(self, name, p, large):
+        g, frame = _random_weights(name)
+        alpha = 1.3
+        ms = _h2_rows(frame, p)
+        got, m, bound = fourier._homology2_values(g, frame, ms, p, alpha, True)
+        bounds = alpha * fourier._alias_bounds(g, frame, np.zeros(frame.rank),
+                                               np.array([m // 2, m, large]), None)
+        # m is the smallest certified power of two, and its bound is the
+        # one reported
+        assert bounds[1] == bound <= fourier._ALIAS_TOL < bounds[0]
+        want = np.array(fourier._homology2_values(g, frame, ms, p, alpha, True, large)[0])
+        half = fourier._homology2_values(g, frame, ms, p, alpha, True, m // 2)[0]
+        rounding = 1e-14
+        assert np.max(np.abs(np.array(got) - want)) <= bounds[1] + bounds[2] + rounding
+        assert np.max(np.abs(np.array(half) - want)) <= bounds[0] + bounds[2] + rounding
+
+    def test_explicit_grid_over_the_budget_is_a_config_error(self, k4, k4_frame):
+        from loopsoup import ConfigError
+        with pytest.raises(ConfigError, match="M=41"):
+            homology2_field_law(k4, k4_frame, 1.0, {}, 3, M=41)
+        with pytest.raises(ConfigError, match="M=41"):
+            homology1_intensity(k4, k4_frame, (0, 0, 0), M=41)

@@ -209,6 +209,16 @@ class TestConfig:
             MeasureConfig(n_max=0)
         with pytest.raises(ConfigError):
             MeasureConfig(tail_tol=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                MeasureConfig(alpha=bad)
+            with pytest.raises(ConfigError):
+                MeasureConfig(tail_tol=bad)
+
+    def test_sampler_rejects_non_finite_alpha(self, triangle, triangle_frame):
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                LoopSoupSampler(triangle, triangle_frame, alpha=bad)
 
     def test_tail_tolerance_enforced(self, triangle, triangle_frame):
         with pytest.raises(ConfigError, match="tail bound"):
