@@ -211,26 +211,36 @@ def _alias_bounds(g: GraphModel, frame: SpanningTreeFrame, reach: np.ndarray,
 
 def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
                reach: np.ndarray, alpha: float | None = None,
-               weight: float = 1.0) -> tuple[int | None, float | None]:
+               p: int | None = None) -> tuple[int | None, float | None]:
     """M, checked (ConfigError past _GRID_POINTS points), or the smallest
-    power of two above 2 max reach with weight * _alias_bounds at most
+    power of two above 2 max reach whose aliasing bound is at most
     _ALIAS_TOL (NumericError past _GRID_POINTS), and that bound; None for a
-    given M and on rank 0, which has no grid."""
+    given M and on rank 0, which has no grid.
+
+    The bound is _alias_bounds at alpha; with p, for the H2 field law mod
+    p, it is alpha times the intensity's bound. The points are the M^r of
+    the grid, or with p the _block_points of the Heisenberg twists if more.
+    """
     r = frame.rank
+
+    def points(m: int) -> int:
+        return m ** r if p is None else max(m ** r, _block_points(p, r, m))
+
     if M is not None:
         if M < 2:
             raise ValidationError("grid size must be >= 2")
-        if M ** r > _GRID_POINTS:
+        if points(M) > _GRID_POINTS:
             raise ConfigError(f"grid size M={M}: over the budget of {_GRID_POINTS} points")
         return M, None
     if not r:
         return None, None
     ms = 2 ** np.arange(1, 63)
     ms = ms[ms > 2 * reach.max()]
-    bounds = weight * _alias_bounds(g, frame, reach, ms, alpha)  # falls as M grows
+    bounds = (alpha * _alias_bounds(g, frame, reach, ms, None) if p
+              else _alias_bounds(g, frame, reach, ms, alpha))  # falls as M grows
     i = min(np.count_nonzero(bounds > _ALIAS_TOL), ms.size - 1)
     M, bound = int(ms[i]), float(bounds[i])
-    if bound > _ALIAS_TOL or M ** r > _GRID_POINTS:
+    if bound > _ALIAS_TOL or points(M) > _GRID_POINTS:
         raise NumericError(f"an aliasing bound of {_ALIAS_TOL} needs grid size M={M} "
                            f"(bound {bound:.1e}), over the budget of {_GRID_POINTS} points")
     return M, bound
@@ -778,6 +788,26 @@ def _heisenberg_blocks(p: int, r: int, lo: int,
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=64)
+def _block_points(p: int, r: int, m: int) -> int:
+    """The points at which _heisenberg_traces eigensolves on the m-grid:
+    min(m, 2d+1)^r for each Schrodinger block of size d = p^k, of which a
+    skew h with 2h mod p of rank 2k has p^(r-2k). Counted only up to just
+    past _GRID_POINTS, from the Darboux ranks alone: no block is built.
+    Memoized, since a run of queries repeats a few (p, r, m)."""
+    total = 0
+    pairs = list(itertools.combinations(range(r), 2))
+    for h in itertools.product(range(p), repeat=len(pairs)):
+        b = [[0] * r for _ in range(r)]
+        for (i, j), x in zip(pairs, h):
+            b[i][j], b[j][i] = 2 * x % p, -2 * x % p
+        k = _darboux(b, p)[2]
+        total += p ** (r - 2 * k) * min(m, 2 * p ** k + 1) ** r
+        if total > _GRID_POINTS:
+            break
+    return total
+
+
 def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
                        m: int | None = None) -> np.ndarray:
     """T(h) = -(1/p^r) log det(I - P twisted by the p^r-dimensional
@@ -818,7 +848,7 @@ def _homology2_values(g: GraphModel, frame: SpanningTreeFrame, ms: Sequence, p: 
     pairs = list(itertools.combinations(range(r), 2))  # lex order, as in _skew_grid
     at = [tuple(2 * h[i][j] % p for i, j in pairs)
           for h in (_check_skew(m, r, p) for m in ms)]
-    M, bound = _grid_size(g, frame, M, np.zeros(r), weight=alpha) if field else (M, None)
+    M, bound = _grid_size(g, frame, M, np.zeros(r), alpha, p) if field else (M, None)
     s = _heisenberg_traces(g, frame, p, M if field else None).mean(axis=1)
     f, what, scale = ((np.exp(alpha * (s - s[0])), "field law", 1.0) if field
                       else (s, "intensity", alpha))

@@ -222,21 +222,21 @@ def geodesic_representative(
 ) -> tuple[int, ...]:
     """Geodesic loop of a homotopy class, as a canonical cyclic vertex tuple.
 
-    Expands each letter to a walk (tree path to the generator edge, then the
-    crossing), closes up through the tree, and cyclically reduces. Every
-    generator crossing survives the reduction, so the loop has at least as
-    many steps as the class word has letters.
+    The cyclic walk that crosses each letter's generator edge and then
+    takes the tree path to the tail of the next letter's edge never
+    backtracks: tree paths are geodesic in the tree, a non-tree edge never
+    retraces a tree edge, and the class word has no adjacent inverse
+    letters, cyclically. So it is the geodesic, with one step per letter
+    plus its tree steps.
     """
     if cls.is_trivial:
         return ()
-    walk = [frame.root]
-    for l in cls.word:
-        u, v = frame.cogenerators[abs(l) - 1]
-        a, b = (u, v) if l > 0 else (v, u)
-        walk.extend(frame.tree_path(walk[-1], a)[1:])
-        walk.append(b)
-    walk.extend(frame.tree_path(walk[-1], frame.root)[1:])
-    return min_rotation(_reduce_cycle(walk[:-1]))
+    ends = [frame.cogenerators[abs(l) - 1][::1 if l > 0 else -1] for l in cls.word]
+    walk = []
+    for (a, b), (tail, _) in zip(ends, ends[1:] + ends[:1]):
+        walk.append(a)
+        walk.extend(frame.tree_path(b, tail)[:-1])
+    return min_rotation(walk)
 
 
 def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
@@ -247,11 +247,13 @@ def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
     letters = [l for i in range(1, rank + 1) for l in (i, -i)]
-    found: set[GeodesicClass] = set()
+    found: list[GeodesicClass] = []
 
     def grow(word: list[int], remaining: int):
-        if word and word[0] != -word[-1]:
-            found.add(GeodesicClass(min_rotation(tuple(word))))
+        # each class once: from the cyclically reduced word that is its
+        # own least rotation
+        if word and word[0] != -word[-1] and tuple(word) == min_rotation(word):
+            found.append(GeodesicClass(tuple(word)))
         if remaining == 0:
             return
         for l in letters:
@@ -273,18 +275,19 @@ def enumerate_geodesic_loops(g: GraphModel, max_len: int) -> list[tuple[int, ...
     they coincide. Each cyclic class appears once; use multiplicity() on the
     tuple for its repetition count.
     """
-    found: set[tuple[int, ...]] = set()
+    found: list[tuple[int, ...]] = []
     for s in range(g.num_vertices):
-        # walks through vertices >= s only; each loop is found from its
-        # minimum vertex
+        # walks through vertices >= s only; each loop is kept once, as the
+        # walk from its minimum vertex that is its least rotation
         stack: list[tuple[int, int, tuple[int, ...]]] = [(s, -1, (s,))]
         while stack:
             v, prev, path = stack.pop()
             for w in g.neighbors[v]:
                 if w < s or w == prev:
                     continue
-                if w == s and len(path) >= 3 and path[1] != v:
-                    found.add(min_rotation(path))
+                if (w == s and len(path) >= 3 and path[1] != v
+                        and path == min_rotation(path)):
+                    found.append(path)
                 if len(path) < max_len:
                     stack.append((w, v, path + (w,)))
     return sorted(found, key=lambda t: (len(t), t))

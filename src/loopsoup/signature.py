@@ -18,9 +18,10 @@ adjacent repeats the invariant quantity is the block-weighted count
 Everything here is exact rational arithmetic. The signature and its
 logarithm are built on graded integer numerators (the degree-n part carries
 an implicit 1/n!, the logarithm a further 1/lcm(1..degree)), and each
-output term becomes one Fraction at the end. Lyndon coordinates are peeled
-on integers too. The leading Lie term is read off the signature itself: at
-the critical degree it equals the log-signature's component.
+output term becomes one Fraction at the end. The numerators come from one
+pass, degree by degree: a truncation takes its first degrees, and the
+leading Lie term is the first nonzero one, where the signature equals the
+log-signature. Lyndon coordinates are peeled on integers too.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, count, islice
 from math import comb, factorial, lcm
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError, NumericError
 from .freegroup import (BasedLoop, Word, _check_word, crossing_word,
@@ -60,15 +62,17 @@ class TensorSeries:
     def __post_init__(self):
         if self.degree < 1:
             raise ValidationError("truncation degree must be >= 1")
+        # checked in bulk; only a failure rescans for the first bad term
+        letters = list(chain.from_iterable(self.terms))
+        if (max(map(len, self.terms), default=0) <= self.degree
+                and all(issubclass(t, int) for t in set(map(type, letters)))
+                and min(letters, default=1) >= 1):
+            return
         for w in self.terms:
             if len(w) > self.degree:
                 raise ValidationError(f"term {w} exceeds truncation {self.degree}")
             if any(not isinstance(i, int) or i < 1 for i in w):
                 raise ValidationError(f"bad index word {w}")
-
-    @classmethod
-    def one(cls, degree: int) -> "TensorSeries":
-        return cls(degree, {(): _ONE})
 
     def coefficient(self, word: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(word), _ZERO)
@@ -95,10 +99,6 @@ class TensorSeries:
                     out[w] = out.get(w, _ZERO) + cu * cv
         return TensorSeries(self.degree, _clean(out))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TensorSeries)
-                and self.degree == other.degree and self.terms == other.terms)
-
 
 def _runs(word: Word) -> list[tuple[int, int]]:
     # (letter index, signed run length); merging adjacent runs of one letter
@@ -116,26 +116,32 @@ def _runs(word: Word) -> list[tuple[int, int]]:
     return runs
 
 
-def _numerators(word: Iterable[int], degree: int) -> list[dict[Word, int]]:
-    # per degree d, the signature's coefficients times d!: the product of
-    # exp(n X_i) factors stays in integers, since a degree-d word times a
-    # run of k letters gains the binomial C(d + k, k)
+def _graded_numerators(word: Iterable[int]) -> Iterator[dict[Word, int]]:
+    # the signature's degree-d coefficients times d!, d = 0, 1, 2, ...: a run
+    # of k letters after a degree-(d - k) word gains the binomial C(d, k), and
+    # degree d of each run prefix needs degrees <= d of the one before it
+    runs = _runs(_check_word(word))
+    done: list[list[dict[Word, int]]] = [[{(): 1}] for _ in runs]
+    yield {(): 1}
+    for d in count(1):
+        bucket: dict[Word, int] = {}
+        for lower, (letter, n) in zip(done, runs):
+            new = dict(bucket)
+            for k in range(1, d + 1):
+                factor = n ** k * comb(d, k)
+                tail = (letter,) * k
+                for w, num in lower[d - k].items():
+                    key = w + tail
+                    new[key] = new.get(key, 0) + num * factor
+            lower.append(bucket)
+            bucket = new
+        yield {w: num for w, num in bucket.items() if num}
+
+
+def _truncated_numerators(word: Iterable[int], degree: int) -> list[dict[Word, int]]:
     if degree < 1:
         raise ValidationError("signature truncation degree must be >= 1")
-    buckets: list[dict[Word, int]] = [{} for _ in range(degree + 1)]
-    buckets[0][()] = 1
-    for letter, count in _runs(_check_word(word)):
-        new = [dict(bucket) for bucket in buckets]
-        for d, bucket in enumerate(buckets):
-            for k in range(1, degree - d + 1):
-                factor = count ** k * comb(d + k, k)
-                tail = (letter,) * k
-                tgt = new[d + k]
-                for w, num in bucket.items():
-                    key = w + tail
-                    tgt[key] = tgt.get(key, 0) + num * factor
-        buckets = new
-    return [{w: num for w, num in bucket.items() if num} for bucket in buckets]
+    return list(islice(_graded_numerators(word), degree + 1))
 
 
 def signature(word: Iterable[int], degree: int = 5) -> TensorSeries:
@@ -144,12 +150,9 @@ def signature(word: Iterable[int], degree: int = 5) -> TensorSeries:
     Built in integer arithmetic (a degree-d numerator carries an implicit
     1/d!) and converted to rationals at the end; exactness is preserved.
     """
-    terms: Component = {}
-    for d, bucket in enumerate(_numerators(word, degree)):
-        den = factorial(d)
-        for w, num in bucket.items():
-            terms[w] = Fraction(num, den)
-    return TensorSeries(degree, terms)
+    return TensorSeries(degree, {w: Fraction(num, factorial(len(w)))
+                                 for bucket in _truncated_numerators(word, degree)
+                                 for w, num in bucket.items()})
 
 
 def log_signature(word: Iterable[int], degree: int = 5) -> TensorSeries:
@@ -161,7 +164,7 @@ def log_signature(word: Iterable[int], degree: int = 5) -> TensorSeries:
     The sum is scaled by L = lcm(1..degree) so that every 1/m is an
     integer, and each output term becomes one Fraction over L n!.
     """
-    a = _numerators(word, degree)
+    a = _truncated_numerators(word, degree)
     scale = lcm(*range(1, degree + 1))
     total: list[dict[Word, int]] = [{} for _ in range(degree + 1)]
     power = [{}] + a[1:]
@@ -187,13 +190,8 @@ def log_signature(word: Iterable[int], degree: int = 5) -> TensorSeries:
             acc = total[n]
             for w, x in power[n].items():
                 acc[w] = acc.get(w, 0) + coef * x
-    terms: Component = {}
-    for n, bucket in enumerate(total):
-        den = scale * factorial(n)
-        for w, x in bucket.items():
-            if x:
-                terms[w] = Fraction(x, den)
-    return TensorSeries(degree, terms)
+    return TensorSeries(degree, {w: Fraction(x, scale * factorial(len(w)))
+                                 for bucket in total for w, x in bucket.items() if x})
 
 
 def shuffle_product(u: Word, w: Word) -> dict[Word, int]:
@@ -653,7 +651,8 @@ def degree_and_lead(word: Iterable[int], max_degree: int = 8
     Below the critical degree c every component of S - 1 vanishes, so the
     log-signature and the signature agree at degree c: c is the first
     degree at which the signature has a nonzero component, and that
-    component is the lead. No logarithm is built.
+    component is the lead. One pass of the graded signature walks up to it;
+    no logarithm is built.
 
     The word must not reduce to the identity and max_degree must be at
     least 1. Raises NumericError with the scan cap if nothing shows up by
@@ -665,11 +664,10 @@ def degree_and_lead(word: Iterable[int], max_degree: int = 8
     if not w:
         raise ValidationError("the identity word has no critical degree")
     r = max(abs(l) for l in w)
-    for d in range(1, max_degree + 1):
-        top = _numerators(w, d)[d]
+    graded = islice(_graded_numerators(w), 1, max_degree + 1)
+    for d, top in enumerate(graded, start=1):
         if top:
-            den = factorial(d)
-            lead = {u: Fraction(num, den) for u, num in top.items()}
+            lead = {u: Fraction(num, factorial(d)) for u, num in top.items()}
             return d, LiePoly.from_tensor(lead, r, d)
     raise NumericError(f"no nonzero component up to degree {max_degree}")
 

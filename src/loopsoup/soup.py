@@ -41,12 +41,7 @@ def loop_weight(g: GraphModel, loop: BasedLoop) -> tuple[float, float]:
     vs = loop.vertices
     for a, b in zip(vs, vs[1:]):
         prod *= p[a, b]
-    n = loop.length
-    mult = multiplicity(vs[:-1])
-    based = prod / n
-    unbased = prod / mult
-    assert abs(unbased - (n / mult) * based) <= 1e-12 * abs(unbased)
-    return based, unbased
+    return prod / loop.length, prod / multiplicity(vs[:-1])
 
 
 def total_mass(g: GraphModel) -> float:
@@ -441,9 +436,10 @@ def sample_soup(g: GraphModel, frame: SpanningTreeFrame,
     """Draw one soup under the given configuration. The truncation must be
     certified: tail_bound(g, n_max) <= tail_tol, else the configuration is
     rejected."""
-    if tail_bound(g, cfg.n_max) > cfg.tail_tol:
+    bound = tail_bound(g, cfg.n_max)
+    if bound > cfg.tail_tol:
         raise ConfigError(
-            f"tail bound {tail_bound(g, cfg.n_max):.3e} exceeds tolerance "
+            f"tail bound {bound:.3e} exceeds tolerance "
             f"{cfg.tail_tol:.3e} at n_max={cfg.n_max}")
     sampler = LoopSoupSampler(g, frame, alpha=cfg.alpha, n_max=cfg.n_max)
     return sampler.sample(cfg.seed)

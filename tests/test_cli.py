@@ -64,6 +64,23 @@ kappa 2 1.0
 kappa 3 1.0
 """
 
+RANK4 = """\
+vertices 5
+edge 0 1 1.0
+edge 0 2 1.0
+edge 0 3 1.0
+edge 1 2 1.0
+edge 1 3 1.0
+edge 2 3 1.0
+edge 2 4 1.0
+edge 3 4 1.0
+kappa 0 1.0
+kappa 1 1.0
+kappa 2 1.0
+kappa 3 1.0
+kappa 4 1.0
+"""
+
 
 @pytest.fixture
 def tri_path(tmp_path):
@@ -430,6 +447,15 @@ class TestH2:
     def test_non_finite_alpha_exits_2(self, capsys, bow_path, flags):
         code, out = run_cli(capsys, "h2", bow_path, "--p", "5", *flags)
         assert (code, out) == (2, "")
+
+    def test_block_points_over_the_budget(self, capsys, tmp_path):
+        # rank 4, p = 3: the certified M = 16, or an explicit one, would
+        # eigensolve 468 Schrodinger blocks of size 9 at all 16^4 points
+        p = tmp_path / "rank4.graph"
+        p.write_text(RANK4)
+        for flags, want in ((("--field",), 3), (("--field", "--M", "16"), 4)):
+            assert main(["h2", str(p), "--p", "3", *flags]) == want
+            assert "over the budget of 65536 points" in capsys.readouterr().err
 
     def test_composite_p_exits_2(self, capsys, bow_path):
         code, _ = run_cli(capsys, "h2", bow_path, "--p", "6")

@@ -1,0 +1,83 @@
+"""Pinned digests of exact outputs.
+
+The signature CLI prints exact rationals, `zeta` exact integer series, and
+the class enumeration and geodesic loops are integer tuples: none of them
+depends on floating point or BLAS, so a refactor must leave them byte for
+byte. Each test hashes the full text with sha256.
+"""
+
+import hashlib
+
+import pytest
+
+from loopsoup.cli import main
+from loopsoup.freegroup import (enumerate_geodesic_classes, format_word,
+                                geodesic_representative, group_commutator)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _nested(depth: int, a: tuple, b: tuple) -> tuple:
+    w = group_commutator(a, b)
+    for _ in range(depth - 1):
+        w = group_commutator(w, b)
+    return w
+
+
+SIGNATURE_WORDS = [
+    (1,), (1, 1, 1), (-1, -1),
+    (1, 2), (1, -2, -2, 1), (2, 1, -2, 1, 1, -2),
+    (3, -1, 2, 2, -3, 1), (4, -2, 3, 1, -4, -4, 2, 1),
+    group_commutator((1,), (2,)),
+    group_commutator((1, 2), (2, 1)),
+    _nested(2, (1,), (2,)),
+    _nested(3, (1,), (2,)),
+    _nested(4, (1,), (2,)),
+    group_commutator(group_commutator((1,), (2,)), (3,)),
+    group_commutator(group_commutator((2,), (3,)), (1,)),
+    group_commutator(group_commutator((1,), (2,)), group_commutator((3,), (4,))),
+    group_commutator(_nested(2, (1,), (3,)), (4,)),
+]
+
+GRAPH_TEXT = {
+    "k4": "vertices 4\n" + "".join(
+        f"edge {a} {b} 1\n" for a in range(4) for b in range(a + 1, 4)),
+    "petersen": "vertices 10\n" + "".join(
+        f"edge {min(u, v)} {max(u, v)} 1\n"
+        for u, v in ([(i, (i + 1) % 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                     + [(i, 5 + i) for i in range(5)])),
+}
+
+
+def test_signature_stdout(capsys):
+    out = []
+    for w in SIGNATURE_WORDS:
+        assert main(["signature", "--word", format_word(w)]) == 0
+        out.append(capsys.readouterr().out)
+    assert _digest("".join(out)) == (
+        "16dbced218eab23e2968965dd0cf86b5d4f21029af16b7983480981d5f58acdf")
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("k4", "4df62d6ed61fcd87a9eff828b5fb68affcc2061a2e8217a8ad0a2ae95b90b921"),
+    ("petersen", "5ccb538b2c532380fdf2095a5c7c828fc0e772a682d26492b43911c3508490fe"),
+])
+def test_zeta_stdout(capsys, tmp_path, monkeypatch, name, digest):
+    (tmp_path / f"{name}.graph").write_text(GRAPH_TEXT[name])
+    monkeypatch.chdir(tmp_path)
+    assert main(["zeta", f"{name}.graph", "--max-degree", "12"]) == 0
+    assert _digest(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("graph, max_len, digest", [
+    ("bowtie", 8, "582df27cd2f2266597e3d7e6cdf6fe854a321290bf688d845e4286cd4e67621d"),
+    ("k4", 6, "52e3640e8198298a9161f069f8995193d4779afded087d726ad114a3dcb8a093"),
+])
+def test_classes_and_geodesics(request, graph, max_len, digest):
+    frame = request.getfixturevalue(f"{graph}_frame")
+    lines = [f"{format_word(c.word)}:{geodesic_representative(c, frame)}"
+             for c in enumerate_geodesic_classes(frame.rank, max_len)]
+    assert _digest("\n".join(lines)) == digest

@@ -1185,6 +1185,18 @@ class TestHomology2GridSize:
         assert np.max(np.abs(np.array(got) - want)) <= bounds[1] + bounds[2] + rounding
         assert np.max(np.abs(np.array(half) - want)) <= bounds[0] + bounds[2] + rounding
 
+    def test_budget_counts_the_eigensolved_block_points(self):
+        # min(M, 2d+1)^r per Schrodinger block of size d: the certified K4
+        # grid and a rank-4 M = 2 stay inside the budget, rank-4 M = 16 not
+        assert fourier._block_points(3, 3, 16) == 27 * 27 + 26 * 3 * 7 ** 3 == 27483
+        assert fourier._block_points(3, 4, 2) == 46224 <= fourier._GRID_POINTS
+        g, frame = _random_weights("rank4")
+        from loopsoup import ConfigError, NumericError
+        with pytest.raises(NumericError, match="M=16"):
+            fourier._homology2_values(g, frame, [{}], 3, 1.0, True)
+        with pytest.raises(ConfigError, match="M=16"):
+            fourier._homology2_values(g, frame, [{}], 3, 1.0, True, 16)
+
     def test_explicit_grid_over_the_budget_is_a_config_error(self, k4, k4_frame):
         from loopsoup import ConfigError
         with pytest.raises(ConfigError, match="M=41"):

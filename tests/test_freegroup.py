@@ -27,6 +27,7 @@ from loopsoup import (
     reduce_word,
     spanning_tree_frame,
 )
+from loopsoup.freegroup import _reduce_cycle
 
 
 class TestWordOps:
@@ -146,7 +147,34 @@ class TestClasses:
         assert got == seen
 
 
+def root_walk_representative(cls, frame):
+    """Reference geodesic: expand each letter from the root (tree path to
+    the generator edge, then the crossing), close up through the tree, and
+    erase backtracks cyclically."""
+    if cls.is_trivial:
+        return ()
+    walk = [frame.root]
+    for l in cls.word:
+        u, v = frame.cogenerators[abs(l) - 1]
+        a, b = (u, v) if l > 0 else (v, u)
+        walk.extend(frame.tree_path(walk[-1], a)[1:])
+        walk.append(b)
+    walk.extend(frame.tree_path(walk[-1], frame.root)[1:])
+    return min_rotation(_reduce_cycle(walk[:-1]))
+
+
 class TestLoops:
+    @pytest.mark.parametrize("graph, tree", [
+        ("triangle", None), ("triangle", [(1, 2), (0, 2)]),
+        ("bowtie", None), ("bowtie", [(1, 2), (0, 2), (0, 4), (3, 4)]),
+        ("k4", None), ("k4", [(0, 3), (1, 3), (2, 3)]), ("k4", [(0, 1), (1, 2), (2, 3)])])
+    def test_representative_equals_root_walk(self, request, graph, tree):
+        # every class up to length 6, over canonical and other trees
+        frame = spanning_tree_frame(request.getfixturevalue(graph), tree)
+        for cls in enumerate_geodesic_classes(frame.rank, 6):
+            assert (geodesic_representative(cls, frame)
+                    == root_walk_representative(cls, frame)), cls
+
     def test_based_loop_validation(self):
         with pytest.raises(ValidationError):
             BasedLoop((0, 1))  # not closed

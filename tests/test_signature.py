@@ -7,9 +7,11 @@ computational routes against each other (tensor route vs current route,
 Lyndon coordinates vs direct bracket expansion, and so on).
 """
 
+import importlib
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import islice
+from math import comb, factorial
 
 import pytest
 
@@ -51,6 +53,9 @@ from loopsoup import (
     witt_dimension,
 )
 
+# the module, which the package's `signature` function shadows
+signature_module = importlib.import_module("loopsoup.signature")
+
 
 def random_word(rng, rank, max_len):
     letters = [l for i in range(1, rank + 1) for l in (i, -i)]
@@ -71,6 +76,25 @@ def fraction_log(s):
         for w, c in power.terms.items():
             out[w] = out.get(w, Fraction(0)) + coef * c
     return TensorSeries(s.degree, {w: c for w, c in out.items() if c})
+
+
+def fold_numerators(word, degree):
+    """Reference for the graded pass: the signature's coefficients times d!
+    per degree d, folding the runs of the word into every degree at once."""
+    buckets = [{} for _ in range(degree + 1)]
+    buckets[0][()] = 1
+    for letter, count in signature_module._runs(word):
+        new = [dict(bucket) for bucket in buckets]
+        for d, bucket in enumerate(buckets):
+            for k in range(1, degree - d + 1):
+                factor = count ** k * comb(d + k, k)
+                tail = (letter,) * k
+                tgt = new[d + k]
+                for w, num in bucket.items():
+                    key = w + tail
+                    tgt[key] = tgt.get(key, 0) + num * factor
+        buckets = new
+    return [{w: num for w, num in bucket.items() if num} for bucket in buckets]
 
 
 def reference_lead(word, max_degree=8):
@@ -219,6 +243,60 @@ class TestIntegerRoute:
         assert log_signature((), 4).terms == {}
         assert log_signature((3,), 4).terms == {(3,): Fraction(1)}
         assert log_signature((-2, -2), 3).terms == {(2,): Fraction(-2)}
+
+
+class TestGradedPass:
+    """The degree-major pass against the all-degrees fold."""
+
+    @staticmethod
+    def _words():
+        # seeded unreduced words of ranks 1..4 and lengths 0..18, plus the
+        # four-fold nested commutator (critical degree 5)
+        rng = random.Random(67)
+        words = []
+        for rank in (1, 2, 3, 4):
+            letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+            words += [tuple(rng.choices(letters, k=n)) for n in range(0, 19, 2)]
+        depth4 = (1,)
+        for _ in range(4):
+            depth4 = group_commutator(depth4, (2,))
+        return words + [depth4]
+
+    WORDS = _words()
+
+    def test_buckets_equal_the_fold(self):
+        for x in self.WORDS:
+            graded = list(islice(signature_module._graded_numerators(x), 7))
+            for degree in range(1, 7):
+                assert graded[:degree + 1] == fold_numerators(x, degree), (x, degree)
+
+    def test_lead_equals_a_scan_of_the_fold(self):
+        for x in self.WORDS:
+            w = reduce_word(x)
+            if not w:
+                continue
+            for cap in (1, 3, 6):
+                scan = [(d, fold_numerators(w, d)[d]) for d in range(1, cap + 1)]
+                d, top = next(((d, top) for d, top in scan if top), (None, None))
+                if d is None:
+                    with pytest.raises(NumericError, match=f"up to degree {cap}"):
+                        degree_and_lead(w, max_degree=cap)
+                    continue
+                lead = {u: Fraction(num, factorial(d)) for u, num in top.items()}
+                got = degree_and_lead(w, max_degree=cap)
+                assert got == (d, LiePoly.from_tensor(lead, max(map(abs, w)), d))
+
+    def test_lead_builds_one_pass(self, monkeypatch):
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return graded(word)
+
+        graded = signature_module._graded_numerators
+        monkeypatch.setattr(signature_module, "_graded_numerators", counted)
+        assert degree_and_lead(self.WORDS[-1])[0] == 5
+        assert calls == [self.WORDS[-1]]
 
 
 class TestLyndon:
