@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -182,9 +183,7 @@ class BasedLoop:
 def crossing_word(loop: BasedLoop, frame: SpanningTreeFrame) -> Word:
     """Unreduced word of the loop's non-tree crossings, in walk order."""
     vs = loop.vertices
-    return tuple(
-        l for l in (frame.crossing(u, v) for u, v in zip(vs, vs[1:])) if l != 0
-    )
+    return tuple(filter(None, map(frame._letter.get, zip(vs, vs[1:]), repeat(0))))
 
 
 def loop_to_word(loop: BasedLoop, frame: SpanningTreeFrame) -> Word:

@@ -356,13 +356,13 @@ class LoopSoupSampler:
     steps build their conditional rows, and their cdfs, as one array, and
     each picks the number of cdf entries <= its own uniform for that step.
 
-    Randomness layout, fixed for reproducibility: the count and the
-    (base, length) draws use the generator seeded from
-    SeedSequence(seed, spawn_key=(0,)); the k-th loop's n steps use the n
-    uniforms rng.random(n) of SeedSequence(seed, spawn_key=(1, k)), in step
-    order. Byte-identical soups for equal (graph, config, seed) follow from
-    this layout, which is the one of drawing each step by
-    rng.choice(num_vertices, p=row).
+    Randomness layout, fixed for reproducibility: one generator, seeded
+    from SeedSequence(seed, spawn_key=(0,)), draws the count, then the
+    (base, length) picks, then every bridge uniform in one call: loop by
+    loop in decreasing item order (longest first, ties in draw order),
+    each loop's n uniforms in step order. Byte-identical soups for equal
+    (graph, config, seed) follow from this layout, which is the one of
+    drawing each step by rng.choice(num_vertices, p=row) on that generator.
     """
 
     def __init__(self, g: GraphModel, frame: SpanningTreeFrame,
@@ -390,7 +390,7 @@ class LoopSoupSampler:
         weights = by_length[lengths, bases]
         # summed one item at a time in item order, as the Poisson count's
         # last bits depend on it
-        self.mass = float(sum(weights))
+        self.mass = sum(weights.tolist())
         self.probs = weights / self.mass
 
     def sample(self, seed: int) -> SampledSoup:
@@ -407,9 +407,7 @@ class LoopSoupSampler:
         keys, steps = order.tolist(), length.tolist()
         top = steps[0]
         uniforms = np.zeros((count, top))
-        for row, k in enumerate(keys):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k)))
-            uniforms[row, top - steps[row]:] = rng.random(steps[row])
+        uniforms[np.arange(top) >= top - length[:, None]] = driver.random(sum(steps))
         walks = np.zeros((count, top + 1), dtype=np.intp)
         walks[np.arange(count), top - length] = base
         p = self.graph.transition
@@ -468,6 +466,8 @@ def parse_soup(text: str, g: GraphModel | None = None,
             nums = [int(t) for t in line.split()]
         except ValueError as e:
             raise ValidationError(f"soup line {lineno}: {e}") from None
+        if nums[0] < 2:
+            raise ValidationError(f"soup line {lineno}: {nums[0]} steps, need >= 2")
         if len(nums) != nums[0] + 1:
             raise ValidationError(
                 f"soup line {lineno}: expected {nums[0]} vertices, "

@@ -12,6 +12,7 @@ from loopsoup import (
     MeasureConfig,
     LoopSoupSampler,
     NumericError,
+    ValidationError,
     build_graph,
     canonical_class,
     dumps_soup,
@@ -254,6 +255,13 @@ class TestSampler:
         with pytest.raises(ValueError):
             parse_soup("2 0 7\n", triangle)  # vertex off the graph
 
+    @pytest.mark.parametrize("count", ["0", "-1", "1 0"])
+    def test_parse_soup_rejects_short_count(self, triangle, count):
+        # a count below 2 names its line, with or without a graph
+        for g in (triangle, None):
+            with pytest.raises(ValidationError, match="soup line 2"):
+                parse_soup(f"2 0 1\n{count}\n", g)
+
     def test_count_mean(self, triangle, triangle_frame):
         # number of loops per soup is Poisson(total mass); 1500 draws
         # put the sample mean well inside four standard errors
@@ -320,33 +328,43 @@ def _torus(side, kappa):
 # sha256 of dumps_soup(sampler.sample(seed)) for seeds 0-49, fed in seed
 # order, and the sampler's truncated mass; alpha 1 throughout
 PINNED = {
-    "triangle": (42, "2b8bb3892254977edb81dc752a5f27b2fa6ab2298ab5ef86031f07de3c1ed5ad",
+    "triangle": (42, "67702d80b52325d25a7a1696aa7df4dc6ffe6bfd53dd26028474415809115d0a",
                  0.5232481419733042),
-    "bowtie": (24, "e7bd8bd8d1c0a65fb3f55e912cf8dba2fe507883ca3fe3c8155e371aa97836dc",
+    "bowtie": (24, "a6d877ccbb0f7e3549a11bcdad737eef0d4075646e78385ac67bffd5eab1aba1",
                0.7463680936946625),
-    "torus6": (24, "d37780cfb0b1815afb7428e5860ac0cbd9319d21f10faa081a6a8b336f67ee88",
+    "torus6": (24, "377294a5b3e8b142c91c215e9adeb40befec45e1058500a08f056b753b945242",
                6.339169334196595),
+}
+
+
+# sha256 of each soup's loop count and sorted (base, length) pairs, for the
+# PINNED settings and seeds 0-49
+PICKS = {
+    "triangle": "32d31b96d0a045d4942ac60646c597e518b0a5b83b94b49912b84f1656f05e06",
+    "bowtie": "11ce6b9256ef70a715da4d7fb6e49a5119f3ef96a69533a42a00e5c734db7749",
+    "torus6": "2f20124d1e82b0465fed87e35e0c4b4d220fb55afce2260195b5c3ae479968a2",
 }
 
 
 def _stepwise_soup(sampler, seed):
     """The soup drawn one step at a time, one rng.choice per step on the
-    conditional row, from the same generators: the batched sampler must
-    reproduce it exactly."""
+    conditional row, all from the one generator that drew the count and
+    the picks: loops in decreasing item order (longest first, ties in draw
+    order), each in step order. The batched sampler must reproduce it
+    exactly."""
     p = sampler.graph.transition
-    driver = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    count = int(driver.poisson(sampler.alpha * sampler.mass))
-    picks = driver.choice(len(sampler.items), size=count, p=sampler.probs) \
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    count = int(rng.poisson(sampler.alpha * sampler.mass))
+    picks = rng.choice(len(sampler.items), size=count, p=sampler.probs).tolist() \
         if count else []
-    loops = []
-    for k, idx in enumerate(picks):
-        x, n = sampler.items[idx]
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, k)))
+    loops = [None] * count
+    for k in sorted(range(count), key=lambda k: -picks[k]):
+        x, n = sampler.items[picks[k]]
         vs = [x]
         for m in range(n, 0, -1):
             q = p[vs[-1], :] * sampler.powers[m - 1][:, x]
             vs.append(int(rng.choice(len(q), p=q / q.sum())))
-        loops.append(tuple(vs))
+        loops[k] = tuple(vs)
     return loops
 
 
@@ -366,7 +384,8 @@ class TestSamplerPinned:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_seeded_soups_unchanged(self, request, name):
         # the randomness layout is part of the contract: equal (graph,
-        # config, seed) give the same soup across versions
+        # config, seed) give the same soup, and a change of layout re-pins
+        # these digests on purpose
         g = _torus(6, 0.2) if name == "torus6" else request.getfixturevalue(name)
         n_max, digest, mass = PINNED[name]
         sampler = LoopSoupSampler(g, spanning_tree_frame(g), n_max=n_max)
@@ -375,6 +394,31 @@ class TestSamplerPinned:
         for seed in range(50):
             h.update(dumps_soup(sampler.sample(seed)).encode())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_count_and_picks_unchanged(self, request, name):
+        # the loop count and the (base, length) picks of every soup, pinned
+        # before the bridges moved onto the driver's stream
+        g = _torus(6, 0.2) if name == "torus6" else request.getfixturevalue(name)
+        sampler = LoopSoupSampler(g, spanning_tree_frame(g), n_max=PINNED[name][0])
+        h = hashlib.sha256()
+        for seed in range(50):
+            loops = sampler.sample(seed).loops
+            pairs = sorted((lp.base, lp.length) for lp in loops)
+            h.update(f"{len(loops)} {pairs}\n".encode())
+        assert h.hexdigest() == PICKS[name]
+
+    def test_one_generator_per_soup(self, monkeypatch):
+        made = {"SeedSequence": 0, "default_rng": 0}
+        for name in made:
+            def counted(*args, _name=name, _real=getattr(np.random, name), **kwargs):
+                made[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.random, name, counted)
+        g = _torus(6, 0.2)
+        sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=30.0, n_max=24)
+        assert len(sampler.sample(3).loops) >= 100
+        assert made == {"SeedSequence": 1, "default_rng": 1}
 
 
 class TestOccupation:
