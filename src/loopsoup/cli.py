@@ -18,12 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, NumericError, ValidationError
-from .freegroup import (enumerate_geodesic_classes, format_word, parse_word)
+from .freegroup import _geodesic_class_words, _tuples, format_word, parse_word
 from .graphs import parse_graph, spanning_tree_frame
 from .signature import degree_and_lead
 from .soup import (MeasureConfig, dumps_soup, enumerate_measure, occupation,
                    sample_soup, spectral_radius, total_mass)
-from .spectra import class_intensity, contractible_intensity, ihara_check, solve_rho
+from .spectra import (_class_intensities, contractible_intensity, ihara_check,
+                      solve_rho)
 from .fourier import _homology1_values, _homology2_values
 from . import __version__
 
@@ -119,17 +120,17 @@ def cmd_homotopy(args) -> None:
     g = _load_graph(args.graph)
     frame = spanning_tree_frame(g)
     # enumerated first, so that a bad --max-len fails before the solves
-    classes = enumerate_geodesic_classes(frame.rank, args.max_len)
+    words = _geodesic_class_words(frame.rank, args.max_len)
     rho = solve_rho(g, args.s)
     rows = []
     quad_err = None
     if args.s == 1.0:
         trivial_val, quad_err = contractible_intensity(g)
         rows.append(f"e,0,1,{_fmt(trivial_val)}")
-    for cls in classes:
-        val = class_intensity(g, frame, cls, s=args.s, rho=rho)
-        rows.append(f"{_class_label(cls)},{cls.length},{cls.multiplicity},"
-                    f"{_fmt(val)}")
+    values = _class_intensities(g, frame, words, rho)
+    for word, mult, val in zip(_tuples(words.letters, words.lengths),
+                               words.multiplicity.tolist(), values.tolist()):
+        rows.append(f"{format_word(word)},{len(word)},{mult},{_fmt(val)}")
     manifest = _manifest("homotopy", {
         "graph": args.graph, "max_len": args.max_len, "s": args.s,
         "quad_err": None if quad_err is None else _fmt(quad_err),

@@ -13,13 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
-from itertools import repeat
-from typing import Iterable, Sequence
+from itertools import chain, compress, repeat
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import ConfigError, ValidationError
 from .graphs import GraphModel, SpanningTreeFrame
 
 Word = tuple[int, ...]
+
+# Ranks in _rotations are made dense again once they reach this, so that a
+# pair of them fits an int64.
+_RANK_SPAN = 2 ** 31
+# The most letters, summed over every reduced word of every length up to
+# max_len, that the class enumeration may hold.
+_CLASS_LETTERS = 2 ** 20
 
 
 def _check_word(word: Iterable[int]) -> Word:
@@ -86,6 +95,90 @@ def multiplicity(seq: Sequence[int]) -> int:
         if n % p == 0 and all(seq[i] == seq[i - p] for i in range(p, n)):
             return n // p
     return 1
+
+
+def _tuples(letters: np.ndarray, lengths: np.ndarray) -> list[Word]:
+    """The rows of a flat table as tuples: row i is letters[e_i -
+    lengths[i]:e_i], e_i the sum of lengths[:i + 1]."""
+    ends = np.cumsum(lengths).tolist()
+    flat = letters.tolist()
+    return [tuple(flat[e - n:e]) for e, n in zip(ends, lengths.tolist())]
+
+
+class _Words(NamedTuple):
+    """Class words in one flat table (as in _tuples), with their
+    multiplicities."""
+
+    letters: np.ndarray
+    lengths: np.ndarray
+    multiplicity: np.ndarray
+
+
+def _rotations(letters: np.ndarray, lengths: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cyclic reduction and least rotation of every row of a flat table (as
+    in _tuples). Rows are freely reduced words or vertex cycles, of length
+    at least 1.
+
+    Per row: the number cut of letters that cancel at each end, so that the
+    cyclic reduction is row[cut:len - cut] (0 for a vertex cycle, whose
+    first and last vertices are adjacent, hence distinct and not both 0);
+    the offset in that reduction of its least rotation under _letter_key,
+    the first if several are equal, so 0 when the reduction is its own
+    least rotation; and the multiplicity, the number of rotations equal to
+    the least.
+
+    The rotations of all rows are ranked at once by prefix doubling: the
+    cyclic window of 2w letters from a position is ranked by the pair of
+    ranks of the windows of w letters from it and from w letters on. After
+    ceil(log2 n) rounds the windows are as long as the longest reduction,
+    and equal windows that long are equal rotations. Before a round whose
+    pairs would not fit an int64, the ranks are made dense again.
+    """
+    first = np.cumsum(lengths) - lengths
+    row = np.repeat(np.arange(lengths.size), lengths)
+    at = np.arange(letters.size)
+    pos = at - first[row]
+    n = lengths[row]
+    # the letter at pos < n // 2 cancels the one at n - 1 - pos while every
+    # pair outside it does
+    outer = (pos < n // 2) & (letters != -letters[at + n - 1 - 2 * pos])
+    cut = np.minimum.reduceat(np.where(outer, pos, n // 2), first)
+    size = np.maximum(lengths - 2 * cut, 1)
+    off = pos - cut[row]
+    valid = (off >= 0) & (off < size[row])
+    base, size_at = at - off, size[row]
+    rank = (np.abs(letters) << 1) | (letters < 0)
+    w = 1
+    while w < size.max(initial=0):
+        top = int(rank.max()) + 1
+        if top > _RANK_SPAN:
+            rank = np.unique(rank, return_inverse=True)[1].reshape(-1)
+            top = int(rank.max()) + 1
+        partner = np.where(valid, base + (off + w) % size_at, at)
+        rank = rank * top + rank[partner]
+        w *= 2
+    rank = np.where(valid, rank, np.iinfo(rank.dtype).max)
+    least = rank == np.minimum.reduceat(rank, first)[row]
+    start = np.minimum.reduceat(np.where(least, off, letters.size), first)
+    mult = np.bincount(row[least], minlength=lengths.size)
+    return cut, start, mult
+
+
+def _canonical_words(letters: np.ndarray, lengths: np.ndarray) -> list[Word]:
+    """The canonical class word of every row of a flat table (as in _tuples)
+    of freely reduced words: the least rotation of its cyclic reduction, ()
+    for the empty word."""
+    full = lengths > 0
+    cut, start, _ = _rotations(letters, lengths[full])
+    size, first = lengths.copy(), np.cumsum(lengths) - lengths
+    size[full] -= 2 * cut
+    first[full] += cut
+    shift = np.zeros_like(lengths)
+    shift[full] = start
+    row = np.repeat(np.arange(size.size), size)
+    pos = np.arange(row.size) - (np.cumsum(size) - size)[row]
+    return _tuples(letters[first[row] + (shift[row] + pos) % size[row]], size)
 
 
 @dataclass(frozen=True)
@@ -216,6 +309,14 @@ def geodesic_reduce(loop: BasedLoop) -> tuple[int, ...]:
     return min_rotation(_reduce_cycle(list(loop.vertices[:-1])))
 
 
+def _check_letters(rows: np.ndarray, rank: int) -> None:
+    """ValidationError for a class letter beyond the frame's rank."""
+    big = np.abs(rows) > rank
+    if big.any():
+        raise ValidationError(f"class letter {int(rows[big][0]):+d} is out of "
+                              f"range for rank {rank}")
+
+
 def geodesic_representative(
     cls: GeodesicClass, frame: SpanningTreeFrame
 ) -> tuple[int, ...]:
@@ -230,6 +331,7 @@ def geodesic_representative(
     """
     if cls.is_trivial:
         return ()
+    _check_letters(np.array(cls.word), frame.rank)
     ends = [frame.cogenerators[abs(l) - 1][::1 if l > 0 else -1] for l in cls.word]
     walk = []
     for (a, b), (tail, _) in zip(ends, ends[1:] + ends[:1]):
@@ -238,32 +340,57 @@ def geodesic_representative(
     return min_rotation(walk)
 
 
-def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
-    """All nontrivial homotopy classes of word length <= max_len, sorted by
-    (length, canonical word); none at rank 0."""
+def _geodesic_class_words(rank: int, max_len: int) -> _Words:
+    """The canonical words of all nontrivial classes of length <= max_len,
+    with their multiplicities, sorted by (length, word under _letter_key);
+    none at rank 0.
+
+    The reduced words grow one letter at a time, in _letter_key order, so
+    the words of each length stay sorted; a word is a class word when
+    _rotations finds it cyclically reduced and its own least rotation.
+    ConfigError when the reduced words of all lengths, sum_k k 2r (2r-1)^(k-1)
+    letters, would exceed _CLASS_LETTERS.
+    """
     if rank < 0:
         raise ValidationError("rank must be >= 0")
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
-    letters = [l for i in range(1, rank + 1) for l in (i, -i)]
-    found: list[GeodesicClass] = []
+    longest = max_len if rank else 0
+    total, count = 0, 2 * rank
+    for k in range(1, longest + 1):
+        total += k * count
+        if total > _CLASS_LETTERS:
+            raise ConfigError(
+                f"the classes of rank {rank} up to length {max_len} need more "
+                f"than {_CLASS_LETTERS} letters of reduced words")
+        count *= 2 * rank - 1
+    alphabet = np.array([l for i in range(1, rank + 1) for l in (i, -i)],
+                        dtype=np.intp)
+    words = np.zeros((1, 0), dtype=np.intp)
+    grown, counts = [words.ravel()], [0]
+    for k in range(1, longest + 1):
+        # each word followed by each letter, then the reduced ones
+        step = np.empty((len(words), alphabet.size, k), dtype=np.intp)
+        step[:, :, :-1] = words[:, None, :]
+        step[:, :, -1] = alphabet
+        words = step.reshape(-1, k)
+        if k > 1:
+            words = words[words[:, -1] != -words[:, -2]]
+        grown.append(words.ravel())
+        counts.append(len(words))
+    letters = np.concatenate(grown)
+    lengths = np.repeat(np.arange(longest + 1), counts)
+    cut, start, mult = _rotations(letters, lengths)
+    keep = (cut == 0) & (start == 0)
+    return _Words(letters[np.repeat(keep, lengths)], lengths[keep], mult[keep])
 
-    def grow(word: list[int], remaining: int):
-        # each class once: from the cyclically reduced word that is its
-        # own least rotation
-        if word and word[0] != -word[-1] and tuple(word) == min_rotation(word):
-            found.append(GeodesicClass(tuple(word)))
-        if remaining == 0:
-            return
-        for l in letters:
-            if word and l == -word[-1]:
-                continue
-            word.append(l)
-            grow(word, remaining - 1)
-            word.pop()
 
-    grow([], max_len)
-    return sorted(found, key=lambda c: (c.length, [_letter_key(l) for l in c.word]))
+def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
+    """All nontrivial homotopy classes of word length <= max_len, sorted by
+    (length, canonical word under _letter_key); none at rank 0. ConfigError
+    if the enumeration would hold more than _CLASS_LETTERS letters."""
+    words = _geodesic_class_words(rank, max_len)
+    return [GeodesicClass(w) for w in _tuples(words.letters, words.lengths)]
 
 
 def enumerate_geodesic_loops(g: GraphModel, max_len: int) -> list[tuple[int, ...]]:
@@ -274,7 +401,7 @@ def enumerate_geodesic_loops(g: GraphModel, max_len: int) -> list[tuple[int, ...
     they coincide. Each cyclic class appears once; use multiplicity() on the
     tuple for its repetition count.
     """
-    found: list[tuple[int, ...]] = []
+    closed: list[tuple[int, ...]] = []
     for s in range(g.num_vertices):
         # walks through vertices >= s only; each loop is kept once, as the
         # walk from its minimum vertex that is its least rotation
@@ -284,9 +411,12 @@ def enumerate_geodesic_loops(g: GraphModel, max_len: int) -> list[tuple[int, ...
             for w in g.neighbors[v]:
                 if w < s or w == prev:
                     continue
-                if (w == s and len(path) >= 3 and path[1] != v
-                        and path == min_rotation(path)):
-                    found.append(path)
+                if w == s and len(path) >= 3 and path[1] != v:
+                    closed.append(path)
                 if len(path) < max_len:
                     stack.append((w, v, path + (w,)))
-    return sorted(found, key=lambda t: (len(t), t))
+    lengths = np.fromiter(map(len, closed), np.intp, len(closed))
+    _, start, _ = _rotations(np.fromiter(chain.from_iterable(closed), np.intp,
+                                         lengths.sum()), lengths)
+    return sorted(compress(closed, (start == 0).tolist()),
+                  key=lambda t: (len(t), t))

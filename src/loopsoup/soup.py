@@ -22,8 +22,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, NumericError, ValidationError
-from .freegroup import (TRIVIAL, BasedLoop, GeodesicClass, canonical_class,
-                        loop_to_word, multiplicity)
+from .freegroup import (TRIVIAL, BasedLoop, GeodesicClass, _canonical_words,
+                        canonical_class, loop_to_word, multiplicity)
 from .graphs import GraphModel, SpanningTreeFrame, _adjacency, _expand
 from .signature import homology1
 
@@ -57,7 +57,12 @@ def total_mass(g: GraphModel) -> float:
 
 
 def spectral_radius(g: GraphModel) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(g.transition))))
+    """Largest |eigenvalue| of P, by a symmetric eigensolve: P is similar
+    to Lambda^(1/2) P Lambda^(-1/2) = Lambda^(-1/2) C Lambda^(-1/2), which is
+    symmetric because the conductances are."""
+    root = np.sqrt(g.lam)
+    eig = np.linalg.eigvalsh(root[:, None] * g.transition / root)
+    return float(np.max(np.abs(eig)))
 
 
 def tail_bound(g: GraphModel, n_max: int) -> float:
@@ -114,6 +119,7 @@ class _WordTrie:
         self.rank = rank
         self.parent = np.zeros(1, dtype=np.intp)
         self.last = np.zeros(1, dtype=np.intp)
+        self.depth = np.zeros(1, dtype=np.intp)
         # the extensions made so far, as sorted keys w * (2 rank + 1) +
         # letter + rank with their ids, after a sentinel above every key
         self._keys = np.array([np.iinfo(np.intp).max])
@@ -146,15 +152,22 @@ class _WordTrie:
                                   self.size + np.arange(new.size))
             self.parent = np.concatenate([self.parent, new // width])
             self.last = np.concatenate([self.last, new % width - self.rank])
+            self.depth = np.concatenate([self.depth,
+                                         self.depth[new // width] + 1])
             pos = np.searchsorted(self._keys, key)
         return self._ids[pos]
 
-    def word(self, w: int) -> tuple[int, ...]:
-        letters = []
-        while w:
-            letters.append(int(self.last[w]))
-            w = int(self.parent[w])
-        return tuple(reversed(letters))
+    def class_words(self, ids: np.ndarray) -> list[tuple[int, ...]]:
+        """The canonical class word of each word id, all at once: the
+        letters of every word are read off the parents, last letter first."""
+        depth = self.depth[ids]
+        end = np.cumsum(depth)
+        letters = np.empty(depth.sum(), dtype=np.intp)
+        for j in range(depth.max(initial=0)):
+            live = depth > j
+            letters[end[live] - 1 - j] = self.last[ids[live]]
+            ids = self.parent[ids]
+        return _canonical_words(letters, depth)
 
 
 def _first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,19 +249,18 @@ def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
         base, at, word = to_base[pick], to_vertex[pick], to_word[pick]
         home = np.flatnonzero(at == base)
         returns.append((base[home], word[home], weight[home] / n))
-    # returns base by base, then step by step; each distinct word is
-    # mapped to its class once
+    # returns base by base, then step by step; the distinct words are
+    # mapped to their classes all at once
     home_base, home_word, mass = (np.concatenate(r) for r in zip(*returns))
     order = np.argsort(home_base, kind="stable")
     distinct, of_word = np.unique(home_word[order], return_inverse=True)
-    index: dict[GeodesicClass, int] = {}
-    class_of = np.array([index.setdefault(canonical_class(words.word(w)),
-                                          len(index))
-                         for w in distinct.tolist()], dtype=np.intp)
+    index: dict[tuple[int, ...], int] = {}
+    class_of = np.array([index.setdefault(w, len(index))
+                         for w in words.class_words(distinct)], dtype=np.intp)
     home_class = class_of[of_word]
     number, pick = _first_seen(home_class)
     total = np.bincount(number, mass[order], minlength=pick.size)
-    classes = list(index)
+    classes = [GeodesicClass(w) for w in index]
     out = {classes[c]: m
            for c, m in zip(home_class[pick].tolist(), total.tolist())}
     return EnumeratedMeasure(out, n_max, tail_bound(g, n_max))

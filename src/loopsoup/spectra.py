@@ -3,7 +3,12 @@
 The mass of a nontrivial homotopy class factorizes over the steps of its
 geodesic loop: each step x -> y contributes P(x,y) * rho(x,y), where
 rho(x,y) is the generating function of excursions that leave y away from x
-and return, counted with a weight s per step pair.
+and return, counted with a weight s per step pair. The geodesic of a class
+word crosses each letter's generator edge and then follows the tree path
+to the tail of the next letter's edge, so a table of classes is read off
+a letter-pair matrix: the mass is the cyclic product of its entries over
+the word, divided by the multiplicity (_class_intensities, of which
+class_intensity is the one-row view).
 
 The rho table lives on the 2|E| oriented edges and is the least fixed point
 of r = F(r) = 1 + s * r o (B r), where the weighted non-backtracking
@@ -57,12 +62,15 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NumericError, ValidationError
-from .freegroup import (GeodesicClass, enumerate_geodesic_loops,
-                        geodesic_representative, multiplicity)
+from .freegroup import (GeodesicClass, _check_letters, _Words,
+                        enumerate_geodesic_loops, multiplicity)
 from .graphs import GraphModel, SpanningTreeFrame, _adjacency, _expand
 
 # Newton stops once no entry moves by more than this fraction of max rho.
 _STEP = 1e-13
+# solve_rho keeps the tables of this many recent (graph, s) pairs; each
+# holds its graph, so an unbounded cache grows with every graph solved.
+_RHO_CACHE = 32
 # Dekker's splitting constant 2**27 + 1 for exact float64 products.
 _SPLITTER = 134217729.0
 
@@ -336,8 +344,17 @@ class RhoTable:
     residual: float
     iterations: int
 
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """The oriented edges as ascending keys x n + y, n the number of
+        vertices, with their edge values: edge[] for arrays of pairs."""
+        n = len(self.vertex)
+        keys = np.array([x * n + y for x, y in self.edge], dtype=np.intp)
+        order = np.argsort(keys)
+        return keys[order], np.array(list(self.edge.values()))[order]
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_RHO_CACHE)
 def solve_rho(g: GraphModel, s: float = 1.0) -> RhoTable:
     """Solve rho(x,y) = 1 + s * rho(x,y) * sum_{z ~ y, z != x}
     P(y,z) rho(y,z) P(z,y) for the least fixed point.
@@ -350,7 +367,7 @@ def solve_rho(g: GraphModel, s: float = 1.0) -> RhoTable:
     negative (beyond that tolerance) or non-finite entry, or a singular
     Newton system, raises NumericError (non-summable series); a vertex sum
     that reaches 1 within the accuracy of the table gives vertex[x] = inf.
-    Cached per (graph, s); the quadrature of
+    Cached per (graph, s), for the last _RHO_CACHE pairs; the quadrature of
     contractible_intensity solves its nodes without this cache.
     """
     if not 0.0 <= s <= 1.0:
@@ -365,14 +382,74 @@ def solve_rho(g: GraphModel, s: float = 1.0) -> RhoTable:
                     residual=residual, iterations=int(iterations[0]))
 
 
+def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
+                       rho: RhoTable) -> np.ndarray:
+    """Masses of nontrivial classes, one per canonical class word of the
+    table, at the step weight of rho.
+
+    The geodesic of a class word crosses each letter a's generator edge,
+    then takes the tree path from its head to the tail of the next letter
+    b (geodesic_representative). So its product of P(x,y) rho(x,y) is the
+    cyclic product over the word of a 2r x 2r letter-pair matrix: T[a, b]
+    is that product over a's generator edge and then along the tree path.
+    Only the entries that the words use are formed, all at once, by
+    walking both ends of every path up the tree as tree_path does. Each
+    word's entries are then multiplied in order and the product divided by
+    the multiplicity; no word's mass depends on the other words of the
+    table. ValidationError for a letter beyond the frame's rank.
+    """
+    r = frame.rank
+    _check_letters(words.letters, r)
+    letters, lengths = words.letters, words.lengths
+    if not lengths.size:
+        return np.zeros(0)
+    p, n = g.transition, g.num_vertices
+    keys, edge = rho._lookup
+
+    def steps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return p[x, y] * edge[np.searchsorted(keys, x * n + y)]
+
+    # letter index 2(|l| - 1) + (l < 0); letter 2i + 1 crosses generator
+    # edge i backward
+    index = ((np.abs(letters) - 1) << 1) | (letters < 0)
+    cogenerators = np.array(frame.cogenerators, dtype=np.intp).reshape(-1, 2)
+    # the letter after each letter, cyclically within its word
+    end = np.cumsum(lengths)
+    first = end - lengths
+    after = np.arange(1, letters.size + 1)
+    after[end - 1] = first
+    pair, entry = np.unique(index * 2 * r + index[after], return_inverse=True)
+    a, b = pair // (2 * r), pair % (2 * r)
+    tail_a = cogenerators[a >> 1, a & 1]
+    head_a = cogenerators[a >> 1, 1 - (a & 1)]
+    # the step from each vertex to its tree parent and back (1 at the root)
+    parent, depth = np.array(frame.parent), np.array(frame.depth)
+    child = np.flatnonzero(parent >= 0)
+    up, down = np.ones(parent.size), np.ones(parent.size)
+    up[child] = steps(child, parent[child])
+    down[child] = steps(parent[child], child)
+    value = steps(tail_a, head_a)
+    x, y = head_a, cogenerators[b >> 1, b & 1]
+    while (move := x != y).any():
+        lift = move & (depth[x] >= depth[y])
+        drop = move & ~lift
+        value = value * np.where(lift, up[x], 1.0) * np.where(drop, down[y], 1.0)
+        x = np.where(lift, parent[x], x)
+        y = np.where(drop, parent[y], y)
+    return np.multiply.reduceat(value[entry], first) / words.multiplicity
+
+
 def class_intensity(g: GraphModel, frame: SpanningTreeFrame,
                     cls: GeodesicClass, s: float = 1.0,
                     rho: RhoTable | None = None) -> float:
     """Loop-measure mass of a nontrivial homotopy class.
 
     The product of P(x,y) rho(x,y) over the steps of the class's geodesic
-    loop, divided by the class multiplicity. Pass a precomputed RhoTable to
-    amortize the solve across classes.
+    loop, divided by the class multiplicity: the one-row view of
+    _class_intensities, so bitwise equal to that class's row in any table.
+    Pass a precomputed RhoTable to amortize the solve across classes.
+    ValidationError for the trivial class, a letter beyond the frame's
+    rank, or a table solved at another s.
     """
     if cls.is_trivial:
         raise ValidationError(
@@ -381,13 +458,9 @@ def class_intensity(g: GraphModel, frame: SpanningTreeFrame,
         rho = solve_rho(g, s)
     elif rho.s != s:
         raise ValidationError(f"rho table solved at s={rho.s}, need s={s}")
-    cycle = geodesic_representative(cls, frame)
-    p = g.transition
-    prod = 1.0
-    for i, x in enumerate(cycle):
-        y = cycle[(i + 1) % len(cycle)]
-        prod *= p[x, y] * rho.edge[(x, y)]
-    return prod / cls.multiplicity
+    words = _Words(np.array(cls.word, dtype=np.intp),
+                   np.array([cls.length]), np.array([cls.multiplicity]))
+    return float(_class_intensities(g, frame, words, rho)[0])
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,25 @@ class TestHomotopy:
         assert code == 0
         assert [l.split(",")[0] for l in out.splitlines()[2:]] == ["e"]
 
+    def test_rows_equal_class_intensity(self, capsys, bow_path):
+        code, out = run_cli(capsys, "homotopy", bow_path, "--max-len", "4",
+                            "--s", "0.7")
+        assert code == 0
+        g = loopsoup.load_graph(bow_path)
+        frame = loopsoup.spanning_tree_frame(g)
+        want = [f"{loopsoup.format_word(c.word)},{c.length},{c.multiplicity},"
+                f"{loopsoup.class_intensity(g, frame, c, s=0.7)!r}"
+                for c in loopsoup.enumerate_geodesic_classes(frame.rank, 4)]
+        assert out.splitlines()[2:] == want
+
+    def test_max_len_over_the_letter_budget_exits_4(self, capsys, tri_path):
+        # the reduced words of rank 1 up to length 1024 hold 1024 * 1025 >
+        # 2^20 letters
+        assert main(["homotopy", tri_path, "--max-len", "1024"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "up to length 1024" in captured.err
+
     def test_rank_zero_prints_trivial_row(self, capsys, tmp_path):
         p = tmp_path / "one.graph"
         p.write_text(ONE_VERTEX)
@@ -282,6 +301,7 @@ class TestFuzz:
             path = tmp_path / f"fuzz{i}.graph"
             path.write_text(text)
             for argv in (["validate"], ["homotopy", "--max-len", "2"],
+                         ["homotopy", "--max-len", "5000"],
                          ["enumerate", "--n-max", "6"],
                          ["homotopy", "--max-len", "-1"],
                          ["h1", "--h-range", "-1"], ["h2", "--p", "3", "--field"],

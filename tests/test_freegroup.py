@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from loopsoup import (
     BasedLoop,
+    ConfigError,
     GeodesicClass,
     ValidationError,
     build_graph,
@@ -27,7 +29,60 @@ from loopsoup import (
     reduce_word,
     spanning_tree_frame,
 )
-from loopsoup.freegroup import _reduce_cycle
+from loopsoup import freegroup
+from loopsoup.freegroup import (_canonical_words, _geodesic_class_words,
+                                _letter_key, _reduce_cycle, _rotations)
+
+
+def recursive_classes(rank, max_len):
+    """Reference enumeration: every reduced word grown letter by letter by
+    recursion, kept when it is cyclically reduced and its own least
+    rotation, then sorted by (length, word under _letter_key)."""
+    letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+    found = []
+
+    def grow(word, remaining):
+        if word and word[0] != -word[-1] and tuple(word) == min_rotation(word):
+            found.append(GeodesicClass(tuple(word)))
+        if remaining == 0:
+            return
+        for l in letters:
+            if word and l == -word[-1]:
+                continue
+            word.append(l)
+            grow(word, remaining - 1)
+            word.pop()
+
+    grow([], max_len)
+    return sorted(found, key=lambda c: (c.length, [_letter_key(l) for l in c.word]))
+
+
+def stepwise_geodesic_loops(g, max_len):
+    """Reference geodesic loops: the same walks, each closed candidate kept
+    when min_rotation says it is its own least rotation."""
+    found = []
+    for s in range(g.num_vertices):
+        stack = [(s, -1, (s,))]
+        while stack:
+            v, prev, path = stack.pop()
+            for w in g.neighbors[v]:
+                if w < s or w == prev:
+                    continue
+                if (w == s and len(path) >= 3 and path[1] != v
+                        and path == min_rotation(path)):
+                    found.append(path)
+                if len(path) < max_len:
+                    stack.append((w, v, path + (w,)))
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def _random_reduced(rng, rank, n):
+    word = []
+    while len(word) < n:
+        l = rng.choice([1, -1]) * rng.randint(1, rank)
+        if not word or l != -word[-1]:
+            word.append(l)
+    return tuple(word)
 
 
 class TestWordOps:
@@ -145,6 +200,77 @@ class TestClasses:
         grow([], 5)
         got = {c.word for c in enumerate_geodesic_classes(2, 5)}
         assert got == seen
+
+
+class TestRotationKernel:
+    """_rotations is the one least-rotation kernel of every class route;
+    its results must be those of the word-at-a-time functions."""
+
+    @pytest.mark.parametrize("rank", range(5))
+    def test_classes_equal_recursive_reference(self, rank):
+        want = recursive_classes(rank, 6)
+        for max_len in range(7):
+            got = enumerate_geodesic_classes(rank, max_len)
+            assert got == [c for c in want if c.length <= max_len]
+            words = _geodesic_class_words(rank, max_len)
+            assert words.multiplicity.tolist() == [c.multiplicity for c in got]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 6])
+    def test_canonical_words_match_canonical_class(self, rank):
+        # lengths up to 160 make the ranks dense again between rounds
+        rng = random.Random(rank)
+        words = [_random_reduced(rng, rank, rng.choice([0, 1, 2, 3, 5, 8, 13,
+                                                       40, 160]))
+                 for _ in range(300)]
+        words += [w * k for w in words[:40] if w for k in (2, 3)]
+        words = [reduce_word(w) for w in words]
+        lengths = np.array([len(w) for w in words])
+        letters = np.array([l for w in words for l in w], dtype=np.intp)
+        assert _canonical_words(letters, lengths) == [
+            canonical_class(w).word for w in words]
+
+    def test_multiplicity_and_offset(self):
+        # (-1 2 1 3 1) reduces to (2 1 3), least rotation (1 3 2) from 1;
+        # (-1 2 1 -2 1) reduces to (1)
+        rows = [(1, 2, 1, 2), (2, 1, 2, 1), (-1, 2, 1, 3, 1),
+                (-1, 2, 1, -2, 1), (1,), (2, 1, 1)]
+        lengths = np.array([len(r) for r in rows])
+        cut, start, mult = _rotations(
+            np.array([l for r in rows for l in r], dtype=np.intp), lengths)
+        assert cut.tolist() == [0, 0, 1, 2, 0, 0]
+        assert start.tolist() == [0, 1, 1, 0, 0, 1]
+        assert mult.tolist() == [2, 2, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("graph", ["k4", "petersen"])
+    def test_geodesic_loops_unchanged(self, request, graph):
+        g = request.getfixturevalue(graph)
+        assert enumerate_geodesic_loops(g, 10) == stepwise_geodesic_loops(g, 10)
+
+    def test_budget_raises_config_error(self, monkeypatch):
+        # sum_k k 2r (2r-1)^(k-1) letters: rank 6 at length 10 is about 3e11
+        with pytest.raises(ConfigError, match="rank 6 up to length 10"):
+            enumerate_geodesic_classes(6, 10)
+        with pytest.raises(ConfigError):
+            enumerate_geodesic_classes(1, 10 ** 9)
+        # at rank 1 the letters are 2 + 4 + 6 + ...: 12 admits length 3
+        monkeypatch.setattr(freegroup, "_CLASS_LETTERS", 12)
+        assert len(enumerate_geodesic_classes(1, 3)) == 6
+        with pytest.raises(ConfigError):
+            enumerate_geodesic_classes(1, 4)
+        assert enumerate_geodesic_classes(0, 10 ** 9) == []
+
+    def test_deep_rank_one_classes(self):
+        # deeper than Python's default recursion limit of 1000
+        words = _geodesic_class_words(1, 1000)
+        assert words.lengths.tolist() == [k for k in range(1, 1001) for _ in "+-"]
+        assert words.multiplicity.tolist() == words.lengths.tolist()
+        assert (words.letters == np.repeat(np.tile([1, -1], 1000),
+                                           words.lengths)).all()
+
+    def test_out_of_range_letter(self, triangle_frame):
+        for word in [(2,), (1, -3)]:
+            with pytest.raises(ValidationError, match="rank 1"):
+                geodesic_representative(GeodesicClass(word), triangle_frame)
 
 
 def root_walk_representative(cls, frame):

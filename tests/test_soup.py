@@ -56,6 +56,14 @@ class TestMeasure:
     def test_spectral_radius(self, triangle):
         assert spectral_radius(triangle) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("name", ["triangle", "bowtie", "k4", "petersen"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_spectral_radius_matches_general_eigensolve(self, request, name, seed):
+        # the symmetric solve and a general one on P itself
+        g = _reweighted(request.getfixturevalue(name), seed)
+        want = np.max(np.abs(np.linalg.eigvals(g.transition)))
+        assert spectral_radius(g) == pytest.approx(want, rel=1e-14)
+
     def test_tail_bound_decreases(self, triangle):
         ts = [tail_bound(triangle, n) for n in (8, 12, 16, 20)]
         assert all(a > b > 0 for a, b in zip(ts, ts[1:]))

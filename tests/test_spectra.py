@@ -28,6 +28,7 @@ from loopsoup import (
 )
 from loopsoup import spectra
 from loopsoup.cli import main
+from loopsoup.freegroup import GeodesicClass, _geodesic_class_words, _Words
 
 SQRT5 = math.sqrt(5.0)
 # The trivial-class mass of the triangle with killing 1e-9 at one vertex,
@@ -128,6 +129,13 @@ class TestSolveRho:
         info = spectra.solve_rho.cache_info()
         assert info.hits >= 0 and info.misses >= 0
 
+    def test_cache_is_bounded(self):
+        # every entry keeps its graph alive, so a stream of graphs must not
+        # pile up in the cache
+        for k in range(spectra._RHO_CACHE + 5):
+            solve_rho(build_graph(2, [(0, 1, 1.0 + k)], 1.0), 1.0)
+        assert spectra.solve_rho.cache_info().currsize == spectra._RHO_CACHE
+
     def test_rejects_bad_s(self, triangle):
         with pytest.raises(ValidationError):
             solve_rho(triangle, -0.1)
@@ -173,6 +181,97 @@ class TestClassIntensity:
         with pytest.raises(ValidationError):
             class_intensity(triangle, triangle_frame, canonical_class((1,)),
                             s=1.0, rho=rho)
+
+
+def stepwise_intensity(g, frame, cls, rho):
+    """Reference class mass: P(x,y) rho(x,y) multiplied step by step around
+    the geodesic loop from geodesic_representative, over the multiplicity."""
+    cycle = geodesic_representative(cls, frame)
+    p = g.transition
+    prod = 1.0
+    for i, x in enumerate(cycle):
+        y = cycle[(i + 1) % len(cycle)]
+        prod *= p[x, y] * rho.edge[(x, y)]
+    return prod / cls.multiplicity
+
+
+def _family(name, seed):
+    """A graph of one of the benchmark's families: unit conductances and
+    a constant killing for even seeds, random weights for odd ones."""
+    side = 10
+    edges = {
+        "triangle": [(0, 1), (1, 2), (0, 2)],
+        "bowtie": [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)],
+        "k4": [(a, b) for a in range(4) for b in range(a + 1, 4)],
+        "rank4": [(a, b) for a in range(4) for b in range(a + 1, 4)]
+                 + [(0, 4), (1, 4)],
+        "petersen": sorted({tuple(sorted(e)) for i in range(5) for e in
+                            [(i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5),
+                             (i, 5 + i)]}),
+        "torus10": sorted({tuple(sorted((i * side + j, b)))
+                           for i in range(side) for j in range(side)
+                           for b in (i * side + (j + 1) % side,
+                                     ((i + 1) % side) * side + j)}),
+    }[name]
+    n = 1 + max(max(e) for e in edges)
+    rng = random.Random(seed)
+    if seed % 2:
+        return build_graph(n, [(u, v, rng.uniform(0.5, 2.0)) for u, v in edges],
+                           [rng.uniform(0.5, 1.5) for _ in range(n)])
+    kappa = rng.uniform(0.8, 1.2) * (0.5 if name == "torus10" else 1.0)
+    return build_graph(n, [(u, v, 1.0) for u, v in edges], kappa)
+
+
+class TestClassTable:
+    """homotopy reads its rows off _class_intensities, the cyclic product
+    of a letter-pair matrix over each class word; class_intensity is its
+    one-row view."""
+
+    CASES = [("triangle", 9), ("bowtie", 5), ("k4", 4), ("petersen", 3),
+             ("rank4", 4)]
+
+    @pytest.mark.parametrize("name,max_len", CASES)
+    @pytest.mark.parametrize("s", [0.6, 1.0])
+    def test_table_matches_stepwise_reference(self, name, max_len, s):
+        for seed in (1, 2, 3):
+            g = _family(name, seed)
+            frame = spanning_tree_frame(g)
+            rho = solve_rho(g, s)
+            words = _geodesic_class_words(frame.rank, max_len)
+            table = spectra._class_intensities(g, frame, words, rho)
+            classes = enumerate_geodesic_classes(frame.rank, max_len)
+            assert len(table) == len(classes)
+            for cls, got in zip(classes, table):
+                want = stepwise_intensity(g, frame, cls, rho)
+                assert abs(got - want) <= 1e-14 * want, cls
+                assert class_intensity(g, frame, cls, s=s, rho=rho) == got
+
+    def test_out_of_range_letter(self, triangle, triangle_frame):
+        with pytest.raises(ValidationError, match=r"\+2 .*rank 1"):
+            class_intensity(triangle, triangle_frame, GeodesicClass((2,)))
+        words = _Words(np.array([1, -3]), np.array([2]), np.array([1]))
+        with pytest.raises(ValidationError, match="-3"):
+            spectra._class_intensities(triangle, triangle_frame, words,
+                                       solve_rho(triangle, 1.0))
+
+    # the benchmark's enumeration lengths and longest homotopy classes
+    SANDWICH = [("triangle", 40, 9), ("bowtie", 14, 4), ("k4", 10, 4),
+                ("petersen", 8, 3), ("torus10", 4, 1)]
+
+    @pytest.mark.parametrize("name,n_max,max_len", SANDWICH)
+    def test_rows_sit_above_enumeration_within_tail(self, name, n_max, max_len):
+        # every s = 1 row lies at or above the class's enumerated mass, by
+        # at most the enumeration's tail bound, with no rounding slack
+        for seed in (0, 1):
+            g = _family(name, seed)
+            frame = spanning_tree_frame(g)
+            em = enumerate_measure(g, frame, n_max)
+            words = _geodesic_class_words(frame.rank, max_len)
+            table = spectra._class_intensities(g, frame, words,
+                                               solve_rho(g, 1.0))
+            classes = enumerate_geodesic_classes(frame.rank, max_len)
+            for cls, value in zip(classes, table.tolist()):
+                assert 0.0 <= value - em.get(cls) <= em.tail, cls
 
 
 def _four_cycle_with_pendant():
