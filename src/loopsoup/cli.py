@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError, ValidationError
 from .freegroup import _geodesic_class_words, _tuples, format_word, parse_word
-from .graphs import parse_graph, spanning_tree_frame
+from .graphs import load_graph, spanning_tree_frame
 from .signature import degree_and_lead
 from .soup import (MeasureConfig, dumps_soup, enumerate_measure, occupation,
                    sample_soup, spectral_radius, total_mass)
@@ -32,15 +32,6 @@ from . import __version__
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _load_graph(path: str):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    return parse_graph(text)
 
 
 def _manifest(command: str, params: dict) -> str:
@@ -66,7 +57,7 @@ def _class_label(cls) -> str:
 
 
 def cmd_validate(args) -> None:
-    g = _load_graph(args.graph)
+    g = load_graph(args.graph)
     frame = spanning_tree_frame(g)
     lines = [
         _manifest("validate", {"graph": args.graph}),
@@ -84,7 +75,7 @@ def cmd_validate(args) -> None:
 
 
 def cmd_sample(args) -> None:
-    g = _load_graph(args.graph)
+    g = load_graph(args.graph)
     frame = spanning_tree_frame(g)
     cfg = MeasureConfig(alpha=args.alpha, n_max=args.n_max,
                         tail_tol=args.tail_tol, seed=args.seed)
@@ -103,7 +94,7 @@ def cmd_sample(args) -> None:
 
 
 def cmd_enumerate(args) -> None:
-    g = _load_graph(args.graph)
+    g = load_graph(args.graph)
     frame = spanning_tree_frame(g)
     em = enumerate_measure(g, frame, args.n_max)
     manifest = _manifest("enumerate", {
@@ -117,7 +108,7 @@ def cmd_enumerate(args) -> None:
 
 
 def cmd_homotopy(args) -> None:
-    g = _load_graph(args.graph)
+    g = load_graph(args.graph)
     frame = spanning_tree_frame(g)
     # enumerated first, so that a bad --max-len fails before the solves
     words = _geodesic_class_words(frame.rank, args.max_len)
@@ -147,7 +138,7 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def cmd_h1(args) -> None:
-    g = _load_graph(args.graph)
+    g = load_graph(args.graph)
     frame = spanning_tree_frame(g)
     r = frame.rank
     if args.h is not None:
@@ -177,7 +168,7 @@ def cmd_h1(args) -> None:
 
 
 def cmd_h2(args) -> None:
-    g = _load_graph(args.graph)
+    g = load_graph(args.graph)
     frame = spanning_tree_frame(g)
     q = frame.rank * (frame.rank - 1) // 2
     if args.m is not None:
@@ -200,7 +191,7 @@ def cmd_h2(args) -> None:
 
 
 def cmd_zeta(args) -> None:
-    g = _load_graph(args.graph)
+    g = load_graph(args.graph)
     series = ihara_check(g, args.max_degree)
     manifest = _manifest("zeta", {
         "graph": args.graph, "max_degree": args.max_degree,

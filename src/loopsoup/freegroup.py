@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
-from itertools import chain, compress, repeat
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .graphs import GraphModel, SpanningTreeFrame
+from .graphs import GraphModel, SpanningTreeFrame, _adjacency
 
 Word = tuple[int, ...]
 
@@ -29,6 +29,11 @@ _RANK_SPAN = 2 ** 31
 # The most letters, summed over every reduced word of every length up to
 # max_len, that the class enumeration may hold.
 _CLASS_LETTERS = 2 ** 20
+# The most steps, summed over every non-backtracking walk of every length up
+# to max_len, that the geodesic loop enumeration may grow.
+_WALK_LETTERS = 2 ** 22
+# canonical_class keeps the classes of this many recent words.
+_CLASS_CACHE = 2 ** 14
 
 
 def _check_word(word: Iterable[int]) -> Word:
@@ -165,20 +170,25 @@ def _rotations(letters: np.ndarray, lengths: np.ndarray
     return cut, start, mult
 
 
-def _canonical_words(letters: np.ndarray, lengths: np.ndarray) -> list[Word]:
+def _canonical_words(letters: np.ndarray, lengths: np.ndarray
+                     ) -> tuple[list[Word], list[int]]:
     """The canonical class word of every row of a flat table (as in _tuples)
-    of freely reduced words: the least rotation of its cyclic reduction, ()
-    for the empty word."""
+    of freely reduced words, the least rotation of its cyclic reduction (()
+    for the empty word), and the multiplicity of each (1 for the empty
+    word)."""
     full = lengths > 0
-    cut, start, _ = _rotations(letters, lengths[full])
+    cut, start, mult = _rotations(letters, lengths[full])
     size, first = lengths.copy(), np.cumsum(lengths) - lengths
     size[full] -= 2 * cut
     first[full] += cut
     shift = np.zeros_like(lengths)
     shift[full] = start
+    repeats = np.ones_like(lengths)
+    repeats[full] = mult
     row = np.repeat(np.arange(size.size), size)
     pos = np.arange(row.size) - (np.cumsum(size) - size)[row]
-    return _tuples(letters[first[row] + (shift[row] + pos) % size[row]], size)
+    return (_tuples(letters[first[row] + (shift[row] + pos) % size[row]], size),
+            repeats.tolist())
 
 
 @dataclass(frozen=True)
@@ -197,6 +207,15 @@ class GeodesicClass:
                 raise ValidationError(f"class word {w} is not cyclically reduced")
         if w != min_rotation(w):
             raise ValidationError(f"class word {w} is not in canonical rotation")
+
+    @classmethod
+    def _certified(cls, word: Word, multiplicity: int) -> "GeodesicClass":
+        """The class of a word that _rotations has found cyclically reduced
+        and its own least rotation, with the multiplicity it found: no
+        check runs again."""
+        out = object.__new__(cls)
+        out.__dict__.update(word=word, multiplicity=multiplicity)
+        return out
 
     @property
     def length(self) -> int:
@@ -222,7 +241,7 @@ class GeodesicClass:
 TRIVIAL = GeodesicClass(())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CLASS_CACHE)
 def _canonical(word: Word) -> GeodesicClass:
     w = cyclic_reduce(word)
     if not w:
@@ -285,19 +304,19 @@ def loop_to_word(loop: BasedLoop, frame: SpanningTreeFrame) -> Word:
 
 
 def _reduce_cycle(vs: list[int]) -> list[int]:
-    # erase backtracks v -> w -> v cyclically until none remain
-    changed = True
-    while changed and len(vs) >= 2:
-        changed = False
-        n = len(vs)
-        for i in range(n):
-            if vs[(i + 2) % n] == vs[i]:
-                a, b = (i + 1) % n, (i + 2) % n
-                for j in sorted({a, b}, reverse=True):
-                    del vs[j]
-                changed = True
-                break
-    return vs
+    """Erase the backtracks v -> w -> v of a cyclic vertex sequence, in one
+    stack pass: the closed walk from vs[0] is freely reduced, then steps
+    that cancel across the base are peeled from both ends."""
+    path: list[int] = []
+    for v in vs + vs[:1]:
+        if len(path) >= 2 and path[-2] == v:
+            path.pop()
+        else:
+            path.append(v)
+    lo, hi = 0, len(path) - 1
+    while hi - lo >= 2 and path[lo + 1] == path[hi - 1]:
+        lo, hi = lo + 1, hi - 1
+    return path[lo:hi]
 
 
 def geodesic_reduce(loop: BasedLoop) -> tuple[int, ...]:
@@ -390,7 +409,75 @@ def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
     (length, canonical word under _letter_key); none at rank 0. ConfigError
     if the enumeration would hold more than _CLASS_LETTERS letters."""
     words = _geodesic_class_words(rank, max_len)
-    return [GeodesicClass(w) for w in _tuples(words.letters, words.lengths)]
+    return [GeodesicClass._certified(w, m)
+            for w, m in zip(_tuples(words.letters, words.lengths),
+                            words.multiplicity.tolist())]
+
+
+def _geodesic_loops(g: GraphModel, max_len: int) -> _Words:
+    """The geodesic loops of length <= max_len as a flat table (as in
+    _tuples) of canonical cyclic vertex sequences, with their
+    multiplicities, sorted by (length, sequence).
+
+    The non-backtracking walks that start at a vertex s and stay on the
+    vertices >= s grow as arrays, one vertex at a time, in lexicographic
+    order. A walk of k >= 3 vertices closes into a loop when its last
+    vertex steps back to s without backtracking, and its first step is not
+    the reverse of that closing step (no tail). Each loop is kept once, as
+    the walk from its least vertex that _rotations finds its own least
+    rotation.
+
+    ConfigError, before any walk is grown, when the non-backtracking walks
+    of every length k <= max_len, k steps each, would exceed _WALK_LETTERS
+    steps in all (sum_k k n d (d-1)^(k-1) on n vertices of degree d). The
+    walks of k + 1 steps that end with the edge x -> y are those of k steps
+    that end at x, less the one that ends with y -> x.
+    """
+    n_v = g.num_vertices
+    first, heads, tails = _adjacency(g)
+    # the reverse of edge i, in the CSR order by (tail, head)
+    reverse = np.empty_like(heads)
+    reverse[np.lexsort((tails, heads))] = np.arange(heads.size)
+    ending = np.ones(heads.size)
+    total = 0.0
+    for k in range(1, max_len + 1):
+        walks = ending.sum()
+        if not walks:
+            break
+        total += k * walks
+        if total > _WALK_LETTERS:
+            raise ConfigError(
+                f"the geodesic loops up to length {max_len} need more than "
+                f"{_WALK_LETTERS} steps of non-backtracking walks")
+        ending = np.bincount(heads, ending, n_v)[tails] - ending[reverse]
+    # neighbours ascending, padded with -1, which no walk may take: rows
+    # in lexicographic order grow their children in lexicographic order
+    top = np.diff(first).max(initial=0)
+    step = np.full((n_v, top), -1, dtype=np.intp)
+    for v, adj in enumerate(g.neighbors):
+        step[v, top - len(adj):] = sorted(adj)
+    walks = np.arange(n_v)[:, None]
+    grown, counts = [], []
+    for k in range(1, max_len + 1):
+        to = step[walks[:, -1]]
+        ok = to >= walks[:, :1]
+        if k > 1:
+            ok &= to != walks[:, -2:-1]
+        i, j = np.nonzero(ok)
+        to = to[i, j]
+        if k >= 3:
+            closed = walks[i[(to == walks[i, 0])
+                             & (walks[i, 1] != walks[i, -1])]]
+            grown.append(closed.ravel())
+            counts.append(len(closed))
+        if k == max_len or not i.size:
+            break
+        walks = np.concatenate([walks[i], to[:, None]], axis=1)
+    letters = np.concatenate([np.zeros(0, dtype=np.intp)] + grown)
+    lengths = np.repeat(np.arange(3, 3 + len(counts)), counts)
+    _, start, mult = _rotations(letters, lengths)
+    keep = start == 0
+    return _Words(letters[np.repeat(keep, lengths)], lengths[keep], mult[keep])
 
 
 def enumerate_geodesic_loops(g: GraphModel, max_len: int) -> list[tuple[int, ...]]:
@@ -399,24 +486,9 @@ def enumerate_geodesic_loops(g: GraphModel, max_len: int) -> list[tuple[int, ...
 
     Loops are oriented: a loop and its reverse are listed separately unless
     they coincide. Each cyclic class appears once; use multiplicity() on the
-    tuple for its repetition count.
+    tuple for its repetition count. ConfigError if the non-backtracking
+    walks up to max_len would take more than _WALK_LETTERS steps in all
+    (see _geodesic_loops).
     """
-    closed: list[tuple[int, ...]] = []
-    for s in range(g.num_vertices):
-        # walks through vertices >= s only; each loop is kept once, as the
-        # walk from its minimum vertex that is its least rotation
-        stack: list[tuple[int, int, tuple[int, ...]]] = [(s, -1, (s,))]
-        while stack:
-            v, prev, path = stack.pop()
-            for w in g.neighbors[v]:
-                if w < s or w == prev:
-                    continue
-                if w == s and len(path) >= 3 and path[1] != v:
-                    closed.append(path)
-                if len(path) < max_len:
-                    stack.append((w, v, path + (w,)))
-    lengths = np.fromiter(map(len, closed), np.intp, len(closed))
-    _, start, _ = _rotations(np.fromiter(chain.from_iterable(closed), np.intp,
-                                         lengths.sum()), lengths)
-    return sorted(compress(closed, (start == 0).tolist()),
-                  key=lambda t: (len(t), t))
+    loops = _geodesic_loops(g, max_len)
+    return _tuples(loops.letters, loops.lengths)

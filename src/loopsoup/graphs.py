@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -323,5 +323,10 @@ def parse_graph(text: str) -> GraphModel:
 
 
 def load_graph(path: str) -> GraphModel:
-    with open(path) as fh:
-        return parse_graph(fh.read())
+    """parse_graph of a file's text; ConfigError if it cannot be read."""
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    return parse_graph(text)

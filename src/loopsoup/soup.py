@@ -157,9 +157,11 @@ class _WordTrie:
             pos = np.searchsorted(self._keys, key)
         return self._ids[pos]
 
-    def class_words(self, ids: np.ndarray) -> list[tuple[int, ...]]:
-        """The canonical class word of each word id, all at once: the
-        letters of every word are read off the parents, last letter first."""
+    def class_words(self, ids: np.ndarray
+                    ) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The canonical class word of each word id, and its multiplicity,
+        all at once: the letters of every word are read off the parents,
+        last letter first."""
         depth = self.depth[ids]
         end = np.cumsum(depth)
         letters = np.empty(depth.sum(), dtype=np.intp)
@@ -255,12 +257,14 @@ def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
     order = np.argsort(home_base, kind="stable")
     distinct, of_word = np.unique(home_word[order], return_inverse=True)
     index: dict[tuple[int, ...], int] = {}
+    class_words, class_mult = words.class_words(distinct)
     class_of = np.array([index.setdefault(w, len(index))
-                         for w in words.class_words(distinct)], dtype=np.intp)
+                         for w in class_words], dtype=np.intp)
     home_class = class_of[of_word]
     number, pick = _first_seen(home_class)
     total = np.bincount(number, mass[order], minlength=pick.size)
-    classes = [GeodesicClass(w) for w in index]
+    mult = dict(zip(class_words, class_mult))
+    classes = [GeodesicClass._certified(w, mult[w]) for w in index]
     out = {classes[c]: m
            for c, m in zip(home_class[pick].tolist(), total.tolist())}
     return EnumeratedMeasure(out, n_max, tail_bound(g, n_max))

@@ -47,7 +47,11 @@ gap between the Kronrod value and the embedded Gauss value.
 
 On regular graphs everything has closed forms, and the class masses with
 the killing parametrized by step weight reproduce a classical determinant
-identity for non-backtracking walks, checked here in exact arithmetic.
+identity for non-backtracking walks (Ihara; Bass, Int. J. Math. 3, 1992),
+checked here in exact arithmetic (ihara_check): the geodesic loops come
+from the array enumeration of freegroup, with the multiplicities its
+rotation kernel finds, and both sides of the series are integer
+numerators over the degree until each coefficient becomes one Fraction.
 """
 
 from __future__ import annotations
@@ -55,15 +59,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import fsum, sqrt
+from math import comb, fsum, sqrt
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import NumericError, ValidationError
-from .freegroup import (GeodesicClass, _check_letters, _Words,
-                        enumerate_geodesic_loops, multiplicity)
+from .freegroup import (GeodesicClass, _check_letters, _geodesic_loops,
+                        _Words)
 from .graphs import GraphModel, SpanningTreeFrame, _adjacency, _expand
 
 # Newton stops once no entry moves by more than this fraction of max rho.
@@ -616,40 +620,7 @@ def contractible_intensity(g: GraphModel) -> tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # determinant identity for geodesic loops on regular graphs
-# (exact rational power series)
-
-_Poly = list[Fraction]
-
-
-def _poly_trim(p: _Poly, n: int) -> _Poly:
-    out = p[: n + 1]
-    return out + [Fraction(0)] * (n + 1 - len(out))
-
-
-def _poly_mul(a: _Poly, b: _Poly, n: int) -> _Poly:
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: n + 1 - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_log(p: _Poly, n: int) -> _Poly:
-    """log of a power series with constant term 1, truncated at degree n."""
-    assert p[0] == 1
-    a = _poly_trim(p, n)
-    a[0] = Fraction(0)
-    out = [Fraction(0)] * (n + 1)
-    power = [Fraction(1)] + [Fraction(0)] * n
-    for m in range(1, n + 1):
-        power = _poly_mul(power, a, n)
-        coef = Fraction((-1) ** (m + 1), m)
-        for i, c in enumerate(power):
-            out[i] += coef * c
-    return out
+# (exact integer power series)
 
 
 def _charpoly(neighbors: tuple[tuple[int, ...], ...],
@@ -689,13 +660,49 @@ class IharaSeries:
         return self.walk_side == self.det_side
 
 
+def _det_series(neighbors: tuple[tuple[int, ...], ...], n_edges: int,
+                max_degree: int) -> list[Fraction]:
+    """Coefficients 0..max_degree of -(|E| - |X|) log(1 - u^2)
+    - log det(I - u A + u^2 (d-1) I) for a d-regular graph, computed on
+    integers.
+
+    With f(u) = 1 + (d-1) u^2 and det(t I - A) = sum_k c_k t^(n-k), the
+    determinant is p(u) = sum_k c_k u^k f(u)^(n-k), and the binomial
+    expansion of f(u)^(n-k) puts C(n-k, j) (d-1)^j c_k at degree k + 2j.
+    p has constant term 1, so m_k = k [u^k] log p is the integer
+    k p_k - sum_{0<j<k} m_j p_(k-j), from u p' = p u (log p)'. The
+    coefficient of degree k is then (2 (|E| - |X|) [k even] - m_k) / k.
+    """
+    n_v, l = len(neighbors), max_degree
+    d = len(neighbors[0])
+    p = [0] * (l + 1)
+    for k, ck in enumerate(_charpoly(neighbors, l)):
+        for j in range(min(n_v - k, (l - k) // 2) + 1):
+            p[k + 2 * j] += ck * comb(n_v - k, j) * (d - 1) ** j
+    m = [0] * (l + 1)
+    for k in range(1, l + 1):
+        m[k] = k * p[k] - sum(m[j] * p[k - j] for j in range(1, k))
+    chi = n_edges - n_v
+    return [Fraction(0)] + [Fraction(2 * chi * (k % 2 == 0) - m[k], k)
+                            for k in range(1, l + 1)]
+
+
 def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
     """Compare geodesic-loop counts against the determinant series
     -(|E| - |X|) log(1 - u^2) - log det(I - u A + u^2 (d-1) I),
     coefficient by coefficient through max_degree, in exact arithmetic.
 
+    The walk side is read off the geodesic loops that the array
+    enumeration of freegroup returns with their multiplicities: a loop of
+    length n and multiplicity m is n/m based closed walks, so n times the
+    coefficient of degree n is an integer count. The determinant side is
+    _det_series. Both stay on integers, and each coefficient becomes one
+    Fraction at the end.
+
     Requires a d-regular graph with unit conductances (the identity is
-    stated for the adjacency matrix).
+    stated for the adjacency matrix). ConfigError, before any walk is
+    grown, if the non-backtracking walks up to max_degree would take more
+    than freegroup._WALK_LETTERS steps in all.
     """
     if max_degree < 1:
         raise ValidationError("max_degree must be >= 1")
@@ -704,31 +711,11 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
         raise ValidationError("determinant identity needs a regular graph")
     if any(c != 1.0 for c in g.conductance.values()):
         raise ValidationError("determinant identity needs unit conductances")
-    d = degs.pop()
-    n_v = g.num_vertices
     l = max_degree
-
-    walk = [Fraction(0)] * (l + 1)
-    for cycle in enumerate_geodesic_loops(g, l):
-        walk[len(cycle)] += Fraction(1, multiplicity(cycle))
-
-    cp = _charpoly(g.neighbors, l)
-    # det(f(u) I - u A) with f(u) = 1 + (d-1) u^2 equals
-    # sum_k c_k u^k f(u)^(n-k)
-    f = [Fraction(1), Fraction(0), Fraction(d - 1)]
-    fpow = [[Fraction(1)]]
-    for _ in range(n_v):
-        fpow.append(_poly_mul(fpow[-1], f, l))
-    det = [Fraction(0)] * (l + 1)
-    for k, ck in enumerate(cp):
-        if not ck:
-            continue
-        for i, c in enumerate(fpow[n_v - k]):
-            if k + i <= l:
-                det[k + i] += ck * c
-    one_minus_u2 = _poly_trim([Fraction(1), Fraction(0), Fraction(-1)], l)
-    rhs_log = _poly_log(det, l)
-    u2_log = _poly_log(one_minus_u2, l)
-    chi = len(g.edges) - n_v
-    rhs = [-chi * a - b for a, b in zip(u2_log, rhs_log)]
-    return IharaSeries(walk_side=tuple(walk), det_side=tuple(_poly_trim(rhs, l)))
+    loops = _geodesic_loops(g, l)
+    based = np.zeros(l + 1, dtype=np.int64)
+    np.add.at(based, loops.lengths, loops.lengths // loops.multiplicity)
+    walk = [Fraction(0)] + [Fraction(c, n)
+                            for n, c in enumerate(based.tolist()[1:], 1)]
+    det = _det_series(g.neighbors, len(g.edges), l)
+    return IharaSeries(walk_side=tuple(walk), det_side=tuple(det))

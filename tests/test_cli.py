@@ -511,6 +511,14 @@ class TestZeta:
         code, _ = run_cli(capsys, "zeta", bow_path, "--max-degree", "4")
         assert code == 2
 
+    def test_deep_series_exits_4(self, capsys, k4_path):
+        # the non-backtracking walks of K4 up to length 40 would take
+        # 12 (39 * 2^40 + 1) steps; the budget refuses them before any walk
+        assert main(["zeta", k4_path, "--max-degree", "40"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: the geodesic loops up to length 40")
+
 
 class TestSignatureCmd:
     def test_commutator(self, capsys):

@@ -3,7 +3,10 @@
 The signature CLI prints exact rationals, `zeta` exact integer series, and
 the class enumeration and geodesic loops are integer tuples: none of them
 depends on floating point or BLAS, so a refactor must leave them byte for
-byte. Each test hashes the full text with sha256.
+byte. The `enumerate` rows are floats, but each is a sum in a fixed order
+of products of transition probabilities, with no BLAS call, so they are
+pinned too; its manifest is not, since its tail comes from an eigensolve.
+Each test hashes the full text with sha256.
 """
 
 import hashlib
@@ -70,6 +73,21 @@ def test_zeta_stdout(capsys, tmp_path, monkeypatch, name, digest):
     monkeypatch.chdir(tmp_path)
     assert main(["zeta", f"{name}.graph", "--max-degree", "12"]) == 0
     assert _digest(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("name, n_max, digest", [
+    ("k4", 9, "707e6d5e2fcc386ef4c21954bb08075b0e46591c6005af8507ac249dae1dfccd"),
+    ("petersen", 8, "9658a40ce20915c82f578ef42604892b97f2c1acae4419cfaf95fe72d9171811"),
+])
+def test_enumerate_rows(capsys, tmp_path, monkeypatch, name, n_max, digest):
+    # unit conductances, killing 1 at every vertex
+    n_v = int(GRAPH_TEXT[name].split()[1])
+    (tmp_path / f"{name}.graph").write_text(
+        GRAPH_TEXT[name] + "".join(f"kappa {x} 1\n" for x in range(n_v)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["enumerate", f"{name}.graph", "--n-max", str(n_max)]) == 0
+    _, rows = capsys.readouterr().out.split("\n", 1)
+    assert _digest(rows) == digest
 
 
 @pytest.mark.parametrize("graph, max_len, digest", [

@@ -31,7 +31,8 @@ from loopsoup import (
 )
 from loopsoup import freegroup
 from loopsoup.freegroup import (_canonical_words, _geodesic_class_words,
-                                _letter_key, _reduce_cycle, _rotations)
+                                _geodesic_loops, _letter_key, _reduce_cycle,
+                                _rotations, _tuples)
 
 
 def recursive_classes(rank, max_len):
@@ -58,8 +59,10 @@ def recursive_classes(rank, max_len):
 
 
 def stepwise_geodesic_loops(g, max_len):
-    """Reference geodesic loops: the same walks, each closed candidate kept
-    when min_rotation says it is its own least rotation."""
+    """Reference geodesic loops: a depth-first search over the tailless
+    non-backtracking walks from each vertex s through vertices >= s, each
+    closed candidate kept when min_rotation says it is its own least
+    rotation."""
     found = []
     for s in range(g.num_vertices):
         stack = [(s, -1, (s,))]
@@ -74,6 +77,43 @@ def stepwise_geodesic_loops(g, max_len):
                 if len(path) < max_len:
                     stack.append((w, v, path + (w,)))
     return sorted(found, key=lambda t: (len(t), t))
+
+
+def quadratic_reduce_cycle(vs):
+    """Reference backtrack erasure: delete one backtrack v -> w -> v at a
+    time, cyclically, until none remain."""
+    changed = True
+    while changed and len(vs) >= 2:
+        changed = False
+        n = len(vs)
+        for i in range(n):
+            if vs[(i + 2) % n] == vs[i]:
+                a, b = (i + 1) % n, (i + 2) % n
+                for j in sorted({a, b}, reverse=True):
+                    del vs[j]
+                changed = True
+                break
+    return vs
+
+
+def _random_closed_walk(rng, g, steps):
+    """A random walk of the given steps from a random vertex, closed by a
+    shortest path home, or by retracing its own steps (contractible)."""
+    walk = [rng.randrange(g.num_vertices)]
+    for _ in range(steps):
+        walk.append(rng.choice(g.neighbors[walk[-1]]))
+    if rng.random() < 0.2:
+        return walk + walk[-2::-1]
+    parent = {walk[0]: None}
+    queue = [walk[0]]
+    for v in queue:
+        for u in g.neighbors[v]:
+            if u not in parent:
+                parent[u] = v
+                queue.append(u)
+    while walk[-1] != walk[0]:
+        walk.append(parent[walk[-1]])
+    return walk
 
 
 def _random_reduced(rng, rank, n):
@@ -142,6 +182,19 @@ class TestClasses:
         a = canonical_class((1, 2, -1))
         b = canonical_class((2,))
         assert a == b
+
+    def test_cache_is_bounded(self):
+        # words are arbitrary, so a long stream of them must not pile up
+        for k in range(freegroup._CLASS_CACHE + 5):
+            canonical_class((k + 1,))
+        assert freegroup._canonical.cache_info().currsize == freegroup._CLASS_CACHE
+
+    def test_certified_class_equals_checked_class(self):
+        for word in [(), (1,), (1, 2, 1, 2), (1, -2, 1, -2, 1, -2)]:
+            cls = GeodesicClass._certified(word, multiplicity(word))
+            assert cls == GeodesicClass(word) and hash(cls) == hash(GeodesicClass(word))
+            assert cls.multiplicity == multiplicity(word)
+            assert cls.primitive() == canonical_class(word).primitive()
 
     def test_canonical_inverse_distinct(self):
         assert canonical_class((1,)) != canonical_class((-1,))
@@ -213,7 +266,10 @@ class TestRotationKernel:
             got = enumerate_geodesic_classes(rank, max_len)
             assert got == [c for c in want if c.length <= max_len]
             words = _geodesic_class_words(rank, max_len)
-            assert words.multiplicity.tolist() == [c.multiplicity for c in got]
+            assert words.multiplicity.tolist() == [multiplicity(c.word)
+                                                   for c in got]
+            assert [c.multiplicity for c in got] == [multiplicity(c.word)
+                                                     for c in got]
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 6])
     def test_canonical_words_match_canonical_class(self, rank):
@@ -226,8 +282,9 @@ class TestRotationKernel:
         words = [reduce_word(w) for w in words]
         lengths = np.array([len(w) for w in words])
         letters = np.array([l for w in words for l in w], dtype=np.intp)
-        assert _canonical_words(letters, lengths) == [
-            canonical_class(w).word for w in words]
+        classes = [canonical_class(w) for w in words]
+        assert _canonical_words(letters, lengths) == (
+            [c.word for c in classes], [multiplicity(c.word) for c in classes])
 
     def test_multiplicity_and_offset(self):
         # (-1 2 1 3 1) reduces to (2 1 3), least rotation (1 3 2) from 1;
@@ -241,10 +298,32 @@ class TestRotationKernel:
         assert start.tolist() == [0, 1, 1, 0, 0, 1]
         assert mult.tolist() == [2, 2, 1, 1, 1, 1]
 
-    @pytest.mark.parametrize("graph", ["k4", "petersen"])
+    @pytest.mark.parametrize("graph", ["triangle", "bowtie", "k4", "k33",
+                                       "petersen"])
     def test_geodesic_loops_unchanged(self, request, graph):
-        g = request.getfixturevalue(graph)
-        assert enumerate_geodesic_loops(g, 10) == stepwise_geodesic_loops(g, 10)
+        g = (build_graph(6, [(a, b, 1.0) for a in range(3) for b in range(3, 6)],
+                         1.0)
+             if graph == "k33" else request.getfixturevalue(graph))
+        want = stepwise_geodesic_loops(g, 10)
+        loops = _geodesic_loops(g, 10)
+        assert _tuples(loops.letters, loops.lengths) == want
+        assert loops.multiplicity.tolist() == [multiplicity(t) for t in want]
+        for max_len in range(-1, 10):
+            assert enumerate_geodesic_loops(g, max_len) == [
+                t for t in want if len(t) <= max_len]
+
+    def test_geodesic_loops_budget(self, monkeypatch, k4):
+        # sum_k k n d (d-1)^(k-1) steps: on K4, 12 walks of one step, 24
+        # of two and 48 of three make 12 + 48 + 144 = 204
+        with pytest.raises(ConfigError, match="up to length 40"):
+            enumerate_geodesic_loops(k4, 40)
+        monkeypatch.setattr(freegroup, "_WALK_LETTERS", 204)
+        assert len(enumerate_geodesic_loops(k4, 3)) == 8
+        with pytest.raises(ConfigError):
+            enumerate_geodesic_loops(k4, 4)
+        # walks die out at once where every vertex has degree <= 1
+        path = build_graph(2, [(0, 1, 1.0)], 1.0)
+        assert enumerate_geodesic_loops(path, 10 ** 9) == []
 
     def test_budget_raises_config_error(self, monkeypatch):
         # sum_k k 2r (2r-1)^(k-1) letters: rank 6 at length 10 is about 3e11
@@ -330,6 +409,16 @@ class TestLoops:
     def test_geodesic_reduce_removes_backtracks(self):
         assert geodesic_reduce(BasedLoop((0, 1, 0, 2, 0))) == ()
         assert geodesic_reduce(BasedLoop((0, 1, 2, 0))) == min_rotation((0, 1, 2))
+
+    @pytest.mark.parametrize("graph", ["k4", "petersen", "bowtie"])
+    def test_reduce_cycle_equals_quadratic_reference(self, request, graph):
+        g = request.getfixturevalue(graph)
+        rng = random.Random(graph)
+        for _ in range(300):
+            walk = _random_closed_walk(rng, g, rng.randrange(1, 40))
+            want = min_rotation(quadratic_reduce_cycle(walk[:-1]))
+            assert geodesic_reduce(BasedLoop(tuple(walk))) == want
+            assert min_rotation(_reduce_cycle(walk[:-1])) == want
 
     def test_geodesic_representative_triangle(self, triangle_frame):
         rep = geodesic_representative(canonical_class((1,)), triangle_frame)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loopsoup import (
+    ConfigError,
     GraphModel,
     ValidationError,
     build_graph,
@@ -150,6 +151,12 @@ kappa 2 1.0
         p = tmp_path / "tri.graph"
         p.write_text(self.TEXT)
         assert load_graph(str(p)) == triangle
+
+    def test_load_graph_unreadable(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_graph(str(tmp_path / "missing.graph"))
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_graph(str(tmp_path))
 
     def test_error_carries_line_number(self):
         with pytest.raises(ValidationError, match="line 3"):

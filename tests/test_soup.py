@@ -19,6 +19,7 @@ from loopsoup import (
     enumerate_measure,
     loop_to_word,
     loop_weight,
+    multiplicity,
     occupation,
     parse_soup,
     sample_soup,
@@ -186,6 +187,8 @@ class TestEnumerationArrays:
         got = enumerate_measure(g, frame, n_max).masses
         assert list(got) == list(want)
         assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
+        # the classes carry the kernel's multiplicities
+        assert [c.multiplicity for c in got] == [multiplicity(c.word) for c in want]
 
     @pytest.mark.parametrize("name", ["triangle", "k4", "k4_free", "bowtie",
                                       "petersen", "torus10", "path", "point"])

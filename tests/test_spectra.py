@@ -5,11 +5,13 @@ determinant identity.
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from loopsoup import (
+    ConfigError,
     NumericError,
     ValidationError,
     build_graph,
@@ -17,10 +19,12 @@ from loopsoup import (
     class_intensity,
     contractible_intensity,
     enumerate_geodesic_classes,
+    enumerate_geodesic_loops,
     enumerate_measure,
     geodesic_representative,
     homology1_intensity,
     ihara_check,
+    multiplicity,
     regular_closed_forms,
     solve_rho,
     spanning_tree_frame,
@@ -438,6 +442,102 @@ class TestContractible:
         for cls in enumerate_geodesic_classes(triangle_frame.rank, 40):
             acc += class_intensity(triangle, triangle_frame, cls, rho=rho)
         assert acc == pytest.approx(total_mass(triangle), abs=1e-8)
+
+
+def _poly_trim(p, n):
+    out = p[: n + 1]
+    return out + [Fraction(0)] * (n + 1 - len(out))
+
+
+def _poly_mul(a, b, n):
+    out = [Fraction(0)] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        if not ai:
+            continue
+        for j, bj in enumerate(b[: n + 1 - i]):
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _poly_log(p, n):
+    """log of a power series with constant term 1, truncated at degree n,
+    as the sum of (-1)^(m+1) a^m / m over the powers of a = p - 1."""
+    assert p[0] == 1
+    a = _poly_trim(p, n)
+    a[0] = Fraction(0)
+    out = [Fraction(0)] * (n + 1)
+    power = [Fraction(1)] + [Fraction(0)] * n
+    for m in range(1, n + 1):
+        power = _poly_mul(power, a, n)
+        coef = Fraction((-1) ** (m + 1), m)
+        for i, c in enumerate(power):
+            out[i] += coef * c
+    return out
+
+
+def fraction_det_series(g, l):
+    """Reference determinant side in Fractions: the powers of f(u) = 1 +
+    (d-1) u^2 by repeated products and the logarithms by their series."""
+    d, n_v = g.degree(0), g.num_vertices
+    cp = spectra._charpoly(g.neighbors, l)
+    f = [Fraction(1), Fraction(0), Fraction(d - 1)]
+    fpow = [[Fraction(1)]]
+    for _ in range(n_v):
+        fpow.append(_poly_mul(fpow[-1], f, l))
+    det = [Fraction(0)] * (l + 1)
+    for k, ck in enumerate(cp):
+        for i, c in enumerate(fpow[n_v - k]):
+            if k + i <= l:
+                det[k + i] += ck * c
+    u2_log = _poly_log(_poly_trim([Fraction(1), Fraction(0), Fraction(-1)], l), l)
+    chi = len(g.edges) - n_v
+    return _poly_trim([-chi * a - b for a, b in zip(u2_log, _poly_log(det, l))], l)
+
+
+def _regular(name):
+    """Unit-conductance regular graphs beyond the shared fixtures."""
+    if name == "k5":
+        edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+        n = 5
+    elif name == "k33":
+        edges = [(a, b) for a in range(3) for b in range(3, 6)]
+        n = 6
+    else:  # the 3-cube
+        edges = [(a, a | 1 << i) for a in range(8) for i in range(3)
+                 if not a & 1 << i]
+        n = 8
+    return build_graph(n, [(a, b, 1.0) for a, b in edges], 1.0)
+
+
+class TestIharaIntegers:
+    """ihara_check works on integers; its two sides must be the Fraction
+    series they replaced, coefficient for coefficient."""
+
+    @pytest.mark.parametrize("name", ["k4", "k5", "k33", "cube", "petersen"])
+    def test_det_side_equals_fraction_reference(self, request, name):
+        g = (request.getfixturevalue(name) if name in ("k4", "petersen")
+             else _regular(name))
+        for l in (1, 2, 7, 14):
+            got = spectra._det_series(g.neighbors, len(g.edges), l)
+            assert got == fraction_det_series(g, l)
+            assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("name", ["k4", "k5", "k33", "cube", "petersen"])
+    def test_walk_side_equals_loop_sum(self, request, name):
+        g = (request.getfixturevalue(name) if name in ("k4", "petersen")
+             else _regular(name))
+        want = [Fraction(0)] * 10
+        for cycle in enumerate_geodesic_loops(g, 9):
+            want[len(cycle)] += Fraction(1, multiplicity(cycle))
+        series = ihara_check(g, 9)
+        assert list(series.walk_side) == want
+        assert all(type(c) is Fraction for c in series.walk_side)
+        assert series.agree()
+
+    def test_walk_budget(self, k4):
+        with pytest.raises(ConfigError, match="up to length 40"):
+            ihara_check(k4, 40)
 
 
 class TestIhara:
