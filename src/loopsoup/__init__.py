@@ -7,14 +7,13 @@ from .graphs import (GraphModel, SpanningTreeFrame, build_graph, load_graph,
 from .freegroup import (TRIVIAL, BasedLoop, GeodesicClass, Word,
                         canonical_class, crossing_word, cyclic_reduce,
                         enumerate_geodesic_classes, enumerate_geodesic_loops,
-                        format_word, geodesic_reduce, geodesic_representative,
+                        format_word, geodesic_representative,
                         group_commutator, inverse_word, loop_to_word,
                         min_rotation, multiplicity, multiply_words,
                         parse_word, reduce_word)
 from .signature import (H3Key, LiePoly, TensorSeries, bracket_expansion,
-                        crossing_counts, currents, degree_and_lead,
-                        dynkin_bracket, dynkin_map, h3_from_lie, h3_slot_bracket,
-                        h3_slot_word, h3_slots, homology1, homology2, homology3,
+                        currents, degree_and_lead, dynkin_map, h3_from_lie,
+                        h3_slot_bracket, h3_slots, homology1, homology2, homology3,
                         is_lie_component, iterated_crossing_coefficient,
                         lie_bracket, lie_polynomial_via_currents, log_signature,
                         lyndon_coordinates, lyndon_words, shuffle_check,
@@ -22,9 +21,8 @@ from .signature import (H3Key, LiePoly, TensorSeries, bracket_expansion,
                         witt_dimension)
 from .soup import (EnumeratedMeasure, LoopSoupSampler, MeasureConfig,
                    OccupationField, SampledSoup, dumps_soup, enumerate_measure,
-                   loop_weight, occupation, parse_soup, sample_soup,
-                   spectral_radius, tail_bound, total_mass, truncated_mass,
-                   winding_masses)
+                   occupation, parse_soup, sample_soup, spectral_radius,
+                   tail_bound, total_mass, truncated_mass, winding_masses)
 from .spectra import (IharaSeries, RegularForms, RhoTable, class_intensity,
                       contractible_intensity, ihara_check,
                       regular_closed_forms, solve_rho)

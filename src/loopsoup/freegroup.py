@@ -44,15 +44,20 @@ def _check_word(word: Iterable[int]) -> Word:
     return w
 
 
-def reduce_word(word: Iterable[int]) -> Word:
-    """Freely reduce a word (cancel adjacent inverse pairs)."""
+def _reduce(letters: Iterable[int]) -> Word:
+    """Free reduction of letters known to be nonzero ints."""
     out: list[int] = []
-    for l in _check_word(word):
+    for l in letters:
         if out and out[-1] == -l:
             out.pop()
         else:
             out.append(l)
     return tuple(out)
+
+
+def reduce_word(word: Iterable[int]) -> Word:
+    """Freely reduce a word (cancel adjacent inverse pairs)."""
+    return _reduce(_check_word(word))
 
 
 def inverse_word(word: Iterable[int]) -> Word:
@@ -299,8 +304,9 @@ def crossing_word(loop: BasedLoop, frame: SpanningTreeFrame) -> Word:
 
 
 def loop_to_word(loop: BasedLoop, frame: SpanningTreeFrame) -> Word:
-    """Reduced homotopy word of a based loop (tree-collapse isomorphism)."""
-    return reduce_word(crossing_word(loop, frame))
+    """Reduced homotopy word of a based loop (tree-collapse isomorphism).
+    The frame's letters are nonzero ints, so they are not checked again."""
+    return _reduce(crossing_word(loop, frame))
 
 
 def _reduce_cycle(vs: list[int]) -> list[int]:

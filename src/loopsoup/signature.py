@@ -411,18 +411,19 @@ def witt_dimension(rank: int, n: int) -> int:
 # currents: signed crossing counts
 
 
-def _crossing_seq(x, frame: SpanningTreeFrame | None) -> list[tuple[int, int]]:
+def _crossing_seq(x, frame: SpanningTreeFrame | None) -> Word:
+    """The crossing letters of x: a based loop's, as the frame produces
+    them, or a word's, checked, and against the frame's rank if given."""
     if isinstance(x, BasedLoop):
         if frame is None:
             raise ValidationError("a loop input needs a frame")
-        letters = crossing_word(x, frame)
-    else:
-        letters = _check_word(x)
-        if frame is not None:
-            bad = [l for l in letters if abs(l) > frame.rank]
-            if bad:
-                raise ValidationError(f"letter {bad[0]} exceeds rank {frame.rank}")
-    return [(abs(l), 1 if l > 0 else -1) for l in letters]
+        return crossing_word(x, frame)
+    letters = _check_word(x)
+    if frame is not None:
+        bad = [l for l in letters if abs(l) > frame.rank]
+        if bad:
+            raise ValidationError(f"letter {bad[0]} exceeds rank {frame.rank}")
+    return letters
 
 
 def _check_indices(idx: Word, frame: SpanningTreeFrame | None,
@@ -450,7 +451,8 @@ def currents(x, indices: Iterable[int],
     m = len(idx)
     f = [0] * (m + 1)
     f[0] = 1
-    for i, s in _crossing_seq(x, frame):
+    for l in _crossing_seq(x, frame):
+        i, s = (l, 1) if l > 0 else (-l, -1)
         for k in range(m, 0, -1):
             if idx[k - 1] == i and f[k - 1]:
                 f[k] += s * f[k - 1]
@@ -462,9 +464,9 @@ def crossing_counts(x, frame: SpanningTreeFrame | None = None
     """Per generator: (forward crossings, backward crossings). The winding
     number of generator i is the difference of the pair."""
     out: dict[int, tuple[int, int]] = {}
-    for i, s in _crossing_seq(x, frame):
-        fwd, bwd = out.get(i, (0, 0))
-        out[i] = (fwd + 1, bwd) if s > 0 else (fwd, bwd + 1)
+    for l in _crossing_seq(x, frame):
+        fwd, bwd = out.get(abs(l), (0, 0))
+        out[abs(l)] = (fwd + 1, bwd) if l > 0 else (fwd, bwd + 1)
     return out
 
 
@@ -482,7 +484,8 @@ def iterated_crossing_coefficient(x, word: Iterable[int],
     m = len(w)
     f = [_ZERO] * (m + 1)
     f[0] = _ONE
-    for i, s in _crossing_seq(x, frame):
+    for l in _crossing_seq(x, frame):
+        i, s = (l, 1) if l > 0 else (-l, -1)
         new = f.copy()
         for j in range(m):
             if f[j] == 0:
@@ -513,9 +516,12 @@ def homology1(x, frame: SpanningTreeFrame | None = None,
     if r == 0:
         return ()
     out = [0] * (r + 1)
-    for i, s in _crossing_seq(x, frame):
-        if i <= r:
-            out[i] += s
+    for l in _crossing_seq(x, frame):
+        if l > 0:
+            if l <= r:
+                out[l] += 1
+        elif l >= -r:
+            out[-l] -= 1
     return tuple(out[1:])
 
 

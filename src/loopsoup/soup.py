@@ -27,6 +27,10 @@ from .freegroup import (TRIVIAL, BasedLoop, GeodesicClass, _canonical_words,
 from .graphs import GraphModel, SpanningTreeFrame, _adjacency, _expand
 from .signature import homology1
 
+# The most float64 entries that the sampler's table of matrix powers, or the
+# conditional rows of one soup's bridges, may hold.
+_SAMPLER_ENTRIES = 2 ** 24
+
 
 def loop_weight(g: GraphModel, loop: BasedLoop) -> tuple[float, float]:
     """(based weight, unbased loop weight) of a discrete loop.
@@ -348,8 +352,7 @@ def occupation(soup: SampledSoup) -> OccupationField:
     counts: Counter = Counter()
     for l in soup.loops:
         vs = l.vertices
-        for a, b in zip(vs, vs[1:]):
-            counts[(a, b)] += 1
+        counts.update(zip(vs, vs[1:]))
     balance: Counter = Counter()
     for (a, b), n in counts.items():
         balance[a] += n
@@ -363,22 +366,34 @@ class LoopSoupSampler:
 
     The loop count is Poisson(alpha * W) with W the truncated mass; each
     loop picks (base x, length n) with weight (1/n)(P^n)_xx and fills in a
-    bridge from x back to x, each step conditioned on returning in the
-    remaining steps: with m steps left at v, the next vertex is w with
-    probability P[v, w] (P^(m-1))[w, x] / (P^m)[v, x].
+    bridge from x back to x by bisection (Asmussen & Hobolth, Bisection
+    ideas in end-point conditioned Markov process simulation, 2008): the
+    vertex at step a = floor(n/2) is y with probability
+    P^a[x, y] P^(n-a)[y, x] / P^n[x, x], and each half is then split at its
+    own midpoint the same way, with its drawn ends fixed, until every
+    segment is one step. This is the law of the walk conditioned on its
+    ends, as drawing one step at a time would give.
 
-    All bridges of a soup are drawn in one batched pass that counts m down
-    from the longest loop's length; at each m the loops with at least m
-    steps build their conditional rows, and their cdfs, as one array, and
-    each picks the number of cdf entries <= its own uniform for that step.
+    All bridges of a soup are drawn together in ceil(log2 n_max) rounds:
+    each round builds the conditional rows of every segment's midpoint,
+    and their cdfs, as one array, and each midpoint takes the number of
+    cdf entries <= its own uniform. Segments are at most ceil(n_max/2)
+    steps long once split, so only the powers P^m, m <= ceil(n_max/2), are
+    kept; they are built by doubling, and the item weights read
+    (P^n)_xx = sum_w P^a[x, w] P^(n-a)[w, x] off pairs of halves, a sum of
+    nonnegative terms, so that an item of zero weight stays exactly zero.
 
     Randomness layout, fixed for reproducibility: one generator, seeded
     from SeedSequence(seed, spawn_key=(0,)), draws the count, then the
-    (base, length) picks, then every bridge uniform in one call: loop by
-    loop in decreasing item order (longest first, ties in draw order),
-    each loop's n uniforms in step order. Byte-identical soups for equal
-    (graph, config, seed) follow from this layout, which is the one of
-    drawing each step by rng.choice(num_vertices, p=row) on that generator.
+    (base, length) picks, then every bridge uniform in one call: one per
+    interior vertex, loop by loop in draw order, each loop's by position
+    in the walk. Byte-identical soups for equal (graph, config, seed)
+    follow from this layout.
+
+    ConfigError, before the powers table is built, when it would hold more
+    than _SAMPLER_ENTRIES entries, and, before any soup is drawn, when the
+    conditional rows that a soup is expected to build would: |V| entries
+    per expected loop step, of which there are alpha sum_n tr(P^n).
     """
 
     def __init__(self, g: GraphModel, frame: SpanningTreeFrame,
@@ -387,19 +402,42 @@ class LoopSoupSampler:
             raise ConfigError("alpha must be positive and finite")
         if n_max < 1:
             raise ConfigError("n_max must be >= 1")
+        n_v = g.num_vertices
+        half = (n_max + 1) // 2
+        if (half + 1) * n_v * n_v > _SAMPLER_ENTRIES:
+            raise ConfigError(
+                f"the matrix powers up to n_max={n_max} on {n_v} vertices "
+                f"need more than {_SAMPLER_ENTRIES} entries")
         self.graph = g
         self.frame = frame
         self.alpha = alpha
         self.n_max = n_max
-        p = g.transition
-        # powers[n] = P^n
-        self.powers = np.empty((n_max + 1, g.num_vertices, g.num_vertices))
-        self.powers[0] = np.eye(g.num_vertices)
-        for n in range(1, n_max + 1):
-            self.powers[n] = self.powers[n - 1] @ p
+        # powers[m] = P^m for m <= ceil(n_max/2), by doubling: P^(k+1..2k)
+        # = P^(1..k) P^k in one batched product
+        self.powers = np.empty((half + 1, n_v, n_v))
+        self.powers[0] = np.eye(n_v)
+        self.powers[1] = g.transition
+        k = 1
+        while k < half:
+            m = min(k, half - k)
+            np.matmul(self.powers[1:m + 1], self.powers[k],
+                      out=self.powers[k + 1:k + m + 1])
+            k += m
+        # diagonal[n - 1, x] = (P^n)_xx, odd n = 2k + 1 from P^k P^(k+1),
+        # even n = 2k from P^k P^k
+        diagonal = np.empty((n_max, n_v))
+        diagonal[0::2] = np.einsum("nxw,nwx->nx", self.powers[:half],
+                                   self.powers[1:half + 1])
+        diagonal[1::2] = np.einsum("nxw,nwx->nx", self.powers[1:n_max // 2 + 1],
+                                   self.powers[1:n_max // 2 + 1])
+        steps = alpha * float(diagonal.sum())
+        if steps * n_v > _SAMPLER_ENTRIES:
+            raise ConfigError(
+                f"alpha={alpha:.6g} expects {steps:.3g} loop steps per soup, whose "
+                f"bridges need more than {_SAMPLER_ENTRIES} entries on {n_v} "
+                f"vertices")
         # by_length[n - 1, x] = (P^n)_xx / n
-        by_length = np.diagonal(self.powers[1:], axis1=1, axis2=2) \
-            / np.arange(1, n_max + 1)[:, None]
+        by_length = diagonal / np.arange(1, n_max + 1)[:, None]
         lengths, bases = np.nonzero(by_length > 0)
         # (base, length) per item, length-major
         self.items = np.column_stack((bases, lengths + 1))
@@ -415,41 +453,45 @@ class LoopSoupSampler:
         if not count:
             return SampledSoup((), seed, self.alpha, self.n_max)
         picks = driver.choice(len(self.items), size=count, p=self.probs)
-        # rows sorted longest first (items are length-major), so the loops
-        # with at least m steps are a prefix; a row's uniforms and walk are
-        # right-aligned, so every loop with m steps left reads column top - m
-        order = np.argsort(-picks, kind="stable")
-        base, length = self.items[picks[order]].T
-        keys, steps = order.tolist(), length.tolist()
-        top = steps[0]
-        uniforms = np.zeros((count, top))
-        uniforms[np.arange(top) >= top - length[:, None]] = driver.random(sum(steps))
-        walks = np.zeros((count, top + 1), dtype=np.intp)
-        walks[np.arange(count), top - length] = base
-        p = self.graph.transition
-        columns = self.powers.transpose(0, 2, 1)  # columns[n, x] = P^n[:, x]
-        active = np.bincount(length, minlength=top + 1)[:0:-1].cumsum()
-        # q is C-contiguous, so each row sums (pairwise) and accumulates with
-        # the same roundings as the 1-D row that rng.choice would get
-        for col, a in enumerate(active.tolist()):
-            q = p[walks[:a, col]] * columns[top - col - 1, base[:a]]
-            q /= q.sum(axis=1, keepdims=True)
+        base, length = self.items[picks].T
+        # loop k is walk[start[k]:end[k] + 1]; every interior vertex has its
+        # uniform at its own position
+        end = np.cumsum(length + 1) - 1
+        start = end - length
+        walk = np.empty(end[-1] + 1, dtype=np.intp)
+        walk[start] = walk[end] = base
+        interior = np.ones(walk.size, dtype=bool)
+        interior[start] = interior[end] = False
+        uniforms = np.zeros(walk.size)
+        uniforms[interior] = driver.random(walk.size - 2 * count)
+        columns = self.powers.transpose(0, 2, 1)  # columns[m, x] = P^m[:, x]
+        # the segments of two steps or more, from walk[lo] to walk[lo + span]
+        lo, span = start, length
+        while lo.size:
+            left = span // 2
+            mid = lo + left
+            q = self.powers[left, walk[lo]] * columns[span - left, walk[lo + span]]
             cdf = q.cumsum(axis=1)
             cdf /= cdf[:, -1:]
-            walks[:a, col + 1] = (cdf <= uniforms[:a, col, None]).sum(axis=1)
-        assert (walks[:, top] == base).all()
-        rows = walks.tolist()
-        loops = [None] * count
-        for row, k in enumerate(keys):
-            loops[k] = BasedLoop(tuple(rows[row][top - steps[row]:]))
-        return SampledSoup(tuple(loops), seed, self.alpha, self.n_max)
+            walk[mid] = (cdf <= uniforms[mid, None]).sum(axis=1)
+            lo = np.concatenate((lo, mid))
+            span = np.concatenate((left, span - left))
+            keep = span > 1
+            lo, span = lo[keep], span[keep]
+        step = self.graph.transition[walk[:-1], walk[1:]] > 0
+        step[end[:-1]] = True  # from one loop's end to the next one's start
+        assert step.all()
+        flat = walk.tolist()
+        loops = tuple(BasedLoop(tuple(flat[a:b + 1]))
+                      for a, b in zip(start.tolist(), end.tolist()))
+        return SampledSoup(loops, seed, self.alpha, self.n_max)
 
 
 def sample_soup(g: GraphModel, frame: SpanningTreeFrame,
                 cfg: MeasureConfig) -> SampledSoup:
     """Draw one soup under the given configuration. The truncation must be
     certified: tail_bound(g, n_max) <= tail_tol, else the configuration is
-    rejected."""
+    rejected, as it is when the sampler would exceed its budget."""
     bound = tail_bound(g, cfg.n_max)
     if bound > cfg.tail_tol:
         raise ConfigError(

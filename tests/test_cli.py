@@ -12,6 +12,7 @@ import pytest
 
 import loopsoup
 from loopsoup import cli
+from loopsoup import soup
 from loopsoup.cli import main
 
 TRIANGLE = """\
@@ -181,6 +182,22 @@ class TestSample:
                           "--n-max", "5", "--tail-tol", "1e-12")
         assert code == 4
 
+    @pytest.mark.parametrize("alpha", ["1e15", "1e300"])
+    def test_over_budget_exits_4(self, capsys, tri_path, alpha):
+        code, out = run_cli(capsys, "sample", tri_path, "--alpha", alpha,
+                            "--n-max", "60", "--tail-tol", "0.01")
+        assert code == 4
+        assert out == ""
+
+    def test_powers_over_budget_exits_4(self, capsys, tri_path, monkeypatch):
+        # a budget of 1000 entries admits the 111 powers of n_max 220 on
+        # the triangle, 999 entries, but not the 112 of n_max 221
+        monkeypatch.setattr(soup, "_SAMPLER_ENTRIES", 1000)
+        for n_max, want in (("220", 0), ("221", 4)):
+            code, _ = run_cli(capsys, "sample", tri_path, "--n-max", n_max,
+                              "--tail-tol", "0.01")
+            assert code == want
+
     @pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--alpha", "inf"),
                                        ("--tail-tol", "nan"), ("--tail-tol", "inf")])
     def test_non_finite_value_exits_4(self, capsys, tri_path, flags):
@@ -306,7 +323,11 @@ class TestFuzz:
                          ["homotopy", "--max-len", "-1"],
                          ["h1", "--h-range", "-1"], ["h2", "--p", "3", "--field"],
                          ["h1", "--field", "--alpha", "nan"], ["h1", "--M", "100000"],
-                         ["sample", "--tail-tol", "nan"]):
+                         ["sample", "--tail-tol", "nan"],
+                         ["sample", "--alpha", "1e15", "--n-max", "60",
+                          "--tail-tol", "0.01"],
+                         ["sample", "--alpha", "1e300", "--n-max", "60",
+                          "--tail-tol", "0.01"]):
                 try:
                     code = main([argv[0], str(path)] + argv[1:])
                 except Exception as exc:  # noqa: BLE001 - what the test looks for

@@ -17,7 +17,6 @@ from loopsoup import (
     enumerate_geodesic_classes,
     enumerate_geodesic_loops,
     format_word,
-    geodesic_reduce,
     geodesic_representative,
     group_commutator,
     inverse_word,
@@ -31,6 +30,7 @@ from loopsoup import (
 )
 from loopsoup import freegroup
 from loopsoup.freegroup import (_canonical_words, _geodesic_class_words,
+                                geodesic_reduce,
                                 _geodesic_loops, _letter_key, _reduce_cycle,
                                 _rotations, _tuples)
 

@@ -23,15 +23,12 @@ from loopsoup import (
     TensorSeries,
     ValidationError,
     bracket_expansion,
-    crossing_counts,
     currents,
     degree_and_lead,
-    dynkin_bracket,
     dynkin_map,
     group_commutator,
     h3_from_lie,
     h3_slot_bracket,
-    h3_slot_word,
     h3_slots,
     homology1,
     homology2,
@@ -52,6 +49,7 @@ from loopsoup import (
     standard_factorization,
     witt_dimension,
 )
+from loopsoup.signature import crossing_counts, dynkin_bracket, h3_slot_word
 
 # the module, which the package's `signature` function shadows
 signature_module = importlib.import_module("loopsoup.signature")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from loopsoup import (
     dumps_soup,
     enumerate_measure,
     loop_to_word,
-    loop_weight,
     multiplicity,
     occupation,
     parse_soup,
@@ -31,6 +31,7 @@ from loopsoup import (
     winding_masses,
 )
 from loopsoup import soup
+from loopsoup.soup import loop_weight
 
 
 class TestMeasure:
@@ -232,6 +233,32 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 LoopSoupSampler(triangle, triangle_frame, alpha=bad)
 
+    @pytest.mark.parametrize("alpha", [1e15, 1e300])
+    def test_expected_steps_over_budget(self, triangle, triangle_frame, alpha):
+        with pytest.raises(ConfigError, match="loop steps per soup"):
+            LoopSoupSampler(triangle, triangle_frame, alpha=alpha, n_max=60)
+
+    def test_powers_over_budget(self, triangle, triangle_frame, monkeypatch):
+        # a budget of 1000 entries admits the powers P^0..P^110 of n_max
+        # 220 on the triangle, 999 entries, but not the 112 of n_max 221
+        monkeypatch.setattr(soup, "_SAMPLER_ENTRIES", 1000)
+        assert len(LoopSoupSampler(triangle, triangle_frame, alpha=0.01,
+                                   n_max=220).powers) == 111
+        with pytest.raises(ConfigError, match="matrix powers"):
+            LoopSoupSampler(triangle, triangle_frame, n_max=221)
+
+    def test_benchmark_sizes_far_inside_budget(self):
+        # the 6x6 torus at killing 0.18, n_max 214 and alpha 12, about the
+        # largest soups the benchmark draws, use under a hundredth of the
+        # budget
+        g = _torus(6, 0.18)
+        sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=12.0,
+                                  n_max=214)
+        steps = 12.0 * float(np.sum(sampler.items[:, 1] * sampler.probs)) \
+            * sampler.mass
+        assert sampler.powers.size < soup._SAMPLER_ENTRIES / 100
+        assert steps * g.num_vertices < soup._SAMPLER_ENTRIES / 100
+
     def test_tail_tolerance_enforced(self, triangle, triangle_frame):
         with pytest.raises(ConfigError, match="tail bound"):
             sample_soup(triangle, triangle_frame,
@@ -339,11 +366,11 @@ def _torus(side, kappa):
 # sha256 of dumps_soup(sampler.sample(seed)) for seeds 0-49, fed in seed
 # order, and the sampler's truncated mass; alpha 1 throughout
 PINNED = {
-    "triangle": (42, "67702d80b52325d25a7a1696aa7df4dc6ffe6bfd53dd26028474415809115d0a",
+    "triangle": (42, "08d6507a6f942629d493ac3369538d1bfa781a6b4fd27b6c2f2df454566ba47f",
                  0.5232481419733042),
-    "bowtie": (24, "a6d877ccbb0f7e3549a11bcdad737eef0d4075646e78385ac67bffd5eab1aba1",
+    "bowtie": (24, "66eadb433b69652004456db783d77e686d2e9d58c2248de31f691d12f950710a",
                0.7463680936946625),
-    "torus6": (24, "377294a5b3e8b142c91c215e9adeb40befec45e1058500a08f056b753b945242",
+    "torus6": (24, "501f80615ebb3148ed6aa571e12d3c72ea48c747e0720c907ce7dc68a0aa6a16",
                6.339169334196595),
 }
 
@@ -357,40 +384,130 @@ PICKS = {
 }
 
 
-def _stepwise_soup(sampler, seed):
-    """The soup drawn one step at a time, one rng.choice per step on the
-    conditional row, all from the one generator that drew the count and
-    the picks: loops in decreasing item order (longest first, ties in draw
-    order), each in step order. The batched sampler must reproduce it
-    exactly."""
-    p = sampler.graph.transition
+def _bisection_soup(sampler, seed):
+    """The soup drawn one midpoint at a time, each from its conditional row
+    as a 1-D array, all from the one generator that drew the count and the
+    picks: every bridge uniform in one call, one per interior vertex, loops
+    in draw order, each loop's by position in the walk. The batched sampler
+    must reproduce it exactly."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     count = int(rng.poisson(sampler.alpha * sampler.mass))
     picks = rng.choice(len(sampler.items), size=count, p=sampler.probs).tolist() \
         if count else []
-    loops = [None] * count
-    for k in sorted(range(count), key=lambda k: -picks[k]):
-        x, n = sampler.items[picks[k]]
-        vs = [x]
-        for m in range(n, 0, -1):
-            q = p[vs[-1], :] * sampler.powers[m - 1][:, x]
-            vs.append(int(rng.choice(len(q), p=q / q.sum())))
-        loops[k] = tuple(vs)
+    items = [tuple(sampler.items[k].tolist()) for k in picks]
+    uniforms = iter(rng.random(sum(n - 1 for _, n in items)).tolist())
+    loops = []
+    for x, n in items:
+        vs = [x] + [None] * (n - 1) + [x]
+        u = [None] + [next(uniforms) for _ in range(n - 1)]
+        todo = [(0, n)]
+        while todo:
+            lo, hi = todo.pop()
+            if hi - lo < 2:
+                continue
+            a = (hi - lo) // 2
+            q = sampler.powers[a][vs[lo], :] * sampler.powers[hi - lo - a][:, vs[hi]]
+            cdf = np.cumsum(q)
+            cdf /= cdf[-1]
+            vs[lo + a] = int(np.sum(cdf <= u[lo + a]))
+            todo += [(lo, lo + a), (lo + a, hi)]
+        loops.append(tuple(vs))
     return loops
+
+
+def _weighted():
+    """Five vertices, uneven conductances, two of them unkilled."""
+    return build_graph(
+        5, [(0, 1, 0.3), (1, 2, 2.5), (2, 3, 1.0), (3, 4, 0.7), (4, 0, 1.9),
+            (1, 3, 0.05)], [0.2, 0.0, 0.05, 0.0, 0.4])
+
+
+def _closed_walks(p, x, n):
+    """Every closed walk of n steps from x, with its product of P."""
+    out = {}
+    stack = [((x,), 1.0)]
+    while stack:
+        vs, w = stack.pop()
+        if len(vs) == n + 1:
+            if vs[-1] == x:
+                out[vs] = w
+            continue
+        for y in np.flatnonzero(p[vs[-1]]).tolist():
+            stack.append((vs + (y,), w * p[vs[-1], y]))
+    return out
 
 
 class TestSamplerPinned:
     def test_batched_equals_stepwise(self, k4, bowtie):
-        weighted = build_graph(
-            5, [(0, 1, 0.3), (1, 2, 2.5), (2, 3, 1.0), (3, 4, 0.7), (4, 0, 1.9),
-                (1, 3, 0.05)], [0.2, 0.0, 0.05, 0.0, 0.4])
         for g, alpha, n_max in ((k4, 30.0, 16), (bowtie, 20.0, 9),
-                                (weighted, 3.0, 60), (_torus(4, 0.3), 2.0, 30)):
+                                (_weighted(), 3.0, 60), (_torus(4, 0.3), 2.0, 30)):
             sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=alpha,
                                       n_max=n_max)
             for seed in range(8):
                 got = [lp.vertices for lp in sampler.sample(seed).loops]
-                assert got == _stepwise_soup(sampler, seed)
+                assert got == _bisection_soup(sampler, seed)
+
+    def test_powers_up_to_half_the_truncation(self, k4):
+        # P^m for m <= ceil(n_max/2), equal to the sequential products
+        # to rounding; the item weights keep their exact zeros
+        g = _torus(4, 0.3)
+        for n_max in (1, 2, 7, 30, 31):
+            sampler = LoopSoupSampler(g, spanning_tree_frame(g), n_max=n_max)
+            assert len(sampler.powers) == (n_max + 1) // 2 + 1
+            power = np.eye(g.num_vertices)
+            for m, got in enumerate(sampler.powers):
+                np.testing.assert_allclose(got, power, rtol=1e-13, atol=0)
+                power = power @ g.transition
+            # the 4x4 torus is bipartite: only even lengths carry weight
+            assert sampler.items[:, 1].tolist() == sorted(sampler.items[:, 1])
+            assert not (sampler.items[:, 1] % 2).any()
+            assert len(sampler.items) == 16 * (n_max // 2)
+
+    def test_bridge_law(self):
+        # vertex paths of each (base, length) against prod P / (P^n)_xx;
+        # one chi-square per length, conditioned on the count of each base
+        from scipy import stats
+        g = _weighted()
+        p = g.transition
+        sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=3.0, n_max=12)
+        seen = {}
+        for seed in range(3000):
+            for lp in sampler.sample(seed).loops:
+                if 4 <= lp.length <= 7:
+                    seen.setdefault((lp.base, lp.length), []).append(lp.vertices)
+        for n in range(4, 8):
+            got, want, groups = [], [], 0
+            for x in range(g.num_vertices):
+                paths = seen.get((x, n), [])
+                if not paths:
+                    continue
+                groups += 1
+                law = _closed_walks(p, x, n)
+                total = sum(law.values())
+                assert set(paths) <= set(law)
+                count = Counter(paths)
+                obs = [count[vs] for vs in law]
+                exp = [len(paths) * w / total for w in law.values()]
+                # bins with expected count >= 5, the rest pooled
+                big = [e >= 5 for e in exp]
+                got += [o for o, keep in zip(obs, big) if keep]
+                want += [e for e, keep in zip(exp, big) if keep]
+                if not all(big):
+                    got.append(sum(o for o, keep in zip(obs, big) if not keep))
+                    want.append(sum(e for e, keep in zip(exp, big) if not keep))
+            assert sum(got) >= 200 and len(got) > 2 * groups
+            _, pval = stats.chisquare(got, want, ddof=groups - 1)
+            assert pval > 0.001, (n, pval)
+
+    def test_every_step_is_an_edge(self, k4, bowtie):
+        for g, alpha, n_max in ((k4, 30.0, 16), (bowtie, 20.0, 9),
+                                (_weighted(), 3.0, 60), (_torus(4, 0.3), 2.0, 31)):
+            sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=alpha,
+                                      n_max=n_max)
+            for seed in range(20):
+                for lp in sampler.sample(seed).loops:
+                    lp.check_edges(g)
+                    assert 2 <= lp.length <= n_max
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_seeded_soups_unchanged(self, request, name):
@@ -455,3 +572,19 @@ class TestOccupation:
                     if v == x:
                         net -= n
                 assert net == 0
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_rows_equal_per_step_count(self, request, name):
+        g = _torus(6, 0.2) if name == "torus6" else request.getfixturevalue(name)
+        sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=5.0,
+                                  n_max=PINNED[name][0])
+        for seed in range(10):
+            soup = sampler.sample(seed)
+            counts = Counter()
+            for lp in soup.loops:
+                vs = lp.vertices
+                for a, b in zip(vs, vs[1:]):
+                    counts[(a, b)] += 1
+            want = [(u, v, n, counts[(u, v)] - counts[(v, u)])
+                    for (u, v), n in sorted(counts.items())]
+            assert occupation(soup).rows() == want
