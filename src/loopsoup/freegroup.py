@@ -7,6 +7,11 @@ loop gets a word by recording its non-tree crossings (collapsing the tree).
 Conjugacy classes of nontrivial words are free homotopy classes of loops;
 each contains a unique shortest loop on the graph, the geodesic one, which is
 a tailless non-backtracking closed walk.
+
+Collapsing the tree leaves the rose: one vertex with a loop edge per
+generator. A class word is a geodesic loop of the rose, so one generator of
+tailless closed non-backtracking walks (_closed_walks) enumerates both the
+class words and the geodesic loops of the graph.
 """
 
 from __future__ import annotations
@@ -127,16 +132,13 @@ class _Words(NamedTuple):
 def _rotations(letters: np.ndarray, lengths: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cyclic reduction and least rotation of every row of a flat table (as
-    in _tuples). Rows are freely reduced words or vertex cycles, of length
-    at least 1.
+    in _tuples). Rows are freely reduced words of length at least 1.
 
     Per row: the number cut of letters that cancel at each end, so that the
-    cyclic reduction is row[cut:len - cut] (0 for a vertex cycle, whose
-    first and last vertices are adjacent, hence distinct and not both 0);
-    the offset in that reduction of its least rotation under _letter_key,
-    the first if several are equal, so 0 when the reduction is its own
-    least rotation; and the multiplicity, the number of rotations equal to
-    the least.
+    cyclic reduction is row[cut:len - cut]; the offset in that reduction of
+    its least rotation under _letter_key, the first if several are equal,
+    so 0 when the reduction is its own least rotation; and the
+    multiplicity, the number of rotations equal to the least.
 
     The rotations of all rows are ranked at once by prefix doubling: the
     cyclic window of 2w letters from a position is ranked by the pair of
@@ -365,49 +367,102 @@ def geodesic_representative(
     return min_rotation(walk)
 
 
+def _closed_walks(tail: np.ndarray, head: np.ndarray, reverse: np.ndarray,
+                  max_len: int, limit: int, message: str) -> _Words:
+    """The tailless closed non-backtracking walks of 1..max_len steps that
+    are their own least rotation, on the oriented edges i from tail[i] to
+    head[i], sorted by tail, where reverse[i] is the reverse of edge i: a
+    flat table (as in _tuples) of edge indices, sorted by (length, edge
+    sequence), with their multiplicities.
+
+    The walks grow as arrays, one step at a time, each by its successors
+    in ascending order, so the walks of each length stay sorted. They keep
+    to the edges whose head is at least the tail of their first edge: a
+    least rotation starts at the least vertex. A walk closes when its next
+    step returns to the tail of its first edge and is not the reverse of
+    that edge (no tail). Edge i enters _rotations as the letter i + 1,
+    which no other letter cancels.
+
+    ConfigError(message), before any walk is grown, when the
+    non-backtracking walks of every length k <= max_len, k steps each,
+    would exceed limit steps in all. The walks of k + 1 steps that end
+    with edge i are those of k steps that end at tail[i], less the one
+    that ends with reverse[i].
+    """
+    n = int(tail[-1]) + 1 if tail.size else 0
+    ending = np.ones(tail.size)
+    total = 0.0
+    for k in range(1, max_len + 1):
+        count = ending.sum()
+        if not count:
+            break
+        total += k * count
+        if total > limit:
+            raise ConfigError(message)
+        ending = np.bincount(head, ending, n)[tail] - ending[reverse]
+    empty = np.zeros(0, dtype=np.intp)
+    if max_len < 1:
+        return _Words(empty, empty, empty)
+    # the edges out of each vertex, ascending, padded with the edge count,
+    # whose head -1 no walk may take; an edge's successors are those out of
+    # its head but its reverse, and reach holds their heads
+    degree = np.bincount(tail, minlength=n)
+    width = int(degree.max(initial=1))
+    out = np.full((n, width), tail.size, dtype=np.intp)
+    edges = np.arange(tail.size)
+    out[tail, edges - (np.cumsum(degree) - degree)[tail]] = edges
+    succ = out[head]
+    succ = succ[succ != reverse[:, None]].reshape(tail.size, width - 1)
+    reach = np.append(head, -1)[succ]
+    first = np.flatnonzero(head >= tail)
+    walks, start, back = first[:, None], tail[first], reverse[first]
+    grown = [walks[(head[first] == start) & (first != back)]]
+    for k in range(2, max_len + 1):
+        last = walks[:, -1]
+        heads = reach[last]
+        ok = heads >= start[:, None]
+        i, j = np.nonzero(ok)
+        to = succ[last[i], j]
+        start, back = start[i], back[i]
+        shut = (heads[ok] == start) & (to != back)
+        if k == max_len or not i.size:
+            grown.append(np.concatenate((walks[i[shut]], to[shut, None]), 1))
+            break
+        walks = np.concatenate((walks[i], to[:, None]), 1)
+        grown.append(walks[shut])
+    letters = np.concatenate([empty] + [w.ravel() for w in grown])
+    lengths = np.repeat(np.arange(1, len(grown) + 1), [len(w) for w in grown])
+    _, offset, mult = _rotations(letters + 1, lengths)
+    keep = offset == 0
+    return _Words(letters[np.repeat(keep, lengths)], lengths[keep], mult[keep])
+
+
 def _geodesic_class_words(rank: int, max_len: int) -> _Words:
     """The canonical words of all nontrivial classes of length <= max_len,
     with their multiplicities, sorted by (length, word under _letter_key);
     none at rank 0.
 
-    The reduced words grow one letter at a time, in _letter_key order, so
-    the words of each length stay sorted; a word is a class word when
-    _rotations finds it cyclically reduced and its own least rotation.
-    ConfigError when the reduced words of all lengths, sum_k k 2r (2r-1)^(k-1)
-    letters, would exceed _CLASS_LETTERS.
+    A class word, cyclically reduced and its own least rotation, is a
+    geodesic loop of the rose that the spanning-tree frame collapses to:
+    one vertex and a loop edge per generator. Its 2r oriented edges are
+    the letters in _letter_key order, each the reverse of its neighbour
+    (index ^ 1), and _closed_walks grows them. ConfigError when the
+    reduced words of all lengths, sum_k k 2r (2r-1)^(k-1) letters, would
+    exceed _CLASS_LETTERS.
     """
     if rank < 0:
         raise ValidationError("rank must be >= 0")
     if max_len < 0:
         raise ValidationError("max_len must be >= 0")
-    longest = max_len if rank else 0
-    total, count = 0, 2 * rank
-    for k in range(1, longest + 1):
-        total += k * count
-        if total > _CLASS_LETTERS:
-            raise ConfigError(
-                f"the classes of rank {rank} up to length {max_len} need more "
-                f"than {_CLASS_LETTERS} letters of reduced words")
-        count *= 2 * rank - 1
     alphabet = np.array([l for i in range(1, rank + 1) for l in (i, -i)],
                         dtype=np.intp)
-    words = np.zeros((1, 0), dtype=np.intp)
-    grown, counts = [words.ravel()], [0]
-    for k in range(1, longest + 1):
-        # each word followed by each letter, then the reduced ones
-        step = np.empty((len(words), alphabet.size, k), dtype=np.intp)
-        step[:, :, :-1] = words[:, None, :]
-        step[:, :, -1] = alphabet
-        words = step.reshape(-1, k)
-        if k > 1:
-            words = words[words[:, -1] != -words[:, -2]]
-        grown.append(words.ravel())
-        counts.append(len(words))
-    letters = np.concatenate(grown)
-    lengths = np.repeat(np.arange(longest + 1), counts)
-    cut, start, mult = _rotations(letters, lengths)
-    keep = (cut == 0) & (start == 0)
-    return _Words(letters[np.repeat(keep, lengths)], lengths[keep], mult[keep])
+    edges = np.arange(2 * rank)
+    rose = np.zeros_like(edges)
+    words = _closed_walks(
+        rose, rose, edges ^ 1, max_len, _CLASS_LETTERS,
+        f"the classes of rank {rank} up to length {max_len} need more "
+        f"than {_CLASS_LETTERS} letters of reduced words")
+    return words._replace(letters=alphabet[words.letters])
 
 
 def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
@@ -425,65 +480,21 @@ def _geodesic_loops(g: GraphModel, max_len: int) -> _Words:
     _tuples) of canonical cyclic vertex sequences, with their
     multiplicities, sorted by (length, sequence).
 
-    The non-backtracking walks that start at a vertex s and stay on the
-    vertices >= s grow as arrays, one vertex at a time, in lexicographic
-    order. A walk of k >= 3 vertices closes into a loop when its last
-    vertex steps back to s without backtracking, and its first step is not
-    the reverse of that closing step (no tail). Each loop is kept once, as
-    the walk from its least vertex that _rotations finds its own least
-    rotation.
-
-    ConfigError, before any walk is grown, when the non-backtracking walks
-    of every length k <= max_len, k steps each, would exceed _WALK_LETTERS
-    steps in all (sum_k k n d (d-1)^(k-1) on n vertices of degree d). The
-    walks of k + 1 steps that end with the edge x -> y are those of k steps
-    that end at x, less the one that ends with y -> x.
+    _closed_walks grows them on the oriented edges of g in CSR order, by
+    tail, then head, so that the edge sequences and the vertex sequences
+    of their tails sort alike. ConfigError, before any walk is grown, when
+    the non-backtracking walks of every length k <= max_len, k steps each,
+    would exceed _WALK_LETTERS steps in all (sum_k k n d (d-1)^(k-1) on n
+    vertices of degree d).
     """
-    n_v = g.num_vertices
-    first, heads, tails = _adjacency(g)
-    # the reverse of edge i, in the CSR order by (tail, head)
+    _, heads, tails = _adjacency(g)
     reverse = np.empty_like(heads)
     reverse[np.lexsort((tails, heads))] = np.arange(heads.size)
-    ending = np.ones(heads.size)
-    total = 0.0
-    for k in range(1, max_len + 1):
-        walks = ending.sum()
-        if not walks:
-            break
-        total += k * walks
-        if total > _WALK_LETTERS:
-            raise ConfigError(
-                f"the geodesic loops up to length {max_len} need more than "
-                f"{_WALK_LETTERS} steps of non-backtracking walks")
-        ending = np.bincount(heads, ending, n_v)[tails] - ending[reverse]
-    # neighbours ascending, padded with -1, which no walk may take: rows
-    # in lexicographic order grow their children in lexicographic order
-    top = np.diff(first).max(initial=0)
-    step = np.full((n_v, top), -1, dtype=np.intp)
-    for v, adj in enumerate(g.neighbors):
-        step[v, top - len(adj):] = sorted(adj)
-    walks = np.arange(n_v)[:, None]
-    grown, counts = [], []
-    for k in range(1, max_len + 1):
-        to = step[walks[:, -1]]
-        ok = to >= walks[:, :1]
-        if k > 1:
-            ok &= to != walks[:, -2:-1]
-        i, j = np.nonzero(ok)
-        to = to[i, j]
-        if k >= 3:
-            closed = walks[i[(to == walks[i, 0])
-                             & (walks[i, 1] != walks[i, -1])]]
-            grown.append(closed.ravel())
-            counts.append(len(closed))
-        if k == max_len or not i.size:
-            break
-        walks = np.concatenate([walks[i], to[:, None]], axis=1)
-    letters = np.concatenate([np.zeros(0, dtype=np.intp)] + grown)
-    lengths = np.repeat(np.arange(3, 3 + len(counts)), counts)
-    _, start, mult = _rotations(letters, lengths)
-    keep = start == 0
-    return _Words(letters[np.repeat(keep, lengths)], lengths[keep], mult[keep])
+    loops = _closed_walks(
+        tails, heads, reverse, max_len, _WALK_LETTERS,
+        f"the geodesic loops up to length {max_len} need more than "
+        f"{_WALK_LETTERS} steps of non-backtracking walks")
+    return loops._replace(letters=tails[loops.letters])
 
 
 def enumerate_geodesic_loops(g: GraphModel, max_len: int) -> list[tuple[int, ...]]:

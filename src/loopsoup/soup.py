@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import ConfigError, NumericError, ValidationError
 from .freegroup import (TRIVIAL, BasedLoop, GeodesicClass, _canonical_words,
@@ -94,25 +96,13 @@ def truncated_mass(g: GraphModel, n_max: int) -> float:
 
 
 def _hop_distances(g: GraphModel) -> np.ndarray:
-    """Hop distance between every two vertices (n + 1 where there is no
-    path), by breadth-first search from all sources at once: each level
-    expands the frontier of (source, vertex) pairs first reached at the
-    level before."""
-    n = g.num_vertices
+    """Hop distance between every two vertices: scipy's unweighted shortest
+    paths on the CSR adjacency. build_graph has proved the graph connected,
+    so every distance is finite."""
     first, heads, _ = _adjacency(g)
-    dist = np.full((n, n), n + 1, dtype=int)
-    src = at = np.arange(n)
-    dist[src, at] = 0
-    level = 0
-    while src.size:
-        level += 1
-        i, e = _expand(first, at)
-        src, at = src[i], heads[e]
-        fresh = dist[src, at] > level
-        pair = np.unique(src[fresh] * n + at[fresh])
-        src, at = pair // n, pair % n
-        dist[src, at] = level
-    return dist
+    n = g.num_vertices
+    hops = sparse.csr_array((np.ones(heads.size), heads, first), shape=(n, n))
+    return shortest_path(hops, unweighted=True).astype(int)
 
 
 class _WordTrie:
@@ -309,12 +299,9 @@ class MeasureConfig:
 
 @dataclass(frozen=True)
 class SampledSoup:
-    """One Poisson draw: the sampled loops plus the draw metadata."""
+    """One Poisson draw: the sampled loops."""
 
     loops: tuple[BasedLoop, ...]
-    seed: int
-    alpha: float
-    n_max: int
 
     def class_counts(self, frame: SpanningTreeFrame) -> Counter:
         c: Counter = Counter()
@@ -451,7 +438,7 @@ class LoopSoupSampler:
         driver = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         count = int(driver.poisson(self.alpha * self.mass))
         if not count:
-            return SampledSoup((), seed, self.alpha, self.n_max)
+            return SampledSoup(())
         picks = driver.choice(len(self.items), size=count, p=self.probs)
         base, length = self.items[picks].T
         # loop k is walk[start[k]:end[k] + 1]; every interior vertex has its
@@ -484,7 +471,7 @@ class LoopSoupSampler:
         flat = walk.tolist()
         loops = tuple(BasedLoop(tuple(flat[a:b + 1]))
                       for a, b in zip(start.tolist(), end.tolist()))
-        return SampledSoup(loops, seed, self.alpha, self.n_max)
+        return SampledSoup(loops)
 
 
 def sample_soup(g: GraphModel, frame: SpanningTreeFrame,
@@ -510,11 +497,9 @@ def dumps_soup(soup: SampledSoup) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_soup(text: str, g: GraphModel | None = None,
-               seed: int = -1, alpha: float = 1.0,
-               n_max: int | None = None) -> SampledSoup:
+def parse_soup(text: str, g: GraphModel | None = None) -> SampledSoup:
     """Inverse of dumps_soup. Validates counts, and edges when a graph is
-    given. Metadata fields default to sentinels unless supplied."""
+    given."""
     loops = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -535,6 +520,4 @@ def parse_soup(text: str, g: GraphModel | None = None,
         if g is not None:
             loop.check_edges(g)
         loops.append(loop)
-    length = n_max if n_max is not None else max(
-        (l.length for l in loops), default=0)
-    return SampledSoup(tuple(loops), seed, alpha, length)
+    return SampledSoup(tuple(loops))

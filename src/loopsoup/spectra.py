@@ -163,8 +163,7 @@ class _EdgeSystem:
         n = g.num_vertices
         self.num_vertices = n
         first, head, tail = _adjacency(g)
-        self.pairs = list(zip(tail.tolist(), head.tolist()))
-        self.size = m = len(self.pairs)
+        self.size = m = head.size
         p = g.transition
         self.tail = tail
         self.weight = p[tail, head] * p[head, tail]
@@ -332,30 +331,23 @@ def _solve(system: _EdgeSystem, s: np.ndarray,
 
 @dataclass(frozen=True)
 class RhoTable:
-    """Excursion generating functions at a fixed step weight s.
+    """Excursion generating functions at a fixed step weight s, as
+    read-only arrays.
 
-    edge[(x, y)] for ordered adjacent pairs: excursions from y avoiding x
-    on the first step. vertex[x]: unrestricted excursions from x, inf
-    where that series diverges or sits on its boundary (the unkilled
-    triangle at s = 1, whose edge values are the finite double root 2).
-    residual is max |F(rho) - rho| at the returned table; iterations counts
-    the sweeps and Newton steps.
+    edge[i] for the oriented edge i = (x, y) of graphs._adjacency, ordered
+    by x, then y: excursions from y avoiding x on the first step.
+    vertex[x]: unrestricted excursions from x, inf where that series
+    diverges or sits on its boundary (the unkilled triangle at s = 1, whose
+    edge values are the finite double root 2). residual is max |F(rho) -
+    rho| at the returned table; iterations counts the sweeps and Newton
+    steps.
     """
 
     s: float
-    edge: dict[tuple[int, int], float] = field(hash=False)
-    vertex: dict[int, float] = field(hash=False)
+    edge: np.ndarray = field(compare=False)
+    vertex: np.ndarray = field(compare=False)
     residual: float
     iterations: int
-
-    @cached_property
-    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
-        """The oriented edges as ascending keys x n + y, n the number of
-        vertices, with their edge values: edge[] for arrays of pairs."""
-        n = len(self.vertex)
-        keys = np.array([x * n + y for x, y in self.edge], dtype=np.intp)
-        order = np.argsort(keys)
-        return keys[order], np.array(list(self.edge.values()))[order]
 
 
 @lru_cache(maxsize=_RHO_CACHE)
@@ -381,9 +373,10 @@ def solve_rho(g: GraphModel, s: float = 1.0) -> RhoTable:
     r, iterations = _solve(system, at, np.ones((1, system.size)))
     vertex = system.vertex(r, at)[0]
     residual = float(np.max(np.abs(system.residual(r, at)), initial=0.0))
-    return RhoTable(s=s, edge=dict(zip(system.pairs, r[0].tolist())),
-                    vertex=dict(enumerate(vertex.tolist())),
-                    residual=residual, iterations=int(iterations[0]))
+    edge = r[0]
+    edge.flags.writeable = vertex.flags.writeable = False
+    return RhoTable(s=s, edge=edge, vertex=vertex, residual=residual,
+                    iterations=int(iterations[0]))
 
 
 def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
@@ -408,10 +401,11 @@ def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
     if not lengths.size:
         return np.zeros(0)
     p, n = g.transition, g.num_vertices
-    keys, edge = rho._lookup
+    _, heads, tails = _adjacency(g)
+    keys = tails * n + heads
 
     def steps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return p[x, y] * edge[np.searchsorted(keys, x * n + y)]
+        return p[x, y] * rho.edge[np.searchsorted(keys, x * n + y)]
 
     # letter index 2(|l| - 1) + (l < 0); letter 2i + 1 crosses generator
     # edge i backward
@@ -627,16 +621,20 @@ def _charpoly(neighbors: tuple[tuple[int, ...], ...],
               max_degree: int) -> list[int]:
     """Coefficients [c_0=1, c_1, ..., c_K] of det(t I - A) = sum c_k t^(n-k)
     through K = min(n, max_degree), A the adjacency matrix of the
-    neighbour lists, by the trace recursion in exact integers."""
+    neighbour lists, by the trace recursion in exact integers: object
+    arrays of Python ints, multiplied by numpy."""
     n = len(neighbors)
     coeffs = [1]
-    m = [[0] * n for _ in range(n)]
+    a = np.zeros((n, n), dtype=object)
+    for x, row in enumerate(neighbors):
+        a[x, list(row)] = 1
+    m = np.zeros((n, n), dtype=object)
+    diagonal = np.arange(n)
     for k in range(1, min(n, max_degree) + 1):
         # M_k = A (M_{k-1} + c_{k-1} I); c_k = -tr(M_k) / k is an integer
-        for i in range(n):
-            m[i][i] += coeffs[-1]
-        m = [[sum(m[l][j] for l in row) for j in range(n)] for row in neighbors]
-        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        m[diagonal, diagonal] += coeffs[-1]
+        m = a @ m
+        c, rem = divmod(-m.trace(), k)
         assert rem == 0
         coeffs.append(c)
     return coeffs

@@ -33,6 +33,7 @@ from loopsoup import (
 from loopsoup import spectra
 from loopsoup.cli import main
 from loopsoup.freegroup import GeodesicClass, _geodesic_class_words, _Words
+from loopsoup.graphs import _adjacency
 
 SQRT5 = math.sqrt(5.0)
 # The trivial-class mass of the triangle with killing 1e-9 at one vertex,
@@ -45,9 +46,9 @@ class TestSolveRho:
         # degree 2, killing 1: discriminant root is sqrt(5)/3
         rt = solve_rho(triangle, 1.0)
         assert rt.residual <= 1e-12
-        for val in rt.edge.values():
+        for val in rt.edge:
             assert val == pytest.approx((9.0 - 3.0 * SQRT5) / 2.0, abs=1e-10)
-        for val in rt.vertex.values():
+        for val in rt.vertex:
             assert val == pytest.approx(3.0 / SQRT5, abs=1e-10)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 5.0])
@@ -62,9 +63,9 @@ class TestSolveRho:
                 4, [(a, b, 1.0) for a in range(4) for b in range(a + 1, 4)], kappa)
         rt = solve_rho(g, s)
         cf = regular_closed_forms(3, kappa, s)
-        for val in rt.edge.values():
+        for val in rt.edge:
             assert val == pytest.approx(cf.rho_edge, abs=1e-10)
-        for val in rt.vertex.values():
+        for val in rt.vertex:
             assert val == pytest.approx(cf.rho_vertex, abs=1e-10)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 5.0])
@@ -78,9 +79,9 @@ class TestSolveRho:
             g = build_graph(10, [(u, v, 1.0) for (u, v) in petersen.edges], kappa)
         rt = solve_rho(g, s)
         cf = regular_closed_forms(3, kappa, s)
-        for val in rt.edge.values():
+        for val in rt.edge:
             assert val == pytest.approx(cf.rho_edge, abs=1e-10)
-        for val in rt.vertex.values():
+        for val in rt.vertex:
             assert val == pytest.approx(cf.rho_vertex, abs=1e-10)
 
     def test_boundary_no_killing(self, k4_free):
@@ -89,7 +90,7 @@ class TestSolveRho:
         cf = regular_closed_forms(3, 0.0, 1.0)
         assert cf.rho_edge == pytest.approx(1.5)
         assert cf.rho_vertex == pytest.approx(2.0)
-        for val in rt.edge.values():
+        for val in rt.edge:
             assert val == pytest.approx(1.5, abs=1e-9)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5])
@@ -105,9 +106,9 @@ class TestSolveRho:
                         kappa)
         rt = solve_rho(g, 1.0)
         cf = regular_closed_forms(3, kappa, 1.0)
-        for val in rt.edge.values():
+        for val in rt.edge:
             assert val == pytest.approx(cf.rho_edge, abs=1e-10)
-        for val in rt.vertex.values():
+        for val in rt.vertex:
             assert val == pytest.approx(cf.rho_vertex, abs=1e-10)
 
     def test_zero_killing_triangle_double_root(self):
@@ -116,17 +117,32 @@ class TestSolveRho:
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], 0.0)
         rt = solve_rho(g, 1.0)
         assert len(rt.edge) == 6
-        for val in rt.edge.values():
+        for val in rt.edge:
             assert abs(val - 2.0) <= 1e-9
         # each vertex sum is exactly 1 there: the vertex series diverge,
         # whichever side of 1 the rounded sum lands on
-        assert rt.vertex == {0: math.inf, 1: math.inf, 2: math.inf}
+        assert rt.vertex.tolist() == [math.inf] * 3
 
     def test_graph_without_edges(self):
         rt = solve_rho(build_graph(1, [], 1.0), 1.0)
-        assert rt.edge == {}
-        assert rt.vertex == {0: 1.0}
+        assert rt.edge.size == 0
+        assert rt.vertex.tolist() == [1.0]
         assert rt.residual == 0.0
+
+    def test_tables_are_read_only_arrays(self, bowtie):
+        # one edge value per oriented edge in _adjacency order, where the
+        # edge system's residual reads them
+        rt = solve_rho(bowtie, 0.5)
+        _, heads, tails = _adjacency(bowtie)
+        assert rt.edge.shape == heads.shape
+        assert rt.vertex.shape == (bowtie.num_vertices,)
+        for table in (rt.edge, rt.vertex):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        system = spectra._EdgeSystem(bowtie)
+        res = system.residual(rt.edge[None, :], np.array([0.5]))
+        assert np.abs(res).max() <= 1e-12
+        assert solve_rho(bowtie, 0.5) == rt
 
     def test_cache_info_is_public(self):
         # the benchmark harness reads the cache counters of solve_rho
@@ -192,10 +208,12 @@ def stepwise_intensity(g, frame, cls, rho):
     the geodesic loop from geodesic_representative, over the multiplicity."""
     cycle = geodesic_representative(cls, frame)
     p = g.transition
+    _, heads, tails = _adjacency(g)
+    edge = dict(zip(zip(tails.tolist(), heads.tolist()), rho.edge.tolist()))
     prod = 1.0
     for i, x in enumerate(cycle):
         y = cycle[(i + 1) % len(cycle)]
-        prod *= p[x, y] * rho.edge[(x, y)]
+        prod *= p[x, y] * edge[(x, y)]
     return prod / cls.multiplicity
 
 
