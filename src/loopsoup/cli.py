@@ -114,9 +114,9 @@ def cmd_homotopy(args) -> None:
     words = _geodesic_class_words(frame.rank, args.max_len)
     rho = solve_rho(g, args.s)
     rows = []
-    quad_err = None
+    trivial_err = None
     if args.s == 1.0:
-        trivial_val, quad_err = contractible_intensity(g)
+        trivial_val, trivial_err = contractible_intensity(g)
         rows.append(f"e,0,1,{_fmt(trivial_val)}")
     values = _class_intensities(g, frame, words, rho)
     for word, mult, val in zip(_tuples(words.letters, words.lengths),
@@ -124,7 +124,7 @@ def cmd_homotopy(args) -> None:
         rows.append(f"{format_word(word)},{len(word)},{mult},{_fmt(val)}")
     manifest = _manifest("homotopy", {
         "graph": args.graph, "max_len": args.max_len, "s": args.s,
-        "quad_err": None if quad_err is None else _fmt(quad_err),
+        "trivial_err": None if trivial_err is None else _fmt(trivial_err),
         "rho_iterations": rho.iterations,
     })
     _emit(args, [manifest, "class,length,mult,intensity"] + rows)

@@ -403,20 +403,21 @@ def _closed_walks(tail: np.ndarray, head: np.ndarray, reverse: np.ndarray,
     empty = np.zeros(0, dtype=np.intp)
     if max_len < 1:
         return _Words(empty, empty, empty)
-    # the edges out of each vertex, ascending, padded with the edge count,
-    # whose head -1 no walk may take; an edge's successors are those out of
-    # its head but its reverse, and reach holds their heads
-    degree = np.bincount(tail, minlength=n)
-    width = int(degree.max(initial=1))
-    out = np.full((n, width), tail.size, dtype=np.intp)
-    edges = np.arange(tail.size)
-    out[tail, edges - (np.cumsum(degree) - degree)[tail]] = edges
-    succ = out[head]
-    succ = succ[succ != reverse[:, None]].reshape(tail.size, width - 1)
-    reach = np.append(head, -1)[succ]
     first = np.flatnonzero(head >= tail)
     walks, start, back = first[:, None], tail[first], reverse[first]
     grown = [walks[(head[first] == start) & (first != back)]]
+    if max_len > 1:
+        # the edges out of each vertex, ascending, padded with the edge
+        # count, whose head -1 no walk may take; an edge's successors are
+        # those out of its head but its reverse, and reach holds their heads
+        degree = np.bincount(tail, minlength=n)
+        width = int(degree.max(initial=1))
+        out = np.full((n, width), tail.size, dtype=np.intp)
+        edges = np.arange(tail.size)
+        out[tail, edges - (np.cumsum(degree) - degree)[tail]] = edges
+        succ = out[head]
+        succ = succ[succ != reverse[:, None]].reshape(tail.size, width - 1)
+        reach = np.append(head, -1)[succ]
     for k in range(2, max_len + 1):
         last = walks[:, -1]
         heads = reach[last]

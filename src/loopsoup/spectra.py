@@ -29,21 +29,27 @@ residual of 5e-13 can leave rho wrong in the sixth digit, while the error
 left after a Newton step there is about the size of that step. The solve
 stops once a step moves no entry by more than 1e-13 of the largest rho; a
 sweep that halved the change counts as such a step, since while the
-changes halve the error left is at most the last change. A Newton step
-with a non-finite entry or an entry below minus that tolerance, or a
-singular I - F'(r), means the iterate has passed the point up to which a
-fixed point could still exist: the series is non-summable (NumericError).
-Entries within the tolerance of zero are rounding, not divergence.
+changes halve the error left is at most the last change. At s <= 1 the
+edge series always converges, so a Newton step with a non-finite entry
+or an entry below minus that tolerance, or a singular I - F'(r), means
+that the table is critical to within rounding (NumericError): rounding
+moves a double root by about sqrt(u), u the unit roundoff, and there the
+table is only that accurate. Entries within the tolerance of zero are
+rounding, not divergence.
 
-The trivial class is handled separately: its mass is an integral over the
-deformation parameter s of the per-vertex excursion functions, taken in
-t with s = 1 - t^2 by adaptive 21-point Gauss-Kronrod quadrature
-(QUADPACK's qk21 rule, Piessens et al. 1983) without extrapolation. The
-refinement goes one level at a time, and all nodes of a level are solved
-as one batch: the sweeps run on a (nodes, 2|E|) array, and each Newton
-step factors one block-diagonal sparse LU for all nodes in that phase.
-The certificate of the mass is the sum over the intervals of |K - G|, the
-gap between the Kronrod value and the embedded Gauss value.
+The trivial class is handled separately. Contractible loops are the
+closed walks of the universal cover, a tree, and on a tree -log det(I - P)
+factorizes over vertices and edges: this Bethe form is exact on trees.
+So the mass is sum_x log rho_x + sum_{edges {x,y}} log(1 - P(x,y) P(y,x)
+rho(x,y) rho(y,x)), read off the s = 1 table (_tree_mass). Gaussian
+belief propagation computes the same walk sums on the computation tree
+(Malioutov, Johnson & Willsky, JMLR 7, 2006), and the Bethe free energy
+is stationary at its fixed points (Yedidia, Freeman & Weiss, IEEE Trans.
+Inf. Theory 51, 2005): with rho_x recomputed from the edge values, the
+table equations are exactly the stationarity conditions of the formula,
+so the table's error enters only squared. Without killing, a graph with
+one cycle has its s = 1 table on a double root; its mass comes from the
+rank-1 closed form instead (_unicyclic_mass).
 
 On regular graphs everything has closed forms, and the class masses with
 the killing parametrized by step weight reproduce a classical determinant
@@ -59,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import comb, fsum, sqrt
 
 import numpy as np
@@ -77,48 +84,8 @@ _STEP = 1e-13
 _RHO_CACHE = 32
 # Dekker's splitting constant 2**27 + 1 for exact float64 products.
 _SPLITTER = 134217729.0
-
-# QUADPACK's 21-point Gauss-Kronrod rule (qk21, Piessens et al. 1983): the
-# Kronrod abscissae in [0, 1), the Gauss ones at odd positions, with their
-# Kronrod weights, the centre's last, and the 10-point Gauss weights.
-_XGK = (0.995657163025808080735527280689003,
-        0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508,
-        0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042,
-        0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694,
-        0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866,
-        0.148874338981631210884826001129720,
-        0.0)
-_WGK = (0.011694638867371874278064396062192,
-        0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580,
-        0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366,
-        0.109387158802297641899210590325805,
-        0.123491976262065851077548564726430,
-        0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717,
-        0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332,
-       0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163,
-       0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-# The 21 nodes on [-1, 1] in ascending order, the Kronrod weights, and the
-# Kronrod minus the Gauss weights, whose product with the values is K - G.
-_GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
-_GK_KRONROD = np.array(_WGK[:-1] + _WGK[::-1])
-_GK_GAUSS_GAP = _GK_KRONROD.copy()
-_GK_GAUSS_GAP[1:10:2] -= _WG
-_GK_GAUSS_GAP[19:10:-2] -= _WG
-# The contractible-mass quadrature: absolute and relative target, and the
-# largest number of intervals.
-_QUAD_TOL = 1e-11
-_QUAD_LIMIT = 200
+# The unit roundoff of float64.
+_U = 2.0 ** -53
 
 
 def _two_sum(a, b):
@@ -145,14 +112,29 @@ def _two_prod(a, b, a_split=None):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _row_bincount(index: np.ndarray, values: np.ndarray,
-                  size: int) -> np.ndarray:
-    """np.bincount(index, values[b], minlength=size) for every row b of
-    values, in one call; each bin adds its terms in the same order."""
-    k = values.shape[0]
-    shifted = index + size * np.arange(k)[:, None]
-    return np.bincount(shifted.ravel(), values.ravel(),
-                       minlength=k * size).reshape(k, size)
+def _slots(length: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For rows of the given lengths stored one after another: per slot j,
+    the rows with more than j entries and the position of their j-th."""
+    start = np.cumsum(length) - length
+    slots = []
+    for j in range(int(length.max(initial=0))):
+        has = np.flatnonzero(length > j)
+        slots.append((has, start[has] + j))
+    return slots
+
+
+def _slot_sums(hi: np.ndarray, lo: np.ndarray, slots, size: int):
+    """The row sums of the double-double entries hi + lo, as (hi, lo),
+    adding one slot at a time with error-free sums."""
+    row_hi = np.zeros(size)
+    row_lo = np.zeros(size)
+    for j, (has, pos) in enumerate(slots):
+        if j:
+            row_hi[has], err = _two_sum(row_hi[has], hi[pos])
+            row_lo[has] += err + lo[pos]
+        else:
+            row_hi[has], row_lo[has] = hi[pos], lo[pos]
+    return row_hi, row_lo
 
 
 class _EdgeSystem:
@@ -176,37 +158,24 @@ class _EdgeSystem:
         self._rows, self._cols = rows[keep], cols[keep]
         self._coef = self.weight[self._cols]
         self._coef_split = _split(self._coef)
-        # the j-th successor of every row that has one, for the compensated
-        # row sums of the residual
-        length = np.bincount(self._rows, minlength=m)
-        row_start = np.cumsum(length) - length
-        self._slots = []
-        for j in range(int(length.max(initial=0))):
-            has = np.flatnonzero(length > j)
-            self._slots.append((has, row_start[has] + j))
+        # the successors of each row, for the compensated row sums of the
+        # residual
+        self._slots = _slots(np.bincount(self._rows, minlength=m))
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """B r for every row of r."""
-        return _row_bincount(self._rows, self._coef * r[:, self._cols],
-                             self.size)
+        """B r."""
+        return np.bincount(self._rows, self._coef * r[self._cols],
+                           minlength=self.size)
 
-    def residual(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """F(r) - r for every row of r, each at its own s, in double-double
-        arithmetic: accurate to about 1e-16 of its own size rather than of
-        |r|, so it still resolves the residual e^2 / 4 left at distance e
-        from a double root."""
-        hi, lo = _two_prod(self._coef, r[:, self._cols], self._coef_split)
-        row_hi = np.zeros(r.shape)
-        row_lo = np.zeros(r.shape)
-        for j, (has, pos) in enumerate(self._slots):
-            if j:
-                row_hi[:, has], err = _two_sum(row_hi[:, has], hi[:, pos])
-                row_lo[:, has] += err + lo[:, pos]
-            else:
-                row_hi[:, has], row_lo[:, has] = hi[:, pos], lo[:, pos]
+    def residual(self, r: np.ndarray, s: float) -> np.ndarray:
+        """F(r) - r at the step weight s, in double-double arithmetic:
+        accurate to about 1e-16 of its own size rather than of |r|, so it
+        still resolves the residual e^2 / 4 left at distance e from a double
+        root."""
+        hi, lo = _two_prod(self._coef, r[self._cols], self._coef_split)
+        row_hi, row_lo = _slot_sums(hi, lo, self._slots, r.size)
         t_hi, t_lo = _two_prod(r, row_hi)
         t_lo = t_lo + r * row_lo
-        s = s[:, None]
         u_hi, u_lo = _two_prod(s, t_hi)
         u_lo = u_lo + s * t_lo
         a, a_err = _two_sum(1.0, -r)
@@ -226,34 +195,23 @@ class _EdgeSystem:
         diag = rows == np.repeat(np.arange(m), np.diff(jac.indptr))
         return jac.indptr, rows, diag, np.where(diag, 0.0, jac.data)
 
-    def newton_step(self, r: np.ndarray, s: np.ndarray,
+    def newton_step(self, r: np.ndarray, s: float,
                     f: np.ndarray) -> np.ndarray:
-        """d with (I - F'(r)) d = f for every row, where I - F'(r) = I -
-        s diag(B r) - s diag(r) B, by one sparse LU of the block-diagonal
-        matrix of all rows. A singular matrix raises NumericError."""
+        """d with (I - F'(r)) d = f, where I - F'(r) = I - s diag(B r) -
+        s diag(r) B, by one sparse LU. A singular matrix raises
+        NumericError."""
         indptr, rows, diag, coef = self._jacobian
-        k, m = r.shape
-        sc = s[:, None]
-        data = np.where(diag, 1.0 - sc * self.apply(r)[:, rows],
-                        -sc * r[:, rows] * coef)
-        block = np.arange(k)[:, None]
-        jac = sparse.csc_matrix(
-            (data.ravel(), (rows + m * block).ravel(),
-             np.append((indptr[:-1] + rows.size * block).ravel(),
-                       k * rows.size)),
-            shape=(k * m, k * m))
+        data = np.where(diag, 1.0 - s * self.apply(r)[rows],
+                        -s * r[rows] * coef)
+        jac = sparse.csc_matrix((data, rows, indptr), shape=(self.size,) * 2)
         try:
-            return splu(jac).solve(f.ravel()).reshape(k, m)
+            return splu(jac).solve(f)
         except RuntimeError:  # exactly singular
-            where = (f"s={float(s[0])}" if k == 1 else
-                     f"some s in [{float(s.min())}, {float(s.max())}]")
-            raise NumericError(f"non-summable tree-contour series at {where} "
-                               f"(singular Newton system)") from None
+            raise _critical(s, "singular Newton system") from None
 
-    def vertex(self, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def vertex(self, r: np.ndarray, s: float) -> np.ndarray:
         """Unrestricted excursions from each vertex,
-        1 / (1 - s sum_y P(x,y) rho(x,y) P(y,x)), for every row of r from
-        _solve, each at its own s.
+        1 / (1 - s sum_y P(x,y) rho(x,y) P(y,x)), for r from _solve.
 
         inf where the sum reaches 1 within the accuracy of r: the series
         diverges there or cannot be told from divergent. Each entry of r
@@ -262,71 +220,56 @@ class _EdgeSystem:
         this is the margin. At a critical edge system, such as the unkilled
         triangle at s = 1, the true sum is 1 and the solve stops just short
         of it."""
-        acc = _row_bincount(self.tail, self.weight * r, self.num_vertices)
-        s = s[:, None]
-        denom = 1.0 - s * acc
-        margin = (2.0 * _STEP * r.max(axis=1, initial=1.0)[:, None] * s
-                  * self._vertex_weight)
+        denom = 1.0 - s * np.bincount(self.tail, self.weight * r,
+                                      minlength=self.num_vertices)
+        margin = 2.0 * _STEP * r.max(initial=1.0) * s * self._vertex_weight
         out = np.full(denom.shape, np.inf)
         ok = denom > margin
         out[ok] = 1.0 / denom[ok]
         return out
 
 
-def _solve(system: _EdgeSystem, s: np.ndarray,
-           start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least fixed points of the edge system at the step weights s, one
-    per row, each iterated from its row of start, which must lie below it:
-    rho per node and oriented edge, and the number of sweeps plus Newton
-    steps per node.
+def _critical(s: float, why: str) -> NumericError:
+    """The error of a table that rounding cannot tell from critical: at
+    s <= 1 the edge series always converges, so a Newton iterate that
+    breaks monotonicity is at a double root to within rounding."""
+    return NumericError(f"rho table at s={s} is critical to within rounding "
+                        f"({why})")
+
+
+def _solve(system: _EdgeSystem, s: float) -> tuple[np.ndarray, int]:
+    """The least fixed point of the edge system at the step weight s,
+    iterated from r = 1, and the number of sweeps plus Newton steps.
 
     While each sweep at least halves the change, the error left is at most
     the last change, so a halving sweep below the step tolerance ends the
     solve like a Newton step would. Newton takes over from the first sweep
-    that does not halve the change. Each sweep, and then each Newton step,
-    works on all nodes still in that phase at once; each node takes the
-    steps it would take alone, and only the LU of the Newton steps sees
-    the other nodes, as separate diagonal blocks.
+    that does not halve the change.
     """
-    r = np.array(start, dtype=float)
-    iterations = np.zeros(s.size, dtype=int)
+    r = np.ones(system.size)
     if not system.size:
-        return r, iterations
-    # the nodes still sweeping, their rows and their last changes; all of
-    # them have taken the same number of sweeps
-    at, x, sx = np.arange(s.size), r, s[:, None]
-    last = np.full(s.size, np.inf)
-    sweeps = 0
-    newton = [at[:0]]
-    while at.size:
-        new = 1.0 + sx * x * system.apply(x)
-        change = np.abs(new - x).max(axis=1)
-        x = new
-        sweeps += 1
-        halved = change <= last / 2
-        stop = ~halved | ((last < np.inf)
-                          & (change <= _STEP * x.max(axis=1)))
-        if stop.any():
-            r[at[stop]] = x[stop]
-            iterations[at[stop]] = sweeps
-            newton.append(at[~halved])
-            go = ~stop
-            at, x, sx, change = at[go], x[go], sx[go], change[go]
+        return r, 0
+    last = np.inf
+    iterations = 0
+    while True:
+        new = 1.0 + s * r * system.apply(r)
+        change = np.abs(new - r).max()
+        r = new
+        iterations += 1
+        if not change <= last / 2:
+            break
+        if last < np.inf and change <= _STEP * r.max():
+            return r, iterations
         last = change
-    at = np.concatenate(newton)
-    while at.size:
-        x, sx = r[at], s[at]
-        d = system.newton_step(x, sx, system.residual(x, sx))
-        iterations[at] += 1
-        tol = _STEP * x.max(axis=1)
-        bad = ~np.isfinite(d).all(axis=1) | (d.min(axis=1) < -tol)
-        if bad.any():
-            raise NumericError(
-                f"non-summable tree-contour series at s={float(sx[bad][0])} "
-                f"(Newton step leaves the monotone region)")
-        r[at] = x + d
-        at = at[np.abs(d).max(axis=1) > tol]
-    return r, iterations
+    while True:
+        d = system.newton_step(r, s, system.residual(r, s))
+        iterations += 1
+        tol = _STEP * r.max()
+        if not np.isfinite(d).all() or d.min() < -tol:
+            raise _critical(s, "a Newton step leaves the monotone region")
+        r = r + d
+        if np.abs(d).max() <= tol:
+            return r, iterations
 
 
 @dataclass(frozen=True)
@@ -358,25 +301,28 @@ def solve_rho(g: GraphModel, s: float = 1.0) -> RhoTable:
     Vectorized sweeps from the constant 1 run while each at least halves
     the change, then Newton steps from below run until a step moves no
     entry by more than 1e-13 of the largest rho; that step size, not the
-    residual, certifies the table, also at a critical double root (a
-    halving sweep that small ends the solve too). A Newton step with a
-    negative (beyond that tolerance) or non-finite entry, or a singular
-    Newton system, raises NumericError (non-summable series); a vertex sum
-    that reaches 1 within the accuracy of the table gives vertex[x] = inf.
-    Cached per (graph, s), for the last _RHO_CACHE pairs; the quadrature of
-    contractible_intensity solves its nodes without this cache.
+    residual, certifies the table (a halving sweep that small ends the
+    solve too). At a double root, or within rounding of one, the table is
+    accurate only to about sqrt(u) ~ 1e-8 relative, u the unit roundoff:
+    rounding moves such a root by that much, and the solve can stop that
+    far below it although its last step was below 1e-13: the table of the
+    cycle 0-1-2 plus the path 2-3-4, without killing, lies up to 1.7e-8
+    relative below its rational fixed point. A Newton step with a negative
+    (beyond the tolerance) or non-finite entry, or a singular Newton
+    system, raises NumericError: the table is critical to within
+    rounding. A vertex sum that reaches 1 within the accuracy of the table
+    gives vertex[x] = inf. Cached per (graph, s), for the last _RHO_CACHE
+    pairs.
     """
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"step weight s={s} outside [0, 1]")
     system = _EdgeSystem(g)
-    at = np.array([s])
-    r, iterations = _solve(system, at, np.ones((1, system.size)))
-    vertex = system.vertex(r, at)[0]
-    residual = float(np.max(np.abs(system.residual(r, at)), initial=0.0))
-    edge = r[0]
+    edge, iterations = _solve(system, s)
+    vertex = system.vertex(edge, s)
+    residual = float(np.max(np.abs(system.residual(edge, s)), initial=0.0))
     edge.flags.writeable = vertex.flags.writeable = False
     return RhoTable(s=s, edge=edge, vertex=vertex, residual=residual,
-                    iterations=int(iterations[0]))
+                    iterations=iterations)
 
 
 def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
@@ -504,112 +450,112 @@ def regular_closed_forms(d: int, kappa: float, s: float = 1.0) -> RegularForms:
                         step_intensity=rho_edge / lam, b=b)
 
 
-def _gauss_kronrod(f, tol: float, limit: int) -> tuple[float, float]:
-    """Integral of f over [0, 1] and its error, by adaptive 21-point
-    Gauss-Kronrod quadrature, one refinement level at a time: f maps an
-    array of nodes to their values and gets all nodes of a level at once.
+def _tree_mass(g: GraphModel, edge: np.ndarray) -> tuple[float, float]:
+    """The trivial-class mass of g from its s = 1 edge table, by the tree
+    formula, and a first-order bound on its error.
 
-    Each interval reports its Kronrod value K and |K - G|, G the embedded
-    10-point Gauss value. While the sum of |K - G| exceeds the target
-    max(tol, tol |sum K|), every interval whose |K - G| exceeds its share,
-    the target times its width, is bisected, the worst first if that
-    would pass limit intervals. There is no extrapolation. The returned
-    error is the sum of |K - G|, also when the limit stops the refinement
-    short of the target. A non-finite value of f raises NumericError.
+    sum_x log rho_x + sum_{edges {x,y}} log(1 - a(x,y)), where a(x,y) =
+    P(x,y) P(y,x) rho(x,y) rho(y,x) and rho_x = 1 / (1 - sum_y P(x,y)
+    P(y,x) rho(x,y)) is recomputed from the table. Both gaps, 1 - sum and
+    1 - a, are formed in double-double, so that each term carries only a
+    few roundings of its own size.
+
+    The bound adds: the rounding of P, whose entries in row x carry the
+    deg x roundings of lam(x) and one of the division, each moving the
+    mass by at most u (rho_x - 1); the rounding of each term and of the
+    sum; and the table's own error, at most the step tolerance per entry,
+    times the gradient of the formula at the table, which vanishes at the
+    fixed point. NumericError if a gap is not positive: the table is then
+    critical to within rounding.
     """
+    n = g.num_vertices
+    first, head, tail = _adjacency(g)
+    p = g.transition
+    back = edge[np.searchsorted(tail * n + head, head * n + tail)]
+    w_hi, w_lo = _two_prod(p[tail, head], p[head, tail])
+    t_hi, t_lo = _two_prod(w_hi, edge)
+    t_lo = t_lo + w_lo * edge
+    a_hi, a_lo = _two_prod(t_hi, back)
+    b, b_err = _two_sum(1.0, -a_hi)
+    edge_gap = b + (b_err - (a_lo + t_lo * back))
+    degree = np.diff(first)
+    sum_hi, sum_lo = _slot_sums(t_hi, t_lo, _slots(degree), n)
+    b, b_err = _two_sum(1.0, -sum_hi)
+    gap = b + (b_err - sum_lo)
+    if not ((gap > 0).all() and (edge_gap > 0).all()):
+        raise _critical(1.0, "a vertex or edge gap is not positive")
+    rho = 1.0 / gap
+    terms = np.concatenate([-np.log(gap), np.log(edge_gap[tail < head])])
+    value = fsum(terms)
+    gradient = w_hi * (rho[tail] - back / edge_gap)
+    err = (_U * ((degree + 1) @ (rho - 1.0)
+                + 2.0 * (terms.size + np.abs(terms).sum()) + abs(value))
+           + _STEP * edge.max(initial=1.0) * np.abs(gradient).sum())
+    return value, float(err)
 
-    def level(a, b):
-        half = (b - a) / 2
-        t = (a + b)[:, None] / 2 + half[:, None] * _GK_NODES
-        ft = f(t.ravel()).reshape(t.shape)
-        if not np.isfinite(ft).all():
-            raise NumericError(
-                f"contractible mass quadrature: non-finite integrand at "
-                f"t={float(t[~np.isfinite(ft)][0])}")
-        return half * (ft @ _GK_KRONROD), half * np.abs(ft @ _GK_GAUSS_GAP)
 
-    a, b = np.zeros(1), np.ones(1)
-    k, err = level(a, b)
+def _unicyclic_mass(g: GraphModel) -> tuple[float, float]:
+    """The trivial-class mass of a connected graph with one cycle and no
+    killing, and a first-order bound on its error.
+
+    The rank-1 closed form at x = 1: -log(-c_1), where c_1 is the
+    coefficient of the winding variable in det(I - P^theta), the product
+    of P around the cycle, one way, times det(I - P) on the vertices off
+    the cycle. Eliminating those leaves first, each pivot is the step
+    toward the cycle, since without killing the walk from a branch returns
+    to its root. So the mass is -sum_x log P(x, f(x)), with f the step
+    around the cycle on the cycle and toward it off the cycle. The bound
+    adds the deg x roundings of lam(x) and the one of the division in
+    each P(x, f(x)), the rounding of each logarithm and that of the sum.
+    """
+    n = g.num_vertices
+    left = [len(a) for a in g.neighbors]
+    step = [-1] * n
+    leaves = [x for x in range(n) if left[x] == 1]
+    while leaves:
+        x = leaves.pop()
+        step[x] = y = next(z for z in g.neighbors[x] if step[z] < 0)
+        left[y] -= 1
+        if left[y] == 1:
+            leaves.append(y)
+    on_cycle = [f < 0 for f in step]
+    start = x = on_cycle.index(True)
+    prev = -1
     while True:
-        target = max(tol, tol * abs(fsum(k)))
-        split = np.flatnonzero(err > target * (b - a))
-        room = limit - a.size
-        if fsum(err) <= target or not split.size or room <= 0:
-            return fsum(k), fsum(err)
-        if split.size > room:
-            split = split[np.argsort(-err[split], kind="stable")[:room]]
-        mid = (a[split] + b[split]) / 2
-        new_a = np.concatenate([a[split], mid])
-        new_b = np.concatenate([mid, b[split]])
-        new_k, new_err = level(new_a, new_b)
-        keep = np.ones(a.size, dtype=bool)
-        keep[split] = False
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        k = np.concatenate([k[keep], new_k])
-        err = np.concatenate([err[keep], new_err])
+        step[x] = y = next(z for z in g.neighbors[x]
+                           if on_cycle[z] and z != prev)
+        prev, x = x, y
+        if x == start:
+            break
+    terms = np.log(g.transition[np.arange(n), step])
+    value = -fsum(terms)
+    err = _U * (2 * len(g.edges) + n + 2.0 * np.abs(terms).sum() + abs(value))
+    return value, float(err)
 
 
 def contractible_intensity(g: GraphModel) -> tuple[float, float]:
-    """Mass of the trivial homotopy class, with a quadrature error estimate.
+    """Mass of the trivial homotopy class, with a first-order bound on its
+    rounding error.
 
-    Integrates sum_x (rho_x(s) - 1) / (2s) over s in [0, 1] by adaptive
-    Gauss-Kronrod quadrature in t with s = 1 - t^2 (_gauss_kronrod):
-    near criticality rho_x(s) has a square-root branch point at or just
-    beyond s = 1, which the substitution smooths. The rule does not
-    extrapolate; extrapolation is what misled QUADPACK's QAGS in s itself
-    (on the triangle with killing 1e-9 at one vertex, 2.07944154219 with an
-    error estimate of 5e-11, against 2.07938676992). The integrand extends
-    analytically to s = 0 with value tr(P^2)/2, which is substituted below
-    a small threshold.
-
-    The edge system is built once. All nodes of one refinement level are
-    solved together by _solve, each from the solution at the nearest
-    smaller solved s (rho grows with s, so that is a start from below, and
-    rho is 1 at s = 0); they do not enter the solve_rho cache.
-
-    The target is 1e-11, absolute and relative, over at most 200
-    intervals. The returned error is the sum of the local |K - G| of the
-    Gauss-Kronrod pairs, whether or not the target was met, and nothing is
-    printed on a miss. A non-finite integrand, a vertex series on its
-    boundary at a node, or a Newton step that leaves the monotone region
-    raises NumericError.
+    Contractible loops are the closed walks of the universal cover, a
+    tree, on which -log det(I - P) factorizes over vertices and edges (the
+    Bethe form, exact on trees): the mass is _tree_mass of the s = 1 table
+    of solve_rho, a cache hit after homotopy's own solve. Without killing
+    a tree has infinite mass (NumericError), and a graph with one cycle
+    has its s = 1 table on a double root, which rounding moves by about
+    sqrt(u); its mass comes from the rank-1 closed form instead
+    (_unicyclic_mass). NumericError as solve_rho's, or _tree_mass's, when
+    the table is critical to within rounding.
     """
-    if not any(g.killing) and len(g.edges) == g.num_vertices - 1:
-        # every loop of a tree is contractible, so this is the total mass,
-        # infinite without killing; the integrand only diverges like 1/t,
-        # which the quadrature need not notice before its interval limit
-        raise NumericError(
-            "massless/recurrent chain: the trivial class of a tree without "
-            "killing has infinite mass")
-    system = _EdgeSystem(g)
-    p = g.transition
-    limit0 = float(np.sum(p * p.T)) / 2.0
-    # the solved nodes, sorted by s
-    solved_s = np.zeros(1)
-    solved_r = np.ones((1, system.size))
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        nonlocal solved_s, solved_r
-        s = (1.0 - t) * (1.0 + t)
-        out = 2.0 * t * limit0
-        at = np.flatnonzero(s >= 1e-9)
-        s = s[at]
-        below = np.searchsorted(solved_s, s, side="right") - 1
-        r, _ = _solve(system, s, solved_r[below])
-        vertex = system.vertex(r, s)
-        diverged = np.isinf(vertex).any(axis=1)
-        if diverged.any():
+    if not any(g.killing):
+        rank = len(g.edges) - g.num_vertices + 1
+        if not rank:
             raise NumericError(
-                f"non-summable tree-contour series at "
-                f"s={float(s[diverged][0])} (a vertex sum reaches 1)")
-        out[at] = t[at] * (vertex - 1.0).sum(axis=1) / s
-        order = np.argsort(np.concatenate([solved_s, s]), kind="stable")
-        solved_s = np.concatenate([solved_s, s])[order]
-        solved_r = np.concatenate([solved_r, r])[order]
-        return out
-
-    return _gauss_kronrod(integrand, _QUAD_TOL, _QUAD_LIMIT)
+                "massless/recurrent chain: the trivial class of a tree "
+                "without killing has infinite mass")
+        if rank == 1:
+            return _unicyclic_mass(g)
+    return _tree_mass(g, solve_rho(g, 1.0).edge)
 
 
 # ---------------------------------------------------------------------------
@@ -621,19 +567,24 @@ def _charpoly(neighbors: tuple[tuple[int, ...], ...],
               max_degree: int) -> list[int]:
     """Coefficients [c_0=1, c_1, ..., c_K] of det(t I - A) = sum c_k t^(n-k)
     through K = min(n, max_degree), A the adjacency matrix of the
-    neighbour lists, by the trace recursion in exact integers: object
-    arrays of Python ints, multiplied by numpy."""
+    neighbour lists, by the trace recursion in exact integers: row x of
+    A M is the sum of the rows of M over the neighbours of x, on object
+    arrays of Python ints, n^2 d additions per degree."""
     n = len(neighbors)
     coeffs = [1]
-    a = np.zeros((n, n), dtype=object)
-    for x, row in enumerate(neighbors):
-        a[x, list(row)] = 1
+    first = np.cumsum([0] + [len(row) for row in neighbors])
+    heads = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp,
+                        count=first[-1])
+    has = np.flatnonzero(np.diff(first))
     m = np.zeros((n, n), dtype=object)
     diagonal = np.arange(n)
     for k in range(1, min(n, max_degree) + 1):
         # M_k = A (M_{k-1} + c_{k-1} I); c_k = -tr(M_k) / k is an integer
         m[diagonal, diagonal] += coeffs[-1]
-        m = a @ m
+        step = np.zeros((n, n), dtype=object)
+        if has.size:
+            step[has] = np.add.reduceat(m[heads], first[has], axis=0)
+        m = step
         c, rem = divmod(-m.trace(), k)
         assert rem == 0
         coeffs.append(c)

@@ -274,7 +274,7 @@ def test_criterion_05_contractible_mass(triangle, triangle_frame, k4_free):
     tri_want = em.get(canonical_class(()))
     if abs(tri_val - tri_want) > em.tail:
         failures.append(f"triangle {tri_val} vs enumeration {tri_want}")
-    _verdict(5, "contractible mass by quadrature", failures, t0)
+    _verdict(5, "contractible mass by the tree formula", failures, t0)
 
 
 def test_criterion_06_ihara_identity(k4):

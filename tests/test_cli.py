@@ -237,12 +237,12 @@ class TestHomotopy:
         _, out = run_cli(capsys, "homotopy", tri_path, "--max-len", "2",
                          "--s", "0.5")
         assert not any(l.startswith("e,") for l in out.splitlines())
-        assert " quad_err=None " in out.splitlines()[0]
+        assert " trivial_err=None " in out.splitlines()[0]
 
     def test_manifest_records_certificates(self, capsys, tri_path):
         _, out = run_cli(capsys, "homotopy", tri_path, "--max-len", "1")
         fields = dict(kv.split("=", 1) for kv in out.splitlines()[0].split()[3:])
-        assert 0.0 <= float(fields["quad_err"]) < 1e-9
+        assert 0.0 <= float(fields["trivial_err"]) < 1e-9
         assert int(fields["rho_iterations"]) >= 1
 
     def test_negative_max_len_exits_2(self, capsys, tri_path):
@@ -656,8 +656,8 @@ class TestConsoleScript:
         assert len(r1.stdout.splitlines()) > 1
 
     def test_cli_import_leaves_out_scipy_integrate(self):
-        # the quadrature is in loopsoup itself; importing scipy.integrate
-        # would add about a seventh to the import time of the CLI
+        # loopsoup needs no quadrature; importing scipy.integrate would
+        # add about a seventh to the import time of the CLI
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(loopsoup.__file__).parents[1]),

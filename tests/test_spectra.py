@@ -23,6 +23,7 @@ from loopsoup import (
     enumerate_measure,
     geodesic_representative,
     homology1_intensity,
+    load_graph,
     ihara_check,
     multiplicity,
     regular_closed_forms,
@@ -140,7 +141,7 @@ class TestSolveRho:
             with pytest.raises(ValueError):
                 table[0] = 0.0
         system = spectra._EdgeSystem(bowtie)
-        res = system.residual(rt.edge[None, :], np.array([0.5]))
+        res = system.residual(rt.edge, 0.5)
         assert np.abs(res).max() <= 1e-12
         assert solve_rho(bowtie, 0.5) == rt
 
@@ -356,8 +357,7 @@ class TestNearCritical:
 
     def test_contractible_mass_is_total_minus_windings(self):
         # the classes +-k have mass x^k / k, so the trivial class carries
-        # the total mass plus 2 log(1 - x); quadrature in s itself
-        # extrapolated to 2.07944154219 here, 5.5e-5 too high
+        # the total mass plus 2 log(1 - x)
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
                         [1e-9, 0.0, 0.0])
         x = class_intensity(g, spanning_tree_frame(g), canonical_class((1,)))
@@ -365,77 +365,33 @@ class TestNearCritical:
         val, err = contractible_intensity(g)
         assert val == pytest.approx(want, abs=1e-8)
 
-    def test_missed_target_widens_the_error(self, monkeypatch):
-        # too few intervals for the 1e-11 target: the sum of the local
-        # |K - G| must still cover the true error. Below 7 intervals no
-        # local estimate can: the integrand has a feature of width about
-        # sqrt(1e-9) at t = 0, which both rules miss alike, and their
-        # values agree to 6e-7 while both are 5e-5 off
-        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
-                        [1e-9, 0.0, 0.0])
-        for limit in range(7, 17):
-            monkeypatch.setattr(spectra, "_QUAD_LIMIT", limit)
-            val, err = contractible_intensity(g)
-            assert err > 1e-11
-            assert err >= abs(val - CRITICAL_TRIVIAL_MASS)
-
-    def test_divergent_quadrature_raises(self, monkeypatch, triangle):
-        # a non-finite integrand at a node stops the quadrature
-        real_vertex = spectra._EdgeSystem.vertex
-
-        def vertex(self, r, s):
-            poison = np.where(s > 0.5, np.nan, 1.0)[:, None]
-            return real_vertex(self, r, s) * poison
-
-        monkeypatch.setattr(spectra._EdgeSystem, "vertex", vertex)
-        with pytest.raises(NumericError, match="non-finite"):
-            contractible_intensity(triangle)
-
     def test_trivial_mass_pinned(self):
-        # against a 40-digit evaluation of the same integral
+        # against a 40-digit evaluation of the same mass; the bound is
+        # mostly the rounding of P, amplified by rho_x - 1, about 5.5e4 here
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
                         [1e-9, 0.0, 0.0])
         val, err = contractible_intensity(g)
-        assert err < 1e-11
+        assert abs(val - CRITICAL_TRIVIAL_MASS) < 1e-11
+        assert err < 1e-10
         assert abs(val - CRITICAL_TRIVIAL_MASS) <= err
 
 
 class TestBatchedSolve:
-    """The quadrature solves the nodes of a level as one batch; each node
-    must get what _solve gives it alone."""
-
-    @pytest.mark.parametrize("name", ["critical", "triangle", "bowtie",
-                                      "petersen", "k4_free"])
-    def test_batch_matches_single_nodes(self, request, name):
-        g = (build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)],
-                         [1e-9, 0.0, 0.0])
-             if name == "critical" else request.getfixturevalue(name))
-        system = spectra._EdgeSystem(g)
-        t = (spectra._GK_NODES + 1.0) / 2.0
-        s = (1.0 - t) * (1.0 + t)
-        # every other node warm-started from the solution at s / 2
-        half, _ = spectra._solve(system, s / 2, np.ones((s.size, system.size)))
-        start = np.where((np.arange(s.size) % 2)[:, None] == 1, half, 1.0)
-        batch, iterations = spectra._solve(system, s, start)
-        for i in range(s.size):
-            alone, it = spectra._solve(system, s[i:i + 1], start[i:i + 1])
-            assert np.abs(batch[i] - alone[0]).max() <= 1e-13 * alone.max()
-            assert iterations[i] == it[0]
+    """Newton from below on a critical edge system, one step weight per
+    solve."""
 
     def test_batched_newton_is_monotone(self):
         # at s = 1 the unkilled triangle sits on its double root 2
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], 0.0)
-        system = spectra._EdgeSystem(g)
-        s = np.array([0.5, 0.9, 1.0])
-        r, _ = spectra._solve(system, s, np.ones((3, system.size)))
-        want = [(1.0 - math.sqrt(1.0 - x)) * 2.0 / x for x in s]
-        for row, w in zip(r, want):
-            assert np.all(row <= w + 1e-9) and abs(row - w).max() <= 1e-9
+        for x in (0.5, 0.9, 1.0):
+            row = solve_rho(g, x).edge
+            want = (1.0 - math.sqrt(1.0 - x)) * 2.0 / x
+            assert np.all(row <= want + 1e-9) and abs(row - want).max() <= 1e-9
 
 
 class TestContractible:
     def test_k4_free_closed_form(self, k4_free):
-        # per-vertex value (3/2) log 3 - 2 log 2; quadrature error reported
+        # per-vertex value (3/2) log 3 - 2 log 2, with its rounding bound
         val, err = contractible_intensity(k4_free)
         want = 4 * (1.5 * math.log(3.0) - 2.0 * math.log(2.0))
         assert err < 1e-8
@@ -460,6 +416,260 @@ class TestContractible:
         for cls in enumerate_geodesic_classes(triangle_frame.rank, 40):
             acc += class_intensity(triangle, triangle_frame, cls, rho=rho)
         assert acc == pytest.approx(total_mass(triangle), abs=1e-8)
+
+
+def _mpmath():
+    return pytest.importorskip("mpmath")
+
+
+def _rank_one_trivial_mass(g, cogenerator):
+    """The rank-1 closed form mu(0) = log x - log(-c_1), in 50 digits from
+    the float weights of g. det(I - P^theta) = c_0 + c_1 (z + 1/z) with z
+    on the cogenerator (a, b), so c_1 = 2 (D(2) - D(1)); with u = D(1) /
+    (-c_1), x = 1 + u/2 - sqrt(u + u^2/4)."""
+    mp = _mpmath()
+    with mp.workdps(50):
+        n = g.num_vertices
+        lam = [mp.mpf(k) for k in g.killing]
+        for (a, b), c in g.conductance.items():
+            lam[a] += c
+            lam[b] += c
+
+        def det(z):
+            m = mp.eye(n)
+            for (a, b), c in g.conductance.items():
+                twist = z if (a, b) == cogenerator else 1
+                m[a, b] -= c / lam[a] * twist
+                m[b, a] -= c / lam[b] / twist
+            return mp.det(m)
+
+        d1 = det(1)
+        c1 = 2 * (det(2) - d1)
+        u = d1 / -c1
+        x = 1 + u / 2 - mp.sqrt(u + u * u / 4)
+        return mp.log(x) - mp.log(-c1)
+
+
+def _fraction_det(m):
+    """Determinant of a square list of Fraction rows, by elimination."""
+    m = [row[:] for row in m]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    return det
+
+
+def _fraction_minus_log_c1(g, cogenerator):
+    """-log(-c_1) of an unkilled rank-1 graph, with c_1 in exact rationals
+    from its float conductances (D(1) = det(I - P) is then exactly 0)."""
+    mp = _mpmath()
+    n = g.num_vertices
+    lam = [Fraction(0)] * n
+    for (a, b), c in g.conductance.items():
+        lam[a] += Fraction(c)
+        lam[b] += Fraction(c)
+
+    def det(z):
+        m = [[Fraction(int(x == y)) for y in range(n)] for x in range(n)]
+        for (a, b), c in g.conductance.items():
+            twist = z if (a, b) == cogenerator else 1
+            m[a][b] -= Fraction(c) / lam[a] * twist
+            m[b][a] -= Fraction(c) / lam[b] / twist
+        return _fraction_det(m)
+
+    assert det(Fraction(1)) == 0
+    c1 = 2 * det(Fraction(2))
+    with mp.workdps(40):
+        return mp.log(c1.denominator) - mp.log(-c1.numerator)
+
+
+def _unicyclic(rng, n, killing=0.0):
+    """A random tree on n vertices plus one edge (a, b), with conductances
+    in 0.1-3 to 6 digits: the graph and its cogenerator (a, b)."""
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    while True:
+        a, b = sorted(rng.sample(range(n), 2))
+        if (a, b) not in edges:
+            break
+    weighted = [(x, y, round(rng.uniform(0.1, 3.0), 6))
+                for x, y in sorted(edges | {(a, b)})]
+    return build_graph(n, weighted, killing), (a, b)
+
+
+def _regular_trivial_mass(n, d, kappa):
+    """n (log rho_v + (d/2) log(1 - rho_e^2 / lam^2)) from the regular
+    closed forms, in 40 digits."""
+    mp = _mpmath()
+    with mp.workdps(40):
+        lam = d + mp.mpf(kappa)
+        b = mp.sqrt(1 - 4 * (d - 1) / lam ** 2)
+        rho_e = lam ** 2 / (2 * (d - 1)) * (1 - b)
+        rho_v = 2 * (d - 1) / (d - 2 + d * b)
+        return n * (mp.log(rho_v) + mp.mpf(d) / 2 * mp.log(1 - rho_e ** 2 / lam ** 2))
+
+
+class TestTrivialMassReferences:
+    """The tree formula against independent values of the trivial mass;
+    its error must cover the distance to each."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 1e-3, 1e-6, 1e-9, 1e-12])
+    def test_rank_one_closed_form(self, kappa):
+        rng = random.Random(11)
+        for _ in range(4):
+            n = rng.randint(3, 6)
+            killing = [0.0] * n
+            killing[rng.randrange(n)] = kappa
+            g, cogenerator = _unicyclic(rng, n, killing)
+            val, err = contractible_intensity(g)
+            want = _rank_one_trivial_mass(g, cogenerator)
+            assert abs(val - want) <= err
+            assert err <= 1e-7 * abs(want)
+
+    def test_unkilled_rank_one_against_rationals(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            g, cogenerator = _unicyclic(rng, rng.randint(3, 8))
+            val, err = contractible_intensity(g)
+            want = _fraction_minus_log_c1(g, cogenerator)
+            assert abs(val - want) <= err
+            assert err <= 1e-13 * abs(want)
+
+    def test_unit_triangle_without_killing(self):
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], 0.0)
+        val, err = contractible_intensity(g)
+        assert abs(val - 3.0 * math.log(2.0)) <= err
+
+    @pytest.mark.parametrize("name,d,kappa", [
+        ("k4", 3, 0.0), ("k4", 3, 0.5), ("k4", 3, 1.0), ("k4", 3, 5.0),
+        ("petersen", 3, 0.0), ("petersen", 3, 1.0), ("k5", 4, 1.0),
+        ("k33", 3, 1.0), ("cube", 3, 1.0)])
+    def test_regular_closed_forms(self, request, name, d, kappa):
+        base = (request.getfixturevalue(name) if name in ("k4", "petersen")
+                else _regular(name))
+        g = build_graph(base.num_vertices,
+                        [(a, b, 1.0) for a, b in base.edges], kappa)
+        val, err = contractible_intensity(g)
+        n = g.num_vertices
+        assert abs(val - _regular_trivial_mass(n, d, kappa)) <= err
+        cf = regular_closed_forms(d, kappa)
+        lam = d + kappa
+        per_vertex = (math.log(cf.rho_vertex)
+                      + d / 2 * math.log1p(-(cf.rho_edge / lam) ** 2))
+        assert val == pytest.approx(n * per_vertex, rel=1e-13)
+
+    def test_killed_trees_against_total_mass(self):
+        # every loop of a tree is contractible
+        mp = _mpmath()
+        rng = random.Random(13)
+        for _ in range(20):
+            n = rng.randint(2, 8)
+            edges = [(rng.randrange(i), i, rng.uniform(0.5, 2.0))
+                     for i in range(1, n)]
+            killing = [rng.choice([0.0, rng.uniform(0.01, 1.0)])
+                       for _ in range(n)]
+            killing[rng.randrange(n)] = rng.uniform(0.01, 1.0)
+            g = build_graph(n, edges, killing)
+            val, err = contractible_intensity(g)
+            assert val == pytest.approx(total_mass(g), rel=1e-12)
+            with mp.workdps(40):
+                lam = [mp.mpf(k) for k in killing]
+                for a, b, c in edges:
+                    lam[a] += c
+                    lam[b] += c
+                m = mp.eye(n)
+                for a, b, c in edges:
+                    m[a, b] -= c / lam[a]
+                    m[b, a] -= c / lam[b]
+                want = -mp.log(mp.det(m))
+            assert abs(val - want) <= err
+
+    @pytest.mark.parametrize("name", ["triangle", "bowtie", "k4", "petersen"])
+    def test_stationary_in_the_table(self, request, name):
+        # a relative error eps in the table moves the mass by about eps^2
+        g = request.getfixturevalue(name)
+        edge = solve_rho(g, 1.0).edge
+        val, _ = spectra._tree_mass(g, edge)
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], edge.size)
+        moved = [abs(spectra._tree_mass(g, edge * (1.0 + eps * signs))[0] - val)
+                 for eps in (1e-4, 1e-6)]
+        assert moved[0] <= 1e-6
+        assert moved[1] <= 1e-3 * moved[0]
+
+    @pytest.mark.parametrize("name", ["triangle", "bowtie", "k4", "k4_free",
+                                      "petersen"])
+    def test_integral_over_the_step_weight(self, request, name):
+        # the mass is the integral over s in [0, 1] of sum_x (rho_x(s) - 1)
+        # / (2s), here by QUADPACK over one solve per node
+        integrate = pytest.importorskip("scipy.integrate")
+        g = request.getfixturevalue(name)
+
+        def integrand(s):
+            return (solve_rho(g, s).vertex - 1.0).sum() / (2.0 * s)
+
+        want, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13,
+                                 epsrel=1e-13, limit=100)
+        val, err = contractible_intensity(g)
+        assert abs(val - want) <= 1e-12
+        assert err <= 1e-13
+
+
+class TestCriticalTables:
+    """At s <= 1 the edge series always converges, so a table that Newton
+    cannot finish is critical to within rounding; rounding moves a double
+    root by about sqrt(u)."""
+
+    GRAPH = ("vertices 7\nedge 0 1 1.0158\nedge 0 3 1.49553\n"
+             "edge 1 2 2.14354\nedge 2 4 0.265303\nedge 2 5 2.92779\n"
+             "edge 2 6 0.16631\nedge 3 5 2.27441\n")
+
+    def test_newton_past_the_root_is_critical(self, capsys, tmp_path):
+        path = tmp_path / "unicyclic.graph"
+        path.write_text(self.GRAPH)
+        g = load_graph(str(path))
+        with pytest.raises(NumericError, match="critical to within rounding"):
+            solve_rho(g, 1.0)
+        assert main(["homotopy", str(path)]) == 3
+        assert "critical to within rounding" in capsys.readouterr().err
+        # the trivial mass needs no table: the cycle is 0-1-2-5-3
+        val, err = contractible_intensity(g)
+        assert abs(val - _fraction_minus_log_c1(g, (3, 5))) <= err
+
+    def test_table_within_sqrt_u_of_the_double_root(self):
+        # the cycle 0-1-2 plus the path 2-3-4, no killing; the exact fixed
+        # point is rational, in _adjacency order
+        weighted = [(0, 1, "1.3"), (1, 2, "0.7"), (0, 2, "1.1"),
+                    (2, 3, "0.9"), (3, 4, "1.6")]
+        exact = [Fraction(v) for v in ("20/13", "27/11", "24/13", "27/7",
+                                       "24/11", "20/7", "25/9", "3", "1",
+                                       "25/16")]
+        g = build_graph(5, [(a, b, float(c)) for a, b, c in weighted], 0.0)
+        _, heads, tails = _adjacency(g)
+        index = {(x, y): i for i, (x, y)
+                 in enumerate(zip(tails.tolist(), heads.tolist()))}
+        lam = [Fraction(0)] * 5
+        for a, b, c in weighted:
+            lam[a] += Fraction(c)
+            lam[b] += Fraction(c)
+        w = {}
+        for a, b, c in weighted:
+            w[a, b] = w[b, a] = Fraction(c) ** 2 / (lam[a] * lam[b])
+        for (x, y), i in index.items():
+            acc = sum(w[y, z] * exact[index[y, z]]
+                      for z in g.neighbors[y] if z != x)
+            assert exact[i] == 1 + exact[i] * acc
+        want = np.array([float(v) for v in exact])
+        below = want - solve_rho(g, 1.0).edge
+        assert below.min() >= 0.0
+        assert (below / want).max() <= 1e-7
 
 
 def _poly_trim(p, n):
@@ -528,6 +738,30 @@ def _regular(name):
     return build_graph(n, [(a, b, 1.0) for a, b in edges], 1.0)
 
 
+def dense_charpoly(neighbors, max_degree):
+    """Reference coefficients of det(t I - A) by the same trace recursion
+    with the dense object-dtype product M_k = A (M_(k-1) + c_(k-1) I)."""
+    n = len(neighbors)
+    coeffs = [1]
+    a = np.zeros((n, n), dtype=object)
+    for x, row in enumerate(neighbors):
+        a[x, list(row)] = 1
+    m = np.zeros((n, n), dtype=object)
+    for k in range(1, min(n, max_degree) + 1):
+        m[np.arange(n), np.arange(n)] += coeffs[-1]
+        m = a @ m
+        coeffs.append(-m.trace() // k)
+    return coeffs
+
+
+def _torus(side):
+    edges = sorted({tuple(sorted((i * side + j, b)))
+                    for i in range(side) for j in range(side)
+                    for b in (i * side + (j + 1) % side,
+                              ((i + 1) % side) * side + j)})
+    return build_graph(side * side, [(a, b, 1.0) for a, b in edges], 1.0)
+
+
 class TestIharaIntegers:
     """ihara_check works on integers; its two sides must be the Fraction
     series they replaced, coefficient for coefficient."""
@@ -540,6 +774,14 @@ class TestIharaIntegers:
             got = spectra._det_series(g.neighbors, len(g.edges), l)
             assert got == fraction_det_series(g, l)
             assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("name", ["k4", "petersen", "torus6"])
+    def test_charpoly_equals_dense_product(self, request, name):
+        g = _torus(6) if name == "torus6" else request.getfixturevalue(name)
+        for degree in (0, 1, 5, 12, 36):
+            got = spectra._charpoly(g.neighbors, degree)
+            assert got == dense_charpoly(g.neighbors, degree)
+            assert all(type(c) is int for c in got)
 
     @pytest.mark.parametrize("name", ["k4", "k5", "k33", "cube", "petersen"])
     def test_walk_side_equals_loop_sum(self, request, name):
