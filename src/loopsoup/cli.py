@@ -76,10 +76,9 @@ def cmd_validate(args) -> None:
 
 def cmd_sample(args) -> None:
     g = load_graph(args.graph)
-    frame = spanning_tree_frame(g)
     cfg = MeasureConfig(alpha=args.alpha, n_max=args.n_max,
                         tail_tol=args.tail_tol, seed=args.seed)
-    soup = sample_soup(g, frame, cfg)
+    soup = sample_soup(g, None, cfg)
     manifest = _manifest("sample", {
         "graph": args.graph, "alpha": args.alpha, "n_max": args.n_max,
         "tail_tol": args.tail_tol, "seed": args.seed,
@@ -101,9 +100,9 @@ def cmd_enumerate(args) -> None:
         "graph": args.graph, "n_max": args.n_max, "tail": _fmt(em.tail),
     })
     lines = [manifest, "class,length,mult,intensity"]
-    for cls in sorted(em.masses, key=lambda c: (c.length, c.word)):
+    for cls, mass in sorted(em.items(), key=lambda kv: (kv[0].length, kv[0].word)):
         lines.append(f"{_class_label(cls)},{cls.length},{cls.multiplicity},"
-                     f"{_fmt(em.masses[cls])}")
+                     f"{_fmt(mass)}")
     _emit(args, lines)
 
 

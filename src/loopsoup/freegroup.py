@@ -285,6 +285,14 @@ class BasedLoop:
         if len(vs) < 3 or vs[0] != vs[-1]:
             raise ValidationError(f"not a closed walk of length >= 2: {vs}")
 
+    @classmethod
+    def _certified(cls, vertices: tuple[int, ...]) -> "BasedLoop":
+        """The loop of a walk that the sampler has found closed, of at
+        least 2 steps, along edges: no check runs again."""
+        out = object.__new__(cls)
+        out.__dict__["vertices"] = vertices
+        return out
+
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
@@ -294,6 +302,10 @@ class BasedLoop:
         return self.vertices[0]
 
     def check_edges(self, g: GraphModel) -> None:
+        n, lo, hi = g.num_vertices, min(self.vertices), max(self.vertices)
+        if lo < 0 or hi >= n:
+            raise ValidationError(
+                f"vertex {lo if lo < 0 else hi} is not in 0..{n - 1}")
         for u, v in zip(self.vertices, self.vertices[1:]):
             if v not in g.neighbors[u]:
                 raise ValidationError(f"step ({u},{v}) is not a graph edge")

@@ -15,9 +15,9 @@ truncation certified by a geometric tail bound.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -32,6 +32,13 @@ from .signature import homology1
 # The most float64 entries that the sampler's table of matrix powers, or the
 # conditional rows of one soup's bridges, may hold.
 _SAMPLER_ENTRIES = 2 ** 24
+# The most index entries that one enumeration plan may hold; a deeper n_max
+# is refused. Below 2^31, so that int32 holds every index of a plan.
+_ENUMERATION_ENTRIES = 2 ** 24
+# enumerate_measure keeps the plans of recent (topology, frame, n_max)
+# triples up to this many index entries in all.
+_PLAN_ENTRIES = 2 ** 20
+_PLANS: OrderedDict[tuple, _Plan] = OrderedDict()
 
 
 def loop_weight(g: GraphModel, loop: BasedLoop) -> tuple[float, float]:
@@ -199,6 +206,114 @@ class EnumeratedMeasure:
         return winding_masses(self.masses, rank)
 
 
+class _Plan(NamedTuple):
+    """The index skeleton of enumerate_measure on one (topology, frame,
+    n_max): everything it does but read the weights.
+
+    edges holds the position in P of each oriented edge, in CSR order. Each
+    step holds, per kept transition, its source state and its edge, the
+    state it lands in, then the number of states and the states at their
+    base. order sorts the returns base by base, number gives the class of
+    each sorted return, and classes lists the classes by number. Every
+    array is read-only, and every one but edges is int32.
+    """
+
+    edges: np.ndarray
+    steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray], ...]
+    order: np.ndarray
+    number: np.ndarray
+    classes: tuple[GeodesicClass, ...]
+
+    @property
+    def entries(self) -> int:
+        """Index entries held, one per array element and one per class."""
+        return (self.edges.size + self.order.size + self.number.size
+                + len(self.classes)
+                + sum(i.size + e.size + s.size + h.size
+                      for i, e, s, _, h in self.steps))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    out = a.astype(np.int32)
+    out.flags.writeable = False
+    return out
+
+
+def _build_plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
+    """Run the dynamic program of enumerate_measure on indices alone.
+
+    ConfigError, before a step is expanded, when the entries of the steps
+    so far, plus three per transition of this one (source, edge and state,
+    counted before pruning), would exceed _ENUMERATION_ENTRIES.
+    """
+    n_v = g.num_vertices
+    first, heads, tails = _adjacency(g)
+    degree = np.diff(first)
+    letters = np.array([frame.crossing(x, y)
+                        for x, y in zip(tails.tolist(), heads.tolist())],
+                       dtype=np.intp)
+    dist = _hop_distances(g)
+    words = _WordTrie(frame.rank)
+    base = at = np.arange(n_v)
+    word = np.zeros(n_v, dtype=np.intp)
+    steps, returns = [], []
+    entries = 0
+    for n in range(1, n_max + 1):
+        if entries + 3 * int(degree[at].sum()) > _ENUMERATION_ENTRIES:
+            raise ConfigError(
+                f"enumerating loops up to n_max={n_max} on {n_v} vertices "
+                f"needs more than {_ENUMERATION_ENTRIES} index entries")
+        i, e = _expand(first, at)
+        keep = dist[heads[e], base[i]] <= n_max - n
+        i, e = i[keep], e[keep]
+        to_base, to_vertex = base[i], heads[e]
+        to_word = words.step(word[i], letters[e])
+        state, pick = _first_seen((to_base * n_v + to_vertex) * words.size
+                                  + to_word)
+        base, at, word = to_base[pick], to_vertex[pick], to_word[pick]
+        home = np.flatnonzero(at == base)
+        steps.append((_frozen(i), _frozen(e), _frozen(state), pick.size,
+                      _frozen(home)))
+        returns.append((base[home], word[home]))
+        entries += 3 * i.size + home.size
+    # returns base by base, then step by step; the distinct words are
+    # mapped to their classes all at once
+    home_base, home_word = (np.concatenate(r) for r in zip(*returns))
+    order = np.argsort(home_base, kind="stable")
+    distinct, of_word = np.unique(home_word[order], return_inverse=True)
+    index: dict[tuple[int, ...], int] = {}
+    class_words, class_mult = words.class_words(distinct)
+    class_of = np.array([index.setdefault(w, len(index))
+                         for w in class_words], dtype=np.intp)
+    home_class = class_of[of_word]
+    number, pick = _first_seen(home_class)
+    mult = dict(zip(class_words, class_mult))
+    by_index = list(index)
+    classes = tuple(GeodesicClass._certified(by_index[c], mult[by_index[c]])
+                    for c in home_class[pick].tolist())
+    edges = tails * n_v + heads
+    edges.flags.writeable = False
+    return _Plan(edges, tuple(steps), _frozen(order), _frozen(number), classes)
+
+
+def _plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
+    """The plan of (g's topology, frame's cogenerators, n_max), memoized,
+    since a run of queries repeats a few of them on fresh weights. The
+    least recently used plans go once the plans kept hold more than
+    _PLAN_ENTRIES entries; a larger plan is used once and not kept."""
+    key = (g.neighbors, frame.cogenerators, n_max)
+    plan = _PLANS.get(key)
+    if plan is not None:
+        _PLANS.move_to_end(key)
+        return plan
+    plan = _build_plan(g, frame, n_max)
+    if plan.entries <= _PLAN_ENTRIES:
+        _PLANS[key] = plan
+        while sum(p.entries for p in _PLANS.values()) > _PLAN_ENTRIES:
+            _PLANS.popitem(last=False)
+    return plan
+
+
 def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
                       n_max: int) -> EnumeratedMeasure:
     """Mass of every homotopy class among loops of length <= n_max.
@@ -217,51 +332,26 @@ def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
     in order of first appearance, and returns to the base are added base
     by base, then step by step, then state by state. The masses, and the
     order of the classes, are therefore the same to the last bit.
+
+    Only the sums read the weights. The rest, the plan, depends on the
+    topology, the frame's cogenerators and n_max alone, and is built once
+    for them (see _plan); each call replays it on g's weights. ConfigError
+    when the plan would hold more than _ENUMERATION_ENTRIES entries.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    n_v = g.num_vertices
-    first, heads, tails = _adjacency(g)
-    step_weight = g.transition[tails, heads]
-    letters = np.array([frame.crossing(x, y)
-                        for x, y in zip(tails.tolist(), heads.tolist())],
-                       dtype=np.intp)
-    dist = _hop_distances(g)
-    words = _WordTrie(frame.rank)
-    base = at = np.arange(n_v)
-    word = np.zeros(n_v, dtype=np.intp)
-    weight = np.ones(n_v)
+    plan = _plan(g, frame, n_max)
+    step_weight = g.transition.ravel()[plan.edges]
+    weight = np.ones(g.num_vertices)
     returns = []
-    for n in range(1, n_max + 1):
-        i, e = _expand(first, at)
-        keep = dist[heads[e], base[i]] <= n_max - n
-        i, e = i[keep], e[keep]
-        to_base, to_vertex = base[i], heads[e]
-        to_word = words.step(word[i], letters[e])
-        state, pick = _first_seen((to_base * n_v + to_vertex) * words.size
-                                  + to_word)
-        weight = np.bincount(state, weight[i] * step_weight[e],
-                             minlength=pick.size)
-        base, at, word = to_base[pick], to_vertex[pick], to_word[pick]
-        home = np.flatnonzero(at == base)
-        returns.append((base[home], word[home], weight[home] / n))
-    # returns base by base, then step by step; the distinct words are
-    # mapped to their classes all at once
-    home_base, home_word, mass = (np.concatenate(r) for r in zip(*returns))
-    order = np.argsort(home_base, kind="stable")
-    distinct, of_word = np.unique(home_word[order], return_inverse=True)
-    index: dict[tuple[int, ...], int] = {}
-    class_words, class_mult = words.class_words(distinct)
-    class_of = np.array([index.setdefault(w, len(index))
-                         for w in class_words], dtype=np.intp)
-    home_class = class_of[of_word]
-    number, pick = _first_seen(home_class)
-    total = np.bincount(number, mass[order], minlength=pick.size)
-    mult = dict(zip(class_words, class_mult))
-    classes = [GeodesicClass._certified(w, mult[w]) for w in index]
-    out = {classes[c]: m
-           for c, m in zip(home_class[pick].tolist(), total.tolist())}
-    return EnumeratedMeasure(out, n_max, tail_bound(g, n_max))
+    for n, (i, e, state, size, home) in enumerate(plan.steps, start=1):
+        weight = np.bincount(state, weight.take(i) * step_weight.take(e),
+                             minlength=size)
+        returns.append(weight.take(home) / n)
+    total = np.bincount(plan.number, np.concatenate(returns)[plan.order],
+                        minlength=len(plan.classes))
+    return EnumeratedMeasure(dict(zip(plan.classes, total.tolist())), n_max,
+                             tail_bound(g, n_max))
 
 
 def winding_masses(masses: dict[GeodesicClass, float],
@@ -381,9 +471,11 @@ class LoopSoupSampler:
     than _SAMPLER_ENTRIES entries, and, before any soup is drawn, when the
     conditional rows that a soup is expected to build would: |V| entries
     per expected loop step, of which there are alpha sum_n tr(P^n).
+
+    frame is unused: loops are drawn on vertices, not words.
     """
 
-    def __init__(self, g: GraphModel, frame: SpanningTreeFrame,
+    def __init__(self, g: GraphModel, frame: SpanningTreeFrame | None,
                  alpha: float = 1.0, n_max: int = 24):
         if not 0 < alpha < math.inf:
             raise ConfigError("alpha must be positive and finite")
@@ -396,7 +488,6 @@ class LoopSoupSampler:
                 f"the matrix powers up to n_max={n_max} on {n_v} vertices "
                 f"need more than {_SAMPLER_ENTRIES} entries")
         self.graph = g
-        self.frame = frame
         self.alpha = alpha
         self.n_max = n_max
         # powers[m] = P^m for m <= ceil(n_max/2), by doubling: P^(k+1..2k)
@@ -469,16 +560,17 @@ class LoopSoupSampler:
         step[end[:-1]] = True  # from one loop's end to the next one's start
         assert step.all()
         flat = walk.tolist()
-        loops = tuple(BasedLoop(tuple(flat[a:b + 1]))
+        loops = tuple(BasedLoop._certified(tuple(flat[a:b + 1]))
                       for a, b in zip(start.tolist(), end.tolist()))
         return SampledSoup(loops)
 
 
-def sample_soup(g: GraphModel, frame: SpanningTreeFrame,
+def sample_soup(g: GraphModel, frame: SpanningTreeFrame | None,
                 cfg: MeasureConfig) -> SampledSoup:
     """Draw one soup under the given configuration. The truncation must be
     certified: tail_bound(g, n_max) <= tail_tol, else the configuration is
-    rejected, as it is when the sampler would exceed its budget."""
+    rejected, as it is when the sampler would exceed its budget. frame is
+    unused, as in LoopSoupSampler."""
     bound = tail_bound(g, cfg.n_max)
     if bound > cfg.tail_tol:
         raise ConfigError(
@@ -498,8 +590,9 @@ def dumps_soup(soup: SampledSoup) -> str:
 
 
 def parse_soup(text: str, g: GraphModel | None = None) -> SampledSoup:
-    """Inverse of dumps_soup. Validates counts, and edges when a graph is
-    given."""
+    """Inverse of dumps_soup. Validates counts and that vertices are
+    nonnegative, and, when a graph is given, that they are its vertices and
+    that each step is an edge. Every error names its line."""
     loops = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -516,8 +609,13 @@ def parse_soup(text: str, g: GraphModel | None = None) -> SampledSoup:
                 f"soup line {lineno}: expected {nums[0]} vertices, "
                 f"got {len(nums) - 1}")
         vs = tuple(nums[1:]) + (nums[1],)
+        if min(vs) < 0:
+            raise ValidationError(f"soup line {lineno}: vertex {min(vs)} is negative")
         loop = BasedLoop(vs)
         if g is not None:
-            loop.check_edges(g)
+            try:
+                loop.check_edges(g)
+            except ValidationError as e:
+                raise ValidationError(f"soup line {lineno}: {e}") from None
         loops.append(loop)
     return SampledSoup(tuple(loops))

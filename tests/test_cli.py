@@ -221,6 +221,17 @@ class TestEnumerate:
         _, out = run_cli(capsys, "enumerate", tri_path, "--n-max", "8")
         assert "tail=" in out.splitlines()[0]
 
+    def test_plan_over_its_budget_exits_4(self, capsys, k4_path, monkeypatch):
+        # the same path as a deep --n-max at the real budget, without its
+        # memory: a config error line, and no traceback
+        monkeypatch.setattr(soup, "_ENUMERATION_ENTRIES", 2 ** 12)
+        assert main(["enumerate", k4_path, "--n-max", "22"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: enumerating loops up to n_max=22 on 4 vertices "
+            "needs more than 4096 index entries"]
+
 
 class TestHomotopy:
     def test_rows(self, capsys, tri_path):

@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import numpy as np
 import pytest
@@ -210,6 +210,131 @@ class TestEnumerationArrays:
         assert em.masses == {}
 
 
+def _case_graph(request, name):
+    return (_torus(10, 0.5) if name == "torus10"
+            else request.getfixturevalue(name))
+
+
+def _assert_bitwise_dict_dp(g, frame, n_max):
+    _, want = _dict_enumeration(g, frame, n_max)
+    got = enumerate_measure(g, frame, n_max).masses
+    assert list(got) == list(want)
+    assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
+
+
+class TestEnumerationPlan:
+    """enumerate_measure builds the index plan of its dynamic program once
+    per (topology, frame cogenerators, n_max) and replays it on each
+    graph's weights."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """A fresh plan cache; the list of (n_max,) per plan built."""
+        monkeypatch.setattr(soup, "_PLANS", OrderedDict())
+        out = []
+        build = soup._build_plan
+
+        def counted(g, frame, n_max):
+            out.append(n_max)
+            return build(g, frame, n_max)
+
+        monkeypatch.setattr(soup, "_build_plan", counted)
+        return out
+
+    @pytest.mark.parametrize("name,n_max", ENUMERATION_CASES)
+    def test_hit_on_new_weights_is_bitwise_dict_dp(self, request, built,
+                                                   name, n_max):
+        g = _case_graph(request, name)
+        enumerate_measure(g, spanning_tree_frame(g), n_max)
+        h = _reweighted(g, n_max + 1)
+        _assert_bitwise_dict_dp(h, spanning_tree_frame(h), n_max)
+        assert built == [n_max]
+
+    @pytest.mark.parametrize("name,tree", [
+        ("triangle", [(0, 1), (1, 2)]),
+        ("k4", [(0, 1), (1, 2), (2, 3)]),
+        ("bowtie", [(0, 1), (1, 2), (0, 3), (3, 4)]),
+        ("petersen", [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (1, 6),
+                      (2, 7), (3, 8), (4, 9)])])
+    def test_other_tree_misses(self, request, built, name, tree):
+        g = _reweighted(request.getfixturevalue(name), 7)
+        frame, other = spanning_tree_frame(g), spanning_tree_frame(g, tree)
+        assert frame.cogenerators != other.cogenerators
+        _assert_bitwise_dict_dp(g, frame, 6)
+        _assert_bitwise_dict_dp(g, other, 6)
+        assert built == [6, 6]
+        assert (list(enumerate_measure(g, frame, 6).masses)
+                != list(enumerate_measure(g, other, 6).masses))
+        assert built == [6, 6]
+
+    def test_plan_arrays_are_read_only_int32(self, request, built):
+        for name, n_max in ENUMERATION_CASES:
+            g = _case_graph(request, name)
+            enumerate_measure(g, spanning_tree_frame(g), n_max)
+        assert len(soup._PLANS) == len(ENUMERATION_CASES)
+        for plan in soup._PLANS.values():
+            arrays = [plan.order, plan.number]
+            arrays += [a for i, e, s, _, h in plan.steps for a in (i, e, s, h)]
+            assert all(a.dtype == np.int32 for a in arrays)
+            for a in arrays + [plan.edges]:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[:1] = 0
+
+    @pytest.mark.parametrize("budget", [None, 20000])
+    def test_cache_holds_at_most_its_entries(self, request, built,
+                                             monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(soup, "_PLAN_ENTRIES", budget)
+        recent = []
+        for name, n_max in ENUMERATION_CASES * 2:
+            g = _case_graph(request, name)
+            frame = spanning_tree_frame(g)
+            enumerate_measure(g, frame, n_max)
+            key = (g.neighbors, frame.cogenerators, n_max)
+            if key in soup._PLANS:  # a plan over the budget is not kept
+                recent = [k for k in recent if k != key] + [key]
+            held = sum(p.entries for p in soup._PLANS.values())
+            assert held <= soup._PLAN_ENTRIES
+            # the plans kept are the most recently used ones, in order
+            assert list(soup._PLANS) == recent[len(recent) - len(soup._PLANS):]
+        if budget is None:
+            assert len(built) == len(ENUMERATION_CASES)
+        else:
+            assert len(built) > len(ENUMERATION_CASES)
+
+    def test_plan_over_the_cache_budget_is_not_kept(self, petersen, built,
+                                                    monkeypatch):
+        frame = spanning_tree_frame(petersen)
+        want = enumerate_measure(petersen, frame, 8).masses
+        monkeypatch.setattr(soup, "_PLANS", OrderedDict())
+        monkeypatch.setattr(soup, "_PLAN_ENTRIES", 1000)
+        for _ in range(2):
+            got = enumerate_measure(petersen, frame, 8).masses
+            assert [m.hex() for m in got.values()] == \
+                [m.hex() for m in want.values()]
+            assert not soup._PLANS
+        assert built == [8, 8, 8]
+
+    def test_calls_return_distinct_dicts(self, bowtie, built):
+        frame = spanning_tree_frame(bowtie)
+        a = enumerate_measure(bowtie, frame, 8)
+        b = enumerate_measure(bowtie, frame, 8)
+        assert a.masses is not b.masses
+        assert a.masses == b.masses
+        a.masses.clear()
+        assert b.masses == enumerate_measure(bowtie, frame, 8).masses != {}
+        assert built == [8]
+
+    def test_plan_over_its_budget_is_refused(self, k4, built, monkeypatch):
+        monkeypatch.setattr(soup, "_ENUMERATION_ENTRIES", 2 ** 12)
+        frame = spanning_tree_frame(k4)
+        assert enumerate_measure(k4, frame, 5).masses
+        with pytest.raises(ConfigError, match="n_max=9 on 4 vertices"):
+            enumerate_measure(k4, frame, 9)
+        assert list(soup._PLANS) == [(k4.neighbors, frame.cogenerators, 5)]
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = MeasureConfig()
@@ -292,6 +417,38 @@ class TestSampler:
             parse_soup("3 0 1\n", triangle)  # wrong vertex count
         with pytest.raises(ValueError):
             parse_soup("2 0 7\n", triangle)  # vertex off the graph
+
+    @pytest.mark.parametrize("loop", ["2 5 0", "2 0 3", "3 0 1 -1", "2 -1 0"])
+    def test_parse_soup_rejects_vertex_off_the_graph(self, triangle, loop):
+        # checked before any edge lookup, so no IndexError, and a negative
+        # vertex does not wrap around to the last one
+        with pytest.raises(ValidationError, match="soup line 2: vertex"):
+            parse_soup(f"2 0 1\n{loop}\n", triangle)
+
+    def test_parse_soup_without_graph_rejects_negative_vertex(self):
+        with pytest.raises(ValidationError, match="soup line 2: vertex -1"):
+            parse_soup("2 0 1\n2 -1 0\n")
+        # with no graph there is no bound above
+        assert parse_soup("2 5 0\n").loops == (BasedLoop((5, 0, 5)),)
+
+    def test_loop_weight_rejects_vertex_off_the_graph(self, triangle):
+        for vs in ((0, 5, 0), (0, -1, 0)):
+            with pytest.raises(ValidationError, match="not in 0..2"):
+                loop_weight(triangle, BasedLoop(vs))
+
+    def test_frame_is_unused(self, triangle, triangle_frame):
+        cfg = MeasureConfig(n_max=42, tail_tol=1e-7, seed=5)
+        assert dumps_soup(sample_soup(triangle, None, cfg)) == \
+            dumps_soup(sample_soup(triangle, triangle_frame, cfg))
+        assert not hasattr(LoopSoupSampler(triangle, None, n_max=42), "frame")
+
+    def test_sampled_loops_equal_checked_ones(self, k4, k4_frame):
+        # the sampler builds its loops unchecked; they equal, and hash as,
+        # loops built through the checking constructor
+        for lp in LoopSoupSampler(k4, k4_frame, alpha=5.0, n_max=16).sample(4).loops:
+            checked = BasedLoop(lp.vertices)
+            assert type(lp) is BasedLoop
+            assert lp == checked and hash(lp) == hash(checked)
 
     @pytest.mark.parametrize("count", ["0", "-1", "1 0"])
     def test_parse_soup_rejects_short_count(self, triangle, count):
