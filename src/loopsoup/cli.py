@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, NumericError, ValidationError
-from .freegroup import _geodesic_class_words, _tuples, format_word, parse_word
+from .freegroup import _class_words, format_word, parse_word
 from .graphs import load_graph, spanning_tree_frame
 from .signature import degree_and_lead
 from .soup import (MeasureConfig, dumps_soup, enumerate_measure, occupation,
@@ -50,10 +50,6 @@ def _emit(args, lines: list[str]) -> None:
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _class_label(cls) -> str:
-    return format_word(cls.word) if not cls.is_trivial else "e"
 
 
 def cmd_validate(args) -> None:
@@ -99,28 +95,26 @@ def cmd_enumerate(args) -> None:
     manifest = _manifest("enumerate", {
         "graph": args.graph, "n_max": args.n_max, "tail": _fmt(em.tail),
     })
-    lines = [manifest, "class,length,mult,intensity"]
-    for cls, mass in sorted(em.items(), key=lambda kv: (kv[0].length, kv[0].word)):
-        lines.append(f"{_class_label(cls)},{cls.length},{cls.multiplicity},"
-                     f"{_fmt(mass)}")
-    _emit(args, lines)
+    # the plan's rows come sorted by (length, word) and carry the class
+    # columns; only the masses are formatted here
+    masses = list(em.masses.values())
+    _emit(args, [manifest, "class,length,mult,intensity"]
+          + [prefix + repr(masses[c]) for prefix, c in em._rows])
 
 
 def cmd_homotopy(args) -> None:
     g = load_graph(args.graph)
     frame = spanning_tree_frame(g)
     # enumerated first, so that a bad --max-len fails before the solves
-    words = _geodesic_class_words(frame.rank, args.max_len)
+    table = _class_words(frame.rank, args.max_len)
     rho = solve_rho(g, args.s)
     rows = []
     trivial_err = None
     if args.s == 1.0:
         trivial_val, trivial_err = contractible_intensity(g)
         rows.append(f"e,0,1,{_fmt(trivial_val)}")
-    values = _class_intensities(g, frame, words, rho)
-    for word, mult, val in zip(_tuples(words.letters, words.lengths),
-                               words.multiplicity.tolist(), values.tolist()):
-        rows.append(f"{format_word(word)},{len(word)},{mult},{_fmt(val)}")
+    values = _class_intensities(g, frame, table.words, rho)
+    rows += map(str.__add__, table.rows, map(repr, values.tolist()))
     manifest = _manifest("homotopy", {
         "graph": args.graph, "max_len": args.max_len, "s": args.s,
         "trivial_err": None if trivial_err is None else _fmt(trivial_err),

@@ -16,13 +16,16 @@ class words and the geodesic loops of the graph.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, cached_property
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from ._memo import memoized
 from .errors import ConfigError, ValidationError
 from .graphs import GraphModel, SpanningTreeFrame, _adjacency
 
@@ -39,6 +42,10 @@ _CLASS_LETTERS = 2 ** 20
 _WALK_LETTERS = 2 ** 22
 # canonical_class keeps the classes of this many recent words.
 _CLASS_CACHE = 2 ** 14
+# _geodesic_class_words keeps the tables of recent (rank, max_len) pairs up
+# to this many entries in all (see _ClassWords.entries).
+_WORD_ENTRIES = 2 ** 18
+_WORDS: OrderedDict[tuple[int, int], _ClassWords] = OrderedDict()
 
 
 def _check_word(word: Iterable[int]) -> Word:
@@ -274,6 +281,17 @@ def format_word(word: Iterable[int]) -> str:
     return " ".join(f"{l:+d}" for l in word)
 
 
+def _row_prefixes(words: Sequence[Word],
+                  multiplicities: Iterable[int]) -> list[str]:
+    """The class columns "<word>,<length>,<mult>," of the CSV rows of the
+    enumerate and homotopy verbs, one per word, each as format_word writes
+    it; the empty word is the trivial class e. Each distinct letter is
+    formatted once."""
+    text = {l: f"{l:+d}" for l in set().union(*words)}
+    return [f"{' '.join(map(text.__getitem__, w)) or 'e'},{len(w)},{m},"
+            for w, m in zip(words, multiplicities)]
+
+
 @dataclass(frozen=True)
 class BasedLoop:
     """Closed walk on a graph: vertices[0] == vertices[-1], at least 2 steps."""
@@ -379,8 +397,43 @@ def geodesic_representative(
     return min_rotation(walk)
 
 
+def _check_walks(counts: Iterable[float], limit: int, message: str) -> None:
+    """ConfigError(message) when the walks of k = 1, 2, ... steps, counts[k -
+    1] of them, take more than limit steps in all. The sum stops at the
+    first count of 0 and as soon as it passes limit."""
+    total = 0
+    for k, count in enumerate(counts, start=1):
+        if not count:
+            return
+        total += k * count
+        if total > limit:
+            raise ConfigError(message)
+
+
+def _check_loop_walks(counts: Iterable[float], max_len: int) -> None:
+    """ConfigError when the non-backtracking walks of a graph up to max_len
+    steps, counts[k - 1] of k steps, take more than _WALK_LETTERS steps in
+    all: the budget of the geodesic loop enumeration."""
+    _check_walks(counts, _WALK_LETTERS,
+                 f"the geodesic loops up to length {max_len} need more than "
+                 f"{_WALK_LETTERS} steps of non-backtracking walks")
+
+
+def _walk_counts(tail: np.ndarray, head: np.ndarray, reverse: np.ndarray,
+                 max_len: int) -> Iterator[float]:
+    """The number of non-backtracking walks of k = 1..max_len steps on the
+    oriented edges of _closed_walks. The walks of k + 1 steps that end with
+    edge i are those of k steps that end at tail[i], less the one that ends
+    with reverse[i]."""
+    n = int(tail[-1]) + 1 if tail.size else 0
+    ending = np.ones(tail.size)
+    for _ in range(max_len):
+        yield ending.sum()
+        ending = np.bincount(head, ending, n)[tail] - ending[reverse]
+
+
 def _closed_walks(tail: np.ndarray, head: np.ndarray, reverse: np.ndarray,
-                  max_len: int, limit: int, message: str) -> _Words:
+                  max_len: int) -> _Words:
     """The tailless closed non-backtracking walks of 1..max_len steps that
     are their own least rotation, on the oriented edges i from tail[i] to
     head[i], sorted by tail, where reverse[i] is the reverse of edge i: a
@@ -393,25 +446,10 @@ def _closed_walks(tail: np.ndarray, head: np.ndarray, reverse: np.ndarray,
     least rotation starts at the least vertex. A walk closes when its next
     step returns to the tail of its first edge and is not the reverse of
     that edge (no tail). Edge i enters _rotations as the letter i + 1,
-    which no other letter cancels.
-
-    ConfigError(message), before any walk is grown, when the
-    non-backtracking walks of every length k <= max_len, k steps each,
-    would exceed limit steps in all. The walks of k + 1 steps that end
-    with edge i are those of k steps that end at tail[i], less the one
-    that ends with reverse[i].
+    which no other letter cancels. The callers check the walks' budget
+    first.
     """
     n = int(tail[-1]) + 1 if tail.size else 0
-    ending = np.ones(tail.size)
-    total = 0.0
-    for k in range(1, max_len + 1):
-        count = ending.sum()
-        if not count:
-            break
-        total += k * count
-        if total > limit:
-            raise ConfigError(message)
-        ending = np.bincount(head, ending, n)[tail] - ending[reverse]
     empty = np.zeros(0, dtype=np.intp)
     if max_len < 1:
         return _Words(empty, empty, empty)
@@ -450,10 +488,64 @@ def _closed_walks(tail: np.ndarray, head: np.ndarray, reverse: np.ndarray,
     return _Words(letters[np.repeat(keep, lengths)], lengths[keep], mult[keep])
 
 
+@dataclass(frozen=True, eq=False)
+class _ClassWords:
+    """The class words of one (rank, max_len), with read-only arrays, and
+    the class columns of each one's row (_row_prefixes), made on first
+    use."""
+
+    words: _Words
+
+    @cached_property
+    def rows(self) -> tuple[str, ...]:
+        w = self.words
+        return tuple(_row_prefixes(_tuples(w.letters, w.lengths),
+                                   w.multiplicity.tolist()))
+
+    @property
+    def entries(self) -> int:
+        """Entries held: one per letter, and three per word for its length,
+        multiplicity and row prefix."""
+        return self.words.letters.size + 3 * self.words.lengths.size
+
+
+def _build_class_words(rank: int, max_len: int) -> _ClassWords:
+    alphabet = np.array([l for i in range(1, rank + 1) for l in (i, -i)],
+                        dtype=np.intp)
+    edges = np.arange(2 * rank)
+    rose = np.zeros_like(edges)
+    words = _closed_walks(rose, rose, edges ^ 1, max_len)
+    words = words._replace(letters=alphabet[words.letters])
+    for a in words:
+        a.flags.writeable = False
+    return _ClassWords(words)
+
+
+def _class_words(rank: int, max_len: int) -> _ClassWords:
+    """The class words of _geodesic_class_words, memoized per (rank,
+    max_len): the least recently used tables go once those kept hold more
+    than _WORD_ENTRIES entries, and a larger table is used once and not
+    kept. The budget of _CLASS_LETTERS is checked on every call, ahead of
+    the memo, in closed form."""
+    if rank < 0:
+        raise ValidationError("rank must be >= 0")
+    if max_len < 0:
+        raise ValidationError("max_len must be >= 0")
+    # the rose has 2r oriented edges, each followed by 2r - 1 others
+    _check_walks((2 * rank * (2 * rank - 1) ** k for k in range(max_len)),
+                 _CLASS_LETTERS,
+                 f"the classes of rank {rank} up to length {max_len} need more "
+                 f"than {_CLASS_LETTERS} letters of reduced words")
+    return memoized(_WORDS, (rank, max_len),
+                    lambda: _build_class_words(rank, max_len),
+                    attrgetter("entries"), _WORD_ENTRIES)
+
+
 def _geodesic_class_words(rank: int, max_len: int) -> _Words:
     """The canonical words of all nontrivial classes of length <= max_len,
     with their multiplicities, sorted by (length, word under _letter_key);
-    none at rank 0.
+    none at rank 0. The arrays are read-only: the table is memoized (see
+    _class_words).
 
     A class word, cyclically reduced and its own least rotation, is a
     geodesic loop of the rose that the spanning-tree frame collapses to:
@@ -463,19 +555,7 @@ def _geodesic_class_words(rank: int, max_len: int) -> _Words:
     reduced words of all lengths, sum_k k 2r (2r-1)^(k-1) letters, would
     exceed _CLASS_LETTERS.
     """
-    if rank < 0:
-        raise ValidationError("rank must be >= 0")
-    if max_len < 0:
-        raise ValidationError("max_len must be >= 0")
-    alphabet = np.array([l for i in range(1, rank + 1) for l in (i, -i)],
-                        dtype=np.intp)
-    edges = np.arange(2 * rank)
-    rose = np.zeros_like(edges)
-    words = _closed_walks(
-        rose, rose, edges ^ 1, max_len, _CLASS_LETTERS,
-        f"the classes of rank {rank} up to length {max_len} need more "
-        f"than {_CLASS_LETTERS} letters of reduced words")
-    return words._replace(letters=alphabet[words.letters])
+    return _class_words(rank, max_len).words
 
 
 def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
@@ -503,10 +583,8 @@ def _geodesic_loops(g: GraphModel, max_len: int) -> _Words:
     _, heads, tails = _adjacency(g)
     reverse = np.empty_like(heads)
     reverse[np.lexsort((tails, heads))] = np.arange(heads.size)
-    loops = _closed_walks(
-        tails, heads, reverse, max_len, _WALK_LETTERS,
-        f"the geodesic loops up to length {max_len} need more than "
-        f"{_WALK_LETTERS} steps of non-backtracking walks")
+    _check_loop_walks(_walk_counts(tails, heads, reverse, max_len), max_len)
+    loops = _closed_walks(tails, heads, reverse, max_len)
     return loops._replace(letters=tails[loops.letters])
 
 

@@ -17,15 +17,18 @@ from __future__ import annotations
 import math
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import shortest_path
 
+from ._memo import memoized
 from .errors import ConfigError, NumericError, ValidationError
 from .freegroup import (TRIVIAL, BasedLoop, GeodesicClass, _canonical_words,
-                        canonical_class, loop_to_word, multiplicity)
+                        _row_prefixes, canonical_class, loop_to_word,
+                        multiplicity)
 from .graphs import GraphModel, SpanningTreeFrame, _adjacency, _expand
 from .signature import homology1
 
@@ -187,11 +190,14 @@ def _first_seen(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class EnumeratedMeasure:
     """Exhaustive class masses of loops of length <= n_max, with the
-    certified bound on everything beyond the truncation."""
+    certified bound on everything beyond the truncation. _rows is the
+    plan's rows (see _Plan), for the enumerate verb."""
 
     masses: dict[GeodesicClass, float] = field(hash=False)
     n_max: int
     tail: float
+    _rows: tuple[tuple[str, int], ...] = field(default=(), compare=False,
+                                               repr=False)
 
     def __getitem__(self, cls: GeodesicClass) -> float:
         return self.masses[cls]
@@ -215,7 +221,9 @@ class _Plan(NamedTuple):
     state it lands in, then the number of states and the states at their
     base. order sorts the returns base by base, number gives the class of
     each sorted return, and classes lists the classes by number. Every
-    array is read-only, and every one but edges is int32.
+    array is read-only, and every one but edges is int32. rows gives the
+    enumerate verb's rows in its order, by (length, word): the class
+    columns of each (freegroup._row_prefixes) and the class number.
     """
 
     edges: np.ndarray
@@ -223,12 +231,14 @@ class _Plan(NamedTuple):
     order: np.ndarray
     number: np.ndarray
     classes: tuple[GeodesicClass, ...]
+    rows: tuple[tuple[str, int], ...]
 
     @property
     def entries(self) -> int:
-        """Index entries held, one per array element and one per class."""
+        """Index entries held, one per array element, one per class and
+        two per row."""
         return (self.edges.size + self.order.size + self.number.size
-                + len(self.classes)
+                + len(self.classes) + 2 * len(self.rows)
                 + sum(i.size + e.size + s.size + h.size
                       for i, e, s, _, h in self.steps))
 
@@ -291,9 +301,15 @@ def _build_plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
     by_index = list(index)
     classes = tuple(GeodesicClass._certified(by_index[c], mult[by_index[c]])
                     for c in home_class[pick].tolist())
+    row_class = [c for _, _, c in sorted(
+        (len(cls.word), cls.word, c) for c, cls in enumerate(classes))]
+    rows = tuple(zip(_row_prefixes([classes[c].word for c in row_class],
+                                   [classes[c].multiplicity for c in row_class]),
+                     row_class))
     edges = tails * n_v + heads
     edges.flags.writeable = False
-    return _Plan(edges, tuple(steps), _frozen(order), _frozen(number), classes)
+    return _Plan(edges, tuple(steps), _frozen(order), _frozen(number), classes,
+                 rows)
 
 
 def _plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
@@ -301,17 +317,9 @@ def _plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
     since a run of queries repeats a few of them on fresh weights. The
     least recently used plans go once the plans kept hold more than
     _PLAN_ENTRIES entries; a larger plan is used once and not kept."""
-    key = (g.neighbors, frame.cogenerators, n_max)
-    plan = _PLANS.get(key)
-    if plan is not None:
-        _PLANS.move_to_end(key)
-        return plan
-    plan = _build_plan(g, frame, n_max)
-    if plan.entries <= _PLAN_ENTRIES:
-        _PLANS[key] = plan
-        while sum(p.entries for p in _PLANS.values()) > _PLAN_ENTRIES:
-            _PLANS.popitem(last=False)
-    return plan
+    return memoized(_PLANS, (g.neighbors, frame.cogenerators, n_max),
+                    lambda: _build_plan(g, frame, n_max),
+                    attrgetter("entries"), _PLAN_ENTRIES)
 
 
 def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
@@ -351,7 +359,7 @@ def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
     total = np.bincount(plan.number, np.concatenate(returns)[plan.order],
                         minlength=len(plan.classes))
     return EnumeratedMeasure(dict(zip(plan.classes, total.tolist())), n_max,
-                             tail_bound(g, n_max))
+                             tail_bound(g, n_max), plan.rows)
 
 
 def winding_masses(masses: dict[GeodesicClass, float],

@@ -62,6 +62,7 @@ numerators over the degree until each coefficient becomes one Fraction.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -72,9 +73,10 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from ._memo import memoized
 from .errors import NumericError, ValidationError
-from .freegroup import (GeodesicClass, _check_letters, _geodesic_loops,
-                        _Words)
+from .freegroup import (GeodesicClass, _check_letters, _check_loop_walks,
+                        _geodesic_loops, _Words)
 from .graphs import GraphModel, SpanningTreeFrame, _adjacency, _expand
 
 # Newton stops once no entry moves by more than this fraction of max rho.
@@ -86,6 +88,11 @@ _RHO_CACHE = 32
 _SPLITTER = 134217729.0
 # The unit roundoff of float64.
 _U = 2.0 ** -53
+# ihara_check keeps both integer series of recent (topology, max_degree)
+# pairs up to this many coefficients in all.
+_IHARA_ENTRIES = 2 ** 12
+_IHARA: OrderedDict[tuple, tuple[tuple[int, ...], tuple[Fraction, ...]]] = \
+    OrderedDict()
 
 
 def _two_sum(a, b):
@@ -650,8 +657,15 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
 
     Requires a d-regular graph with unit conductances (the identity is
     stated for the adjacency matrix). ConfigError, before any walk is
-    grown, if the non-backtracking walks up to max_degree would take more
-    than freegroup._WALK_LETTERS steps in all.
+    grown, if the non-backtracking walks up to max_degree, sum_k k n d
+    (d-1)^(k-1) steps on n vertices, would take more than
+    freegroup._WALK_LETTERS steps in all.
+
+    Both series depend on the topology alone, so the based counts and the
+    determinant side are memoized per (neighbours, max_degree), not the
+    loops: the least recently used go once those kept hold more than
+    _IHARA_ENTRIES coefficients. The checks above and the budget run on
+    every call, ahead of the memo.
     """
     if max_degree < 1:
         raise ValidationError("max_degree must be >= 1")
@@ -660,11 +674,23 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
         raise ValidationError("determinant identity needs a regular graph")
     if any(c != 1.0 for c in g.conductance.values()):
         raise ValidationError("determinant identity needs unit conductances")
-    l = max_degree
-    loops = _geodesic_loops(g, l)
-    based = np.zeros(l + 1, dtype=np.int64)
+    n, d = g.num_vertices, degs.pop()
+    _check_loop_walks((n * d * (d - 1) ** k for k in range(max_degree)),
+                      max_degree)
+    based, det = memoized(_IHARA, (g.neighbors, max_degree),
+                          lambda: _ihara_series(g, max_degree),
+                          lambda v: len(v[0]) + len(v[1]), _IHARA_ENTRIES)
+    walk = [Fraction(0)] + [Fraction(c, k) for k, c in enumerate(based[1:], 1)]
+    return IharaSeries(walk_side=tuple(walk), det_side=det)
+
+
+def _ihara_series(g: GraphModel, max_degree: int
+                  ) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """The two sides of ihara_check: n/m summed over the geodesic loops of
+    each length n, m the multiplicity, for n = 0..max_degree, and the
+    determinant side."""
+    loops = _geodesic_loops(g, max_degree)
+    based = np.zeros(max_degree + 1, dtype=np.int64)
     np.add.at(based, loops.lengths, loops.lengths // loops.multiplicity)
-    walk = [Fraction(0)] + [Fraction(c, n)
-                            for n, c in enumerate(based.tolist()[1:], 1)]
-    det = _det_series(g.neighbors, len(g.edges), l)
-    return IharaSeries(walk_side=tuple(walk), det_side=tuple(det))
+    det = _det_series(g.neighbors, len(g.edges), max_degree)
+    return tuple(based.tolist()), tuple(det)

@@ -6,7 +6,9 @@ depends on floating point or BLAS, so a refactor must leave them byte for
 byte. The `enumerate` rows are floats, but each is a sum in a fixed order
 of products of transition probabilities, with no BLAS call, so they are
 pinned too; its manifest is not, since its tail comes from an eigensolve.
-Each test hashes the full text with sha256.
+Of the `homotopy` rows only the class, length and multiplicity columns are
+pinned: the intensity comes from the rho solve. Each test hashes the full
+text with sha256.
 """
 
 import hashlib
@@ -99,3 +101,20 @@ def test_classes_and_geodesics(request, graph, max_len, digest):
     lines = [f"{format_word(c.word)}:{geodesic_representative(c, frame)}"
              for c in enumerate_geodesic_classes(frame.rank, max_len)]
     assert _digest("\n".join(lines)) == digest
+
+
+@pytest.mark.parametrize("name, max_len, digest", [
+    ("k4", 4, "5ef6a7d13723701483cd892bb5504f5d3f1489ec6bfa7dae49fc9c1630d91050"),
+    ("petersen", 3, "e60a2d805c3342150fedf79e58f4a0bf0b4702b47c4887ddaa6f819b97f818f3"),
+])
+def test_homotopy_labels(capsys, tmp_path, monkeypatch, name, max_len, digest):
+    # unit conductances, killing 1 at every vertex; the header and every row
+    # without its last column
+    n_v = int(GRAPH_TEXT[name].split()[1])
+    (tmp_path / f"{name}.graph").write_text(
+        GRAPH_TEXT[name] + "".join(f"kappa {x} 1\n" for x in range(n_v)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["homotopy", f"{name}.graph", "--max-len", str(max_len)]) == 0
+    _, rows = capsys.readouterr().out.split("\n", 1)
+    labels = "".join(row.rsplit(",", 1)[0] + "\n" for row in rows.splitlines())
+    assert _digest(labels) == digest
