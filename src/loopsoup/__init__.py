@@ -28,8 +28,7 @@ from .spectra import (IharaSeries, RegularForms, RhoTable, class_intensity,
                       regular_closed_forms, solve_rho)
 from .fourier import (GroupData, NilpotentRep, group_data,
                       holonomy_class_intensities, holonomy_log_det,
-                      homology1_field_grid, homology1_field_law,
-                      homology1_grid, homology1_intensity,
+                      homology1_field_law, homology1_grid, homology1_intensity,
                       homology2_field_law, homology2_intensity,
                       nilpotent_rep, twisted_log_det)
 

@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._memo import memo
 from .errors import ConfigError, NumericError, ValidationError
 from .graphs import GraphModel, SpanningTreeFrame
 from .soup import total_mass
@@ -276,8 +277,14 @@ def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
     if frame.rank == 0:
         return [1.0 if alpha is not None else total_mass(g) for _ in hs], M, bound
     if alpha is not None:
-        grid = homology1_field_grid(g, frame, alpha, M)
-        return [float(grid[tuple(x % M for x in h)]) for h in hs], M, bound
+        # the determinant ratio is the characteristic function of the soup's
+        # winding: inverted, probabilities that sum to 1 exactly (k = 0 is 1)
+        grid = homology1_grid(g, frame, M)
+        probs = np.fft.fftn(np.exp(alpha * (grid.flat[0] - grid))) / grid.size
+        residue = float(np.max(np.abs(probs.imag)))
+        if residue > _IMAG_TOL:
+            raise NumericError(f"field law has imaginary residue {residue:.3e}")
+        return [float(probs.real[tuple(x % M for x in h)]) for h in hs], M, bound
     spec = np.fft.fftn(homology1_grid(g, frame, M))
     return [_assert_real(-spec[tuple(x % M for x in h)] / spec.size,
                          "homology1 intensity") for h in hs], M, bound
@@ -294,25 +301,6 @@ def homology1_intensity(g: GraphModel, frame: SpanningTreeFrame,
     at most 1e-12; one of more than 2^16 grid points raises NumericError.
     """
     return _homology1_values(g, frame, [h], M=M)[0][0]
-
-
-def homology1_field_grid(g: GraphModel, frame: SpanningTreeFrame,
-                         alpha: float, M: int) -> np.ndarray:
-    """P(total soup winding = h) for every h on the mod-M grid.
-
-    The Poisson characteristic functional turns the twisted determinant
-    ratio into the characteristic function of the winding field; inverting
-    on the grid gives probabilities aliased mod M. They are nonnegative
-    and sum to 1 exactly (the k=0 character is 1).
-    """
-    _check_alpha(alpha)
-    grid = homology1_grid(g, frame, M)
-    char = np.exp(alpha * (grid.flat[0] - grid))
-    probs = np.fft.fftn(char) / char.size
-    residue = float(np.max(np.abs(probs.imag)))
-    if residue > _IMAG_TOL:
-        raise NumericError(f"field law has imaginary residue {residue:.3e}")
-    return probs.real
 
 
 def homology1_field_law(g: GraphModel, frame: SpanningTreeFrame,
@@ -756,7 +744,7 @@ def _schrodinger_blocks(b: np.ndarray, a: np.ndarray, a_inv: np.ndarray,
     return blocks
 
 
-@functools.lru_cache(maxsize=4)
+@memo(lambda out: sum(owners.size + blocks.size for _, owners, blocks in out))
 def _heisenberg_blocks(p: int, r: int, lo: int,
                        hi: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """The Schrodinger blocks of the skew h in rows lo:hi of _skew_grid(r,
@@ -764,9 +752,9 @@ def _heisenberg_blocks(p: int, r: int, lo: int,
     slice and blocks are _schrodinger_blocks of those h, certified when
     built.
 
-    They depend only on p, r and the slice, so the last few are memoized
-    (each holds about max(_CHUNK_ENTRIES, r p^r) complex entries, by the
-    slicing of _heisenberg_traces); the arrays are read-only.
+    They depend only on p, r and the slice, so they are memoized (see
+    _memo; each holds about max(_CHUNK_ENTRIES, r p^r) complex entries, by
+    the slicing of _heisenberg_traces); the arrays are read-only.
     """
     forms = np.zeros((hi - lo, r, r), dtype=np.int64)
     forms[(slice(None),) + np.triu_indices(r, 1)] = 2 * _skew_grid(r, p)[lo:hi]
@@ -788,13 +776,13 @@ def _heisenberg_blocks(p: int, r: int, lo: int,
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=64)
+@memo(lambda total: 1)
 def _block_points(p: int, r: int, m: int) -> int:
     """The points at which _heisenberg_traces eigensolves on the m-grid:
     min(m, 2d+1)^r for each Schrodinger block of size d = p^k, of which a
     skew h with 2h mod p of rank 2k has p^(r-2k). Counted only up to just
     past _GRID_POINTS, from the Darboux ranks alone: no block is built.
-    Memoized, since a run of queries repeats a few (p, r, m)."""
+    Memoized (see _memo), since a run of queries repeats a few (p, r, m)."""
     total = 0
     pairs = list(itertools.combinations(range(r), 2))
     for h in itertools.product(range(p), repeat=len(pairs)):

@@ -16,16 +16,14 @@ class words and the geodesic loops of the graph.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, cached_property
+from functools import cached_property
 from itertools import repeat
-from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._memo import memoized
+from ._memo import memo, memoized
 from .errors import ConfigError, ValidationError
 from .graphs import GraphModel, SpanningTreeFrame, _adjacency
 
@@ -40,12 +38,6 @@ _CLASS_LETTERS = 2 ** 20
 # The most steps, summed over every non-backtracking walk of every length up
 # to max_len, that the geodesic loop enumeration may grow.
 _WALK_LETTERS = 2 ** 22
-# canonical_class keeps the classes of this many recent words.
-_CLASS_CACHE = 2 ** 14
-# _geodesic_class_words keeps the tables of recent (rank, max_len) pairs up
-# to this many entries in all (see _ClassWords.entries).
-_WORD_ENTRIES = 2 ** 18
-_WORDS: OrderedDict[tuple[int, int], _ClassWords] = OrderedDict()
 
 
 def _check_word(word: Iterable[int]) -> Word:
@@ -255,7 +247,7 @@ class GeodesicClass:
 TRIVIAL = GeodesicClass(())
 
 
-@lru_cache(maxsize=_CLASS_CACHE)
+@memo(lambda cls: len(cls.word))
 def _canonical(word: Word) -> GeodesicClass:
     w = cyclic_reduce(word)
     if not w:
@@ -522,11 +514,19 @@ def _build_class_words(rank: int, max_len: int) -> _ClassWords:
 
 
 def _class_words(rank: int, max_len: int) -> _ClassWords:
-    """The class words of _geodesic_class_words, memoized per (rank,
-    max_len): the least recently used tables go once those kept hold more
-    than _WORD_ENTRIES entries, and a larger table is used once and not
-    kept. The budget of _CLASS_LETTERS is checked on every call, ahead of
-    the memo, in closed form."""
+    """The canonical words of all nontrivial classes of length <= max_len,
+    with their multiplicities, sorted by (length, word under _letter_key);
+    none at rank 0. Memoized per (rank, max_len) (see _memo), so the
+    arrays are read-only.
+
+    A class word, cyclically reduced and its own least rotation, is a
+    geodesic loop of the rose that the spanning-tree frame collapses to:
+    one vertex and a loop edge per generator. Its 2r oriented edges are
+    the letters in _letter_key order, each the reverse of its neighbour
+    (index ^ 1), and _closed_walks grows them. ConfigError, on every call
+    and ahead of the memo, when the reduced words of all lengths, sum_k k
+    2r (2r-1)^(k-1) letters, would exceed _CLASS_LETTERS.
+    """
     if rank < 0:
         raise ValidationError("rank must be >= 0")
     if max_len < 0:
@@ -536,33 +536,15 @@ def _class_words(rank: int, max_len: int) -> _ClassWords:
                  _CLASS_LETTERS,
                  f"the classes of rank {rank} up to length {max_len} need more "
                  f"than {_CLASS_LETTERS} letters of reduced words")
-    return memoized(_WORDS, (rank, max_len),
-                    lambda: _build_class_words(rank, max_len),
-                    attrgetter("entries"), _WORD_ENTRIES)
-
-
-def _geodesic_class_words(rank: int, max_len: int) -> _Words:
-    """The canonical words of all nontrivial classes of length <= max_len,
-    with their multiplicities, sorted by (length, word under _letter_key);
-    none at rank 0. The arrays are read-only: the table is memoized (see
-    _class_words).
-
-    A class word, cyclically reduced and its own least rotation, is a
-    geodesic loop of the rose that the spanning-tree frame collapses to:
-    one vertex and a loop edge per generator. Its 2r oriented edges are
-    the letters in _letter_key order, each the reverse of its neighbour
-    (index ^ 1), and _closed_walks grows them. ConfigError when the
-    reduced words of all lengths, sum_k k 2r (2r-1)^(k-1) letters, would
-    exceed _CLASS_LETTERS.
-    """
-    return _class_words(rank, max_len).words
+    return memoized((rank, max_len), _ClassWords.entries.fget,
+                    _build_class_words, rank, max_len)
 
 
 def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
     """All nontrivial homotopy classes of word length <= max_len, sorted by
     (length, canonical word under _letter_key); none at rank 0. ConfigError
     if the enumeration would hold more than _CLASS_LETTERS letters."""
-    words = _geodesic_class_words(rank, max_len)
+    words = _class_words(rank, max_len).words
     return [GeodesicClass._certified(w, m)
             for w, m in zip(_tuples(words.letters, words.lengths),
                             words.multiplicity.tolist())]

@@ -53,6 +53,11 @@ class GraphModel:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def _bfs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The canonical frame's tree: parent and depth of each vertex."""
+        return _search_tree(self.neighbors, "graph is not connected")
+
+    @cached_property
     def lam(self) -> np.ndarray:
         """Total jump-plus-kill rate at each vertex."""
         lam = np.array(self.killing, dtype=float)
@@ -99,7 +104,7 @@ def _expand(first: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _search_tree(adj: Sequence[Sequence[int]],
-                 message: str) -> tuple[list[int], list[int]]:
+                 message: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Breadth-first search from vertex 0 over adjacency lists, neighbours
     in ascending order: the parent (-1 at the root) and depth of each
     vertex. Raises ValidationError(message) if a vertex is not reached."""
@@ -115,7 +120,7 @@ def _search_tree(adj: Sequence[Sequence[int]],
                 queue.append(y)
     if min(depth) < 0:
         raise ValidationError(message)
-    return parent, depth
+    return tuple(parent), tuple(depth)
 
 
 def build_graph(
@@ -172,7 +177,7 @@ def build_graph(
     lam_zero = [x for x in range(num_vertices) if kill[x] == 0 and not g.neighbors[x]]
     if lam_zero:
         raise ValidationError(f"vertex {lam_zero[0]} has no edge and no killing")
-    _search_tree(g.neighbors, "graph is not connected")
+    g._bfs  # proves the graph connected; the canonical frame reuses it
     return g
 
 
@@ -230,13 +235,13 @@ def spanning_tree_frame(
     """Build the canonical frame, or one over a caller-supplied tree.
 
     The canonical tree is grown breadth-first from vertex 0, scanning
-    neighbours in ascending order. Non-tree edges are sorted by endpoint pair
-    and oriented small -> large. build_graph has proved the graph
-    connected, so the canonical tree spans it.
+    neighbours in ascending order: it is the search by which build_graph
+    proved the graph connected, kept on the graph (_bfs). Non-tree edges
+    are sorted by endpoint pair and oriented small -> large.
     """
     n = g.num_vertices
     if tree_edges is None:
-        parent, depth = _search_tree(g.neighbors, "graph is not connected")
+        parent, depth = g._bfs
         tree = [_normalize_edge(parent[y], y) for y in range(1, n)]
     else:
         tree = [_normalize_edge(u, v) for u, v in tree_edges]
@@ -258,8 +263,8 @@ def spanning_tree_frame(
     cogens = tuple(e for e in g.edges if e not in tree_set)
     return SpanningTreeFrame(
         root=0,
-        parent=tuple(parent),
-        depth=tuple(depth),
+        parent=parent,
+        depth=depth,
         tree_edges=tuple(sorted(tree_set)),
         cogenerators=cogens,
     )

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, count, islice
 from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Mapping
 
+from ._memo import memo
 from .errors import ValidationError, NumericError
 from .freegroup import (BasedLoop, Word, _check_word, crossing_word,
                         group_commutator, reduce_word)
@@ -226,19 +226,18 @@ def shuffle_check(s: TensorSeries, u: Word, w: Word) -> bool:
 # Lie machinery: Dynkin bracketing, Lyndon basis
 
 
-@lru_cache(maxsize=None)
 def _dynkin(word: Word) -> tuple[tuple[Word, int], ...]:
-    # left-to-right bracketing [[..[x1,x2],x3]..,xn] expanded in tensors
-    if len(word) == 1:
-        return ((word, 1),)
-    inner = _dynkin(word[:-1])
-    last = word[-1]
-    out: dict[Word, int] = {}
-    for w, c in inner:
-        a, b = w + (last,), (last,) + w
-        out[a] = out.get(a, 0) + c
-        out[b] = out.get(b, 0) - c
-    return tuple(sorted((w, c) for w, c in out.items() if c))
+    # left-to-right bracketing [[..[x1,x2],x3]..,xn] expanded in tensors;
+    # not memoized, as a top-degree word is rarely bracketed twice
+    terms = {word[:1]: 1}
+    for last in word[1:]:
+        out: dict[Word, int] = {}
+        for w, c in terms.items():
+            a, b = w + (last,), (last,) + w
+            out[a] = out.get(a, 0) + c
+            out[b] = out.get(b, 0) - c
+        terms = {w: c for w, c in out.items() if c}
+    return tuple(sorted(terms.items()))
 
 
 def dynkin_bracket(word: Word) -> dict[Word, int]:
@@ -300,7 +299,7 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
     return word[:best], word[best:]
 
 
-@lru_cache(maxsize=None)
+@memo(lambda terms: sum(len(w) + 1 for w, _ in terms))  # words and ints
 def _bracket_expansion(word: Word) -> tuple[tuple[Word, int], ...]:
     if len(word) == 1:
         return ((word, 1),)
@@ -316,7 +315,7 @@ def bracket_expansion(word: Word) -> dict[Word, int]:
     return dict(_bracket_expansion(tuple(word)))
 
 
-@lru_cache(maxsize=None)
+@memo(lambda words: sum(map(len, words)))
 def _lyndon_words_of_length(rank: int, n: int) -> tuple[Word, ...]:
     return tuple(w for w in lyndon_words(rank, n) if len(w) == n)
 

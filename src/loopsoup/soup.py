@@ -15,9 +15,8 @@ truncation certified by a geometric tail bound.
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -38,10 +37,6 @@ _SAMPLER_ENTRIES = 2 ** 24
 # The most index entries that one enumeration plan may hold; a deeper n_max
 # is refused. Below 2^31, so that int32 holds every index of a plan.
 _ENUMERATION_ENTRIES = 2 ** 24
-# enumerate_measure keeps the plans of recent (topology, frame, n_max)
-# triples up to this many index entries in all.
-_PLAN_ENTRIES = 2 ** 20
-_PLANS: OrderedDict[tuple, _Plan] = OrderedDict()
 
 
 def loop_weight(g: GraphModel, loop: BasedLoop) -> tuple[float, float]:
@@ -312,16 +307,6 @@ def _build_plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
                  rows)
 
 
-def _plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
-    """The plan of (g's topology, frame's cogenerators, n_max), memoized,
-    since a run of queries repeats a few of them on fresh weights. The
-    least recently used plans go once the plans kept hold more than
-    _PLAN_ENTRIES entries; a larger plan is used once and not kept."""
-    return memoized(_PLANS, (g.neighbors, frame.cogenerators, n_max),
-                    lambda: _build_plan(g, frame, n_max),
-                    attrgetter("entries"), _PLAN_ENTRIES)
-
-
 def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
                       n_max: int) -> EnumeratedMeasure:
     """Mass of every homotopy class among loops of length <= n_max.
@@ -342,13 +327,15 @@ def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
     order of the classes, are therefore the same to the last bit.
 
     Only the sums read the weights. The rest, the plan, depends on the
-    topology, the frame's cogenerators and n_max alone, and is built once
-    for them (see _plan); each call replays it on g's weights. ConfigError
-    when the plan would hold more than _ENUMERATION_ENTRIES entries.
+    topology, the frame's cogenerators and n_max alone, and is memoized
+    (see _memo), since a run of queries repeats a few of them on fresh
+    weights; each call replays it on g's weights. ConfigError when the
+    plan would hold more than _ENUMERATION_ENTRIES entries.
     """
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    plan = _plan(g, frame, n_max)
+    plan = memoized((g.neighbors, frame.cogenerators, n_max),
+                    _Plan.entries.fget, _build_plan, g, frame, n_max)
     step_weight = g.transition.ravel()[plan.edges]
     weight = np.ones(g.num_vertices)
     returns = []

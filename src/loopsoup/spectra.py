@@ -62,7 +62,6 @@ numerators over the degree until each coefficient becomes one Fraction.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -88,11 +87,6 @@ _RHO_CACHE = 32
 _SPLITTER = 134217729.0
 # The unit roundoff of float64.
 _U = 2.0 ** -53
-# ihara_check keeps both integer series of recent (topology, max_degree)
-# pairs up to this many coefficients in all.
-_IHARA_ENTRIES = 2 ** 12
-_IHARA: OrderedDict[tuple, tuple[tuple[int, ...], tuple[Fraction, ...]]] = \
-    OrderedDict()
 
 
 def _two_sum(a, b):
@@ -662,10 +656,9 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
     freegroup._WALK_LETTERS steps in all.
 
     Both series depend on the topology alone, so the based counts and the
-    determinant side are memoized per (neighbours, max_degree), not the
-    loops: the least recently used go once those kept hold more than
-    _IHARA_ENTRIES coefficients. The checks above and the budget run on
-    every call, ahead of the memo.
+    determinant side are memoized per (neighbours, max_degree) (see
+    _memo), not the loops. The checks above and the budget run on every
+    call, ahead of the memo.
     """
     if max_degree < 1:
         raise ValidationError("max_degree must be >= 1")
@@ -677,9 +670,8 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
     n, d = g.num_vertices, degs.pop()
     _check_loop_walks((n * d * (d - 1) ** k for k in range(max_degree)),
                       max_degree)
-    based, det = memoized(_IHARA, (g.neighbors, max_degree),
-                          lambda: _ihara_series(g, max_degree),
-                          lambda v: len(v[0]) + len(v[1]), _IHARA_ENTRIES)
+    based, det = memoized((g.neighbors, max_degree), _series_entries,
+                          _ihara_series, g, max_degree)
     walk = [Fraction(0)] + [Fraction(c, k) for k, c in enumerate(based[1:], 1)]
     return IharaSeries(walk_side=tuple(walk), det_side=det)
 
@@ -694,3 +686,7 @@ def _ihara_series(g: GraphModel, max_degree: int
     np.add.at(based, loops.lengths, loops.lengths // loops.multiplicity)
     det = _det_series(g.neighbors, len(g.edges), max_degree)
     return tuple(based.tolist()), tuple(det)
+
+
+def _series_entries(series: tuple[tuple, tuple]) -> int:
+    return len(series[0]) + len(series[1])

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from loopsoup import fourier
+from loopsoup import _memo, fourier
 from loopsoup import (
     NumericError,
     ValidationError,
@@ -18,7 +18,6 @@ from loopsoup import (
     holonomy_class_intensities,
     holonomy_log_det,
     homology1,
-    homology1_field_grid,
     homology1_field_law,
     homology1_grid,
     homology1_intensity,
@@ -146,9 +145,10 @@ class TestHomology1Law:
 
 class TestHomology1Field:
     def test_distribution_sums_to_one(self, triangle, triangle_frame):
-        grid = homology1_field_grid(triangle, triangle_frame, 1.0, 16)
-        assert grid.sum() == pytest.approx(1.0, abs=1e-12)
-        assert grid.min() >= -1e-12
+        grid, _, _ = fourier._homology1_values(
+            triangle, triangle_frame, [(h,) for h in range(16)], M=16, alpha=1.0)
+        assert sum(grid) == pytest.approx(1.0, abs=1e-12)
+        assert min(grid) >= -1e-12
 
     def test_frozen_p0(self, triangle, triangle_frame):
         got = homology1_field_law(triangle, triangle_frame, 1.0, (0,), M=64)
@@ -893,14 +893,25 @@ class TestSchrodingerBlocks:
             return homology2_intensity(bowtie, bowtie_frame, {(1, 2): m}, p)
 
         def uncached(p, m):
-            fourier._heisenberg_blocks.cache_clear()
+            _memo.clear()
             return law(p, m)
 
         want = [uncached(5, m) for m in range(5)]
+        # the warm calls build no block and keep nothing new
+        kept = {at: value for at, (value, _) in _memo._STORE.items()}
+        built = []
+        build = fourier._schrodinger_blocks
+        monkeypatch.setattr(fourier, "_schrodinger_blocks",
+                            lambda *a: built.append(a) or build(*a))
         assert [law(5, m) for m in range(5)] == want
-        assert fourier._heisenberg_blocks.cache_info().hits == 5
-        for _, owners, blocks in fourier._heisenberg_blocks(5, 2, 0, 5):
+        assert not built
+        assert set(_memo._STORE) == set(kept)
+        assert all(_memo._STORE[at][0] is value for at, value in kept.items())
+        # rank 2 at p = 5: the five skew h fit one slice
+        blocks_at = (fourier._heisenberg_blocks.__wrapped__, 5, 2, 0, 5)
+        for _, owners, blocks in kept[blocks_at]:
             assert not owners.flags.writeable and not blocks.flags.writeable
+        monkeypatch.setattr(fourier, "_schrodinger_blocks", build)
         # one h per slice, so that p = 3 and p = 5 share slice bounds
         monkeypatch.setattr(fourier, "_CHUNK_ENTRIES", 1)
         uncached(3, 1)

@@ -28,8 +28,8 @@ from loopsoup import (
     reduce_word,
     spanning_tree_frame,
 )
-from loopsoup import freegroup
-from loopsoup.freegroup import (_canonical_words, _geodesic_class_words,
+from loopsoup import _memo, freegroup
+from loopsoup.freegroup import (_canonical_words, _class_words,
                                 geodesic_reduce,
                                 _geodesic_loops, _letter_key, _reduce_cycle,
                                 _rotations, _tuples)
@@ -183,11 +183,30 @@ class TestClasses:
         b = canonical_class((2,))
         assert a == b
 
-    def test_cache_is_bounded(self):
+    def test_cache_is_bounded(self, monkeypatch):
         # words are arbitrary, so a long stream of them must not pile up
-        for k in range(freegroup._CLASS_CACHE + 5):
+        _memo.clear()
+        one = _memo._entries(((1,),), 1)  # a one-letter word and its class
+        monkeypatch.setattr(_memo, "_BUDGET", 10 * one)
+        for k in range(200):
             canonical_class((k + 1,))
-        assert freegroup._canonical.cache_info().currsize == freegroup._CLASS_CACHE
+            assert _memo._held <= 10 * one
+        # the last 10 are kept
+        assert [word for _, word in _memo._STORE] == \
+            [(k + 1,) for k in range(190, 200)]
+
+    def test_long_words_of_short_classes_count_their_keys(self, monkeypatch):
+        # a long word that reduces to a short class is kept under its own
+        # letters, so it counts them
+        _memo.clear()
+        monkeypatch.setattr(_memo, "_BUDGET", 5000)
+        for k in range(200):
+            word = (k + 1, -(k + 1)) * 500 + (1,) * (k % 3)
+            assert canonical_class(word).word == (1,) * (k % 3)
+            assert _memo._held <= 5000
+            assert _memo._held == sum(e for _, e in _memo._STORE.values())
+            assert all(e > 1000 for _, e in _memo._STORE.values())
+        assert len(_memo._STORE) == 4
 
     def test_certified_class_equals_checked_class(self):
         for word in [(), (1,), (1, 2, 1, 2), (1, -2, 1, -2, 1, -2)]:
@@ -265,7 +284,7 @@ class TestRotationKernel:
         for max_len in range(7):
             got = enumerate_geodesic_classes(rank, max_len)
             assert got == [c for c in want if c.length <= max_len]
-            words = _geodesic_class_words(rank, max_len)
+            words = _class_words(rank, max_len).words
             assert words.multiplicity.tolist() == [multiplicity(c.word)
                                                    for c in got]
             assert [c.multiplicity for c in got] == [multiplicity(c.word)
@@ -340,7 +359,7 @@ class TestRotationKernel:
 
     def test_deep_rank_one_classes(self):
         # deeper than Python's default recursion limit of 1000
-        words = _geodesic_class_words(1, 1000)
+        words = _class_words(1, 1000).words
         assert words.lengths.tolist() == [k for k in range(1, 1001) for _ in "+-"]
         assert words.multiplicity.tolist() == words.lengths.tolist()
         assert (words.letters == np.repeat(np.tile([1, -1], 1000),

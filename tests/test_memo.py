@@ -1,20 +1,28 @@
-"""The memos of topology-only work: the class words behind `homotopy`, the
-enumeration plans behind `enumerate` and the Ihara series behind `zeta`.
+"""The one memo store of weight-free work: the class words behind
+`homotopy`, the enumeration plans behind `enumerate`, the Ihara series
+behind `zeta`, the canonical classes of words and the Lie expansions.
 
-A call that hits a memo must print what a call made after clearing every
-memo prints, byte for byte, on stdout and stderr, with the same exit code;
-every budget is checked ahead of the memo; and each memo stays within its
-entry budget, least recently used out first, with read-only values.
+A call that hits the store must print what a call made after clearing it
+prints, byte for byte, on stdout and stderr, with the same exit code; every
+budget is checked ahead of the store; and the store stays within its one
+entry budget, least recently used out first, over values of every kind,
+which are read-only.
 """
 
+import ast
+import pkgutil
 import random
-from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 
-from loopsoup import build_graph, freegroup, soup, spectra
+import loopsoup
+from loopsoup import (_memo, build_graph, dynkin_map, freegroup,
+                      log_signature, lyndon_coordinates, soup, spectra,
+                      spanning_tree_frame)
 from loopsoup.cli import main
-from loopsoup.freegroup import _geodesic_class_words
+from loopsoup.freegroup import _class_words, canonical_class
+from loopsoup.signature import bracket_expansion
 from loopsoup.spectra import ihara_check
 
 
@@ -67,17 +75,27 @@ def _write(directory, name, seed, unit=False):
 
 
 @pytest.fixture
-def memos(monkeypatch):
-    """Fresh memos; returns the function that clears every one of them."""
-    monkeypatch.setattr(soup, "_PLANS", OrderedDict())
-    monkeypatch.setattr(freegroup, "_WORDS", OrderedDict())
-    monkeypatch.setattr(spectra, "_IHARA", OrderedDict())
+def memos():
+    """A fresh store; returns the function that clears it and the rho
+    tables of solve_rho."""
+    _memo.clear()
 
     def clear():
-        for memo in (soup._PLANS, freegroup._WORDS, spectra._IHARA):
-            memo.clear()
+        _memo.clear()
         spectra.solve_rho.cache_clear()
     return clear
+
+
+def _kept(build):
+    """The keys that build's values are kept under, least recently used
+    first."""
+    return [at[1:] for at in _memo._STORE if at[0] is build]
+
+
+def _check_held():
+    """The running total is the sum of the sizes kept, within budget."""
+    assert _memo._held == sum(e for _, e in _memo._STORE.values())
+    assert _memo._held <= _memo._BUDGET
 
 
 def _run(capsys, argv):
@@ -91,8 +109,8 @@ def _run(capsys, argv):
 def test_warm_call_matches_cold(tmp_path, monkeypatch, capsys, memos, verb,
                                 name):
     monkeypatch.chdir(tmp_path)
-    memo = {"enumerate": soup._PLANS, "zeta": spectra._IHARA}.get(
-        verb, freegroup._WORDS)
+    build = {"enumerate": soup._build_plan, "zeta": spectra._ihara_series}.get(
+        verb, freegroup._build_class_words)
     paths = [_write(tmp_path, name, seed, unit=verb == "zeta")
              for seed in (1, 2)]
 
@@ -103,12 +121,12 @@ def test_warm_call_matches_cold(tmp_path, monkeypatch, capsys, memos, verb,
     for path in paths:
         memos()
         cold.append(_run(capsys, argv(path)))
-    # the memo now holds the topology's entry, built on the other weights
-    held = list(memo)
-    assert bool(held) == (cold[-1][2] == 0)
+    # the store now holds the topology's value, built on the other weights
+    assert bool(_kept(build)) == (cold[-1][2] == 0)
+    held = set(_memo._STORE)
     for path, want in zip(paths, cold):
         assert _run(capsys, argv(path)) == want
-    assert list(memo) == held
+    assert set(_memo._STORE) == held  # warm calls build nothing
 
 
 def test_over_budget_after_a_warm_hit(tmp_path, monkeypatch, capsys, memos):
@@ -142,7 +160,8 @@ def test_lowered_budget_refuses_a_memoized_key(tmp_path, monkeypatch, capsys,
     homotopy = ["homotopy", triangle, "--max-len", "4"]
     zeta = ["zeta", k4, "--max-degree", "4"]
     assert _run(capsys, homotopy)[2] == _run(capsys, zeta)[2] == 0
-    assert (1, 4) in freegroup._WORDS and len(spectra._IHARA) == 1
+    assert _kept(freegroup._build_class_words) == [(1, 4)]
+    assert len(_kept(spectra._ihara_series)) == 1
     # at rank 1 the letters are 2 + 4 + 6 + ...: 12 admits length 3; the
     # walks of K4 take 12, 48 and 144 steps at lengths 1 to 3: 60 admits 2
     monkeypatch.setattr(freegroup, "_CLASS_LETTERS", 12)
@@ -155,32 +174,56 @@ def test_lowered_budget_refuses_a_memoized_key(tmp_path, monkeypatch, capsys,
     assert _run(capsys, zeta[:3] + ["2"])[2] == 0
 
 
-class TestMemoBounds:
-    """Modeled on TestEnumerationPlan.test_cache_holds_at_most_its_entries:
-    a sweep of keys past a small budget."""
+def _class_words_call(rank, max_len):
+    return (freegroup._build_class_words, (rank, max_len), (rank, max_len),
+            lambda table: table.entries,
+            lambda: _class_words(rank, max_len))
 
-    def _sweep(self, memo, budget, keys, call, size):
-        """Call every key, twice over; check the memo after each call. The
+
+def _ihara_call(g, degree):
+    return (spectra._ihara_series, (g.neighbors, degree), (g, degree),
+            lambda series: len(series[0]) + len(series[1]),
+            lambda: ihara_check(g, degree))
+
+
+def _plan_call(g, n_max):
+    frame = spanning_tree_frame(g)
+    return (soup._build_plan, (g.neighbors, frame.cogenerators, n_max),
+            (g, frame, n_max), lambda plan: plan.entries,
+            lambda: soup.enumerate_measure(g, frame, n_max))
+
+
+def _unit(name):
+    n, edges = TOPOLOGIES[name]
+    return build_graph(n, [(a, b, 1.0) for a, b in edges], 1.0)
+
+
+class TestMemoBounds:
+    """One kind of value swept past a small store budget: a sweep of keys,
+    twice over, least recently used out first, read-only values."""
+
+    def _sweep(self, monkeypatch, budget, build, keys, call, size):
+        """Call every key, twice over; check the store after each call. The
         keys whose value was over the budget."""
+        monkeypatch.setattr(_memo, "_BUDGET", budget)
         recent, over = [], set()
         for key in keys * 2:
-            held = list(memo)
+            held = list(_memo._STORE)
             value = call(key)
-            if size(value) <= budget:
-                assert memo[key] is value
-                recent = [k for k in recent if k != key] + [key]
+            at = (build, *key)
+            if _memo._entries(key, size(value)) <= budget:
+                assert _memo._STORE[at][0] is value
+                recent = [k for k in recent if k != at] + [at]
             else:  # used once and not kept, and nothing else goes
-                assert list(memo) == held
+                assert list(_memo._STORE) == held
                 over.add(key)
-            assert sum(map(size, memo.values())) <= budget
+            _check_held()
             # the values kept are the most recently used ones, in order
-            assert list(memo) == recent[len(recent) - len(memo):]
-        assert over and len(memo) < len(keys) - len(over)
+            assert list(_memo._STORE) == recent[len(recent) - len(_memo._STORE):]
+        assert over and len(_memo._STORE) < len(keys) - len(over)
         return over
 
-    def test_class_words(self, monkeypatch):
-        monkeypatch.setattr(freegroup, "_WORDS", OrderedDict())
-        monkeypatch.setattr(freegroup, "_WORD_ENTRIES", 2000)
+    def test_class_words(self, monkeypatch, memos):
         builds = []
         build = freegroup._build_class_words
 
@@ -190,35 +233,33 @@ class TestMemoBounds:
 
         monkeypatch.setattr(freegroup, "_build_class_words", counted)
         keys = [(rank, max_len) for rank in (1, 2, 3) for max_len in range(6)]
-        over = self._sweep(
-            freegroup._WORDS, 2000, keys,
-            lambda key: freegroup._class_words(*key),
-            lambda table: table.words.letters.size
-            + 3 * table.words.lengths.size)
+        over = self._sweep(monkeypatch, 2000, counted, keys,
+                           lambda key: _class_words(*key),
+                           lambda table: table.entries)
         # a table over the budget is built on every call
         assert all(builds.count(key) == 2 for key in over)
-        for table in freegroup._WORDS.values():
+        for table, _ in _memo._STORE.values():
             for a in table.words:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[:1] = 0
             assert isinstance(table.rows, tuple)
-        assert _geodesic_class_words(2, 4) is freegroup._WORDS[(2, 4)].words
+        assert _class_words(2, 4) is _memo._STORE[(counted, 2, 4)][0]
 
-    def test_ihara_series(self, monkeypatch):
-        monkeypatch.setattr(spectra, "_IHARA", OrderedDict())
-        monkeypatch.setattr(spectra, "_IHARA_ENTRIES", 40)
+    def test_ihara_series(self, monkeypatch, memos):
         graphs = {n: build_graph(n, [(a, b, 1.0) for a, b in edges], 1.0)
                   for n, edges in (TOPOLOGIES[name] for name in
                                    ("triangle", "k4", "petersen"))}
-        # 2 (degree + 1) coefficients each; the triangle at 30 is over
+        # 2 (degree + 1) coefficients each, with 2 ints per edge in the
+        # key: from 42 entries (triangle, 1) to 88 (Petersen, 12); the
+        # triangle at 30 takes 100, over the budget
         keys = [(n, degree) for n in graphs for degree in (1, 4, 8, 12)]
         keys.append((3, 30))
-        self._sweep(spectra._IHARA, 40,
+        self._sweep(monkeypatch, 95, spectra._ihara_series,
                     [(graphs[n].neighbors, degree) for n, degree in keys],
                     lambda key: self._series(graphs[len(key[0])], key),
                     lambda value: len(value[0]) + len(value[1]))
-        for based, det in spectra._IHARA.values():
+        for (based, det), _ in _memo._STORE.values():
             assert isinstance(based, tuple) and isinstance(det, tuple)
             assert all(isinstance(c, int) for c in based)
 
@@ -226,4 +267,125 @@ class TestMemoBounds:
     def _series(g, key):
         assert ihara_check(g, key[1]).agree()
         # the value kept, or for a key over the budget the one it would be
-        return spectra._IHARA.get(key) or spectra._ihara_series(g, key[1])
+        hit = _memo._STORE.get((spectra._ihara_series, *key))
+        return hit[0] if hit else spectra._ihara_series(g, key[1])
+
+
+class TestOneBudget:
+    """Class words, Ihara series and enumeration plans swept past a small
+    budget that they share."""
+
+    BUDGET = 2000
+
+    def test_least_recently_used_go_first(self, monkeypatch, memos):
+        monkeypatch.setattr(_memo, "_BUDGET", self.BUDGET)
+        triangle, k4 = _unit("triangle"), _unit("k4")
+        calls = [_class_words_call(rank, max_len)
+                 for rank in (1, 2, 3) for max_len in range(6)]
+        # 2 (degree + 1) coefficients each; the plans of the triangle grow
+        # with n_max, past the budget at 14
+        calls += [_ihara_call(g, degree) for g in (triangle, k4)
+                  for degree in (1, 4, 8)]
+        calls += [_plan_call(triangle, n_max) for n_max in (3, 6, 10, 14)]
+        random.Random(5).shuffle(calls)
+        recent, over, kinds = [], set(), set()
+        for build, key, args, size, call in calls * 2:
+            held = list(_memo._STORE)
+            call()
+            at = (build, *key)
+            if _memo._entries(key, size(build(*args))) <= self.BUDGET:
+                value, entries = _memo._STORE[at]
+                assert list(_memo._STORE)[-1] == at
+                assert entries == _memo._entries(key, size(value))
+                recent = [k for k in recent if k != at] + [at]
+            else:  # used once and not kept, and nothing else goes
+                assert list(_memo._STORE) == held
+                over.add(at)
+            _check_held()
+            # the values kept are the most recently used ones, in order
+            assert list(_memo._STORE) == recent[len(recent) - len(_memo._STORE):]
+            kinds.add(frozenset(at[0] for at in _memo._STORE))
+        assert {at[0] for at in over} == {freegroup._build_class_words,
+                                           soup._build_plan}
+        assert len(_memo._STORE) < len(calls) - len(over)
+        assert any(len(k) == 3 for k in kinds)
+
+    def test_random_sweep_keeps_a_running_total(self, monkeypatch, memos):
+        monkeypatch.setattr(_memo, "_BUDGET", 1000)
+        rng = random.Random(7)
+        triangle = _unit("triangle")
+
+        def word(rank, length):
+            return tuple(rng.choice((1, -1)) * rng.randint(1, rank)
+                         for _ in range(length))
+
+        calls = [lambda: canonical_class(word(3, rng.randint(0, 12))),
+                 lambda: bracket_expansion((1,) + (2,) * rng.randint(0, 5)),
+                 lambda: _class_words(rng.randint(0, 2), rng.randint(0, 4)),
+                 lambda: ihara_check(triangle, rng.randint(1, 200))]
+        for _ in range(400):
+            rng.choice(calls)()
+            _check_held()
+        assert len({at[0] for at in _memo._STORE}) > 1
+
+    def test_lie_sweep_stays_within_budget(self, monkeypatch, memos):
+        # Lyndon coordinates of every degree and the Dynkin map of the top
+        # one at rank 4, degree 6; each whole Lyndon table is over budget
+        rng = random.Random(11)
+        words = [[rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(10)]
+                 for _ in range(3)]
+
+        def sweep():
+            out = []
+            for w in words:
+                terms = log_signature(w, 6).terms
+                for n in range(1, 7):
+                    part = {u: c for u, c in terms.items() if len(u) == n}
+                    out.append(lyndon_coordinates(part, 4, n))
+                    _check_held()
+                out.append(dynkin_map(part))
+                _check_held()
+            return out
+
+        want = sweep()
+        memos()
+        monkeypatch.setattr(_memo, "_BUDGET", 1000)
+        assert sweep() == want
+        assert 0 < _memo._held <= 1000
+
+
+# Caches outside the store, each for a reason given in loopsoup._memo.
+_LRU_CACHES = {"solve_rho", "_laurent", "_build_parser"}
+
+
+def _package_trees():
+    root = Path(loopsoup.__file__).parent
+    for info in pkgutil.iter_modules([str(root)]):
+        yield info.name, ast.parse((root / f"{info.name}.py").read_text())
+
+
+def test_no_cache_outside_the_store():
+    """No unbounded or stray cache comes back: the only functools caches
+    are the three named ones, each with a maxsize, and no module but _memo
+    keeps an OrderedDict."""
+    found = set()
+    for module, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    call = dec if isinstance(dec, ast.Call) else None
+                    head = call.func if call else dec
+                    name = getattr(head, "attr", getattr(head, "id", None))
+                    if name not in ("lru_cache", "cache"):
+                        continue
+                    found.add(node.name)
+                    assert name == "lru_cache" and call, (module, node.name)
+                    size = [kw.value for kw in call.keywords
+                            if kw.arg == "maxsize"] + call.args[:1]
+                    assert size and not (isinstance(size[0], ast.Constant)
+                                         and size[0].value is None), \
+                        (module, node.name)
+            if module != "_memo":
+                assert "OrderedDict" not in (getattr(node, "id", None),
+                                             getattr(node, "attr", None)), module
+    assert found == _LRU_CACHES

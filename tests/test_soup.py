@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from loopsoup import (
     truncated_mass,
     winding_masses,
 )
-from loopsoup import soup
+from loopsoup import _memo, soup
 from loopsoup.soup import loop_weight
 
 
@@ -222,6 +222,12 @@ def _assert_bitwise_dict_dp(g, frame, n_max):
     assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
 
 
+def _plans():
+    """The plans kept in the memo store, least recently used first."""
+    return {at[1:]: value for at, (value, _) in _memo._STORE.items()
+            if at[0] is soup._build_plan}
+
+
 class TestEnumerationPlan:
     """enumerate_measure builds the index plan of its dynamic program once
     per (topology, frame cogenerators, n_max) and replays it on each
@@ -229,8 +235,8 @@ class TestEnumerationPlan:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """A fresh plan cache; the list of (n_max,) per plan built."""
-        monkeypatch.setattr(soup, "_PLANS", OrderedDict())
+        """A fresh memo store; the list of (n_max,) per plan built."""
+        _memo.clear()
         out = []
         build = soup._build_plan
 
@@ -271,8 +277,8 @@ class TestEnumerationPlan:
         for name, n_max in ENUMERATION_CASES:
             g = _case_graph(request, name)
             enumerate_measure(g, spanning_tree_frame(g), n_max)
-        assert len(soup._PLANS) == len(ENUMERATION_CASES)
-        for plan in soup._PLANS.values():
+        assert len(_plans()) == len(ENUMERATION_CASES)
+        for plan in _plans().values():
             arrays = [plan.order, plan.number]
             arrays += [a for i, e, s, _, h in plan.steps for a in (i, e, s, h)]
             assert all(a.dtype == np.int32 for a in arrays)
@@ -285,19 +291,23 @@ class TestEnumerationPlan:
     def test_cache_holds_at_most_its_entries(self, request, built,
                                              monkeypatch, budget):
         if budget is not None:
-            monkeypatch.setattr(soup, "_PLAN_ENTRIES", budget)
+            monkeypatch.setattr(_memo, "_BUDGET", budget)
         recent = []
         for name, n_max in ENUMERATION_CASES * 2:
             g = _case_graph(request, name)
             frame = spanning_tree_frame(g)
             enumerate_measure(g, frame, n_max)
             key = (g.neighbors, frame.cogenerators, n_max)
-            if key in soup._PLANS:  # a plan over the budget is not kept
+            plans = list(_plans())
+            if key in plans:  # a plan over the budget is not kept
                 recent = [k for k in recent if k != key] + [key]
-            held = sum(p.entries for p in soup._PLANS.values())
-            assert held <= soup._PLAN_ENTRIES
+                assert _memo._STORE[(soup._build_plan, *key)][1] == \
+                    _memo._entries(key, _plans()[key].entries)
+            # the store holds other kinds too, under the same budget
+            held = [entries for _, entries in _memo._STORE.values()]
+            assert _memo._held == sum(held) <= _memo._BUDGET
             # the plans kept are the most recently used ones, in order
-            assert list(soup._PLANS) == recent[len(recent) - len(soup._PLANS):]
+            assert plans == recent[len(recent) - len(plans):]
         if budget is None:
             assert len(built) == len(ENUMERATION_CASES)
         else:
@@ -307,13 +317,13 @@ class TestEnumerationPlan:
                                                     monkeypatch):
         frame = spanning_tree_frame(petersen)
         want = enumerate_measure(petersen, frame, 8).masses
-        monkeypatch.setattr(soup, "_PLANS", OrderedDict())
-        monkeypatch.setattr(soup, "_PLAN_ENTRIES", 1000)
+        _memo.clear()
+        monkeypatch.setattr(_memo, "_BUDGET", 1000)
         for _ in range(2):
             got = enumerate_measure(petersen, frame, 8).masses
             assert [m.hex() for m in got.values()] == \
                 [m.hex() for m in want.values()]
-            assert not soup._PLANS
+            assert not _plans()
         assert built == [8, 8, 8]
 
     def test_calls_return_distinct_dicts(self, bowtie, built):
@@ -332,7 +342,7 @@ class TestEnumerationPlan:
         assert enumerate_measure(k4, frame, 5).masses
         with pytest.raises(ConfigError, match="n_max=9 on 4 vertices"):
             enumerate_measure(k4, frame, 9)
-        assert list(soup._PLANS) == [(k4.neighbors, frame.cogenerators, 5)]
+        assert list(_plans()) == [(k4.neighbors, frame.cogenerators, 5)]
 
 
 class TestConfig:

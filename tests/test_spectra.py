@@ -33,7 +33,7 @@ from loopsoup import (
 )
 from loopsoup import spectra
 from loopsoup.cli import main
-from loopsoup.freegroup import GeodesicClass, _geodesic_class_words, _Words
+from loopsoup.freegroup import GeodesicClass, _class_words, _Words
 from loopsoup.graphs import _adjacency
 
 SQRT5 = math.sqrt(5.0)
@@ -260,7 +260,7 @@ class TestClassTable:
             g = _family(name, seed)
             frame = spanning_tree_frame(g)
             rho = solve_rho(g, s)
-            words = _geodesic_class_words(frame.rank, max_len)
+            words = _class_words(frame.rank, max_len).words
             table = spectra._class_intensities(g, frame, words, rho)
             classes = enumerate_geodesic_classes(frame.rank, max_len)
             assert len(table) == len(classes)
@@ -289,7 +289,7 @@ class TestClassTable:
             g = _family(name, seed)
             frame = spanning_tree_frame(g)
             em = enumerate_measure(g, frame, n_max)
-            words = _geodesic_class_words(frame.rank, max_len)
+            words = _class_words(frame.rank, max_len).words
             table = spectra._class_intensities(g, frame, words,
                                                solve_rho(g, 1.0))
             classes = enumerate_geodesic_classes(frame.rank, max_len)
