@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .soup import (MeasureConfig, dumps_soup, enumerate_measure, occupation,
                    sample_soup, spectral_radius, total_mass)
 from .spectra import (_class_intensities, contractible_intensity, ihara_check,
                       solve_rho)
-from .fourier import _homology1_values, _homology2_values
+from .fourier import _check_blocks, _homology1_values, _homology2_values
 from . import __version__
 
 
@@ -169,6 +168,7 @@ def cmd_h2(args) -> None:
         if len(ms[0]) != q:
             raise ConfigError(f"--m needs {q} entries (pairs i<j in lex order)")
     else:
+        _check_blocks(args.p, frame.rank)  # before the p^q rows are listed
         ms = list(np.ndindex(*([args.p] * q)))
     pairs = [(i, j) for i in range(1, frame.rank + 1) for j in range(i + 1, frame.rank + 1)]
     vals, M, bound = _homology2_values(g, frame, [dict(zip(pairs, m)) for m in ms], args.p,

@@ -776,24 +776,25 @@ def _heisenberg_blocks(p: int, r: int, lo: int,
     return tuple(out)
 
 
-@memo(lambda total: 1)
 def _block_points(p: int, r: int, m: int) -> int:
-    """The points at which _heisenberg_traces eigensolves on the m-grid:
-    min(m, 2d+1)^r for each Schrodinger block of size d = p^k, of which a
-    skew h with 2h mod p of rank 2k has p^(r-2k). Counted only up to just
-    past _GRID_POINTS, from the Darboux ranks alone: no block is built.
-    Memoized (see _memo), since a run of queries repeats a few (p, r, m)."""
-    total = 0
-    pairs = list(itertools.combinations(range(r), 2))
-    for h in itertools.product(range(p), repeat=len(pairs)):
-        b = [[0] * r for _ in range(r)]
-        for (i, j), x in zip(pairs, h):
-            b[i][j], b[j][i] = 2 * x % p, -2 * x % p
-        k = _darboux(b, p)[2]
-        total += p ** (r - 2 * k) * min(m, 2 * p ** k + 1) ** r
-        if total > _GRID_POINTS:
-            break
-    return total
+    """The points at which _heisenberg_traces eigensolves on the m-grid,
+    min(m, 2d+1)^r per Schrodinger block of size d = p^k. A skew h with 2h
+    mod p of rank 2k has p^(r-2k) of them, and for odd p such h number the
+    alternating r x r forms of rank 2k over F_p (MacWilliams 1969):
+    p^(k(k-1)) prod_{i<2k} (p^(r-i) - 1) / prod_{i=1..k} (p^(2i) - 1)."""
+    return sum(p ** (k * (k - 1)) * math.prod(p ** (r - i) - 1 for i in range(2 * k))
+               // math.prod(p ** (2 * i) - 1 for i in range(1, k + 1))
+               * p ** (r - 2 * k) * min(m, 2 * p ** k + 1) ** r for k in range(r // 2 + 1))
+
+
+def _check_blocks(p: int, r: int) -> None:
+    """_check_prime, then ConfigError past _GRID_POINTS Schrodinger blocks
+    of all skew h mod p at rank r, each eigensolved at one point at least."""
+    _check_prime(p)
+    blocks = _block_points(p, r, 1)
+    if blocks > _GRID_POINTS:
+        raise ConfigError(f"p={p}: {blocks} Schrodinger blocks at rank {r}, over "
+                          f"the budget of {_GRID_POINTS} points")
 
 
 def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
@@ -836,6 +837,8 @@ def _homology2_values(g: GraphModel, frame: SpanningTreeFrame, ms: Sequence, p: 
     pairs = list(itertools.combinations(range(r), 2))  # lex order, as in _skew_grid
     at = [tuple(2 * h[i][j] % p for i, j in pairs)
           for h in (_check_skew(m, r, p) for m in ms)]
+    if not field:  # the field's grid budget counts a point per block at least
+        _check_blocks(p, r)
     M, bound = _grid_size(g, frame, M, np.zeros(r), alpha, p) if field else (M, None)
     s = _heisenberg_traces(g, frame, p, M if field else None).mean(axis=1)
     f, what, scale = ((np.exp(alpha * (s - s[0])), "field law", 1.0) if field

@@ -10,8 +10,8 @@ a tailless non-backtracking closed walk.
 
 Collapsing the tree leaves the rose: one vertex with a loop edge per
 generator. A class word is a geodesic loop of the rose, so one generator of
-tailless closed non-backtracking walks (_closed_walks) enumerates both the
-class words and the geodesic loops of the graph.
+tailless closed non-backtracking walks on an oriented-edge table (_closed_walks
+on graphs._EdgeTable) enumerates both the class words and the geodesic loops.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ._memo import memo, memoized
 from .errors import ConfigError, ValidationError
-from .graphs import GraphModel, SpanningTreeFrame, _adjacency
+from .graphs import GraphModel, SpanningTreeFrame, _EdgeTable, _expand
 
 Word = tuple[int, ...]
 
@@ -411,63 +411,47 @@ def _check_loop_walks(counts: Iterable[float], max_len: int) -> None:
                  f"{_WALK_LETTERS} steps of non-backtracking walks")
 
 
-def _walk_counts(tail: np.ndarray, head: np.ndarray, reverse: np.ndarray,
-                 max_len: int) -> Iterator[float]:
+def _walk_counts(edges: _EdgeTable, max_len: int) -> Iterator[float]:
     """The number of non-backtracking walks of k = 1..max_len steps on the
-    oriented edges of _closed_walks. The walks of k + 1 steps that end with
-    edge i are those of k steps that end at tail[i], less the one that ends
-    with reverse[i]."""
-    n = int(tail[-1]) + 1 if tail.size else 0
-    ending = np.ones(tail.size)
+    oriented edges of a table, B applied without building its succ: the
+    walks of k + 1 steps that end with edge i are those of k steps that
+    end at tail[i], less the one that ends with reverse[i]."""
+    n = edges.first.size - 1
+    ending = np.ones(edges.head.size)
     for _ in range(max_len):
         yield ending.sum()
-        ending = np.bincount(head, ending, n)[tail] - ending[reverse]
+        ending = np.bincount(edges.head, ending, n)[edges.tail] - ending[edges.reverse]
 
 
-def _closed_walks(tail: np.ndarray, head: np.ndarray, reverse: np.ndarray,
-                  max_len: int) -> _Words:
+def _closed_walks(edges: _EdgeTable, max_len: int) -> _Words:
     """The tailless closed non-backtracking walks of 1..max_len steps that
-    are their own least rotation, on the oriented edges i from tail[i] to
-    head[i], sorted by tail, where reverse[i] is the reverse of edge i: a
-    flat table (as in _tuples) of edge indices, sorted by (length, edge
+    are their own least rotation, on the oriented edges of a table: a flat
+    table (as in _tuples) of edge indices, sorted by (length, edge
     sequence), with their multiplicities.
 
     The walks grow as arrays, one step at a time, each by its successors
-    in ascending order, so the walks of each length stay sorted. They keep
-    to the edges whose head is at least the tail of their first edge: a
-    least rotation starts at the least vertex. A walk closes when its next
-    step returns to the tail of its first edge and is not the reverse of
-    that edge (no tail). Edge i enters _rotations as the letter i + 1,
-    which no other letter cancels. The callers check the walks' budget
-    first.
+    under B in ascending order, so the walks of each length stay sorted.
+    They keep to the edges whose head is at least the tail of their first
+    edge: a least rotation starts at the least vertex. A walk closes when
+    its next step returns to the tail of its first edge and is not the
+    reverse of that edge (no tail). Edge i enters _rotations as the letter
+    i + 1, which no other letter cancels. The callers check the walks'
+    budget first.
     """
-    n = int(tail[-1]) + 1 if tail.size else 0
+    tail, head = edges.tail, edges.head
     empty = np.zeros(0, dtype=np.intp)
     if max_len < 1:
         return _Words(empty, empty, empty)
     first = np.flatnonzero(head >= tail)
-    walks, start, back = first[:, None], tail[first], reverse[first]
+    walks, start, back = first[:, None], tail[first], edges.reverse[first]
     grown = [walks[(head[first] == start) & (first != back)]]
-    if max_len > 1:
-        # the edges out of each vertex, ascending, padded with the edge
-        # count, whose head -1 no walk may take; an edge's successors are
-        # those out of its head but its reverse, and reach holds their heads
-        degree = np.bincount(tail, minlength=n)
-        width = int(degree.max(initial=1))
-        out = np.full((n, width), tail.size, dtype=np.intp)
-        edges = np.arange(tail.size)
-        out[tail, edges - (np.cumsum(degree) - degree)[tail]] = edges
-        succ = out[head]
-        succ = succ[succ != reverse[:, None]].reshape(tail.size, width - 1)
-        reach = np.append(head, -1)[succ]
     for k in range(2, max_len + 1):
-        last = walks[:, -1]
-        heads = reach[last]
-        ok = heads >= start[:, None]
-        i, j = np.nonzero(ok)
-        to = succ[last[i], j]
+        i, j = _expand(edges.succ_first, walks[:, -1])
+        to = edges.succ[j]
+        ok = head[to] >= start[i]
+        i, to = i[ok], to[ok]
         start, back = start[i], back[i]
-        shut = (heads[ok] == start) & (to != back)
+        shut = (head[to] == start) & (to != back)
         if k == max_len or not i.size:
             grown.append(np.concatenate((walks[i[shut]], to[shut, None]), 1))
             break
@@ -506,7 +490,7 @@ def _build_class_words(rank: int, max_len: int) -> _ClassWords:
                         dtype=np.intp)
     edges = np.arange(2 * rank)
     rose = np.zeros_like(edges)
-    words = _closed_walks(rose, rose, edges ^ 1, max_len)
+    words = _closed_walks(_EdgeTable(rose, rose, edges ^ 1, 1), max_len)
     words = words._replace(letters=alphabet[words.letters])
     for a in words:
         a.flags.writeable = False
@@ -555,19 +539,17 @@ def _geodesic_loops(g: GraphModel, max_len: int) -> _Words:
     _tuples) of canonical cyclic vertex sequences, with their
     multiplicities, sorted by (length, sequence).
 
-    _closed_walks grows them on the oriented edges of g in CSR order, by
-    tail, then head, so that the edge sequences and the vertex sequences
-    of their tails sort alike. ConfigError, before any walk is grown, when
+    _closed_walks grows them on g's edge table, ordered by tail, then
+    head, so that the edge sequences and the vertex sequences of their
+    tails sort alike. ConfigError, before any walk is grown, when
     the non-backtracking walks of every length k <= max_len, k steps each,
     would exceed _WALK_LETTERS steps in all (sum_k k n d (d-1)^(k-1) on n
     vertices of degree d).
     """
-    _, heads, tails = _adjacency(g)
-    reverse = np.empty_like(heads)
-    reverse[np.lexsort((tails, heads))] = np.arange(heads.size)
-    _check_loop_walks(_walk_counts(tails, heads, reverse, max_len), max_len)
-    loops = _closed_walks(tails, heads, reverse, max_len)
-    return loops._replace(letters=tails[loops.letters])
+    edges = g._oriented
+    _check_loop_walks(_walk_counts(edges, max_len), max_len)
+    loops = _closed_walks(edges, max_len)
+    return loops._replace(letters=edges.tail[loops.letters])
 
 
 def enumerate_geodesic_loops(g: GraphModel, max_len: int) -> list[tuple[int, ...]]:

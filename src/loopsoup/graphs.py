@@ -76,6 +76,13 @@ class GraphModel:
             p[v, u] = c / self.lam[v]
         return p
 
+    @cached_property
+    def _oriented(self) -> _EdgeTable:
+        """The _EdgeTable; sorted by head, then tail, edges list their reverses."""
+        head = np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp)
+        tail = np.repeat(np.arange(self.num_vertices), [len(a) for a in self.neighbors])
+        return _EdgeTable(tail, head, np.lexsort((tail, head)), self.num_vertices)
+
     def weight(self, u: int, v: int) -> float:
         return self.conductance[_normalize_edge(u, v)]
 
@@ -83,20 +90,36 @@ class GraphModel:
         return len(self.neighbors[x])
 
 
-def _adjacency(g: GraphModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The oriented edges in CSR form, ordered by tail, then head: the
-    neighbours of v, ascending, are heads[first[v]:first[v + 1]], and
-    tails[i] is the tail of edge i."""
-    first = np.zeros(g.num_vertices + 1, dtype=np.intp)
-    np.cumsum([len(a) for a in g.neighbors], out=first[1:])
-    heads = np.fromiter(chain.from_iterable(g.neighbors), dtype=np.intp,
-                        count=first[-1])
-    return first, heads, np.repeat(np.arange(g.num_vertices), np.diff(first))
+class _EdgeTable:
+    """The oriented edges of a graph, given sorted by tail, as read-only
+    arrays in CSR order: edge i runs from tail[i] to head[i], the edges
+    out of v are first[v]:first[v + 1], ascending in head, and reverse[i]
+    runs from head[i] to tail[i]. succ_first and succ hold the
+    non-backtracking successor operator B (Hashimoto's) in CSR form: the
+    successors of i, succ[succ_first[i]:succ_first[i + 1]], are the edges
+    out of head[i] but reverse[i], ascending. succ, sum_v deg(v)(deg(v) - 1)
+    entries, is built on first use: the walk budget and plans skip it."""
+
+    def __init__(self, tail: np.ndarray, head: np.ndarray, reverse: np.ndarray,
+                 num_vertices: int):
+        degree = np.bincount(tail, minlength=num_vertices)
+        self.first = np.concatenate(([0], np.cumsum(degree)))
+        self.head, self.tail, self.reverse = head, tail, reverse
+        self.succ_first = np.concatenate(([0], np.cumsum(degree[head] - 1)))
+        for a in (self.first, head, tail, reverse, self.succ_first):
+            a.flags.writeable = False
+
+    @cached_property
+    def succ(self) -> np.ndarray:
+        rows, cols = _expand(self.first, self.head)
+        succ = cols[cols != self.reverse[rows]]
+        succ.flags.writeable = False
+        return succ
 
 
 def _expand(first: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One step from every vertex of at to each of its neighbours, in
-    order: the position in at and the CSR index of each step."""
+    """One step from every row of at (a vertex, or an edge under B) to each
+    of its CSR entries, in order: the position in at and the index of each."""
     count = first[at + 1] - first[at]
     src = np.repeat(np.arange(at.size), count)
     offset = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)

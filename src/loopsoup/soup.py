@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -25,10 +25,9 @@ from scipy.sparse.csgraph import shortest_path
 
 from ._memo import memoized
 from .errors import ConfigError, NumericError, ValidationError
-from .freegroup import (TRIVIAL, BasedLoop, GeodesicClass, _canonical_words,
-                        _row_prefixes, canonical_class, loop_to_word,
-                        multiplicity)
-from .graphs import GraphModel, SpanningTreeFrame, _adjacency, _expand
+from .freegroup import (BasedLoop, GeodesicClass, _canonical_words,
+                        _row_prefixes, multiplicity)
+from .graphs import GraphModel, SpanningTreeFrame, _expand
 from .signature import homology1
 
 # The most float64 entries that the sampler's table of matrix powers, or the
@@ -104,7 +103,7 @@ def _hop_distances(g: GraphModel) -> np.ndarray:
     """Hop distance between every two vertices: scipy's unweighted shortest
     paths on the CSR adjacency. build_graph has proved the graph connected,
     so every distance is finite."""
-    first, heads, _ = _adjacency(g)
+    first, heads = g._oriented.first, g._oriented.head
     n = g.num_vertices
     hops = sparse.csr_array((np.ones(heads.size), heads, first), shape=(n, n))
     return shortest_path(hops, unweighted=True).astype(int)
@@ -252,7 +251,8 @@ def _build_plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
     counted before pruning), would exceed _ENUMERATION_ENTRIES.
     """
     n_v = g.num_vertices
-    first, heads, tails = _adjacency(g)
+    table = g._oriented
+    first, heads, tails = table.first, table.head, table.tail
     degree = np.diff(first)
     letters = np.array([frame.crossing(x, y)
                         for x, y in zip(tails.tolist(), heads.tolist())],
@@ -387,12 +387,6 @@ class SampledSoup:
     """One Poisson draw: the sampled loops."""
 
     loops: tuple[BasedLoop, ...]
-
-    def class_counts(self, frame: SpanningTreeFrame) -> Counter:
-        c: Counter = Counter()
-        for l in self.loops:
-            c[canonical_class(loop_to_word(l, frame))] += 1
-        return c
 
     def total_winding(self, frame: SpanningTreeFrame) -> tuple[int, ...]:
         total = [0] * frame.rank

@@ -76,7 +76,7 @@ from ._memo import memoized
 from .errors import NumericError, ValidationError
 from .freegroup import (GeodesicClass, _check_letters, _check_loop_walks,
                         _geodesic_loops, _Words)
-from .graphs import GraphModel, SpanningTreeFrame, _adjacency, _expand
+from .graphs import GraphModel, SpanningTreeFrame
 
 # Newton stops once no entry moves by more than this fraction of max rho.
 _STEP = 1e-13
@@ -139,29 +139,27 @@ def _slot_sums(hi: np.ndarray, lo: np.ndarray, slots, size: int):
 
 
 class _EdgeSystem:
-    """The excursion fixed point of one graph on its oriented edges (x, y),
-    ordered by x, then y. Built per call, never stored on the graph."""
+    """The excursion fixed point of one graph on the oriented edges (x, y) of
+    its edge table, with weights built per call, never stored on the graph."""
 
     def __init__(self, g: GraphModel):
         n = g.num_vertices
         self.num_vertices = n
-        first, head, tail = _adjacency(g)
+        edges = g._oriented
+        head, tail = edges.head, edges.tail
         self.size = m = head.size
         p = g.transition
         self.tail = tail
         self.weight = p[tail, head] * p[head, tail]
         self._vertex_weight = np.bincount(tail, weights=self.weight,
                                           minlength=n)
-        # B in row order, as (row, column, value) triples. The candidate
-        # successors of (x, y) are the edges out of y; (y, x) is dropped.
-        rows, cols = _expand(first, head)
-        keep = head[cols] != tail[rows]
-        self._rows, self._cols = rows[keep], cols[keep]
+        # B in row order, as (row, column, value) triples
+        count = np.diff(edges.succ_first)
+        self._rows, self._cols = np.repeat(np.arange(m), count), edges.succ
         self._coef = self.weight[self._cols]
         self._coef_split = _split(self._coef)
-        # the successors of each row, for the compensated row sums of the
-        # residual
-        self._slots = _slots(np.bincount(self._rows, minlength=m))
+        # the slots of B's rows, for the compensated row sums of the residual
+        self._slots = _slots(count)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B r."""
@@ -278,8 +276,8 @@ class RhoTable:
     """Excursion generating functions at a fixed step weight s, as
     read-only arrays.
 
-    edge[i] for the oriented edge i = (x, y) of graphs._adjacency, ordered
-    by x, then y: excursions from y avoiding x on the first step.
+    edge[i] for the oriented edge i = (x, y) of GraphModel._oriented,
+    ordered by x, then y: excursions from y avoiding x on the first step.
     vertex[x]: unrestricted excursions from x, inf where that series
     diverges or sits on its boundary (the unkilled triangle at s = 1, whose
     edge values are the finite double root 2). residual is max |F(rho) -
@@ -348,8 +346,7 @@ def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
     if not lengths.size:
         return np.zeros(0)
     p, n = g.transition, g.num_vertices
-    _, heads, tails = _adjacency(g)
-    keys = tails * n + heads
+    keys = g._oriented.tail * n + g._oriented.head
 
     def steps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return p[x, y] * rho.edge[np.searchsorted(keys, x * n + y)]
@@ -469,10 +466,10 @@ def _tree_mass(g: GraphModel, edge: np.ndarray) -> tuple[float, float]:
     fixed point. NumericError if a gap is not positive: the table is then
     critical to within rounding.
     """
-    n = g.num_vertices
-    first, head, tail = _adjacency(g)
+    edges = g._oriented
+    first, head, tail = edges.first, edges.head, edges.tail
     p = g.transition
-    back = edge[np.searchsorted(tail * n + head, head * n + tail)]
+    back = edge[edges.reverse]
     w_hi, w_lo = _two_prod(p[tail, head], p[head, tail])
     t_hi, t_lo = _two_prod(w_hi, edge)
     t_lo = t_lo + w_lo * edge
@@ -480,7 +477,7 @@ def _tree_mass(g: GraphModel, edge: np.ndarray) -> tuple[float, float]:
     b, b_err = _two_sum(1.0, -a_hi)
     edge_gap = b + (b_err - (a_lo + t_lo * back))
     degree = np.diff(first)
-    sum_hi, sum_lo = _slot_sums(t_hi, t_lo, _slots(degree), n)
+    sum_hi, sum_lo = _slot_sums(t_hi, t_lo, _slots(degree), degree.size)
     b, b_err = _two_sum(1.0, -sum_hi)
     gap = b + (b_err - sum_lo)
     if not ((gap > 0).all() and (edge_gap > 0).all()):

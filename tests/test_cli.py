@@ -509,6 +509,29 @@ class TestH2:
             assert main(["h2", str(p), "--p", "3", *flags]) == want
             assert "over the budget of 65536 points" in capsys.readouterr().err
 
+    def test_blocks_over_the_budget_exit_4(self, capsys, k4_path):
+        # K4 at p = 17 splits its twists into 88 417 Schrodinger blocks,
+        # refused before a row or a block is built: the intensity with and
+        # without --m, and the field law without --m, before its rows
+        for flags in ((), ("--m", "0,0,0"), ("--field",)):
+            assert main(["h2", k4_path, "--p", "17", *flags]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "config error: p=17: 88417 Schrodinger blocks at rank 3, over "
+                "the budget of 65536 points"]
+
+    def test_field_with_m_keeps_its_grid_budget(self, capsys, k4_path):
+        # with --m the field law is checked as before: the count of m's
+        # entries first, then its own grid budget, which covers the blocks'
+        # budget
+        for flags, want in ((("--m", "0,0"), 4), (("--m", "0,0,0"), 3),
+                            (("--m", "0,0,0", "--M", "1"), 2)):
+            assert main(["h2", k4_path, "--p", "17", "--field", *flags]) == want
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Schrodinger blocks" not in captured.err
+
     def test_composite_p_exits_2(self, capsys, bow_path):
         code, _ = run_cli(capsys, "h2", bow_path, "--p", "6")
         assert code == 2

@@ -4,6 +4,7 @@ holonomy, and the mod-p nilpotent layer for second homology.
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -1207,6 +1208,40 @@ class TestHomology2GridSize:
             fourier._homology2_values(g, frame, [{}], 3, 1.0, True)
         with pytest.raises(ConfigError, match="M=16"):
             fourier._homology2_values(g, frame, [{}], 3, 1.0, True, 16)
+
+    @pytest.mark.parametrize("p, ranks", [(3, range(5)), (5, range(5)),
+                                          (7, range(4))])
+    def test_block_points_match_the_darboux_count(self, p, ranks):
+        # the closed form against the rank of every 2h mod p, found by
+        # symplectic Gram-Schmidt, each rank 2k giving p^(r-2k) blocks of
+        # size p^k
+        for r in ranks:
+            pairs = list(itertools.combinations(range(r), 2))
+            ranks_of = Counter()
+            for h in itertools.product(range(p), repeat=len(pairs)):
+                b = [[0] * r for _ in range(r)]
+                for (i, j), x in zip(pairs, h):
+                    b[i][j], b[j][i] = 2 * x % p, -2 * x % p
+                ranks_of[fourier._darboux(b, p)[2]] += 1
+            for m in (1, 2, 3, 4, 8, 16, 64):
+                assert fourier._block_points(p, r, m) == sum(
+                    count * p ** (r - 2 * k) * min(m, 2 * p ** k + 1) ** r
+                    for k, count in ranks_of.items()), (r, m)
+
+    def test_block_budget_of_the_intensity(self, k4, k4_frame):
+        # one point per block: the bowtie at p = 101 is inside the budget,
+        # K4 at p = 17 (17^3 blocks at h = 0, 17 for each of the other
+        # 17^3 - 1) is not, and is refused before any row is read
+        assert fourier._block_points(101, 2, 1) == 101 ** 2 + 100 == 10301
+        assert fourier._block_points(17, 3, 1) == 17 ** 3 + 17 * (17 ** 3 - 1)
+        fourier._check_blocks(101, 2)
+        from loopsoup import ConfigError
+        with pytest.raises(ConfigError, match="p=17: 88417 Schrodinger blocks"):
+            homology2_intensity(k4, k4_frame, {}, 17)
+        # a malformed m is found first, on both paths
+        for field in (False, True):
+            with pytest.raises(ValidationError, match="3x3"):
+                fourier._homology2_values(k4, k4_frame, [[[0]]], 17, 1.0, field)
 
     def test_explicit_grid_over_the_budget_is_a_config_error(self, k4, k4_frame):
         from loopsoup import ConfigError

@@ -32,7 +32,7 @@ from loopsoup import _memo, freegroup
 from loopsoup.freegroup import (_canonical_words, _class_words,
                                 geodesic_reduce,
                                 _geodesic_loops, _letter_key, _reduce_cycle,
-                                _rotations, _tuples)
+                                _rotations, _tuples, _walk_counts)
 
 
 def recursive_classes(rank, max_len):
@@ -485,3 +485,45 @@ class TestLoops:
             if 0 < len(rep) <= 5:
                 from_classes.add(rep)
         assert set(loops) == from_classes
+
+
+def brute_walk_counts(g, max_len):
+    """Non-backtracking walks of 1..max_len steps, counted by extending
+    every walk by every neighbour of its end but the vertex it came from."""
+    walks = [(x, y) for x in range(g.num_vertices) for y in g.neighbors[x]]
+    counts = []
+    for _ in range(max_len):
+        counts.append(len(walks))
+        walks = [w + (z,) for w in walks for z in g.neighbors[w[-1]]
+                 if z != w[-2]]
+    return counts
+
+
+class TestWalkCounts:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_against_brute_force(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 7)
+        edges = {(rng.randrange(y), y) for y in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(seed)}
+        g = build_graph(n, [(u, v, 1.0) for u, v in edges], 1.0)
+        assert list(_walk_counts(g._oriented, 6)) == brute_walk_counts(g, 6)
+
+    @pytest.mark.parametrize("graph", ["triangle", "k4", "petersen"])
+    def test_regular_graphs(self, request, graph):
+        # n d (d-1)^(k-1) walks of k steps on n vertices of degree d
+        g = request.getfixturevalue(graph)
+        n, d = g.num_vertices, g.degree(0)
+        assert list(_walk_counts(g._oriented, 9)) == [
+            n * d * (d - 1) ** (k - 1) for k in range(1, 10)]
+
+    def test_budget_builds_no_successors(self, monkeypatch):
+        # the star's centre has 300 * 299 successor pairs; the walk budget
+        # counts them through the reverse map, and loops of one step need
+        # no successor, so neither builds B's successor list
+        star = build_graph(301, [(0, v, 1.0) for v in range(1, 301)], 1.0)
+        monkeypatch.setattr(freegroup, "_WALK_LETTERS", 1000)
+        with pytest.raises(ConfigError, match="up to length 2"):
+            enumerate_geodesic_loops(star, 2)
+        assert enumerate_geodesic_loops(star, 1) == []
+        assert "succ" not in vars(star._oriented)

@@ -1,6 +1,7 @@
 """Graph construction, validation, spanning-tree frames."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from loopsoup import (
     parse_graph,
     spanning_tree_frame,
 )
+from loopsoup.graphs import _EdgeTable
 
 
 class TestBuildGraph:
@@ -177,3 +179,58 @@ kappa 2 1.0
     def test_rejects_missing_vertices_line(self):
         with pytest.raises(ValidationError):
             parse_graph("edge 0 1 1.0\n")
+
+
+def _random_connected(rng, n, extra):
+    """A random spanning tree on n vertices (parents drawn at random, so
+    degrees vary and leaves hang off it) plus up to extra other edges."""
+    edges = {(rng.randrange(y), y) for y in range(1, n)}
+    for _ in range(extra):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return build_graph(n, [(u, v, 1.0) for u, v in edges], 0.5)
+
+
+class TestEdgeTable:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_against_brute_force(self, seed):
+        rng = random.Random(seed)
+        graphs = [build_graph(1, [], 1.0)]
+        graphs += [_random_connected(rng, rng.randint(2, 9), extra)
+                   for extra in (0, 1, rng.randint(2, 12))]
+        for g in graphs:
+            t = g._oriented
+            assert g._oriented is t
+            assert "succ" not in vars(t)  # built on first use only
+            m = t.head.size
+            assert m == 2 * len(g.edges)
+            assert t.first.tolist() == np.cumsum(
+                [0] + [g.degree(x) for x in range(g.num_vertices)]).tolist()
+            for x in range(g.num_vertices):
+                sl = slice(t.first[x], t.first[x + 1])
+                assert t.head[sl].tolist() == list(g.neighbors[x])
+                assert (t.tail[sl] == x).all()
+            assert (t.reverse[t.reverse] == np.arange(m)).all()
+            assert (t.tail[t.reverse] == t.head).all()
+            assert (t.head[t.reverse] == t.tail).all()
+            succ = [j for i in range(m) for j in range(m)
+                    if t.tail[j] == t.head[i] and j != t.reverse[i]]
+            count = [sum(t.tail[j] == t.head[i] for j in range(m)) - 1
+                     for i in range(m)]
+            assert t.succ.tolist() == succ
+            assert t.succ_first.tolist() == np.cumsum([0] + count).tolist()
+            for a in (t.first, t.head, t.tail, t.reverse, t.succ_first, t.succ):
+                assert not a.flags.writeable
+
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_rose(self, rank):
+        # one vertex and a loop edge per generator: letter 2i + 1 reverses
+        # letter 2i, and every letter may follow any but its reverse
+        edges = np.arange(2 * rank)
+        rose = np.zeros_like(edges)
+        t = _EdgeTable(rose, rose, edges ^ 1, 1)
+        assert t.first.tolist() == [0, 2 * rank]
+        assert t.succ.tolist() == [j for i in range(2 * rank)
+                                   for j in range(2 * rank) if j != i ^ 1]
+        assert t.succ_first.tolist() == [i * (2 * rank - 1)
+                                         for i in range(2 * rank + 1)]

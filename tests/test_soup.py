@@ -247,6 +247,15 @@ class TestEnumerationPlan:
         monkeypatch.setattr(soup, "_build_plan", counted)
         return out
 
+    def test_plan_builds_no_successors(self, built):
+        # the plan and the hop distances read the edge table's CSR layout
+        # only, never B's successor list
+        g = build_graph(5, [(u, v, 1.0) for u in range(5)
+                            for v in range(u + 1, 5)], 0.5)
+        enumerate_measure(g, spanning_tree_frame(g), 4)
+        assert built == [4]
+        assert "succ" not in vars(g._oriented)
+
     @pytest.mark.parametrize("name,n_max", ENUMERATION_CASES)
     def test_hit_on_new_weights_is_bitwise_dict_dp(self, request, built,
                                                    name, n_max):

@@ -34,7 +34,6 @@ from loopsoup import (
 from loopsoup import spectra
 from loopsoup.cli import main
 from loopsoup.freegroup import GeodesicClass, _class_words, _Words
-from loopsoup.graphs import _adjacency
 
 SQRT5 = math.sqrt(5.0)
 # The trivial-class mass of the triangle with killing 1e-9 at one vertex,
@@ -131,11 +130,10 @@ class TestSolveRho:
         assert rt.residual == 0.0
 
     def test_tables_are_read_only_arrays(self, bowtie):
-        # one edge value per oriented edge in _adjacency order, where the
+        # one edge value per oriented edge in the edge table's order, where the
         # edge system's residual reads them
         rt = solve_rho(bowtie, 0.5)
-        _, heads, tails = _adjacency(bowtie)
-        assert rt.edge.shape == heads.shape
+        assert rt.edge.shape == bowtie._oriented.head.shape
         assert rt.vertex.shape == (bowtie.num_vertices,)
         for table in (rt.edge, rt.vertex):
             with pytest.raises(ValueError):
@@ -209,7 +207,7 @@ def stepwise_intensity(g, frame, cls, rho):
     the geodesic loop from geodesic_representative, over the multiplicity."""
     cycle = geodesic_representative(cls, frame)
     p = g.transition
-    _, heads, tails = _adjacency(g)
+    heads, tails = g._oriented.head, g._oriented.tail
     edge = dict(zip(zip(tails.tolist(), heads.tolist()), rho.edge.tolist()))
     prod = 1.0
     for i, x in enumerate(cycle):
@@ -645,14 +643,14 @@ class TestCriticalTables:
 
     def test_table_within_sqrt_u_of_the_double_root(self):
         # the cycle 0-1-2 plus the path 2-3-4, no killing; the exact fixed
-        # point is rational, in _adjacency order
+        # point is rational, in the edge table's order
         weighted = [(0, 1, "1.3"), (1, 2, "0.7"), (0, 2, "1.1"),
                     (2, 3, "0.9"), (3, 4, "1.6")]
         exact = [Fraction(v) for v in ("20/13", "27/11", "24/13", "27/7",
                                        "24/11", "20/7", "25/9", "3", "1",
                                        "25/16")]
         g = build_graph(5, [(a, b, float(c)) for a, b, c in weighted], 0.0)
-        _, heads, tails = _adjacency(g)
+        heads, tails = g._oriented.head, g._oriented.tail
         index = {(x, y): i for i, (x, y)
                  in enumerate(zip(tails.tolist(), heads.tolist()))}
         lam = [Fraction(0)] * 5
