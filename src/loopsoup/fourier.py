@@ -42,11 +42,33 @@ _IMAG_TOL = 1e-10
 _MASSLESS = "massless/recurrent twist: det(I - {}) vanishes"
 
 
-def _assert_real(z: complex, what: str) -> float:
-    scale = max(1.0, abs(z))
-    if abs(z.imag) > _IMAG_TOL * scale:
-        raise NumericError(f"{what} has imaginary residue {z.imag:.3e}")
-    return float(z.real)
+def _certified(z: np.ndarray, scale: float | np.ndarray, field: bool,
+               what: str) -> np.ndarray:
+    """scale z.real, for a Fourier inversion z: the value policy of every law.
+    A residue above _IMAG_TOL max(1, |z|) in any entry of the unscaled z, or
+    a value below -1e-9, raises NumericError; probabilities are clamped to [0, 1]."""
+    residue = np.abs(z.imag)
+    # no entry fails unless the largest residue passes _IMAG_TOL: a cheap test first
+    if residue.max(initial=0.0) > _IMAG_TOL and np.any(
+            residue > _IMAG_TOL * np.maximum(1.0, np.abs(z))):
+        raise NumericError(f"{what} has imaginary residue {residue.max():.3e}")
+    vals = scale * z.real
+    low = vals.min(initial=0.0)
+    if low < -1e-9:
+        raise NumericError(f"{what} {low:.3e} is negative")
+    return np.minimum(np.maximum(vals, 0.0), 1.0) if field else vals
+
+
+def _law(t: np.ndarray, at: Sequence[tuple[int, ...]], alpha: float, field: bool,
+         what: str) -> list[float]:
+    """A law on a finite abelian group at the indices `at`, from T = -log
+    det(I - P twisted) at its characters, one axis per generator: alpha
+    times the loop measure, the FFT of T over its size, or with field the
+    soup's, of exp(alpha (T - T(0))); _certified over the whole group."""
+    f = np.exp(alpha * (t - t.flat[0])) if field else t
+    vals = _certified(np.fft.fftn(f) / f.size, 1.0 if field else alpha, field,
+                      f"{what} {'field law' if field else 'intensity'}")
+    return [float(vals[k]) for k in at]
 
 
 # Most complex entries in one stack of twisted matrices: a batch of any size
@@ -276,18 +298,9 @@ def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
     M, bound = _grid_size(g, frame, M, reach.max(axis=0, initial=0.0), alpha)
     if frame.rank == 0:
         return [1.0 if alpha is not None else total_mass(g) for _ in hs], M, bound
-    if alpha is not None:
-        # the determinant ratio is the characteristic function of the soup's
-        # winding: inverted, probabilities that sum to 1 exactly (k = 0 is 1)
-        grid = homology1_grid(g, frame, M)
-        probs = np.fft.fftn(np.exp(alpha * (grid.flat[0] - grid))) / grid.size
-        residue = float(np.max(np.abs(probs.imag)))
-        if residue > _IMAG_TOL:
-            raise NumericError(f"field law has imaginary residue {residue:.3e}")
-        return [float(probs.real[tuple(x % M for x in h)]) for h in hs], M, bound
-    spec = np.fft.fftn(homology1_grid(g, frame, M))
-    return [_assert_real(-spec[tuple(x % M for x in h)] / spec.size,
-                         "homology1 intensity") for h in hs], M, bound
+    field = alpha is not None
+    return _law(-homology1_grid(g, frame, M), [tuple(x % M for x in h) for h in hs],
+                alpha if field else 1.0, field, "homology1"), M, bound
 
 
 def homology1_intensity(g: GraphModel, frame: SpanningTreeFrame,
@@ -479,7 +492,8 @@ def holonomy_class_intensities(g: GraphModel,
     `connection` maps every oriented edge to a group element, the two
     orientations to mutually inverse ones. Each input is checked once (the
     irreps by group_data); the irreps of one dimension form one batch,
-    checked for reversal and evaluated in one call of the assembler.
+    checked for reversal and evaluated in one call of the assembler. The
+    classes are one product with the character table, then _certified.
     """
     _check_alpha(alpha)
     oriented = [(a, b) for u, v in g.edges for a, b in ((u, v), (v, u))]
@@ -491,22 +505,17 @@ def holonomy_class_intensities(g: GraphModel,
                 f"connection value {connection[e]!r} is not a group element")
     index = {e: i for i, e in enumerate(gd.elements)}
     at = [index[connection[e]] for e in oriented]
-    per_irrep = [(0, 0.0)] * len(gd.irreps)
+    traces = np.empty(len(gd.irreps))  # dim x holonomy_log_det = -log det, per irrep
     for d, (group, stack) in gd._stacks.items():
         mats = stack[:, at]
-        log_dets = _holonomy_log_dets(
+        traces[group] = d * _holonomy_log_dets(
             g, mats[:, 0::2], mats[:, 1::2],
             "connection on edge ({u},{v}) is not inverted by reversal")
-        for k, h in zip(group, log_dets.tolist()):
-            per_irrep[k] = (d, h)
-    out: dict[tuple, float] = {}
-    for i, cls in enumerate(gd.classes):
-        acc = 0.0 + 0.0j
-        for k, (dim, h) in enumerate(per_irrep):
-            acc += np.conj(gd.character(k, cls[0])) * dim * h
-        weight = alpha * len(cls) / gd.order
-        out[cls] = weight * _assert_real(acc, f"class intensity {cls!r}")
-    return out
+    table = np.array([gd._characters[cls[0]] for cls in gd.classes])
+    sizes = np.array([len(cls) for cls in gd.classes])
+    vals = _certified(table.conj() @ traces, alpha * sizes / gd.order, False,
+                      "class intensity")
+    return dict(zip(gd.classes, vals.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -841,13 +850,7 @@ def _homology2_values(g: GraphModel, frame: SpanningTreeFrame, ms: Sequence, p: 
         _check_blocks(p, r)
     M, bound = _grid_size(g, frame, M, np.zeros(r), alpha, p) if field else (M, None)
     s = _heisenberg_traces(g, frame, p, M if field else None).mean(axis=1)
-    f, what, scale = ((np.exp(alpha * (s - s[0])), "field law", 1.0) if field
-                      else (s, "intensity", alpha))
-    spec = np.fft.fftn(f.reshape((p,) * len(pairs))) / f.size
-    vals = [_assert_real(spec[k], f"homology2 {what}") * scale for k in at]
-    if min(vals, default=0.0) < -1e-9:
-        raise NumericError(f"homology2 {what} {min(vals):.3e} is negative")
-    return [min(max(v, 0.0), 1.0) for v in vals] if field else vals, M, bound
+    return _law(s.reshape((p,) * len(pairs)), at, alpha, field, "homology2"), M, bound
 
 
 def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
@@ -857,9 +860,11 @@ def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
 
     Inverse Fourier transform over skew matrices h mod p of the normalized
     Heisenberg-twisted log determinants; the pairing <m, h> is the full
-    skew sum, i.e. 2 sum_{i<j} m_ij h_ij. Choosing p beyond twice any
-    invariant value carrying mass removes the mod-p aliasing, which can be
-    certified by agreement between two such primes.
+    skew sum, i.e. 2 sum_{i<j} m_ij h_ij. The value is the law mod p: it
+    adds the mass of every invariant congruent to m, and of the loops whose
+    winding is a nonzero multiple of p. Choosing p beyond twice every
+    invariant that carries mass removes that aliasing, but no bound on it
+    is computed here; two primes that agree give evidence, not a bound.
     """
     return _homology2_values(g, frame, [m], p, alpha)[0][0]
 

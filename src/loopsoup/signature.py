@@ -240,13 +240,6 @@ def _dynkin(word: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted(terms.items()))
 
 
-def dynkin_bracket(word: Word) -> dict[Word, int]:
-    """Tensor expansion of the left bracketing of an index word."""
-    if not word:
-        raise ValidationError("cannot bracket the empty word")
-    return dict(_dynkin(tuple(word)))
-
-
 def dynkin_map(component: Mapping[Word, Fraction]) -> Component:
     """Apply the left-bracketing map termwise to a homogeneous component."""
     out: Component = {}
@@ -458,17 +451,6 @@ def currents(x, indices: Iterable[int],
     return f[m]
 
 
-def crossing_counts(x, frame: SpanningTreeFrame | None = None
-                    ) -> dict[int, tuple[int, int]]:
-    """Per generator: (forward crossings, backward crossings). The winding
-    number of generator i is the difference of the pair."""
-    out: dict[int, tuple[int, int]] = {}
-    for l in _crossing_seq(x, frame):
-        fwd, bwd = out.get(abs(l), (0, 0))
-        out[abs(l)] = (fwd + 1, bwd) if l > 0 else (fwd, bwd + 1)
-    return out
-
-
 def iterated_crossing_coefficient(x, word: Iterable[int],
                                   frame: SpanningTreeFrame | None = None
                                   ) -> Fraction:
@@ -504,7 +486,7 @@ def _infer_rank(x, frame: SpanningTreeFrame | None, rank: int | None) -> int:
         return frame.rank
     if rank is not None:
         return rank
-    return max((abs(l) for l in tuple(x)), default=0)
+    return max((abs(l) for l in _crossing_seq(x, None)), default=0)
 
 
 def homology1(x, frame: SpanningTreeFrame | None = None,

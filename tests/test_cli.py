@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loopsoup
@@ -380,6 +381,20 @@ class TestH1:
         lines = out.splitlines()
         assert lines[1] == "h1,h2,intensity"
         assert len(lines) == 2 + 9
+
+    def test_field_rows_stay_in_the_unit_interval(self, capsys, bow_path):
+        # the far windings of the unit bowtie are rounding noise around 0:
+        # on the 32-grid the unclamped inversion has entries below 0
+        g = loopsoup.load_graph(bow_path)
+        grid = -loopsoup.homology1_grid(g, loopsoup.spanning_tree_frame(g), 32)
+        assert (np.fft.fftn(np.exp(grid - grid.flat[0])).real / grid.size).min() < 0
+        code, out = run_cli(capsys, "h1", bow_path, "--field", "--h-range", "15",
+                            "--M", "32")
+        assert code == 0
+        probs = [float(row.split(",")[2]) for row in out.splitlines()[2:]]
+        assert len(probs) == 31 ** 2
+        assert min(probs) >= 0.0 and max(probs) <= 1.0
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_range_exits_4(self, capsys, tri_path):
         code, out = run_cli(capsys, "h1", tri_path, "--h-range", "-1")

@@ -1249,3 +1249,55 @@ class TestHomology2GridSize:
             homology2_field_law(k4, k4_frame, 1.0, {}, 3, M=41)
         with pytest.raises(ConfigError, match="M=41"):
             homology1_intensity(k4, k4_frame, (0, 0, 0), M=41)
+
+
+# the four abelian laws, each asked for the entry at index 0 only: h = 0 on
+# the triangle's 3-grid, m = 0 mod 5 on the bowtie (field grid of 2 points)
+_ABELIAN_LAWS = {
+    "h1 intensity": lambda tri, bow: homology1_intensity(*tri, (0,), M=3),
+    "h1 field law": lambda tri, bow: homology1_field_law(*tri, 1.0, (0,), M=3),
+    "h2 intensity": lambda tri, bow: homology2_intensity(*bow, {(1, 2): 0}, 5),
+    "h2 field law": lambda tri, bow: homology2_field_law(*bow, 1.0, {(1, 2): 0}, 5, M=2),
+}
+
+
+class TestValuePolicy:
+    """One policy turns every inversion into values: a residue or a value
+    below -1e-9 anywhere in the transform raises, probabilities are
+    clamped to [0, 1] and intensities are not."""
+
+    @pytest.mark.parametrize("name", list(_ABELIAN_LAWS))
+    def test_residue_off_the_requested_entry_raises(self, name, triangle, triangle_frame,
+                                                    bowtie, bowtie_frame, monkeypatch):
+        law = _ABELIAN_LAWS[name]
+        graphs = (triangle, triangle_frame), (bowtie, bowtie_frame)
+        law(*graphs)  # fine without the residue
+        fftn = np.fft.fftn
+
+        def with_residue(a, *args, **kwargs):
+            # 1e-9j on the last entry of the normalized transform, an index
+            # the query does not read
+            out = fftn(a, *args, **kwargs)
+            out.flat[-1] += 1e-9j * out.size
+            return out
+
+        monkeypatch.setattr(fourier.np.fft, "fftn", with_residue)
+        with pytest.raises(NumericError, match="imaginary residue 1.000e-09"):
+            law(*graphs)
+
+    def _z2_class_values(self, triangle, monkeypatch, sign_excess):
+        # log dets of the trivial and the sign irrep that put the odd class
+        # at (h_trivial - h_sign) / 2 = -sign_excess / 2
+        monkeypatch.setattr(fourier, "_holonomy_log_dets",
+                            lambda g, up, down, reversal: np.array([1.0, 1.0 + sign_excess]))
+        conn = {e: 0 for u, v in triangle.edges for e in ((u, v), (v, u))}
+        return holonomy_class_intensities(triangle, conn, _z2())
+
+    def test_negative_class_intensity_raises(self, triangle, monkeypatch):
+        with pytest.raises(NumericError, match="class intensity -1.000e-08 is negative"):
+            self._z2_class_values(triangle, monkeypatch, 2e-8)
+
+    def test_class_intensity_is_not_clamped(self, triangle, monkeypatch):
+        ints = self._z2_class_values(triangle, monkeypatch, 1e-9)
+        assert ints[(1,)] == pytest.approx(-5e-10, rel=1e-6)
+        assert ints[(0,)] == pytest.approx(1.0 + 5e-10, rel=1e-15)

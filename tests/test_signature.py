@@ -49,7 +49,7 @@ from loopsoup import (
     standard_factorization,
     witt_dimension,
 )
-from loopsoup.signature import crossing_counts, dynkin_bracket, h3_slot_word
+from loopsoup.signature import h3_slot_word
 
 # the module, which the package's `signature` function shadows
 signature_module = importlib.import_module("loopsoup.signature")
@@ -175,12 +175,10 @@ class TestLogSignature:
                 assert is_lie_component(ls.component(n), n)
 
     def test_dynkin_bracket_by_hand(self):
-        assert dynkin_bracket((1, 2)) == {(1, 2): 1, (2, 1): -1}
+        assert dynkin_map({(1, 2): 1}) == {(1, 2): 1, (2, 1): -1}
         # [[x1, x2], x3] has four tensor terms
-        assert dynkin_bracket((1, 2, 3)) == {
+        assert dynkin_map({(1, 2, 3): 1}) == {
             (1, 2, 3): 1, (2, 1, 3): -1, (3, 1, 2): -1, (3, 2, 1): 1}
-        with pytest.raises(ValidationError):
-            dynkin_bracket(())
 
     def test_dynkin_idempotence(self):
         # on a Lie element of degree n the bracketing map is n * id
@@ -430,13 +428,6 @@ class TestCurrents:
         assert currents(x, (1,)) == 1
         assert currents(x, (2,)) == 1
 
-    def test_crossing_counts(self):
-        x = (1, -1, 2, 1)
-        assert crossing_counts(x, None) in (
-            {1: (2, 1), 2: (1, 0)},
-            {1: (2, 1), 2: (1, 0), 3: (0, 0)},
-        )
-
     def test_double_current_by_hand(self):
         # word 1 then 2: one ordered (1,2) crossing pair, none reversed
         assert currents((1, 2), (1, 2)) == 1
@@ -504,6 +495,15 @@ class TestHomology:
                       (BasedLoop((0, 1, 2, 0)), {"rank": 1})):
             with pytest.raises(ValidationError):
                 homology1(x, **kw)
+
+    @pytest.mark.parametrize("invariant", [homology1, homology2, homology3,
+                                           lambda x: currents(x, (1,))],
+                             ids=["homology1", "homology2", "homology3", "currents"])
+    def test_loop_without_a_frame_is_rejected(self, invariant):
+        # a based loop has crossings only against a frame; without one the
+        # rank cannot be read off it either
+        with pytest.raises(ValidationError, match="a loop input needs a frame"):
+            invariant(BasedLoop((0, 1, 2, 0)))
 
     def test_h2_commutator_of_generators(self):
         w = group_commutator((1,), (2,))
