@@ -9,15 +9,16 @@ finite Heisenberg-type representations (second homology mod p) turns
 determinant evaluations into masses and field laws.
 
 All twists used here are unitary and compatible with the conductance
-symmetry C(x,y) = C(y,x), so every twisted matrix is similar to a
-Hermitian one; determinants are evaluated through real eigenvalues, which
-keeps the logarithms on the principal branch by construction.
+symmetry C(x,y) = C(y,x), so every twisted I - P is similar to a Hermitian
+positive definite matrix on a killed graph; determinants are evaluated by
+its Cholesky factorization, which keeps the logarithms real and on the
+principal branch by construction.
 
 Every torus grid has one route. Twisted by unitary blocks of size d,
 det(I - P) is a Laurent polynomial of degree at most d in each generator
 (Forman, Topology 1993; Kenyon, Ann. Probab. 2011, for d = 1), so a grid of
 more than 2d + 1 points per generator comes from its (2d+1)^r coefficients,
-read exactly off the eigenvalue route on the (2d+1)-point grid, by one FFT.
+read exactly off the factorization route on the (2d+1)-point grid, by one FFT.
 For first homology (d = 1) the same coefficients give the determinant in
 closed form along each real axis, hence a tail bound on every winding that
 picks the automatic grid size of the H1 and H2 laws and bounds its aliasing.
@@ -72,7 +73,7 @@ def _law(t: np.ndarray, at: Sequence[tuple[int, ...]], alpha: float, field: bool
 
 
 # Most complex entries in one stack of twisted matrices: a batch of any size
-# is assembled and eigensolved in chunks of at most this many entries. The
+# is assembled and factorized in chunks of at most this many entries. The
 # Heisenberg traces also bound their stacks of Schrodinger blocks by it.
 _CHUNK_ENTRIES = 1 << 16
 
@@ -87,24 +88,31 @@ def _twisted_log_dets(g: GraphModel, letter: Callable[[int, int], int],
     letter(x, y) = j > 0, its conjugate transpose when j < 0 and the
     identity when j = 0. With m, every twist is also taken at the m^rank
     points k of the torus grid in C order, unitary j times exp(2 pi i k_j /
-    m); the result is then twist-major, b * m^rank values. The symmetrized
-    matrix with (x, y) block C(x,y) U / sqrt(lam_x lam_y) is Hermitian and
-    shares its spectrum with the twisted P; it is assembled and eigensolved
-    for a chunk of the batch at a time.
+    m); the result is then twist-major, b * m^rank values.
+
+    The symmetrized S with (x, y) block C(x,y) U / sqrt(lam_x lam_y) is
+    Hermitian and shares its spectrum with the twisted P. A unitary twist
+    keeps the numerical range of S inside [-rho(P), rho(P)], so on a killed
+    graph A = I - S is Hermitian positive definite with lambda_min(A) >= 1 -
+    rho(P), and log det A = 2 sum log L_ii from its Cholesky factor L. A is
+    assembled once, the untwisted blocks included, and a chunk of the batch
+    at a time has its twisted blocks rewritten and is factorized; a failed
+    factorization or a pivot L_ii^2 <= 1e-14 is the massless case.
     """
     twists, rank, dim, _ = unitaries.shape
     size = g.num_vertices * dim
     points = 1 if m is None else m ** rank
     batch = twists * points
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
-    s = np.zeros((min(batch, chunk), size, size), dtype=complex)
+    a = np.zeros((min(batch, chunk), size, size), dtype=complex)
+    a[:, range(size), range(size)] = 1.0
     twisted = []
     for (u, v), c in g.conductance.items():
-        w = c / np.sqrt(g.lam[u] * g.lam[v])
+        w = -c / np.sqrt(g.lam[u] * g.lam[v])
         bu, bv = slice(u * dim, (u + 1) * dim), slice(v * dim, (v + 1) * dim)
         j = letter(u, v)
         if j == 0:
-            s[:, bu, bv] = s[:, bv, bu] = w * np.eye(dim, dtype=complex)
+            a[:, bu, bv] = a[:, bv, bu] = w * np.eye(dim, dtype=complex)
         else:
             twisted.append((w, j, bu, bv))
     out = np.empty(batch)
@@ -119,12 +127,16 @@ def _twisted_log_dets(g: GraphModel, letter: Callable[[int, int], int],
             bwd = fwd.conj().swapaxes(1, 2)
             if j < 0:
                 fwd, bwd = bwd, fwd
-            s[:stop - start, bu, bv] = w * fwd
-            s[:stop - start, bv, bu] = w * bwd
-        gaps = 1.0 - np.linalg.eigvalsh(s[:stop - start])
-        if np.min(gaps) <= 1e-14:
+            a[:stop - start, bu, bv] = w * fwd
+            a[:stop - start, bv, bu] = w * bwd
+        try:
+            factor = np.linalg.cholesky(a[:stop - start])
+        except np.linalg.LinAlgError:
+            raise NumericError(_MASSLESS.format(what)) from None
+        pivots = np.diagonal(factor, axis1=1, axis2=2).real
+        if np.min(pivots) ** 2 <= 1e-14:
             raise NumericError(_MASSLESS.format(what))
-        out[start:stop] = np.sum(np.log(gaps), axis=1)
+        out[start:stop] = 2.0 * np.sum(np.log(pivots), axis=1)
     return out
 
 
@@ -156,7 +168,7 @@ def _torus_log_dets(g: GraphModel, frame: SpanningTreeFrame, unitaries: np.ndarr
     """log det(I - P twisted), shape (b, m^rank), at the points of the
     m-grid (z = 1 alone with m None) of a batch as in _twisted_log_dets.
 
-    Grids of at most 2d + 1 points per generator are eigensolved; a larger
+    Grids of at most 2d + 1 points per generator are factorized; a larger
     one is one inverse FFT of the Laurent coefficients (memoized ones from
     laurent(), if given), with a rounding error of (2d+1)^r u / D + u |log D|
     up to a few times (u = 2^-53, D scaled by the shift); D <= 0 raises.
@@ -188,7 +200,7 @@ def _laurent(g: GraphModel, frame: SpanningTreeFrame) -> tuple[np.ndarray, np.nd
 def homology1_grid(g: GraphModel, frame: SpanningTreeFrame, m: int) -> np.ndarray:
     """log det(I - P^(k/m)) over the full torus grid, shape (m,) * rank, by
     _torus_log_dets with d = 1: beyond 3 points per dimension, the 3^rank
-    eigensolves of the memoized coefficients and one inverse FFT."""
+    factorizations of the memoized coefficients and one inverse FFT."""
     if m < 2:
         raise ValidationError("grid size must be >= 2")
     return _torus_log_dets(g, frame, np.ones((1, frame.rank, 1, 1)), m, "P^theta",
@@ -360,8 +372,9 @@ def _holonomy_log_dets(g: GraphModel, up: np.ndarray, down: np.ndarray,
     if bad.any():
         u, v = g.edges[np.argmax(bad)]
         raise ValidationError(reversal.format(u=u, v=v))
-    # edge i is letter i on its step down from the larger vertex, so the
-    # lower triangle, the one eigvalsh reads, holds the down unitary
+    # edge i is letter i on its step down from the larger vertex: the lower
+    # triangle, the one the Cholesky factorization reads, holds the down
+    # unitary and the upper one its adjoint
     index = {e: i for i, e in enumerate(g.edges, start=1)}
     return -_twisted_log_dets(
         g, lambda x, y: index[(y, x)] if x > y else -index[(x, y)],
@@ -403,9 +416,6 @@ class GroupData:
     elements: tuple
     classes: tuple[tuple, ...]
     irreps: tuple[dict, ...] = field(hash=False)
-
-    def character(self, irrep_index: int, element) -> complex:
-        return complex(self._characters[element][irrep_index])
 
     @property
     def order(self) -> int:
@@ -786,7 +796,7 @@ def _heisenberg_blocks(p: int, r: int, lo: int,
 
 
 def _block_points(p: int, r: int, m: int) -> int:
-    """The points at which _heisenberg_traces eigensolves on the m-grid,
+    """The points at which _heisenberg_traces factorizes on the m-grid,
     min(m, 2d+1)^r per Schrodinger block of size d = p^k. A skew h with 2h
     mod p of rank 2k has p^(r-2k) of them, and for odd p such h number the
     alternating r x r forms of rank 2k over F_p (MacWilliams 1969):
@@ -798,7 +808,7 @@ def _block_points(p: int, r: int, m: int) -> int:
 
 def _check_blocks(p: int, r: int) -> None:
     """_check_prime, then ConfigError past _GRID_POINTS Schrodinger blocks
-    of all skew h mod p at rank r, each eigensolved at one point at least."""
+    of all skew h mod p at rank r, each factorized at one point at least."""
     _check_prime(p)
     blocks = _block_points(p, r, 1)
     if blocks > _GRID_POINTS:

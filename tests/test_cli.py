@@ -413,7 +413,7 @@ class TestH1:
         code, out = run_cli(capsys, "h1", tri_path, "--field", "--mod", "3",
                             "--h", "0")
         assert code == 0
-        assert out.splitlines()[2] == "0,0.8947368421052628"
+        assert out.splitlines()[2] == "0,0.894736842105263"
         _, grid3 = run_cli(capsys, "h1", tri_path, "--field", "--M", "3",
                            "--h", "0")
         assert out.splitlines()[2] == grid3.splitlines()[2]
@@ -517,7 +517,7 @@ class TestH2:
 
     def test_block_points_over_the_budget(self, capsys, tmp_path):
         # rank 4, p = 3: the certified M = 16, or an explicit one, would
-        # eigensolve 468 Schrodinger blocks of size 9 at all 16^4 points
+        # factorize 468 Schrodinger blocks of size 9 at all 16^4 points
         p = tmp_path / "rank4.graph"
         p.write_text(RANK4)
         for flags, want in ((("--field",), 3), (("--field", "--M", "16"), 4)):
@@ -546,6 +546,17 @@ class TestH2:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "Schrodinger blocks" not in captured.err
+
+    @pytest.mark.parametrize("flags", [(), ("--field",)])
+    def test_unkilled_graph_exits_3(self, capsys, tmp_path, flags):
+        p = tmp_path / "free.graph"
+        p.write_text("".join(line + "\n" for line in BOWTIE.splitlines()
+                             if not line.startswith("kappa")))
+        assert main(["h2", str(p), "--p", "3", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: massless/recurrent twist")
+        assert "Traceback" not in captured.err
 
     def test_composite_p_exits_2(self, capsys, bow_path):
         code, _ = run_cli(capsys, "h2", bow_path, "--p", "6")

@@ -27,6 +27,7 @@ from loopsoup import (
     homology2_intensity,
     loop_to_word,
     nilpotent_rep,
+    spectral_radius,
     total_mass,
     twisted_log_det,
 )
@@ -170,7 +171,8 @@ class TestHomology1Field:
 
 
 def _assembled_grid(g, frame, m):
-    """The eigenvalue route: one eigensolve per point of the m-grid."""
+    """The factorization route: one Cholesky factorization per point of the
+    m-grid."""
     ones = np.ones((1, frame.rank, 1, 1), dtype=complex)
     return fourier._twisted_log_dets(g, frame.crossing, ones, m,
                                      "P^theta").reshape((m,) * frame.rank)
@@ -220,14 +222,8 @@ class TestBatchedAssembly:
             homology1_grid(g, spanning_tree_frame(g), 4)
 
     def test_holonomy_value_unchanged(self, bowtie):
-        # S3 standard irrep on the two handles of the bowtie
-        _, _, gd = _s3()
-        conn = {(1, 2): (1, 0, 2), (3, 4): (1, 2, 0)}
-        mats = {}
-        for (u, v) in bowtie.edges:
-            a = conn.get((u, v), (0, 1, 2))
-            mats[(u, v)] = gd.irreps[2][a]
-            mats[(v, u)] = gd.irreps[2][tuple(sorted(range(3), key=a.__getitem__))]
+        gd, conn = _s3_handles(bowtie)
+        mats = {e: gd.irreps[2][a] for e, a in conn.items()}
         assert holonomy_log_det(bowtie, mats) == pytest.approx(
             0.5595334901819655, rel=1e-15, abs=1e-15)
 
@@ -377,19 +373,19 @@ class TestGridSize:
 
 class TestOneRoute:
     """Every H1 grid above 3 points per dimension costs the 3^rank
-    eigensolves of the Laurent coefficients and nothing more, and an
+    factorizations of the Laurent coefficients and nothing more, and an
     automatic grid size builds one grid."""
 
     @pytest.fixture
     def solved(self, monkeypatch):
         sizes = []
-        eigvalsh = np.linalg.eigvalsh
+        cholesky = np.linalg.cholesky
 
         def counted(a):
             sizes.append(len(a))
-            return eigvalsh(a)
+            return cholesky(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
         fourier._laurent.cache_clear()
         yield sizes
         fourier._laurent.cache_clear()
@@ -553,19 +549,33 @@ def _s3():
     return perms, classes, group_data(perms, classes, irreps)
 
 
+def _s3_handles(g):
+    """S3 and a connection on the bowtie's vertices 0-4: a swap on edge
+    (1, 2), a 3-cycle on (3, 4), the identity elsewhere, each reversed
+    step carrying the inverse."""
+    _, _, gd = _s3()
+    handles = {(1, 2): (1, 0, 2), (3, 4): (1, 2, 0)}
+    conn = {}
+    for e in g.edges:
+        a = handles.get(e, (0, 1, 2))
+        conn[e] = a
+        conn[e[::-1]] = tuple(sorted(range(3), key=a.__getitem__))
+    return gd, conn
+
+
 class TestGroupData:
     def test_z2_characters(self):
         gd = _z2()
         assert gd.order == 2
-        assert gd.character(1, 1) == pytest.approx(-1.0)
+        assert np.trace(gd.irreps[1][1]) == pytest.approx(-1.0)
 
     def test_s3_is_consistent(self):
         perms, classes, gd = _s3()
         assert gd.order == 6
         # standard rep character: 2 on identity, 0 on swaps, -1 on cycles
-        assert gd.character(2, classes[0][0]) == pytest.approx(2.0)
-        assert gd.character(2, classes[1][0]) == pytest.approx(0.0, abs=1e-12)
-        assert gd.character(2, classes[2][0]) == pytest.approx(-1.0)
+        assert np.trace(gd.irreps[2][classes[0][0]]) == pytest.approx(2.0)
+        assert np.trace(gd.irreps[2][classes[1][0]]) == pytest.approx(0.0, abs=1e-12)
+        assert np.trace(gd.irreps[2][classes[2][0]]) == pytest.approx(-1.0)
 
     def test_rejects_bad_partition(self):
         with pytest.raises(ValidationError):
@@ -810,11 +820,17 @@ def _random_weights(name, seed=11):
 
 
 def _dense_twist(g, frame, rep, phases):
-    """P tensored with the dense representation: the step x -> y carries
-    the generator of its crossing times phases[j - 1], its adjoint when
-    the crossing is backwards, and the identity on tree edges."""
-    n, d = g.num_vertices, rep.dim
-    gens = [rep.generator(i) * phases[i - 1] for i in range(1, rep.r + 1)]
+    """P tensored with the dense representation, its generator j times
+    phases[j - 1] (_step_twist)."""
+    return _step_twist(g, frame, [rep.generator(i) * phases[i - 1]
+                                  for i in range(1, rep.r + 1)])
+
+
+def _step_twist(g, frame, gens):
+    """P tensored with unitaries: the step x -> y carries gens[j - 1] for
+    its crossing j, the adjoint when the crossing is backwards, and the
+    identity on tree edges."""
+    n, d = g.num_vertices, len(gens[0])
     out = np.zeros((n * d, n * d), dtype=complex)
     for x, y in zip(*np.nonzero(g.transition)):
         j = frame.crossing(x, y)
@@ -939,7 +955,7 @@ class TestSchrodingerBlocks:
 class TestBlockCoefficients:
     """Every torus grid of more than 2d + 1 points per generator is read off
     the (2d+1)^r Laurent coefficients of each block of size d; direct
-    eigensolves on the grid are the reference."""
+    factorizations on the grid are the reference."""
 
     @pytest.mark.parametrize("name,p", [("bowtie", 3), ("bowtie", 5), ("k4", 3)])
     def test_matches_direct_eigensolves(self, name, p):
@@ -1160,13 +1176,13 @@ class TestHomology2Table:
     def test_table_eigensolves_as_often_as_one_row(self, k4, k4_frame, monkeypatch,
                                                    field):
         solved = []
-        eigvalsh = np.linalg.eigvalsh
+        cholesky = np.linalg.cholesky
 
         def counted(a):
             solved.append(len(a))
-            return eigvalsh(a)
+            return cholesky(a)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
         ms = _h2_rows(k4_frame, 3)
         fourier._homology2_values(k4, k4_frame, ms, 3, 1.0, field, 2)
         table = sum(solved)
@@ -1301,3 +1317,110 @@ class TestValuePolicy:
         ints = self._z2_class_values(triangle, monkeypatch, 1e-9)
         assert ints[(1,)] == pytest.approx(-5e-10, rel=1e-6)
         assert ints[(0,)] == pytest.approx(1.0 + 5e-10, rel=1e-15)
+
+
+def _eigenvalue_log_det(g, twisted):
+    """The eigenvalue reference for log det(I - twisted P): sum log(1 -
+    eigvalsh(S)), S the twisted P symmetrized by sqrt(lam) on every block."""
+    scale = np.repeat(np.sqrt(g.lam), len(twisted) // g.num_vertices)
+    return np.sum(np.log(1.0 - np.linalg.eigvalsh(scale[:, None] * twisted / scale)))
+
+
+def _random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+class TestFactorization:
+    """Every twisted log det is 2 sum log L_ii of one Cholesky factor of
+    I - S: the eigenvalue route is its reference, the contraction bound
+    lambda_min(I - S) >= 1 - rho(P) is why the factor exists, and no route
+    eigensolves."""
+
+    @pytest.mark.parametrize("name", ["triangle", "bowtie", "k4"])
+    def test_h1_3_grid_matches_eigenvalues(self, name):
+        g, frame = _random_weights(name)
+        want = [_eigenvalue_log_det(g, twisted_matrix(g, frame, np.array(k) / 3))
+                for k in np.ndindex((3,) * frame.rank)]
+        got = _assembled_grid(g, frame, 3).ravel()
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_holonomy_twist_matches_eigenvalues(self, bowtie):
+        gd, conn = _s3_handles(bowtie)
+        twisted = np.zeros((10, 10), dtype=complex)
+        for (x, y), a in conn.items():
+            twisted[2 * x:2 * x + 2, 2 * y:2 * y + 2] = \
+                bowtie.transition[x, y] * gd.irreps[2][a]
+        got = -2 * holonomy_log_det(bowtie, {e: gd.irreps[2][a] for e, a in conn.items()})
+        assert got == pytest.approx(_eigenvalue_log_det(bowtie, twisted), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_heisenberg_blocks_match_eigenvalues(self, p):
+        g, frame = _random_weights("bowtie")
+        for _, _, blocks in fourier._heisenberg_blocks(p, 2, 0, p):
+            twists = blocks.reshape((-1,) + blocks.shape[2:])
+            got = fourier._twisted_log_dets(g, frame.crossing, twists, None, "block")
+            want = [_eigenvalue_log_det(g, _step_twist(g, frame, list(u))) for u in twists]
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_contraction_bound(self, seed):
+        # a random connected graph, killed at one vertex at least, twisted
+        # by random unitaries of size 1-3 on its crossings
+        from loopsoup import build_graph, spanning_tree_frame
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 7))
+        tree = [(int(rng.integers(v)), v) for v in range(1, n)]
+        extra = [e for e in itertools.combinations(range(n), 2) if e not in tree]
+        pick = rng.choice(len(extra), size=int(rng.integers(1, len(extra) + 1)),
+                          replace=False)
+        kappa = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5)
+        kappa[rng.integers(n)] = rng.uniform(0.01, 1.0)
+        g = build_graph(n, [(u, v, rng.uniform(0.2, 3.0))
+                            for u, v in tree + [extra[i] for i in pick]], list(kappa))
+        frame = spanning_tree_frame(g)
+        d = int(rng.integers(1, 4))
+        gens = [_random_unitary(rng, d) for _ in range(frame.rank)]
+        twisted = _step_twist(g, frame, gens)
+        scale = np.repeat(np.sqrt(g.lam), d)
+        a = np.eye(n * d) - scale[:, None] * twisted / scale
+        assert np.linalg.eigvalsh(a).min() >= 1.0 - spectral_radius(g) - 1e-12
+        got = fourier._twisted_log_dets(g, frame.crossing, np.array(gens)[None], None, "twist")
+        assert got[0] == pytest.approx(_eigenvalue_log_det(g, twisted), abs=1e-12)
+
+    def test_no_route_eigensolves(self, bowtie, bowtie_frame, monkeypatch):
+        calls = []
+
+        def counted(name):
+            f = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a: calls.append(name) or f(a))
+
+        counted("eigvalsh")
+        counted("cholesky")
+        gd, conn = _s3_handles(bowtie)
+        fourier._laurent.cache_clear()
+        homology1_grid(bowtie, bowtie_frame, 8)
+        holonomy_class_intensities(bowtie, conn, gd)
+        homology2_field_law(bowtie, bowtie_frame, 1.0, {(1, 2): 0}, 3)
+        fourier._laurent.cache_clear()
+        assert "eigvalsh" not in calls and "cholesky" in calls
+
+
+class TestMassless:
+    """On a killing-free graph the untwisted I - P is singular: every route
+    raises the factorization's one NumericError."""
+
+    @pytest.mark.parametrize("route", ["holonomy", "h2", "h2 field"])
+    def test_route_raises(self, route):
+        from loopsoup import build_graph, spanning_tree_frame
+        g = build_graph(5, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
+                            (0, 3, 1.0), (0, 4, 1.0), (3, 4, 1.0)], 0.0)
+        frame = spanning_tree_frame(g)
+        gd, conn = _s3_handles(g)
+        with pytest.raises(NumericError, match="massless/recurrent twist"):
+            if route == "holonomy":
+                holonomy_class_intensities(g, conn, gd)
+            elif route == "h2":
+                homology2_intensity(g, frame, {(1, 2): 0}, 3)
+            else:
+                homology2_field_law(g, frame, 1.0, {(1, 2): 0}, 3)
