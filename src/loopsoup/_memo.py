@@ -1,6 +1,6 @@
 """The one memo store of the process: enumeration plans, class words of
-the rose, canonical classes, Ihara series, Heisenberg blocks, Lyndon
-tables and bracket expansions, all of which depend on no weights.
+the rose, canonical classes, Ihara series, Heisenberg blocks, twist plans,
+Lyndon tables and bracket expansions, all of which depend on no weights.
 
 One OrderedDict in least recently used order holds them under one budget
 of entries, an entry being one array element or one int held in a tuple.

@@ -14,6 +14,15 @@ positive definite matrix on a killed graph; determinants are evaluated by
 its Cholesky factorization, which keeps the logarithms real and on the
 principal branch by construction.
 
+Every twist reads an integer edge table omega, one signed generator per
+edge of g.edges: a frame's cogenerator i carries i and a tree edge 0
+(_frame_letters), and a holonomy twist gives edge i the letter -i. Where
+each entry of the twisted matrices goes depends on the topology, omega,
+the block size, the rank and the grid alone, so it is one memoized twist
+plan of flat indices (_twist_plan); a call only forms the weights, then
+per chunk gathers the unitaries, multiplies in the grid phases, scatters
+and factorizes.
+
 Every torus grid has one route. Twisted by unitary blocks of size d,
 det(I - P) is a Laurent polynomial of degree at most d in each generator
 (Forman, Topology 1993; Kenyon, Ann. Probab. 2011, for d = 1), so a grid of
@@ -78,59 +87,125 @@ def _law(t: np.ndarray, at: Sequence[tuple[int, ...]], alpha: float, field: bool
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _twisted_log_dets(g: GraphModel, letter: Callable[[int, int], int],
-                      unitaries: np.ndarray, m: int | None,
-                      what: str) -> np.ndarray:
+@dataclass(frozen=True)
+class _TwistPlan:
+    """Where the entries of I - S go in a flat size x size matrix, size =
+    n d, for one topology, edge table omega, block size d, rank and grid.
+
+    ends: the ends (u, v), u < v, of each edge of g.edges, shape (2, |E|).
+    fixed: the flat indices of the diagonal and of both diagonals of each
+    untwisted edge's blocks; fixed_edge: 0 at the diagonal, 1 + the edge
+    elsewhere. twisted: the edges with omega != 0 and gen, |omega| - 1, the
+    unitary each carries. fwd: the flat indices of each twisted edge's
+    (s, t) block in C order, (s, t) the edge oriented so that its letter is
+    positive; conj: those of the (t, s) block's transposed entries. phase,
+    with a grid of m points: exp(2 pi i k_j / m) at each point (C order)
+    and twisted edge, k_j the point's coordinate along its generator j.
+    """
+
+    ends: np.ndarray
+    fixed: np.ndarray
+    fixed_edge: np.ndarray
+    twisted: np.ndarray
+    gen: np.ndarray
+    fwd: np.ndarray
+    conj: np.ndarray
+    phase: np.ndarray | None
+
+    @property
+    def entries(self) -> int:
+        return sum(a.size for a in vars(self).values() if a is not None)
+
+
+@memo(lambda plan: plan.entries)
+def _twist_plan(n: int, edges: tuple[tuple[int, int], ...], omega: tuple[int, ...],
+                d: int, rank: int, m: int | None) -> _TwistPlan:
+    """The _TwistPlan of n vertices, the edges and their letters omega,
+    with blocks of size d twisted by rank unitaries, on the m^rank grid
+    with m. It depends on no weights, so it is memoized (see _memo); its
+    arrays are read-only."""
+    size = n * d
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    letter = np.array(omega, dtype=np.intp)
+    diag = np.arange(d)
+    tree, twisted = np.flatnonzero(letter == 0), np.flatnonzero(letter)
+    u, v = ends[:, tree, None] * d + diag
+    fixed = np.concatenate((np.arange(size) * (size + 1), (u * size + v).ravel(),
+                            (v * size + u).ravel()))
+    fixed_edge = np.concatenate((np.zeros(size, dtype=np.intp),
+                                 np.tile(np.repeat(tree + 1, d), 2)))
+    forward = letter[twisted] > 0
+    s, t = np.where(forward, ends[:, twisted], ends[::-1, twisted])
+    rows, cols = s[:, None, None] * d + diag[:, None], t[:, None, None] * d + diag
+    gen = np.abs(letter[twisted]) - 1
+    phase = None
+    if m is not None:
+        k = np.arange(m ** rank)[:, None] // m ** (rank - 1 - gen) % m
+        phase = np.exp(2j * np.pi * (k / m))
+    plan = _TwistPlan(ends, fixed, fixed_edge, twisted, gen, (rows * size + cols).ravel(),
+                      (cols * size + rows).ravel(), phase)
+    for a in vars(plan).values():
+        if a is not None:
+            a.flags.writeable = False
+    return plan
+
+
+def _twisted_log_dets(g: GraphModel, omega: tuple[int, ...], unitaries: np.ndarray,
+                      m: int | None, what: str) -> np.ndarray:
     """log det(I - P twisted), one value per twist of a batch.
 
-    unitaries has shape (b, rank, d, d): b twists, each a d x d unitary per
-    letter. Under twist i the step x -> y carries unitaries[i, j - 1] when
-    letter(x, y) = j > 0, its conjugate transpose when j < 0 and the
-    identity when j = 0. With m, every twist is also taken at the m^rank
-    points k of the torus grid in C order, unitary j times exp(2 pi i k_j /
-    m); the result is then twist-major, b * m^rank values.
+    omega gives each edge (u, v) of g.edges, u < v, a letter. unitaries has
+    shape (b, rank, d, d): b twists, each a d x d unitary per generator.
+    Under twist i the step u -> v carries unitaries[i, j - 1] when its
+    letter is j > 0, its conjugate transpose when j < 0 and the identity
+    when j = 0; the step v -> u carries the adjoint of that. With m, every
+    twist is also taken at the m^rank points k of the torus grid in C
+    order, unitary j times exp(2 pi i k_j / m); the result is then
+    twist-major, b * m^rank values.
 
     The symmetrized S with (x, y) block C(x,y) U / sqrt(lam_x lam_y) is
     Hermitian and shares its spectrum with the twisted P. A unitary twist
     keeps the numerical range of S inside [-rho(P), rho(P)], so on a killed
     graph A = I - S is Hermitian positive definite with lambda_min(A) >= 1 -
-    rho(P), and log det A = 2 sum log L_ii from its Cholesky factor L. A is
-    assembled once, the untwisted blocks included, and a chunk of the batch
-    at a time has its twisted blocks rewritten and is factorized; a failed
-    factorization or a pivot L_ii^2 <= 1e-14 is the massless case.
+    rho(P), and log det A = 2 sum log L_ii from its Cholesky factor L. A
+    grid of more than _GRID_POINTS points raises NumericError first.
+
+    Where each entry of A goes depends on the topology, omega, d, the rank
+    and m alone: the memoized _twist_plan. A call forms the edge weights
+    w = -C / sqrt(lam_u lam_v) and puts the identity and the untwisted
+    blocks into a stack of flat matrices once; per chunk of the batch it
+    gathers the unitaries of the twisted edges, multiplies them by their
+    grid phases and w, scatters them and their adjoints and factorizes. A
+    failed factorization or a pivot L_ii^2 <= 1e-14 is the massless case.
     """
     twists, rank, dim, _ = unitaries.shape
-    size = g.num_vertices * dim
     points = 1 if m is None else m ** rank
+    if points > _GRID_POINTS:
+        raise NumericError(f"{what} on a grid of {m}^{rank} points, over the budget of "
+                           f"{_GRID_POINTS} points")
+    plan = _twist_plan(g.num_vertices, g.edges, omega, dim, rank, m)
+    size = g.num_vertices * dim
     batch = twists * points
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
-    a = np.zeros((min(batch, chunk), size, size), dtype=complex)
-    a[:, range(size), range(size)] = 1.0
-    twisted = []
-    for (u, v), c in g.conductance.items():
-        w = -c / np.sqrt(g.lam[u] * g.lam[v])
-        bu, bv = slice(u * dim, (u + 1) * dim), slice(v * dim, (v + 1) * dim)
-        j = letter(u, v)
-        if j == 0:
-            a[:, bu, bv] = a[:, bv, bu] = w * np.eye(dim, dtype=complex)
-        else:
-            twisted.append((w, j, bu, bv))
+    u, v = plan.ends
+    c = np.fromiter(map(g.conductance.__getitem__, g.edges), float, len(g.edges))
+    w = -c / np.sqrt(g.lam[u] * g.lam[v])
+    a = np.zeros((min(batch, chunk), size * size), dtype=complex)
+    a[:, plan.fixed] = np.append(1.0, w)[plan.fixed_edge]
+    scale = w[plan.twisted, None, None]
     out = np.empty(batch)
     for start in range(0, batch, chunk):
         stop = min(start + chunk, batch)
         twist, point = np.divmod(np.arange(start, stop), points)
-        for w, j, bu, bv in twisted:
-            fwd = unitaries[twist, abs(j) - 1]
-            if m is not None:
-                k = point // m ** (rank - abs(j)) % m
-                fwd = fwd * np.exp(2j * np.pi * (k / m))[:, None, None]
-            bwd = fwd.conj().swapaxes(1, 2)
-            if j < 0:
-                fwd, bwd = bwd, fwd
-            a[:stop - start, bu, bv] = w * fwd
-            a[:stop - start, bv, bu] = w * bwd
+        x = unitaries[twist[:, None], plan.gen]
+        if m is not None:
+            x = x * plan.phase[point][..., None, None]
+        x = (scale * x).reshape(stop - start, plan.fwd.size)
+        stack = a[:stop - start]
+        stack[:, plan.fwd] = x
+        stack[:, plan.conj] = x.conj()
         try:
-            factor = np.linalg.cholesky(a[:stop - start])
+            factor = np.linalg.cholesky(stack.reshape(-1, size, size))
         except np.linalg.LinAlgError:
             raise NumericError(_MASSLESS.format(what)) from None
         pivots = np.diagonal(factor, axis1=1, axis2=2).real
@@ -140,6 +215,12 @@ def _twisted_log_dets(g: GraphModel, letter: Callable[[int, int], int],
     return out
 
 
+def _frame_letters(g: GraphModel, frame: SpanningTreeFrame) -> tuple[int, ...]:
+    """omega of the frame: i on its cogenerator i (oriented u < v, as in
+    g.edges), 0 on a tree edge."""
+    return tuple(map(frame._letter.get, g.edges, itertools.repeat(0)))
+
+
 def twisted_log_det(g: GraphModel, frame: SpanningTreeFrame,
                     theta: Sequence[float]) -> float:
     """log det(I - P^(theta)), exactly real by the Hermitian route."""
@@ -147,23 +228,25 @@ def twisted_log_det(g: GraphModel, frame: SpanningTreeFrame,
     if len(theta) != frame.rank:
         raise ValidationError(f"theta has length {len(theta)}, frame rank is {frame.rank}")
     phases = np.exp(2j * np.pi * theta).reshape(1, frame.rank, 1, 1)
-    return float(_twisted_log_dets(g, frame.crossing, phases, None, "P^theta")[0])
+    return float(_twisted_log_dets(g, _frame_letters(g, frame), phases, None, "P^theta")[0])
 
 
-def _laurent_coefficients(g: GraphModel, frame: SpanningTreeFrame, unitaries: np.ndarray,
+def _laurent_coefficients(g: GraphModel, omega: tuple[int, ...], unitaries: np.ndarray,
                           what: str) -> tuple[np.ndarray, np.ndarray]:
     """The Laurent coefficients c_k, k in {-d..d}^r at index k mod 2d + 1,
     of D = det(I - P twisted) for each twist of a batch (_torus_log_dets),
     scaled by exp(-shift), shift the twist's largest log D on the
-    (2d+1)-grid: exact, by one DFT of D there."""
+    (2d+1)-grid: exact, by one DFT of D there. A (2d+1)-grid of more than
+    _GRID_POINTS points raises NumericError before anything is built, as
+    every grid of _twisted_log_dets does."""
     b, r, d, _ = unitaries.shape
-    logs = _twisted_log_dets(g, frame.crossing, unitaries, 2 * d + 1, what).reshape(b, -1)
+    logs = _twisted_log_dets(g, omega, unitaries, 2 * d + 1, what).reshape(b, -1)
     shift = logs.max(axis=1)
     dets = np.exp(logs - shift[:, None]).reshape((b,) + (2 * d + 1,) * r)
     return np.fft.fftn(dets, axes=range(1, r + 1), norm="forward"), shift
 
 
-def _torus_log_dets(g: GraphModel, frame: SpanningTreeFrame, unitaries: np.ndarray,
+def _torus_log_dets(g: GraphModel, omega: tuple[int, ...], unitaries: np.ndarray,
                     m: int | None, what: str, laurent=None) -> np.ndarray:
     """log det(I - P twisted), shape (b, m^rank), at the points of the
     m-grid (z = 1 alone with m None) of a batch as in _twisted_log_dets.
@@ -175,8 +258,8 @@ def _torus_log_dets(g: GraphModel, frame: SpanningTreeFrame, unitaries: np.ndarr
     """
     b, r, d, _ = unitaries.shape
     if m is None or not r or m <= 2 * d + 1:
-        return _twisted_log_dets(g, frame.crossing, unitaries, m, what).reshape(b, -1)
-    coef, shift = laurent() if laurent else _laurent_coefficients(g, frame, unitaries, what)
+        return _twisted_log_dets(g, omega, unitaries, m, what).reshape(b, -1)
+    coef, shift = laurent() if laurent else _laurent_coefficients(g, omega, unitaries, what)
     at = [*range(d + 1), *range(m - d, m)]  # k = 0..d, then -d..-1, mod m
     spectrum = np.zeros((b,) + (m,) * (r - 1) + (m // 2 + 1,), dtype=coef.dtype)
     spectrum[(slice(None), *np.ix_(*[at] * (r - 1)), slice(d + 1))] = coef[..., :d + 1]
@@ -191,7 +274,8 @@ def _laurent(g: GraphModel, frame: SpanningTreeFrame) -> tuple[np.ndarray, np.nd
     """_laurent_coefficients of P^theta, real since D is real and even;
     memoized for the last graph and frame, which the grid size and the grid
     of a law share, and read-only."""
-    coef, shift = _laurent_coefficients(g, frame, np.ones((1, frame.rank, 1, 1)), "P^theta")
+    coef, shift = _laurent_coefficients(g, _frame_letters(g, frame),
+                                        np.ones((1, frame.rank, 1, 1)), "P^theta")
     coef = coef.real
     coef.flags.writeable = shift.flags.writeable = False
     return coef, shift
@@ -203,7 +287,8 @@ def homology1_grid(g: GraphModel, frame: SpanningTreeFrame, m: int) -> np.ndarra
     factorizations of the memoized coefficients and one inverse FFT."""
     if m < 2:
         raise ValidationError("grid size must be >= 2")
-    return _torus_log_dets(g, frame, np.ones((1, frame.rank, 1, 1)), m, "P^theta",
+    return _torus_log_dets(g, _frame_letters(g, frame), np.ones((1, frame.rank, 1, 1)), m,
+                           "P^theta",
                            functools.partial(_laurent, g, frame)).reshape((m,) * frame.rank)
 
 
@@ -255,6 +340,9 @@ def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
     The bound is _alias_bounds at alpha; with p, for the H2 field law mod
     p, it is alpha times the intensity's bound. The points are the M^r of
     the grid, or with p the _block_points of the Heisenberg twists if more.
+    The bound itself factorizes the 3^r points of the Laurent coefficients,
+    so an automatic size is refused before any factorization when those, or
+    the points of the smallest candidate M, are past _GRID_POINTS.
     """
     r = frame.rank
 
@@ -269,6 +357,13 @@ def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
         return M, None
     if not r:
         return None, None
+    # the smallest candidate: the least power of two above 2 max reach
+    least = max(2, 2 ** int(2 * reach.max()).bit_length())
+    if max(3 ** r, points(least)) > _GRID_POINTS:
+        need = (f"3^{r} Laurent points" if 3 ** r > _GRID_POINTS
+                else f"grid size M={least} or more")
+        raise NumericError(f"an aliasing bound of {_ALIAS_TOL} at rank {r} needs {need}, "
+                           f"over the budget of {_GRID_POINTS} points")
     ms = 2 ** np.arange(1, 63)
     ms = ms[ms > 2 * reach.max()]
     bounds = (alpha * _alias_bounds(g, frame, reach, ms, None) if p
@@ -372,13 +467,11 @@ def _holonomy_log_dets(g: GraphModel, up: np.ndarray, down: np.ndarray,
     if bad.any():
         u, v = g.edges[np.argmax(bad)]
         raise ValidationError(reversal.format(u=u, v=v))
-    # edge i is letter i on its step down from the larger vertex: the lower
-    # triangle, the one the Cholesky factorization reads, holds the down
-    # unitary and the upper one its adjoint
-    index = {e: i for i, e in enumerate(g.edges, start=1)}
-    return -_twisted_log_dets(
-        g, lambda x, y: index[(y, x)] if x > y else -index[(x, y)],
-        down, None, "holonomy twist") / down.shape[-1]
+    # edge i is letter -i on its step up, so its step down from the larger
+    # vertex carries down[i - 1]: the lower triangle, the one the Cholesky
+    # factorization reads, holds the down unitary and the upper one its adjoint
+    omega = tuple(range(-1, -len(g.edges) - 1, -1))
+    return -_twisted_log_dets(g, omega, down, None, "holonomy twist") / down.shape[-1]
 
 
 def holonomy_log_det(g: GraphModel,
@@ -832,11 +925,12 @@ def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
     count = p ** (r * (r - 1) // 2)
     points = 1 if m is None else m ** r
     step = max(1, _CHUNK_ENTRIES // (max(r, 1) * p ** r * points))
+    omega = _frame_letters(g, frame)
     out = np.empty((count, points))
     for lo in range(0, count, step):
         for k, owners, blocks in _heisenberg_blocks(p, r, lo, min(lo + step, count)):
             n, each = blocks.shape[:2]
-            logs = _torus_log_dets(g, frame, blocks.reshape((n * each,) + blocks.shape[2:]),
+            logs = _torus_log_dets(g, omega, blocks.reshape((n * each,) + blocks.shape[2:]),
                                    m, "Heisenberg twist")
             out[lo + owners] = -(p ** k) * logs.reshape(n, each, -1).sum(axis=1) / p ** r
     return out

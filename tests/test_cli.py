@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -460,6 +461,69 @@ class TestH1:
         code = main(["h1", str(p), "--h", "1"])
         assert code == 3
         assert "M=1048576" in capsys.readouterr().err
+
+    @staticmethod
+    def _torus(path, side):
+        """The side x side torus, unit conductances, killing 0.3: rank
+        side^2 + 1."""
+        lines = [f"vertices {side * side}"]
+        for i in range(side):
+            for j in range(side):
+                a = i * side + j
+                for b in (i * side + (j + 1) % side, (i + 1) % side * side + j):
+                    lines.append(f"edge {min(a, b)} {max(a, b)} 1.0")
+        lines += [f"kappa {x} 0.3" for x in range(side * side)]
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("side", [4, 10])
+    @pytest.mark.parametrize("verb", ["h1", "h2"])
+    def test_high_rank_refused_before_any_factorization(self, capsys, tmp_path,
+                                                        monkeypatch, side, verb):
+        # the 3^r points of the Laurent coefficients and the smallest
+        # automatic grid are both over the budget: refused at once, exit 3
+        path = self._torus(tmp_path / "torus.graph", side)
+        r = side * side + 1
+        argv = (["h1", path, "--h=" + ",".join(["1"] + ["0"] * (r - 1))] if verb == "h1"
+                else ["h2", path, "--p", "3", "--field",
+                      "--m=" + ",".join(["0"] * (r * (r - 1) // 2))])
+        factorized = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factorized.append(len(a)) or cholesky(a))
+        loopsoup.fourier._laurent.cache_clear()
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out, factorized) == (3, "", [])
+        assert elapsed < 1.0
+        assert captured.err.splitlines() == [
+            f"numeric error: an aliasing bound of 1e-12 at rank {r} needs 3^{r} Laurent "
+            "points, over the budget of 65536 points"]
+
+    def test_winding_past_every_grid_exits_3(self, capsys, tri_path):
+        # no power of two up to 2^62 exceeds 2 |h|: refused, not a traceback
+        code = main(["h1", tri_path, "--h", str(2 ** 62)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.splitlines() == [
+            f"numeric error: an aliasing bound of 1e-12 at rank 1 needs grid size "
+            f"M={2 ** 64} or more, over the budget of 65536 points"]
+
+    def test_rank_10_keeps_its_exit_and_message(self, capsys, tmp_path):
+        # K6: its 3^10 Laurent points fit the budget, but no grid of M >= 4
+        # points per generator does
+        p = tmp_path / "k6.graph"
+        p.write_text("vertices 6\n" + "".join(
+            f"edge {a} {b} 1.0\n" for a in range(6) for b in range(a + 1, 6))
+            + "".join(f"kappa {x} 1.0\n" for x in range(6)))
+        code = main(["h1", str(p), "--h=" + ",".join(["1"] + ["0"] * 9)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.splitlines() == [
+            "numeric error: an aliasing bound of 1e-12 at rank 10 needs grid size M=4 "
+            "or more, over the budget of 65536 points"]
 
     @pytest.mark.parametrize("flags", [
         (), ("--M", "32"), ("--mod", "3"), ("--field",),

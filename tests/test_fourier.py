@@ -174,7 +174,7 @@ def _assembled_grid(g, frame, m):
     """The factorization route: one Cholesky factorization per point of the
     m-grid."""
     ones = np.ones((1, frame.rank, 1, 1), dtype=complex)
-    return fourier._twisted_log_dets(g, frame.crossing, ones, m,
+    return fourier._twisted_log_dets(g, fourier._frame_letters(g, frame), ones, m,
                                      "P^theta").reshape((m,) * frame.rank)
 
 
@@ -434,6 +434,21 @@ class TestOneRoute:
         with pytest.raises(NumericError, match="M=1048576"):
             homology1_intensity(g, frame, (2,))
         assert sum(solved) == 3
+
+    def test_coefficients_over_the_budget_build_nothing(self, solved):
+        # K7, rank 15: the 3^15 points of the 3-grid and of the coefficients
+        # are refused before a plan
+        from loopsoup import build_graph, spanning_tree_frame
+        g = build_graph(7, [(a, b, 1.0) for a, b in itertools.combinations(range(7), 2)],
+                        1.0)
+        frame = spanning_tree_frame(g)
+        _memo.clear()
+        for m in (3, 4):  # factorized, or read off the coefficients
+            with pytest.raises(NumericError, match="3\\^15 points, over the budget"):
+                homology1_grid(g, frame, m)
+        with pytest.raises(NumericError, match="3\\^15 Laurent points"):
+            homology1_intensity(g, frame, (0,) * 15)
+        assert solved == [] and not _memo._STORE
 
 
 class TestHolonomy:
@@ -804,15 +819,21 @@ class TestNilpotentRep:
 
 
 def _random_weights(name, seed=11):
-    """The triangle, bowtie, K4 or a rank-4 graph on 5 vertices with conductances and
-    killing drawn at random, so that no eigenvalue coincidence is an
-    accident of symmetric weights."""
+    """The triangle, bowtie, K4, Petersen graph, a rank-4 graph on 5
+    vertices or a 4-vertex tree with conductances and killing drawn at
+    random, so that no eigenvalue coincidence is an accident of symmetric
+    weights."""
     from loopsoup import build_graph, spanning_tree_frame
     n, edges = {"triangle": (3, [(0, 1), (1, 2), (0, 2)]),
                 "bowtie": (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
                 "k4": (4, list(itertools.combinations(range(4), 2))),
                 "rank4": (5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-                              (2, 4), (3, 4)])}[name]
+                              (2, 4), (3, 4)]),
+                "petersen": (10, sorted((min(u, v), max(u, v)) for u, v in
+                                        [(i, (i + 1) % 5) for i in range(5)]
+                                        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                                        + [(i, 5 + i) for i in range(5)])),
+                "tree": (4, [(0, 1), (1, 2), (1, 3)])}[name]
     rng = np.random.default_rng(seed)
     g = build_graph(n, [(u, v, rng.uniform(0.5, 2.0)) for u, v in edges],
                     list(rng.uniform(0.3, 1.5, n)))
@@ -962,13 +983,14 @@ class TestBlockCoefficients:
         g, frame = _random_weights(name)
         r = frame.rank
         u = 2.0 ** -53
+        omega = fourier._frame_letters(g, frame)
         for _, _, blocks in fourier._heisenberg_blocks(p, r, 0, p ** (r * (r - 1) // 2)):
             twists = blocks.reshape((-1,) + blocks.shape[2:])[:2]
             d = twists.shape[-1]
-            _, shift = fourier._laurent_coefficients(g, frame, twists, "block")
+            _, shift = fourier._laurent_coefficients(g, omega, twists, "block")
             for m in range(2 * d + 2, 17):
-                got = fourier._torus_log_dets(g, frame, twists, m, "block")
-                want = fourier._twisted_log_dets(g, frame.crossing, twists, m,
+                got = fourier._torus_log_dets(g, omega, twists, m, "block")
+                want = fourier._twisted_log_dets(g, omega, twists, m,
                                                  "block").reshape(len(twists), -1)
                 # (2d+1)^r u max D / min D, D scaled by the shift, up to the
                 # factor of a few that the estimate allows
@@ -1359,7 +1381,8 @@ class TestFactorization:
         g, frame = _random_weights("bowtie")
         for _, _, blocks in fourier._heisenberg_blocks(p, 2, 0, p):
             twists = blocks.reshape((-1,) + blocks.shape[2:])
-            got = fourier._twisted_log_dets(g, frame.crossing, twists, None, "block")
+            got = fourier._twisted_log_dets(g, fourier._frame_letters(g, frame), twists,
+                                            None, "block")
             want = [_eigenvalue_log_det(g, _step_twist(g, frame, list(u))) for u in twists]
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -1385,7 +1408,8 @@ class TestFactorization:
         scale = np.repeat(np.sqrt(g.lam), d)
         a = np.eye(n * d) - scale[:, None] * twisted / scale
         assert np.linalg.eigvalsh(a).min() >= 1.0 - spectral_radius(g) - 1e-12
-        got = fourier._twisted_log_dets(g, frame.crossing, np.array(gens)[None], None, "twist")
+        got = fourier._twisted_log_dets(g, fourier._frame_letters(g, frame),
+                                        np.array(gens)[None], None, "twist")
         assert got[0] == pytest.approx(_eigenvalue_log_det(g, twisted), abs=1e-12)
 
     def test_no_route_eigensolves(self, bowtie, bowtie_frame, monkeypatch):
@@ -1404,6 +1428,108 @@ class TestFactorization:
         homology2_field_law(bowtie, bowtie_frame, 1.0, {(1, 2): 0}, 3)
         fourier._laurent.cache_clear()
         assert "eigvalsh" not in calls and "cholesky" in calls
+
+
+def _per_edge_log_dets(g, letter, unitaries, m):
+    """The per-edge assembly that the twist plan replaced, kept as its
+    reference: every edge's blocks written in Python, the step u -> v
+    carrying the unitary of its letter(u, v) (_twisted_log_dets)."""
+    twists, rank, dim, _ = unitaries.shape
+    size = g.num_vertices * dim
+    points = 1 if m is None else m ** rank
+    a = np.zeros((twists * points, size, size), dtype=complex)
+    a[:, range(size), range(size)] = 1.0
+    twist, point = np.divmod(np.arange(twists * points), points)
+    for (u, v), c in g.conductance.items():
+        w = -c / np.sqrt(g.lam[u] * g.lam[v])
+        bu, bv = slice(u * dim, (u + 1) * dim), slice(v * dim, (v + 1) * dim)
+        j = letter(u, v)
+        if j == 0:
+            a[:, bu, bv] = a[:, bv, bu] = w * np.eye(dim, dtype=complex)
+            continue
+        fwd = unitaries[twist, abs(j) - 1]
+        if m is not None:
+            k = point // m ** (rank - abs(j)) % m
+            fwd = fwd * np.exp(2j * np.pi * (k / m))[:, None, None]
+        bwd = fwd.conj().swapaxes(1, 2)
+        if j < 0:
+            fwd, bwd = bwd, fwd
+        a[:, bu, bv] = w * fwd
+        a[:, bv, bu] = w * bwd
+    pivots = np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2).real
+    return 2.0 * np.sum(np.log(pivots), axis=1)
+
+
+class TestTwistPlan:
+    """_twisted_log_dets writes I - S through a memoized plan of flat
+    indices per (topology, omega, d, rank, m): it equals the per-edge
+    assembly it replaced, and one plan serves every weighting."""
+
+    @staticmethod
+    def _agree(g, letter, omega, unitaries, m):
+        got = fourier._twisted_log_dets(g, omega, unitaries, m, "twist")
+        want = _per_edge_log_dets(g, letter, unitaries, m)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+
+    @pytest.mark.parametrize("name", ["triangle", "bowtie", "k4", "petersen"])
+    def test_h1_3_grid(self, name):
+        g, frame = _random_weights(name)
+        self._agree(g, frame.crossing, fourier._frame_letters(g, frame),
+                    np.ones((1, frame.rank, 1, 1)), 3)
+
+    def test_s3_holonomy_twist(self):
+        g, _ = _random_weights("bowtie")
+        gd, conn = _s3_handles(g)
+        down = np.array([[gd.irreps[2][conn[(v, u)]] for u, v in g.edges]])
+        index = {e: i for i, e in enumerate(g.edges, start=1)}
+        self._agree(g, lambda x, y: index[(y, x)] if x > y else -index[(x, y)],
+                    tuple(-i for i in index.values()), down, None)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("m", [None, 2])
+    def test_heisenberg_blocks(self, p, m):
+        g, frame = _random_weights("bowtie")
+        for _, _, blocks in fourier._heisenberg_blocks(p, 2, 0, p):
+            self._agree(g, frame.crossing, fourier._frame_letters(g, frame),
+                        blocks.reshape((-1,) + blocks.shape[2:]), m)
+
+    def test_rank_0_tree(self):
+        g, frame = _random_weights("tree")
+        omega = fourier._frame_letters(g, frame)
+        assert omega == (0, 0, 0)
+        for m in (None, 3):
+            self._agree(g, frame.crossing, omega, np.ones((1, 0, 1, 1)), m)
+
+    def test_killed_vertex_without_edges(self):
+        # the index arrays of an empty edge list are still integer arrays
+        from loopsoup import build_graph
+        g = build_graph(1, [], 0.5)
+        self._agree(g, lambda x, y: 0, (), np.ones((2, 0, 3, 3)), None)
+        assert fourier._twisted_log_dets(g, (), np.ones((1, 0, 1, 1)), 4,
+                                         "twist") == pytest.approx([0.0])
+
+    def test_one_plan_per_topology_and_frame(self, monkeypatch):
+        from loopsoup import spanning_tree_frame
+        _memo.clear()
+        built = []
+        build = fourier._twist_plan.__wrapped__
+        monkeypatch.setattr(fourier, "_twist_plan", _memo.memo(
+            lambda plan: plan.entries)(lambda *key: built.append(key) or build(*key)))
+        values = set()
+        for seed in range(20):
+            g, frame = _random_weights("bowtie", seed)
+            values.add(homology1_grid(g, frame, 3).tobytes())
+        assert len(values) == 20 and len(built) == 1
+        # another tree: the same topology with other letters
+        other = spanning_tree_frame(g, [(0, 1), (1, 2), (0, 3), (3, 4)])
+        assert fourier._frame_letters(g, other) != fourier._frame_letters(g, frame)
+        homology1_grid(g, other, 3)
+        assert len(built) == 2
+        plan = _memo._STORE[(fourier._twist_plan.__wrapped__, *built[1])][0]
+        for a in vars(plan).values():
+            assert not a.flags.writeable and a.dtype == (
+                complex if a is plan.phase else np.intp)
 
 
 class TestMassless:
