@@ -5,7 +5,7 @@ all effective parameters, so a file is reproducible from its own header.
 Outputs are deterministic for a fixed (input, flags, seed) triple.
 
 Exit codes: 0 success, 2 malformed input data, 3 numeric failure,
-4 bad arguments or unreadable files.
+4 bad arguments, or files that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -41,8 +41,11 @@ def _manifest(command: str, params: dict) -> str:
 def _emit(args, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

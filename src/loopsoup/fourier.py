@@ -39,6 +39,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -298,6 +299,12 @@ _ALIAS_TOL = 1e-12
 _GRID_POINTS = 1 << 16
 
 
+def _count(n: int) -> str:
+    """n in full up to 15 digits, else to two significant digits, as 2.9e+2409:
+    a block count at a high rank has thousands of digits."""
+    return str(n) if n < 10 ** 15 else format(Decimal(n), ".1e")
+
+
 def _alias_bounds(g: GraphModel, frame: SpanningTreeFrame, reach: np.ndarray,
                   ms: np.ndarray, alpha: float | None) -> np.ndarray:
     """A bound on the aliasing error of the M-grid law (with alpha, the
@@ -352,8 +359,12 @@ def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
     if M is not None:
         if M < 2:
             raise ValidationError("grid size must be >= 2")
-        if points(M) > _GRID_POINTS:
-            raise ConfigError(f"grid size M={M}: over the budget of {_GRID_POINTS} points")
+        count = points(M)
+        if count > _GRID_POINTS:
+            need = (f"{M}^{r} grid points" if count == M ** r
+                    else f"{_count(count)} Schrodinger block points")
+            raise ConfigError(f"grid size M={M}: {need}, over the budget of "
+                              f"{_GRID_POINTS} points")
         return M, None
     if not r:
         return None, None
@@ -905,7 +916,7 @@ def _check_blocks(p: int, r: int) -> None:
     _check_prime(p)
     blocks = _block_points(p, r, 1)
     if blocks > _GRID_POINTS:
-        raise ConfigError(f"p={p}: {blocks} Schrodinger blocks at rank {r}, over "
+        raise ConfigError(f"p={p}: {_count(blocks)} Schrodinger blocks at rank {r}, over "
                           f"the budget of {_GRID_POINTS} points")
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import shortest_path
 
 from ._memo import memoized
 from .errors import ConfigError, NumericError, ValidationError
@@ -102,7 +100,11 @@ def truncated_mass(g: GraphModel, n_max: int) -> float:
 def _hop_distances(g: GraphModel) -> np.ndarray:
     """Hop distance between every two vertices: scipy's unweighted shortest
     paths on the CSR adjacency. build_graph has proved the graph connected,
-    so every distance is finite."""
+    so every distance is finite. scipy is imported here, by the first
+    enumeration plan of a process, not with this module."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import shortest_path
+
     first, heads = g._oriented.first, g._oriented.head
     n = g.num_vertices
     hops = sparse.csr_array((np.ones(heads.size), heads, first), shape=(n, n))

@@ -69,8 +69,6 @@ from itertools import chain
 from math import comb, fsum, sqrt
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from ._memo import memoized
 from .errors import NumericError, ValidationError
@@ -186,6 +184,8 @@ class _EdgeSystem:
         """The CSC pattern of I + B (column pointers and the row of each
         stored entry), the diagonal mask and the B value of each entry (0
         on the diagonal)."""
+        from scipy import sparse
+
         m = self.size
         succ = sparse.csr_matrix((self._coef, (self._rows, self._cols)),
                                  shape=(m, m))
@@ -198,7 +198,11 @@ class _EdgeSystem:
                     f: np.ndarray) -> np.ndarray:
         """d with (I - F'(r)) d = f, where I - F'(r) = I - s diag(B r) -
         s diag(r) B, by one sparse LU. A singular matrix raises
-        NumericError."""
+        NumericError. scipy is imported here, by the first Newton step of a
+        process; a solve whose sweeps converge never loads it."""
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
+
         indptr, rows, diag, coef = self._jacobian
         data = np.where(diag, 1.0 - s * self.apply(r)[rows],
                         -s * r[rows] * coef)

@@ -454,6 +454,22 @@ class TestH1:
         assert code == 4
         assert "over the budget of 65536 points" in capsys.readouterr().err
 
+    def test_grid_budget_message_names_the_points(self, capsys, tmp_path, bow_path):
+        # an explicit grid names the count it compares: the M^r points of
+        # the grid, or the block points of the H2 twists where those are more
+        rank4 = tmp_path / "rank4.graph"
+        rank4.write_text(RANK4)
+        for argv, need in (
+                (("h1", bow_path, "--M", "300"), "300^2 grid points"),
+                (("h2", str(rank4), "--p", "3", "--field", "--M", "16"),
+                 "36295749 Schrodinger block points")):
+            assert main(list(argv)) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"config error: grid size M={argv[-1]}: {need}, over the budget "
+                "of 65536 points"]
+
     def test_near_critical_names_the_certified_size(self, capsys, tmp_path):
         p = tmp_path / "critical.graph"
         p.write_text("vertices 3\nedge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\n"
@@ -600,6 +616,23 @@ class TestH2:
                 "config error: p=17: 88417 Schrodinger blocks at rank 3, over "
                 "the budget of 65536 points"]
 
+    @pytest.mark.parametrize("flags", [("--p", "3"), ("--p", "3", "--field"),
+                                       ("--p", "11")])
+    def test_high_rank_block_count_is_short(self, capsys, tmp_path, flags):
+        # the 10 x 10 torus, rank 101: the block count has thousands of
+        # digits (past Python's limit for printing an int at p = 11), so the
+        # message gives two significant digits
+        path = TestH1._torus(tmp_path / "torus.graph", 10)
+        assert main(["h2", path, *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert len(line) < 200
+        assert line.startswith(f"config error: p={flags[1]}: ")
+        assert line.endswith(" Schrodinger blocks at rank 101, over the budget of "
+                             "65536 points")
+        assert "e+2410 " in line if flags[1] == "3" else "e+5260 " in line
+
     def test_field_with_m_keeps_its_grid_budget(self, capsys, k4_path):
         # with --m the field law is checked as before: the count of m's
         # entries first, then its own grid budget, which covers the blocks'
@@ -701,6 +734,17 @@ class TestArgHandling:
         assert out == ""
         assert dest.read_text().splitlines()[1] == "h1,intensity"
 
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_out_flag_unwritable_exits_4(self, tmp_path, capsys, tri_path, where):
+        # a missing parent directory, or a directory as the path: one
+        # config error line, as for an unreadable graph, not a traceback
+        dest = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+        code = main(["validate", tri_path, "--out", str(dest)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"config error: cannot write {dest}: ")
+
     def test_repeated_calls_share_no_values(self, capsys, tmp_path, tri_path):
         # the parser is built once per process: no flag of one call may carry
         # over into the next, and each call equals a call on a fresh parser
@@ -779,20 +823,55 @@ class TestConsoleScript:
         assert r1.stdout == r2.stdout
         assert len(r1.stdout.splitlines()) > 1
 
-    def test_cli_import_leaves_out_scipy_integrate(self):
-        # loopsoup needs no quadrature; importing scipy.integrate would
-        # add about a seventh to the import time of the CLI
+    @staticmethod
+    def _fresh_main(argv, cwd):
+        """main(argv) in a fresh interpreter run in cwd: (exit code,
+        stdout, the scipy modules it loaded)."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(loopsoup.__file__).parents[1]),
                           env.get("PYTHONPATH")]))
         r = subprocess.run(
             [sys.executable, "-c",
-             "import sys, loopsoup.cli; "
-             "print('scipy.integrate' in sys.modules)"],
-            capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        assert r.stdout == "False\n"
+             "import sys; from loopsoup.cli import main; code = main(sys.argv[1:]); "
+             "sys.stderr.write(' '.join(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] == 'scipy'))); sys.exit(code)", *argv],
+            capture_output=True, text=True, env=env, cwd=cwd)
+        return r.returncode, r.stdout, r.stderr.split()
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "bow.graph"),
+        ("sample", "tri.graph", "--seed", "4", "--alpha", "4", "--n-max", "42",
+         "--tail-tol", "1e-7"),
+        ("h1", "bow.graph", "--h-range", "1"),
+        ("h2", "bow.graph", "--p", "3"),
+        ("zeta", "tri.graph"),
+        ("signature", "--word", "+1 -2 +1 +2"),
+        ("homotopy", "bow.graph")], ids=lambda argv: argv[0])
+    def test_cli_leaves_out_scipy(self, tmp_path, argv):
+        # scipy is imported only by a sparse factorization: the Newton step
+        # of the rho solve and the hop distances of an enumeration plan.
+        # Importing it would take over half the start-up of the CLI
+        (tmp_path / "tri.graph").write_text(TRIANGLE)
+        (tmp_path / "bow.graph").write_text(BOWTIE)
+        code, out, scipy = self._fresh_main(argv, tmp_path)
+        assert code == 0, scipy
+        assert out.startswith(f"# loopsoup {argv[0]} ")
+        assert scipy == []
+
+    def test_newton_step_loads_scipy(self, capsys, tmp_path, monkeypatch):
+        # the triangle killed at one vertex only: its sweeps stop halving,
+        # so the solve takes Newton steps, which import scipy on first use
+        # and print the same bytes as in a process that has it loaded
+        (tmp_path / "newton.graph").write_text(
+            "vertices 3\nedge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\nkappa 0 0.1\n")
+        argv = ["homotopy", "newton.graph"]
+        code, out, scipy = self._fresh_main(argv, tmp_path)
+        assert code == 0
+        assert "scipy.sparse.linalg" in scipy
+        assert " rho_iterations=8" in out.splitlines()[0]
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (0, out)
 
     def test_module_invocation(self, tri_path):
         r = subprocess.run(
