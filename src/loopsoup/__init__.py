@@ -6,11 +6,10 @@ from .graphs import (GraphModel, SpanningTreeFrame, build_graph, load_graph,
                      parse_graph, spanning_tree_frame)
 from .freegroup import (TRIVIAL, BasedLoop, GeodesicClass, Word,
                         canonical_class, crossing_word, cyclic_reduce,
-                        enumerate_geodesic_classes, enumerate_geodesic_loops,
-                        format_word, geodesic_representative,
-                        group_commutator, inverse_word, loop_to_word,
-                        min_rotation, multiplicity, multiply_words,
-                        parse_word, reduce_word)
+                        enumerate_geodesic_classes, format_word,
+                        geodesic_representative, group_commutator,
+                        inverse_word, loop_to_word, min_rotation,
+                        multiplicity, parse_word, reduce_word)
 from .signature import (H3Key, LiePoly, TensorSeries, bracket_expansion,
                         currents, degree_and_lead, dynkin_map, h3_from_lie,
                         h3_slot_bracket, h3_slots, homology1, homology2, homology3,
@@ -27,8 +26,8 @@ from .spectra import (IharaSeries, RegularForms, RhoTable, class_intensity,
                       contractible_intensity, ihara_check,
                       regular_closed_forms, solve_rho)
 from .fourier import (GroupData, NilpotentRep, group_data,
-                      holonomy_class_intensities, holonomy_log_det,
-                      homology1_field_law, homology1_grid, homology1_intensity,
+                      holonomy_class_intensities, homology1_field_law,
+                      homology1_grid, homology1_intensity,
                       homology2_field_law, homology2_intensity,
                       nilpotent_rep, twisted_log_det)
 

@@ -468,47 +468,20 @@ def _check_unitary(stack: np.ndarray, name: Callable[[int], str]) -> None:
         raise ValidationError(f"{name(np.argmax(bad))} is not unitary")
 
 
-def _holonomy_log_dets(g: GraphModel, up: np.ndarray, down: np.ndarray,
-                       reversal: str) -> np.ndarray:
+def _connection_log_dets(g: GraphModel, up: np.ndarray, down: np.ndarray) -> np.ndarray:
     """-(1/d) log det(I - P tensored with the edge unitaries) for a batch
     of b connections: up and down, shape (b, |E|, d, d), hold the unitary
     of each edge (u, v) of g.edges on its steps u -> v and v -> u. Raises
-    ValidationError(reversal) where down is not the adjoint of up."""
+    ValidationError where down is not the adjoint of up."""
     bad = ~np.isclose(down, up.conj().swapaxes(2, 3), atol=1e-10).all(axis=(0, 2, 3))
     if bad.any():
-        u, v = g.edges[np.argmax(bad)]
-        raise ValidationError(reversal.format(u=u, v=v))
+        raise ValidationError("connection on edge ({},{}) is not inverted by "
+                              "reversal".format(*g.edges[np.argmax(bad)]))
     # edge i is letter -i on its step up, so its step down from the larger
     # vertex carries down[i - 1]: the lower triangle, the one the Cholesky
     # factorization reads, holds the down unitary and the upper one its adjoint
     omega = tuple(range(-1, -len(g.edges) - 1, -1))
     return -_twisted_log_dets(g, omega, down, None, "holonomy twist") / down.shape[-1]
-
-
-def holonomy_log_det(g: GraphModel,
-                     unitaries: Mapping[tuple[int, int], np.ndarray]) -> float:
-    """-(1/dim) log det(I - P tensored with the edge unitaries).
-
-    `unitaries` maps every oriented edge (both directions) to a unitary,
-    with the reverse orientation carrying the conjugate transpose; this is
-    validated. The result is the measure of all loops weighted by the
-    normalized trace of their holonomy.
-    """
-    oriented = [(a, b) for u, v in g.edges for a, b in ((u, v), (v, u))]
-    for a, b in oriented:
-        if (a, b) not in unitaries:
-            raise ValidationError(f"missing unitary for oriented edge ({a},{b})")
-    if not oriented:
-        return 0.0
-
-    def name(i):
-        return "U[({},{})]".format(*oriented[i])
-
-    stack = np.stack(_square((unitaries[e] for e in oriented), "edge unitaries", name))
-    _check_unitary(stack, name)
-    return float(_holonomy_log_dets(
-        g, stack[None, 0::2], stack[None, 1::2],
-        "U[({v},{u})] is not the conjugate transpose of U[({u},{v})]")[0])
 
 
 @dataclass(frozen=True)
@@ -600,8 +573,9 @@ def holonomy_class_intensities(g: GraphModel,
                                gd: GroupData,
                                alpha: float = 1.0) -> dict[tuple, float]:
     """Expected number of loops whose holonomy lands in each conjugacy
-    class: alpha (|C|/|G|) sum over irreps of conj(character) * dim *
-    holonomy_log_det under that irrep.
+    class: alpha (|C|/|G|) sum over irreps rho of conj(character) times
+    -log det(I - P tensored with rho of the connection), the measure of all
+    loops weighted by the trace of their holonomy under rho.
 
     `connection` maps every oriented edge to a group element, the two
     orientations to mutually inverse ones. Each input is checked once (the
@@ -619,12 +593,10 @@ def holonomy_class_intensities(g: GraphModel,
                 f"connection value {connection[e]!r} is not a group element")
     index = {e: i for i, e in enumerate(gd.elements)}
     at = [index[connection[e]] for e in oriented]
-    traces = np.empty(len(gd.irreps))  # dim x holonomy_log_det = -log det, per irrep
+    traces = np.empty(len(gd.irreps))  # -log det(I - P (x) rho), per irrep rho
     for d, (group, stack) in gd._stacks.items():
         mats = stack[:, at]
-        traces[group] = d * _holonomy_log_dets(
-            g, mats[:, 0::2], mats[:, 1::2],
-            "connection on edge ({u},{v}) is not inverted by reversal")
+        traces[group] = d * _connection_log_dets(g, mats[:, 0::2], mats[:, 1::2])
     table = np.array([gd._characters[cls[0]] for cls in gd.classes])
     sizes = np.array([len(cls) for cls in gd.classes])
     vals = _certified(table.conj() @ traces, alpha * sizes / gd.order, False,

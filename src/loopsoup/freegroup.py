@@ -68,10 +68,6 @@ def inverse_word(word: Iterable[int]) -> Word:
     return tuple(-l for l in reversed(_check_word(word)))
 
 
-def multiply_words(u: Iterable[int], w: Iterable[int]) -> Word:
-    return reduce_word(tuple(u) + tuple(w))
-
-
 def group_commutator(u: Iterable[int], w: Iterable[int]) -> Word:
     """Reduced word of u^{-1} w^{-1} u w."""
     u, w = tuple(u), tuple(w)
@@ -333,31 +329,6 @@ def loop_to_word(loop: BasedLoop, frame: SpanningTreeFrame) -> Word:
     return _reduce(crossing_word(loop, frame))
 
 
-def _reduce_cycle(vs: list[int]) -> list[int]:
-    """Erase the backtracks v -> w -> v of a cyclic vertex sequence, in one
-    stack pass: the closed walk from vs[0] is freely reduced, then steps
-    that cancel across the base are peeled from both ends."""
-    path: list[int] = []
-    for v in vs + vs[:1]:
-        if len(path) >= 2 and path[-2] == v:
-            path.pop()
-        else:
-            path.append(v)
-    lo, hi = 0, len(path) - 1
-    while hi - lo >= 2 and path[lo + 1] == path[hi - 1]:
-        lo, hi = lo + 1, hi - 1
-    return path[lo:hi]
-
-
-def geodesic_reduce(loop: BasedLoop) -> tuple[int, ...]:
-    """Cyclically erase backtracks from a loop.
-
-    Returns the geodesic loop freely homotopic to the input, as the canonical
-    rotation of its cyclic vertex sequence; () if the loop is contractible.
-    """
-    return min_rotation(_reduce_cycle(list(loop.vertices[:-1])))
-
-
 def _check_letters(rows: np.ndarray, rank: int) -> None:
     """ValidationError for a class letter beyond the frame's rank."""
     big = np.abs(rows) > rank
@@ -402,11 +373,13 @@ def _check_walks(counts: Iterable[float], limit: int, message: str) -> None:
             raise ConfigError(message)
 
 
-def _check_loop_walks(counts: Iterable[float], max_len: int) -> None:
-    """ConfigError when the non-backtracking walks of a graph up to max_len
-    steps, counts[k - 1] of k steps, take more than _WALK_LETTERS steps in
-    all: the budget of the geodesic loop enumeration."""
-    _check_walks(counts, _WALK_LETTERS,
+def _check_loop_walks(g: GraphModel, max_len: int) -> None:
+    """ConfigError when the non-backtracking walks of g of every length k <=
+    max_len, k steps each, would take more than _WALK_LETTERS steps in all
+    (sum_k k n d (d-1)^(k-1) on n vertices of degree d): the budget of the
+    geodesic loop enumeration. _walk_counts counts them exactly, and no
+    walk is grown."""
+    _check_walks(_walk_counts(g._oriented, max_len), _WALK_LETTERS,
                  f"the geodesic loops up to length {max_len} need more than "
                  f"{_WALK_LETTERS} steps of non-backtracking walks")
 
@@ -541,26 +514,9 @@ def _geodesic_loops(g: GraphModel, max_len: int) -> _Words:
 
     _closed_walks grows them on g's edge table, ordered by tail, then
     head, so that the edge sequences and the vertex sequences of their
-    tails sort alike. ConfigError, before any walk is grown, when
-    the non-backtracking walks of every length k <= max_len, k steps each,
-    would exceed _WALK_LETTERS steps in all (sum_k k n d (d-1)^(k-1) on n
-    vertices of degree d).
+    tails sort alike. The caller checks the budget first
+    (_check_loop_walks).
     """
     edges = g._oriented
-    _check_loop_walks(_walk_counts(edges, max_len), max_len)
     loops = _closed_walks(edges, max_len)
     return loops._replace(letters=edges.tail[loops.letters])
-
-
-def enumerate_geodesic_loops(g: GraphModel, max_len: int) -> list[tuple[int, ...]]:
-    """All geodesic loops (tailless non-backtracking closed walks) of length
-    <= max_len, as canonical cyclic vertex tuples, sorted by (length, tuple).
-
-    Loops are oriented: a loop and its reverse are listed separately unless
-    they coincide. Each cyclic class appears once; use multiplicity() on the
-    tuple for its repetition count. ConfigError if the non-backtracking
-    walks up to max_len would take more than _WALK_LETTERS steps in all
-    (see _geodesic_loops).
-    """
-    loops = _geodesic_loops(g, max_len)
-    return _tuples(loops.letters, loops.lengths)

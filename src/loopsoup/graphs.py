@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -149,19 +149,19 @@ def _search_tree(adj: Sequence[Sequence[int]],
 def build_graph(
     num_vertices: int,
     weighted_edges: Iterable[tuple[int, int, float]],
-    killing: Sequence[float] | float = 0.0,
+    killing: Iterable[float] | float = 0.0,
 ) -> GraphModel:
     """Validate and construct a GraphModel.
 
     Args:
         num_vertices: vertex count; vertices are 0..num_vertices-1.
         weighted_edges: iterable of (u, v, conductance) triples.
-        killing: scalar applied to every vertex, or a per-vertex sequence.
+        killing: scalar applied to every vertex, or one rate per vertex.
 
     Raises:
         ValidationError: on bad labels, loops, duplicate edges, nonpositive
-            or non-finite conductances, or negative or non-finite killing
-            rates.
+            or non-finite conductances, negative or non-finite killing
+            rates, or a disconnected graph.
     """
     if num_vertices < 1:
         raise ValidationError("graph needs at least one vertex")
@@ -179,6 +179,10 @@ def build_graph(
         if not math.isfinite(c):
             raise ValidationError(f"edge {e} has non-finite conductance {c}")
         conductance[e] = float(c)
+    # a connected graph on N vertices has N - 1 edges at least: refuse a short
+    # count before anything per vertex is allocated
+    if len(conductance) < num_vertices - 1:
+        raise ValidationError("graph is not connected")
     if isinstance(killing, (int, float)):
         kill = (float(killing),) * num_vertices
     else:
@@ -308,8 +312,7 @@ def parse_graph(text: str) -> GraphModel:
     """
     num_vertices = None
     weighted_edges: list[tuple[int, int, float]] = []
-    killing: list[float] = []
-    kappa_seen: set[int] = set()
+    killing: dict[int, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -322,7 +325,6 @@ def parse_graph(text: str) -> GraphModel:
                 if len(parts) != 2:
                     raise ValueError("expected 'vertices N'")
                 num_vertices = int(parts[1])
-                killing = [0.0] * num_vertices
             elif parts[0] == "edge":
                 if num_vertices is None:
                     raise ValueError("'edge' before 'vertices'")
@@ -337,9 +339,8 @@ def parse_graph(text: str) -> GraphModel:
                 x = int(parts[1])
                 if not 0 <= x < num_vertices:
                     raise ValueError(f"vertex {x} out of range")
-                if x in kappa_seen:
+                if x in killing:
                     raise ValueError(f"repeated kappa for vertex {x}")
-                kappa_seen.add(x)
                 killing[x] = float(parts[2])
             else:
                 raise ValueError(f"unknown directive {parts[0]!r}")
@@ -347,7 +348,10 @@ def parse_graph(text: str) -> GraphModel:
             raise ValidationError(f"line {lineno}: {exc}") from None
     if num_vertices is None:
         raise ValidationError("missing 'vertices' line")
-    return build_graph(num_vertices, weighted_edges, killing)
+    # build_graph reads the killing of each vertex only once the edges have
+    # passed its checks, so a huge vertex count allocates nothing here
+    return build_graph(num_vertices, weighted_edges,
+                       map(killing.get, range(num_vertices), repeat(0.0)))
 
 
 def load_graph(path: str) -> GraphModel:

@@ -418,14 +418,12 @@ def _crossing_seq(x, frame: SpanningTreeFrame | None) -> Word:
     return letters
 
 
-def _check_indices(idx: Word, frame: SpanningTreeFrame | None,
-                   rank: int | None) -> None:
-    bound = frame.rank if frame is not None else rank
+def _check_indices(idx: Word, frame: SpanningTreeFrame | None) -> None:
     for i in idx:
         if not isinstance(i, int) or i < 1:
             raise ValidationError(f"indices must be positive ints, got {idx}")
-        if bound is not None and i > bound:
-            raise ValidationError(f"index {i} out of range 1..{bound}")
+        if frame is not None and i > frame.rank:
+            raise ValidationError(f"index {i} out of range 1..{frame.rank}")
 
 
 def currents(x, indices: Iterable[int],
@@ -439,7 +437,7 @@ def currents(x, indices: Iterable[int],
     of `indices` are equal, and only then is it a homotopy invariant.
     """
     idx = tuple(indices)
-    _check_indices(idx, frame, None)
+    _check_indices(idx, frame)
     m = len(idx)
     f = [0] * (m + 1)
     f[0] = 1
@@ -461,7 +459,7 @@ def iterated_crossing_coefficient(x, word: Iterable[int],
     the strict count when `word` has no adjacent repeats.
     """
     w = tuple(word)
-    _check_indices(w, frame, None)
+    _check_indices(w, frame)
     m = len(w)
     f = [_ZERO] * (m + 1)
     f[0] = _ONE

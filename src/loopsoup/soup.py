@@ -23,8 +23,7 @@ import numpy as np
 
 from ._memo import memoized
 from .errors import ConfigError, NumericError, ValidationError
-from .freegroup import (BasedLoop, GeodesicClass, _canonical_words,
-                        _row_prefixes, multiplicity)
+from .freegroup import BasedLoop, GeodesicClass, _canonical_words, _row_prefixes
 from .graphs import GraphModel, SpanningTreeFrame, _expand
 from .signature import homology1
 
@@ -34,22 +33,6 @@ _SAMPLER_ENTRIES = 2 ** 24
 # The most index entries that one enumeration plan may hold; a deeper n_max
 # is refused. Below 2^31, so that int32 holds every index of a plan.
 _ENUMERATION_ENTRIES = 2 ** 24
-
-
-def loop_weight(g: GraphModel, loop: BasedLoop) -> tuple[float, float]:
-    """(based weight, unbased loop weight) of a discrete loop.
-
-    Based weight is (1/n) times the product of transition probabilities;
-    the loop weight multiplies by the number of distinct rotations, i.e.
-    equals (product of P) / multiplicity.
-    """
-    loop.check_edges(g)
-    p = g.transition
-    prod = 1.0
-    vs = loop.vertices
-    for a, b in zip(vs, vs[1:]):
-        prod *= p[a, b]
-    return prod / loop.length, prod / multiplicity(vs[:-1])
 
 
 def total_mass(g: GraphModel) -> float:
@@ -382,6 +365,8 @@ class MeasureConfig:
             raise ConfigError("n_max must be >= 1")
         if not 0 < self.tail_tol < math.inf:
             raise ConfigError("tail_tol must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -389,13 +374,6 @@ class SampledSoup:
     """One Poisson draw: the sampled loops."""
 
     loops: tuple[BasedLoop, ...]
-
-    def total_winding(self, frame: SpanningTreeFrame) -> tuple[int, ...]:
-        total = [0] * frame.rank
-        for l in self.loops:
-            for i, w in enumerate(homology1(l, frame)):
-                total[i] += w
-        return tuple(total)
 
 
 @dataclass(frozen=True)
@@ -517,6 +495,8 @@ class LoopSoupSampler:
         self.probs = weights / self.mass
 
     def sample(self, seed: int) -> SampledSoup:
+        if seed < 0:
+            raise ConfigError("seed must be >= 0")
         driver = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         count = int(driver.poisson(self.alpha * self.mass))
         if not count:

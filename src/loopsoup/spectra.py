@@ -668,9 +668,7 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
         raise ValidationError("determinant identity needs a regular graph")
     if any(c != 1.0 for c in g.conductance.values()):
         raise ValidationError("determinant identity needs unit conductances")
-    n, d = g.num_vertices, degs.pop()
-    _check_loop_walks((n * d * (d - 1) ** k for k in range(max_degree)),
-                      max_degree)
+    _check_loop_walks(g, max_degree)
     based, det = memoized((g.neighbors, max_degree), _series_entries,
                           _ihara_series, g, max_degree)
     walk = [Fraction(0)] + [Fraction(c, k) for k, c in enumerate(based[1:], 1)]

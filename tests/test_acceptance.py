@@ -30,7 +30,6 @@ from loopsoup import (
     group_data,
     h3_from_lie,
     holonomy_class_intensities,
-    holonomy_log_det,
     homology1,
     homology1_field_law,
     homology1_grid,
@@ -46,7 +45,6 @@ from loopsoup import (
     loop_to_word,
     lyndon_coordinates,
     lyndon_words,
-    multiply_words,
     occupation,
     reduce_word,
     shuffle_check,
@@ -58,6 +56,7 @@ from loopsoup import (
     twisted_log_det,
     witt_dimension,
 )
+from loopsoup import fourier
 
 SEED = 20240815
 
@@ -209,7 +208,7 @@ def test_criterion_03_currents_vs_log_signature():
     for _ in range(25):
         w = group_commutator(group_commutator((1,), (2,)),
                              (rng.choice([1, 2]),))
-        pool.append(multiply_words(w, group_commutator(
+        pool.append(reduce_word(w + group_commutator(
             _random_reduced(rng, 2, 1, 3), _random_reduced(rng, 2, 1, 3))) or w)
     for _ in range(15):
         w = group_commutator((1,), (2,))
@@ -362,7 +361,7 @@ def test_criterion_09_sampler_calibration(triangle, triangle_frame):
         for lp in soup.loops:
             cls = canonical_class(loop_to_word(lp, triangle_frame))
             class_counts[cls] = class_counts.get(cls, 0) + 1
-        w = soup.total_winding(triangle_frame)
+        w = (sum(homology1(lp, triangle_frame)[0] for lp in soup.loops),)
         winding_hits[w] = winding_hits.get(w, 0) + 1
         occ = occupation(soup)  # raises if any loop fails to close
         for x in range(3):
@@ -412,20 +411,15 @@ def test_criterion_10_holonomy(triangle, triangle_frame):
     failures = []
     mass = total_mass(triangle)
 
-    ident = {}
-    for (u, v) in triangle.edges:
-        ident[(u, v)] = np.eye(1)
-        ident[(v, u)] = np.eye(1)
-    got = holonomy_log_det(triangle, ident)
+    # one connection of 1x1 unitaries, the same on both steps of an edge
+    ident = np.ones((1, len(triangle.edges), 1, 1), dtype=complex)
+    got = fourier._connection_log_dets(triangle, ident, ident)[0]
     if abs(got - mass) > 1e-12:
         failures.append(f"trivial connection: {got} vs {mass}")
 
-    sgn = {}
-    for (u, v) in triangle.edges:
-        m = -np.eye(1) if (u, v) == (1, 2) else np.eye(1)
-        sgn[(u, v)] = m
-        sgn[(v, u)] = m
-    got = holonomy_log_det(triangle, sgn)
+    sgn = ident.copy()
+    sgn[0, triangle.edges.index((1, 2))] = -1
+    got = fourier._connection_log_dets(triangle, sgn, sgn)[0]
     want = -twisted_log_det(triangle, triangle_frame, [0.5])
     if abs(got - want) > 1e-12:
         failures.append(f"sign connection: {got} vs half twist {want}")

@@ -154,6 +154,18 @@ class TestValidate:
         code, _ = run_cli(capsys, "validate", str(tmp_path / "nope.graph"))
         assert code == 4
 
+    def test_huge_vertex_count_refused_before_allocation(self, capsys, tmp_path):
+        # 10^11 vertices need 10^11 - 1 edges to be connected; the two-line
+        # file is refused before anything per vertex is allocated
+        p = tmp_path / "huge.graph"
+        p.write_text("vertices 100000000000\nkappa 0 1\n")
+        t0 = time.perf_counter()
+        code = main(["validate", str(p)])
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "validation error: graph is not connected\n"
+
 
 class TestSample:
     def test_deterministic(self, capsys, tri_path):
@@ -178,6 +190,13 @@ class TestSample:
                             "--occupation")
         assert code == 0
         assert out.splitlines()[1] == "u,v,N,Ncheck"
+
+    def test_negative_seed_exits_4(self, capsys, tri_path):
+        # a tail that n_max 60 certifies, so that only the seed is bad
+        code = main(["sample", tri_path, "--seed", "-1", "--n-max", "60"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == "config error: seed must be >= 0\n"
 
     def test_tight_tail_exits_4(self, capsys, tri_path):
         code, _ = run_cli(capsys, "sample", tri_path, "--seed", "1",

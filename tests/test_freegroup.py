@@ -15,7 +15,6 @@ from loopsoup import (
     crossing_word,
     cyclic_reduce,
     enumerate_geodesic_classes,
-    enumerate_geodesic_loops,
     format_word,
     geodesic_representative,
     group_commutator,
@@ -23,15 +22,13 @@ from loopsoup import (
     loop_to_word,
     min_rotation,
     multiplicity,
-    multiply_words,
     parse_word,
     reduce_word,
     spanning_tree_frame,
 )
 from loopsoup import _memo, freegroup
-from loopsoup.freegroup import (_canonical_words, _class_words,
-                                geodesic_reduce,
-                                _geodesic_loops, _letter_key, _reduce_cycle,
+from loopsoup.freegroup import (_canonical_words, _check_loop_walks,
+                                _class_words, _geodesic_loops, _letter_key,
                                 _rotations, _tuples, _walk_counts)
 
 
@@ -77,6 +74,18 @@ def stepwise_geodesic_loops(g, max_len):
                 if len(path) < max_len:
                     stack.append((w, v, path + (w,)))
     return sorted(found, key=lambda t: (len(t), t))
+
+
+def geodesic_loops(g, max_len):
+    """The geodesic loops of g up to max_len as canonical vertex tuples."""
+    return _tuples(*_geodesic_loops(g, max_len)[:2])
+
+
+def class_geodesic(walk, frame):
+    """The geodesic of a closed walk's free homotopy class, by the package's
+    route: word, class, then geodesic_representative."""
+    word = loop_to_word(BasedLoop(tuple(walk)), frame)
+    return geodesic_representative(canonical_class(word), frame)
 
 
 def quadratic_reduce_cycle(vs):
@@ -140,8 +149,9 @@ class TestWordOps:
         assert inverse_word(()) == ()
 
     def test_multiply_cancels(self):
-        assert multiply_words((1, 2), (-2, -1)) == ()
-        assert multiply_words((1, 2), (3,)) == (1, 2, 3)
+        # the product of the free group is the reduced concatenation
+        assert reduce_word((1, 2) + (-2, -1)) == ()
+        assert reduce_word((1, 2) + (3,)) == (1, 2, 3)
 
     def test_group_axioms_random(self):
         rng = random.Random(5)
@@ -150,9 +160,9 @@ class TestWordOps:
             u = reduce_word(rng.choices(letters, k=rng.randrange(9)))
             w = reduce_word(rng.choices(letters, k=rng.randrange(9)))
             v = reduce_word(rng.choices(letters, k=rng.randrange(9)))
-            assert multiply_words(u, inverse_word(u)) == ()
-            lhs = multiply_words(multiply_words(u, w), v)
-            assert lhs == multiply_words(u, multiply_words(w, v))
+            assert reduce_word(u + inverse_word(u)) == ()
+            lhs = reduce_word(reduce_word(u + w) + v)
+            assert lhs == reduce_word(u + reduce_word(w + v))
 
     def test_commutator(self):
         assert group_commutator((1,), (2,)) == (-1, -2, 1, 2)
@@ -328,21 +338,23 @@ class TestRotationKernel:
         assert _tuples(loops.letters, loops.lengths) == want
         assert loops.multiplicity.tolist() == [multiplicity(t) for t in want]
         for max_len in range(-1, 10):
-            assert enumerate_geodesic_loops(g, max_len) == [
+            assert geodesic_loops(g, max_len) == [
                 t for t in want if len(t) <= max_len]
 
     def test_geodesic_loops_budget(self, monkeypatch, k4):
         # sum_k k n d (d-1)^(k-1) steps: on K4, 12 walks of one step, 24
         # of two and 48 of three make 12 + 48 + 144 = 204
         with pytest.raises(ConfigError, match="up to length 40"):
-            enumerate_geodesic_loops(k4, 40)
+            _check_loop_walks(k4, 40)
         monkeypatch.setattr(freegroup, "_WALK_LETTERS", 204)
-        assert len(enumerate_geodesic_loops(k4, 3)) == 8
+        _check_loop_walks(k4, 3)
+        assert len(geodesic_loops(k4, 3)) == 8
         with pytest.raises(ConfigError):
-            enumerate_geodesic_loops(k4, 4)
+            _check_loop_walks(k4, 4)
         # walks die out at once where every vertex has degree <= 1
         path = build_graph(2, [(0, 1, 1.0)], 1.0)
-        assert enumerate_geodesic_loops(path, 10 ** 9) == []
+        _check_loop_walks(path, 10 ** 9)
+        assert geodesic_loops(path, 10 ** 9) == []
 
     def test_budget_raises_config_error(self, monkeypatch):
         # sum_k k 2r (2r-1)^(k-1) letters: rank 6 at length 10 is about 3e11
@@ -384,7 +396,7 @@ def root_walk_representative(cls, frame):
         walk.extend(frame.tree_path(walk[-1], a)[1:])
         walk.append(b)
     walk.extend(frame.tree_path(walk[-1], frame.root)[1:])
-    return min_rotation(_reduce_cycle(walk[:-1]))
+    return min_rotation(quadratic_reduce_cycle(walk[:-1]))
 
 
 class TestLoops:
@@ -425,19 +437,21 @@ class TestLoops:
         lp = BasedLoop((0, 1, 2, 1, 0))
         assert loop_to_word(lp, triangle_frame) == ()
 
-    def test_geodesic_reduce_removes_backtracks(self):
-        assert geodesic_reduce(BasedLoop((0, 1, 0, 2, 0))) == ()
-        assert geodesic_reduce(BasedLoop((0, 1, 2, 0))) == min_rotation((0, 1, 2))
+    def test_geodesic_reduce_removes_backtracks(self, triangle_frame):
+        assert class_geodesic((0, 1, 0, 2, 0), triangle_frame) == ()
+        assert class_geodesic((0, 1, 2, 0), triangle_frame) == min_rotation((0, 1, 2))
 
     @pytest.mark.parametrize("graph", ["k4", "petersen", "bowtie"])
     def test_reduce_cycle_equals_quadratic_reference(self, request, graph):
+        # the geodesic of a closed walk's class is the walk with its
+        # backtracks erased, cyclically
         g = request.getfixturevalue(graph)
+        frame = spanning_tree_frame(g)
         rng = random.Random(graph)
         for _ in range(300):
             walk = _random_closed_walk(rng, g, rng.randrange(1, 40))
             want = min_rotation(quadratic_reduce_cycle(walk[:-1]))
-            assert geodesic_reduce(BasedLoop(tuple(walk))) == want
-            assert min_rotation(_reduce_cycle(walk[:-1])) == want
+            assert class_geodesic(walk, frame) == want
 
     def test_geodesic_representative_triangle(self, triangle_frame):
         rep = geodesic_representative(canonical_class((1,)), triangle_frame)
@@ -463,13 +477,13 @@ class TestLoops:
             except ValidationError:
                 continue
             c = tuple(rng.choice([1, -1, 2, -2]) for _ in range(3))
-            conj = multiply_words(multiply_words(c, w), inverse_word(c))
+            conj = reduce_word(reduce_word(c + w) + inverse_word(c))
             assert canonical_class(w) == canonical_class(conj)
 
     def test_enumerate_loops_matches_classes(self, triangle, triangle_frame):
         # dual route: tailless non-backtracking vertex cycles vs the
         # abstract classes carried over by the representative map
-        loops = enumerate_geodesic_loops(triangle, 6)
+        loops = geodesic_loops(triangle, 6)
         from_classes = set()
         for cls in enumerate_geodesic_classes(triangle_frame.rank, 6):
             rep = geodesic_representative(cls, triangle_frame)
@@ -478,7 +492,7 @@ class TestLoops:
         assert set(loops) == from_classes
 
     def test_enumerate_loops_bowtie(self, bowtie, bowtie_frame):
-        loops = enumerate_geodesic_loops(bowtie, 5)
+        loops = geodesic_loops(bowtie, 5)
         from_classes = set()
         for cls in enumerate_geodesic_classes(bowtie_frame.rank, 5):
             rep = geodesic_representative(cls, bowtie_frame)
@@ -524,6 +538,7 @@ class TestWalkCounts:
         star = build_graph(301, [(0, v, 1.0) for v in range(1, 301)], 1.0)
         monkeypatch.setattr(freegroup, "_WALK_LETTERS", 1000)
         with pytest.raises(ConfigError, match="up to length 2"):
-            enumerate_geodesic_loops(star, 2)
-        assert enumerate_geodesic_loops(star, 1) == []
+            _check_loop_walks(star, 2)
+        _check_loop_walks(star, 1)
+        assert geodesic_loops(star, 1) == []
         assert "succ" not in vars(star._oriented)

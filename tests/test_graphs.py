@@ -80,6 +80,9 @@ class TestBuildGraph:
     def test_rejects_disconnected(self):
         with pytest.raises(ValidationError, match="connected"):
             build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)], 1.0)
+        # too few edges to connect: refused before the killing is expanded
+        with pytest.raises(ValidationError, match="connected"):
+            build_graph(10 ** 11, [(0, 1, 1.0)], 1.0)
 
     def test_rejects_isolated_vertex(self):
         # an isolated vertex has lam = 0 even with killing, and the

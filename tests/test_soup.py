@@ -31,22 +31,9 @@ from loopsoup import (
     winding_masses,
 )
 from loopsoup import _memo, soup
-from loopsoup.soup import loop_weight
 
 
 class TestMeasure:
-    def test_loop_weight_by_hand(self, triangle):
-        # two-step loop 0-1-0: measure (1/3)(1/3), based weight /2
-        based, unbased = loop_weight(triangle, BasedLoop((0, 1, 0)))
-        assert based == pytest.approx(1.0 / 18.0)
-        assert unbased == pytest.approx(1.0 / 9.0)
-
-    def test_loop_weight_multiplicity(self, triangle):
-        # traversing 0-1-0 twice has multiplicity 2
-        based, unbased = loop_weight(triangle, BasedLoop((0, 1, 0, 1, 0)))
-        assert based == pytest.approx((1.0 / 3.0) ** 4 / 4.0)
-        assert unbased == pytest.approx((1.0 / 3.0) ** 4 / 2.0)
-
     def test_total_mass_triangle(self, triangle):
         # det(I - P) = 16/27 for the unit triangle with unit killing
         assert total_mass(triangle) == pytest.approx(math.log(27.0 / 16.0), abs=1e-14)
@@ -366,6 +353,8 @@ class TestConfig:
             MeasureConfig(n_max=0)
         with pytest.raises(ConfigError):
             MeasureConfig(tail_tol=-1.0)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            MeasureConfig(seed=-1)
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError):
                 MeasureConfig(alpha=bad)
@@ -376,6 +365,11 @@ class TestConfig:
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ConfigError):
                 LoopSoupSampler(triangle, triangle_frame, alpha=bad)
+
+    def test_sampler_rejects_negative_seed(self, triangle):
+        # SeedSequence would raise a bare ValueError
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            LoopSoupSampler(triangle, None, n_max=42).sample(-1)
 
     @pytest.mark.parametrize("alpha", [1e15, 1e300])
     def test_expected_steps_over_budget(self, triangle, triangle_frame, alpha):
@@ -451,9 +445,11 @@ class TestSampler:
         assert parse_soup("2 5 0\n").loops == (BasedLoop((5, 0, 5)),)
 
     def test_loop_weight_rejects_vertex_off_the_graph(self, triangle):
+        # the weight of a loop is read off its edges, which check_edges
+        # vouches for: a vertex off the graph is refused, not wrapped
         for vs in ((0, 5, 0), (0, -1, 0)):
             with pytest.raises(ValidationError, match="not in 0..2"):
-                loop_weight(triangle, BasedLoop(vs))
+                BasedLoop(vs).check_edges(triangle)
 
     def test_frame_is_unused(self, triangle, triangle_frame):
         cfg = MeasureConfig(n_max=42, tail_tol=1e-7, seed=5)

@@ -19,7 +19,6 @@ from loopsoup import (
     class_intensity,
     contractible_intensity,
     enumerate_geodesic_classes,
-    enumerate_geodesic_loops,
     enumerate_measure,
     geodesic_representative,
     homology1_intensity,
@@ -33,7 +32,8 @@ from loopsoup import (
 )
 from loopsoup import spectra
 from loopsoup.cli import main
-from loopsoup.freegroup import GeodesicClass, _class_words, _Words
+from loopsoup.freegroup import (GeodesicClass, _class_words, _geodesic_loops,
+                                _tuples, _Words)
 
 SQRT5 = math.sqrt(5.0)
 # The trivial-class mass of the triangle with killing 1e-9 at one vertex,
@@ -786,7 +786,7 @@ class TestIharaIntegers:
         g = (request.getfixturevalue(name) if name in ("k4", "petersen")
              else _regular(name))
         want = [Fraction(0)] * 10
-        for cycle in enumerate_geodesic_loops(g, 9):
+        for cycle in _tuples(*_geodesic_loops(g, 9)[:2]):
             want[len(cycle)] += Fraction(1, multiplicity(cycle))
         series = ihara_check(g, 9)
         assert list(series.walk_side) == want
