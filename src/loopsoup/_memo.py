@@ -3,12 +3,14 @@ the rose, canonical classes, Ihara series, Heisenberg blocks, twist plans,
 Lyndon tables and bracket expansions, all of which depend on no weights.
 
 One OrderedDict in least recently used order holds them under one budget
-of entries, an entry being one array element or one int held in a tuple.
-A kept value counts its own entries (each site's size function counts
-them), one per int in its key, and _OVERHEAD for the objects of the store
-itself. The least recently used values go first once the budget is
-passed; a value over the whole budget is returned and not kept. Values
-kept are shared, so read-only.
+of entries. The store counts a value's entries itself (_count): an array
+counts its elements, a number or a string 1 and None 0, and a tuple
+(NamedTuples included) or a dataclass the sum of what it holds. A kept
+value counts those entries, one per int in its key, and _OVERHEAD for the
+objects of the store itself. The least recently used values go first
+once the budget is passed; a value over the whole budget is returned and
+not kept. Every value built is shared, so the count makes its arrays
+read-only on the same pass, whether it is kept or not.
 
 Three caches stay apart: spectra.solve_rho's tables depend on the weights
 and its cache_info is public; fourier._laurent hands one graph's
@@ -20,7 +22,11 @@ from __future__ import annotations
 
 import functools
 from collections import OrderedDict
+from dataclasses import fields
+from numbers import Number
 from typing import Any, Callable
+
+import numpy as np
 
 # At least the 2^20 + 2^18 + 2^12 of the memos it replaced; filled with Lie
 # expansions it retains about 60 MB on 64-bit CPython 3.11.
@@ -33,10 +39,9 @@ _STORE: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
 _held = 0  # the sum of those entries
 
 
-def memoized(key: tuple, size: Callable[[Any], int],
-             build: Callable[..., Any], *args) -> Any:
-    """The value kept for (build, *key), or else build(*args), kept with
-    _entries(key, size(value)) entries."""
+def memoized(key: tuple, build: Callable[..., Any], *args) -> Any:
+    """The value kept for (build, *key), or else build(*args), read-only,
+    kept with _entries(key, _count(value)) entries."""
     global _held
     at = (build,) + key
     hit = _STORE.get(at)
@@ -44,13 +49,29 @@ def memoized(key: tuple, size: Callable[[Any], int],
         _STORE.move_to_end(at)
         return hit[0]
     value = build(*args)
-    entries = _entries(key, size(value))
+    entries = _entries(key, _count(value))
     if entries <= _BUDGET:
         _STORE[at] = value, entries
         _held += entries
         while _held > _BUDGET:
             _held -= _STORE.popitem(last=False)[1][1]
     return value
+
+
+def _count(value: Any) -> int:
+    """The entries of a value, its arrays made read-only on the way."""
+    if isinstance(value, tuple):
+        # ints and strings, the most common contents, are counted in place
+        return sum(1 if isinstance(v, (int, str)) else _count(v) for v in value)
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        return value.size
+    if isinstance(value, (Number, str)):
+        return 1
+    if value is None:
+        return 0
+    # a dataclass: fields raises TypeError on any other value
+    return sum(_count(getattr(value, f.name)) for f in fields(value))
 
 
 def _entries(key: tuple, value_entries: int) -> int:
@@ -62,11 +83,9 @@ def _ints(key: tuple) -> int:
     return sum(_ints(k) if isinstance(k, tuple) else 1 for k in key)
 
 
-def memo(size: Callable[[Any], int]):
+def memo(fn):
     """Decorator: memoized for a pure function of hashable positional args."""
-    def wrap(fn):
-        return functools.wraps(fn)(lambda *args: memoized(args, size, fn, *args))
-    return wrap
+    return functools.wraps(fn)(lambda *args: memoized(args, fn, *args))
 
 
 def clear() -> None:

@@ -113,18 +113,14 @@ class _TwistPlan:
     conj: np.ndarray
     phase: np.ndarray | None
 
-    @property
-    def entries(self) -> int:
-        return sum(a.size for a in vars(self).values() if a is not None)
 
-
-@memo(lambda plan: plan.entries)
+@memo
 def _twist_plan(n: int, edges: tuple[tuple[int, int], ...], omega: tuple[int, ...],
                 d: int, rank: int, m: int | None) -> _TwistPlan:
     """The _TwistPlan of n vertices, the edges and their letters omega,
     with blocks of size d twisted by rank unitaries, on the m^rank grid
-    with m. It depends on no weights, so it is memoized (see _memo); its
-    arrays are read-only."""
+    with m. It depends on no weights, so it is memoized (see _memo), which
+    makes its arrays read-only."""
     size = n * d
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     letter = np.array(omega, dtype=np.intp)
@@ -143,12 +139,8 @@ def _twist_plan(n: int, edges: tuple[tuple[int, int], ...], omega: tuple[int, ..
     if m is not None:
         k = np.arange(m ** rank)[:, None] // m ** (rank - 1 - gen) % m
         phase = np.exp(2j * np.pi * (k / m))
-    plan = _TwistPlan(ends, fixed, fixed_edge, twisted, gen, (rows * size + cols).ravel(),
+    return _TwistPlan(ends, fixed, fixed_edge, twisted, gen, (rows * size + cols).ravel(),
                       (cols * size + rows).ravel(), phase)
-    for a in vars(plan).values():
-        if a is not None:
-            a.flags.writeable = False
-    return plan
 
 
 def _twisted_log_dets(g: GraphModel, omega: tuple[int, ...], unitaries: np.ndarray,
@@ -839,7 +831,7 @@ def _schrodinger_blocks(b: np.ndarray, a: np.ndarray, a_inv: np.ndarray,
     return blocks
 
 
-@memo(lambda out: sum(owners.size + blocks.size for _, owners, blocks in out))
+@memo
 def _heisenberg_blocks(p: int, r: int, lo: int,
                        hi: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     """The Schrodinger blocks of the skew h in rows lo:hi of _skew_grid(r,
@@ -849,7 +841,7 @@ def _heisenberg_blocks(p: int, r: int, lo: int,
 
     They depend only on p, r and the slice, so they are memoized (see
     _memo; each holds about max(_CHUNK_ENTRIES, r p^r) complex entries, by
-    the slicing of _heisenberg_traces); the arrays are read-only.
+    the slicing of _heisenberg_traces), which makes the arrays read-only.
     """
     forms = np.zeros((hi - lo, r, r), dtype=np.int64)
     forms[(slice(None),) + np.triu_indices(r, 1)] = 2 * _skew_grid(r, p)[lo:hi]
@@ -866,7 +858,6 @@ def _heisenberg_blocks(p: int, r: int, lo: int,
         blocks = _schrodinger_blocks(
             forms[owners], np.array(a, dtype=np.int64).reshape(shape),
             np.array(a_inv, dtype=np.int64).reshape(shape), k, p)
-        owners.flags.writeable = blocks.flags.writeable = False
         out.append((k, owners, blocks))
     return tuple(out)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +36,8 @@ _RANK_SPAN = 2 ** 31
 # max_len, that the class enumeration may hold.
 _CLASS_LETTERS = 2 ** 20
 # The most steps, summed over every non-backtracking walk of every length up
-# to max_len, that the geodesic loop enumeration may grow.
+# to max_len, that the geodesic loop enumeration may grow; spectra.ihara_check
+# bounds the products of its determinant series by it too.
 _WALK_LETTERS = 2 ** 22
 
 
@@ -231,11 +232,6 @@ class GeodesicClass:
     def multiplicity(self) -> int:
         return multiplicity(self.word)
 
-    def primitive(self) -> "GeodesicClass":
-        # a least rotation of u^m is a least rotation of u repeated, so the
-        # prefix is canonical already
-        return GeodesicClass(self.word[: len(self.word) // self.multiplicity])
-
     def __repr__(self):
         return "TRIVIAL" if self.is_trivial else f"GeodesicClass({format_word(self.word)!r})"
 
@@ -243,7 +239,7 @@ class GeodesicClass:
 TRIVIAL = GeodesicClass(())
 
 
-@memo(lambda cls: len(cls.word))
+@memo
 def _canonical(word: Word) -> GeodesicClass:
     w = cyclic_reduce(word)
     if not w:
@@ -302,10 +298,6 @@ class BasedLoop:
     @property
     def length(self) -> int:
         return len(self.vertices) - 1
-
-    @property
-    def base(self) -> int:
-        return self.vertices[0]
 
     def check_edges(self, g: GraphModel) -> None:
         n, lo, hi = g.num_vertices, min(self.vertices), max(self.vertices)
@@ -373,29 +365,6 @@ def _check_walks(counts: Iterable[float], limit: int, message: str) -> None:
             raise ConfigError(message)
 
 
-def _check_loop_walks(g: GraphModel, max_len: int) -> None:
-    """ConfigError when the non-backtracking walks of g of every length k <=
-    max_len, k steps each, would take more than _WALK_LETTERS steps in all
-    (sum_k k n d (d-1)^(k-1) on n vertices of degree d): the budget of the
-    geodesic loop enumeration. _walk_counts counts them exactly, and no
-    walk is grown."""
-    _check_walks(_walk_counts(g._oriented, max_len), _WALK_LETTERS,
-                 f"the geodesic loops up to length {max_len} need more than "
-                 f"{_WALK_LETTERS} steps of non-backtracking walks")
-
-
-def _walk_counts(edges: _EdgeTable, max_len: int) -> Iterator[float]:
-    """The number of non-backtracking walks of k = 1..max_len steps on the
-    oriented edges of a table, B applied without building its succ: the
-    walks of k + 1 steps that end with edge i are those of k steps that
-    end at tail[i], less the one that ends with reverse[i]."""
-    n = edges.first.size - 1
-    ending = np.ones(edges.head.size)
-    for _ in range(max_len):
-        yield ending.sum()
-        ending = np.bincount(edges.head, ending, n)[edges.tail] - ending[edges.reverse]
-
-
 def _closed_walks(edges: _EdgeTable, max_len: int) -> _Words:
     """The tailless closed non-backtracking walks of 1..max_len steps that
     are their own least rotation, on the oriented edges of a table: a flat
@@ -437,25 +406,12 @@ def _closed_walks(edges: _EdgeTable, max_len: int) -> _Words:
     return _Words(letters[np.repeat(keep, lengths)], lengths[keep], mult[keep])
 
 
-@dataclass(frozen=True, eq=False)
-class _ClassWords:
-    """The class words of one (rank, max_len), with read-only arrays, and
-    the class columns of each one's row (_row_prefixes), made on first
-    use."""
+class _ClassWords(NamedTuple):
+    """The class words of one (rank, max_len), and the class columns of
+    each one's row (_row_prefixes)."""
 
     words: _Words
-
-    @cached_property
-    def rows(self) -> tuple[str, ...]:
-        w = self.words
-        return tuple(_row_prefixes(_tuples(w.letters, w.lengths),
-                                   w.multiplicity.tolist()))
-
-    @property
-    def entries(self) -> int:
-        """Entries held: one per letter, and three per word for its length,
-        multiplicity and row prefix."""
-        return self.words.letters.size + 3 * self.words.lengths.size
+    rows: tuple[str, ...]
 
 
 def _build_class_words(rank: int, max_len: int) -> _ClassWords:
@@ -465,9 +421,8 @@ def _build_class_words(rank: int, max_len: int) -> _ClassWords:
     rose = np.zeros_like(edges)
     words = _closed_walks(_EdgeTable(rose, rose, edges ^ 1, 1), max_len)
     words = words._replace(letters=alphabet[words.letters])
-    for a in words:
-        a.flags.writeable = False
-    return _ClassWords(words)
+    return _ClassWords(words, tuple(_row_prefixes(
+        _tuples(words.letters, words.lengths), words.multiplicity.tolist())))
 
 
 def _class_words(rank: int, max_len: int) -> _ClassWords:
@@ -493,8 +448,7 @@ def _class_words(rank: int, max_len: int) -> _ClassWords:
                  _CLASS_LETTERS,
                  f"the classes of rank {rank} up to length {max_len} need more "
                  f"than {_CLASS_LETTERS} letters of reduced words")
-    return memoized((rank, max_len), _ClassWords.entries.fget,
-                    _build_class_words, rank, max_len)
+    return memoized((rank, max_len), _build_class_words, rank, max_len)
 
 
 def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
@@ -514,8 +468,8 @@ def _geodesic_loops(g: GraphModel, max_len: int) -> _Words:
 
     _closed_walks grows them on g's edge table, ordered by tail, then
     head, so that the edge sequences and the vertex sequences of their
-    tails sort alike. The caller checks the budget first
-    (_check_loop_walks).
+    tails sort alike. The caller checks the budget first (see
+    spectra.ihara_check).
     """
     edges = g._oriented
     loops = _closed_walks(edges, max_len)

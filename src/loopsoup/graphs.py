@@ -83,9 +83,6 @@ class GraphModel:
         tail = np.repeat(np.arange(self.num_vertices), [len(a) for a in self.neighbors])
         return _EdgeTable(tail, head, np.lexsort((tail, head)), self.num_vertices)
 
-    def weight(self, u: int, v: int) -> float:
-        return self.conductance[_normalize_edge(u, v)]
-
     def degree(self, x: int) -> int:
         return len(self.neighbors[x])
 

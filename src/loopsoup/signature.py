@@ -292,7 +292,7 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
     return word[:best], word[best:]
 
 
-@memo(lambda terms: sum(len(w) + 1 for w, _ in terms))  # words and ints
+@memo
 def _bracket_expansion(word: Word) -> tuple[tuple[Word, int], ...]:
     if len(word) == 1:
         return ((word, 1),)
@@ -308,7 +308,7 @@ def bracket_expansion(word: Word) -> dict[Word, int]:
     return dict(_bracket_expansion(tuple(word)))
 
 
-@memo(lambda words: sum(map(len, words)))
+@memo
 def _lyndon_words_of_length(rank: int, n: int) -> tuple[Word, ...]:
     return tuple(w for w in lyndon_words(rank, n) if len(w) == n)
 

@@ -71,8 +71,9 @@ from math import comb, fsum, sqrt
 import numpy as np
 
 from ._memo import memoized
-from .errors import NumericError, ValidationError
-from .freegroup import (GeodesicClass, _check_letters, _check_loop_walks,
+from . import freegroup
+from .errors import ConfigError, NumericError, ValidationError
+from .freegroup import (GeodesicClass, _check_letters, _check_walks,
                         _geodesic_loops, _Words)
 from .graphs import GraphModel, SpanningTreeFrame
 
@@ -386,24 +387,21 @@ def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
 
 
 def class_intensity(g: GraphModel, frame: SpanningTreeFrame,
-                    cls: GeodesicClass, s: float = 1.0,
-                    rho: RhoTable | None = None) -> float:
+                    cls: GeodesicClass, rho: RhoTable | None = None) -> float:
     """Loop-measure mass of a nontrivial homotopy class.
 
     The product of P(x,y) rho(x,y) over the steps of the class's geodesic
     loop, divided by the class multiplicity: the one-row view of
     _class_intensities, so bitwise equal to that class's row in any table.
-    Pass a precomputed RhoTable to amortize the solve across classes.
-    ValidationError for the trivial class, a letter beyond the frame's
-    rank, or a table solved at another s.
+    Pass a precomputed RhoTable, at any s, to amortize the solve across
+    classes; without one the s = 1 table is solved. ValidationError for
+    the trivial class or a letter beyond the frame's rank.
     """
     if cls.is_trivial:
         raise ValidationError(
             "the trivial class has no geodesic; use contractible_intensity")
     if rho is None:
-        rho = solve_rho(g, s)
-    elif rho.s != s:
-        raise ValidationError(f"rho table solved at s={rho.s}, need s={s}")
+        rho = solve_rho(g, 1.0)
     words = _Words(np.array(cls.word, dtype=np.intp),
                    np.array([cls.length]), np.array([cls.multiplicity]))
     return float(_class_intensities(g, frame, words, rho)[0])
@@ -413,13 +411,11 @@ def class_intensity(g: GraphModel, frame: SpanningTreeFrame,
 class RegularForms:
     """Closed forms on a d-regular graph with unit conductances and
     constant killing: the edge and vertex excursion functions, the
-    per-geodesic-step intensity factor, and the square root b of the
-    discriminant 1 - 4 s (d-1)/(d+kappa)^2."""
+    per-geodesic-step intensity factor."""
 
     rho_edge: float
     rho_vertex: float
     step_intensity: float
-    b: float
 
 
 def regular_closed_forms(d: int, kappa: float, s: float = 1.0) -> RegularForms:
@@ -449,7 +445,7 @@ def regular_closed_forms(d: int, kappa: float, s: float = 1.0) -> RegularForms:
         raise NumericError(f"non-summable tree-contour series at s={s}")
     rho_vertex = 2.0 * (d - 1) / denom
     return RegularForms(rho_edge=rho_edge, rho_vertex=rho_vertex,
-                        step_intensity=rho_edge / lam, b=b)
+                        step_intensity=rho_edge / lam)
 
 
 def _tree_mass(g: GraphModel, edge: np.ndarray) -> tuple[float, float]:
@@ -653,12 +649,14 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
     Requires a d-regular graph with unit conductances (the identity is
     stated for the adjacency matrix). ConfigError, before any walk is
     grown, if the non-backtracking walks up to max_degree, sum_k k n d
-    (d-1)^(k-1) steps on n vertices, would take more than
-    freegroup._WALK_LETTERS steps in all.
+    (d-1)^(k-1) steps on n vertices, or the max_degree (max_degree - 1) / 2
+    products of _det_series's recursion, would exceed
+    freegroup._WALK_LETTERS: where d <= 1 the walks die out, and the
+    series alone would grow with max_degree squared.
 
     Both series depend on the topology alone, so the based counts and the
     determinant side are memoized per (neighbours, max_degree) (see
-    _memo), not the loops. The checks above and the budget run on every
+    _memo), not the loops. The checks above and the budgets run on every
     call, ahead of the memo.
     """
     if max_degree < 1:
@@ -668,9 +666,15 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
         raise ValidationError("determinant identity needs a regular graph")
     if any(c != 1.0 for c in g.conductance.values()):
         raise ValidationError("determinant identity needs unit conductances")
-    _check_loop_walks(g, max_degree)
-    based, det = memoized((g.neighbors, max_degree), _series_entries,
-                          _ihara_series, g, max_degree)
+    n, d, limit = g.num_vertices, degs.pop(), freegroup._WALK_LETTERS
+    _check_walks((n * d * (d - 1) ** k for k in range(max_degree)), limit,
+                 f"the geodesic loops up to length {max_degree} need more "
+                 f"than {limit} steps of non-backtracking walks")
+    if max_degree * (max_degree - 1) // 2 > limit:
+        raise ConfigError(f"the determinant series up to degree {max_degree} "
+                          f"needs more than {limit} products")
+    based, det = memoized((g.neighbors, max_degree), _ihara_series, g,
+                          max_degree)
     walk = [Fraction(0)] + [Fraction(c, k) for k, c in enumerate(based[1:], 1)]
     return IharaSeries(walk_side=tuple(walk), det_side=det)
 
@@ -685,7 +689,3 @@ def _ihara_series(g: GraphModel, max_degree: int
     np.add.at(based, loops.lengths, loops.lengths // loops.multiplicity)
     det = _det_series(g.neighbors, len(g.edges), max_degree)
     return tuple(based.tolist()), tuple(det)
-
-
-def _series_entries(series: tuple[tuple, tuple]) -> int:
-    return len(series[0]) + len(series[1])

@@ -350,7 +350,7 @@ def test_criterion_09_sampler_calibration(triangle, triangle_frame):
     failures = []
     n_soups = 10_000
     n_max = 42
-    sampler = LoopSoupSampler(triangle, triangle_frame, alpha=1.0, n_max=n_max)
+    sampler = LoopSoupSampler(triangle, alpha=1.0, n_max=n_max)
 
     counts = []
     class_counts = {}

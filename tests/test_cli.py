@@ -291,8 +291,9 @@ class TestHomotopy:
         assert code == 0
         g = loopsoup.load_graph(bow_path)
         frame = loopsoup.spanning_tree_frame(g)
+        rho = loopsoup.solve_rho(g, 0.7)
         want = [f"{loopsoup.format_word(c.word)},{c.length},{c.multiplicity},"
-                f"{loopsoup.class_intensity(g, frame, c, s=0.7)!r}"
+                f"{loopsoup.class_intensity(g, frame, c, rho=rho)!r}"
                 for c in loopsoup.enumerate_geodesic_classes(frame.rank, 4)]
         assert out.splitlines()[2:] == want
 
@@ -715,6 +716,21 @@ class TestZeta:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("config error: the geodesic loops up to length 40")
+
+    @pytest.mark.parametrize("edges", ["edge 0 1 1.0\n", ""])
+    def test_deep_series_without_walks_exits_4(self, capsys, tmp_path, edges):
+        # on K2 and K1 the walks die out at once, but the determinant series
+        # still takes max_degree^2 / 2 products: refused, not computed
+        path = tmp_path / "k.graph"
+        path.write_text(f"vertices {1 + bool(edges)}\n{edges}kappa 0 1.0\n")
+        start = time.perf_counter()
+        assert main(["zeta", str(path), "--max-degree", "100000000"]) == 4
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: the determinant series up to "
+                              "degree 100000000 needs more than")
+        assert main(["zeta", str(path), "--max-degree", "2000"]) == 0
 
 
 class TestSignatureCmd:

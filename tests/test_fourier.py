@@ -166,7 +166,7 @@ class TestHomology1Field:
 
     def test_monte_carlo_agreement(self, triangle, triangle_frame):
         from loopsoup import LoopSoupSampler
-        sampler = LoopSoupSampler(triangle, triangle_frame, n_max=42)
+        sampler = LoopSoupSampler(triangle, n_max=42)
         n = 2000
         hits = {}
         for seed in range(n):
@@ -1132,7 +1132,7 @@ class TestHomology2Field:
         # first invariant; loops that wind contribute nothing
         from loopsoup import LoopSoupSampler
         p = 5
-        sampler = LoopSoupSampler(bowtie, bowtie_frame, n_max=30)
+        sampler = LoopSoupSampler(bowtie, n_max=30)
         n = 1500
         hits = {m: 0 for m in range(p)}
         for seed in range(n):
@@ -1496,7 +1496,7 @@ class TestTwistPlan:
         built = []
         build = fourier._twist_plan.__wrapped__
         monkeypatch.setattr(fourier, "_twist_plan", _memo.memo(
-            lambda plan: plan.entries)(lambda *key: built.append(key) or build(*key)))
+            lambda *key: built.append(key) or build(*key)))
         values = set()
         for seed in range(20):
             g, frame = _random_weights("bowtie", seed)

@@ -40,8 +40,7 @@ class TestBuildGraph:
     def test_edge_order_normalized(self):
         g = build_graph(3, [(2, 1, 4.0), (1, 0, 3.0)], 1.0)
         assert g.edges == ((0, 1), (1, 2))
-        assert g.weight(1, 2) == 4.0
-        assert g.weight(2, 1) == 4.0
+        assert g.conductance == {(0, 1): 3.0, (1, 2): 4.0}
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError):

@@ -20,12 +20,14 @@ import pytest
 
 import loopsoup
 from loopsoup import (_memo, build_graph, dynkin_map, fourier, freegroup,
-                      group_data, holonomy_class_intensities, load_graph,
-                      log_signature, lyndon_coordinates, soup, spectra,
+                      group_data, holonomy_class_intensities, homology1_grid,
+                      homology2_intensity, load_graph, log_signature,
+                      lyndon_coordinates, soup, spectra,
                       spanning_tree_frame)
 from loopsoup.cli import main
 from loopsoup.freegroup import _class_words, canonical_class
-from loopsoup.signature import bracket_expansion
+from loopsoup.signature import (_bracket_expansion, _lyndon_words_of_length,
+                                bracket_expansion)
 from loopsoup.spectra import ihara_check
 
 
@@ -113,18 +115,22 @@ def _check_held():
     assert _memo._held <= _memo._BUDGET
 
 
-def _holonomy(path, order=5):
-    """The holonomy law, which has no CLI verb: the class intensities of a
-    Z_order connection, edge i carrying i mod order, printed."""
-    g = load_graph(path)
+def _holonomy_law(g, order=5):
+    """The class intensities of a Z_order connection, edge i carrying i mod
+    order."""
     elements = range(order)
     irreps = [{e: np.array([[np.exp(2j * np.pi * k * e / order)]]) for e in elements}
               for k in elements]
     connection = {}
     for i, (u, v) in enumerate(g.edges):
         connection[(u, v)], connection[(v, u)] = i % order, -i % order
-    print(repr(holonomy_class_intensities(
-        g, connection, group_data(elements, [[e] for e in elements], irreps))))
+    return holonomy_class_intensities(
+        g, connection, group_data(elements, [[e] for e in elements], irreps))
+
+
+def _holonomy(path):
+    """The holonomy law, which has no CLI verb, printed."""
+    print(repr(_holonomy_law(load_graph(path))))
     return 0
 
 
@@ -206,22 +212,42 @@ def test_lowered_budget_refuses_a_memoized_key(tmp_path, monkeypatch, capsys,
     assert _run(capsys, zeta[:3] + ["2"])[2] == 0
 
 
+# The entries of each kind of value, as its memo site counted them before
+# the store counted them itself: the store's own count must agree. An
+# enumeration plan is the exception (see tests/test_soup.py).
+SITE_COUNTS = {
+    freegroup._canonical.__wrapped__: lambda cls: len(cls.word),
+    freegroup._build_class_words:  # letters, and 3 per word
+        lambda table: table.words.letters.size + 3 * table.words.lengths.size,
+    spectra._ihara_series: lambda series: len(series[0]) + len(series[1]),
+    _bracket_expansion.__wrapped__:  # words and ints
+        lambda terms: sum(len(w) + 1 for w, _ in terms),
+    _lyndon_words_of_length.__wrapped__:
+        lambda words: sum(map(len, words)),
+    fourier._twist_plan.__wrapped__:
+        lambda plan: sum(a.size for a in vars(plan).values() if a is not None),
+    # and 1 per rank k, which the site did not count
+    fourier._heisenberg_blocks.__wrapped__:
+        lambda out: sum(1 + owners.size + blocks.size for _, owners, blocks in out),
+}
+
+
 def _class_words_call(rank, max_len):
-    return (freegroup._build_class_words, (rank, max_len), (rank, max_len),
-            lambda table: table.entries,
+    build = freegroup._build_class_words
+    return (build, (rank, max_len), (rank, max_len), SITE_COUNTS[build],
             lambda: _class_words(rank, max_len))
 
 
 def _ihara_call(g, degree):
-    return (spectra._ihara_series, (g.neighbors, degree), (g, degree),
-            lambda series: len(series[0]) + len(series[1]),
+    build = spectra._ihara_series
+    return (build, (g.neighbors, degree), (g, degree), SITE_COUNTS[build],
             lambda: ihara_check(g, degree))
 
 
 def _plan_call(g, n_max):
     frame = spanning_tree_frame(g)
     return (soup._build_plan, (g.neighbors, frame.cogenerators, n_max),
-            (g, frame, n_max), lambda plan: plan.entries,
+            (g, frame, n_max), _memo._count,
             lambda: soup.enumerate_measure(g, frame, n_max))
 
 
@@ -244,7 +270,9 @@ class TestMemoBounds:
             value = call(key)
             at = (build, *key)
             if _memo._entries(key, size(value)) <= budget:
-                assert _memo._STORE[at][0] is value
+                kept, entries = _memo._STORE[at]
+                assert kept is value
+                assert entries == _memo._entries(key, size(value))
                 recent = [k for k in recent if k != at] + [at]
             else:  # used once and not kept, and nothing else goes
                 assert list(_memo._STORE) == held
@@ -266,8 +294,7 @@ class TestMemoBounds:
         monkeypatch.setattr(freegroup, "_build_class_words", counted)
         keys = [(rank, max_len) for rank in (1, 2, 3) for max_len in range(6)]
         over = self._sweep(monkeypatch, 2000, counted, keys,
-                           lambda key: _class_words(*key),
-                           lambda table: table.entries)
+                           lambda key: _class_words(*key), SITE_COUNTS[build])
         # a table over the budget is built on every call
         assert all(builds.count(key) == 2 for key in over)
         for table, _ in _memo._STORE.values():
@@ -290,7 +317,7 @@ class TestMemoBounds:
         self._sweep(monkeypatch, 95, spectra._ihara_series,
                     [(graphs[n].neighbors, degree) for n, degree in keys],
                     lambda key: self._series(graphs[len(key[0])], key),
-                    lambda value: len(value[0]) + len(value[1]))
+                    SITE_COUNTS[spectra._ihara_series])
         for (based, det), _ in _memo._STORE.values():
             assert isinstance(based, tuple) and isinstance(det, tuple)
             assert all(isinstance(c, int) for c in based)
@@ -384,6 +411,54 @@ class TestOneBudget:
         monkeypatch.setattr(_memo, "_BUDGET", 1000)
         assert sweep() == want
         assert 0 < _memo._held <= 1000
+
+
+class TestCount:
+    """The store counts and freezes what it keeps itself: every kind of
+    value counts what its site counted, and every array a memoized build
+    returns, kept or not, is read-only."""
+
+    def test_every_kind_counts_what_its_site_counted(self, memos):
+        # one call of each memoized kind but the enumeration plan
+        bowtie = _unit("bowtie")
+        frame = spanning_tree_frame(bowtie)
+        canonical_class((2, 1, -2, 1, 1))
+        terms = log_signature([1, 2, -1, -2, 1], 3).terms
+        lyndon_coordinates({u: c for u, c in terms.items() if len(u) == 3}, 2, 3)
+        bracket_expansion((1, 1, 2))
+        _class_words(2, 3)
+        ihara_check(_unit("triangle"), 6)
+        homology1_grid(bowtie, frame, 3)
+        _holonomy_law(bowtie)
+        homology2_intensity(bowtie, frame, [[0, 0], [0, 0]], 3)
+        assert {at[0] for at in _memo._STORE} == set(SITE_COUNTS)
+        for at, (value, entries) in _memo._STORE.items():
+            assert entries == _memo._entries(at[1:], SITE_COUNTS[at[0]](value)), at[0]
+        _check_held()
+
+    @pytest.mark.parametrize("budget", [_memo._BUDGET, 0])
+    def test_kept_and_over_budget_values_are_read_only(self, monkeypatch,
+                                                       memos, budget):
+        # under a budget of 0 no value is kept, and each is still frozen
+        monkeypatch.setattr(_memo, "_BUDGET", budget)
+        triangle = _unit("triangle")
+        frame = spanning_tree_frame(triangle)
+        omega = fourier._frame_letters(triangle, frame)
+        twist = fourier._twist_plan(3, triangle.edges, omega, 1, 1, 3)
+        table = _class_words(2, 3)
+        blocks = fourier._heisenberg_blocks(3, 2, 0, 3)
+        plan = _memo.memoized((triangle.neighbors, frame.cogenerators, 6),
+                              soup._build_plan, triangle, frame, 6)
+        assert len(_memo._STORE) == (4 if budget else 0)
+        arrays = [a for a in vars(twist).values() if a is not None]
+        arrays += list(table.words) + [plan.edges, plan.order, plan.number]
+        arrays += [a for step in plan.steps for a in step[:3] + step[4:]]
+        arrays += [a for _, owners, b in blocks for a in (owners, b)]
+        assert len(arrays) > 20
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[:1] = 0
 
 
 # Caches outside the store, each for a reason given in loopsoup._memo.

@@ -483,7 +483,7 @@ class TestHomology:
                 n = r if r is not None else max(map(abs, x), default=0)
                 assert homology1(x, rank=r) == tuple(
                     currents(x, (i,)) for i in range(1, n + 1))
-        sampler = LoopSoupSampler(k4, k4_frame, alpha=20.0, n_max=12)
+        sampler = LoopSoupSampler(k4, alpha=20.0, n_max=12)
         loops = [lp for seed in range(5) for lp in sampler.sample(seed).loops]
         assert len(loops) > 50
         for lp in loops:

@@ -215,6 +215,16 @@ def _plans():
             if at[0] is soup._build_plan}
 
 
+def _plan_entries(plan):
+    """The entries the store counts for a plan: one per array element, one
+    per letter of each class word, one per step for its state count, and
+    two per row."""
+    return (plan.edges.size + plan.order.size + plan.number.size
+            + sum(len(cls.word) for cls in plan.classes) + 2 * len(plan.rows)
+            + sum(i.size + e.size + s.size + 1 + h.size
+                  for i, e, s, _, h in plan.steps))
+
+
 class TestEnumerationPlan:
     """enumerate_measure builds the index plan of its dynamic program once
     per (topology, frame cogenerators, n_max) and replays it on each
@@ -298,7 +308,7 @@ class TestEnumerationPlan:
             if key in plans:  # a plan over the budget is not kept
                 recent = [k for k in recent if k != key] + [key]
                 assert _memo._STORE[(soup._build_plan, *key)][1] == \
-                    _memo._entries(key, _plans()[key].entries)
+                    _memo._entries(key, _plan_entries(_plans()[key]))
             # the store holds other kinds too, under the same budget
             held = [entries for _, entries in _memo._STORE.values()]
             assert _memo._held == sum(held) <= _memo._BUDGET
@@ -361,37 +371,50 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 MeasureConfig(tail_tol=bad)
 
-    def test_sampler_rejects_non_finite_alpha(self, triangle, triangle_frame):
+    def test_sampler_rejects_non_finite_alpha(self, triangle):
         for bad in (0.0, math.nan, math.inf):
             with pytest.raises(ConfigError):
-                LoopSoupSampler(triangle, triangle_frame, alpha=bad)
+                LoopSoupSampler(triangle, alpha=bad)
 
     def test_sampler_rejects_negative_seed(self, triangle):
         # SeedSequence would raise a bare ValueError
         with pytest.raises(ConfigError, match="seed must be >= 0"):
-            LoopSoupSampler(triangle, None, n_max=42).sample(-1)
+            LoopSoupSampler(triangle, n_max=42).sample(-1)
+
+    @pytest.mark.parametrize("field", ["seed", "n_max"])
+    def test_config_rejects_a_non_integer(self, field):
+        # numpy would raise a bare TypeError at the draw
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            MeasureConfig(**{"n_max": 42, "tail_tol": 1e-7, field: 42.5})
+
+    def test_sampler_rejects_a_non_integer(self, triangle):
+        with pytest.raises(ConfigError, match="n_max must be an integer"):
+            LoopSoupSampler(triangle, n_max=42.5)
+        sampler = LoopSoupSampler(triangle, n_max=42)
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            sampler.sample(2.5)
+        # a numpy integer is an integer, and draws what the int draws
+        assert sampler.sample(np.int64(7)) == sampler.sample(7)
 
     @pytest.mark.parametrize("alpha", [1e15, 1e300])
-    def test_expected_steps_over_budget(self, triangle, triangle_frame, alpha):
+    def test_expected_steps_over_budget(self, triangle, alpha):
         with pytest.raises(ConfigError, match="loop steps per soup"):
-            LoopSoupSampler(triangle, triangle_frame, alpha=alpha, n_max=60)
+            LoopSoupSampler(triangle, alpha=alpha, n_max=60)
 
-    def test_powers_over_budget(self, triangle, triangle_frame, monkeypatch):
+    def test_powers_over_budget(self, triangle, monkeypatch):
         # a budget of 1000 entries admits the powers P^0..P^110 of n_max
         # 220 on the triangle, 999 entries, but not the 112 of n_max 221
         monkeypatch.setattr(soup, "_SAMPLER_ENTRIES", 1000)
-        assert len(LoopSoupSampler(triangle, triangle_frame, alpha=0.01,
-                                   n_max=220).powers) == 111
+        assert len(LoopSoupSampler(triangle, alpha=0.01, n_max=220).powers) == 111
         with pytest.raises(ConfigError, match="matrix powers"):
-            LoopSoupSampler(triangle, triangle_frame, n_max=221)
+            LoopSoupSampler(triangle, n_max=221)
 
     def test_benchmark_sizes_far_inside_budget(self):
         # the 6x6 torus at killing 0.18, n_max 214 and alpha 12, about the
         # largest soups the benchmark draws, use under a hundredth of the
         # budget
         g = _torus(6, 0.18)
-        sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=12.0,
-                                  n_max=214)
+        sampler = LoopSoupSampler(g, alpha=12.0, n_max=214)
         steps = 12.0 * float(np.sum(sampler.items[:, 1] * sampler.probs)) \
             * sampler.mass
         assert sampler.powers.size < soup._SAMPLER_ENTRIES / 100
@@ -410,8 +433,8 @@ class TestSampler:
         s2 = sample_soup(triangle, triangle_frame, cfg)
         assert dumps_soup(s1) == dumps_soup(s2)
 
-    def test_loops_live_on_graph(self, triangle, triangle_frame):
-        sampler = LoopSoupSampler(triangle, triangle_frame, n_max=42)
+    def test_loops_live_on_graph(self, triangle):
+        sampler = LoopSoupSampler(triangle, n_max=42)
         for seed in range(25):
             soup = sampler.sample(seed)
             for lp in soup.loops:
@@ -438,12 +461,6 @@ class TestSampler:
         with pytest.raises(ValidationError, match="soup line 2: vertex"):
             parse_soup(f"2 0 1\n{loop}\n", triangle)
 
-    def test_parse_soup_without_graph_rejects_negative_vertex(self):
-        with pytest.raises(ValidationError, match="soup line 2: vertex -1"):
-            parse_soup("2 0 1\n2 -1 0\n")
-        # with no graph there is no bound above
-        assert parse_soup("2 5 0\n").loops == (BasedLoop((5, 0, 5)),)
-
     def test_loop_weight_rejects_vertex_off_the_graph(self, triangle):
         # the weight of a loop is read off its edges, which check_edges
         # vouches for: a vertex off the graph is refused, not wrapped
@@ -455,28 +472,26 @@ class TestSampler:
         cfg = MeasureConfig(n_max=42, tail_tol=1e-7, seed=5)
         assert dumps_soup(sample_soup(triangle, None, cfg)) == \
             dumps_soup(sample_soup(triangle, triangle_frame, cfg))
-        assert not hasattr(LoopSoupSampler(triangle, None, n_max=42), "frame")
 
-    def test_sampled_loops_equal_checked_ones(self, k4, k4_frame):
+    def test_sampled_loops_equal_checked_ones(self, k4):
         # the sampler builds its loops unchecked; they equal, and hash as,
         # loops built through the checking constructor
-        for lp in LoopSoupSampler(k4, k4_frame, alpha=5.0, n_max=16).sample(4).loops:
+        for lp in LoopSoupSampler(k4, alpha=5.0, n_max=16).sample(4).loops:
             checked = BasedLoop(lp.vertices)
             assert type(lp) is BasedLoop
             assert lp == checked and hash(lp) == hash(checked)
 
     @pytest.mark.parametrize("count", ["0", "-1", "1 0"])
     def test_parse_soup_rejects_short_count(self, triangle, count):
-        # a count below 2 names its line, with or without a graph
-        for g in (triangle, None):
-            with pytest.raises(ValidationError, match="soup line 2"):
-                parse_soup(f"2 0 1\n{count}\n", g)
+        # a count below 2 names its line
+        with pytest.raises(ValidationError, match="soup line 2"):
+            parse_soup(f"2 0 1\n{count}\n", triangle)
 
-    def test_count_mean(self, triangle, triangle_frame):
+    def test_count_mean(self, triangle):
         # number of loops per soup is Poisson(total mass); 1500 draws
         # put the sample mean well inside four standard errors
         mass = total_mass(triangle)
-        sampler = LoopSoupSampler(triangle, triangle_frame, n_max=42)
+        sampler = LoopSoupSampler(triangle, n_max=42)
         n = 1500
         counts = [len(sampler.sample(seed).loops) for seed in range(n)]
         se = math.sqrt(mass / n)
@@ -486,7 +501,7 @@ class TestSampler:
         # frequency of the one-step winding class tracks its mass
         em = enumerate_measure(triangle, triangle_frame, 20)
         want = em.get(canonical_class((1,)))
-        sampler = LoopSoupSampler(triangle, triangle_frame, n_max=42)
+        sampler = LoopSoupSampler(triangle, n_max=42)
         n = 1500
         hit = 0
         for seed in range(n):
@@ -497,7 +512,7 @@ class TestSampler:
         se = math.sqrt(want / n)
         assert abs(hit / n - want) < 4 * se
 
-    def test_length_profile(self, triangle, triangle_frame):
+    def test_length_profile(self, triangle):
         # loop length n has mass tr(P^n)/n; chi-square on 1500 soups
         from scipy import stats
         P = triangle.transition
@@ -506,7 +521,7 @@ class TestSampler:
         for n in range(1, 43):
             M = M @ P
             mass[n] = np.trace(M) / n
-        sampler = LoopSoupSampler(triangle, triangle_frame, n_max=42)
+        sampler = LoopSoupSampler(triangle, n_max=42)
         obs = {}
         draws = 1500
         for seed in range(draws):
@@ -613,8 +628,7 @@ class TestSamplerPinned:
     def test_batched_equals_stepwise(self, k4, bowtie):
         for g, alpha, n_max in ((k4, 30.0, 16), (bowtie, 20.0, 9),
                                 (_weighted(), 3.0, 60), (_torus(4, 0.3), 2.0, 30)):
-            sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=alpha,
-                                      n_max=n_max)
+            sampler = LoopSoupSampler(g, alpha=alpha, n_max=n_max)
             for seed in range(8):
                 got = [lp.vertices for lp in sampler.sample(seed).loops]
                 assert got == _bisection_soup(sampler, seed)
@@ -624,7 +638,7 @@ class TestSamplerPinned:
         # to rounding; the item weights keep their exact zeros
         g = _torus(4, 0.3)
         for n_max in (1, 2, 7, 30, 31):
-            sampler = LoopSoupSampler(g, spanning_tree_frame(g), n_max=n_max)
+            sampler = LoopSoupSampler(g, n_max=n_max)
             assert len(sampler.powers) == (n_max + 1) // 2 + 1
             power = np.eye(g.num_vertices)
             for m, got in enumerate(sampler.powers):
@@ -641,12 +655,12 @@ class TestSamplerPinned:
         from scipy import stats
         g = _weighted()
         p = g.transition
-        sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=3.0, n_max=12)
+        sampler = LoopSoupSampler(g, alpha=3.0, n_max=12)
         seen = {}
         for seed in range(3000):
             for lp in sampler.sample(seed).loops:
                 if 4 <= lp.length <= 7:
-                    seen.setdefault((lp.base, lp.length), []).append(lp.vertices)
+                    seen.setdefault((lp.vertices[0], lp.length), []).append(lp.vertices)
         for n in range(4, 8):
             got, want, groups = [], [], 0
             for x in range(g.num_vertices):
@@ -674,8 +688,7 @@ class TestSamplerPinned:
     def test_every_step_is_an_edge(self, k4, bowtie):
         for g, alpha, n_max in ((k4, 30.0, 16), (bowtie, 20.0, 9),
                                 (_weighted(), 3.0, 60), (_torus(4, 0.3), 2.0, 31)):
-            sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=alpha,
-                                      n_max=n_max)
+            sampler = LoopSoupSampler(g, alpha=alpha, n_max=n_max)
             for seed in range(20):
                 for lp in sampler.sample(seed).loops:
                     lp.check_edges(g)
@@ -688,7 +701,7 @@ class TestSamplerPinned:
         # these digests on purpose
         g = _torus(6, 0.2) if name == "torus6" else request.getfixturevalue(name)
         n_max, digest, mass = PINNED[name]
-        sampler = LoopSoupSampler(g, spanning_tree_frame(g), n_max=n_max)
+        sampler = LoopSoupSampler(g, n_max=n_max)
         assert sampler.mass == mass
         h = hashlib.sha256()
         for seed in range(50):
@@ -700,11 +713,11 @@ class TestSamplerPinned:
         # the loop count and the (base, length) picks of every soup, pinned
         # before the bridges moved onto the driver's stream
         g = _torus(6, 0.2) if name == "torus6" else request.getfixturevalue(name)
-        sampler = LoopSoupSampler(g, spanning_tree_frame(g), n_max=PINNED[name][0])
+        sampler = LoopSoupSampler(g, n_max=PINNED[name][0])
         h = hashlib.sha256()
         for seed in range(50):
             loops = sampler.sample(seed).loops
-            pairs = sorted((lp.base, lp.length) for lp in loops)
+            pairs = sorted((lp.vertices[0], lp.length) for lp in loops)
             h.update(f"{len(loops)} {pairs}\n".encode())
         assert h.hexdigest() == PICKS[name]
 
@@ -716,7 +729,7 @@ class TestSamplerPinned:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.random, name, counted)
         g = _torus(6, 0.2)
-        sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=30.0, n_max=24)
+        sampler = LoopSoupSampler(g, alpha=30.0, n_max=24)
         assert len(sampler.sample(3).loops) >= 100
         assert made == {"SeedSequence": 1, "default_rng": 1}
 
@@ -732,8 +745,8 @@ class TestOccupation:
         for u, v, n, cur in occ.rows():
             assert cur == occ.current(u, v)
 
-    def test_net_current_vanishes(self, triangle, triangle_frame):
-        sampler = LoopSoupSampler(triangle, triangle_frame, n_max=42)
+    def test_net_current_vanishes(self, triangle):
+        sampler = LoopSoupSampler(triangle, n_max=42)
         for seed in (0, 5, 9):
             occ = occupation(sampler.sample(seed))
             for x in range(3):
@@ -748,8 +761,7 @@ class TestOccupation:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_rows_equal_per_step_count(self, request, name):
         g = _torus(6, 0.2) if name == "torus6" else request.getfixturevalue(name)
-        sampler = LoopSoupSampler(g, spanning_tree_frame(g), alpha=5.0,
-                                  n_max=PINNED[name][0])
+        sampler = LoopSoupSampler(g, alpha=5.0, n_max=PINNED[name][0])
         for seed in range(10):
             soup = sampler.sample(seed)
             counts = Counter()

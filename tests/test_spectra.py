@@ -195,12 +195,6 @@ class TestClassIntensity:
             want = 0.5 ** len(rep) / cls.multiplicity
             assert got == pytest.approx(want, abs=1e-9)
 
-    def test_rho_table_reuse_must_match_s(self, triangle, triangle_frame):
-        rho = solve_rho(triangle, 0.5)
-        with pytest.raises(ValidationError):
-            class_intensity(triangle, triangle_frame, canonical_class((1,)),
-                            s=1.0, rho=rho)
-
 
 def stepwise_intensity(g, frame, cls, rho):
     """Reference class mass: P(x,y) rho(x,y) multiplied step by step around
@@ -265,7 +259,7 @@ class TestClassTable:
             for cls, got in zip(classes, table):
                 want = stepwise_intensity(g, frame, cls, rho)
                 assert abs(got - want) <= 1e-14 * want, cls
-                assert class_intensity(g, frame, cls, s=s, rho=rho) == got
+                assert class_intensity(g, frame, cls, rho=rho) == got
 
     def test_out_of_range_letter(self, triangle, triangle_frame):
         with pytest.raises(ValidationError, match=r"\+2 .*rank 1"):
