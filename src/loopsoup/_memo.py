@@ -6,11 +6,11 @@ One OrderedDict in least recently used order holds them under one budget
 of entries. The store counts a value's entries itself (_count): an array
 counts its elements, a number or a string 1 and None 0, and a tuple
 (NamedTuples included) or a dataclass the sum of what it holds. A kept
-value counts those entries, one per int in its key, and _OVERHEAD for the
-objects of the store itself. The least recently used values go first
-once the budget is passed; a value over the whole budget is returned and
-not kept. Every value built is shared, so the count makes its arrays
-read-only on the same pass, whether it is kept or not.
+value counts those entries, those of its key by the same rule, and
+_OVERHEAD for the objects of the store itself. The least recently used
+values go first once the budget is passed; a value over the whole budget
+is returned and not kept. Every value built is shared, so the count
+makes its arrays read-only on the same pass, whether it is kept or not.
 
 Three caches stay apart: spectra.solve_rho's tables depend on the weights
 and its cache_info is public; fourier._laurent hands one graph's
@@ -76,11 +76,7 @@ def _count(value: Any) -> int:
 
 def _entries(key: tuple, value_entries: int) -> int:
     """The entries a value of value_entries counts when kept under key."""
-    return value_entries + _ints(key) + _OVERHEAD
-
-
-def _ints(key: tuple) -> int:
-    return sum(_ints(k) if isinstance(k, tuple) else 1 for k in key)
+    return value_entries + _count(key) + _OVERHEAD
 
 
 def memo(fn):

@@ -148,8 +148,7 @@ def cmd_h1(args) -> None:
         if grid is not None:
             raise ConfigError("--mod and --M both set the grid size; give one")
         grid = args.mod
-    vals, M, bound = _homology1_values(g, frame, hs, M=grid,
-                                       alpha=args.alpha if args.field else None)
+    vals, M, bound = _homology1_values(g, frame, hs, args.alpha, args.field, grid)
     certified = {} if bound is None else {"alias_bound": _fmt(bound)}
     manifest = _manifest("h1", {
         "graph": args.graph, "M": args.grid if bound is None else M,
@@ -179,7 +178,7 @@ def cmd_h2(args) -> None:
     certified = {} if bound is None else {"alias_bound": _fmt(bound)}
     manifest = _manifest("h2", {
         "graph": args.graph, "p": args.p, "field": args.field, "alpha": args.alpha,
-        "M": args.grid if bound is None else M, **certified,
+        "M": M, **certified,
     })
     lines = [manifest, f"m,p,{'probability' if args.field else 'intensity'}"]
     lines += [f"{' '.join(map(str, m))},{args.p},{_fmt(v)}" for m, v in zip(ms, vals)]

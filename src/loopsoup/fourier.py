@@ -329,19 +329,19 @@ def _alias_bounds(g: GraphModel, frame: SpanningTreeFrame, reach: np.ndarray,
 
 
 def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
-               reach: np.ndarray, alpha: float | None = None,
+               reach: np.ndarray, alpha: float = 1.0, field: bool = False,
                p: int | None = None) -> tuple[int | None, float | None]:
     """M, checked (ConfigError past _GRID_POINTS points), or the smallest
     power of two above 2 max reach whose aliasing bound is at most
     _ALIAS_TOL (NumericError past _GRID_POINTS), and that bound; None for a
     given M and on rank 0, which has no grid.
 
-    The bound is _alias_bounds at alpha; with p, for the H2 field law mod
-    p, it is alpha times the intensity's bound. The points are the M^r of
-    the grid, or with p the _block_points of the Heisenberg twists if more.
-    The bound itself factorizes the 3^r points of the Laurent coefficients,
-    so an automatic size is refused before any factorization when those, or
-    the points of the smallest candidate M, are past _GRID_POINTS.
+    The bound is alpha times the intensity's bound, or for the H1 field law
+    _alias_bounds at alpha. The points are the M^r of the grid, or with p
+    the _block_points of the Heisenberg twists if more. The bound itself
+    factorizes the 3^r points of the Laurent coefficients, so an automatic
+    size is refused before any factorization when those, or the points of
+    the smallest candidate M, are past _GRID_POINTS.
     """
     r = frame.rank
 
@@ -369,8 +369,8 @@ def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
                            f"over the budget of {_GRID_POINTS} points")
     ms = 2 ** np.arange(1, 63)
     ms = ms[ms > 2 * reach.max()]
-    bounds = (alpha * _alias_bounds(g, frame, reach, ms, None) if p
-              else _alias_bounds(g, frame, reach, ms, alpha))  # falls as M grows
+    bounds = (_alias_bounds(g, frame, reach, ms, alpha) if field and p is None
+              else alpha * _alias_bounds(g, frame, reach, ms, None))  # falls as M grows
     i = min(np.count_nonzero(bounds > _ALIAS_TOL), ms.size - 1)
     M, bound = int(ms[i]), float(bounds[i])
     if bound > _ALIAS_TOL or points(M) > _GRID_POINTS:
@@ -385,15 +385,15 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
-                      hs: Iterable[Sequence[int]], M: int | None = None,
-                      alpha: float | None = None
+                      hs: Iterable[Sequence[int]], alpha: float = 1.0,
+                      field: bool = False, M: int | None = None
                       ) -> tuple[list[float], int | None, float | None]:
     """The first-homology law at every h of hs on one grid of M points per
     dimension, with M and its aliasing bound from _grid_size.
 
-    With alpha, P(total soup winding = h); otherwise the intensity. Either
-    is h-aliased mod M: it sums the law over every h' congruent to h. With
-    M omitted, the reach is max|h| over hs.
+    alpha times the intensity, or with field P(total soup winding = h).
+    Either is h-aliased mod M: it sums the law over every h' congruent to
+    h. With M omitted, the reach is max|h| over hs.
     """
     hs = [tuple(h) for h in hs]
     for h in hs:
@@ -402,15 +402,13 @@ def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
         if any(not isinstance(x, (int, np.integer)) for x in h):
             raise ValidationError(f"h must be integer, got {h}")
     hs = [tuple(int(x) for x in h) for h in hs]
-    if alpha is not None:
-        _check_alpha(alpha)
+    _check_alpha(alpha)
     reach = np.abs(np.array(hs, dtype=float).reshape(len(hs), frame.rank))
-    M, bound = _grid_size(g, frame, M, reach.max(axis=0, initial=0.0), alpha)
+    M, bound = _grid_size(g, frame, M, reach.max(axis=0, initial=0.0), alpha, field)
     if frame.rank == 0:
-        return [1.0 if alpha is not None else total_mass(g) for _ in hs], M, bound
-    field = alpha is not None
+        return [1.0 if field else alpha * total_mass(g) for _ in hs], M, bound
     return _law(-homology1_grid(g, frame, M), [tuple(x % M for x in h) for h in hs],
-                alpha if field else 1.0, field, "homology1"), M, bound
+                alpha, field, "homology1"), M, bound
 
 
 def homology1_intensity(g: GraphModel, frame: SpanningTreeFrame,
@@ -433,7 +431,7 @@ def homology1_field_law(g: GraphModel, frame: SpanningTreeFrame,
     omitted the size is certified as in homology1_intensity, from the tail
     bound P(|W_i| >= k) <= 2 t^-k (D(1) / D(t e_i))^alpha of the soup's
     winding."""
-    return _homology1_values(g, frame, [h], M=M, alpha=alpha)[0][0]
+    return _homology1_values(g, frame, [h], alpha, field=True, M=M)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -914,10 +912,11 @@ def _homology2_values(g: GraphModel, frame: SpanningTreeFrame, ms: Sequence, p: 
                       alpha: float = 1.0, field: bool = False, M: int | None = None
                       ) -> tuple[list[float], int | None, float | None]:
     """The second-homology law mod p at every m of ms, with M and its bound
-    from _grid_size: one FFT over skew h, read at 2m, of alpha T(h), or with
-    field of exp(alpha (S(h) - S(0))), S the mean of T over the M-grid. S keeps
-    loops of nonzero winding in M Z^r, an error of at most alpha sum_i
-    mu(|W_i| >= M) (_alias_bounds at reach 0). Rows do not depend on others."""
+    from _grid_size (None for the intensity, which needs no grid): one FFT
+    over skew h, read at 2m, of alpha T(h), or with field of exp(alpha (S(h)
+    - S(0))), S the mean of T over the M-grid. S keeps loops of nonzero
+    winding in M Z^r, an error of at most alpha sum_i mu(|W_i| >= M)
+    (_alias_bounds at reach 0). Rows do not depend on others."""
     _check_alpha(alpha)
     _check_prime(p)
     r = frame.rank
@@ -926,8 +925,8 @@ def _homology2_values(g: GraphModel, frame: SpanningTreeFrame, ms: Sequence, p: 
           for h in (_check_skew(m, r, p) for m in ms)]
     if not field:  # the field's grid budget counts a point per block at least
         _check_blocks(p, r)
-    M, bound = _grid_size(g, frame, M, np.zeros(r), alpha, p) if field else (M, None)
-    s = _heisenberg_traces(g, frame, p, M if field else None).mean(axis=1)
+    M, bound = _grid_size(g, frame, M, np.zeros(r), alpha, True, p) if field else (None, None)
+    s = _heisenberg_traces(g, frame, p, M).mean(axis=1)
     return _law(s.reshape((p,) * len(pairs)), at, alpha, field, "homology2"), M, bound
 
 

@@ -36,8 +36,7 @@ _RANK_SPAN = 2 ** 31
 # max_len, that the class enumeration may hold.
 _CLASS_LETTERS = 2 ** 20
 # The most steps, summed over every non-backtracking walk of every length up
-# to max_len, that the geodesic loop enumeration may grow; spectra.ihara_check
-# bounds the products of its determinant series by it too.
+# to max_len, that the geodesic loop enumeration may grow.
 _WALK_LETTERS = 2 ** 22
 
 

@@ -58,6 +58,10 @@ checked here in exact arithmetic (ihara_check): the geodesic loops come
 from the array enumeration of freegroup, with the multiplicities its
 rotation kernel finds, and both sides of the series are integer
 numerators over the degree until each coefficient becomes one Fraction.
+Each eigenvalue lam of A factors 1 - lam u + (d-1) u^2 = (1 - a u)(1 - b u),
+so the determinant side's numerator of degree k is tr s_k(A) + 2 (|E| -
+|X|) [k even], s_k(lam) = a^k + b^k: s_0 = 2 I, s_1 = A and s_k = A s_(k-1)
+- (d-1) s_(k-2), (d + 1) n^2 integer additions a degree (_det_series).
 """
 
 from __future__ import annotations
@@ -65,8 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
-from math import comb, fsum, sqrt
+from math import fsum, sqrt
 
 import numpy as np
 
@@ -560,33 +563,11 @@ def contractible_intensity(g: GraphModel) -> tuple[float, float]:
 # determinant identity for geodesic loops on regular graphs
 # (exact integer power series)
 
-
-def _charpoly(neighbors: tuple[tuple[int, ...], ...],
-              max_degree: int) -> list[int]:
-    """Coefficients [c_0=1, c_1, ..., c_K] of det(t I - A) = sum c_k t^(n-k)
-    through K = min(n, max_degree), A the adjacency matrix of the
-    neighbour lists, by the trace recursion in exact integers: row x of
-    A M is the sum of the rows of M over the neighbours of x, on object
-    arrays of Python ints, n^2 d additions per degree."""
-    n = len(neighbors)
-    coeffs = [1]
-    first = np.cumsum([0] + [len(row) for row in neighbors])
-    heads = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp,
-                        count=first[-1])
-    has = np.flatnonzero(np.diff(first))
-    m = np.zeros((n, n), dtype=object)
-    diagonal = np.arange(n)
-    for k in range(1, min(n, max_degree) + 1):
-        # M_k = A (M_{k-1} + c_{k-1} I); c_k = -tr(M_k) / k is an integer
-        m[diagonal, diagonal] += coeffs[-1]
-        step = np.zeros((n, n), dtype=object)
-        if has.size:
-            step[has] = np.add.reduceat(m[heads], first[has], axis=0)
-        m = step
-        c, rem = divmod(-m.trace(), k)
-        assert rem == 0
-        coeffs.append(c)
-    return coeffs
+# The most additions of _det_series that ihara_check admits: (d + 1) n^2 a
+# degree on n vertices of degree d, and _STEP_ADDITIONS for the degree's numpy
+# calls and Fraction (about 3 us, against 6 ns an addition).
+_DET_ADDITIONS = 2 ** 24
+_STEP_ADDITIONS = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -610,28 +591,22 @@ class IharaSeries:
 def _det_series(neighbors: tuple[tuple[int, ...], ...], n_edges: int,
                 max_degree: int) -> list[Fraction]:
     """Coefficients 0..max_degree of -(|E| - |X|) log(1 - u^2)
-    - log det(I - u A + u^2 (d-1) I) for a d-regular graph, computed on
-    integers.
-
-    With f(u) = 1 + (d-1) u^2 and det(t I - A) = sum_k c_k t^(n-k), the
-    determinant is p(u) = sum_k c_k u^k f(u)^(n-k), and the binomial
-    expansion of f(u)^(n-k) puts C(n-k, j) (d-1)^j c_k at degree k + 2j.
-    p has constant term 1, so m_k = k [u^k] log p is the integer
-    k p_k - sum_{0<j<k} m_j p_(k-j), from u p' = p u (log p)'. The
-    coefficient of degree k is then (2 (|E| - |X|) [k even] - m_k) / k.
-    """
-    n_v, l = len(neighbors), max_degree
-    d = len(neighbors[0])
-    p = [0] * (l + 1)
-    for k, ck in enumerate(_charpoly(neighbors, l)):
-        for j in range(min(n_v - k, (l - k) // 2) + 1):
-            p[k + 2 * j] += ck * comb(n_v - k, j) * (d - 1) ** j
-    m = [0] * (l + 1)
-    for k in range(1, l + 1):
-        m[k] = k * p[k] - sum(m[j] * p[k - j] for j in range(1, k))
-    chi = n_edges - n_v
-    return [Fraction(0)] + [Fraction(2 * chi * (k % 2 == 0) - m[k], k)
-                            for k in range(1, l + 1)]
+    - log det(I - u A + u^2 (d-1) I) for a d-regular graph, by the trace
+    recursion of the module docstring on object arrays of Python ints: A M
+    is the sum of M's rows gathered once per column of the n x d neighbour
+    array."""
+    n, d = len(neighbors), len(neighbors[0])
+    columns = np.array(neighbors, dtype=np.intp).reshape(n, d).T
+    prev, s = np.zeros((2, n, n), dtype=object)
+    np.fill_diagonal(prev, 2)
+    s[np.arange(n), columns] = 1
+    traces = [s.trace()]
+    for _ in range(1, max_degree):
+        prev, s = s, sum((s[c] for c in columns), -(d - 1) * prev)
+        traces.append(s.trace())
+    chi = n_edges - n
+    return [Fraction(0)] + [Fraction(t + 2 * chi * (k % 2 == 0), k)
+                            for k, t in enumerate(traces, 1)]
 
 
 def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
@@ -648,11 +623,10 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
 
     Requires a d-regular graph with unit conductances (the identity is
     stated for the adjacency matrix). ConfigError, before any walk is
-    grown, if the non-backtracking walks up to max_degree, sum_k k n d
-    (d-1)^(k-1) steps on n vertices, or the max_degree (max_degree - 1) / 2
-    products of _det_series's recursion, would exceed
-    freegroup._WALK_LETTERS: where d <= 1 the walks die out, and the
-    series alone would grow with max_degree squared.
+    grown or any matrix built, past freegroup._WALK_LETTERS steps of the
+    non-backtracking walks up to max_degree, sum_k k n d (d-1)^(k-1) on n
+    vertices, or past _DET_ADDITIONS additions of _det_series: where d <= 1
+    the walks die out, and a large n fills its n x n matrices first.
 
     Both series depend on the topology alone, so the based counts and the
     determinant side are memoized per (neighbours, max_degree) (see
@@ -670,9 +644,10 @@ def ihara_check(g: GraphModel, max_degree: int) -> IharaSeries:
     _check_walks((n * d * (d - 1) ** k for k in range(max_degree)), limit,
                  f"the geodesic loops up to length {max_degree} need more "
                  f"than {limit} steps of non-backtracking walks")
-    if max_degree * (max_degree - 1) // 2 > limit:
+    if max_degree * ((d + 1) * n * n + _STEP_ADDITIONS) > _DET_ADDITIONS:
         raise ConfigError(f"the determinant series up to degree {max_degree} "
-                          f"needs more than {limit} products")
+                          f"needs more than {_DET_ADDITIONS} additions on "
+                          f"{n} x {n} integer matrices")
     based, det = memoized((g.neighbors, max_degree), _ihara_series, g,
                           max_degree)
     walk = [Fraction(0)] + [Fraction(c, k) for k, c in enumerate(based[1:], 1)]

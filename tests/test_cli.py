@@ -461,8 +461,26 @@ class TestH1:
         tree = tmp_path / "tree.graph"
         tree.write_text(TREE)
         for path in (tri_path, str(tree)):
-            code, out = run_cli(capsys, "h1", path, "--field", "--alpha", alpha)
-            assert (code, out) == (2, "")
+            for field in (("--field",), ()):
+                code, out = run_cli(capsys, "h1", path, *field, "--alpha", alpha)
+                assert (code, out) == (2, "")
+
+    def test_intensity_is_alpha_times_the_mass(self, capsys, bow_path, tmp_path):
+        # every row at alpha 0.5 is exactly half the row at alpha 1, on a
+        # grid and on a tree, where the one row is the total mass
+        tree = tmp_path / "tree.graph"
+        tree.write_text(TREE)
+        for argv in ((bow_path, "--h-range", "1", "--M", "16"),
+                     (bow_path, "--h=1,0", "--M", "16"), (str(tree), "--h-range", "0")):
+            rows = {}
+            for alpha in ("1", "0.5"):
+                code, out = run_cli(capsys, "h1", *argv, "--alpha", alpha)
+                assert code == 0 and f" alpha={float(alpha)}" in out.splitlines()[0]
+                rows[alpha] = [l.split(",") for l in out.splitlines()[2:]]
+            assert len(rows["1"]) == len(rows["0.5"]) > 0
+            for one, half in zip(rows["1"], rows["0.5"]):
+                assert one[:-1] == half[:-1]
+                assert float(half[-1]) == 0.5 * float(one[-1]) > 0
 
     @pytest.mark.parametrize("argv", [
         ("h1", "k4", "--h=0,0,0", "--M", "100000"),
@@ -609,6 +627,15 @@ class TestH2:
         _, intensity = run_cli(capsys, "h2", bow_path, "--p", "5")
         assert " M=None" in intensity.splitlines()[0] and "alias_bound" not in intensity
 
+    def test_intensity_records_no_grid(self, capsys, bow_path):
+        # the intensity needs no grid, so a given --M is recorded as None
+        _, plain = run_cli(capsys, "h2", bow_path, "--p", "3", "--m=1")
+        code, given = run_cli(capsys, "h2", bow_path, "--p", "3", "--m=1", "--M", "16")
+        assert code == 0
+        assert " M=None" in given.splitlines()[0] and "alias_bound" not in given
+        assert given == plain
+        assert given.splitlines()[2] == "1,3,1.9025350730024944e-06"
+
     @pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--alpha", "inf"),
                                        ("--field", "--alpha", "nan")])
     def test_non_finite_alpha_exits_2(self, capsys, bow_path, flags):
@@ -720,7 +747,7 @@ class TestZeta:
     @pytest.mark.parametrize("edges", ["edge 0 1 1.0\n", ""])
     def test_deep_series_without_walks_exits_4(self, capsys, tmp_path, edges):
         # on K2 and K1 the walks die out at once, but the determinant series
-        # still takes max_degree^2 / 2 products: refused, not computed
+        # still takes max_degree steps of its recursion: refused, not computed
         path = tmp_path / "k.graph"
         path.write_text(f"vertices {1 + bool(edges)}\n{edges}kappa 0 1.0\n")
         start = time.perf_counter()
@@ -731,6 +758,19 @@ class TestZeta:
         assert err.startswith("config error: the determinant series up to "
                               "degree 100000000 needs more than")
         assert main(["zeta", str(path), "--max-degree", "2000"]) == 0
+
+    def test_large_torus_exits_4_before_any_matrix(self, capsys, tmp_path):
+        # the 100 x 100 torus passes the walk budget at degree 2 (280000
+        # steps), but the determinant series would fill 10^4 x 10^4 matrices
+        path = TestH1._torus(tmp_path / "torus.graph", 100)
+        start = time.perf_counter()
+        assert main(["zeta", path, "--max-degree", "2"]) == 4
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: the determinant series up to "
+                              "degree 2 needs more than")
+        assert len(err.splitlines()) == 1
 
 
 class TestSignatureCmd:

@@ -54,6 +54,9 @@ GRAPH_TEXT = {
         for u, v in ([(i, (i + 1) % 5) for i in range(5)]
                      + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
                      + [(i, 5 + i) for i in range(5)])),
+    "cube": "vertices 8\n" + "".join(
+        f"edge {a} {a | 1 << i} 1\n" for a in range(8) for i in range(3)
+        if not a & 1 << i),
 }
 
 
@@ -69,11 +72,13 @@ def test_signature_stdout(capsys):
 @pytest.mark.parametrize("name, digest", [
     ("k4", "4df62d6ed61fcd87a9eff828b5fb68affcc2061a2e8217a8ad0a2ae95b90b921"),
     ("petersen", "5ccb538b2c532380fdf2095a5c7c828fc0e772a682d26492b43911c3508490fe"),
+    ("cube", "8e2cc2cd26d8ffcae90527fd116229cba87298bbf476e69b701c13153e391b53"),
 ])
 def test_zeta_stdout(capsys, tmp_path, monkeypatch, name, digest):
     (tmp_path / f"{name}.graph").write_text(GRAPH_TEXT[name])
     monkeypatch.chdir(tmp_path)
-    assert main(["zeta", f"{name}.graph", "--max-degree", "12"]) == 0
+    degree = 10 if name == "cube" else 12
+    assert main(["zeta", f"{name}.graph", "--max-degree", str(degree)]) == 0
     assert _digest(capsys.readouterr().out) == digest
 
 

@@ -156,7 +156,7 @@ class TestHomology1Law:
 class TestHomology1Field:
     def test_distribution_sums_to_one(self, triangle, triangle_frame):
         grid, _, _ = fourier._homology1_values(
-            triangle, triangle_frame, [(h,) for h in range(16)], M=16, alpha=1.0)
+            triangle, triangle_frame, [(h,) for h in range(16)], field=True, M=16)
         assert sum(grid) == pytest.approx(1.0, abs=1e-12)
         assert min(grid) >= -1e-12
 
@@ -354,7 +354,8 @@ class TestGridSize:
             bounds = fourier._alias_bounds(g, frame, np.abs(np.array(h, dtype=float)),
                                            ms, alpha)
             for m, bound in zip(ms.tolist(), bounds):
-                got = fourier._homology1_values(g, frame, [h], M=m, alpha=alpha)[0][0]
+                got = fourier._homology1_values(g, frame, [h], alpha or 1.0,
+                                                alpha is not None, m)[0][0]
                 # the aliasing at M = 6 is far above rounding
                 assert m > 6 or got - want > 1e-12
                 assert abs(got - want) <= bound + 1e-15
@@ -364,7 +365,8 @@ class TestGridSize:
     def test_size_is_the_smallest_certified_power_of_two(self, name, alpha):
         g, frame = _random_weights(name)
         hs = [(1,) + (0,) * (frame.rank - 1), (-3,) + (1,) * (frame.rank - 1)]
-        _, m, bound = fourier._homology1_values(g, frame, hs, alpha=alpha)
+        _, m, bound = fourier._homology1_values(g, frame, hs, alpha or 1.0,
+                                                alpha is not None)
         reach = np.array([3.0] + [1.0] * (frame.rank - 1))
         below = fourier._alias_bounds(g, frame, reach, np.array([m // 2]), alpha)[0]
         assert m > 6 and bound <= fourier._ALIAS_TOL < below

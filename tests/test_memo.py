@@ -436,6 +436,17 @@ class TestCount:
             assert entries == _memo._entries(at[1:], SITE_COUNTS[at[0]](value)), at[0]
         _check_held()
 
+    def test_keys_count_by_the_value_rule(self, memos):
+        # a twist plan kept under m = None: its key counts n, the edges,
+        # omega, d and rank, and None counts 0
+        triangle = _unit("triangle")
+        omega = fourier._frame_letters(triangle, spanning_tree_frame(triangle))
+        key = (3, triangle.edges, omega, 1, 1, None)
+        plan = fourier._twist_plan(*key)
+        at = (fourier._twist_plan.__wrapped__,) + key
+        arrays = sum(a.size for a in vars(plan).values() if a is not None)
+        assert _memo._STORE[at][1] == arrays + 1 + 6 + 3 + 1 + 1 + _memo._OVERHEAD
+
     @pytest.mark.parametrize("budget", [_memo._BUDGET, 0])
     def test_kept_and_over_budget_values_are_read_only(self, monkeypatch,
                                                        memos, budget):

@@ -700,7 +700,7 @@ def fraction_det_series(g, l):
     """Reference determinant side in Fractions: the powers of f(u) = 1 +
     (d-1) u^2 by repeated products and the logarithms by their series."""
     d, n_v = g.degree(0), g.num_vertices
-    cp = spectra._charpoly(g.neighbors, l)
+    cp = dense_charpoly(g.neighbors, l)
     f = [Fraction(1), Fraction(0), Fraction(d - 1)]
     fpow = [[Fraction(1)]]
     for _ in range(n_v):
@@ -717,7 +717,13 @@ def fraction_det_series(g, l):
 
 def _regular(name):
     """Unit-conductance regular graphs beyond the shared fixtures."""
-    if name == "k5":
+    if name in ("k1", "k2"):  # d - 1 = -1 and 0
+        n = int(name[1])
+        edges = [(0, 1)] * (n - 1)
+    elif name == "c5":  # d - 1 = 1
+        edges = [(a, (a + 1) % 5) for a in range(5)]
+        n = 5
+    elif name == "k5":
         edges = [(a, b) for a in range(5) for b in range(a + 1, 5)]
         n = 5
     elif name == "k33":
@@ -758,22 +764,15 @@ class TestIharaIntegers:
     """ihara_check works on integers; its two sides must be the Fraction
     series they replaced, coefficient for coefficient."""
 
-    @pytest.mark.parametrize("name", ["k4", "k5", "k33", "cube", "petersen"])
+    @pytest.mark.parametrize("name", ["k1", "k2", "c5", "k4", "k5", "k33",
+                                      "cube", "petersen", "torus6"])
     def test_det_side_equals_fraction_reference(self, request, name):
         g = (request.getfixturevalue(name) if name in ("k4", "petersen")
-             else _regular(name))
-        for l in (1, 2, 7, 14):
+             else _torus(6) if name == "torus6" else _regular(name))
+        for l in (1, 2, 7, 14, 200):
             got = spectra._det_series(g.neighbors, len(g.edges), l)
             assert got == fraction_det_series(g, l)
             assert all(type(c) is Fraction for c in got)
-
-    @pytest.mark.parametrize("name", ["k4", "petersen", "torus6"])
-    def test_charpoly_equals_dense_product(self, request, name):
-        g = _torus(6) if name == "torus6" else request.getfixturevalue(name)
-        for degree in (0, 1, 5, 12, 36):
-            got = spectra._charpoly(g.neighbors, degree)
-            assert got == dense_charpoly(g.neighbors, degree)
-            assert all(type(c) is int for c in got)
 
     @pytest.mark.parametrize("name", ["k4", "k5", "k33", "cube", "petersen"])
     def test_walk_side_equals_loop_sum(self, request, name):
@@ -829,14 +828,15 @@ class TestIhara:
             ihara_check(g, 4)
 
     def test_integer_charpoly(self, petersen):
-        # the Petersen spectrum is 3, 1 (five times) and -2 (four times)
+        # the reference behind fraction_det_series: the Petersen spectrum
+        # is 3, 1 (five times) and -2 (four times)
         want = [int(c) for c in np.rint(np.poly([3] + [1] * 5 + [-2] * 4))]
-        got = spectra._charpoly(petersen.neighbors, 10)
+        got = dense_charpoly(petersen.neighbors, 10)
         assert got == want
         assert all(type(c) is int for c in got)
-        # the recursion stops at the highest coefficient the series uses
-        assert spectra._charpoly(petersen.neighbors, 4) == want[:5]
-        assert spectra._charpoly(petersen.neighbors, 50) == want
+        # it stops at the highest coefficient the series uses
+        assert dense_charpoly(petersen.neighbors, 4) == want[:5]
+        assert dense_charpoly(petersen.neighbors, 50) == want
 
     def test_petersen_agrees(self, petersen):
         series = ihara_check(petersen, 7)
