@@ -24,7 +24,8 @@ from .soup import (MeasureConfig, dumps_soup, enumerate_measure, occupation,
                    sample_soup, spectral_radius, total_mass)
 from .spectra import (_class_intensities, contractible_intensity, ihara_check,
                       solve_rho)
-from .fourier import _check_blocks, _homology1_values, _homology2_values
+from .fourier import (_check_blocks, _grid_size, _homology1_values,
+                      _homology2_values)
 from . import __version__
 
 
@@ -136,19 +137,24 @@ def cmd_h1(args) -> None:
     g = load_graph(args.graph)
     frame = spanning_tree_frame(g)
     r = frame.rank
-    if args.h is not None:
-        hs = [_parse_ints(args.h, "--h")]
-    elif args.h_range < 0:
-        raise ConfigError(f"--h-range must be >= 0, got {args.h_range}")
-    else:
-        hs = [tuple(int(x) for x in np.array(idx) - args.h_range)
-              for idx in np.ndindex(*([2 * args.h_range + 1] * r))]
     grid = args.grid
     if args.mod is not None:
         if grid is not None:
             raise ConfigError("--mod and --M both set the grid size; give one")
         grid = args.mod
-    vals, M, bound = _homology1_values(g, frame, hs, args.alpha, args.field, grid)
+    if args.h is not None:
+        hs = [_parse_ints(args.h, "--h")]
+    elif args.h_range < 0:
+        raise ConfigError(f"--h-range must be >= 0, got {args.h_range}")
+    else:
+        # the grid policy runs on reach R before the (2R+1)^r rows are listed
+        grid, bound = _grid_size(g, frame, grid, np.full(r, float(args.h_range)),
+                                 args.alpha, args.field)
+        hs = [tuple(int(x) for x in np.array(idx) - args.h_range)
+              for idx in np.ndindex(*([2 * args.h_range + 1] * r))]
+    vals, M, h_bound = _homology1_values(g, frame, hs, args.alpha, args.field, grid)
+    if args.h is not None:
+        bound = h_bound
     certified = {} if bound is None else {"alias_bound": _fmt(bound)}
     manifest = _manifest("h1", {
         "graph": args.graph, "M": args.grid if bound is None else M,

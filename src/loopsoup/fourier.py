@@ -334,7 +334,7 @@ def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
     """M, checked (ConfigError past _GRID_POINTS points), or the smallest
     power of two above 2 max reach whose aliasing bound is at most
     _ALIAS_TOL (NumericError past _GRID_POINTS), and that bound; None for a
-    given M and on rank 0, which has no grid.
+    given M and on rank 0, which has no grid. alpha is checked first.
 
     The bound is alpha times the intensity's bound, or for the H1 field law
     _alias_bounds at alpha. The points are the M^r of the grid, or with p
@@ -343,14 +343,14 @@ def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
     size is refused before any factorization when those, or the points of
     the smallest candidate M, are past _GRID_POINTS.
     """
+    _check_alpha(alpha)
+    _check_grid(M)
     r = frame.rank
 
     def points(m: int) -> int:
         return m ** r if p is None else max(m ** r, _block_points(p, r, m))
 
     if M is not None:
-        if M < 2:
-            raise ValidationError("grid size must be >= 2")
         count = points(M)
         if count > _GRID_POINTS:
             need = (f"{M}^{r} grid points" if count == M ** r
@@ -384,6 +384,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must be positive and finite, got {alpha}")
 
 
+def _check_grid(M: int | None) -> None:
+    if M is not None and M < 2:
+        raise ValidationError("grid size must be >= 2")
+
+
 def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
                       hs: Iterable[Sequence[int]], alpha: float = 1.0,
                       field: bool = False, M: int | None = None
@@ -402,7 +407,6 @@ def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
         if any(not isinstance(x, (int, np.integer)) for x in h):
             raise ValidationError(f"h must be integer, got {h}")
     hs = [tuple(int(x) for x in h) for h in hs]
-    _check_alpha(alpha)
     reach = np.abs(np.array(hs, dtype=float).reshape(len(hs), frame.rank))
     M, bound = _grid_size(g, frame, M, reach.max(axis=0, initial=0.0), alpha, field)
     if frame.rank == 0:
@@ -924,6 +928,7 @@ def _homology2_values(g: GraphModel, frame: SpanningTreeFrame, ms: Sequence, p: 
     at = [tuple(2 * h[i][j] % p for i, j in pairs)
           for h in (_check_skew(m, r, p) for m in ms)]
     if not field:  # the field's grid budget counts a point per block at least
+        _check_grid(M)  # unused by the intensity, but checked as h1 checks it
         _check_blocks(p, r)
     M, bound = _grid_size(g, frame, M, np.zeros(r), alpha, True, p) if field else (None, None)
     s = _heisenberg_traces(g, frame, p, M).mean(axis=1)

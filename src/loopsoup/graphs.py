@@ -1,11 +1,13 @@
-"""Finite weighted graphs with killing, and the linear algebra attached to them.
+"""Finite weighted graphs with killing, and their oriented-edge tables.
 
 A graph here is a finite vertex set {0..n-1}, a set of undirected simple
 edges carrying positive conductances, and a nonnegative killing rate per
 vertex. The induced Markov chain jumps from x to a neighbour y with
 probability C(x,y)/lam(x) where lam(x) = kappa(x) + sum_y C(x,y); with
 probability kappa(x)/lam(x) it dies. All the loop-measure machinery sits on
-top of this chain.
+top of this chain. P lives on the oriented edges only (GraphModel._p, in
+the CSR order of the edge table): every exact route reads it one step at a
+time, and only soup's dense algebra scatters it into an n x n matrix.
 
 Also here: deterministic spanning-tree frames (the tree plus an ordered,
 oriented list of the remaining edges, which generate the fundamental group).
@@ -37,6 +39,9 @@ class GraphModel:
         edges: sorted tuple of undirected edges (u, v) with u < v.
         conductance: mapping edge -> weight, keyed by the normalized pair.
         killing: per-vertex killing rates, length num_vertices.
+
+    The transition probabilities are _p, one per oriented edge of
+    _oriented; the graph keeps no n x n matrix.
     """
 
     num_vertices: int
@@ -67,21 +72,26 @@ class GraphModel:
         return lam
 
     @cached_property
-    def transition(self) -> np.ndarray:
-        """Sub-stochastic transition matrix P[x, y] = C(x,y)/lam(x)."""
-        n = self.num_vertices
-        p = np.zeros((n, n))
-        for (u, v), c in self.conductance.items():
-            p[u, v] = c / self.lam[u]
-            p[v, u] = c / self.lam[v]
-        return p
-
-    @cached_property
     def _oriented(self) -> _EdgeTable:
         """The _EdgeTable; sorted by head, then tail, edges list their reverses."""
         head = np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp)
         tail = np.repeat(np.arange(self.num_vertices), [len(a) for a in self.neighbors])
         return _EdgeTable(tail, head, np.lexsort((tail, head)), self.num_vertices)
+
+    @cached_property
+    def _p(self) -> np.ndarray:
+        """P(x, y) = C(x,y)/lam(x) on each oriented edge of _oriented, in
+        its order, read-only. The edges with tail < head are self.edges in
+        order, and reverse maps them onto the others."""
+        table = self._oriented
+        forward = np.flatnonzero(table.tail < table.head)
+        c = np.empty(table.head.size)
+        c[forward] = np.fromiter(map(self.conductance.__getitem__, self.edges),
+                                 float, len(self.edges))
+        c[table.reverse[forward]] = c[forward]
+        p = c / self.lam[table.tail]
+        p.flags.writeable = False
+        return p
 
     def degree(self, x: int) -> int:
         return len(self.neighbors[x])
@@ -105,6 +115,12 @@ class _EdgeTable:
         self.succ_first = np.concatenate(([0], np.cumsum(degree[head] - 1)))
         for a in (self.first, head, tail, reverse, self.succ_first):
             a.flags.writeable = False
+
+    def index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The position of each oriented edge (x[k], y[k]), all of them
+        edges: keys tail * n + head ascend in CSR order."""
+        n = self.first.size - 1
+        return np.searchsorted(self.tail * n + self.head, x * n + y)
 
     @cached_property
     def succ(self) -> np.ndarray:

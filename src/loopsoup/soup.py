@@ -36,13 +36,23 @@ _SAMPLER_ENTRIES = 2 ** 24
 _ENUMERATION_ENTRIES = 2 ** 24
 
 
+def _transition(g: GraphModel) -> np.ndarray:
+    """P as a dense n x n array, scattered from the per-edge g._p: built
+    afresh for the dense routines (total_mass, spectral_radius,
+    truncated_mass and the sampler's powers), and never kept on g."""
+    n = g.num_vertices
+    p = np.zeros((n, n))
+    p[g._oriented.tail, g._oriented.head] = g._p
+    return p
+
+
 def total_mass(g: GraphModel) -> float:
     """-log det(I - P); the full loop measure mass. Infinite (rejected)
     when the killing vanishes identically."""
     if not any(g.killing):
         # P is stochastic, I - P is exactly singular; roundoff can hide it
         raise NumericError("massless/recurrent chain: det(I - P) vanishes")
-    sign, logdet = np.linalg.slogdet(np.eye(g.num_vertices) - g.transition)
+    sign, logdet = np.linalg.slogdet(np.eye(g.num_vertices) - _transition(g))
     if sign <= 0 or not np.isfinite(logdet):
         raise NumericError("massless/recurrent chain: det(I - P) is not positive")
     return 0.0 - logdet  # not -logdet: a graph without edges has mass 0.0, not -0.0
@@ -53,7 +63,7 @@ def spectral_radius(g: GraphModel) -> float:
     to Lambda^(1/2) P Lambda^(-1/2) = Lambda^(-1/2) C Lambda^(-1/2), which is
     symmetric because the conductances are."""
     root = np.sqrt(g.lam)
-    eig = np.linalg.eigvalsh(root[:, None] * g.transition / root)
+    eig = np.linalg.eigvalsh(root[:, None] * _transition(g) / root)
     return float(np.max(np.abs(eig)))
 
 
@@ -72,7 +82,7 @@ def truncated_mass(g: GraphModel, n_max: int) -> float:
     """Mass of loops of length <= n_max: sum_{n<=n_max} tr(P^n)/n."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    p = g.transition
+    p = _transition(g)
     power = np.eye(g.num_vertices)
     out = 0.0
     for n in range(1, n_max + 1):
@@ -196,18 +206,17 @@ class _Plan(NamedTuple):
     """The index skeleton of enumerate_measure on one (topology, frame,
     n_max): everything it does but read the weights.
 
-    edges holds the position in P of each oriented edge, in CSR order. Each
-    step holds, per kept transition, its source state and its edge, the
-    state it lands in, then the number of states and the states at their
-    base. order sorts the returns base by base, number gives the class of
-    each sorted return, and classes lists the classes by number. Every
-    array but edges is int32, and the store makes them all read-only (see
+    Each step holds, per kept transition, its source state and its edge
+    (a position in the graph's edge table, whose weight is g._p there),
+    the state it lands in, then the number of states and the states at
+    their base. order sorts the returns base by base, number gives the
+    class of each sorted return, and classes lists the classes by number.
+    Every array is int32, and the store makes them all read-only (see
     _memo). rows gives the enumerate verb's rows in its order, by (length,
     word): the class columns of each (freegroup._row_prefixes) and the
     class number.
     """
 
-    edges: np.ndarray
     steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, int, np.ndarray], ...]
     order: np.ndarray
     number: np.ndarray
@@ -273,7 +282,7 @@ def _build_plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
     rows = tuple(zip(_row_prefixes([classes[c].word for c in row_class],
                                    [classes[c].multiplicity for c in row_class]),
                      row_class))
-    return _Plan(tails * n_v + heads, tuple(steps), order.astype(np.int32),
+    return _Plan(tuple(steps), order.astype(np.int32),
                  number.astype(np.int32), classes, rows)
 
 
@@ -306,11 +315,10 @@ def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
         raise ValidationError("n_max must be >= 1")
     plan = memoized((g.neighbors, frame.cogenerators, n_max), _build_plan, g,
                     frame, n_max)
-    step_weight = g.transition.ravel()[plan.edges]
     weight = np.ones(g.num_vertices)
     returns = []
     for n, (i, e, state, size, home) in enumerate(plan.steps, start=1):
-        weight = np.bincount(state, weight.take(i) * step_weight.take(e),
+        weight = np.bincount(state, weight.take(i) * g._p.take(e),
                              minlength=size)
         returns.append(weight.take(home) / n)
     total = np.bincount(plan.number, np.concatenate(returns)[plan.order],
@@ -443,14 +451,13 @@ class LoopSoupSampler:
             raise ConfigError(
                 f"the matrix powers up to n_max={n_max} on {n_v} vertices "
                 f"need more than {_SAMPLER_ENTRIES} entries")
-        self.graph = g
         self.alpha = alpha
         self.n_max = n_max
         # powers[m] = P^m for m <= ceil(n_max/2), by doubling: P^(k+1..2k)
         # = P^(1..k) P^k in one batched product
         self.powers = np.empty((half + 1, n_v, n_v))
         self.powers[0] = np.eye(n_v)
-        self.powers[1] = g.transition
+        self.powers[1] = _transition(g)
         k = 1
         while k < half:
             m = min(k, half - k)
@@ -513,7 +520,7 @@ class LoopSoupSampler:
             span = np.concatenate((left, span - left))
             keep = span > 1
             lo, span = lo[keep], span[keep]
-        step = self.graph.transition[walk[:-1], walk[1:]] > 0
+        step = self.powers[1][walk[:-1], walk[1:]] > 0
         step[end[:-1]] = True  # from one loop's end to the next one's start
         assert step.all()
         flat = walk.tolist()

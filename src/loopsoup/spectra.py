@@ -150,9 +150,8 @@ class _EdgeSystem:
         edges = g._oriented
         head, tail = edges.head, edges.tail
         self.size = m = head.size
-        p = g.transition
         self.tail = tail
-        self.weight = p[tail, head] * p[head, tail]
+        self.weight = g._p * g._p[edges.reverse]
         self._vertex_weight = np.bincount(tail, weights=self.weight,
                                           minlength=n)
         # B in row order, as (row, column, value) triples
@@ -353,11 +352,10 @@ def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
     letters, lengths = words.letters, words.lengths
     if not lengths.size:
         return np.zeros(0)
-    p, n = g.transition, g.num_vertices
-    keys = g._oriented.tail * n + g._oriented.head
+    weight = g._p * rho.edge
 
     def steps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return p[x, y] * rho.edge[np.searchsorted(keys, x * n + y)]
+        return weight[g._oriented.index(x, y)]
 
     # letter index 2(|l| - 1) + (l < 0); letter 2i + 1 crosses generator
     # edge i backward
@@ -471,9 +469,8 @@ def _tree_mass(g: GraphModel, edge: np.ndarray) -> tuple[float, float]:
     """
     edges = g._oriented
     first, head, tail = edges.first, edges.head, edges.tail
-    p = g.transition
     back = edge[edges.reverse]
-    w_hi, w_lo = _two_prod(p[tail, head], p[head, tail])
+    w_hi, w_lo = _two_prod(g._p, g._p[edges.reverse])
     t_hi, t_lo = _two_prod(w_hi, edge)
     t_lo = t_lo + w_lo * edge
     a_hi, a_lo = _two_prod(t_hi, back)
@@ -528,7 +525,7 @@ def _unicyclic_mass(g: GraphModel) -> tuple[float, float]:
         prev, x = x, y
         if x == start:
             break
-    terms = np.log(g.transition[np.arange(n), step])
+    terms = np.log(g._p[g._oriented.index(np.arange(n), step)])
     value = -fsum(terms)
     err = _U * (2 * len(g.edges) + n + 2.0 * np.abs(terms).sum() + abs(value))
     return value, float(err)

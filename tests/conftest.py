@@ -4,11 +4,26 @@ The four workhorses: the triangle (rank 1), the complete graph K4
 (rank 3, regular of degree 3), the bowtie (two triangles glued at a
 vertex, rank 2), and the Petersen graph (rank 6, 3-regular).  Unit
 conductances everywhere; killing rate 1 unless the name says free.
+
+dense_transition is the tests' reference for P as an n x n matrix, built
+from the conductances and lam one edge at a time, apart from the package's
+per-edge GraphModel._p.
 """
 
+import numpy as np
 import pytest
 
 from loopsoup import build_graph, spanning_tree_frame
+
+
+def dense_transition(g):
+    """P[x, y] = C(x,y)/lam(x), with zeros off the edges."""
+    n = g.num_vertices
+    p = np.zeros((n, n))
+    for (u, v), c in g.conductance.items():
+        p[u, v] = c / g.lam[u]
+        p[v, u] = c / g.lam[v]
+    return p
 
 
 def _complete(n, kappa):

@@ -1,5 +1,6 @@
 """Command line front end: small graph files in, manifest plus CSV out."""
 
+import hashlib
 import importlib
 import math
 import os
@@ -313,6 +314,25 @@ class TestHomotopy:
         assert out.splitlines()[1:] == ["class,length,mult,intensity",
                                         "e,0,1,0.0"]
 
+    def test_large_torus_without_a_dense_matrix(self, tmp_path):
+        # the 100 x 100 torus, rank 10001: P on its 4 * 10^4 oriented edges
+        # instead of a dense 10^4 x 10^4 matrix (800 MB). One process runs
+        # the CLI and reports its child's peak RSS in kB on stderr
+        TestH1._torus(tmp_path / "torus.graph", 100)
+        measure = ("import resource, subprocess, sys; "
+                   "code = subprocess.run([sys.executable, '-m', 'loopsoup.cli', "
+                   "*sys.argv[1:]]).returncode; "
+                   "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
+                   "file=sys.stderr); sys.exit(code)")
+        r = subprocess.run([sys.executable, "-c", measure, "homotopy", "torus.graph",
+                            "--max-len", "1"], capture_output=True, text=True,
+                           env=_package_env(), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert int(r.stderr.split()[-1]) < 200 * 1024
+        assert len(r.stdout.splitlines()) == 3 + 2 * 10001
+        assert hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "6e805e10bc9d65266a5bef2175ba8992a6d8bdb70ef0149f341fd64e2599bfa4")
+
 
 def _fuzz_graph(rng: random.Random) -> str:
     """A random graph file of 1-6 vertices: a random tree, so pendant
@@ -556,6 +576,22 @@ class TestH1:
             f"numeric error: an aliasing bound of 1e-12 at rank {r} needs 3^{r} Laurent "
             "points, over the budget of 65536 points"]
 
+    @pytest.mark.parametrize("graph, reach, r, least", [("bow", 2000, 2, 4096),
+                                                         ("k4", 60, 3, 128)])
+    def test_range_refused_before_its_rows(self, capsys, bow_path, k4_path,
+                                           graph, reach, r, least):
+        # the (2R+1)^r rows are listed only after the grid policy has run
+        # on reach R: refused at once, with the message of the last row
+        path = {"bow": bow_path, "k4": k4_path}[graph]
+        start = time.perf_counter()
+        code = main(["h1", path, "--h-range", str(reach)])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.splitlines() == [
+            f"numeric error: an aliasing bound of 1e-12 at rank {r} needs grid size "
+            f"M={least} or more, over the budget of 65536 points"]
+
     def test_winding_past_every_grid_exits_3(self, capsys, tri_path):
         # no power of two up to 2^62 exceeds 2 |h|: refused, not a traceback
         code = main(["h1", tri_path, "--h", str(2 ** 62)])
@@ -635,6 +671,16 @@ class TestH2:
         assert " M=None" in given.splitlines()[0] and "alias_bound" not in given
         assert given == plain
         assert given.splitlines()[2] == "1,3,1.9025350730024944e-06"
+
+    @pytest.mark.parametrize("grid", ["0", "-5"])
+    @pytest.mark.parametrize("flags", [("--m=1",), ("--field",)])
+    def test_bad_grid_size_exits_2(self, capsys, bow_path, flags, grid):
+        # checked as h1 checks it, though the intensity uses no grid
+        code = main(["h2", bow_path, "--p", "3", *flags, "--M", grid])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.splitlines() == [
+            "validation error: grid size must be >= 2"]
 
     @pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--alpha", "inf"),
                                        ("--field", "--alpha", "nan")])
@@ -850,6 +896,15 @@ class TestArgHandling:
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
+def _package_env():
+    """The environment with the imported package first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(loopsoup.__file__).parents[1]),
+                      env.get("PYTHONPATH")]))
+    return env
+
+
 def install_console_script(name, bin_dir):
     """Write the console script `name` declared in pyproject.toml.
 
@@ -874,11 +929,8 @@ def install_console_script(name, bin_dir):
         f"    sys.exit({attr}())\n")
     script.chmod(0o755)
 
-    env = dict(os.environ)
+    env = _package_env()
     env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(loopsoup.__file__).parents[1]),
-                      env.get("PYTHONPATH")]))
     return env
 
 
@@ -902,16 +954,12 @@ class TestConsoleScript:
     def _fresh_main(argv, cwd):
         """main(argv) in a fresh interpreter run in cwd: (exit code,
         stdout, the scipy modules it loaded)."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(Path(loopsoup.__file__).parents[1]),
-                          env.get("PYTHONPATH")]))
         r = subprocess.run(
             [sys.executable, "-c",
              "import sys; from loopsoup.cli import main; code = main(sys.argv[1:]); "
              "sys.stderr.write(' '.join(sorted(m for m in sys.modules "
              "if m.partition('.')[0] == 'scipy'))); sys.exit(code)", *argv],
-            capture_output=True, text=True, env=env, cwd=cwd)
+            capture_output=True, text=True, env=_package_env(), cwd=cwd)
         return r.returncode, r.stdout, r.stderr.split()
 
     @pytest.mark.parametrize("argv", [

@@ -6,9 +6,13 @@ depends on floating point or BLAS, so a refactor must leave them byte for
 byte. The `enumerate` rows are floats, but each is a sum in a fixed order
 of products of transition probabilities, with no BLAS call, so they are
 pinned too; its manifest is not, since its tail comes from an eigensolve.
-Of the `homotopy` rows only the class, length and multiplicity columns are
-pinned: the intensity comes from the rho solve. Each test hashes the full
-text with sha256.
+The `homotopy` labels (class, length and multiplicity) are pinned, and so
+are its nontrivial rows with their intensities on unit-weight graphs killed
+at rate 1: there the rho solve ends in sweeps, so each intensity is a
+product of P and rho along the geodesic, from bincount sums and products
+alone, with no Newton step, no scipy and no BLAS. Its trivial row, a sum of
+logarithms, and its manifest are not pinned. Each test hashes the full text
+with sha256.
 """
 
 import hashlib
@@ -47,6 +51,8 @@ SIGNATURE_WORDS = [
 ]
 
 GRAPH_TEXT = {
+    "bowtie": "vertices 5\n" + "".join(
+        f"edge {a} {b} 1\n" for a, b in ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4))),
     "k4": "vertices 4\n" + "".join(
         f"edge {a} {b} 1\n" for a in range(4) for b in range(a + 1, 4)),
     "petersen": "vertices 10\n" + "".join(
@@ -123,3 +129,24 @@ def test_homotopy_labels(capsys, tmp_path, monkeypatch, name, max_len, digest):
     _, rows = capsys.readouterr().out.split("\n", 1)
     labels = "".join(row.rsplit(",", 1)[0] + "\n" for row in rows.splitlines())
     assert _digest(labels) == digest
+
+
+@pytest.mark.parametrize("name, max_len, s, digest", [
+    ("bowtie", 6, "1", "ef167c76d1421bd1ff17fe2ddbe0738ae462286ce7d4c7f98e5de14a6a8e590e"),
+    ("bowtie", 6, "0.7", "543ddd3207219bb37b2252795341838b8d0d018e6e387ce2e0f7e590dccc8990"),
+    ("k4", 4, "1", "e208e46c5e6a2c08371c84f5767df1bd4bc9763ef9c38678a4469d1e8489479d"),
+    ("k4", 4, "0.7", "e349438079441e45192dd00d7b6fcd1a51a1844bfdf06f4f8b5bdc61b31feb14"),
+    ("petersen", 3, "1", "74f1fcd285b207f8e3eac4335c59dd8fd9fb2b9d775649b53b1c1329ed583916"),
+    ("petersen", 3, "0.7", "1d0ccf810cb16c73e2f746707c19376a73f672f9147bbacc9868d2266be78fb1"),
+])
+def test_homotopy_rows(capsys, tmp_path, monkeypatch, name, max_len, s, digest):
+    # unit conductances, killing 1 at every vertex; the header and every
+    # row but the trivial one, intensities included
+    n_v = int(GRAPH_TEXT[name].split()[1])
+    (tmp_path / f"{name}.graph").write_text(
+        GRAPH_TEXT[name] + "".join(f"kappa {x} 1\n" for x in range(n_v)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["homotopy", f"{name}.graph", "--max-len", str(max_len), "--s", s]) == 0
+    _, rows = capsys.readouterr().out.split("\n", 1)
+    kept = "".join(row + "\n" for row in rows.splitlines() if not row.startswith("e,"))
+    assert _digest(kept) == digest

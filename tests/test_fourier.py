@@ -31,6 +31,8 @@ from loopsoup import (
     twisted_log_det,
 )
 
+from conftest import dense_transition
+
 SQRT5 = math.sqrt(5.0)
 
 
@@ -38,7 +40,7 @@ def twisted_matrix(g, frame, theta):
     """Dense oracle: the transition matrix with each cogenerator crossing
     twisted by a phase, step x -> y over cogenerator j picking up
     exp(+-2 pi i theta_j)."""
-    p = g.transition.astype(complex)
+    p = dense_transition(g).astype(complex)
     for j, (u, v) in enumerate(frame.cogenerators):
         phase = np.exp(2j * np.pi * theta[j])
         p[u, v] *= phase
@@ -62,7 +64,7 @@ class TestTwistedDet:
 
     def test_zero_twist_matrix_is_transition(self, bowtie, bowtie_frame):
         M = twisted_matrix(bowtie, bowtie_frame, [0.0, 0.0])
-        assert np.allclose(M, bowtie.transition, atol=1e-14)
+        assert np.allclose(M, dense_transition(bowtie), atol=1e-14)
         assert np.max(np.abs(M.imag)) == 0.0
 
     def test_determinant_bounded_away_from_zero(self, bowtie, bowtie_frame):
@@ -836,10 +838,11 @@ def _step_twist(g, frame, gens):
     identity on tree edges."""
     n, d = g.num_vertices, len(gens[0])
     out = np.zeros((n * d, n * d), dtype=complex)
-    for x, y in zip(*np.nonzero(g.transition)):
+    p = dense_transition(g)
+    for x, y in zip(*np.nonzero(p)):
         j = frame.crossing(x, y)
         u = np.eye(d) if j == 0 else gens[j - 1] if j > 0 else gens[-j - 1].conj().T
-        out[x * d:(x + 1) * d, y * d:(y + 1) * d] = g.transition[x, y] * u
+        out[x * d:(x + 1) * d, y * d:(y + 1) * d] = p[x, y] * u
     return out
 
 
@@ -1353,9 +1356,9 @@ class TestFactorization:
     def test_holonomy_twist_matches_eigenvalues(self, bowtie):
         gd, conn = _s3_handles(bowtie)
         twisted = np.zeros((10, 10), dtype=complex)
+        p = dense_transition(bowtie)
         for (x, y), a in conn.items():
-            twisted[2 * x:2 * x + 2, 2 * y:2 * y + 2] = \
-                bowtie.transition[x, y] * gd.irreps[2][a]
+            twisted[2 * x:2 * x + 2, 2 * y:2 * y + 2] = p[x, y] * gd.irreps[2][a]
         got = -2 * connection_log_det(bowtie, {e: gd.irreps[2][a] for e, a in conn.items()})
         assert got == pytest.approx(_eigenvalue_log_det(bowtie, twisted), abs=1e-12)
 

@@ -17,6 +17,8 @@ from loopsoup import (
 )
 from loopsoup.graphs import _EdgeTable
 
+from conftest import dense_transition
+
 
 class TestBuildGraph:
     def test_basic_fields(self, triangle):
@@ -31,7 +33,7 @@ class TestBuildGraph:
         assert np.allclose(g.lam, [2.5, 2.5])
 
     def test_transition_rows_with_killing(self, triangle):
-        P = triangle.transition
+        P = dense_transition(triangle)
         # each row sums to C_total/lam = 2/3, the rest is killed
         assert np.allclose(P.sum(axis=1), 2.0 / 3.0)
         assert P[0, 1] == pytest.approx(1.0 / 3.0)
@@ -221,8 +223,27 @@ class TestEdgeTable:
                      for i in range(m)]
             assert t.succ.tolist() == succ
             assert t.succ_first.tolist() == np.cumsum([0] + count).tolist()
+            assert t.index(t.tail, t.head).tolist() == list(range(m))
+            assert t.index(t.head, t.tail).tolist() == t.reverse.tolist()
             for a in (t.first, t.head, t.tail, t.reverse, t.succ_first, t.succ):
                 assert not a.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_p_is_the_dense_reference_on_the_edges(self, seed):
+        # random conductances and killing, some rates 0: P on each oriented
+        # edge is the reference's quotient to the bit, and read-only
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        pairs = {(rng.randrange(y), y) for y in range(1, n)}
+        for _ in range(rng.randint(0, 12) if n > 1 else 0):
+            pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+        kill = [rng.choice([0.0, rng.uniform(0.01, 2.0)]) for _ in range(n)]
+        g = build_graph(n, [(u, v, rng.uniform(0.1, 3.0)) for u, v in pairs],
+                        kill if n > 1 else 1.0)
+        t = g._oriented
+        assert g._p is g._p
+        assert g._p.tobytes() == dense_transition(g)[t.tail, t.head].tobytes()
+        assert not g._p.flags.writeable
 
     @pytest.mark.parametrize("rank", [0, 1, 3])
     def test_rose(self, rank):

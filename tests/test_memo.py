@@ -462,7 +462,7 @@ class TestCount:
                               soup._build_plan, triangle, frame, 6)
         assert len(_memo._STORE) == (4 if budget else 0)
         arrays = [a for a in vars(twist).values() if a is not None]
-        arrays += list(table.words) + [plan.edges, plan.order, plan.number]
+        arrays += list(table.words) + [plan.order, plan.number]
         arrays += [a for step in plan.steps for a in step[:3] + step[4:]]
         arrays += [a for _, owners, b in blocks for a in (owners, b)]
         assert len(arrays) > 20

@@ -16,6 +16,7 @@ from loopsoup import (
     ValidationError,
     build_graph,
     canonical_class,
+    contractible_intensity,
     dumps_soup,
     enumerate_measure,
     loop_to_word,
@@ -23,6 +24,7 @@ from loopsoup import (
     occupation,
     parse_soup,
     sample_soup,
+    solve_rho,
     spanning_tree_frame,
     spectral_radius,
     tail_bound,
@@ -31,6 +33,10 @@ from loopsoup import (
     winding_masses,
 )
 from loopsoup import _memo, soup
+from loopsoup.freegroup import _class_words
+from loopsoup.spectra import _class_intensities
+
+from conftest import dense_transition
 
 
 class TestMeasure:
@@ -50,7 +56,7 @@ class TestMeasure:
     def test_spectral_radius_matches_general_eigensolve(self, request, name, seed):
         # the symmetric solve and a general one on P itself
         g = _reweighted(request.getfixturevalue(name), seed)
-        want = np.max(np.abs(np.linalg.eigvals(g.transition)))
+        want = np.max(np.abs(np.linalg.eigvals(dense_transition(g))))
         assert spectral_radius(g) == pytest.approx(want, rel=1e-14)
 
     def test_tail_bound_decreases(self, triangle):
@@ -61,6 +67,25 @@ class TestMeasure:
         full = total_mass(triangle)
         for n in (10, 20, 30):
             assert abs(truncated_mass(triangle, n) - full) <= tail_bound(triangle, n)
+
+    def test_graph_keeps_no_dense_matrix(self):
+        # P lives on the oriented edges: after every exact route and every
+        # dense routine has run on the 6 x 6 torus, neither the graph nor
+        # its edge table holds an array of n^2 entries
+        g = _torus(6, 0.5)
+        frame = spanning_tree_frame(g)
+        rho = solve_rho(g, 1.0)
+        contractible_intensity(g)
+        _class_intensities(g, frame, _class_words(frame.rank, 2).words, rho)
+        enumerate_measure(g, frame, 4)
+        total_mass(g)
+        spectral_radius(g)
+        truncated_mass(g, 3)
+        LoopSoupSampler(g, n_max=6).sample(0)
+        kept = [a for obj in (g, g._oriented) for a in vars(obj).values()
+                if isinstance(a, np.ndarray)]
+        assert any(a is g._p for a in kept)
+        assert max(a.size for a in kept) < g.num_vertices ** 2
 
 
 class TestEnumeration:
@@ -120,7 +145,7 @@ def _dict_enumeration(g, frame, n_max):
                         dist[s, u] = dist[s, v] + 1
                         nxt.append(u)
             queue = nxt
-    p = g.transition
+    p = dense_transition(g)
     out = {}
     for base in range(n):
         states = {(base, ()): 1.0}
@@ -219,7 +244,7 @@ def _plan_entries(plan):
     """The entries the store counts for a plan: one per array element, one
     per letter of each class word, one per step for its state count, and
     two per row."""
-    return (plan.edges.size + plan.order.size + plan.number.size
+    return (plan.order.size + plan.number.size
             + sum(len(cls.word) for cls in plan.classes) + 2 * len(plan.rows)
             + sum(i.size + e.size + s.size + 1 + h.size
                   for i, e, s, _, h in plan.steps))
@@ -288,7 +313,7 @@ class TestEnumerationPlan:
             arrays = [plan.order, plan.number]
             arrays += [a for i, e, s, _, h in plan.steps for a in (i, e, s, h)]
             assert all(a.dtype == np.int32 for a in arrays)
-            for a in arrays + [plan.edges]:
+            for a in arrays:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[:1] = 0
@@ -515,7 +540,7 @@ class TestSampler:
     def test_length_profile(self, triangle):
         # loop length n has mass tr(P^n)/n; chi-square on 1500 soups
         from scipy import stats
-        P = triangle.transition
+        P = dense_transition(triangle)
         mass = {}
         M = np.eye(3)
         for n in range(1, 43):
@@ -643,7 +668,7 @@ class TestSamplerPinned:
             power = np.eye(g.num_vertices)
             for m, got in enumerate(sampler.powers):
                 np.testing.assert_allclose(got, power, rtol=1e-13, atol=0)
-                power = power @ g.transition
+                power = power @ dense_transition(g)
             # the 4x4 torus is bipartite: only even lengths carry weight
             assert sampler.items[:, 1].tolist() == sorted(sampler.items[:, 1])
             assert not (sampler.items[:, 1] % 2).any()
@@ -654,7 +679,7 @@ class TestSamplerPinned:
         # one chi-square per length, conditioned on the count of each base
         from scipy import stats
         g = _weighted()
-        p = g.transition
+        p = dense_transition(g)
         sampler = LoopSoupSampler(g, alpha=3.0, n_max=12)
         seen = {}
         for seed in range(3000):

@@ -35,6 +35,8 @@ from loopsoup.cli import main
 from loopsoup.freegroup import (GeodesicClass, _class_words, _geodesic_loops,
                                 _tuples, _Words)
 
+from conftest import dense_transition
+
 SQRT5 = math.sqrt(5.0)
 # The trivial-class mass of the triangle with killing 1e-9 at one vertex,
 # from a 40-digit evaluation of its integral.
@@ -200,7 +202,7 @@ def stepwise_intensity(g, frame, cls, rho):
     """Reference class mass: P(x,y) rho(x,y) multiplied step by step around
     the geodesic loop from geodesic_representative, over the multiplicity."""
     cycle = geodesic_representative(cls, frame)
-    p = g.transition
+    p = dense_transition(g)
     heads, tails = g._oriented.head, g._oriented.tail
     edge = dict(zip(zip(tails.tolist(), heads.tolist()), rho.edge.tolist()))
     prod = 1.0
