@@ -12,10 +12,9 @@ values go first once the budget is passed; a value over the whole budget
 is returned and not kept. Every value built is shared, so the count
 makes its arrays read-only on the same pass, whether it is kept or not.
 
-Three caches stay apart: spectra.solve_rho's tables depend on the weights
-and its cache_info is public; fourier._laurent hands one graph's
-coefficients from the grid size to the grid of one H1 law; and
-cli._build_parser builds the parser once.
+Two caches stay apart: spectra.solve_rho's tables depend on the weights
+and its cache_info is public, and cli._build_parser builds the parser
+once.
 """
 
 from __future__ import annotations

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ValidationError
+from .errors import ConfigError, NumericError, ValidationError, _count
 from .freegroup import _class_words, format_word, parse_word
 from .graphs import load_graph, spanning_tree_frame
 from .signature import degree_and_lead
@@ -24,8 +25,7 @@ from .soup import (MeasureConfig, dumps_soup, enumerate_measure, occupation,
                    sample_soup, spectral_radius, total_mass)
 from .spectra import (_class_intensities, contractible_intensity, ihara_check,
                       solve_rho)
-from .fourier import (_check_blocks, _grid_size, _homology1_values,
-                      _homology2_values)
+from .fourier import _homology1_values, _homology2_values
 from . import __version__
 
 
@@ -133,28 +133,33 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ConfigError(f"bad {what}: {text!r}") from None
 
 
+_ROWS = 1 << 16  # the most rows h1 --h-range lists
+
+
+def _rows(law: np.ndarray, axes: list) -> zip:
+    """Each index of the product of axes, in C order, with the law's entry."""
+    vals = law[np.ix_(*([x % n for x in a] for a, n in zip(axes, law.shape)))].ravel()
+    return zip(itertools.product(*axes), vals)
+
+
 def cmd_h1(args) -> None:
     g = load_graph(args.graph)
     frame = spanning_tree_frame(g)
     r = frame.rank
-    grid = args.grid
-    if args.mod is not None:
-        if grid is not None:
-            raise ConfigError("--mod and --M both set the grid size; give one")
-        grid = args.mod
+    if args.mod is not None and args.grid is not None:
+        raise ConfigError("--mod and --M both set the grid size; give one")
+    grid = args.grid if args.mod is None else args.mod
     if args.h is not None:
-        hs = [_parse_ints(args.h, "--h")]
+        axes = [[x] for x in _parse_ints(args.h, "--h")]
     elif args.h_range < 0:
         raise ConfigError(f"--h-range must be >= 0, got {args.h_range}")
     else:
-        # the grid policy runs on reach R before the (2R+1)^r rows are listed
-        grid, bound = _grid_size(g, frame, grid, np.full(r, float(args.h_range)),
-                                 args.alpha, args.field)
-        hs = [tuple(int(x) for x in np.array(idx) - args.h_range)
-              for idx in np.ndindex(*([2 * args.h_range + 1] * r))]
-    vals, M, h_bound = _homology1_values(g, frame, hs, args.alpha, args.field, grid)
-    if args.h is not None:
-        bound = h_bound
+        axes = [range(-args.h_range, args.h_range + 1)] * r
+    reach = [a[-1] for a in axes]  # the one h, or (R,) * r
+    law, M, bound = _homology1_values(g, frame, reach, args.alpha, args.field, grid)
+    if args.h is None and (rows := (2 * args.h_range + 1) ** r) > _ROWS:
+        raise ConfigError(f"--h-range {args.h_range}: {_count(rows)} rows at rank {r}, "
+                          f"over the budget of {_ROWS} rows")
     certified = {} if bound is None else {"alias_bound": _fmt(bound)}
     manifest = _manifest("h1", {
         "graph": args.graph, "M": args.grid if bound is None else M,
@@ -162,8 +167,7 @@ def cmd_h1(args) -> None:
     })
     value_col = "probability" if args.field else "intensity"
     lines = [manifest, ",".join([f"h{i}" for i in range(1, r + 1)] + [value_col])]
-    for h, val in zip(hs, vals):
-        lines.append(",".join([str(x) for x in h] + [_fmt(val)]))
+    lines += [",".join([str(x) for x in h] + [_fmt(val)]) for h, val in _rows(law, axes)]
     _emit(args, lines)
 
 
@@ -171,23 +175,17 @@ def cmd_h2(args) -> None:
     g = load_graph(args.graph)
     frame = spanning_tree_frame(g)
     q = frame.rank * (frame.rank - 1) // 2
-    if args.m is not None:
-        ms = [_parse_ints(args.m, "--m")]
-        if len(ms[0]) != q:
-            raise ConfigError(f"--m needs {q} entries (pairs i<j in lex order)")
-    else:
-        _check_blocks(args.p, frame.rank)  # before the p^q rows are listed
-        ms = list(np.ndindex(*([args.p] * q)))
-    pairs = [(i, j) for i in range(1, frame.rank + 1) for j in range(i + 1, frame.rank + 1)]
-    vals, M, bound = _homology2_values(g, frame, [dict(zip(pairs, m)) for m in ms], args.p,
-                                       args.alpha, args.field, args.grid)
+    axes = [range(args.p)] * q if args.m is None else [[x] for x in _parse_ints(args.m, "--m")]
+    if len(axes) != q:
+        raise ConfigError(f"--m needs {q} entries (pairs i<j in lex order)")
+    law, M, bound = _homology2_values(g, frame, args.p, args.alpha, args.field, args.grid)
     certified = {} if bound is None else {"alias_bound": _fmt(bound)}
     manifest = _manifest("h2", {
         "graph": args.graph, "p": args.p, "field": args.field, "alpha": args.alpha,
         "M": M, **certified,
     })
     lines = [manifest, f"m,p,{'probability' if args.field else 'intensity'}"]
-    lines += [f"{' '.join(map(str, m))},{args.p},{_fmt(v)}" for m, v in zip(ms, vals)]
+    lines += [f"{' '.join(map(str, m))},{args.p},{_fmt(v)}" for m, v in _rows(law, axes)]
     _emit(args, lines)
 
 

@@ -31,6 +31,9 @@ read exactly off the factorization route on the (2d+1)-point grid, by one FFT.
 For first homology (d = 1) the same coefficients give the determinant in
 closed form along each real axis, hence a tail bound on every winding that
 picks the automatic grid size of the H1 and H2 laws and bounds its aliasing.
+_grid_policy checks each such law first. A law computes the coefficients
+once, for its bound and its grid, and then itself on its whole group, Z_M^r
+or the skew h mod p, which the one-row functions and the CLI index.
 """
 
 from __future__ import annotations
@@ -39,13 +42,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ._memo import memo
-from .errors import ConfigError, NumericError, ValidationError
+from .errors import ConfigError, NumericError, ValidationError, _count
 from .graphs import GraphModel, SpanningTreeFrame
 from .soup import total_mass
 
@@ -70,16 +72,14 @@ def _certified(z: np.ndarray, scale: float | np.ndarray, field: bool,
     return np.minimum(np.maximum(vals, 0.0), 1.0) if field else vals
 
 
-def _law(t: np.ndarray, at: Sequence[tuple[int, ...]], alpha: float, field: bool,
-         what: str) -> list[float]:
-    """A law on a finite abelian group at the indices `at`, from T = -log
-    det(I - P twisted) at its characters, one axis per generator: alpha
-    times the loop measure, the FFT of T over its size, or with field the
-    soup's, of exp(alpha (T - T(0))); _certified over the whole group."""
+def _law(t: np.ndarray, alpha: float, field: bool, what: str) -> np.ndarray:
+    """A law on the whole of a finite abelian group, from T = -log det(I - P
+    twisted) at its characters, one axis per generator: alpha times the
+    loop measure, the FFT of T over its size, or with field the soup's, of
+    exp(alpha (T - T(0))); _certified."""
     f = np.exp(alpha * (t - t.flat[0])) if field else t
-    vals = _certified(np.fft.fftn(f) / f.size, 1.0 if field else alpha, field,
+    return _certified(np.fft.fftn(f) / f.size, 1.0 if field else alpha, field,
                       f"{what} {'field law' if field else 'intensity'}")
-    return [float(vals[k]) for k in at]
 
 
 # Most complex entries in one stack of twisted matrices: a batch of any size
@@ -226,12 +226,12 @@ def twisted_log_det(g: GraphModel, frame: SpanningTreeFrame,
 
 def _laurent_coefficients(g: GraphModel, omega: tuple[int, ...], unitaries: np.ndarray,
                           what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The Laurent coefficients c_k, k in {-d..d}^r at index k mod 2d + 1,
-    of D = det(I - P twisted) for each twist of a batch (_torus_log_dets),
-    scaled by exp(-shift), shift the twist's largest log D on the
-    (2d+1)-grid: exact, by one DFT of D there. A (2d+1)-grid of more than
-    _GRID_POINTS points raises NumericError before anything is built, as
-    every grid of _twisted_log_dets does."""
+    """The Laurent coefficients c_k, k in {-d..d}^r at index k mod 2d + 1, of
+    D = det(I - P twisted) for each twist of a batch (_torus_log_dets),
+    scaled by exp(-shift), shift the twist's largest log D on the (2d+1)-grid:
+    exact, by one DFT of D there. A (2d+1)-grid of more than _GRID_POINTS
+    points raises NumericError before anything is built, as every grid of
+    _twisted_log_dets does."""
     b, r, d, _ = unitaries.shape
     logs = _twisted_log_dets(g, omega, unitaries, 2 * d + 1, what).reshape(b, -1)
     shift = logs.max(axis=1)
@@ -245,14 +245,14 @@ def _torus_log_dets(g: GraphModel, omega: tuple[int, ...], unitaries: np.ndarray
     m-grid (z = 1 alone with m None) of a batch as in _twisted_log_dets.
 
     Grids of at most 2d + 1 points per generator are factorized; a larger
-    one is one inverse FFT of the Laurent coefficients (memoized ones from
-    laurent(), if given), with a rounding error of (2d+1)^r u / D + u |log D|
-    up to a few times (u = 2^-53, D scaled by the shift); D <= 0 raises.
+    one is one inverse FFT of the Laurent coefficients (laurent, if given),
+    with a rounding error of (2d+1)^r u / D + u |log D| up to a few times
+    (u = 2^-53, D scaled by the shift); D <= 0 raises.
     """
     b, r, d, _ = unitaries.shape
     if m is None or not r or m <= 2 * d + 1:
         return _twisted_log_dets(g, omega, unitaries, m, what).reshape(b, -1)
-    coef, shift = laurent() if laurent else _laurent_coefficients(g, omega, unitaries, what)
+    coef, shift = laurent or _laurent_coefficients(g, omega, unitaries, what)
     at = [*range(d + 1), *range(m - d, m)]  # k = 0..d, then -d..-1, mod m
     spectrum = np.zeros((b,) + (m,) * (r - 1) + (m // 2 + 1,), dtype=coef.dtype)
     spectrum[(slice(None), *np.ix_(*[at] * (r - 1)), slice(d + 1))] = coef[..., :d + 1]
@@ -262,11 +262,9 @@ def _torus_log_dets(g: GraphModel, omega: tuple[int, ...], unitaries: np.ndarray
     return np.log(dets.reshape(b, -1)) + shift[:, None]
 
 
-@functools.lru_cache(maxsize=1)
-def _laurent(g: GraphModel, frame: SpanningTreeFrame) -> tuple[np.ndarray, np.ndarray]:
-    """_laurent_coefficients of P^theta, real since D is real and even;
-    memoized for the last graph and frame, which the grid size and the grid
-    of a law share, and read-only."""
+def _h1_coefficients(g: GraphModel, frame: SpanningTreeFrame) -> tuple[np.ndarray, ...]:
+    """_laurent_coefficients of P^theta, real since D is real and even. One
+    law hands them to its bound and to its grid, so they are read-only."""
     coef, shift = _laurent_coefficients(g, _frame_letters(g, frame),
                                         np.ones((1, frame.rank, 1, 1)), "P^theta")
     coef = coef.real
@@ -274,15 +272,16 @@ def _laurent(g: GraphModel, frame: SpanningTreeFrame) -> tuple[np.ndarray, np.nd
     return coef, shift
 
 
-def homology1_grid(g: GraphModel, frame: SpanningTreeFrame, m: int) -> np.ndarray:
+def homology1_grid(g: GraphModel, frame: SpanningTreeFrame, m: int,
+                   laurent: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """log det(I - P^(k/m)) over the full torus grid, shape (m,) * rank, by
-    _torus_log_dets with d = 1: beyond 3 points per dimension, the 3^rank
-    factorizations of the memoized coefficients and one inverse FFT."""
-    if m < 2:
-        raise ValidationError("grid size must be >= 2")
+    _torus_log_dets with d = 1: beyond 3 points per dimension, one inverse
+    FFT of the _h1_coefficients, laurent if the caller has read them."""
+    _check_grid(m)
+    if laurent is None and frame.rank and m > 3:
+        laurent = _h1_coefficients(g, frame)
     return _torus_log_dets(g, _frame_letters(g, frame), np.ones((1, frame.rank, 1, 1)), m,
-                           "P^theta",
-                           functools.partial(_laurent, g, frame)).reshape((m,) * frame.rank)
+                           "P^theta", laurent).reshape((m,) * frame.rank)
 
 
 # The aliasing bound an automatic grid size meets, and the most points it
@@ -291,16 +290,11 @@ _ALIAS_TOL = 1e-12
 _GRID_POINTS = 1 << 16
 
 
-def _count(n: int) -> str:
-    """n in full up to 15 digits, else to two significant digits, as 2.9e+2409:
-    a block count at a high rank has thousands of digits."""
-    return str(n) if n < 10 ** 15 else format(Decimal(n), ".1e")
-
-
-def _alias_bounds(g: GraphModel, frame: SpanningTreeFrame, reach: np.ndarray,
-                  ms: np.ndarray, alpha: float | None) -> np.ndarray:
+def _alias_bounds(coef: np.ndarray, reach: np.ndarray, ms: np.ndarray,
+                  alpha: float | None) -> np.ndarray:
     """A bound on the aliasing error of the M-grid law (with alpha, the
-    field law) at every h with |h_i| <= reach_i, for each M of ms > 2 reach.
+    field law) at every h with |h_i| <= reach_i, for each M of ms > 2 reach,
+    from coef, the 3^r Laurent coefficients c_k of D = det(I - P^theta).
 
     Along axis i, D(t e_i) = a_0 + a_1 (t + 1/t), a_j the sum of the
     Laurent coefficients c_k with k_i = j, falls to 0 at t = exp(2x),
@@ -312,7 +306,6 @@ def _alias_bounds(g: GraphModel, frame: SpanningTreeFrame, reach: np.ndarray,
     tails over the axes, each minimized over t = exp(2 f x), f = 1 -
     2^(-j/2) for j = 1..100. An axis with a_1 >= 0 carries no winding.
     """
-    coef = _laurent(g, frame)[0][0]
     d1 = coef.sum()
     if not d1 > 0:
         raise NumericError(_MASSLESS.format("P"))
@@ -328,38 +321,39 @@ def _alias_bounds(g: GraphModel, frame: SpanningTreeFrame, reach: np.ndarray,
     return np.exp(tails.min(axis=-1)).sum(axis=-1)
 
 
-def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
-               reach: np.ndarray, alpha: float = 1.0, field: bool = False,
-               p: int | None = None) -> tuple[int | None, float | None]:
-    """M, checked (ConfigError past _GRID_POINTS points), or the smallest
-    power of two above 2 max reach whose aliasing bound is at most
-    _ALIAS_TOL (NumericError past _GRID_POINTS), and that bound; None for a
-    given M and on rank 0, which has no grid. alpha is checked first.
-
-    The bound is alpha times the intensity's bound, or for the H1 field law
-    _alias_bounds at alpha. The points are the M^r of the grid, or with p
-    the _block_points of the Heisenberg twists if more. The bound itself
-    factorizes the 3^r points of the Laurent coefficients, so an automatic
-    size is refused before any factorization when those, or the points of
-    the smallest candidate M, are past _GRID_POINTS.
-    """
+def _grid_policy(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
+                 reach: np.ndarray, alpha: float = 1.0, field: bool = False,
+                 p: int | None = None) -> tuple:
+    """(M, its aliasing bound, the _h1_coefficients it read or None) of the
+    H1 law, or with p of the H2 law mod p: the one check of their inputs and
+    budgets. alpha, p, M >= 2 and p's Schrodinger blocks at one point each
+    come first; the intensity has no grid, nor has rank 0. A given M has no
+    bound; past _GRID_POINTS points (M^r, or _block_points if more) it is a
+    ConfigError. Else M is the least power of two above 2 max reach whose
+    bound (alpha times the intensity's, or _alias_bounds at alpha for the H1
+    field law) is at most _ALIAS_TOL, refused (NumericError) past
+    _GRID_POINTS points before the 3^r coefficients are factorized."""
     _check_alpha(alpha)
+    if p is not None:
+        _check_prime(p)
     _check_grid(M)
     r = frame.rank
+    if p is not None and (blocks := _block_points(p, r, 1)) > _GRID_POINTS:
+        raise ConfigError(f"p={p}: {_count(blocks)} Schrodinger blocks at rank {r}, over "
+                          f"the budget of {_GRID_POINTS} points")
+    if p is not None and not field or M is None and not r:
+        return None, None, None  # no grid: the H2 intensity, or rank 0
 
     def points(m: int) -> int:
         return m ** r if p is None else max(m ** r, _block_points(p, r, m))
 
     if M is not None:
-        count = points(M)
-        if count > _GRID_POINTS:
+        if (count := points(M)) > _GRID_POINTS:
             need = (f"{M}^{r} grid points" if count == M ** r
                     else f"{_count(count)} Schrodinger block points")
             raise ConfigError(f"grid size M={M}: {need}, over the budget of "
                               f"{_GRID_POINTS} points")
-        return M, None
-    if not r:
-        return None, None
+        return M, None, None
     # the smallest candidate: the least power of two above 2 max reach
     least = max(2, 2 ** int(2 * reach.max()).bit_length())
     if max(3 ** r, points(least)) > _GRID_POINTS:
@@ -367,16 +361,16 @@ def _grid_size(g: GraphModel, frame: SpanningTreeFrame, M: int | None,
                 else f"grid size M={least} or more")
         raise NumericError(f"an aliasing bound of {_ALIAS_TOL} at rank {r} needs {need}, "
                            f"over the budget of {_GRID_POINTS} points")
-    ms = 2 ** np.arange(1, 63)
-    ms = ms[ms > 2 * reach.max()]
-    bounds = (_alias_bounds(g, frame, reach, ms, alpha) if field and p is None
-              else alpha * _alias_bounds(g, frame, reach, ms, None))  # falls as M grows
+    laurent = _h1_coefficients(g, frame)
+    ms = 2 ** np.arange(least.bit_length() - 1, 63)  # least and up: the bound falls
+    bounds = (_alias_bounds(laurent[0][0], reach, ms, alpha) if field and p is None
+              else alpha * _alias_bounds(laurent[0][0], reach, ms, None))
     i = min(np.count_nonzero(bounds > _ALIAS_TOL), ms.size - 1)
     M, bound = int(ms[i]), float(bounds[i])
     if bound > _ALIAS_TOL or points(M) > _GRID_POINTS:
         raise NumericError(f"an aliasing bound of {_ALIAS_TOL} needs grid size M={M} "
                            f"(bound {bound:.1e}), over the budget of {_GRID_POINTS} points")
-    return M, bound
+    return M, bound, laurent
 
 
 def _check_alpha(alpha: float) -> None:
@@ -389,30 +383,28 @@ def _check_grid(M: int | None) -> None:
         raise ValidationError("grid size must be >= 2")
 
 
-def _homology1_values(g: GraphModel, frame: SpanningTreeFrame,
-                      hs: Iterable[Sequence[int]], alpha: float = 1.0,
-                      field: bool = False, M: int | None = None
-                      ) -> tuple[list[float], int | None, float | None]:
-    """The first-homology law at every h of hs on one grid of M points per
-    dimension, with M and its aliasing bound from _grid_size.
+def _homology1_values(g: GraphModel, frame: SpanningTreeFrame, reach: Sequence[int],
+                      alpha: float = 1.0, field: bool = False, M: int | None = None
+                      ) -> tuple[np.ndarray, int | None, float | None]:
+    """The first-homology law on Z_M^r (0-d on rank 0), with M and its bound
+    from _grid_policy, certified at every h with |h_i| <= |reach_i| (one h,
+    or (R,) * rank): alpha times the intensity, or with field P(total soup
+    winding = h), the entry at h mod M summing it over h' congruent to h."""
+    r = frame.rank
+    if len(reach) != r:
+        raise ValidationError(f"h has length {len(reach)}, frame rank is {r}")
+    if any(not isinstance(x, (int, np.integer)) for x in reach):
+        raise ValidationError(f"h must be integer, got {tuple(reach)}")
+    M, bound, laurent = _grid_policy(g, frame, M, np.abs(np.array(reach, dtype=float)),
+                                     alpha, field)
+    if not r:
+        return np.array(1.0 if field else alpha * total_mass(g)), M, bound
+    return _law(-homology1_grid(g, frame, M, laurent), alpha, field, "homology1"), M, bound
 
-    alpha times the intensity, or with field P(total soup winding = h).
-    Either is h-aliased mod M: it sums the law over every h' congruent to
-    h. With M omitted, the reach is max|h| over hs.
-    """
-    hs = [tuple(h) for h in hs]
-    for h in hs:
-        if len(h) != frame.rank:
-            raise ValidationError(f"h has length {len(h)}, frame rank is {frame.rank}")
-        if any(not isinstance(x, (int, np.integer)) for x in h):
-            raise ValidationError(f"h must be integer, got {h}")
-    hs = [tuple(int(x) for x in h) for h in hs]
-    reach = np.abs(np.array(hs, dtype=float).reshape(len(hs), frame.rank))
-    M, bound = _grid_size(g, frame, M, reach.max(axis=0, initial=0.0), alpha, field)
-    if frame.rank == 0:
-        return [1.0 if field else alpha * total_mass(g) for _ in hs], M, bound
-    return _law(-homology1_grid(g, frame, M), [tuple(x % M for x in h) for h in hs],
-                alpha, field, "homology1"), M, bound
+
+def _at(law: np.ndarray, h: Sequence[int]) -> float:
+    """The entry of a law at h, each h_i mod its axis."""
+    return float(law[tuple(x % n for x, n in zip(h, law.shape))])
 
 
 def homology1_intensity(g: GraphModel, frame: SpanningTreeFrame,
@@ -425,7 +417,7 @@ def homology1_intensity(g: GraphModel, frame: SpanningTreeFrame,
     above 2 max|h_i| whose aliasing bound, a tail bound on the windings, is
     at most 1e-12; one of more than 2^16 grid points raises NumericError.
     """
-    return _homology1_values(g, frame, [h], M=M)[0][0]
+    return _at(_homology1_values(g, frame, h, M=M)[0], h)
 
 
 def homology1_field_law(g: GraphModel, frame: SpanningTreeFrame,
@@ -435,7 +427,7 @@ def homology1_field_law(g: GraphModel, frame: SpanningTreeFrame,
     omitted the size is certified as in homology1_intensity, from the tail
     bound P(|W_i| >= k) <= 2 t^-k (D(1) / D(t e_i))^alpha of the soup's
     winding."""
-    return _homology1_values(g, frame, [h], alpha, field=True, M=M)[0][0]
+    return _at(_homology1_values(g, frame, h, alpha, field=True, M=M)[0], h)
 
 
 # ---------------------------------------------------------------------------
@@ -875,16 +867,6 @@ def _block_points(p: int, r: int, m: int) -> int:
                * p ** (r - 2 * k) * min(m, 2 * p ** k + 1) ** r for k in range(r // 2 + 1))
 
 
-def _check_blocks(p: int, r: int) -> None:
-    """_check_prime, then ConfigError past _GRID_POINTS Schrodinger blocks
-    of all skew h mod p at rank r, each factorized at one point at least."""
-    _check_prime(p)
-    blocks = _block_points(p, r, 1)
-    if blocks > _GRID_POINTS:
-        raise ConfigError(f"p={p}: {_count(blocks)} Schrodinger blocks at rank {r}, over "
-                          f"the budget of {_GRID_POINTS} points")
-
-
 def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
                        m: int | None = None) -> np.ndarray:
     """T(h) = -(1/p^r) log det(I - P twisted by the p^r-dimensional
@@ -912,27 +894,30 @@ def _heisenberg_traces(g: GraphModel, frame: SpanningTreeFrame, p: int,
     return out
 
 
-def _homology2_values(g: GraphModel, frame: SpanningTreeFrame, ms: Sequence, p: int,
+def _homology2_values(g: GraphModel, frame: SpanningTreeFrame, p: int,
                       alpha: float = 1.0, field: bool = False, M: int | None = None
-                      ) -> tuple[list[float], int | None, float | None]:
-    """The second-homology law mod p at every m of ms, with M and its bound
-    from _grid_size (None for the intensity, which needs no grid): one FFT
-    over skew h, read at 2m, of alpha T(h), or with field of exp(alpha (S(h)
-    - S(0))), S the mean of T over the M-grid. S keeps loops of nonzero
-    winding in M Z^r, an error of at most alpha sum_i mu(|W_i| >= M)
-    (_alias_bounds at reach 0). Rows do not depend on others."""
+                      ) -> tuple[np.ndarray, int | None, float | None]:
+    """The second-homology law mod p on every skew m, one axis per pair i <
+    j in lex order, with M and its bound from _grid_policy (None for the
+    intensity, which needs no grid): one FFT over skew h, read at 2m, of
+    alpha T(h), or with field of exp(alpha (S(h) - S(0))), S the mean of T
+    over the M-grid. S keeps loops of nonzero winding in M Z^r, an error of
+    at most alpha sum_i mu(|W_i| >= M) (_alias_bounds at reach 0)."""
+    r = frame.rank
+    M, bound, _ = _grid_policy(g, frame, M, np.zeros(r), alpha, field, p)
+    q = r * (r - 1) // 2  # the pairs, in the order of _skew_grid
+    law = _law(_heisenberg_traces(g, frame, p, M).mean(axis=1).reshape((p,) * q),
+               alpha, field, "homology2")
+    return law[np.ix_(*[2 * np.arange(p) % p] * q)], M, bound
+
+
+def _skew_index(m, r: int, p: int, alpha: float) -> list[int]:
+    """The index of the skew m in an H2 law, one entry per pair i < j, with
+    alpha, p and m (_check_skew) checked before any budget of the law."""
     _check_alpha(alpha)
     _check_prime(p)
-    r = frame.rank
-    pairs = list(itertools.combinations(range(r), 2))  # lex order, as in _skew_grid
-    at = [tuple(2 * h[i][j] % p for i, j in pairs)
-          for h in (_check_skew(m, r, p) for m in ms)]
-    if not field:  # the field's grid budget counts a point per block at least
-        _check_grid(M)  # unused by the intensity, but checked as h1 checks it
-        _check_blocks(p, r)
-    M, bound = _grid_size(g, frame, M, np.zeros(r), alpha, True, p) if field else (None, None)
-    s = _heisenberg_traces(g, frame, p, M).mean(axis=1)
-    return _law(s.reshape((p,) * len(pairs)), at, alpha, field, "homology2"), M, bound
+    h = _check_skew(m, r, p)
+    return [h[i][j] for i, j in itertools.combinations(range(r), 2)]
 
 
 def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
@@ -948,7 +933,8 @@ def homology2_intensity(g: GraphModel, frame: SpanningTreeFrame,
     invariant that carries mass removes that aliasing, but no bound on it
     is computed here; two primes that agree give evidence, not a bound.
     """
-    return _homology2_values(g, frame, [m], p, alpha)[0][0]
+    at = _skew_index(m, frame.rank, p, alpha)
+    return _at(_homology2_values(g, frame, p, alpha)[0], at)
 
 
 def homology2_field_law(g: GraphModel, frame: SpanningTreeFrame,
@@ -963,4 +949,5 @@ def homology2_field_law(g: GraphModel, frame: SpanningTreeFrame,
     tail bound on it is at most 1e-12 (past 2^16 points, NumericError). The
     mod-p law is a Fourier inversion of the Poisson characteristic function.
     """
-    return _homology2_values(g, frame, [m], p, alpha, field=True, M=M)[0][0]
+    at = _skew_index(m, frame.rank, p, alpha)
+    return _at(_homology2_values(g, frame, p, alpha, field=True, M=M)[0], at)

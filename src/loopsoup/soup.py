@@ -446,11 +446,7 @@ class LoopSoupSampler:
             raise ConfigError("alpha must be positive and finite")
         _check_integer("n_max", n_max, 1)
         n_v = g.num_vertices
-        half = (n_max + 1) // 2
-        if (half + 1) * n_v * n_v > _SAMPLER_ENTRIES:
-            raise ConfigError(
-                f"the matrix powers up to n_max={n_max} on {n_v} vertices "
-                f"need more than {_SAMPLER_ENTRIES} entries")
+        half = _check_powers(n_v, n_max)
         self.alpha = alpha
         self.n_max = n_max
         # powers[m] = P^m for m <= ceil(n_max/2), by doubling: P^(k+1..2k)
@@ -529,13 +525,25 @@ class LoopSoupSampler:
         return SampledSoup(loops)
 
 
+def _check_powers(n_v: int, n_max: int) -> int:
+    """ceil(n_max/2), the top power of P that the sampler keeps, once P^0 up
+    to it on n_v vertices are checked to fit in _SAMPLER_ENTRIES entries."""
+    half = (n_max + 1) // 2
+    if (half + 1) * n_v * n_v > _SAMPLER_ENTRIES:
+        raise ConfigError(f"the matrix powers up to n_max={n_max} on {n_v} vertices "
+                          f"need more than {_SAMPLER_ENTRIES} entries")
+    return half
+
+
 def sample_soup(g: GraphModel, frame: SpanningTreeFrame | None,
                 cfg: MeasureConfig) -> SampledSoup:
     """Draw one soup under the given configuration. The truncation must be
     certified: tail_bound(g, n_max) <= tail_tol, else the configuration is
-    rejected, as it is when the sampler would exceed its budget. frame is
+    rejected, as it is when the sampler would exceed its budget; its powers
+    are checked first, ahead of the tail bound's dense eigensolve. frame is
     unused, as loops are drawn on vertices, not words; it stays because
     the benchmark's checks pass one."""
+    _check_powers(g.num_vertices, cfg.n_max)
     bound = tail_bound(g, cfg.n_max)
     if bound > cfg.tail_tol:
         raise ConfigError(

@@ -5,6 +5,7 @@ import importlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -219,6 +220,28 @@ class TestSample:
             code, _ = run_cli(capsys, "sample", tri_path, "--n-max", n_max,
                               "--tail-tol", "0.01")
             assert code == want
+
+    def test_large_graph_refused_before_the_tail_bound(self, tmp_path):
+        # the 100 x 100 torus: the sampler's 11 powers of 10^4 x 10^4 entries
+        # are over its budget, refused before the tail bound's eigensolve of
+        # a dense 10^4 x 10^4 matrix (800 MB). One process runs the CLI and
+        # reports its child's peak RSS in kB on stderr
+        TestH1._torus(tmp_path / "torus.graph", 100)
+        measure = ("import resource, subprocess, sys; "
+                   "code = subprocess.run([sys.executable, '-m', 'loopsoup.cli', "
+                   "*sys.argv[1:]]).returncode; "
+                   "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
+                   "file=sys.stderr); sys.exit(code)")
+        start = time.perf_counter()
+        r = subprocess.run([sys.executable, "-c", measure, "sample", "torus.graph",
+                            "--n-max", "20"], capture_output=True, text=True,
+                           env=_package_env(), cwd=tmp_path)
+        assert time.perf_counter() - start < 1.0
+        assert (r.returncode, r.stdout) == (4, "")
+        err, rss = r.stderr.splitlines()
+        assert err == ("config error: the matrix powers up to n_max=20 on 10000 "
+                       "vertices need more than 16777216 entries")
+        assert int(rss) < 200 * 1024
 
     @pytest.mark.parametrize("flags", [("--alpha", "nan"), ("--alpha", "inf"),
                                        ("--tail-tol", "nan"), ("--tail-tol", "inf")])
@@ -555,7 +578,8 @@ class TestH1:
     def test_high_rank_refused_before_any_factorization(self, capsys, tmp_path,
                                                         monkeypatch, side, verb):
         # the 3^r points of the Laurent coefficients and the smallest
-        # automatic grid are both over the budget: refused at once, exit 3
+        # automatic grid are both over the budget: refused at once, exit 3;
+        # the H2 field law checks p's Schrodinger blocks first, and exits 4
         path = self._torus(tmp_path / "torus.graph", side)
         r = side * side + 1
         argv = (["h1", path, "--h=" + ",".join(["1"] + ["0"] * (r - 1))] if verb == "h1"
@@ -565,16 +589,18 @@ class TestH1:
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky",
                             lambda a: factorized.append(len(a)) or cholesky(a))
-        loopsoup.fourier._laurent.cache_clear()
         start = time.perf_counter()
         code = main(argv)
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
-        assert (code, captured.out, factorized) == (3, "", [])
+        assert (code, captured.out, factorized) == (3 if verb == "h1" else 4, "", [])
         assert elapsed < 1.0
-        assert captured.err.splitlines() == [
+        [line] = captured.err.splitlines()
+        assert line == (
             f"numeric error: an aliasing bound of 1e-12 at rank {r} needs 3^{r} Laurent "
-            "points, over the budget of 65536 points"]
+            "points, over the budget of 65536 points") if verb == "h1" else re.fullmatch(
+            rf"config error: p=3: \d\.\de\+\d+ Schrodinger blocks at rank {r}, over "
+            "the budget of 65536 points", line)
 
     @pytest.mark.parametrize("graph, reach, r, least", [("bow", 2000, 2, 4096),
                                                          ("k4", 60, 3, 128)])
@@ -591,6 +617,30 @@ class TestH1:
         assert captured.err.splitlines() == [
             f"numeric error: an aliasing bound of 1e-12 at rank {r} needs grid size "
             f"M={least} or more, over the budget of 65536 points"]
+
+    @pytest.mark.parametrize("reach, rows", [(60, "1771561"), (10 ** 20, "8.0e+60")])
+    @pytest.mark.parametrize("flag", ["--M", "--mod"])
+    def test_range_rows_over_the_budget_exit_4(self, capsys, k4_path, flag, reach, rows):
+        # a given grid of 4^3 points passes, but its (2R+1)^3 rows do not:
+        # refused at once, before any row is listed
+        start = time.perf_counter()
+        code = main(["h1", k4_path, "--h-range", str(reach), flag, "4"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err.splitlines() == [
+            f"config error: --h-range {reach}: {rows} rows at rank 3, over the budget of "
+            "65536 rows"]
+
+    def test_range_rows_inside_the_budget_keep_their_bytes(self, capsys, tmp_path,
+                                                           monkeypatch):
+        # 7^3 rows of the 4-grid law (digest computed before the row budget)
+        (tmp_path / "k4.graph").write_text(K4)
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(capsys, "h1", "k4.graph", "--h-range", "3", "--M", "4")
+        assert code == 0 and len(out.splitlines()) == 2 + 7 ** 3
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "57897881546e71e5414c529249493ca422b2250c9233225475f47527b7c6a34b")
 
     def test_winding_past_every_grid_exits_3(self, capsys, tri_path):
         # no power of two up to 2^62 exceeds 2 |h|: refused, not a traceback
@@ -619,17 +669,18 @@ class TestH1:
         (), ("--M", "32"), ("--mod", "3"), ("--field",),
         ("--field", "--M", "16", "--alpha", "0.7")])
     def test_rows_match_single_rows(self, capsys, bow_path, flags):
-        # one invocation shares its grids across rows; every row must
+        # one invocation indexes one law for all its rows; every row must
         # still equal the row computed on its own, automatic M included
-        code, out = run_cli(capsys, "h1", bow_path, "--h-range", "1", *flags)
-        assert code == 0
-        rows = out.splitlines()[2:]
-        assert len(rows) == 9
-        for row in rows:
-            h = ",".join(row.split(",")[:2])
-            code, single = run_cli(capsys, "h1", bow_path, f"--h={h}", *flags)
+        for reach in (1, 2):
+            code, out = run_cli(capsys, "h1", bow_path, "--h-range", str(reach), *flags)
             assert code == 0
-            assert single.splitlines()[2] == row
+            rows = out.splitlines()[2:]
+            assert len(rows) == (2 * reach + 1) ** 2
+            for row in rows:
+                h = ",".join(row.split(",")[:2])
+                code, single = run_cli(capsys, "h1", bow_path, f"--h={h}", *flags)
+                assert code == 0
+                assert single.splitlines()[2] == row
 
 
 class TestH2:
@@ -699,9 +750,9 @@ class TestH2:
 
     def test_blocks_over_the_budget_exit_4(self, capsys, k4_path):
         # K4 at p = 17 splits its twists into 88 417 Schrodinger blocks,
-        # refused before a row or a block is built: the intensity with and
-        # without --m, and the field law without --m, before its rows
-        for flags in ((), ("--m", "0,0,0"), ("--field",)):
+        # refused before a row or a block is built: the intensity and the
+        # field law, with and without --m
+        for flags in ((), ("--m", "0,0,0"), ("--field",), ("--field", "--m", "0,0,0")):
             assert main(["h2", k4_path, "--p", "17", *flags]) == 4
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -727,12 +778,13 @@ class TestH2:
         assert "e+2410 " in line if flags[1] == "3" else "e+5260 " in line
 
     def test_field_with_m_keeps_its_grid_budget(self, capsys, k4_path):
-        # with --m the field law is checked as before: the count of m's
-        # entries first, then its own grid budget, which covers the blocks'
-        # budget
-        for flags, want in ((("--m", "0,0"), 4), (("--m", "0,0,0"), 3),
-                            (("--m", "0,0,0", "--M", "1"), 2)):
-            assert main(["h2", k4_path, "--p", "17", "--field", *flags]) == want
+        # with --m the field law checks the count of m's entries first, then
+        # M >= 2 (both at p = 17), then, inside the blocks' budget (p = 3),
+        # its own grid budget: 41^3 grid points
+        for p, flags, want in (("17", ("--m", "0,0"), 4),
+                               ("3", ("--m", "0,0,0", "--M", "41"), 4),
+                               ("17", ("--m", "0,0,0", "--M", "1"), 2)):
+            assert main(["h2", k4_path, "--p", p, "--field", *flags]) == want
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "Schrodinger blocks" not in captured.err

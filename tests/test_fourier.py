@@ -157,8 +157,8 @@ class TestHomology1Law:
 
 class TestHomology1Field:
     def test_distribution_sums_to_one(self, triangle, triangle_frame):
-        grid, _, _ = fourier._homology1_values(
-            triangle, triangle_frame, [(h,) for h in range(16)], field=True, M=16)
+        grid, _, _ = fourier._homology1_values(triangle, triangle_frame, (15,),
+                                               field=True, M=16)
         assert sum(grid) == pytest.approx(1.0, abs=1e-12)
         assert min(grid) >= -1e-12
 
@@ -281,7 +281,7 @@ class TestLaurentGrid:
         grid = homology1_grid(g, frame, 64)
         # the stated error 3^r u / D + u |log D|, D scaled by the shift, up
         # to the factor of a few that it allows
-        _, shift = fourier._laurent(g, frame)
+        _, shift = fourier._h1_coefficients(g, frame)
         u = 2.0 ** -53
         stated = 3 * u / np.exp(want - shift) + u * np.abs(want)
         if kappa == 1e-9:
@@ -295,19 +295,23 @@ class TestLaurentGrid:
         assembled = fourier._twisted_log_dets
         monkeypatch.setattr(fourier, "_twisted_log_dets",
                             lambda *args: assembled(*args) - 1000.0)
-        fourier._laurent.cache_clear()
         grid = homology1_grid(bowtie, bowtie_frame, 16)
-        fourier._laurent.cache_clear()
         assert np.max(np.abs(grid + 1000.0 - _dense_grid(bowtie, bowtie_frame, 16))) \
             <= 1e-12
 
     def test_coefficients_are_read_only(self, bowtie, bowtie_frame):
-        coef, shift = fourier._laurent(bowtie, bowtie_frame)
+        coef, shift = fourier._h1_coefficients(bowtie, bowtie_frame)
         assert coef.shape == (1, 3, 3)
         with pytest.raises(ValueError):
             coef[0, 0, 0] = 0.0
         with pytest.raises(ValueError):
             shift[0] = 0.0
+
+
+def _h1_coef(g, frame):
+    """The 3^r Laurent coefficients of det(I - P^theta) that the aliasing
+    bound reads."""
+    return fourier._h1_coefficients(g, frame)[0][0]
 
 
 def _law_on_large_grid(g, frame, m, hs, alpha):
@@ -353,11 +357,12 @@ class TestGridSize:
         exact = _law_on_large_grid(g, frame, 2 ** 14 if r == 1 else 256, hs, alpha)
         ms = np.array([6, 8, 12, 16])
         for h, want in zip(hs, exact):
-            bounds = fourier._alias_bounds(g, frame, np.abs(np.array(h, dtype=float)),
-                                           ms, alpha)
+            bounds = fourier._alias_bounds(_h1_coef(g, frame),
+                                           np.abs(np.array(h, dtype=float)), ms, alpha)
             for m, bound in zip(ms.tolist(), bounds):
-                got = fourier._homology1_values(g, frame, [h], alpha or 1.0,
-                                                alpha is not None, m)[0][0]
+                law, _, _ = fourier._homology1_values(g, frame, h, alpha or 1.0,
+                                                      alpha is not None, m)
+                got = law[tuple(x % m for x in h)]
                 # the aliasing at M = 6 is far above rounding
                 assert m > 6 or got - want > 1e-12
                 assert abs(got - want) <= bound + 1e-15
@@ -366,19 +371,19 @@ class TestGridSize:
     @pytest.mark.parametrize("name", ["triangle", "bowtie", "k4", "rank4"])
     def test_size_is_the_smallest_certified_power_of_two(self, name, alpha):
         g, frame = _random_weights(name)
-        hs = [(1,) + (0,) * (frame.rank - 1), (-3,) + (1,) * (frame.rank - 1)]
-        _, m, bound = fourier._homology1_values(g, frame, hs, alpha or 1.0,
-                                                alpha is not None)
+        _, m, bound = fourier._homology1_values(g, frame, (-3,) + (1,) * (frame.rank - 1),
+                                                alpha or 1.0, alpha is not None)
         reach = np.array([3.0] + [1.0] * (frame.rank - 1))
-        below = fourier._alias_bounds(g, frame, reach, np.array([m // 2]), alpha)[0]
+        coef = _h1_coef(g, frame)
+        below = fourier._alias_bounds(coef, reach, np.array([m // 2]), alpha)[0]
         assert m > 6 and bound <= fourier._ALIAS_TOL < below
-        assert fourier._alias_bounds(g, frame, reach, np.array([m]), alpha)[0] == bound
+        assert fourier._alias_bounds(coef, reach, np.array([m]), alpha)[0] == bound
 
     def test_near_critical_size_exceeds_the_budget(self):
         from loopsoup import build_graph, spanning_tree_frame
         g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], [1e-9, 0.0, 0.0])
         frame = spanning_tree_frame(g)
-        bounds = fourier._alias_bounds(g, frame, np.array([1.0]),
+        bounds = fourier._alias_bounds(_h1_coef(g, frame), np.array([1.0]),
                                        np.array([2 ** 19, 2 ** 20]), None)
         assert bounds[0] > fourier._ALIAS_TOL >= bounds[1]
         with pytest.raises(NumericError, match="M=1048576"):
@@ -400,9 +405,7 @@ class TestOneRoute:
             return cholesky(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
-        fourier._laurent.cache_clear()
-        yield sizes
-        fourier._laurent.cache_clear()
+        return sizes
 
     @staticmethod
     def _graphs():
@@ -416,7 +419,6 @@ class TestOneRoute:
     @pytest.mark.parametrize("m", [4, 7, 16, 64])
     def test_grid_eigensolves_the_3_grid(self, solved, m):
         for g, frame in self._graphs():
-            fourier._laurent.cache_clear()
             solved.clear()
             homology1_grid(g, frame, m)
             assert sum(solved) == 3 ** frame.rank
@@ -426,13 +428,12 @@ class TestOneRoute:
         built = []
         grid = fourier.homology1_grid
 
-        def counted(g, frame, m):
+        def counted(g, frame, m, *args):
             built.append(m)
-            return grid(g, frame, m)
+            return grid(g, frame, m, *args)
 
         monkeypatch.setattr(fourier, "homology1_grid", counted)
         for g, frame in list(self._graphs())[1:]:
-            fourier._laurent.cache_clear()
             solved.clear()
             built.clear()
             h = (1,) * frame.rank
@@ -448,6 +449,15 @@ class TestOneRoute:
         with pytest.raises(NumericError, match="M=1048576"):
             homology1_intensity(g, frame, (2,))
         assert sum(solved) == 3
+
+    @pytest.mark.parametrize("name,p", [("bowtie", 3), ("bowtie", 5), ("k4", 3)])
+    def test_h2_field_factorizes_the_coefficients_once(self, solved, name, p):
+        # an automatic M: the 3^r points of the H1 coefficients for the bound,
+        # then min(M, 2d+1)^r points per Schrodinger block of size d
+        g, frame = _random_weights(name)
+        _, m, _ = fourier._homology2_values(g, frame, p, 1.0, True)
+        assert m > 2
+        assert sum(solved) == 3 ** frame.rank + fourier._block_points(p, frame.rank, m)
 
     def test_coefficients_over_the_budget_build_nothing(self, solved):
         # K7, rank 15: the 3^15 points of the 3-grid and of the coefficients
@@ -1165,7 +1175,8 @@ class TestHomology2Table:
     @pytest.mark.parametrize("field,M", [(False, None), (True, 2), (True, None)])
     def test_rows_equal_one_row_views(self, k4, k4_frame, monkeypatch, field, M):
         ms = _h2_rows(k4_frame, 3)
-        table, _, _ = fourier._homology2_values(k4, k4_frame, ms, 3, 0.8, field, M)
+        table, _, _ = fourier._homology2_values(k4, k4_frame, 3, 0.8, field, M)
+        table = table.ravel()  # in the order of _h2_rows
         # the traces do not depend on the row: computed once here, so that
         # 27 single rows at the certified M stay cheap
         traces = {}
@@ -1192,10 +1203,13 @@ class TestHomology2Table:
 
         monkeypatch.setattr(np.linalg, "cholesky", counted)
         ms = _h2_rows(k4_frame, 3)
-        fourier._homology2_values(k4, k4_frame, ms, 3, 1.0, field, 2)
+        fourier._homology2_values(k4, k4_frame, 3, 1.0, field, 2)
         table = sum(solved)
         solved.clear()
-        fourier._homology2_values(k4, k4_frame, ms[:1], 3, 1.0, field, 2)
+        if field:
+            homology2_field_law(k4, k4_frame, 1.0, ms[0], 3, M=2)
+        else:
+            homology2_intensity(k4, k4_frame, ms[0], 3)
         assert len(ms) == 27 and table == sum(solved) > 0
 
 
@@ -1208,15 +1222,14 @@ class TestHomology2GridSize:
     def test_bound_covers_the_aliasing(self, name, p, large):
         g, frame = _random_weights(name)
         alpha = 1.3
-        ms = _h2_rows(frame, p)
-        got, m, bound = fourier._homology2_values(g, frame, ms, p, alpha, True)
-        bounds = alpha * fourier._alias_bounds(g, frame, np.zeros(frame.rank),
+        got, m, bound = fourier._homology2_values(g, frame, p, alpha, True)
+        bounds = alpha * fourier._alias_bounds(_h1_coef(g, frame), np.zeros(frame.rank),
                                                np.array([m // 2, m, large]), None)
         # m is the smallest certified power of two, and its bound is the
         # one reported
         assert bounds[1] == bound <= fourier._ALIAS_TOL < bounds[0]
-        want = np.array(fourier._homology2_values(g, frame, ms, p, alpha, True, large)[0])
-        half = fourier._homology2_values(g, frame, ms, p, alpha, True, m // 2)[0]
+        want = np.array(fourier._homology2_values(g, frame, p, alpha, True, large)[0])
+        half = fourier._homology2_values(g, frame, p, alpha, True, m // 2)[0]
         rounding = 1e-14
         assert np.max(np.abs(np.array(got) - want)) <= bounds[1] + bounds[2] + rounding
         assert np.max(np.abs(np.array(half) - want)) <= bounds[0] + bounds[2] + rounding
@@ -1229,9 +1242,9 @@ class TestHomology2GridSize:
         g, frame = _random_weights("rank4")
         from loopsoup import ConfigError, NumericError
         with pytest.raises(NumericError, match="M=16"):
-            fourier._homology2_values(g, frame, [{}], 3, 1.0, True)
+            fourier._homology2_values(g, frame, 3, 1.0, True)
         with pytest.raises(ConfigError, match="M=16"):
-            fourier._homology2_values(g, frame, [{}], 3, 1.0, True, 16)
+            fourier._homology2_values(g, frame, 3, 1.0, True, 16)
 
     @pytest.mark.parametrize("p, ranks", [(3, range(5)), (5, range(5)),
                                           (7, range(4))])
@@ -1252,20 +1265,22 @@ class TestHomology2GridSize:
                     count * p ** (r - 2 * k) * min(m, 2 * p ** k + 1) ** r
                     for k, count in ranks_of.items()), (r, m)
 
-    def test_block_budget_of_the_intensity(self, k4, k4_frame):
+    def test_block_budget_of_the_intensity(self, k4, k4_frame, bowtie, bowtie_frame):
         # one point per block: the bowtie at p = 101 is inside the budget,
         # K4 at p = 17 (17^3 blocks at h = 0, 17 for each of the other
-        # 17^3 - 1) is not, and is refused before any row is read
+        # 17^3 - 1) is not, and is refused before the law is built
         assert fourier._block_points(101, 2, 1) == 101 ** 2 + 100 == 10301
         assert fourier._block_points(17, 3, 1) == 17 ** 3 + 17 * (17 ** 3 - 1)
-        fourier._check_blocks(101, 2)
+        assert fourier._grid_policy(bowtie, bowtie_frame, None, np.zeros(2),
+                                    p=101) == (None, None, None)
         from loopsoup import ConfigError
         with pytest.raises(ConfigError, match="p=17: 88417 Schrodinger blocks"):
             homology2_intensity(k4, k4_frame, {}, 17)
         # a malformed m is found first, on both paths
         for field in (False, True):
             with pytest.raises(ValidationError, match="3x3"):
-                fourier._homology2_values(k4, k4_frame, [[[0]]], 17, 1.0, field)
+                homology2_field_law(k4, k4_frame, 1.0, [[0]], 17) if field \
+                    else homology2_intensity(k4, k4_frame, [[0]], 17)
 
     def test_explicit_grid_over_the_budget_is_a_config_error(self, k4, k4_frame):
         from loopsoup import ConfigError
@@ -1408,11 +1423,9 @@ class TestFactorization:
         counted("eigvalsh")
         counted("cholesky")
         gd, conn = _s3_handles(bowtie)
-        fourier._laurent.cache_clear()
         homology1_grid(bowtie, bowtie_frame, 8)
         holonomy_class_intensities(bowtie, conn, gd)
         homology2_field_law(bowtie, bowtie_frame, 1.0, {(1, 2): 0}, 3)
-        fourier._laurent.cache_clear()
         assert "eigvalsh" not in calls and "cholesky" in calls
 
 

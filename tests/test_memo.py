@@ -99,7 +99,6 @@ def memos():
     def clear():
         _memo.clear()
         spectra.solve_rho.cache_clear()
-        fourier._laurent.cache_clear()
     return clear
 
 
@@ -473,7 +472,7 @@ class TestCount:
 
 
 # Caches outside the store, each for a reason given in loopsoup._memo.
-_LRU_CACHES = {"solve_rho", "_laurent", "_build_parser"}
+_LRU_CACHES = {"solve_rho", "_build_parser"}
 
 
 def _package_trees():
@@ -498,7 +497,7 @@ def _mutable_container(value):
 
 def test_no_cache_outside_the_store():
     """No unbounded or stray cache comes back: the only functools caches
-    are the three named ones, each with a maxsize, and no module but _memo
+    are the two named ones, each with a maxsize, and no module but _memo
     keeps an OrderedDict or any other module-level mutable container
     ({}, dict(), set(), [] and the like)."""
     found = set()
