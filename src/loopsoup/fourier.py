@@ -52,6 +52,8 @@ from .graphs import GraphModel, SpanningTreeFrame
 from .soup import total_mass
 
 _IMAG_TOL = 1e-10
+# The smallest normal float64.
+_TINY = np.finfo(float).tiny
 _MASSLESS = "massless/recurrent twist: det(I - {}) vanishes"
 
 
@@ -143,6 +145,33 @@ def _twist_plan(n: int, edges: tuple[tuple[int, int], ...], omega: tuple[int, ..
                       (cols * size + rows).ravel(), phase)
 
 
+def _twist_weights(g: GraphModel, ends: np.ndarray, what: str) -> np.ndarray:
+    """w = -C(u,v) / sqrt(lam_u lam_v) on each edge (u, v) of g.edges.
+
+    C and lam are first scaled by one power of two, which centres the
+    binary exponents of lam on 0: the scaling is exact and w does not
+    change, but lam_u lam_v no longer overflows or underflows where lam is
+    far from 1. A weight that still leaves the normal range of float64, or
+    is formed from such a value, raises NumericError. Each |w| <= 1, as
+    C <= min(lam_u, lam_v)."""
+    lam = g.lam
+    shift = -(math.frexp(lam.min())[1] + math.frexp(lam.max())[1]) // 2
+    c = np.ldexp(np.fromiter(map(g.conductance.__getitem__, g.edges), float,
+                             len(g.edges)), shift)
+    u, v = ends
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        lam = np.ldexp(lam, shift)
+        prod = lam[u] * lam[v]
+        w = -c / np.sqrt(prod)
+    # an overflowed lam_u lam_v leaves w = -0, an underflowed one a w that
+    # cannot be trusted
+    if c.size and not (c.min() >= _TINY and prod.min() >= _TINY and w.max() <= -_TINY):
+        bad = np.flatnonzero((c < _TINY) | (prod < _TINY) | (w > -_TINY))[0]
+        raise NumericError(f"{what}: the weight of edge {g.edges[bad]} leaves the range "
+                           f"of float64")
+    return w
+
+
 def _twisted_log_dets(g: GraphModel, omega: tuple[int, ...], unitaries: np.ndarray,
                       m: int | None, what: str) -> np.ndarray:
     """log det(I - P twisted), one value per twist of a batch.
@@ -165,11 +194,12 @@ def _twisted_log_dets(g: GraphModel, omega: tuple[int, ...], unitaries: np.ndarr
 
     Where each entry of A goes depends on the topology, omega, d, the rank
     and m alone: the memoized _twist_plan. A call forms the edge weights
-    w = -C / sqrt(lam_u lam_v) and puts the identity and the untwisted
-    blocks into a stack of flat matrices once; per chunk of the batch it
-    gathers the unitaries of the twisted edges, multiplies them by their
-    grid phases and w, scatters them and their adjoints and factorizes. A
-    failed factorization or a pivot L_ii^2 <= 1e-14 is the massless case.
+    w = -C / sqrt(lam_u lam_v) (_twist_weights) and puts the identity and
+    the untwisted blocks into a stack of flat matrices once; per chunk of
+    the batch it gathers the unitaries of the twisted edges, multiplies
+    them by their grid phases and w, scatters them and their adjoints and
+    factorizes. A failed factorization or a pivot L_ii^2 <= 1e-14 is the
+    massless case.
     """
     twists, rank, dim, _ = unitaries.shape
     points = 1 if m is None else m ** rank
@@ -180,9 +210,7 @@ def _twisted_log_dets(g: GraphModel, omega: tuple[int, ...], unitaries: np.ndarr
     size = g.num_vertices * dim
     batch = twists * points
     chunk = max(1, _CHUNK_ENTRIES // (size * size))
-    u, v = plan.ends
-    c = np.fromiter(map(g.conductance.__getitem__, g.edges), float, len(g.edges))
-    w = -c / np.sqrt(g.lam[u] * g.lam[v])
+    w = _twist_weights(g, plan.ends, what)
     a = np.zeros((min(batch, chunk), size * size), dtype=complex)
     a[:, plan.fixed] = np.append(1.0, w)[plan.fixed_edge]
     scale = w[plan.twisted, None, None]
@@ -595,6 +623,10 @@ def holonomy_class_intensities(g: GraphModel,
 
 
 def _check_prime(p) -> None:
+    """An odd prime below 2^32, so that trial division takes at most 2^16
+    steps; else ValidationError."""
+    if isinstance(p, int) and p >= 2 ** 32:
+        raise ValidationError(f"p must be below 2^32, got {p}")
     if not (isinstance(p, int) and p >= 3
             and all(p % f for f in range(2, math.isqrt(p) + 1))):
         raise ValidationError(f"p must be an odd prime, got {p}")

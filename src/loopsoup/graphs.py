@@ -64,12 +64,13 @@ class GraphModel:
 
     @cached_property
     def lam(self) -> np.ndarray:
-        """Total jump-plus-kill rate at each vertex."""
-        lam = np.array(self.killing, dtype=float)
+        """Total jump-plus-kill rate at each vertex, summed in Python floats:
+        inf where the sum overflows."""
+        lam = list(self.killing)
         for (u, v), c in self.conductance.items():
             lam[u] += c
             lam[v] += c
-        return lam
+        return np.array(lam, dtype=float)
 
     @cached_property
     def _oriented(self) -> _EdgeTable:
@@ -174,7 +175,8 @@ def build_graph(
     Raises:
         ValidationError: on bad labels, loops, duplicate edges, nonpositive
             or non-finite conductances, negative or non-finite killing
-            rates, or a disconnected graph.
+            rates, a total rate lam(x) that overflows, or a disconnected
+            graph.
     """
     if num_vertices < 1:
         raise ValidationError("graph needs at least one vertex")
@@ -217,6 +219,9 @@ def build_graph(
     lam_zero = [x for x in range(num_vertices) if kill[x] == 0 and not g.neighbors[x]]
     if lam_zero:
         raise ValidationError(f"vertex {lam_zero[0]} has no edge and no killing")
+    if g.lam.max() == math.inf:
+        raise ValidationError(f"vertex {int(np.argmax(g.lam))} has a total rate lam "
+                              f"that is not finite")
     g._bfs  # proves the graph connected; the canonical frame reuses it
     return g
 
@@ -232,10 +237,8 @@ class SpanningTreeFrame:
     nothing.
     """
 
-    root: int
     parent: tuple[int, ...]
     depth: tuple[int, ...]
-    tree_edges: tuple[tuple[int, int], ...]
     cogenerators: tuple[tuple[int, int], ...]
 
     @property
@@ -301,13 +304,7 @@ def spanning_tree_frame(
         parent, depth = _search_tree(adj, "tree edges do not span the graph")
     tree_set = set(tree)
     cogens = tuple(e for e in g.edges if e not in tree_set)
-    return SpanningTreeFrame(
-        root=0,
-        parent=parent,
-        depth=depth,
-        tree_edges=tuple(sorted(tree_set)),
-        cogenerators=cogens,
-    )
+    return SpanningTreeFrame(parent=parent, depth=depth, cogenerators=cogens)
 
 
 def parse_graph(text: str) -> GraphModel:
@@ -368,10 +365,11 @@ def parse_graph(text: str) -> GraphModel:
 
 
 def load_graph(path: str) -> GraphModel:
-    """parse_graph of a file's text; ConfigError if it cannot be read."""
+    """parse_graph of a file's UTF-8 text; ConfigError if it cannot be
+    read or is not UTF-8."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     return parse_graph(text)

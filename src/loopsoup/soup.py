@@ -184,7 +184,6 @@ class EnumeratedMeasure:
     plan's rows (see _Plan), for the enumerate verb."""
 
     masses: dict[GeodesicClass, float] = field(hash=False)
-    n_max: int
     tail: float
     _rows: tuple[tuple[str, int], ...] = field(default=(), compare=False,
                                                repr=False)
@@ -323,7 +322,7 @@ def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
         returns.append(weight.take(home) / n)
     total = np.bincount(plan.number, np.concatenate(returns)[plan.order],
                         minlength=len(plan.classes))
-    return EnumeratedMeasure(dict(zip(plan.classes, total.tolist())), n_max,
+    return EnumeratedMeasure(dict(zip(plan.classes, total.tolist())),
                              tail_bound(g, n_max), plan.rows)
 
 
@@ -448,7 +447,6 @@ class LoopSoupSampler:
         n_v = g.num_vertices
         half = _check_powers(n_v, n_max)
         self.alpha = alpha
-        self.n_max = n_max
         # powers[m] = P^m for m <= ceil(n_max/2), by doubling: P^(k+1..2k)
         # = P^(1..k) P^k in one batched product
         self.powers = np.empty((half + 1, n_v, n_v))

@@ -145,19 +145,13 @@ class _EdgeSystem:
     its edge table, with weights built per call, never stored on the graph."""
 
     def __init__(self, g: GraphModel):
-        n = g.num_vertices
-        self.num_vertices = n
         edges = g._oriented
-        head, tail = edges.head, edges.tail
-        self.size = m = head.size
-        self.tail = tail
-        self.weight = g._p * g._p[edges.reverse]
-        self._vertex_weight = np.bincount(tail, weights=self.weight,
-                                          minlength=n)
+        self.size = m = edges.head.size
+        weight = g._p * g._p[edges.reverse]
         # B in row order, as (row, column, value) triples
         count = np.diff(edges.succ_first)
         self._rows, self._cols = np.repeat(np.arange(m), count), edges.succ
-        self._coef = self.weight[self._cols]
+        self._coef = weight[self._cols]
         self._coef_split = _split(self._coef)
         # the slots of B's rows, for the compensated row sums of the residual
         self._slots = _slots(count)
@@ -215,25 +209,6 @@ class _EdgeSystem:
         except RuntimeError:  # exactly singular
             raise _critical(s, "singular Newton system") from None
 
-    def vertex(self, r: np.ndarray, s: float) -> np.ndarray:
-        """Unrestricted excursions from each vertex,
-        1 / (1 - s sum_y P(x,y) rho(x,y) P(y,x)), for r from _solve.
-
-        inf where the sum reaches 1 within the accuracy of r: the series
-        diverges there or cannot be told from divergent. Each entry of r
-        lies below the fixed point by about the last step at most, so the
-        sum is short by at most s sum_y P(x,y) P(y,x) times that; twice
-        this is the margin. At a critical edge system, such as the unkilled
-        triangle at s = 1, the true sum is 1 and the solve stops just short
-        of it."""
-        denom = 1.0 - s * np.bincount(self.tail, self.weight * r,
-                                      minlength=self.num_vertices)
-        margin = 2.0 * _STEP * r.max(initial=1.0) * s * self._vertex_weight
-        out = np.full(denom.shape, np.inf)
-        ok = denom > margin
-        out[ok] = 1.0 / denom[ok]
-        return out
-
 
 def _critical(s: float, why: str) -> NumericError:
     """The error of a table that rounding cannot tell from critical: at
@@ -280,21 +255,17 @@ def _solve(system: _EdgeSystem, s: float) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class RhoTable:
-    """Excursion generating functions at a fixed step weight s, as
-    read-only arrays.
+    """Excursion generating functions at a fixed step weight s, as a
+    read-only array.
 
     edge[i] for the oriented edge i = (x, y) of GraphModel._oriented,
     ordered by x, then y: excursions from y avoiding x on the first step.
-    vertex[x]: unrestricted excursions from x, inf where that series
-    diverges or sits on its boundary (the unkilled triangle at s = 1, whose
-    edge values are the finite double root 2). residual is max |F(rho) -
-    rho| at the returned table; iterations counts the sweeps and Newton
-    steps.
+    residual is max |F(rho) - rho| at the returned table; iterations counts
+    the sweeps and Newton steps.
     """
 
     s: float
     edge: np.ndarray = field(compare=False)
-    vertex: np.ndarray = field(compare=False)
     residual: float
     iterations: int
 
@@ -316,19 +287,15 @@ def solve_rho(g: GraphModel, s: float = 1.0) -> RhoTable:
     relative below its rational fixed point. A Newton step with a negative
     (beyond the tolerance) or non-finite entry, or a singular Newton
     system, raises NumericError: the table is critical to within
-    rounding. A vertex sum that reaches 1 within the accuracy of the table
-    gives vertex[x] = inf. Cached per (graph, s), for the last _RHO_CACHE
-    pairs.
+    rounding. Cached per (graph, s), for the last _RHO_CACHE pairs.
     """
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"step weight s={s} outside [0, 1]")
     system = _EdgeSystem(g)
     edge, iterations = _solve(system, s)
-    vertex = system.vertex(edge, s)
     residual = float(np.max(np.abs(system.residual(edge, s)), initial=0.0))
-    edge.flags.writeable = vertex.flags.writeable = False
-    return RhoTable(s=s, edge=edge, vertex=vertex, residual=residual,
-                    iterations=iterations)
+    edge.flags.writeable = False
+    return RhoTable(s=s, edge=edge, residual=residual, iterations=iterations)
 
 
 def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
@@ -411,11 +378,8 @@ def class_intensity(g: GraphModel, frame: SpanningTreeFrame,
 @dataclass(frozen=True)
 class RegularForms:
     """Closed forms on a d-regular graph with unit conductances and
-    constant killing: the edge and vertex excursion functions, the
-    per-geodesic-step intensity factor."""
+    constant killing: the per-geodesic-step intensity factor."""
 
-    rho_edge: float
-    rho_vertex: float
     step_intensity: float
 
 
@@ -423,8 +387,10 @@ def regular_closed_forms(d: int, kappa: float, s: float = 1.0) -> RegularForms:
     """Evaluate the closed forms; a class of geodesic length L then has
     intensity step_intensity**L / multiplicity.
 
-    rho_edge solves rho = 1 + s (d-1) rho^2 / (d+kappa)^2, taking the
-    branch that is 1 at s = 0.
+    step_intensity is rho_edge / (d + kappa), where rho_edge solves rho =
+    1 + s (d-1) rho^2 / (d+kappa)^2 on the branch that is 1 at s = 0. It
+    is finite wherever s <= 1, also where the vertex series diverges (the
+    unkilled cycle, d = 2, at s = 1).
     """
     if d < 2:
         raise ValidationError("regular closed forms need degree d >= 2")
@@ -436,17 +402,11 @@ def regular_closed_forms(d: int, kappa: float, s: float = 1.0) -> RegularForms:
     disc = 1.0 - 4.0 * s * (d - 1) / lam ** 2
     if disc < 0:
         raise NumericError(f"non-summable tree-contour series at s={s}")
-    b = sqrt(disc)
     if s == 0.0:
         rho_edge = 1.0
     else:
-        rho_edge = lam ** 2 / (2.0 * s * (d - 1)) * (1.0 - b)
-    denom = d - 2 + d * b
-    if denom <= 0:
-        raise NumericError(f"non-summable tree-contour series at s={s}")
-    rho_vertex = 2.0 * (d - 1) / denom
-    return RegularForms(rho_edge=rho_edge, rho_vertex=rho_vertex,
-                        step_intensity=rho_edge / lam)
+        rho_edge = lam ** 2 / (2.0 * s * (d - 1)) * (1.0 - sqrt(disc))
+    return RegularForms(step_intensity=rho_edge / lam)
 
 
 def _tree_mass(g: GraphModel, edge: np.ndarray) -> tuple[float, float]:

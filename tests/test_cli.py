@@ -156,6 +156,28 @@ class TestValidate:
         code, _ = run_cli(capsys, "validate", str(tmp_path / "nope.graph"))
         assert code == 4
 
+    def test_non_utf8_file_exits_4(self, tmp_path):
+        path = tmp_path / "bin.graph"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        r = subprocess.run([sys.executable, "-m", "loopsoup.cli", "validate", str(path)],
+                           capture_output=True, text=True)
+        assert r.returncode == 4 and r.stdout == ""
+        assert r.stderr.startswith(f"config error: cannot read {path}: ")
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("argv", [["validate"], ["enumerate", "--n-max", "4"],
+                                      ["sample"], ["homotopy"], ["h1", "--h=1"]])
+    def test_overflowing_total_rate_exits_2(self, capsys, tmp_path, argv):
+        # lam(1) = 1e308 + 1e308 overflows; every verb refuses the graph
+        path = tmp_path / "overflow.graph"
+        path.write_text("vertices 3\nedge 0 1 1e308\nedge 1 2 1e308\nedge 0 2 1\n"
+                        "kappa 0 1\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("validation error: vertex 1 has a total rate lam "
+                                "that is not finite\n")
+
     def test_huge_vertex_count_refused_before_allocation(self, capsys, tmp_path):
         # 10^11 vertices need 10^11 - 1 edges to be connected; the two-line
         # file is refused before anything per vertex is allocated
@@ -684,6 +706,19 @@ class TestH1:
 
 
 class TestH2:
+    @pytest.mark.parametrize("p, code", [("4294967311", 2), ("99999999999999999989", 2),
+                                         ("4294967291", 4)])
+    def test_huge_prime_answered_at_once(self, capsys, tri_path, p, code):
+        # a prime p must be below 2^32, checked before the trial division;
+        # the largest such prime passes it and meets the block budget
+        t0 = time.perf_counter()
+        assert main(["h2", tri_path, "--p", p]) == code
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err == (f"validation error: p must be below 2^32, got {p}\n" if code == 2
+                       else f"config error: p={p}: 4294967291 Schrodinger blocks at "
+                            f"rank 1, over the budget of 65536 points\n")
+
     def test_intensity_rows(self, capsys, bow_path):
         code, out = run_cli(capsys, "h2", bow_path, "--p", "5")
         assert code == 0

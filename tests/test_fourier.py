@@ -1549,3 +1549,41 @@ class TestMassless:
                 homology2_intensity(g, frame, {(1, 2): 0}, 3)
             else:
                 homology2_field_law(g, frame, 1.0, {(1, 2): 0}, 3)
+
+
+class TestWeightScale:
+    """The chain depends on C and lam only through C / lam: a graph with
+    every rate scaled by one factor has the unit graph's laws, however
+    far that factor is from 1."""
+
+    @staticmethod
+    def _laws(g):
+        from loopsoup import spanning_tree_frame
+        frame = spanning_tree_frame(g)
+        conn = {e: int(e in ((1, 2), (2, 1))) for u, v in g.edges
+                for e in ((u, v), (v, u))}
+        h1, _, bound = fourier._homology1_values(g, frame, (2,))
+        field, _, field_bound = fourier._homology1_values(g, frame, (2,), 1.5, True)
+        h2 = [homology2_intensity(g, frame, {}, 3),
+              homology2_field_law(g, frame, 1.0, {}, 3)]
+        holonomy = holonomy_class_intensities(g, conn, _z2())
+        return (np.concatenate([h1, field, h2, list(holonomy.values())]),
+                bound, field_bound)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-300])
+    def test_scaled_triangle_has_the_unit_laws(self, triangle, scale):
+        from loopsoup import build_graph
+        g = build_graph(3, [(0, 1, scale), (1, 2, scale), (0, 2, scale)], scale)
+        want, want_bound, want_field_bound = self._laws(triangle)
+        got, bound, field_bound = self._laws(g)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert bound == pytest.approx(want_bound, rel=1e-12) and bound > 0
+        assert field_bound == pytest.approx(want_field_bound, rel=1e-12)
+        assert field_bound > 0
+
+    def test_weight_out_of_range_is_refused(self):
+        # C / sqrt(lam_u lam_v) = 1e-300 / 2e300 underflows float64
+        from loopsoup import build_graph, spanning_tree_frame
+        g = build_graph(3, [(0, 1, 1e-300), (1, 2, 1e-300), (0, 2, 1e-300)], 2e300)
+        with pytest.raises(NumericError, match=r"weight of edge \(0, 1\)"):
+            homology1_intensity(g, spanning_tree_frame(g), (1,))

@@ -386,13 +386,14 @@ def root_walk_representative(cls, frame):
     erase backtracks cyclically."""
     if cls.is_trivial:
         return ()
-    walk = [frame.root]
+    root = frame.parent.index(-1)
+    walk = [root]
     for l in cls.word:
         u, v = frame.cogenerators[abs(l) - 1]
         a, b = (u, v) if l > 0 else (v, u)
         walk.extend(frame.tree_path(walk[-1], a)[1:])
         walk.append(b)
-    walk.extend(frame.tree_path(walk[-1], frame.root)[1:])
+    walk.extend(frame.tree_path(walk[-1], root)[1:])
     return min_rotation(quadratic_reduce_cycle(walk[:-1]))
 
 

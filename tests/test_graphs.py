@@ -100,10 +100,11 @@ class TestBuildGraph:
 class TestSpanningTreeFrame:
     def test_triangle_frame(self, triangle, triangle_frame):
         fr = triangle_frame
-        assert fr.root == 0
         assert fr.rank == 1
         assert fr.cogenerators == ((1, 2),)
-        assert set(fr.tree_edges) == {(0, 1), (0, 2)}
+        # the tree 0-1, 0-2, rooted at 0
+        assert fr.parent == (-1, 0, 0)
+        assert fr.depth == (0, 1, 1)
 
     def test_rank_formula(self, k4, k4_frame, bowtie, bowtie_frame, petersen):
         # rank = |E| - |V| + 1 on a connected graph
@@ -122,8 +123,8 @@ class TestSpanningTreeFrame:
 
     def test_explicit_tree_accepted(self, triangle):
         fr = spanning_tree_frame(triangle, tree_edges=[(0, 1), (1, 2)])
-        assert set(fr.tree_edges) == {(0, 1), (1, 2)}
         assert fr.cogenerators == ((0, 2),)
+        assert fr.parent == (-1, 0, 1)
 
     def test_explicit_tree_must_span(self, k4):
         with pytest.raises(ValidationError):

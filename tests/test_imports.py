@@ -66,19 +66,37 @@ def test_no_module_imports_a_name_it_never_uses():
 
 
 def public_definitions(path: Path) -> list[tuple[str, str, bool]]:
-    """(module.name or module.Class.method, name, whether a method) for
-    every top-level function and class of a module, and every method of its
-    public classes, whose name does not start with an underscore."""
+    """(module.name or module.Class.member, name, whether a member) for
+    every top-level function and class of a module, and every method and
+    annotated class attribute (a dataclass field) of its public classes,
+    whose name does not start with an underscore."""
     found = []
     for node in ast.parse(path.read_text()).body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
             continue
         found.append((f"{path.stem}.{node.name}", node.name, False))
-        if isinstance(node, ast.ClassDef):
-            found += [(f"{path.stem}.{node.name}.{item.name}", item.name, True)
-                      for item in node.body
-                      if isinstance(item, ast.FunctionDef) and item.name[0] != "_"]
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            if name[0] != "_":
+                found.append((f"{path.stem}.{node.name}.{name}", name, True))
     return found
+
+
+def test_public_definitions_list_fields_and_methods(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class Table:\n    size: int\n    _rows: list\n    note = 1\n"
+                    "    def read(self):\n        pass\n"
+                    "class _Hidden:\n    size: int\n")
+    assert public_definitions(path) == [("mod.Table", "Table", False),
+                                        ("mod.Table.size", "size", True),
+                                        ("mod.Table.read", "read", True)]
 
 
 def read_names(paths) -> tuple[set[str], set[str]]:
@@ -107,10 +125,10 @@ def test_code_names_skip_prose():
 
 
 def test_every_public_name_has_a_reader():
-    # a public name is read in the package or the benchmark (a method only
-    # as an attribute), wrapped by the benchmark's span tracer, named in
-    # the README's code, or kept above with a reason; the tests alone do
-    # not keep a name
+    # a public name is read in the package or the benchmark (a method or
+    # a field only as an attribute), wrapped by the benchmark's span
+    # tracer, named in the README's code, or kept above with a reason; the
+    # tests alone do not keep a name
     names, attributes = read_names(sorted(ROOT.glob("*.py"))
                                    + sorted((REPO / "perfbench").glob("*.py")))
     spec = importlib.util.spec_from_file_location(

@@ -43,6 +43,15 @@ SQRT5 = math.sqrt(5.0)
 CRITICAL_TRIVIAL_MASS = 2.0793867699240923
 
 
+def vertex_excursions(g, edge, s=1.0):
+    """rho_x = 1 / (1 - s sum_y P(x,y) P(y,x) rho(x,y)), the unrestricted
+    excursions from each vertex, from an edge table in plain floats."""
+    table = g._oriented
+    weight = g._p * g._p[table.reverse] * edge
+    return 1.0 / (1.0 - s * np.bincount(table.tail, weight,
+                                        minlength=g.num_vertices))
+
+
 class TestSolveRho:
     def test_triangle_closed_form(self, triangle):
         # degree 2, killing 1: discriminant root is sqrt(5)/3
@@ -50,7 +59,7 @@ class TestSolveRho:
         assert rt.residual <= 1e-12
         for val in rt.edge:
             assert val == pytest.approx((9.0 - 3.0 * SQRT5) / 2.0, abs=1e-10)
-        for val in rt.vertex:
+        for val in vertex_excursions(triangle, rt.edge):
             assert val == pytest.approx(3.0 / SQRT5, abs=1e-10)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 5.0])
@@ -66,9 +75,7 @@ class TestSolveRho:
         rt = solve_rho(g, s)
         cf = regular_closed_forms(3, kappa, s)
         for val in rt.edge:
-            assert val == pytest.approx(cf.rho_edge, abs=1e-10)
-        for val in rt.vertex:
-            assert val == pytest.approx(cf.rho_vertex, abs=1e-10)
+            assert val == pytest.approx(cf.step_intensity * (3 + kappa), abs=1e-10)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 5.0])
     @pytest.mark.parametrize("s", [0.1, 0.7, 1.0])
@@ -82,16 +89,13 @@ class TestSolveRho:
         rt = solve_rho(g, s)
         cf = regular_closed_forms(3, kappa, s)
         for val in rt.edge:
-            assert val == pytest.approx(cf.rho_edge, abs=1e-10)
-        for val in rt.vertex:
-            assert val == pytest.approx(cf.rho_vertex, abs=1e-10)
+            assert val == pytest.approx(cf.step_intensity * (3 + kappa), abs=1e-10)
 
     def test_boundary_no_killing(self, k4_free):
         # s = 1 with no killing sits exactly on the convergence edge
         rt = solve_rho(k4_free, 1.0)
         cf = regular_closed_forms(3, 0.0, 1.0)
-        assert cf.rho_edge == pytest.approx(1.5)
-        assert cf.rho_vertex == pytest.approx(2.0)
+        assert cf.step_intensity * 3 == pytest.approx(1.5)
         for val in rt.edge:
             assert val == pytest.approx(1.5, abs=1e-9)
 
@@ -109,9 +113,7 @@ class TestSolveRho:
         rt = solve_rho(g, 1.0)
         cf = regular_closed_forms(3, kappa, 1.0)
         for val in rt.edge:
-            assert val == pytest.approx(cf.rho_edge, abs=1e-10)
-        for val in rt.vertex:
-            assert val == pytest.approx(cf.rho_vertex, abs=1e-10)
+            assert val == pytest.approx(cf.step_intensity * (3 + kappa), abs=1e-10)
 
     def test_zero_killing_triangle_double_root(self):
         # rho = 1 + rho^2 / 4 has the double root 2: Newton converges only
@@ -121,14 +123,10 @@ class TestSolveRho:
         assert len(rt.edge) == 6
         for val in rt.edge:
             assert abs(val - 2.0) <= 1e-9
-        # each vertex sum is exactly 1 there: the vertex series diverge,
-        # whichever side of 1 the rounded sum lands on
-        assert rt.vertex.tolist() == [math.inf] * 3
 
     def test_graph_without_edges(self):
         rt = solve_rho(build_graph(1, [], 1.0), 1.0)
         assert rt.edge.size == 0
-        assert rt.vertex.tolist() == [1.0]
         assert rt.residual == 0.0
 
     def test_tables_are_read_only_arrays(self, bowtie):
@@ -136,10 +134,8 @@ class TestSolveRho:
         # edge system's residual reads them
         rt = solve_rho(bowtie, 0.5)
         assert rt.edge.shape == bowtie._oriented.head.shape
-        assert rt.vertex.shape == (bowtie.num_vertices,)
-        for table in (rt.edge, rt.vertex):
-            with pytest.raises(ValueError):
-                table[0] = 0.0
+        with pytest.raises(ValueError):
+            rt.edge[0] = 0.0
         system = spectra._EdgeSystem(bowtie)
         res = system.residual(rt.edge, 0.5)
         assert np.abs(res).max() <= 1e-12
@@ -196,6 +192,24 @@ class TestClassIntensity:
             got = class_intensity(k4_free, k4_free_frame, cls, rho=rho)
             want = 0.5 ** len(rep) / cls.multiplicity
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_unkilled_cycle_against_the_closed_form(self, capsys, tmp_path):
+        # d = 2 without killing: every edge value is the finite double root
+        # 2, so each geodesic step contributes 1, while the vertex series
+        # diverge
+        assert regular_closed_forms(2, 0.0, 1.0).step_intensity == pytest.approx(
+            1.0, rel=1e-15)
+        path = tmp_path / "c4.graph"
+        path.write_text("vertices 4\nedge 0 1 1\nedge 1 2 1\nedge 2 3 1\n"
+                        "edge 0 3 1\n")
+        assert main(["homotopy", str(path), "--max-len", "3"]) == 0
+        step = regular_closed_forms(2, 0.0, 1.0).step_intensity
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[3:]]
+        assert len(rows) == 6
+        for word, length, mult, value in rows:
+            # a word of k letters winds k times around the 4 edges
+            want = step ** (4 * int(length)) / int(mult)
+            assert float(value) == pytest.approx(want, abs=1e-8)
 
 
 def stepwise_intensity(g, frame, cls, rho):
@@ -555,9 +569,11 @@ class TestTrivialMassReferences:
         n = g.num_vertices
         assert abs(val - _regular_trivial_mass(n, d, kappa)) <= err
         cf = regular_closed_forms(d, kappa)
+        # rho_x = 2 (d-1) / (d - 2 + d b), b = sqrt(1 - 4 (d-1) / lam^2)
         lam = d + kappa
-        per_vertex = (math.log(cf.rho_vertex)
-                      + d / 2 * math.log1p(-(cf.rho_edge / lam) ** 2))
+        rho_vertex = 2.0 * (d - 1) / (d - 2 + d * math.sqrt(1.0 - 4.0 * (d - 1) / lam ** 2))
+        per_vertex = (math.log(rho_vertex)
+                      + d / 2 * math.log1p(-cf.step_intensity ** 2))
         assert val == pytest.approx(n * per_vertex, rel=1e-13)
 
     def test_killed_trees_against_total_mass(self):
@@ -607,7 +623,7 @@ class TestTrivialMassReferences:
         g = request.getfixturevalue(name)
 
         def integrand(s):
-            return (solve_rho(g, s).vertex - 1.0).sum() / (2.0 * s)
+            return (vertex_excursions(g, solve_rho(g, s).edge, s) - 1.0).sum() / (2.0 * s)
 
         want, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13,
                                  epsrel=1e-13, limit=100)
