@@ -60,14 +60,17 @@ _MASSLESS = "massless/recurrent twist: det(I - {}) vanishes"
 def _certified(z: np.ndarray, scale: float | np.ndarray, field: bool,
                what: str) -> np.ndarray:
     """scale z.real, for a Fourier inversion z: the value policy of every law.
-    A residue above _IMAG_TOL max(1, |z|) in any entry of the unscaled z, or
-    a value below -1e-9, raises NumericError; probabilities are clamped to [0, 1]."""
+    A non-finite entry, a residue above _IMAG_TOL max(1, |z|) in any entry of
+    the unscaled z, or a value below -1e-9, raises NumericError; probabilities
+    are clamped to [0, 1]."""
     residue = np.abs(z.imag)
+    vals = scale * z.real
+    if not (np.isfinite(residue).all() and np.isfinite(vals).all()):
+        raise NumericError(f"{what} has a non-finite entry")
     # no entry fails unless the largest residue passes _IMAG_TOL: a cheap test first
     if residue.max(initial=0.0) > _IMAG_TOL and np.any(
             residue > _IMAG_TOL * np.maximum(1.0, np.abs(z))):
         raise NumericError(f"{what} has imaginary residue {residue.max():.3e}")
-    vals = scale * z.real
     low = vals.min(initial=0.0)
     if low < -1e-9:
         raise NumericError(f"{what} {low:.3e} is negative")

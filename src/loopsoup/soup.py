@@ -91,20 +91,6 @@ def truncated_mass(g: GraphModel, n_max: int) -> float:
     return float(out)
 
 
-def _hop_distances(g: GraphModel) -> np.ndarray:
-    """Hop distance between every two vertices: scipy's unweighted shortest
-    paths on the CSR adjacency. build_graph has proved the graph connected,
-    so every distance is finite. scipy is imported here, by the first
-    enumeration plan of a process, not with this module."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import shortest_path
-
-    first, heads = g._oriented.first, g._oriented.head
-    n = g.num_vertices
-    hops = sparse.csr_array((np.ones(heads.size), heads, first), shape=(n, n))
-    return shortest_path(hops, unweighted=True).astype(int)
-
-
 class _WordTrie:
     """Reduced words over the letters +-1 .. +-rank, interned as ids: 0 is
     the empty word, and word w is word parent[w] followed by last[w]."""
@@ -208,8 +194,9 @@ class _Plan(NamedTuple):
     Each step holds, per kept transition, its source state and its edge
     (a position in the graph's edge table, whose weight is g._p there),
     the state it lands in, then the number of states and the states at
-    their base. order sorts the returns base by base, number gives the
-    class of each sorted return, and classes lists the classes by number.
+    their base; past n_max/2, only heads that can still return to the base
+    are kept (_build_plan). order sorts the returns base by base, number
+    gives the class of each sorted return, and classes lists them by number.
     Every array is int32, and the store makes them all read-only (see
     _memo). rows gives the enumerate verb's rows in its order, by (length,
     word): the class columns of each (freegroup._row_prefixes) and the
@@ -226,6 +213,13 @@ class _Plan(NamedTuple):
 def _build_plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
     """Run the dynamic program of enumerate_measure on indices alone.
 
+    Step n keeps a transition only if its head is within n_max - n hops of
+    its base. A walk of n steps ends within n hops of its base, so steps
+    1..n_max/2 prune nothing: they are a breadth-first search from every
+    base, in which a pair (base, vertex) first appears at its hop distance,
+    a symmetric one. Later steps test distances of at most n_max/2 against
+    those pairs, so the prune is exact, with no table of all vertex pairs.
+
     ConfigError, before a step is expanded, when the entries of the steps
     so far, plus three per transition of this one (source, edge and state,
     counted before pruning), would exceed _ENUMERATION_ENTRIES.
@@ -237,10 +231,11 @@ def _build_plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
     letters = np.array([frame.crossing(x, y)
                         for x, y in zip(tails.tolist(), heads.tolist())],
                        dtype=np.intp)
-    dist = _hop_distances(g)
     words = _WordTrie(frame.rank)
     base = at = np.arange(n_v)
     word = np.zeros(n_v, dtype=np.intp)
+    # near[k]: the sorted keys base * n_v + vertex of the pairs within k hops
+    near = [base * n_v + at]
     steps, returns = [], []
     entries = 0
     for n in range(1, n_max + 1):
@@ -249,8 +244,9 @@ def _build_plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
                 f"enumerating loops up to n_max={n_max} on {n_v} vertices "
                 f"needs more than {_ENUMERATION_ENTRIES} index entries")
         i, e = _expand(first, at)
-        keep = dist[heads[e], base[i]] <= n_max - n
-        i, e = i[keep], e[keep]
+        if 2 * n > n_max:
+            keep = np.isin(base[i] * n_v + heads[e], near[n_max - n])
+            i, e = i[keep], e[keep]
         to_base, to_vertex = base[i], heads[e]
         to_word = words.step(word[i], letters[e])
         state, pick = _first_seen((to_base * n_v + to_vertex) * words.size
@@ -261,6 +257,8 @@ def _build_plan(g: GraphModel, frame: SpanningTreeFrame, n_max: int) -> _Plan:
                       state.astype(np.int32), pick.size, home.astype(np.int32)))
         returns.append((base[home], word[home]))
         entries += 3 * i.size + home.size
+        if 2 * n <= n_max:
+            near.append(np.union1d(near[-1], base * n_v + at))
     # returns base by base, then step by step; the distinct words are
     # mapped to their classes all at once
     home_base, home_word = (np.concatenate(r) for r in zip(*returns))
@@ -293,7 +291,8 @@ def enumerate_measure(g: GraphModel, frame: SpanningTreeFrame,
     the base), for all bases at once, with the words interned as ids in a
     trie; a step to u either extends the word by a crossing letter or
     cancels the last letter. Branches that cannot return to the base in the
-    remaining steps are pruned. The trivial class collects the contractible
+    remaining steps are pruned, by hop distances that the first half of the
+    steps finds (_build_plan). The trivial class collects the contractible
     mass. Classes group based loops correctly: a class whose loops have n
     steps and multiplicity m has n/m based representatives per loop, each
     weighing (1/n) prod P, totalling prod P / m.

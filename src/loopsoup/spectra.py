@@ -66,10 +66,10 @@ so the determinant side's numerator of degree k is tr s_k(A) + 2 (|E| -
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import fsum, sqrt
+from math import fsum, isfinite, sqrt
 
 import numpy as np
 
@@ -253,20 +253,17 @@ def _solve(system: _EdgeSystem, s: float) -> tuple[np.ndarray, int]:
             return r, iterations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RhoTable:
     """Excursion generating functions at a fixed step weight s, as a
     read-only array.
 
     edge[i] for the oriented edge i = (x, y) of GraphModel._oriented,
     ordered by x, then y: excursions from y avoiding x on the first step.
-    residual is max |F(rho) - rho| at the returned table; iterations counts
-    the sweeps and Newton steps.
+    iterations counts the sweeps and Newton steps; a table equals only itself.
     """
 
-    s: float
-    edge: np.ndarray = field(compare=False)
-    residual: float
+    edge: np.ndarray
     iterations: int
 
 
@@ -291,11 +288,9 @@ def solve_rho(g: GraphModel, s: float = 1.0) -> RhoTable:
     """
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"step weight s={s} outside [0, 1]")
-    system = _EdgeSystem(g)
-    edge, iterations = _solve(system, s)
-    residual = float(np.max(np.abs(system.residual(edge, s)), initial=0.0))
+    edge, iterations = _solve(_EdgeSystem(g), s)
     edge.flags.writeable = False
-    return RhoTable(s=s, edge=edge, residual=residual, iterations=iterations)
+    return RhoTable(edge=edge, iterations=iterations)
 
 
 def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
@@ -396,6 +391,8 @@ def regular_closed_forms(d: int, kappa: float, s: float = 1.0) -> RegularForms:
         raise ValidationError("regular closed forms need degree d >= 2")
     if kappa < 0:
         raise ValidationError("killing must be nonnegative")
+    if not isfinite(kappa):
+        raise ValidationError(f"killing must be finite, got {kappa}")
     if not 0.0 <= s <= 1.0:
         raise ValidationError(f"step weight s={s} outside [0, 1]")
     lam = d + kappa

@@ -246,18 +246,10 @@ class TestSample:
     def test_large_graph_refused_before_the_tail_bound(self, tmp_path):
         # the 100 x 100 torus: the sampler's 11 powers of 10^4 x 10^4 entries
         # are over its budget, refused before the tail bound's eigensolve of
-        # a dense 10^4 x 10^4 matrix (800 MB). One process runs the CLI and
-        # reports its child's peak RSS in kB on stderr
+        # a dense 10^4 x 10^4 matrix (800 MB)
         TestH1._torus(tmp_path / "torus.graph", 100)
-        measure = ("import resource, subprocess, sys; "
-                   "code = subprocess.run([sys.executable, '-m', 'loopsoup.cli', "
-                   "*sys.argv[1:]]).returncode; "
-                   "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
-                   "file=sys.stderr); sys.exit(code)")
         start = time.perf_counter()
-        r = subprocess.run([sys.executable, "-c", measure, "sample", "torus.graph",
-                            "--n-max", "20"], capture_output=True, text=True,
-                           env=_package_env(), cwd=tmp_path)
+        r = _run_measured(tmp_path, "sample", "torus.graph", "--n-max", "20")
         assert time.perf_counter() - start < 1.0
         assert (r.returncode, r.stdout) == (4, "")
         err, rss = r.stderr.splitlines()
@@ -298,6 +290,18 @@ class TestEnumerate:
         assert captured.err.splitlines() == [
             "config error: enumerating loops up to n_max=22 on 4 vertices "
             "needs more than 4096 index entries"]
+
+    def test_large_graph_refused_without_a_pair_table(self, tmp_path):
+        # the 100 x 100 torus: the plan's hop distances come from its own
+        # first steps, so no 10^4 x 10^4 table (800 MB) is built before the
+        # budget refuses step 6
+        TestH1._torus(tmp_path / "torus.graph", 100, kappa=0.05)
+        r = _run_measured(tmp_path, "enumerate", "torus.graph", "--n-max", "6")
+        assert (r.returncode, r.stdout) == (4, "")
+        err, rss = r.stderr.splitlines()
+        assert err == ("config error: enumerating loops up to n_max=6 on 10000 "
+                       "vertices needs more than 16777216 index entries")
+        assert int(rss) < 600 * 1024
 
 
 class TestHomotopy:
@@ -361,17 +365,9 @@ class TestHomotopy:
 
     def test_large_torus_without_a_dense_matrix(self, tmp_path):
         # the 100 x 100 torus, rank 10001: P on its 4 * 10^4 oriented edges
-        # instead of a dense 10^4 x 10^4 matrix (800 MB). One process runs
-        # the CLI and reports its child's peak RSS in kB on stderr
+        # instead of a dense 10^4 x 10^4 matrix (800 MB)
         TestH1._torus(tmp_path / "torus.graph", 100)
-        measure = ("import resource, subprocess, sys; "
-                   "code = subprocess.run([sys.executable, '-m', 'loopsoup.cli', "
-                   "*sys.argv[1:]]).returncode; "
-                   "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
-                   "file=sys.stderr); sys.exit(code)")
-        r = subprocess.run([sys.executable, "-c", measure, "homotopy", "torus.graph",
-                            "--max-len", "1"], capture_output=True, text=True,
-                           env=_package_env(), cwd=tmp_path)
+        r = _run_measured(tmp_path, "homotopy", "torus.graph", "--max-len", "1")
         assert r.returncode == 0, r.stderr
         assert int(r.stderr.split()[-1]) < 200 * 1024
         assert len(r.stdout.splitlines()) == 3 + 2 * 10001
@@ -582,16 +578,16 @@ class TestH1:
         assert "M=1048576" in capsys.readouterr().err
 
     @staticmethod
-    def _torus(path, side):
-        """The side x side torus, unit conductances, killing 0.3: rank
-        side^2 + 1."""
+    def _torus(path, side, kappa=0.3):
+        """The side x side torus, unit conductances, killing kappa (0.3)
+        everywhere: rank side^2 + 1."""
         lines = [f"vertices {side * side}"]
         for i in range(side):
             for j in range(side):
                 a = i * side + j
                 for b in (i * side + (j + 1) % side, (i + 1) % side * side + j):
                     lines.append(f"edge {min(a, b)} {max(a, b)} 1.0")
-        lines += [f"kappa {x} 0.3" for x in range(side * side)]
+        lines += [f"kappa {x} {kappa}" for x in range(side * side)]
         path.write_text("\n".join(lines) + "\n")
         return str(path)
 
@@ -992,6 +988,18 @@ def _package_env():
     return env
 
 
+def _run_measured(cwd, *argv):
+    """The CLI on argv, run in cwd by a child of a fresh process, which
+    then reports the child's peak RSS in kB as the last line of stderr."""
+    measure = ("import resource, subprocess, sys; "
+               "code = subprocess.run([sys.executable, '-m', 'loopsoup.cli', "
+               "*sys.argv[1:]]).returncode; "
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, "
+               "file=sys.stderr); sys.exit(code)")
+    return subprocess.run([sys.executable, "-c", measure, *argv], capture_output=True,
+                          text=True, env=_package_env(), cwd=cwd)
+
+
 def install_console_script(name, bin_dir):
     """Write the console script `name` declared in pyproject.toml.
 
@@ -1057,13 +1065,18 @@ class TestConsoleScript:
         ("h2", "bow.graph", "--p", "3"),
         ("zeta", "tri.graph"),
         ("signature", "--word", "+1 -2 +1 +2"),
-        ("homotopy", "bow.graph")], ids=lambda argv: argv[0])
+        ("homotopy", "bow.graph"),
+        # the plan prunes with hop distances from its own first steps
+        pytest.param(("enumerate", "bow.graph", "--n-max", "6"), id="enumerate-bowtie"),
+        pytest.param(("enumerate", "k4.graph", "--n-max", "6"), id="enumerate-k4")],
+        ids=lambda argv: argv[0])
     def test_cli_leaves_out_scipy(self, tmp_path, argv):
-        # scipy is imported only by a sparse factorization: the Newton step
-        # of the rho solve and the hop distances of an enumeration plan.
-        # Importing it would take over half the start-up of the CLI
+        # scipy is imported only by a sparse factorization, the Newton step
+        # of the rho solve. Importing it would take over half the start-up
+        # of the CLI
         (tmp_path / "tri.graph").write_text(TRIANGLE)
         (tmp_path / "bow.graph").write_text(BOWTIE)
+        (tmp_path / "k4.graph").write_text(K4)
         code, out, scipy = self._fresh_main(argv, tmp_path)
         assert code == 0, scipy
         assert out.startswith(f"# loopsoup {argv[0]} ")

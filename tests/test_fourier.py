@@ -1324,6 +1324,24 @@ class TestValuePolicy:
         with pytest.raises(NumericError, match="imaginary residue 1.000e-09"):
             law(*graphs)
 
+    @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(0.5, np.nan),
+                                   complex(0.5, np.inf)])
+    @pytest.mark.parametrize("field", [False, True])
+    def test_non_finite_entry_raises(self, z, field):
+        # NaN fails both the residue and the negativity tests, so it is
+        # refused on its own; every value a law prints is finite
+        with pytest.raises(NumericError, match="x has a non-finite entry"):
+            fourier._certified(np.array([0.25, z], dtype=complex), 1.0, field, "x")
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", [False, True])
+    def test_non_finite_law_raises(self, t, field):
+        # the transform of an infinite entry is NaN where inf meets -inf
+        law = "h1 field law" if field else "h1 intensity"
+        with pytest.raises(NumericError, match=f"{law} has a non-finite entry"), \
+                np.errstate(invalid="ignore"):
+            fourier._law(np.array([0.5, t, 0.25]), 1.0, field, "h1")
+
     def _z2_class_values(self, triangle, monkeypatch, sign_excess):
         # log dets of the trivial and the sign irrep that put the odd class
         # at (h_trivial - h_sign) / 2 = -sign_excess / 2

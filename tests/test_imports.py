@@ -65,6 +65,49 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def scipy_imports(source: str) -> list[str]:
+    """The scope of every import of scipy or of a scipy submodule: the
+    names of the enclosing classes and functions, each followed by a dot,
+    or "" at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                modules = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module]
+            else:
+                modules = []
+            found.extend(scope for m in modules if m.partition(".")[0] == "scipy")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}{child.name}.")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_check_finds_scipy_imports():
+    source = ("import scipy.linalg\nclass A:\n    def f(self):\n"
+              "        from scipy import sparse\n        if x:\n"
+              "            import numpy, scipy as s\n"
+              "def g():\n    from .scipy import x\n")
+    assert scipy_imports(source) == ["", "A.f.", "A.f."]
+
+
+def test_scipy_is_imported_by_the_newton_step_alone():
+    # scipy's sparse modules cost more at start-up than the whole package;
+    # only the Newton step of the rho solve needs them, and a second
+    # caller would load them in a verb that does not
+    found = {path.stem: scipy_imports(path.read_text())
+             for path in sorted(ROOT.glob("*.py"))}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "spectra": ["_EdgeSystem._jacobian.", "_EdgeSystem.newton_step.",
+                    "_EdgeSystem.newton_step."]}
+
+
 def public_definitions(path: Path) -> list[tuple[str, str, bool]]:
     """(module.name or module.Class.member, name, whether a member) for
     every top-level function and class of a module, and every method and

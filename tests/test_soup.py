@@ -130,8 +130,9 @@ class TestEnumeration:
 
 def _dict_enumeration(g, frame, n_max):
     """The enumeration DP as a dict per base keyed by (vertex, reduced
-    word), breadth-first hop distances by a Python queue: the reference
-    whose every float addition enumerate_measure repeats in order."""
+    word), pruned by breadth-first hop distances from a Python queue: the
+    reference whose every float addition enumerate_measure repeats in
+    order."""
     n = g.num_vertices
     dist = np.full((n, n), n + 1, dtype=int)
     for s in range(n):
@@ -168,7 +169,7 @@ def _dict_enumeration(g, frame, n_max):
                 if v == base:
                     cls = canonical_class(word)
                     out[cls] = out.get(cls, 0.0) + wt / step
-    return dist, out
+    return out
 
 
 def _reweighted(g, seed):
@@ -196,25 +197,29 @@ class TestEnumerationArrays:
         if weighted:
             g = _reweighted(g, n_max)
         frame = spanning_tree_frame(g)
-        _, want = _dict_enumeration(g, frame, n_max)
+        want = _dict_enumeration(g, frame, n_max)
         got = enumerate_measure(g, frame, n_max).masses
         assert list(got) == list(want)
         assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
         # the classes carry the kernel's multiplicities
         assert [c.multiplicity for c in got] == [multiplicity(c.word) for c in want]
 
-    @pytest.mark.parametrize("name", ["triangle", "k4", "k4_free", "bowtie",
-                                      "petersen", "torus10", "path", "point"])
-    def test_hop_distances(self, request, name):
-        g = {"torus10": lambda: _torus(10, 0.5),
-             "path": lambda: build_graph(4, [(0, 1, 1.0), (1, 2, 1.0),
-                                             (2, 3, 1.0)], 0.5),
-             "point": lambda: build_graph(1, [], 1.0),
-             }.get(name, lambda: request.getfixturevalue(name))()
-        want, _ = _dict_enumeration(g, spanning_tree_frame(g), 1)
-        got = soup._hop_distances(g)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    @pytest.mark.parametrize("n_max", range(1, 13))
+    @pytest.mark.parametrize("shape", ["cycle9", "path6"])
+    def test_prune_bitwise_equal_to_dict_dp(self, shape, n_max):
+        # the second half of the steps prunes with the hop distances of the
+        # first: on a long cycle or path the prune removes walks at every
+        # n_max
+        n = {"cycle9": 9, "path6": 6}[shape]
+        edges = [(u, u + 1) for u in range(n - 1)]
+        edges += [(0, n - 1)] if shape == "cycle9" else []
+        g = _reweighted(build_graph(n, [(u, v, 1.0) for u, v in edges], 0.5),
+                        n_max)
+        _assert_bitwise_dict_dp(g, spanning_tree_frame(g), n_max)
+
+    def test_prune_on_the_torus(self):
+        g = _reweighted(_torus(10, 0.5), 7)
+        _assert_bitwise_dict_dp(g, spanning_tree_frame(g), 7)
 
     def test_graph_without_edges(self):
         g = build_graph(1, [], 1.0)
@@ -228,7 +233,7 @@ def _case_graph(request, name):
 
 
 def _assert_bitwise_dict_dp(g, frame, n_max):
-    _, want = _dict_enumeration(g, frame, n_max)
+    want = _dict_enumeration(g, frame, n_max)
     got = enumerate_measure(g, frame, n_max).masses
     assert list(got) == list(want)
     assert [m.hex() for m in got.values()] == [m.hex() for m in want.values()]
@@ -270,8 +275,8 @@ class TestEnumerationPlan:
         return out
 
     def test_plan_builds_no_successors(self, built):
-        # the plan and the hop distances read the edge table's CSR layout
-        # only, never B's successor list
+        # the plan reads the edge table's CSR layout only, never B's
+        # successor list
         g = build_graph(5, [(u, v, 1.0) for u in range(5)
                             for v in range(u + 1, 5)], 0.5)
         enumerate_measure(g, spanning_tree_frame(g), 4)

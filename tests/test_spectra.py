@@ -56,7 +56,8 @@ class TestSolveRho:
     def test_triangle_closed_form(self, triangle):
         # degree 2, killing 1: discriminant root is sqrt(5)/3
         rt = solve_rho(triangle, 1.0)
-        assert rt.residual <= 1e-12
+        res = spectra._EdgeSystem(triangle).residual(rt.edge, 1.0)
+        assert np.abs(res).max() <= 1e-12
         for val in rt.edge:
             assert val == pytest.approx((9.0 - 3.0 * SQRT5) / 2.0, abs=1e-10)
         for val in vertex_excursions(triangle, rt.edge):
@@ -125,9 +126,11 @@ class TestSolveRho:
             assert abs(val - 2.0) <= 1e-9
 
     def test_graph_without_edges(self):
-        rt = solve_rho(build_graph(1, [], 1.0), 1.0)
+        g = build_graph(1, [], 1.0)
+        rt = solve_rho(g, 1.0)
         assert rt.edge.size == 0
-        assert rt.residual == 0.0
+        res = spectra._EdgeSystem(g).residual(rt.edge, 1.0)
+        assert np.abs(res).max(initial=0.0) == 0.0
 
     def test_tables_are_read_only_arrays(self, bowtie):
         # one edge value per oriented edge in the edge table's order, where the
@@ -575,6 +578,13 @@ class TestTrivialMassReferences:
         per_vertex = (math.log(rho_vertex)
                       + d / 2 * math.log1p(-cf.step_intensity ** 2))
         assert val == pytest.approx(n * per_vertex, rel=1e-13)
+
+    @pytest.mark.parametrize("kappa,message", [
+        (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "nonnegative"),
+        (-1.0, "nonnegative")])
+    def test_regular_closed_forms_refuse_a_bad_killing(self, kappa, message):
+        with pytest.raises(ValidationError, match=f"killing must be {message}"):
+            regular_closed_forms(3, kappa)
 
     def test_killed_trees_against_total_mass(self):
         # every loop of a tree is contractible
