@@ -1,6 +1,7 @@
-"""The one memo store of the process: enumeration plans, class words of
-the rose, canonical classes, Ihara series, Heisenberg blocks, twist plans,
-Lyndon tables and bracket expansions, all of which depend on no weights.
+"""The one memo store of the process: edge tables and their successor
+lists, rho system patterns, class step positions, enumeration plans, class
+words of the rose, canonical classes, Ihara series, Heisenberg blocks,
+twist plans, Lyndon tables and bracket expansions: none depends on weights.
 
 One OrderedDict in least recently used order holds them under one budget
 of entries. The store counts a value's entries itself (_count): an array

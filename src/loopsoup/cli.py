@@ -116,7 +116,7 @@ def cmd_homotopy(args) -> None:
     if args.s == 1.0:
         trivial_val, trivial_err = contractible_intensity(g)
         rows.append(f"e,0,1,{_fmt(trivial_val)}")
-    values = _class_intensities(g, frame, table.words, rho)
+    values = _class_intensities(g, frame, args.max_len, rho)
     rows += map(str.__add__, table.rows, map(repr, values.tolist()))
     manifest = _manifest("homotopy", {
         "graph": args.graph, "max_len": args.max_len, "s": args.s,

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._memo import memo, memoized
 from .errors import ConfigError, ValidationError
-from .graphs import GraphModel, SpanningTreeFrame, _EdgeTable, _expand
+from .graphs import GraphModel, SpanningTreeFrame, _EdgeTable, _expand, _successors
 
 Word = tuple[int, ...]
 
@@ -386,9 +386,10 @@ def _closed_walks(edges: _EdgeTable, max_len: int) -> _Words:
     first = np.flatnonzero(head >= tail)
     walks, start, back = first[:, None], tail[first], edges.reverse[first]
     grown = [walks[(head[first] == start) & (first != back)]]
+    succ = _successors(edges) if max_len > 1 else None  # callers memoize the walks
     for k in range(2, max_len + 1):
         i, j = _expand(edges.succ_first, walks[:, -1])
-        to = edges.succ[j]
+        to = succ[j]
         ok = head[to] >= start[i]
         i, to = i[ok], to[ok]
         start, back = start[i], back[i]

@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._memo import memo, memoized
 from .errors import ConfigError, ValidationError
 
 
@@ -74,10 +75,8 @@ class GraphModel:
 
     @cached_property
     def _oriented(self) -> _EdgeTable:
-        """The _EdgeTable; sorted by head, then tail, edges list their reverses."""
-        head = np.fromiter(chain.from_iterable(self.neighbors), dtype=np.intp)
-        tail = np.repeat(np.arange(self.num_vertices), [len(a) for a in self.neighbors])
-        return _EdgeTable(tail, head, np.lexsort((tail, head)), self.num_vertices)
+        """The _EdgeTable of the topology, memoized per neighbours (see _memo)."""
+        return _edge_table(self.neighbors)
 
     @cached_property
     def _p(self) -> np.ndarray:
@@ -98,15 +97,23 @@ class GraphModel:
         return len(self.neighbors[x])
 
 
+@dataclass(init=False, eq=False)
 class _EdgeTable:
     """The oriented edges of a graph, given sorted by tail, as read-only
-    arrays in CSR order: edge i runs from tail[i] to head[i], the edges
-    out of v are first[v]:first[v + 1], ascending in head, and reverse[i]
-    runs from head[i] to tail[i]. succ_first and succ hold the
-    non-backtracking successor operator B (Hashimoto's) in CSR form: the
-    successors of i, succ[succ_first[i]:succ_first[i + 1]], are the edges
-    out of head[i] but reverse[i], ascending. succ, sum_v deg(v)(deg(v) - 1)
-    entries, is built on first use: the walk budget and plans skip it."""
+    arrays in CSR order: edge i runs from tail[i] to head[i], the edges out
+    of v are first[v]:first[v + 1], ascending in head, reverse[i] runs from
+    head[i] to tail[i], and keys[i] = tail[i] * n + head[i] ascend. succ_first
+    and succ hold the non-backtracking successor operator B (Hashimoto's) in
+    CSR form: the successors of i, succ[succ_first[i]:succ_first[i + 1]], are
+    the edges out of head[i] but reverse[i], ascending. succ, sum_v deg(v)
+    (deg(v) - 1) entries, is a memo entry of its own, built on first use."""
+
+    first: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
+    reverse: np.ndarray
+    succ_first: np.ndarray
+    keys: np.ndarray
 
     def __init__(self, tail: np.ndarray, head: np.ndarray, reverse: np.ndarray,
                  num_vertices: int):
@@ -114,21 +121,29 @@ class _EdgeTable:
         self.first = np.concatenate(([0], np.cumsum(degree)))
         self.head, self.tail, self.reverse = head, tail, reverse
         self.succ_first = np.concatenate(([0], np.cumsum(degree[head] - 1)))
-        for a in (self.first, head, tail, reverse, self.succ_first):
-            a.flags.writeable = False
+        self.keys = tail * num_vertices + head
 
     def index(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The position of each oriented edge (x[k], y[k]), all of them
-        edges: keys tail * n + head ascend in CSR order."""
-        n = self.first.size - 1
-        return np.searchsorted(self.tail * n + self.head, x * n + y)
+        edges."""
+        return np.searchsorted(self.keys, x * (self.first.size - 1) + y)
 
-    @cached_property
+    @property
     def succ(self) -> np.ndarray:
-        rows, cols = _expand(self.first, self.head)
-        succ = cols[cols != self.reverse[rows]]
-        succ.flags.writeable = False
-        return succ
+        return memoized((self,), _successors, self)
+
+
+@memo
+def _edge_table(neighbors: tuple[tuple[int, ...], ...]) -> _EdgeTable:
+    """The _EdgeTable of a topology: by head, then tail, edges list their reverses."""
+    head = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp)
+    tail = np.repeat(np.arange(len(neighbors)), [len(a) for a in neighbors])
+    return _EdgeTable(tail, head, np.lexsort((tail, head)), len(neighbors))
+
+
+def _successors(table: _EdgeTable) -> np.ndarray:
+    rows, cols = _expand(table.first, table.head)
+    return cols[cols != table.reverse[rows]]
 
 
 def _expand(first: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

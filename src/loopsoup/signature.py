@@ -45,7 +45,8 @@ _ONE = Fraction(1)
 
 
 def _clean(terms: Mapping[Word, Fraction]) -> Component:
-    return {w: Fraction(c) for w, c in terms.items() if c != 0}
+    return {w: c if isinstance(c, Fraction) else Fraction(c)
+            for w, c in terms.items() if c != 0}
 
 
 @dataclass(frozen=True)

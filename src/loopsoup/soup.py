@@ -72,6 +72,8 @@ def tail_bound(g: GraphModel, n_max: int) -> float:
     |X| rho^(n_max+1) / ((n_max+1)(1-rho)) with rho the spectral radius."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
+    if not any(g.killing):  # then rho is 1, which rounding can hide
+        raise NumericError("massless/recurrent chain: the spectral radius is 1")
     rho = spectral_radius(g)
     if rho >= 1.0:
         raise NumericError("spectral radius >= 1; tail does not converge")

@@ -8,12 +8,14 @@ word crosses each letter's generator edge and then follows the tree path
 to the tail of the next letter's edge, so a table of classes is read off
 a letter-pair matrix: the mass is the cyclic product of its entries over
 the word, divided by the multiplicity (_class_intensities, of which
-class_intensity is the one-row view).
+class_intensity is the one-row view). The positions in P of each entry's
+steps depend on the frame alone, and are memoized (_class_steps, see _memo).
 
 The rho table lives on the 2|E| oriented edges and is the least fixed point
 of r = F(r) = 1 + s * r o (B r), where the weighted non-backtracking
 successor operator B has the entry P(y,z) P(z,y) in row (x,y), column
-(y,z), z != x (stored sparse, one entry per non-backtracking step pair).
+(y,z), z != x (stored sparse, one entry per non-backtracking step pair,
+in a pattern memoized per topology, _pattern).
 From r = 1, vectorized sweeps r <- F(r) run while each sweep at least
 halves the change; from the first sweep that does not, Newton steps solve
 (I - F'(r)) d = F(r) - r, with the residual F(r) - r evaluated in
@@ -77,8 +79,8 @@ from ._memo import memoized
 from . import freegroup
 from .errors import ConfigError, NumericError, ValidationError
 from .freegroup import (GeodesicClass, _check_letters, _check_walks,
-                        _geodesic_loops, _Words)
-from .graphs import GraphModel, SpanningTreeFrame
+                        _class_words, _geodesic_loops, _Words)
+from .graphs import GraphModel, SpanningTreeFrame, _EdgeTable
 
 # Newton stops once no entry moves by more than this fraction of max rho.
 _STEP = 1e-13
@@ -115,15 +117,12 @@ def _two_prod(a, b, a_split=None):
     return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _slots(length: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _slots(length: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """For rows of the given lengths stored one after another: per slot j,
     the rows with more than j entries and the position of their j-th."""
     start = np.cumsum(length) - length
-    slots = []
-    for j in range(int(length.max(initial=0))):
-        has = np.flatnonzero(length > j)
-        slots.append((has, start[has] + j))
-    return slots
+    has = [np.flatnonzero(length > j) for j in range(int(length.max(initial=0)))]
+    return tuple((rows, start[rows] + j) for j, rows in enumerate(has))
 
 
 def _slot_sums(hi: np.ndarray, lo: np.ndarray, slots, size: int):
@@ -140,21 +139,28 @@ def _slot_sums(hi: np.ndarray, lo: np.ndarray, slots, size: int):
     return row_hi, row_lo
 
 
+def _pattern(edges: _EdgeTable) -> tuple:
+    """Memoized per neighbours (see _memo): B's row of each entry, in row
+    order (succ holds the columns), and the slots of B's rows and of the
+    vertices' out-edges, for the compensated sums of residual and _tree_mass."""
+    count = np.diff(edges.succ_first)
+    return (np.repeat(np.arange(count.size), count), _slots(count),
+            _slots(np.diff(edges.first)))
+
+
 class _EdgeSystem:
     """The excursion fixed point of one graph on the oriented edges (x, y) of
-    its edge table, with weights built per call, never stored on the graph."""
+    its edge table: the index tables come from the memo store, and a call
+    forms only the weights, never stored on the graph."""
 
     def __init__(self, g: GraphModel):
         edges = g._oriented
-        self.size = m = edges.head.size
-        weight = g._p * g._p[edges.reverse]
+        self.size = edges.head.size
         # B in row order, as (row, column, value) triples
-        count = np.diff(edges.succ_first)
-        self._rows, self._cols = np.repeat(np.arange(m), count), edges.succ
-        self._coef = weight[self._cols]
+        self._rows, self._slots, _ = memoized((g.neighbors,), _pattern, edges)
+        self._cols = edges.succ
+        self._coef = (g._p * g._p[edges.reverse])[self._cols]
         self._coef_split = _split(self._coef)
-        # the slots of B's rows, for the compensated row sums of the residual
-        self._slots = _slots(count)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B r."""
@@ -293,32 +299,22 @@ def solve_rho(g: GraphModel, s: float = 1.0) -> RhoTable:
     return RhoTable(edge=edge, iterations=iterations)
 
 
-def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
-                       rho: RhoTable) -> np.ndarray:
-    """Masses of nontrivial classes, one per canonical class word of the
-    table, at the step weight of rho.
+def _class_steps(g: GraphModel, frame: SpanningTreeFrame,
+                 words: _Words) -> tuple[np.ndarray, ...]:
+    """The steps of the geodesics of a table of class words, as positions
+    in g._p: those of each letter pair that the words use, pair after pair,
+    each pair's in the order that _class_masses multiplies them; the first
+    of each pair's; the pair of each letter; and each word's first letter.
 
-    The geodesic of a class word crosses each letter a's generator edge,
-    then takes the tree path from its head to the tail of the next letter
-    b (geodesic_representative). So its product of P(x,y) rho(x,y) is the
-    cyclic product over the word of a 2r x 2r letter-pair matrix: T[a, b]
-    is that product over a's generator edge and then along the tree path.
-    Only the entries that the words use are formed, all at once, by
-    walking both ends of every path up the tree as tree_path does. Each
-    word's entries are then multiplied in order and the product divided by
-    the multiplicity; no word's mass depends on the other words of the
-    table. ValidationError for a letter beyond the frame's rank.
+    A class word's geodesic crosses each letter a's generator edge, then
+    takes the tree path from its head to the tail of the next letter b
+    (geodesic_representative), so its mass is a cyclic product over the
+    word of a 2r x 2r letter-pair matrix. The paths of the pairs used are
+    walked all at once, both ends up the tree as tree_path does, one step
+    per level. ValidationError for a letter beyond the frame's rank.
     """
-    r = frame.rank
-    _check_letters(words.letters, r)
-    letters, lengths = words.letters, words.lengths
-    if not lengths.size:
-        return np.zeros(0)
-    weight = g._p * rho.edge
-
-    def steps(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return weight[g._oriented.index(x, y)]
-
+    letters, lengths, r, edges = words.letters, words.lengths, frame.rank, g._oriented
+    _check_letters(letters, r)
     # letter index 2(|l| - 1) + (l < 0); letter 2i + 1 crosses generator
     # edge i backward
     index = ((np.abs(letters) - 1) << 1) | (letters < 0)
@@ -332,21 +328,43 @@ def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, words: _Words,
     a, b = pair // (2 * r), pair % (2 * r)
     tail_a = cogenerators[a >> 1, a & 1]
     head_a = cogenerators[a >> 1, 1 - (a & 1)]
-    # the step from each vertex to its tree parent and back (1 at the root)
+    # the step from each vertex to its tree parent and back (none at the root)
     parent, depth = np.array(frame.parent), np.array(frame.depth)
     child = np.flatnonzero(parent >= 0)
-    up, down = np.ones(parent.size), np.ones(parent.size)
-    up[child] = steps(child, parent[child])
-    down[child] = steps(parent[child], child)
-    value = steps(tail_a, head_a)
+    up, down = np.zeros((2, parent.size), dtype=np.intp)
+    up[child] = edges.index(child, parent[child])
+    down[child] = edges.index(parent[child], child)
+    at = [edges.index(tail_a, head_a)]  # then per level, -1 once a path is done
     x, y = head_a, cogenerators[b >> 1, b & 1]
     while (move := x != y).any():
         lift = move & (depth[x] >= depth[y])
         drop = move & ~lift
-        value = value * np.where(lift, up[x], 1.0) * np.where(drop, down[y], 1.0)
+        at.append(np.where(lift, up[x], np.where(drop, down[y], -1)))
         x = np.where(lift, parent[x], x)
         y = np.where(drop, parent[y], y)
-    return np.multiply.reduceat(value[entry], first) / words.multiplicity
+    at = np.array(at).T
+    steps = (at >= 0).sum(axis=1)
+    return at[at >= 0], np.cumsum(steps) - steps, entry, first
+
+
+def _class_masses(g: GraphModel, steps: tuple, multiplicity: np.ndarray,
+                  rho: RhoTable) -> np.ndarray:
+    """Each pair's product of P(x,y) rho(x,y) at the steps of _class_steps, then
+    each word's of its pairs', in order, over its multiplicity."""
+    at, pair_first, pair, word_first = steps
+    pairs = np.multiply.reduceat((g._p * rho.edge)[at], pair_first)
+    return np.multiply.reduceat(pairs[pair], word_first) / multiplicity
+
+
+def _class_intensities(g: GraphModel, frame: SpanningTreeFrame, max_len: int,
+                       rho: RhoTable) -> np.ndarray:
+    """Masses of the nontrivial classes up to length max_len, one per word of
+    _class_words(frame.rank, max_len), at the step weight of rho: a call reads
+    only the weights, as the steps are memoized per frame and max_len."""
+    words = _class_words(frame.rank, max_len).words
+    steps = memoized((frame.parent, frame.cogenerators, max_len), _class_steps,
+                     g, frame, words)
+    return _class_masses(g, steps, words.multiplicity, rho)
 
 
 def class_intensity(g: GraphModel, frame: SpanningTreeFrame,
@@ -367,7 +385,8 @@ def class_intensity(g: GraphModel, frame: SpanningTreeFrame,
         rho = solve_rho(g, 1.0)
     words = _Words(np.array(cls.word, dtype=np.intp),
                    np.array([cls.length]), np.array([cls.multiplicity]))
-    return float(_class_intensities(g, frame, words, rho)[0])
+    return float(_class_masses(g, _class_steps(g, frame, words),
+                               words.multiplicity, rho)[0])
 
 
 @dataclass(frozen=True)
@@ -434,7 +453,8 @@ def _tree_mass(g: GraphModel, edge: np.ndarray) -> tuple[float, float]:
     b, b_err = _two_sum(1.0, -a_hi)
     edge_gap = b + (b_err - (a_lo + t_lo * back))
     degree = np.diff(first)
-    sum_hi, sum_lo = _slot_sums(t_hi, t_lo, _slots(degree), degree.size)
+    slots = memoized((g.neighbors,), _pattern, edges)[2]
+    sum_hi, sum_lo = _slot_sums(t_hi, t_lo, slots, degree.size)
     b, b_err = _two_sum(1.0, -sum_hi)
     gap = b + (b_err - sum_lo)
     if not ((gap > 0).all() and (edge_gap > 0).all()):

@@ -5,9 +5,9 @@ The four workhorses: the triangle (rank 1), the complete graph K4
 vertex, rank 2), and the Petersen graph (rank 6, 3-regular).  Unit
 conductances everywhere; killing rate 1 unless the name says free.
 
-dense_transition is the tests' reference for P as an n x n matrix, built
-from the conductances and lam one edge at a time, apart from the package's
-per-edge GraphModel._p.
+UNKILLED lists unit graphs without killing. dense_transition is the
+tests' reference for P as an n x n matrix, built from the conductances and
+lam one edge at a time, apart from the package's per-edge GraphModel._p.
 """
 
 import numpy as np
@@ -24,6 +24,15 @@ def dense_transition(g):
         p[u, v] = c / g.lam[u]
         p[v, u] = c / g.lam[v]
     return p
+
+
+# Unit graphs without killing, as (vertices, edges): a recurrent walk.
+UNKILLED = {
+    "triangle": (3, [(0, 1), (0, 2), (1, 2)]),
+    "bowtie": (5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]),
+    "k4": (4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    "cycle4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+}
 
 
 def _complete(n, kappa):

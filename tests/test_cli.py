@@ -19,6 +19,8 @@ from loopsoup import cli
 from loopsoup import soup
 from loopsoup.cli import main
 
+from conftest import UNKILLED
+
 TRIANGLE = """\
 vertices 3
 edge 0 1 1.0
@@ -265,6 +267,26 @@ class TestSample:
                             "--tail-tol", "1e-7", *flags)
         assert code == 4
         assert out == ""
+
+
+class TestUnkilled:
+    """Without killing the walk is recurrent: no tail bound, so neither
+    enumerate nor sample answers, whatever rounding makes of the spectral
+    radius."""
+
+    @pytest.mark.parametrize("name", list(UNKILLED))
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n-max", "4"],
+        ["sample", "--n-max", "10", "--tail-tol", "1e20"]])
+    def test_exits_3(self, capsys, tmp_path, name, argv):
+        n, edges = UNKILLED[name]
+        path = tmp_path / f"{name}.graph"
+        path.write_text(f"vertices {n}\n"
+                        + "".join(f"edge {u} {v} 1.0\n" for u, v in edges))
+        assert main([argv[0], str(path)] + argv[1:]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: massless/recurrent chain")
 
 
 class TestEnumerate:

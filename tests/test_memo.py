@@ -19,10 +19,11 @@ import numpy as np
 import pytest
 
 import loopsoup
-from loopsoup import (_memo, build_graph, dynkin_map, fourier, freegroup,
-                      group_data, holonomy_class_intensities, homology1_grid,
+from loopsoup import (_memo, build_graph, contractible_intensity, dynkin_map,
+                      fourier, freegroup, graphs, group_data,
+                      holonomy_class_intensities, homology1_grid,
                       homology2_intensity, load_graph, log_signature,
-                      lyndon_coordinates, soup, spectra,
+                      lyndon_coordinates, soup, solve_rho, spectra,
                       spanning_tree_frame)
 from loopsoup.cli import main
 from loopsoup.freegroup import _class_words, canonical_class
@@ -69,12 +70,25 @@ VERBS = {
     "h2": lambda name: ["--p", "3"],
     "h2-field": lambda name: ["--p", "3", "--field"],
     "holonomy": lambda name: [],
+    # the edge table alone, read by the dense routines
+    "validate": lambda name: [],
 }
 
 # The verbs whose memoized value is the twist plan; a Fourier law may still
 # fail after building it, when its aliasing bound asks for a grid past the
 # point budget (Petersen's automatic grid).
 FOURIER_VERBS = {"h1-M", "h1-auto", "h2", "h2-field", "holonomy"}
+
+_EDGE_TABLE = graphs._edge_table.__wrapped__
+_HOMOTOPY = (freegroup._build_class_words, spectra._class_steps,
+             spectra._pattern, graphs._successors, _EDGE_TABLE)
+
+# per verb: the kinds of value that it keeps, the verb's own first
+KINDS = {"enumerate": (soup._build_plan, _EDGE_TABLE),
+         "homotopy": _HOMOTOPY, "homotopy-s": _HOMOTOPY,
+         "zeta": (spectra._ihara_series, _EDGE_TABLE),
+         **dict.fromkeys(FOURIER_VERBS, (fourier._twist_plan.__wrapped__,)),
+         "validate": (_EDGE_TABLE,)}
 
 
 def _write(directory, name, seed, unit=False):
@@ -144,9 +158,6 @@ def _run(capsys, argv):
 def test_warm_call_matches_cold(tmp_path, monkeypatch, capsys, memos, verb,
                                 name):
     monkeypatch.chdir(tmp_path)
-    build = {"enumerate": soup._build_plan, "zeta": spectra._ihara_series,
-             **dict.fromkeys(FOURIER_VERBS, fourier._twist_plan.__wrapped__)}.get(
-        verb, freegroup._build_class_words)
     paths = [_write(tmp_path, name, seed, unit=verb == "zeta")
              for seed in (1, 2)]
 
@@ -157,9 +168,12 @@ def test_warm_call_matches_cold(tmp_path, monkeypatch, capsys, memos, verb,
     for path in paths:
         memos()
         cold.append(_run(capsys, argv(path)))
-    # the store now holds the topology's value, built on the other weights
-    if cold[-1][2] == 0 or verb not in FOURIER_VERBS:
-        assert bool(_kept(build)) == (cold[-1][2] == 0)
+    # the store now holds the topology's values, built on the other weights;
+    # a refused call may have built the edge table before its own value
+    if cold[-1][2] == 0:
+        assert all(_kept(build) for build in KINDS[verb])
+    elif verb not in FOURIER_VERBS:
+        assert not _kept(KINDS[verb][0])
     held = set(_memo._STORE)
     for path, want in zip(paths, cold):
         assert _run(capsys, argv(path)) == want
@@ -228,6 +242,12 @@ SITE_COUNTS = {
     # and 1 per rank k, which the site did not count
     fourier._heisenberg_blocks.__wrapped__:
         lambda out: sum(1 + owners.size + blocks.size for _, owners, blocks in out),
+    # the topology's tables, which had no memo site: every array they hold
+    _EDGE_TABLE: lambda table: sum(a.size for a in vars(table).values()),
+    graphs._successors: lambda succ: succ.size,
+    spectra._pattern: lambda pattern: pattern[0].size + sum(
+        a.size for slots in pattern[1:] for slot in slots for a in slot),
+    spectra._class_steps: lambda steps: sum(a.size for a in steps),
 }
 
 
@@ -308,6 +328,11 @@ class TestMemoBounds:
         graphs = {n: build_graph(n, [(a, b, 1.0) for a, b in edges], 1.0)
                   for n, edges in (TOPOLOGIES[name] for name in
                                    ("triangle", "k4", "petersen"))}
+        # each graph looks its edge table up once, here, so that the sweep
+        # keeps Ihara series alone
+        for g in graphs.values():
+            g._oriented
+        memos()
         # 2 (degree + 1) coefficients each, with 2 ints per edge in the
         # key: from 42 entries (triangle, 1) to 88 (Petersen, 12); the
         # triangle at 30 takes 100, over the budget
@@ -346,27 +371,46 @@ class TestOneBudget:
                   for degree in (1, 4, 8)]
         calls += [_plan_call(triangle, n_max) for n_max in (3, 6, 10, 14)]
         random.Random(5).shuffle(calls)
-        recent, over, kinds = [], set(), set()
+        # (key, entries) of the values that the store should keep, least
+        # recently used first: a value used moves to the end, a value built
+        # is added there if it fits the budget, and then the least recently
+        # used go until the rest fit; a value over the budget moves nothing
+        model, over, kinds = [], set(), set()
+
+        def use(at, entries):
+            nonlocal model
+            model = [m for m in model if m[0] != at]
+            if entries <= self.BUDGET:
+                model.append((at, entries))
+            while sum(e for _, e in model) > self.BUDGET:
+                model.pop(0)
+
         for build, key, args, size, call in calls * 2:
-            held = list(_memo._STORE)
-            call()
             at = (build, *key)
-            if _memo._entries(key, size(build(*args))) <= self.BUDGET:
-                value, entries = _memo._STORE[at]
-                assert list(_memo._STORE)[-1] == at
-                assert entries == _memo._entries(key, size(value))
-                recent = [k for k in recent if k != at] + [at]
-            else:  # used once and not kept, and nothing else goes
-                assert list(_memo._STORE) == held
+            hit = at in _memo._STORE
+            g = args[0] if build is not freegroup._build_class_words else None
+            # a graph looks its edge table up once, when its build, or the
+            # weights after a plan hit, first read it
+            table = g is not None and "_oriented" not in vars(g) and (
+                build is soup._build_plan or not hit)
+            call()
+            entries = _memo._entries(key, size(build(*args)))
+            if entries > self.BUDGET:
                 over.add(at)
+            used = [(at, entries)]
+            if table:
+                used.insert(len(used) if hit else 0, (
+                    (_EDGE_TABLE, g.neighbors),
+                    _memo._entries((g.neighbors,), _memo._count(g._oriented))))
+            for u in used:
+                use(*u)
+            assert [(k, e) for k, (_, e) in _memo._STORE.items()] == model
             _check_held()
-            # the values kept are the most recently used ones, in order
-            assert list(_memo._STORE) == recent[len(recent) - len(_memo._STORE):]
             kinds.add(frozenset(at[0] for at in _memo._STORE))
         assert {at[0] for at in over} == {freegroup._build_class_words,
                                            soup._build_plan}
         assert len(_memo._STORE) < len(calls) - len(over)
-        assert any(len(k) == 3 for k in kinds)
+        assert any(len(k) == 4 for k in kinds)
 
     def test_random_sweep_keeps_a_running_total(self, monkeypatch, memos):
         monkeypatch.setattr(_memo, "_BUDGET", 1000)
@@ -421,6 +465,8 @@ class TestCount:
         # one call of each memoized kind but the enumeration plan
         bowtie = _unit("bowtie")
         frame = spanning_tree_frame(bowtie)
+        spectra._class_intensities(bowtie, frame, 3, solve_rho(bowtie, 0.7))
+        contractible_intensity(bowtie)
         canonical_class((2, 1, -2, 1, 1))
         terms = log_signature([1, 2, -1, -2, 1], 3).terms
         lyndon_coordinates({u: c for u, c in terms.items() if len(u) == 3}, 2, 3)
@@ -459,8 +505,10 @@ class TestCount:
         blocks = fourier._heisenberg_blocks(3, 2, 0, 3)
         plan = _memo.memoized((triangle.neighbors, frame.cogenerators, 6),
                               soup._build_plan, triangle, frame, 6)
-        assert len(_memo._STORE) == (4 if budget else 0)
+        # and the plan's edge table
+        assert len(_memo._STORE) == (5 if budget else 0)
         arrays = [a for a in vars(twist).values() if a is not None]
+        arrays += list(vars(triangle._oriented).values())
         arrays += list(table.words) + [plan.order, plan.number]
         arrays += [a for step in plan.steps for a in step[:3] + step[4:]]
         arrays += [a for _, owners, b in blocks for a in (owners, b)]

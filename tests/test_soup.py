@@ -33,10 +33,9 @@ from loopsoup import (
     winding_masses,
 )
 from loopsoup import _memo, soup
-from loopsoup.freegroup import _class_words
 from loopsoup.spectra import _class_intensities
 
-from conftest import dense_transition
+from conftest import UNKILLED, dense_transition
 
 
 class TestMeasure:
@@ -63,6 +62,16 @@ class TestMeasure:
         ts = [tail_bound(triangle, n) for n in (8, 12, 16, 20)]
         assert all(a > b > 0 for a, b in zip(ts, ts[1:]))
 
+    @pytest.mark.parametrize("name", list(UNKILLED))
+    def test_tail_bound_refuses_a_graph_without_killing(self, name):
+        # rounding leaves the triangle's spectral radius at 1 - 2^-52, whose
+        # "tail" was finite (2.25e15 at n_max = 5); K4's and the 4-cycle's
+        # come out as 1.0
+        n, edges = UNKILLED[name]
+        g = build_graph(n, [(u, v, 1.0) for u, v in edges])
+        with pytest.raises(NumericError, match="massless/recurrent chain"):
+            tail_bound(g, 5)
+
     def test_truncated_mass_converges(self, triangle):
         full = total_mass(triangle)
         for n in (10, 20, 30):
@@ -76,7 +85,7 @@ class TestMeasure:
         frame = spanning_tree_frame(g)
         rho = solve_rho(g, 1.0)
         contractible_intensity(g)
-        _class_intensities(g, frame, _class_words(frame.rank, 2).words, rho)
+        _class_intensities(g, frame, 2, rho)
         enumerate_measure(g, frame, 4)
         total_mass(g)
         spectral_radius(g)

@@ -30,7 +30,7 @@ from loopsoup import (
     spanning_tree_frame,
     total_mass,
 )
-from loopsoup import spectra
+from loopsoup import _memo, spectra
 from loopsoup.cli import main
 from loopsoup.freegroup import (GeodesicClass, _class_words, _geodesic_loops,
                                 _tuples, _Words)
@@ -271,8 +271,7 @@ class TestClassTable:
             g = _family(name, seed)
             frame = spanning_tree_frame(g)
             rho = solve_rho(g, s)
-            words = _class_words(frame.rank, max_len).words
-            table = spectra._class_intensities(g, frame, words, rho)
+            table = spectra._class_intensities(g, frame, max_len, rho)
             classes = enumerate_geodesic_classes(frame.rank, max_len)
             assert len(table) == len(classes)
             for cls, got in zip(classes, table):
@@ -285,8 +284,7 @@ class TestClassTable:
             class_intensity(triangle, triangle_frame, GeodesicClass((2,)))
         words = _Words(np.array([1, -3]), np.array([2]), np.array([1]))
         with pytest.raises(ValidationError, match="-3"):
-            spectra._class_intensities(triangle, triangle_frame, words,
-                                       solve_rho(triangle, 1.0))
+            spectra._class_steps(triangle, triangle_frame, words)
 
     # the benchmark's enumeration lengths and longest homotopy classes
     SANDWICH = [("triangle", 40, 9), ("bowtie", 14, 4), ("k4", 10, 4),
@@ -300,12 +298,114 @@ class TestClassTable:
             g = _family(name, seed)
             frame = spanning_tree_frame(g)
             em = enumerate_measure(g, frame, n_max)
-            words = _class_words(frame.rank, max_len).words
-            table = spectra._class_intensities(g, frame, words,
+            table = spectra._class_intensities(g, frame, max_len,
                                                solve_rho(g, 1.0))
             classes = enumerate_geodesic_classes(frame.rank, max_len)
             for cls, value in zip(classes, table.tolist()):
                 assert 0.0 <= value - em.get(cls) <= em.tail, cls
+
+
+def walked_intensities(g, frame, words, rho):
+    """The class table as the tree-path walk computed it before its step
+    positions were memoized: each letter pair's product formed as its
+    steps are walked, then each word's products multiplied in order."""
+    r = frame.rank
+    letters, lengths = words.letters, words.lengths
+    weight = g._p * rho.edge
+
+    def steps(x, y):
+        return weight[g._oriented.index(x, y)]
+
+    index = ((np.abs(letters) - 1) << 1) | (letters < 0)
+    cogenerators = np.array(frame.cogenerators, dtype=np.intp).reshape(-1, 2)
+    end = np.cumsum(lengths)
+    first = end - lengths
+    after = np.arange(1, letters.size + 1)
+    after[end - 1] = first
+    pair, entry = np.unique(index * 2 * r + index[after], return_inverse=True)
+    a, b = pair // (2 * r), pair % (2 * r)
+    tail_a = cogenerators[a >> 1, a & 1]
+    head_a = cogenerators[a >> 1, 1 - (a & 1)]
+    parent, depth = np.array(frame.parent), np.array(frame.depth)
+    child = np.flatnonzero(parent >= 0)
+    up, down = np.ones(parent.size), np.ones(parent.size)
+    up[child] = steps(child, parent[child])
+    down[child] = steps(parent[child], child)
+    value = steps(tail_a, head_a)
+    x, y = head_a, cogenerators[b >> 1, b & 1]
+    while (move := x != y).any():
+        lift = move & (depth[x] >= depth[y])
+        drop = move & ~lift
+        value = value * np.where(lift, up[x], 1.0) * np.where(drop, down[y], 1.0)
+        x = np.where(lift, parent[x], x)
+        y = np.where(drop, parent[y], y)
+    return np.multiply.reduceat(value[entry], first) / words.multiplicity
+
+
+def _random_tree(rng, g):
+    """The edges of a random spanning tree of g: g's edges in random order,
+    each kept if it joins two components."""
+    root = list(range(g.num_vertices))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    tree = []
+    for u, v in rng.sample(g.edges, len(g.edges)):
+        if find(u) != find(v):
+            root[find(u)] = find(v)
+            tree.append((u, v))
+    return tree
+
+
+class TestMemoizedSteps:
+    """The step positions of a class table are memoized per frame and
+    max_len, and give every row to the bit of the walk they replace."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_rows_are_the_walk_to_the_bit(self, seed):
+        # a random tree on n vertices plus rank more edges, random weights
+        rng = random.Random(seed)
+        rank = rng.randint(1, 5)
+        n = rng.randint(next(m for m in range(3, 9)
+                             if (m - 1) * (m - 2) // 2 >= rank), 8)
+        pairs = {(rng.randrange(y), y) for y in range(1, n)}
+        while len(pairs) < n - 1 + rank:
+            pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+        g = build_graph(n, [(u, v, rng.uniform(0.2, 3.0)) for u, v in pairs],
+                        [rng.uniform(0.05, 1.0) for _ in range(n)])
+        frames = [spanning_tree_frame(g),
+                  spanning_tree_frame(g, _random_tree(rng, g))]
+        for frame in frames:
+            assert frame.rank == len(g.edges) - g.num_vertices + 1
+            for s in (1.0, 0.7):
+                rho = solve_rho(g, s)
+                for max_len in range(1, 5):
+                    words = _class_words(frame.rank, max_len).words
+                    got = spectra._class_intensities(g, frame, max_len, rho)
+                    want = walked_intensities(g, frame, words, rho)
+                    assert got.tobytes() == want.tobytes(), (frame, s, max_len)
+
+    def test_two_frames_keep_their_own_steps(self, bowtie):
+        # the canonical frame and one over another tree of the same graph:
+        # each has its own entry, and the rows of each are its own walk's
+        frames = [spanning_tree_frame(bowtie),
+                  spanning_tree_frame(bowtie, [(0, 2), (1, 2), (0, 4), (3, 4)])]
+        assert frames[0].parent != frames[1].parent
+        rho = solve_rho(bowtie, 1.0)
+        words = _class_words(2, 4).words
+        for _ in range(2):
+            for frame in frames:
+                got = spectra._class_intensities(bowtie, frame, 4, rho)
+                want = walked_intensities(bowtie, frame, words, rho)
+                assert got.tobytes() == want.tobytes()
+        kept = [value for at, (value, _) in _memo._STORE.items()
+                if at[0] is spectra._class_steps
+                and at[1:] in [(f.parent, f.cogenerators, 4) for f in frames]]
+        assert len(kept) == 2
+        assert kept[0][0].tobytes() != kept[1][0].tobytes()
 
 
 def _four_cycle_with_pendant():
