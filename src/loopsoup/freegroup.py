@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._memo import memo, memoized
+from ._memo import memoized
 from .errors import ConfigError, ValidationError
 from .graphs import GraphModel, SpanningTreeFrame, _EdgeTable, _expand, _successors
 
@@ -41,11 +41,14 @@ _WALK_LETTERS = 2 ** 22
 
 
 def _check_word(word: Iterable[int]) -> Word:
-    w = tuple(word)
+    """The letters as Python ints: NumPy integers and bools are converted."""
+    w, plain = tuple(word), True
     for l in w:
-        if not isinstance(l, int) or l == 0:
-            raise ValidationError(f"bad letter {l!r}; letters are nonzero ints")
-    return w
+        if type(l) is not int or not l:
+            if not isinstance(l, (int, np.integer)) or not l:
+                raise ValidationError(f"bad letter {l!r}; letters are nonzero ints")
+            plain = False
+    return w if plain else tuple(map(int, w))
 
 
 def _reduce(letters: Iterable[int]) -> Word:
@@ -211,12 +214,14 @@ class GeodesicClass:
             raise ValidationError(f"class word {w} is not in canonical rotation")
 
     @classmethod
-    def _certified(cls, word: Word, multiplicity: int) -> "GeodesicClass":
-        """The class of a word that _rotations has found cyclically reduced
-        and its own least rotation, with the multiplicity it found: no
-        check runs again."""
+    def _certified(cls, word: Word, multiplicity: int | None = None) -> "GeodesicClass":
+        """The class of a word of ints found cyclically reduced and its own
+        least rotation: no check runs. A multiplicity not given is computed
+        on first read."""
         out = object.__new__(cls)
-        out.__dict__.update(word=word, multiplicity=multiplicity)
+        out.__dict__["word"] = word
+        if multiplicity is not None:
+            out.__dict__["multiplicity"] = multiplicity
         return out
 
     @property
@@ -238,17 +243,11 @@ class GeodesicClass:
 TRIVIAL = GeodesicClass(())
 
 
-@memo
-def _canonical(word: Word) -> GeodesicClass:
-    w = cyclic_reduce(word)
-    if not w:
-        return TRIVIAL
-    return GeodesicClass(min_rotation(w))
-
-
 def canonical_class(word: Iterable[int]) -> GeodesicClass:
-    """Map a word to the canonical representative of its conjugacy class."""
-    return _canonical(_check_word(word))
+    """The canonical representative of a word's conjugacy class, in one
+    pass: the letters are checked and reduced once, and nothing is kept."""
+    w = cyclic_reduce(word)
+    return GeodesicClass._certified(min_rotation(w)) if w else TRIVIAL
 
 
 def parse_word(text: str) -> Word:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loopsoup import (
+    TRIVIAL,
     BasedLoop,
     ConfigError,
     GeodesicClass,
@@ -18,12 +19,14 @@ from loopsoup import (
     format_word,
     geodesic_representative,
     group_commutator,
+    homology1,
     inverse_word,
     loop_to_word,
     min_rotation,
     multiplicity,
     parse_word,
     reduce_word,
+    signature,
     spanning_tree_frame,
 )
 from loopsoup import _memo, freegroup
@@ -145,6 +148,23 @@ class TestWordOps:
         with pytest.raises(ValidationError):
             reduce_word((1, 0, 2))
 
+    def test_integer_letters_become_python_ints(self):
+        # NumPy integers and bools are integer letters, converted on entry
+        for got, want in [(canonical_class(np.array([1, 2, -1])).word, (2,)),
+                          (canonical_class((True, 2)).word, (1, 2)),
+                          (reduce_word([np.int64(1), np.int64(-1)]), ()),
+                          (reduce_word(np.array([3, 1], dtype=np.int8)), (3, 1)),
+                          (homology1(np.array([1, 1])), (2,))]:
+            assert got == want and all(type(l) is int for l in got)
+        series = signature(np.array([1, 2]))
+        assert series == signature((1, 2))
+        assert all(type(l) is int for w in series.terms for l in w)
+        for bad in [(np.int64(0),), (1, 0), (1.0,), (np.float64(2),), ("1",),
+                    (np.int64(1), 1.5), (np.array([1]),)]:
+            with pytest.raises(ValidationError,
+                               match=r"^bad letter .*; letters are nonzero ints$"):
+                canonical_class(bad)
+
     def test_inverse(self):
         assert inverse_word((1, 2, -3)) == (3, -2, -1)
         assert inverse_word(()) == ()
@@ -195,20 +215,29 @@ class TestClasses:
         assert a == b
 
     def test_cache_is_bounded(self, monkeypatch):
-        # words are arbitrary, so a long stream of them must not pile up
+        # words are a run's data, so a long stream of them must not pile
+        # up: classifying 10^4 distinct ones keeps nothing at all
         _memo.clear()
         one = _memo._entries(((1,),), 1)  # a one-letter word and its class
         monkeypatch.setattr(_memo, "_BUDGET", 10 * one)
-        for k in range(200):
-            canonical_class((k + 1,))
+        rng = random.Random(3)
+        words = [(k + 1,) for k in range(200)]
+        seen = set(words)
+        while len(words) < 10 ** 4:
+            rank = rng.randint(1, 4)
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, rank)
+                         for _ in range(rng.randint(0, 40)))
+            if word not in seen:
+                seen.add(word)
+                words.append(word)
+        for word in words:
+            canonical_class(word)
             assert _memo._held <= 10 * one
-        # the last 10 are kept
-        assert [word for _, word in _memo._STORE] == \
-            [(k + 1,) for k in range(190, 200)]
+        assert not _memo._STORE and _memo._held == 0
 
     def test_long_words_of_short_classes_count_their_keys(self, monkeypatch):
-        # a long word that reduces to a short class is kept under its own
-        # letters, so it counts them
+        # a long word that reduces to a short class leaves neither its
+        # letters nor its class in the store
         _memo.clear()
         monkeypatch.setattr(_memo, "_BUDGET", 5000)
         for k in range(200):
@@ -216,8 +245,25 @@ class TestClasses:
             assert canonical_class(word).word == (1,) * (k % 3)
             assert _memo._held <= 5000
             assert _memo._held == sum(e for _, e in _memo._STORE.values())
-            assert all(e > 1000 for _, e in _memo._STORE.values())
-        assert len(_memo._STORE) == 4
+        assert not _memo._STORE and _memo._held == 0
+
+    def test_one_pass_matches_checked_class(self):
+        rng = random.Random(11)
+        powers = 0
+        for _ in range(2000):
+            rank = rng.randint(1, 4)
+            word = tuple(rng.choice((1, -1)) * rng.randint(1, rank)
+                         for _ in range(rng.randint(0, 8))) * rng.randint(1, 3)
+            got = canonical_class(word)
+            want = GeodesicClass(min_rotation(cyclic_reduce(word)))
+            assert got == want and hash(got) == hash(want)
+            w = want.word
+            # the rotations of the class word equal to it
+            rotations = sum(w[i:] + w[:i] == w for i in range(len(w))) or 1
+            assert got.multiplicity == want.multiplicity == rotations
+            powers += rotations > 1
+        assert powers > 100
+        assert canonical_class(()) is TRIVIAL
 
     def test_certified_class_equals_checked_class(self):
         for word in [(), (1,), (1, 2, 1, 2), (1, -2, 1, -2, 1, -2)]:

@@ -1,7 +1,7 @@
 """The one memo store of weight-free work: the class words behind
 `homotopy`, the enumeration plans behind `enumerate`, the Ihara series
 behind `zeta`, the twist plans behind `h1`, `h2` and the holonomy laws,
-the canonical classes of words and the Lie expansions.
+and the Lie expansions.
 
 A call that hits the store must print what a call made after clearing it
 prints, byte for byte, on stdout and stderr, with the same exit code; every
@@ -26,7 +26,7 @@ from loopsoup import (_memo, build_graph, contractible_intensity, dynkin_map,
                       lyndon_coordinates, soup, solve_rho, spectra,
                       spanning_tree_frame)
 from loopsoup.cli import main
-from loopsoup.freegroup import _class_words, canonical_class
+from loopsoup.freegroup import _class_words
 from loopsoup.signature import (_bracket_expansion, _lyndon_words_of_length,
                                 bracket_expansion)
 from loopsoup.spectra import ihara_check
@@ -229,7 +229,6 @@ def test_lowered_budget_refuses_a_memoized_key(tmp_path, monkeypatch, capsys,
 # the store counted them itself: the store's own count must agree. An
 # enumeration plan is the exception (see tests/test_soup.py).
 SITE_COUNTS = {
-    freegroup._canonical.__wrapped__: lambda cls: len(cls.word),
     freegroup._build_class_words:  # letters, and 3 per word
         lambda table: table.words.letters.size + 3 * table.words.lengths.size,
     spectra._ihara_series: lambda series: len(series[0]) + len(series[1]),
@@ -417,12 +416,7 @@ class TestOneBudget:
         rng = random.Random(7)
         triangle = _unit("triangle")
 
-        def word(rank, length):
-            return tuple(rng.choice((1, -1)) * rng.randint(1, rank)
-                         for _ in range(length))
-
-        calls = [lambda: canonical_class(word(3, rng.randint(0, 12))),
-                 lambda: bracket_expansion((1,) + (2,) * rng.randint(0, 5)),
+        calls = [lambda: bracket_expansion((1,) + (2,) * rng.randint(0, 5)),
                  lambda: _class_words(rng.randint(0, 2), rng.randint(0, 4)),
                  lambda: ihara_check(triangle, rng.randint(1, 200))]
         for _ in range(400):
@@ -467,7 +461,6 @@ class TestCount:
         frame = spanning_tree_frame(bowtie)
         spectra._class_intensities(bowtie, frame, 3, solve_rho(bowtie, 0.7))
         contractible_intensity(bowtie)
-        canonical_class((2, 1, -2, 1, 1))
         terms = log_signature([1, 2, -1, -2, 1], 3).terms
         lyndon_coordinates({u: c for u, c in terms.items() if len(u) == 3}, 2, 3)
         bracket_expansion((1, 1, 2))
