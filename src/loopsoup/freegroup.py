@@ -85,20 +85,19 @@ def cyclic_reduce(word: Iterable[int]) -> Word:
     return w
 
 
-def _letter_key(l: int) -> int:
-    # +1 < -1 < +2 < -2 < ...; on nonnegative ints this is order-preserving,
-    # so the same rotation rule serves vertex cycles too.
-    return (abs(l) << 1) | (l < 0)
-
-
 def min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically least rotation of a cyclic sequence."""
+    """Lexicographically least rotation of a cyclic sequence in letter
+    order, +1 < -1 < +2 < -2 < ... (keys 2|l| + (l < 0)): on nonnegative
+    ints the order is their own, so the rule serves vertex cycles too."""
     n = len(seq)
     if n <= 1:
         return tuple(seq)
-    doubled = tuple(_letter_key(x) for x in seq) * 2
-    best = min(range(n), key=lambda i: doubled[i:i + n])
-    return tuple(seq[best:]) + tuple(seq[:best])
+    seq = tuple(seq)
+    # no Python call per letter or per rotation
+    doubled = [x << 1 if x >= 0 else -x << 1 | 1 for x in seq] * 2
+    rotations = [doubled[i:i + n] for i in range(n)]
+    best = rotations.index(min(rotations))
+    return seq[best:] + seq[:best]
 
 
 def multiplicity(seq: Sequence[int]) -> int:
@@ -134,8 +133,8 @@ def _rotations(letters: np.ndarray, lengths: np.ndarray
 
     Per row: the number cut of letters that cancel at each end, so that the
     cyclic reduction is row[cut:len - cut]; the offset in that reduction of
-    its least rotation under _letter_key, the first if several are equal,
-    so 0 when the reduction is its own least rotation; and the
+    its least rotation in letter order (min_rotation), the first if several
+    are equal, so 0 when the reduction is its own least rotation; and the
     multiplicity, the number of rotations equal to the least.
 
     The rotations of all rows are ranked at once by prefix doubling: the
@@ -426,14 +425,14 @@ def _build_class_words(rank: int, max_len: int) -> _ClassWords:
 
 def _class_words(rank: int, max_len: int) -> _ClassWords:
     """The canonical words of all nontrivial classes of length <= max_len,
-    with their multiplicities, sorted by (length, word under _letter_key);
+    with their multiplicities, sorted by (length, word in letter order);
     none at rank 0. Memoized per (rank, max_len) (see _memo), so the
     arrays are read-only.
 
     A class word, cyclically reduced and its own least rotation, is a
     geodesic loop of the rose that the spanning-tree frame collapses to:
     one vertex and a loop edge per generator. Its 2r oriented edges are
-    the letters in _letter_key order, each the reverse of its neighbour
+    the letters in letter order, each the reverse of its neighbour
     (index ^ 1), and _closed_walks grows them. ConfigError, on every call
     and ahead of the memo, when the reduced words of all lengths, sum_k k
     2r (2r-1)^(k-1) letters, would exceed _CLASS_LETTERS.
@@ -452,7 +451,7 @@ def _class_words(rank: int, max_len: int) -> _ClassWords:
 
 def enumerate_geodesic_classes(rank: int, max_len: int) -> list[GeodesicClass]:
     """All nontrivial homotopy classes of word length <= max_len, sorted by
-    (length, canonical word under _letter_key); none at rank 0. ConfigError
+    (length, canonical word in letter order); none at rank 0. ConfigError
     if the enumeration would hold more than _CLASS_LETTERS letters."""
     words = _class_words(rank, max_len).words
     return [GeodesicClass._certified(w, m)

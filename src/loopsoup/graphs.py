@@ -16,6 +16,7 @@ oriented list of the remaining edges, which generate the fundamental group).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -29,6 +30,13 @@ from .errors import ConfigError, ValidationError
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _integer(x, what: str) -> int:
+    """x as a Python int, from an int or a NumPy integer; ValidationError else."""
+    if not isinstance(x, (int, np.integer)):
+        raise ValidationError(f"{what} {x!r} is not an integer")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -185,18 +193,21 @@ def build_graph(
     Args:
         num_vertices: vertex count; vertices are 0..num_vertices-1.
         weighted_edges: iterable of (u, v, conductance) triples.
-        killing: scalar applied to every vertex, or one rate per vertex.
+        killing: real scalar applied to every vertex, or one rate per vertex.
 
     Raises:
-        ValidationError: on bad labels, loops, duplicate edges, nonpositive
-            or non-finite conductances, negative or non-finite killing
-            rates, a total rate lam(x) that overflows, or a disconnected
-            graph.
+        ValidationError: on a non-integer vertex count or label, bad labels,
+            loops, duplicate edges, nonpositive or non-finite conductances,
+            negative or non-finite killing rates, a total rate lam(x) that
+            overflows, or a disconnected graph.
     """
+    num_vertices = _integer(num_vertices, "vertex count")
     if num_vertices < 1:
         raise ValidationError("graph needs at least one vertex")
     conductance: dict[tuple[int, int], float] = {}
     for u, v, c in weighted_edges:
+        if type(u) is not int or type(v) is not int:
+            u, v = _integer(u, "vertex label"), _integer(v, "vertex label")
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise ValidationError(f"edge ({u},{v}) has a vertex out of range")
         if u == v:
@@ -213,7 +224,7 @@ def build_graph(
     # count before anything per vertex is allocated
     if len(conductance) < num_vertices - 1:
         raise ValidationError("graph is not connected")
-    if isinstance(killing, (int, float)):
+    if isinstance(killing, numbers.Real):
         kill = (float(killing),) * num_vertices
     else:
         kill = tuple(float(k) for k in killing)

@@ -20,11 +20,12 @@ From r = 1, vectorized sweeps r <- F(r) run while each sweep at least
 halves the change; from the first sweep that does not, Newton steps solve
 (I - F'(r)) d = F(r) - r, with the residual F(r) - r evaluated in
 double-double arithmetic so that it stays exact far below the step
-tolerance. On a monotone polynomial system, Newton's method from below
-converges monotonically to the least fixed point, quadratically at a simple
-root and still linearly, halving the error, at a critical double root
-(Etessami & Yannakakis, JACM 2009; Esparza, Kiefer & Luttenberger, SIAM J.
-Comput. 2010).
+tolerance, densely up to _DENSE = 216 unknowns (108 edges) and by a
+sparse LU of scipy, imported only then, above. On a monotone polynomial
+system, Newton's method from below converges monotonically to the least
+fixed point, quadratically at a simple root and still linearly, halving
+the error, at a critical double root (Etessami & Yannakakis, JACM 2009;
+Esparza, Kiefer & Luttenberger, SIAM J. Comput. 2010).
 
 The certificate is the step size, not the residual: near a double root a
 residual of 5e-13 can leave rho wrong in the sixth digit, while the error
@@ -70,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import fsum, isfinite, sqrt
 
 import numpy as np
@@ -84,6 +85,11 @@ from .graphs import GraphModel, SpanningTreeFrame, _EdgeTable
 
 # Newton stops once no entry moves by more than this fraction of max rho.
 _STEP = 1e-13
+# The most unknowns (m = 2|E|) of a Newton system factorized densely. A warm
+# step on cycles with chords killed at one vertex, dense/sparse LU (2 vCPU
+# Xeon, one BLAS thread): 14/121 us at m = 10, 185/350 at 150, 422/506 at
+# 216, 637/513 at 218 and 704/513 at 230.
+_DENSE = 216
 # solve_rho keeps the tables of this many recent (graph, s) pairs; each
 # holds its graph, so an unbounded cache grows with every graph solved.
 _RHO_CACHE = 32
@@ -182,37 +188,27 @@ class _EdgeSystem:
         b, b_err = _two_sum(a, u_hi)
         return b + (a_err + b_err + u_lo)
 
-    @cached_property
-    def _jacobian(self):
-        """The CSC pattern of I + B (column pointers and the row of each
-        stored entry), the diagonal mask and the B value of each entry (0
-        on the diagonal)."""
-        from scipy import sparse
-
-        m = self.size
-        succ = sparse.csr_matrix((self._coef, (self._rows, self._cols)),
-                                 shape=(m, m))
-        jac = (succ + sparse.identity(m, format="csr")).tocsc()
-        rows = jac.indices
-        diag = rows == np.repeat(np.arange(m), np.diff(jac.indptr))
-        return jac.indptr, rows, diag, np.where(diag, 0.0, jac.data)
-
     def newton_step(self, r: np.ndarray, s: float,
                     f: np.ndarray) -> np.ndarray:
         """d with (I - F'(r)) d = f, where I - F'(r) = I - s diag(B r) -
-        s diag(r) B, by one sparse LU. A singular matrix raises
-        NumericError. scipy is imported here, by the first Newton step of a
-        process; a solve whose sweeps converge never loads it."""
-        from scipy import sparse
-        from scipy.sparse.linalg import splu
-
-        indptr, rows, diag, coef = self._jacobian
-        data = np.where(diag, 1.0 - s * self.apply(r)[rows],
-                        -s * r[rows] * coef)
-        jac = sparse.csc_matrix((data, rows, indptr), shape=(self.size,) * 2)
+        s diag(r) B, by one dense LU up to _DENSE unknowns and one sparse LU
+        above, which alone imports scipy. A singular matrix raises
+        NumericError."""
+        m, rows, cols = self.size, self._rows, self._cols
+        off = -s * r[rows] * self._coef
+        diag = 1.0 - s * self.apply(r)
         try:
+            if m <= _DENSE:
+                jac = np.diag(diag)
+                jac[rows, cols] = off
+                return np.linalg.solve(jac, f)
+            from scipy.sparse import csc_matrix
+            from scipy.sparse.linalg import splu
+            # B's entries, then the diagonal's
+            jac = csc_matrix((np.r_[off, diag], (np.r_[rows, :m], np.r_[cols, :m])),
+                             shape=(m, m))
             return splu(jac).solve(f)
-        except RuntimeError:  # exactly singular
+        except (np.linalg.LinAlgError, RuntimeError):  # exactly singular
             raise _critical(s, "singular Newton system") from None
 
 

@@ -1094,8 +1094,8 @@ class TestConsoleScript:
         ids=lambda argv: argv[0])
     def test_cli_leaves_out_scipy(self, tmp_path, argv):
         # scipy is imported only by a sparse factorization, the Newton step
-        # of the rho solve. Importing it would take over half the start-up
-        # of the CLI
+        # of a rho solve above the dense limit. Importing it would take over
+        # half the start-up of the CLI
         (tmp_path / "tri.graph").write_text(TRIANGLE)
         (tmp_path / "bow.graph").write_text(BOWTIE)
         (tmp_path / "k4.graph").write_text(K4)
@@ -1104,13 +1104,35 @@ class TestConsoleScript:
         assert out.startswith(f"# loopsoup {argv[0]} ")
         assert scipy == []
 
-    def test_newton_step_loads_scipy(self, capsys, tmp_path, monkeypatch):
+    def test_small_newton_step_leaves_out_scipy(self, capsys, tmp_path,
+                                                monkeypatch):
         # the triangle killed at one vertex only: its sweeps stop halving,
-        # so the solve takes Newton steps, which import scipy on first use
-        # and print the same bytes as in a process that has it loaded
+        # so the solve takes Newton steps, which factorize its 6 unknowns
+        # densely with no scipy loaded, and print the same bytes as in a
+        # process that has it loaded
         (tmp_path / "newton.graph").write_text(
             "vertices 3\nedge 0 1 1.0\nedge 1 2 1.0\nedge 0 2 1.0\nkappa 0 0.1\n")
         argv = ["homotopy", "newton.graph"]
+        code, out, scipy = self._fresh_main(argv, tmp_path)
+        assert code == 0
+        assert scipy == []
+        assert " rho_iterations=8" in out.splitlines()[0]
+        monkeypatch.chdir(tmp_path)
+        importlib.import_module("scipy.sparse.linalg")
+        assert run_cli(capsys, *argv) == (0, out)
+
+    def test_newton_step_loads_scipy(self, capsys, tmp_path, monkeypatch):
+        # the prism C_40 x K_2 without killing: 240 unknowns, above the
+        # dense limit, so its Newton steps import scipy for one sparse LU on
+        # first use and print the same bytes as in a process that has it
+        # loaded
+        n = 40
+        edges = ([(i, (i + 1) % n) for i in range(n)]
+                 + [(n + i, n + (i + 1) % n) for i in range(n)]
+                 + [(i, n + i) for i in range(n)])
+        (tmp_path / "prism.graph").write_text(f"vertices {2 * n}\n" + "".join(
+            f"edge {u} {v} 1.0\n" for u, v in edges))
+        argv = ["homotopy", "prism.graph", "--max-len", "1"]
         code, out, scipy = self._fresh_main(argv, tmp_path)
         assert code == 0
         assert "scipy.sparse.linalg" in scipy

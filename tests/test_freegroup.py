@@ -31,15 +31,20 @@ from loopsoup import (
 )
 from loopsoup import _memo, freegroup
 from loopsoup.freegroup import (_canonical_words, _class_words,
-                                _geodesic_loops, _letter_key, _rotations,
+                                _geodesic_loops, _rotations,
                                 _tuples)
 from loopsoup.spectra import ihara_check
+
+
+def letter_key(l):
+    """min_rotation's letter order: +1 < -1 < +2 < -2 < ..."""
+    return (abs(l) << 1) | (l < 0)
 
 
 def recursive_classes(rank, max_len):
     """Reference enumeration: every reduced word grown letter by letter by
     recursion, kept when it is cyclically reduced and its own least
-    rotation, then sorted by (length, word under _letter_key)."""
+    rotation, then sorted by (length, word under letter_key)."""
     letters = [l for i in range(1, rank + 1) for l in (i, -i)]
     found = []
 
@@ -56,7 +61,7 @@ def recursive_classes(rank, max_len):
             word.pop()
 
     grow([], max_len)
-    return sorted(found, key=lambda c: (c.length, [_letter_key(l) for l in c.word]))
+    return sorted(found, key=lambda c: (c.length, [letter_key(l) for l in c.word]))
 
 
 def stepwise_geodesic_loops(g, max_len):
@@ -206,6 +211,22 @@ class TestWordOps:
         assert min_rotation(()) == ()
         # order on letters is 1 < -1 < 2 < -2 < ...
         assert min_rotation((-1, 1)) == (1, -1)
+
+    def test_min_rotation_is_the_least_rotation(self):
+        # brute force over every rotation, on random words (reduced or not,
+        # with repeats, so with ties) and on cycles of nonnegative labels
+        rng = random.Random(17)
+        letters = [1, -1, 2, -2, 3, -3, 11, -11]
+        for k in range(10 ** 4):
+            if k % 4:
+                seq = rng.choices(letters[:2 * rng.randint(1, 4)],
+                                  k=rng.randrange(12))
+            else:
+                seq = rng.choices(range(rng.randint(1, 40)), k=rng.randrange(12))
+            rotations = [seq[i:] + seq[:i] for i in range(len(seq))] or [seq]
+            want = min(rotations, key=lambda w: [letter_key(l) for l in w])
+            assert min_rotation(seq) == tuple(want)
+            assert min_rotation(tuple(seq)) == tuple(want)
 
 
 class TestClasses:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,38 @@ class TestBuildGraph:
         g = build_graph(2, [(0, 1, 2.0)], 0.5)
         assert g.killing == (0.5, 0.5)
         assert np.allclose(g.lam, [2.5, 2.5])
+
+    def test_numpy_scalar_killing_broadcast(self):
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
+        for kappa, want in [(np.int64(1), 1.0), (np.float32(0.5), 0.5),
+                            (np.float64(0.25), 0.25), (True, 1.0)]:
+            g = build_graph(3, edges, kappa)
+            assert g.killing == (want,) * 3
+            assert all(type(k) is float for k in g.killing)
+
+    def test_numpy_integer_labels_become_python_ints(self):
+        g = build_graph(np.int64(3), [(np.int64(2), np.int32(1), 4.0),
+                                      (np.uint8(1), 0, 3.0)], 1.0)
+        assert g.num_vertices == 3 and type(g.num_vertices) is int
+        assert g.edges == ((0, 1), (1, 2))
+        assert all(type(x) is int for e in g.edges for x in e)
+        assert g.conductance == {(0, 1): 3.0, (1, 2): 4.0}
+        assert g == build_graph(3, [(2, 1, 4.0), (1, 0, 3.0)], 1.0)
+
+    @pytest.mark.parametrize("label", [0.0, 1.5, np.float64(1.0), "0", None],
+                             ids=repr)
+    def test_rejects_non_integer_label(self, label):
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"vertex label {label!r} is not an integer") + "$"):
+            build_graph(3, [(label, 1, 1.0), (1, 2, 1.0)], 1.0)
+        with pytest.raises(ValidationError, match="is not an integer"):
+            build_graph(3, [(0, 1, 1.0), (2, label, 1.0)], 1.0)
+
+    @pytest.mark.parametrize("count", [3.0, np.float64(3), "3", None], ids=repr)
+    def test_rejects_non_integer_count(self, count):
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                f"vertex count {count!r} is not an integer") + "$"):
+            build_graph(count, [(0, 1, 1.0), (1, 2, 1.0)], 1.0)
 
     def test_transition_rows_with_killing(self, triangle):
         P = dense_transition(triangle)

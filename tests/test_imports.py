@@ -99,13 +99,12 @@ def test_the_check_finds_scipy_imports():
 
 def test_scipy_is_imported_by_the_newton_step_alone():
     # scipy's sparse modules cost more at start-up than the whole package;
-    # only the Newton step of the rho solve needs them, and a second
-    # caller would load them in a verb that does not
+    # only the sparse Newton step of a rho solve above the dense limit needs
+    # them, and a second caller would load them in a verb that does not
     found = {path.stem: scipy_imports(path.read_text())
              for path in sorted(ROOT.glob("*.py"))}
     assert {name: scopes for name, scopes in found.items() if scopes} == {
-        "spectra": ["_EdgeSystem._jacobian.", "_EdgeSystem.newton_step.",
-                    "_EdgeSystem.newton_step."]}
+        "spectra": ["_EdgeSystem.newton_step.", "_EdgeSystem.newton_step."]}
 
 
 def public_definitions(path: Path) -> list[tuple[str, str, bool]]:

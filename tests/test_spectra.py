@@ -23,6 +23,7 @@ from loopsoup import (
     geodesic_representative,
     homology1_intensity,
     load_graph,
+    parse_graph,
     ihara_check,
     multiplicity,
     regular_closed_forms,
@@ -790,6 +791,68 @@ class TestCriticalTables:
         below = want - solve_rho(g, 1.0).edge
         assert below.min() >= 0.0
         assert (below / want).max() <= 1e-7
+
+
+def _killed_at_one_vertex(rng, n, extra, kappa):
+    """A connected graph on n vertices with n - 1 + extra edges of random
+    conductance, killed at rate kappa at one vertex."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    killing = [0.0] * n
+    killing[rng.randrange(n)] = kappa
+    return build_graph(n, [(a, b, rng.uniform(0.2, 3.0)) for a, b in sorted(edges)],
+                       killing)
+
+
+class TestNewtonPaths:
+    """A Newton system of at most spectra._DENSE unknowns is factorized
+    densely, a larger one by one sparse LU; forced through either path, a
+    solve gives the same table, and a critical one the same error."""
+
+    DENSE, SPARSE = 10 ** 9, 0
+
+    def test_dense_and_sparse_tables_agree(self, monkeypatch):
+        limit = spectra._DENSE
+        sizes = []
+        newton_step = spectra._EdgeSystem.newton_step
+        monkeypatch.setattr(spectra._EdgeSystem, "newton_step", lambda self, *a:
+                            sizes.append(self.size) or newton_step(self, *a))
+        rng = random.Random(29)
+        for k in range(20):
+            n = rng.randint(4, 60) if k % 4 < 2 else rng.randint(110, 160)
+            if k % 2:  # one cycle, nearly unkilled: near-critical
+                g = _killed_at_one_vertex(rng, n, 1, rng.choice([1e-6, 1e-9, 1e-12]))
+            else:
+                g = _killed_at_one_vertex(rng, n, rng.randint(2, n // 3 + 2),
+                                          rng.choice([1.0, 1e-3, 0.0]))
+            for s in (1.0, 0.9):
+                solves = []
+                for path in (self.SPARSE, self.DENSE):
+                    monkeypatch.setattr(spectra, "_DENSE", path)
+                    taken = len(sizes)
+                    solves.append(spectra._solve(spectra._EdgeSystem(g), s))
+                    assert len(sizes) > taken  # it took Newton steps
+                (sparse, sparse_iterations), (dense, dense_iterations) = solves
+                assert dense_iterations == sparse_iterations
+                assert np.all(np.abs(dense - sparse) <= 1e-14 * sparse)
+        assert min(sizes) < limit < max(sizes)
+
+    @pytest.mark.parametrize("path", [DENSE, SPARSE], ids=["dense", "sparse"])
+    def test_critical_table_raises_on_both_paths(self, monkeypatch, path):
+        monkeypatch.setattr(spectra, "_DENSE", path)
+        g = parse_graph(TestCriticalTables.GRAPH)
+        with pytest.raises(NumericError, match="critical to within rounding"):
+            spectra._solve(spectra._EdgeSystem(g), 1.0)
+
+    @pytest.mark.parametrize("path", [DENSE, SPARSE], ids=["dense", "sparse"])
+    def test_singular_system_raises_on_both_paths(self, monkeypatch, path):
+        # the unkilled triangle at its double root r = 2: I - F'(r) is
+        # (I - Q) / 2 for a permutation Q of the oriented edges, exactly
+        monkeypatch.setattr(spectra, "_DENSE", path)
+        g = build_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)], 0.0)
+        with pytest.raises(NumericError, match=r"\(singular Newton system\)$"):
+            spectra._EdgeSystem(g).newton_step(np.full(6, 2.0), 1.0, np.ones(6))
 
 
 def _poly_trim(p, n):
